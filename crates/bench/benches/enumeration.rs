@@ -106,7 +106,7 @@ fn bench_steady_state_invocation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The pruning witness search over controlled cell populations: the
+/// The index witness search over controlled cell populations: the
 /// scalar per-entry visitor (`dominance_scan_scalar`) against the
 /// batched struct-of-arrays lane kernels (`CellGrid::dominance_scan`).
 /// A negative-infinity threshold forces full scans, so both paths do

@@ -1,6 +1,7 @@
-//! The `repro pruning` experiment: throughput of the dominance-scan
-//! pruning kernels, scalar visitor versus batched struct-of-arrays
-//! lanes, plus the prune-path share of end-to-end invocation time.
+//! The `repro pruning` experiment: throughput of the index
+//! dominance-scan kernels, scalar visitor versus batched
+//! struct-of-arrays lanes, plus the prune-path share of end-to-end
+//! invocation time.
 //!
 //! Two measurements:
 //!
@@ -8,27 +9,27 @@
 //!    cell sizes (costs pinned into known `floor(log2(1+v))` buckets,
 //!    one bucket vector per cell) are scanned with
 //!    [`PlanIndex::dominance_scan`] (batched lane kernels) and
-//!    [`dominance_scan_scalar`] (the per-entry `dyn` visitor the
-//!    optimizer used before the refactor). `threshold =
-//!    f64::NEG_INFINITY` forces full scans so both paths do identical
-//!    logical work; the reported medians isolate the storage-layout and
-//!    call-protocol difference. The same builder feeds the criterion
-//!    group in `benches/enumeration.rs`.
+//!    [`dominance_scan_scalar`] (the per-entry `dyn` visitor).
+//!    `threshold = f64::NEG_INFINITY` forces full scans so both paths
+//!    do identical logical work; the reported medians isolate the
+//!    storage-layout and call-protocol difference. The same
+//!    [`build_pruning_grid`] feeds the criterion group in
+//!    `benches/enumeration.rs`.
 //! 2. **Prune share** — full refinement ladders with
-//!    [`IamaConfig::time_pruning`] on, batched kernels on versus off,
-//!    reporting how much of the invocation wall-clock the witness
-//!    search consumes and its comparison throughput.
+//!    [`IamaConfig::time_pruning`] on, reporting how much of the
+//!    invocation wall-clock the optimizer's witness search (one pass
+//!    over the subset's active list) consumes and how many active
+//!    entries it examines per second.
 //!
-//! Both paths are decision-equivalent by construction (see
-//! `moqo_index::DominanceScan`); the experiment double-checks that the
-//! measured runs returned bit-identical frontier bytes.
+//! The optimizer's witness search walks active lists, not these
+//! kernels: they serve the cell grid's range scans and are the reference
+//! that search is property-tested against.
 
 use moqo_core::{IamaConfig, IamaOptimizer};
 use moqo_cost::{Bounds, CostVector, ResolutionSchedule};
 use moqo_costmodel::{CostModel, MetricSet, StandardCostModel, StandardCostModelConfig};
 use moqo_index::{dominance_scan_scalar, CellGrid, Entry, PlanIndex};
 use moqo_query::{testkit, QuerySpec};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -162,26 +163,18 @@ fn share_specs(fast: bool) -> Vec<Arc<QuerySpec>> {
     ]
 }
 
-/// Frontiers the batched ladders produced, keyed by query name, so the
-/// scalar twin of each query can assert byte-equality.
+/// Shared setup of the prune-share ladders.
 struct PruningState {
     fast: bool,
     model: Arc<StandardCostModel>,
-    frontiers: HashMap<String, moqo_core::FrontierSnapshot>,
 }
 
 /// Runs one full ladder with pruning timed and records the prune-path
-/// profile; returns the final frontier for the bits_eq cross-check.
-fn run_share_ladder(
-    state: &PruningState,
-    spec: &Arc<QuerySpec>,
-    batch: bool,
-    trial: &mut Trial,
-) -> moqo_core::FrontierSnapshot {
+/// profile.
+fn run_share_ladder(state: &PruningState, spec: &Arc<QuerySpec>, trial: &mut Trial) {
     let schedule = ResolutionSchedule::linear(if state.fast { 2 } else { 4 }, 1.05, 0.5);
     let bounds = Bounds::unbounded(state.model.dim());
     let config = IamaConfig {
-        use_batch_kernels: batch,
         time_pruning: true,
         ..IamaConfig::default()
     };
@@ -201,21 +194,17 @@ fn run_share_ladder(
         "cmp_per_sec",
         stats.prune_comparisons as f64 / prune_seconds.max(1e-12),
     );
-    opt.frontier(&bounds, schedule.r_max())
 }
 
 /// The pruning experiment: the kernel sweep ([`KERNEL_DIMS`] ×
-/// [`KERNEL_CELL_SIZES`]) and the end-to-end prune-share ladders
-/// (batched kernels on versus off, per query). Panics if the two ladder
-/// modes disagree on a single frontier byte — the kernels must change
-/// time, never bytes.
+/// [`KERNEL_CELL_SIZES`]) and the end-to-end prune-share ladders (one
+/// per query).
 pub fn pruning_experiment(fast: bool) -> ExperimentReport {
     let mut exp = Experiment::new("pruning", fast, move || PruningState {
         fast,
         model: Arc::new(lean_model()),
-        frontiers: HashMap::new(),
     })
-    .title("dominance-scan pruning: batched lanes vs the scalar visitor");
+    .title("dominance-scan pruning: batched lanes vs the scalar visitor, and the prune share");
     for &dim in KERNEL_DIMS {
         for &cell_size in KERNEL_CELL_SIZES {
             exp = exp.variant(
@@ -226,26 +215,14 @@ pub fn pruning_experiment(fast: bool) -> ExperimentReport {
         }
     }
     for spec in share_specs(fast) {
-        let name = spec.name.clone();
-        let batch_spec = spec.clone();
-        exp = exp
-            .variant("prune share", format!("{name} batch"), move |s, t| {
-                let frontier = run_share_ladder(s, &batch_spec, true, t);
-                s.frontiers.insert(batch_spec.name.clone(), frontier);
-            })
-            .variant("prune share", format!("{name} scalar"), move |s, t| {
-                let frontier = run_share_ladder(s, &spec, false, t);
-                let batched = &s.frontiers[&spec.name];
-                assert!(
-                    frontier.bits_eq(batched),
-                    "{}: batched and scalar pruning disagree on frontier bytes",
-                    spec.name
-                );
-            });
+        exp = exp.variant("prune share", spec.name.clone(), move |s, t| {
+            run_share_ladder(s, &spec, t)
+        });
     }
     exp.conclusion(
         "batched struct-of-arrays lanes outscan the dyn visitor at every \
-         (dim, cell size) point, and the two paths stay bit-identical.",
+         (dim, cell size) point; the optimizer's active-list witness \
+         search takes the prune share shown per query.",
     )
     .run()
 }

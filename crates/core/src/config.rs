@@ -50,19 +50,6 @@ pub struct IamaConfig {
     /// inflate result sets several-fold, which quadratically inflates pair
     /// generation (the `ablation-shadow` benchmark quantifies this).
     pub shadow_dominated: bool,
-    /// Run the pruning witness search through the index's batched
-    /// struct-of-arrays kernels (`PlanIndex::dominance_scan`): the cell
-    /// grid evaluates bounds-respect and domination factors over whole
-    /// 64-row lane blocks instead of one `dyn` visitor call per entry.
-    /// Decision-equivalent to the scalar path — identical frontiers, bit
-    /// for bit; only the `prune_comparisons` accounting granularity
-    /// differs — so this is a pure speed knob (`repro pruning` measures
-    /// it). Disabling forces the scalar visitor scan on every index
-    /// kind; the linear/kd-tree kinds use the scalar path either way.
-    ///
-    /// Not serialized in snapshots: both settings produce byte-identical
-    /// exported state, so imported optimizers simply use the default.
-    pub use_batch_kernels: bool,
     /// Accumulate the wall-clock nanoseconds spent in the pruning
     /// witness search into `OptimizerStats::prune_nanos`. Off by
     /// default: two clock reads per generated plan are measurable
@@ -96,7 +83,6 @@ impl Default for IamaConfig {
             track_invariants: false,
             eager_level_skip: true,
             shadow_dominated: true,
-            use_batch_kernels: true,
             time_pruning: false,
             max_seeds_per_slice: 4096,
         }
@@ -126,7 +112,6 @@ mod tests {
         assert!(!c.track_invariants);
         assert!(c.eager_level_skip);
         assert!(c.shadow_dominated);
-        assert!(c.use_batch_kernels);
         assert!(!c.time_pruning);
         assert_eq!(c.max_seeds_per_slice, 4096);
         assert!(IamaConfig::tracked().track_invariants);

@@ -37,9 +37,11 @@ use moqo_query::{EnumerationPlan, QuerySpec, SubsetId};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One combinable result plan in a subset's active list.
+/// One result plan in a subset's active list.
 ///
-/// The list is strictly append-only: plans shadowed by a plainly
+/// The list holds exactly the entries of the subset's result index, in
+/// insertion order, so it doubles as the flat witness set that pruning
+/// scans. It is strictly append-only: plans shadowed by a plainly
 /// dominating, order-compatible alternative are tombstoned in place (see
 /// [`IamaConfig::shadow_dominated`]), so list *positions* are stable and
 /// the per-split watermark rectangles remain meaningful forever.
@@ -53,8 +55,7 @@ pub(crate) struct ActiveEntry {
     pub(crate) invocation: u32,
     pub(crate) level: u8,
     /// Tombstone: excluded from all future combinations, kept for
-    /// positional stability (the plan itself stays in the cost index as a
-    /// pruning witness).
+    /// positional stability and as a pruning witness.
     pub(crate) shadowed: bool,
 }
 
@@ -76,8 +77,9 @@ pub(crate) struct SubsetState {
     pub(crate) res: Option<DynIndex<PlanId>>,
     /// Candidate plans `Cand^q`.
     pub(crate) cand: Option<DynIndex<PlanId>>,
-    /// Append-only combinable view of the result set (the Δ-list of the
-    /// current invocation is its suffix with `invocation == current`).
+    /// Append-only mirror of the result set: the combination operands
+    /// (the Δ-list of the current invocation is its suffix with
+    /// `invocation == current`) and the pruning witnesses.
     pub(crate) active: Vec<ActiveEntry>,
     /// Invocation of the most recent result insertion — the auxiliary
     /// index the paper mentions for evaluating `ΔS` cheaply (Section
@@ -423,7 +425,7 @@ impl IamaOptimizer {
             resolution: r,
             alpha: self.schedule.factor(r),
             duration: start.elapsed(),
-            frontier_size: self.frontier(bounds, r).len(),
+            frontier_size: self.frontier_size(bounds, r),
             plans_generated: self.stats.plans_generated - plans0,
             candidates_retrieved: self.stats.candidate_retrievals - cands0,
             pairs_generated: self.stats.pairs_generated - pairs0,
@@ -443,11 +445,7 @@ impl IamaOptimizer {
     /// would render (Algorithm 1 line 16).
     pub fn frontier(&self, bounds: &Bounds, r: usize) -> FrontierSnapshot {
         let mut points = Vec::new();
-        if let Some(idx) = self
-            .plan
-            .full_set()
-            .and_then(|id| self.states[id.index()].res.as_ref())
-        {
+        if let Some(idx) = self.full_result_index() {
             // Batched range scan: whole struct-of-arrays blocks per
             // callback on the cell grid, one-row batches elsewhere.
             // Selected rows arrive in `scan` order, so the snapshot is
@@ -463,6 +461,26 @@ impl IamaOptimizer {
             });
         }
         FrontierSnapshot::new(points)
+    }
+
+    /// `self.frontier(bounds, r).len()`, counted off the same range scan
+    /// without building the snapshot.
+    fn frontier_size(&self, bounds: &Bounds, r: usize) -> usize {
+        let mut n = 0;
+        if let Some(idx) = self.full_result_index() {
+            idx.scan_batch(bounds, r as u8, &mut |batch| {
+                n += batch.mask().count_ones() as usize;
+                false
+            });
+        }
+        n
+    }
+
+    /// The result index of the full table set, if any plan reached it.
+    fn full_result_index(&self) -> Option<&DynIndex<PlanId>> {
+        self.plan
+            .full_set()
+            .and_then(|id| self.states[id.index()].res.as_ref())
     }
 
     /// Total result-set entries across all table sets (diagnostics).
@@ -701,49 +719,36 @@ impl IamaOptimizer {
         // Line 7: is there an alternative result plan (within bounds, at
         // resolution <= r, with compatible physical properties) that
         // approximately dominates the new plan? Any such plan has cost
-        // dominated by `alpha * c(p)`, so the range query is narrowed to
-        // the intersection of the user bounds with that region — this is
-        // where the multi-dimensional cost index pays off (Section 4.1).
-        // The scan tracks the *best* (smallest) domination factor so
-        // eager re-indexing can skip resolution levels at which the same
-        // witness would dominate again, and exits early once the minimum
-        // reaches the decision threshold: without eager re-indexing the
-        // first witness within `alpha` decides; with it, a witness within
-        // the *target* factor means the plan is discarded at every
-        // remaining level, so the exact minimum is irrelevant. Both the
-        // batched (struct-of-arrays lane kernels) and the scalar visitor
-        // path visit entries in the same order and compute bit-identical
-        // factors, so the routing decision below never depends on which
-        // one ran.
+        // dominated by `alpha * c(p)`, so the search is narrowed to the
+        // intersection of the user bounds with that region. The witnesses
+        // are exactly `Res^q`, which the subset's active list mirrors
+        // entry for entry (tombstones included), so one flat pass over it
+        // answers the range query without touching the index: result sets
+        // are small, and walking them beats probing the cell grid's
+        // per-level hash maps. The pass tracks the *best* (smallest)
+        // domination factor so eager re-indexing can skip resolution
+        // levels at which the same witness would dominate again, and
+        // stops once the minimum reaches the decision threshold: without
+        // eager re-indexing the first witness within `alpha` decides; with
+        // it, a witness within the *target* factor means the plan is
+        // discarded at every remaining level. Either way the routing
+        // decision below does not depend on the order of the pass.
         let mut best_factor = f64::INFINITY;
-        if let Some(idx) = self.states[q.index()].res.as_ref() {
-            let dom_region = bounds.intersect(&Bounds::new(cost.scaled(alpha)));
-            let arena = &self.arena;
-            let eager = self.config.eager_level_skip;
-            let threshold = if eager {
+        let active = &self.states[q.index()].active;
+        if !active.is_empty() {
+            let region = bounds.intersect(&Bounds::new(cost.scaled(alpha)));
+            let threshold = if self.config.eager_level_skip {
                 self.schedule.target_factor()
             } else {
                 alpha
             };
-            let accept = &mut |item: PlanId| arena.node(item).props.satisfies(&props);
             let timer = self.config.time_pruning.then(Instant::now);
-            let scan = if self.config.use_batch_kernels {
-                idx.dominance_scan(&dom_region, r as u8, &cost, threshold, accept)
-            } else {
-                moqo_index::dominance_scan_scalar(
-                    idx,
-                    &dom_region,
-                    r as u8,
-                    &cost,
-                    threshold,
-                    accept,
-                )
-            };
+            let (best, examined) = witness_search(active, &region, r, &cost, &props, threshold);
             if let Some(t) = timer {
                 self.stats.prune_nanos += t.elapsed().as_nanos() as u64;
             }
-            self.stats.prune_comparisons += scan.comparisons;
-            best_factor = scan.best_factor;
+            self.stats.prune_comparisons += examined;
+            best_factor = best;
         }
         let dominated = best_factor <= alpha;
 
@@ -753,14 +758,8 @@ impl IamaOptimizer {
             // precision factor drops below the witness's domination
             // factor; the plan provably stays dominated by the same
             // witness at every level in between.
-            let next_level = if self.config.eager_level_skip {
-                ((r + 1)..=self.schedule.r_max()).find(|&r2| self.schedule.factor(r2) < best_factor)
-            } else if r < self.schedule.r_max() {
-                Some(r + 1)
-            } else {
-                None
-            };
-            match next_level {
+            let eager = self.config.eager_level_skip;
+            match requeue_level(&self.schedule, r, best_factor, eager) {
                 Some(level) => self.insert_candidate(q, plan, cost, level as u8),
                 None => self.stats.candidates_discarded += 1,
             }
@@ -821,6 +820,55 @@ impl IamaOptimizer {
             .get_or_insert_with(|| DynIndex::new(kind, dim))
             .insert(Entry::new(plan, cost, level, invocation));
         self.stats.candidate_insertions += 1;
+    }
+}
+
+/// The witness search of `Prune` (Algorithm 3 line 7) over a subset's
+/// active list: among the entries at level `<= r` whose cost respects
+/// `region` and whose properties satisfy `props`, the smallest domination
+/// factor against `target`, stopping as soon as it reaches `threshold`.
+/// Returns that factor (`f64::INFINITY` if no entry qualified) and the
+/// number of entries examined.
+fn witness_search(
+    active: &[ActiveEntry],
+    region: &Bounds,
+    r: usize,
+    target: &CostVector,
+    props: &PhysicalProps,
+    threshold: f64,
+) -> (f64, u64) {
+    let mut best = f64::INFINITY;
+    for (i, e) in active.iter().enumerate() {
+        if e.level as usize > r || !region.respects(&e.cost) {
+            continue;
+        }
+        let f = e.cost.domination_factor(target);
+        // Props are checked only for improving entries: the check is
+        // pure, so skipping it for the rest cannot change the minimum.
+        if f < best && e.props.satisfies(props) {
+            best = f;
+            if best <= threshold {
+                return (best, i as u64 + 1);
+            }
+        }
+    }
+    (best, active.len() as u64)
+}
+
+/// The level a plan dominated at level `r` by a witness with domination
+/// factor `best_factor` is re-indexed at as a candidate, or `None` if it
+/// is discarded: `r + 1` (Algorithm 3 lines 9-12), or with `eager` the
+/// first finer level whose factor drops below `best_factor`.
+fn requeue_level(
+    schedule: &ResolutionSchedule,
+    r: usize,
+    best_factor: f64,
+    eager: bool,
+) -> Option<usize> {
+    if eager {
+        ((r + 1)..=schedule.r_max()).find(|&r2| schedule.factor(r2) < best_factor)
+    } else {
+        (r < schedule.r_max()).then_some(r + 1)
     }
 }
 
@@ -1166,6 +1214,99 @@ mod tests {
             ResolutionSchedule::linear(1, 1.1, 0.5),
         );
         opt.optimize(&Bounds::unbounded(3), 5);
+    }
+
+    mod witness_oracle {
+        use super::*;
+        use moqo_index::{dominance_scan_scalar, CellGrid};
+        use moqo_plan::OrderKey;
+        use proptest::prelude::*;
+
+        /// How `prune` routes a plan given its witness factor: `None` if
+        /// it is not dominated, else its re-index level.
+        fn route(
+            best: f64,
+            r: usize,
+            eager: bool,
+            sched: &ResolutionSchedule,
+        ) -> Option<Option<usize>> {
+            (best <= sched.factor(r)).then(|| requeue_level(sched, r, best, eager))
+        }
+
+        fn metric() -> impl Strategy<Value = f64> {
+            prop_oneof![1 => Just(0.0), 4 => 0.0f64..1e5]
+        }
+
+        fn props() -> impl Strategy<Value = PhysicalProps> {
+            prop_oneof![
+                2 => Just(PhysicalProps::NONE),
+                1 => (0u16..2).prop_map(|k| PhysicalProps::sorted(OrderKey(k))),
+            ]
+        }
+
+        fn limit() -> impl Strategy<Value = f64> {
+            prop_oneof![1 => Just(f64::INFINITY), 2 => 0.0f64..1.2e5]
+        }
+
+        proptest! {
+            /// The active-list witness search routes every plan exactly
+            /// as the cell grid's lane kernels and the scalar index scan
+            /// do over the same entries: same `best <= alpha` decision
+            /// and same eager next level, whatever the scan order, and
+            /// the same minimum bit for bit when no early exit fires.
+            #[test]
+            fn witness_search_routes_like_the_index_scans(
+                entries in proptest::collection::vec(
+                    ((metric(), metric(), metric()), 0u8..5, props(), any::<bool>()),
+                    0..80,
+                ),
+                limits in (limit(), limit(), limit()),
+                target in (metric(), metric(), metric()),
+                target_props in props(),
+                r in 0usize..5,
+            ) {
+                let sched = ResolutionSchedule::linear(4, 1.05, 0.5);
+                let mut grid = CellGrid::new(3);
+                let mut active = Vec::new();
+                for (i, ((a, b, c), level, p, shadowed)) in entries.iter().enumerate() {
+                    let cost = CostVector::new(&[*a, *b, *c]);
+                    grid.insert(Entry::new(i as u32, cost, *level, 0));
+                    active.push(ActiveEntry {
+                        plan: PlanId(i as u32),
+                        cost,
+                        props: *p,
+                        invocation: 0,
+                        level: *level,
+                        shadowed: *shadowed,
+                    });
+                }
+                let accept = &mut |i: u32| entries[i as usize].2.satisfies(&target_props);
+                let target = CostVector::new(&[target.0, target.1, target.2]);
+                let alpha = sched.factor(r);
+                let region = Bounds::from_slice(&[limits.0, limits.1, limits.2])
+                    .intersect(&Bounds::new(target.scaled(alpha)));
+                for eager in [true, false] {
+                    let threshold = if eager { sched.target_factor() } else { alpha };
+                    let (best, _) =
+                        witness_search(&active, &region, r, &target, &target_props, threshold);
+                    let lanes = grid.dominance_scan(&region, r as u8, &target, threshold, accept);
+                    let scalar =
+                        dominance_scan_scalar(&grid, &region, r as u8, &target, threshold, accept);
+                    let want = route(best, r, eager, &sched);
+                    prop_assert_eq!(want, route(lanes.best_factor, r, eager, &sched));
+                    prop_assert_eq!(want, route(scalar.best_factor, r, eager, &sched));
+                }
+                let (full, examined) = witness_search(
+                    &active, &region, r, &target, &target_props, f64::NEG_INFINITY);
+                prop_assert_eq!(examined, active.len() as u64);
+                let lanes = grid.dominance_scan(
+                    &region, r as u8, &target, f64::NEG_INFINITY, accept);
+                let scalar = dominance_scan_scalar(
+                    &grid, &region, r as u8, &target, f64::NEG_INFINITY, accept);
+                prop_assert_eq!(full.to_bits(), lanes.best_factor.to_bits());
+                prop_assert_eq!(full.to_bits(), scalar.best_factor.to_bits());
+            }
+        }
     }
 
     #[test]

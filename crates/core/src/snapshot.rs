@@ -30,7 +30,7 @@
 use crate::optimizer::{ActiveEntry, IamaOptimizer, Watermark};
 use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use crate::IamaConfig;
-use moqo_cost::{Bounds, CostVector, ResolutionSchedule};
+use moqo_cost::{Bounds, CostVector, ResolutionSchedule, MAX_DIM};
 use moqo_costmodel::{CostModel, PlanInput, SharedCostModel};
 use moqo_index::{DynIndex, Entry, IndexKind, PlanIndex};
 use moqo_plan::{JoinAlgo, Operator, PlanArena, ScanMethod};
@@ -238,6 +238,18 @@ fn read_entries(
     Ok(out)
 }
 
+/// Identity of a result entry for the `Res`/active agreement check: plan,
+/// level, invocation, and the exact cost bits.
+type EntryKey = (u32, u8, u32, [u64; MAX_DIM]);
+
+fn entry_key(plan: PlanId, cost: &CostVector, level: u8, invocation: u32) -> EntryKey {
+    let mut bits = [0u64; MAX_DIM];
+    for (slot, v) in bits.iter_mut().zip(cost.as_slice()) {
+        *slot = v.to_bits();
+    }
+    (plan.0, level, invocation, bits)
+}
+
 impl IamaOptimizer {
     /// Serializes the optimizer's complete warm state — spec, catalog
     /// statistics, schedule, configuration, plan arena, result/candidate
@@ -273,12 +285,10 @@ impl IamaOptimizer {
         w.bool(self.config.track_invariants);
         w.bool(self.config.eager_level_skip);
         w.bool(self.config.shadow_dominated);
-        // `use_batch_kernels` and `time_pruning` are deliberately not
-        // serialized: both settings produce byte-identical optimizer
-        // state (the batch kernels are decision-equivalent to the scalar
-        // path, and prune timing is pure diagnostics), so encoding them
-        // would bump SNAPSHOT_VERSION for no observable difference.
-        // Imported optimizers run with the defaults.
+        // `time_pruning` and `max_seeds_per_slice` are deliberately not
+        // serialized: prune timing is pure diagnostics and seeding is a
+        // session-local accelerant, so neither changes the exported
+        // state. Imported optimizers run with the defaults.
 
         // --- Invocation context. ---
         w.u32(self.invocation);
@@ -588,6 +598,34 @@ impl IamaOptimizer {
                     level,
                     shadowed,
                 });
+            }
+            // Pruning takes its witnesses from the active list and the
+            // frontier from the result index, so the two must hold the
+            // same entries: an edited file whose lists disagree would
+            // otherwise prune against plans the frontier never shows.
+            let mut in_res: Vec<_> = res
+                .iter()
+                .map(|e| entry_key(e.item, &e.cost, e.level, e.invocation))
+                .collect();
+            let mut in_active: Vec<_> = active
+                .iter()
+                .map(|e| entry_key(e.plan, &e.cost, e.level, e.invocation))
+                .collect();
+            in_res.sort_unstable();
+            in_active.sort_unstable();
+            if in_res != in_active {
+                return Err(corrupt(format!(
+                    "subset {ix} active list disagrees with its result set"
+                )));
+            }
+            if let Some(e) = active
+                .iter()
+                .find(|e| e.props != opt.arena.node(e.plan).props)
+            {
+                return Err(corrupt(format!(
+                    "subset {ix} active entry props disagree with plan {}",
+                    e.plan.0
+                )));
             }
             let state = &mut opt.states[ix];
             if !res.is_empty() {
@@ -1316,6 +1354,52 @@ mod tests {
             mutant[i] = bytes[i];
         }
         assert!(seen_rejection, "no dim corruption was ever rejected");
+    }
+
+    #[test]
+    fn import_rejects_active_lists_that_disagree_with_the_result_set() {
+        // Pruning trusts the active list as the witness set, so a file
+        // whose active list drops or duplicates a result entry (or whose
+        // result set drops one) must fail import with a typed error
+        // rather than revive an optimizer that prunes differently.
+        let b = Bounds::unbounded(3);
+        let rejects = |opt: &IamaOptimizer| {
+            matches!(
+                IamaOptimizer::import_frontier(model(), opt.export_frontier().as_slice()),
+                Err(SnapshotError::Corrupt(m)) if m.contains("disagrees with its result set")
+            )
+        };
+        let full = |opt: &IamaOptimizer| opt.plan.full_set().expect("connected query").index();
+
+        let mut dropped = warm_optimizer(3);
+        let ix = full(&dropped);
+        dropped.states[ix]
+            .active
+            .pop()
+            .expect("non-empty result set");
+        assert!(rejects(&dropped), "dropped active entry was imported");
+
+        let mut duplicated = warm_optimizer(3);
+        let ix = full(&duplicated);
+        let last = *duplicated.states[ix].active.last().expect("non-empty");
+        duplicated.states[ix].active.push(last);
+        assert!(rejects(&duplicated), "duplicated active entry was imported");
+
+        let mut shrunk = warm_optimizer(3);
+        let ix = full(&shrunk);
+        let idx = shrunk.states[ix].res.as_mut().expect("result index");
+        let mut entries = idx.drain(&b, u8::MAX);
+        entries.pop().expect("non-empty result set");
+        for e in entries {
+            idx.insert(e);
+        }
+        assert!(rejects(&shrunk), "dropped result entry was imported");
+
+        // The untouched optimizer still round-trips.
+        let intact = warm_optimizer(3);
+        assert!(
+            IamaOptimizer::import_frontier(model(), intact.export_frontier().as_slice()).is_ok()
+        );
     }
 
     #[test]

@@ -16,10 +16,8 @@ pub struct OptimizerStats {
     pub pairs_generated: u64,
     /// Candidate entries retrieved (drained) in phase 1.
     pub candidate_retrievals: u64,
-    /// Cost-vector comparisons performed during pruning. The batched
-    /// kernels charge whole lane blocks (that is what they evaluate),
-    /// so with `use_batch_kernels` this can exceed the scalar count by
-    /// up to one block per early exit.
+    /// Active-list entries examined by the pruning witness search: every
+    /// entry the pass walked before it stopped, in range or not.
     pub prune_comparisons: u64,
     /// Wall-clock nanoseconds spent in the pruning witness search.
     /// Accumulated only when [`crate::IamaConfig::time_pruning`] is set;

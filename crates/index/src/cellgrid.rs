@@ -21,7 +21,7 @@
 //!
 //! Each cell stores its entries in struct-of-arrays layout ([`SoaCell`]):
 //! one contiguous `f64` lane per metric plus parallel payload columns.
-//! Range drains, batched scans, and the pruning witness search
+//! Range drains, batched scans, and the witness search
 //! ([`PlanIndex::dominance_scan`]) run the lane kernels of
 //! [`moqo_cost::lanes`] over whole 64-row blocks — branch-light,
 //! auto-vectorizable, and bit-exact with the scalar visitor protocol,

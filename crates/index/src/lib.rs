@@ -167,9 +167,13 @@ impl<'a, T: Copy> EntryBatch<'a, T> {
 /// The scalar reference implementation of [`PlanIndex::dominance_scan`]:
 /// a per-entry visitor scan computing the same minimum with the same
 /// early exits. This is the default for indexes without native lane
-/// storage and the ablation baseline the batched kernels are verified
-/// against (`IamaConfig::use_batch_kernels = false` routes pruning
-/// through this function even on a cell grid).
+/// storage and the baseline the batched kernels are verified against.
+///
+/// The optimizer does not prune through either function: its witness
+/// search is one pass over the subset's flat active list (result sets
+/// are small), while the index serves candidate drains and the frontier
+/// range scan. Both index searches remain the test oracle that pass is
+/// property-tested against.
 pub fn dominance_scan_scalar<T, I>(
     index: &I,
     bounds: &Bounds,
@@ -285,8 +289,8 @@ pub trait PlanIndex<T: Copy> {
         })
     }
 
-    /// Witness search over `S[0..b, 0..r]` (the pruning hot path,
-    /// Algorithm 3 line 7): among the in-range entries for which
+    /// Witness search over `S[0..b, 0..r]` (Algorithm 3 line 7's
+    /// question, asked of an index): among the in-range entries for which
     /// `accept(item)` holds, finds the minimal domination factor of the
     /// entry's cost against `target`, stopping early as soon as the
     /// running minimum reaches `threshold` (pass

@@ -159,19 +159,23 @@ impl Reactor {
 
     /// Blocks until a registration is ready, a [`WakeHandle`] rings, or
     /// the timeout elapses. Returns `true` when a wake was consumed
-    /// (the wake pipe is drained and the latch reset before returning,
-    /// so the caller processes its wake-queue exactly once per ring
-    /// burst). `None` blocks indefinitely — safe, because shutdown
-    /// rings the doorbell too.
+    /// (the wake pipe is drained and the latch reset before returning);
+    /// the caller must then re-check its wake queues, which observes
+    /// every ring up to the reset. `None` blocks indefinitely — safe,
+    /// because shutdown rings the doorbell too.
     pub fn poll(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<bool> {
         self.poll.poll(events, timeout)?;
         let woken = events.iter().any(|e| e.token() == WAKE_TOKEN);
         if woken {
-            // Reset the latch *before* draining: a wake that lands in
-            // between sets the latch and writes a fresh byte, so the
-            // next poll still returns promptly.
-            self.wake_pending.store(false, Ordering::SeqCst);
+            // Drain *before* resetting the latch. A ring that lands in
+            // between finds the latch set and writes nothing, but its
+            // work is queued before it rings, so the caller's re-check
+            // sees it; a ring after the reset writes a fresh byte. The
+            // other order loses wakes for good: a ring between reset and
+            // drain has its byte drained while the latch stays set, and
+            // every later ring is swallowed.
             self.waker.clear();
+            self.wake_pending.store(false, Ordering::SeqCst);
         }
         Ok(woken)
     }
@@ -286,6 +290,67 @@ mod tests {
                 .poll(&mut events, Some(Duration::from_secs(5)))
                 .unwrap();
             assert!(woken, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn racing_wakes_are_never_lost() {
+        // Rounds of rings against a poller, released together by a
+        // barrier and with no sleeps, so rings land anywhere inside
+        // `poll` (including between its drain and its latch reset). The
+        // poller handles a wake the way event loops do — poll, then
+        // re-check the queue — and must observe every ring well within
+        // the deadline; a lost wakeup instead parks it in `poll` until
+        // the timeout.
+        use std::sync::atomic::AtomicU64;
+        use std::sync::Barrier;
+
+        // The window is a few instructions wide: run many rounds, within
+        // a time budget so a loaded host still finishes promptly.
+        const ROUNDS: u64 = 100_000;
+        const BUDGET: Duration = Duration::from_secs(3);
+        const DEADLINE: Duration = Duration::from_secs(5);
+        for backend in backends() {
+            let reactor = Reactor::with_backend(backend).unwrap();
+            let handle = reactor.wake_handle();
+            let posted = Arc::new(AtomicU64::new(0));
+            let stop = Arc::new(AtomicBool::new(false));
+            let barrier = Arc::new(Barrier::new(2));
+            let ringer = {
+                let (posted, stop, barrier) = (posted.clone(), stop.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    for round in 1..=ROUNDS {
+                        barrier.wait();
+                        if stop.load(Ordering::SeqCst) {
+                            return;
+                        }
+                        // A spurious ring first, so the real one tends
+                        // to land while the poller is handling it.
+                        handle.wake();
+                        posted.store(round, Ordering::SeqCst);
+                        handle.wake();
+                    }
+                })
+            };
+            let mut events = Events::new();
+            let began = Instant::now();
+            for round in 1..=ROUNDS {
+                if began.elapsed() > BUDGET {
+                    stop.store(true, Ordering::SeqCst);
+                    barrier.wait();
+                    break;
+                }
+                barrier.wait();
+                let start = Instant::now();
+                while posted.load(Ordering::SeqCst) < round {
+                    reactor.poll(&mut events, Some(DEADLINE)).unwrap();
+                }
+                assert!(
+                    start.elapsed() < DEADLINE,
+                    "{backend:?}: ring {round} was lost until the poll timed out"
+                );
+            }
+            ringer.join().unwrap();
         }
     }
 
