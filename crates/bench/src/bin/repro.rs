@@ -5,10 +5,10 @@
 //! ```
 //!
 //! Experiments: `fig1`, `fig2a`, `fig2b`, `fig3`, `fig4`, `fig5`,
-//! `lemmas`, `quality`, `ablation-index`, `ablation-delta`,
-//! `ablation-shadow`, `bounds`, `space`, `amortized`, `schedules`,
-//! `enumeration`, `pruning`, `serve`, `net`, `net-scale`, `similarity`,
-//! `fleet`, `fleet-router`, `replay`, `churn`, or `all`.
+//! `lemmas`, `quality`, `ablation-delta`, `ablation-shadow`, `bounds`,
+//! `space`, `amortized`, `schedules`, `enumeration`, `pruning`, `serve`,
+//! `net`, `net-scale`, `similarity`, `fleet`, `fleet-router`, `replay`,
+//! `churn`, or `all`.
 //! `--fast` shrinks the scale factor and level counts for a quick smoke
 //! run; `--stats` appends the enumeration-plane counter table (splits
 //! visited/skipped, pairs skipped, scratch high-water) regardless of the
@@ -75,7 +75,6 @@ const EXPERIMENTS: &[&str] = &[
     "fig5",
     "lemmas",
     "quality",
-    "ablation-index",
     "ablation-delta",
     "ablation-shadow",
     "bounds",
@@ -343,9 +342,6 @@ fn main() {
     }
     if run("quality") {
         quality(cli.sf);
-    }
-    if run("ablation-index") {
-        ablations_index(&model, cli.sf);
     }
     if run("ablation-delta") {
         ablations_delta(&model, cli.sf);
@@ -694,23 +690,6 @@ fn quality(sf: f64) {
             format!("{:.4}", r.guarantee),
             r.exhaustive_size.to_string(),
             r.iama_size.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-/// Ablation: cell grid vs linear index.
-fn ablations_index(model: &StandardCostModel, sf: f64) {
-    println!("=== Ablation: cell-grid index vs flat index ===\n");
-    let schedule = ExperimentSetup::fig4().schedule(20);
-    let mut t = TextTable::new(vec!["query", "cell grid (s)", "linear (s)"]);
-    for name in ["q03", "q05", "q09"] {
-        let spec = query_block(name, sf).expect("block");
-        let (grid, linear) = ablation_index(&spec, model, &schedule);
-        t.row(vec![
-            name.to_string(),
-            format!("{grid:.4}"),
-            format!("{linear:.4}"),
         ]);
     }
     println!("{}", t.render());

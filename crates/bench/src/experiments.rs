@@ -5,7 +5,6 @@ use moqo_baselines::{exhaustive_pareto, memoryless_series, one_shot};
 use moqo_core::{IamaConfig, IamaOptimizer, InvocationReport};
 use moqo_cost::{coverage_factor, Bounds, CostVector, ResolutionSchedule};
 use moqo_costmodel::{CostModel, StandardCostModel};
-use moqo_index::IndexKind;
 use moqo_query::QuerySpec;
 use moqo_tpch::{all_join_blocks, table_counts};
 use std::sync::Arc;
@@ -303,34 +302,6 @@ pub fn verify_quality(
         .collect()
 }
 
-/// Ablation: total series time with the cell-grid index vs the flat index.
-pub fn ablation_index(
-    spec: &QuerySpec,
-    model: &StandardCostModel,
-    schedule: &ResolutionSchedule,
-) -> (f64, f64) {
-    let grid = iama_series_with_config(
-        spec,
-        model,
-        schedule,
-        IamaConfig {
-            index_kind: IndexKind::CellGrid,
-            ..IamaConfig::default()
-        },
-    );
-    let linear = iama_series_with_config(
-        spec,
-        model,
-        schedule,
-        IamaConfig {
-            index_kind: IndexKind::Linear,
-            ..IamaConfig::default()
-        },
-    );
-    let sum = |rs: &[InvocationReport]| rs.iter().map(|r| r.seconds()).sum();
-    (sum(&grid), sum(&linear))
-}
-
 /// Ablation: Δ-set filtering on vs off — total time and settled pairs
 /// skipped (`(secs_with, secs_without, settled_pairs_without)`). Without
 /// Δ filtering every invocation recombines the full cross products, so
@@ -476,8 +447,6 @@ mod tests {
         let spec = query_block("q03", 0.01).unwrap();
         let model = bench_model();
         let schedule = ResolutionSchedule::linear(3, 1.05, 0.5);
-        let (grid, linear) = ablation_index(&spec, &model, &schedule);
-        assert!(grid > 0.0 && linear > 0.0);
         let (with_d, without_d, settled) = ablation_delta(&spec, &model, &schedule);
         assert!(with_d > 0.0 && without_d > 0.0);
         // Without Δ filtering, already-combined pairs are re-skipped

@@ -7,16 +7,17 @@
 //! event-loop thread plus a fixed decode pool holds N connected,
 //! admitted, idle sessions without a per-connection thread and with
 //! bounded per-connection memory. The report samples `/proc/self/status`
-//! (so the figures are userspace RSS and real thread counts, client and
-//! server side combined — both live in this process) and the server's
+//! for userspace RSS (client and server side combined — both live in this
+//! process), counts the server's own threads by name under
+//! `/proc/self/task`, and reads the server's
 //! [`NetStats`](moqo_serve::NetStats) backpressure counters before and
 //! while holding the fleet.
 //!
 //! Sequence: raise `RLIMIT_NOFILE`, bind one [`NetServer`], connect and
 //! submit N sessions over a handful of repeated query templates, drain
-//! every client to its first frontier, hold the fleet idle, then drop all
-//! clients at once (the disconnect-park path) and time the drain and the
-//! event-driven shutdown.
+//! every client through its resolution ladder, hold the fleet idle, then
+//! drop all clients at once (the disconnect-park path) and time the drain
+//! and the event-driven shutdown.
 
 use moqo_core::protocol::SessionRequest;
 use moqo_cost::ResolutionSchedule;
@@ -32,21 +33,70 @@ use std::time::{Duration, Instant};
 use crate::harness::{Experiment, ExperimentReport, Trial};
 use crate::stats::{Samples, Summary};
 
-const IDLE: Duration = Duration::from_secs(600);
+/// Time each stage of the hold sequence gets. All stages of a
+/// 2000-connection hold took 1.5 s together on a 2-vCPU VM, so a stage
+/// still running after this is stuck, and fails by name instead of
+/// hanging the run.
+const STAGE: Duration = Duration::from_secs(30);
 
-/// Reads `VmRSS` (kB) and `Threads` for this process. Returns zeros on
-/// non-Linux /proc layouts so the experiment still runs (memory columns
-/// just read 0).
-pub fn proc_status() -> (u64, u64) {
+/// The deadline of one named stage of the hold sequence.
+struct Stage {
+    name: &'static str,
+    deadline: Instant,
+}
+
+impl Stage {
+    fn start(name: &'static str) -> Self {
+        Stage {
+            name,
+            deadline: Instant::now() + STAGE,
+        }
+    }
+
+    /// Time left in the stage; panics, naming the stage, once it is up.
+    fn left(&self) -> Duration {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        assert!(
+            !left.is_zero(),
+            "net-scale stage `{}` missed its {STAGE:?} deadline",
+            self.name
+        );
+        left
+    }
+
+    /// Folds the next event into `client`'s view, waiting at most until
+    /// the deadline (a timeout returns and the caller's loop re-checks).
+    fn recv(&self, client: &mut NetClient) {
+        if let Err(e) = client.recv(self.left()) {
+            panic!("net-scale stage `{}`: {e}", self.name);
+        }
+    }
+}
+
+/// Reads `VmRSS` (kB) for this process. Returns zero on non-Linux /proc
+/// layouts so the experiment still runs (memory columns just read 0).
+pub fn proc_rss_kb() -> u64 {
     let text = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    let field = |key: &str| {
-        text.lines()
-            .find(|l| l.starts_with(key))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
+    text.lines()
+        .find(|l| l.starts_with("VmRSS:"))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Counts this process's serving threads — the network front's
+/// (`moqo-net-*`) and the engine workers (`moqo-engine-*`) — by name
+/// under `/proc/self/task`. Client and test-harness threads are not
+/// counted; the threads of a second server in the same process would be.
+/// Returns zero where `/proc` is unavailable.
+pub fn server_threads() -> u64 {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
     };
-    (field("VmRSS:"), field("Threads:"))
+    tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("moqo-net-") || comm.starts_with("moqo-engine-"))
+        .count() as u64
 }
 
 /// The small template set the fleet cycles over: enough shapes to spread
@@ -69,9 +119,10 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
     let connections = requested.min(usable).max(1);
 
     let model: moqo_costmodel::SharedCostModel = Arc::new(StandardCostModel::paper_metrics());
+    let schedule = ResolutionSchedule::linear(1, 1.1, 0.5);
     let server = Arc::new(MoqoServer::new(
         model.clone(),
-        ResolutionSchedule::linear(1, 1.1, 0.5),
+        schedule.clone(),
         ServeConfig {
             shard: ShardConfig {
                 shards: 2,
@@ -97,26 +148,28 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
     // so the fleet's first repeat of each template starts at zero plans
     // (the rest run concurrently and cannot all share one parked state).
     for spec in &templates {
+        let stage = Stage::start("pre-warm");
         let mut client = NetClient::connect(addr).expect("connect over loopback");
         client
-            .submit(SessionRequest::new(spec.clone()), IDLE)
+            .submit(SessionRequest::new(spec.clone()), stage.left())
             .expect("admitted");
         while client.view().frontier.is_empty() {
-            client.recv(IDLE).expect("healthy stream");
+            stage.recv(&mut client);
         }
         client
             .command(moqo_core::SessionCommand::Cancel)
             .expect("send");
-        client.wait_finished(IDLE).expect("terminal event");
+        client.wait_finished(stage.left()).expect("terminal event");
     }
 
-    let (rss_before_kb, threads_before) = proc_status();
+    let (rss_before_kb, threads_before) = (proc_rss_kb(), server_threads());
 
     // Connect and submit the whole fleet; each session runs its (tiny)
     // resolution ladder and then sits idle awaiting commands.
     let mut clients: Vec<NetClient> = Vec::with_capacity(connections);
     let mut connect_us = Samples::with_capacity(connections);
     let mut admit_us = Samples::with_capacity(connections);
+    let stage = Stage::start("connect and submit");
     for i in 0..connections {
         let t0 = Instant::now();
         let mut client = NetClient::connect(addr).expect("connect over loopback");
@@ -124,22 +177,30 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
         let spec = templates[i % templates.len()].clone();
         let t1 = Instant::now();
         client
-            .submit(SessionRequest::new(spec), IDLE)
+            .submit(SessionRequest::new(spec), stage.left())
             .expect("admitted");
         admit_us.push(t1.elapsed().as_secs_f64() * 1e6);
         clients.push(client);
     }
     assert!(
-        net.moqo().wait_idle(IDLE),
+        net.moqo().wait_idle(Stage::start("engine idle").left()),
         "engine did not go idle under the held fleet"
     );
 
-    // Drain every client to its first frontier and first report: this
-    // proves end-to-end delivery for all N streams, not just admission.
+    // Drain every client through its whole ladder. Each session runs one
+    // invocation per level and then waits for commands, and the engine is
+    // idle, so every event is published: the client has caught up once
+    // its view counts the last invocation. This proves end-to-end delivery
+    // for all N streams, not just admission, and leaves no frame in flight
+    // to turn the bulk drop below into TCP resets (counted as faults)
+    // instead of orderly EOFs. The server-side ticket view is not read:
+    // polling a ticket drains its event channel, so the polled events
+    // would never reach the connection.
     let mut zero_plan_starts = 0u64;
+    let stage = Stage::start("ladder delivery");
     for client in &mut clients {
-        while client.view().frontier.is_empty() || client.view().first_report.is_none() {
-            client.recv(IDLE).expect("healthy stream");
+        while client.view().invocations < schedule.levels() as u64 {
+            stage.recv(client);
         }
         if client
             .view()
@@ -151,22 +212,7 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
         }
     }
 
-    // Quiesce every stream exactly: the engine is idle, so the server's
-    // view epoch per ticket is final — recv until the client has caught
-    // up. Without this, frames still in flight would turn the bulk drop
-    // below into TCP resets (counted as faults) instead of orderly EOFs.
-    for client in &mut clients {
-        let ticket = moqo_serve::Ticket::from_u64(client.server_ticket().expect("admitted"));
-        let target = match net.moqo().poll(ticket) {
-            Some(moqo_serve::TicketStatus::Active { view, .. }) => view.epoch,
-            other => panic!("held session not active: {other:?}"),
-        };
-        while client.view().epoch < target {
-            client.recv(IDLE).expect("healthy stream");
-        }
-    }
-
-    let (rss_held_kb, threads_held) = proc_status();
+    let (rss_held_kb, threads_held) = (proc_rss_kb(), server_threads());
     let held = net.stats();
 
     // Hold the fleet idle: nothing polls, nothing spins — the loop thread
@@ -176,12 +222,17 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
     let after_hold = net.stats();
 
     // Drop all N clients at once: every live session takes the
-    // disconnect-park path and the fleet drains to zero.
+    // disconnect-park path and the fleet drains to zero, with every
+    // session parked.
     let t_drain = Instant::now();
     drop(clients);
-    let drain_deadline = Instant::now() + IDLE;
-    while net.stats().live != 0 {
-        assert!(Instant::now() < drain_deadline, "fleet did not drain");
+    let stage = Stage::start("drain");
+    loop {
+        let stats = net.stats();
+        if stats.live == 0 && stats.disconnect_parked >= connections as u64 {
+            break;
+        }
+        stage.left();
         std::thread::sleep(Duration::from_millis(2));
     }
     let drain_ms = t_drain.elapsed().as_secs_f64() * 1e3;
@@ -236,33 +287,4 @@ pub fn net_scale_experiment(requested: usize, fast: bool) -> ExperimentReport {
              the bulk disconnect parks every session warm.",
         )
         .run()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn holds_an_idle_fleet_without_per_connection_threads() {
-        let n = 192u64;
-        let report = net_scale_experiment(n as usize, true);
-        let counter = |key: &str| report.metric("hold", key).unwrap().as_u64().unwrap();
-        assert_eq!(counter("connections"), n, "fd limit clamped the smoke run");
-        assert_eq!(counter("live_held"), n);
-        assert_eq!(counter("live_after_hold"), n, "sessions died while idle");
-        assert_eq!(counter("faulted"), 0);
-        assert_eq!(counter("stalled"), 0);
-        // The capacity claim: N connections, zero new threads.
-        assert_eq!(counter("threads_held"), counter("threads_before"));
-        // Every session delivered its first frontier; repeats of the
-        // four templates must hit the warm cache at least sometimes.
-        assert!(counter("zero_plan_starts") > 0);
-        assert_eq!(counter("disconnect_parked"), n);
-        let shutdown_ms = report
-            .metric("hold", "shutdown_ms")
-            .unwrap()
-            .as_f64()
-            .unwrap();
-        assert!(shutdown_ms < 1000.0);
-    }
 }

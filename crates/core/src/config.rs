@@ -1,14 +1,8 @@
 //! Optimizer configuration.
 
-use moqo_index::IndexKind;
-
 /// Tunables of [`crate::IamaOptimizer`].
 #[derive(Clone, Debug)]
 pub struct IamaConfig {
-    /// Which (cost, resolution) index implementation backs the result and
-    /// candidate sets (ablation: `CellGrid` is the paper's suggestion,
-    /// `Linear` the naive baseline).
-    pub index_kind: IndexKind,
     /// Enable Δ-set filtering in `Fresh`: when an invocation series allows
     /// it, only combine sub-plan pairs involving a plan inserted in the
     /// current invocation. Disabling falls back to `ΔS = S` always — every
@@ -42,13 +36,14 @@ pub struct IamaConfig {
     /// because "discarding a result plan would require to discard at the
     /// same time all plans that use it as sub-plan" — but with an
     /// append-only arena nothing needs physical removal: the shadowed
-    /// plan's node, its index entry (it remains a valid pruning witness),
-    /// and all plans built on it stay intact. Every coverage witness the
-    /// Theorem 1/2 induction needs re-routes through the dominating plan,
-    /// so the approximation guarantee is unaffected (the integration tests
-    /// verify it in both modes). Without shadowing, synthetic cost spaces
-    /// inflate result sets several-fold, which quadratically inflates pair
-    /// generation (the `ablation-shadow` benchmark quantifies this).
+    /// plan's node, its active-list entry (a tombstone that remains a
+    /// valid pruning witness), and all plans built on it stay intact.
+    /// Every coverage witness the Theorem 1/2 induction needs re-routes
+    /// through the dominating plan, so the approximation guarantee is
+    /// unaffected (the integration tests verify it in both modes).
+    /// Without shadowing, synthetic cost spaces inflate result sets
+    /// several-fold, which quadratically inflates pair generation (the
+    /// `ablation-shadow` benchmark quantifies this).
     pub shadow_dominated: bool,
     /// Accumulate the wall-clock nanoseconds spent in the pruning
     /// witness search into `OptimizerStats::prune_nanos`. Off by
@@ -77,7 +72,6 @@ pub struct IamaConfig {
 impl Default for IamaConfig {
     fn default() -> Self {
         Self {
-            index_kind: IndexKind::CellGrid,
             use_delta: true,
             allow_cross_products: false,
             track_invariants: false,
@@ -106,7 +100,6 @@ mod tests {
     #[test]
     fn defaults_follow_the_paper() {
         let c = IamaConfig::default();
-        assert_eq!(c.index_kind, IndexKind::CellGrid);
         assert!(c.use_delta);
         assert!(!c.allow_cross_products);
         assert!(!c.track_invariants);

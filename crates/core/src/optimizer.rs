@@ -3,12 +3,11 @@
 //!
 //! # Dense subset state
 //!
-//! The optimizer's per-table-set bookkeeping (result index, candidate
-//! index, active list, last-insertion watermark) lives in a flat
-//! `Vec<SubsetState>` indexed by the [`EnumerationPlan`]'s dense
-//! [`SubsetId`]s — no `TableSet → …` hash probes on the hot path, and the
-//! `O(2^k)` split spaces of irrelevant (disconnected) subsets are never
-//! visited at all.
+//! The optimizer's per-table-set bookkeeping (candidate index, active
+//! list, last-insertion watermark) lives in a flat `Vec<SubsetState>`
+//! indexed by the [`EnumerationPlan`]'s dense [`SubsetId`]s — no
+//! `TableSet → …` hash probes on the hot path, and the `O(2^k)` split
+//! spaces of irrelevant (disconnected) subsets are never visited at all.
 //!
 //! # Watermarks instead of pair hashing
 //!
@@ -31,7 +30,7 @@ use crate::report::InvocationReport;
 use crate::stats::OptimizerStats;
 use moqo_cost::{Bounds, CostVector, ResolutionSchedule};
 use moqo_costmodel::{PlanInput, SharedCostModel};
-use moqo_index::{DynIndex, Entry, PairSet, PlanIndex};
+use moqo_index::{CellGrid, Entry, PairSet, PlanIndex};
 use moqo_plan::{PhysicalProps, PlanArena, PlanId};
 use moqo_query::{EnumerationPlan, QuerySpec, SubsetId};
 use std::sync::Arc;
@@ -39,8 +38,8 @@ use std::time::Instant;
 
 /// One result plan in a subset's active list.
 ///
-/// The list holds exactly the entries of the subset's result index, in
-/// insertion order, so it doubles as the flat witness set that pruning
+/// The list *is* the subset's result set `Res^q`, in insertion order: the
+/// combination operands of phase 2 and the flat witness set that pruning
 /// scans. It is strictly append-only: plans shadowed by a plainly
 /// dominating, order-compatible alternative are tombstoned in place (see
 /// [`IamaConfig::shadow_dominated`]), so list *positions* are stable and
@@ -72,14 +71,13 @@ struct Operand {
 
 /// All per-subset optimizer state, indexed densely by [`SubsetId`].
 pub(crate) struct SubsetState {
-    /// Result plans `Res^q`, indexed by cost and resolution. Lazily
-    /// created: untouched subsets cost one `Option` each.
-    pub(crate) res: Option<DynIndex<PlanId>>,
-    /// Candidate plans `Cand^q`.
-    pub(crate) cand: Option<DynIndex<PlanId>>,
-    /// Append-only mirror of the result set: the combination operands
-    /// (the Δ-list of the current invocation is its suffix with
-    /// `invocation == current`) and the pruning witnesses.
+    /// Candidate plans `Cand^q`, indexed by cost and resolution for the
+    /// phase-1 drains. Lazily created: untouched subsets cost one
+    /// `Option` each.
+    pub(crate) cand: Option<CellGrid<PlanId>>,
+    /// The result set `Res^q`, append-only and tombstoned in place: the
+    /// combination operands (the Δ-list of the current invocation is its
+    /// suffix with `invocation == current`) and the pruning witnesses.
     pub(crate) active: Vec<ActiveEntry>,
     /// Invocation of the most recent result insertion — the auxiliary
     /// index the paper mentions for evaluating `ΔS` cheaply (Section
@@ -102,7 +100,6 @@ pub(crate) struct SubsetState {
 impl SubsetState {
     pub(crate) fn new() -> Self {
         Self {
-            res: None,
             cand: None,
             active: Vec::new(),
             last_res_insert: u32::MAX,
@@ -124,11 +121,13 @@ pub(crate) struct Watermark {
 /// The Incremental Anytime MOQO optimizer (IAMA).
 ///
 /// Holds all state that persists across invocations for one query: the
-/// plan arena and, per enumerated subset, the result and candidate plan
-/// sets (indexed by cost and resolution) plus the active combination
-/// list. Invoke [`IamaOptimizer::optimize`] with bounds and a resolution
-/// level (Algorithm 2), or [`IamaOptimizer::run_invocation`] to let the
-/// optimizer advance the resolution the way Algorithm 1's main loop does.
+/// plan arena and, per enumerated subset, the result set (the active
+/// combination list) and the candidate set (indexed by cost and
+/// resolution), plus the full query's result set indexed by cost and
+/// resolution for the frontier scan. Invoke [`IamaOptimizer::optimize`]
+/// with bounds and a resolution level (Algorithm 2), or
+/// [`IamaOptimizer::run_invocation`] to let the optimizer advance the
+/// resolution the way Algorithm 1's main loop does.
 ///
 /// The optimizer *owns* its query and cost model behind `Arc`s, so a
 /// session can be stored in a service map, handed between worker threads,
@@ -168,6 +167,10 @@ pub struct IamaOptimizer {
     pub(crate) arena: PlanArena,
     /// Dense per-subset state, aligned with `plan.subsets()`.
     pub(crate) states: Vec<SubsetState>,
+    /// `Res^Q` of the full query indexed by cost and resolution: the one
+    /// result set a range query reads ([`IamaOptimizer::frontier`]). It
+    /// receives the full set's active entries in list order.
+    pub(crate) full_res: CellGrid<PlanId>,
     /// Per-split watermark rectangles, aligned with `plan.splits()`.
     pub(crate) watermarks: Vec<Watermark>,
     /// `IsFresh` fallback for pairs the watermarks cannot certify
@@ -236,6 +239,7 @@ impl IamaOptimizer {
         );
         let states = (0..plan.len()).map(|_| SubsetState::new()).collect();
         let watermarks = vec![Watermark::default(); plan.total_splits()];
+        let full_res = CellGrid::new(model.dim());
         Self {
             spec,
             model,
@@ -244,6 +248,7 @@ impl IamaOptimizer {
             plan,
             arena: PlanArena::new(),
             states,
+            full_res,
             watermarks,
             pairs: PairSet::new(),
             invocation: 0,
@@ -445,21 +450,18 @@ impl IamaOptimizer {
     /// would render (Algorithm 1 line 16).
     pub fn frontier(&self, bounds: &Bounds, r: usize) -> FrontierSnapshot {
         let mut points = Vec::new();
-        if let Some(idx) = self.full_result_index() {
-            // Batched range scan: whole struct-of-arrays blocks per
-            // callback on the cell grid, one-row batches elsewhere.
-            // Selected rows arrive in `scan` order, so the snapshot is
-            // bit-identical to the scalar visitor's.
-            idx.scan_batch(bounds, r as u8, &mut |batch| {
-                for j in batch.selected() {
-                    points.push(FrontierPoint {
-                        plan: batch.item(j),
-                        cost: batch.cost(j),
-                    });
-                }
-                false
-            });
-        }
+        // Batched range scan: whole struct-of-arrays blocks per callback.
+        // Selected rows arrive in `scan` order, so the snapshot is
+        // bit-identical to the scalar visitor's.
+        self.full_res.scan_batch(bounds, r as u8, &mut |batch| {
+            for j in batch.selected() {
+                points.push(FrontierPoint {
+                    plan: batch.item(j),
+                    cost: batch.cost(j),
+                });
+            }
+            false
+        });
         FrontierSnapshot::new(points)
     }
 
@@ -467,29 +469,16 @@ impl IamaOptimizer {
     /// without building the snapshot.
     fn frontier_size(&self, bounds: &Bounds, r: usize) -> usize {
         let mut n = 0;
-        if let Some(idx) = self.full_result_index() {
-            idx.scan_batch(bounds, r as u8, &mut |batch| {
-                n += batch.mask().count_ones() as usize;
-                false
-            });
-        }
+        self.full_res.scan_batch(bounds, r as u8, &mut |batch| {
+            n += batch.mask().count_ones() as usize;
+            false
+        });
         n
-    }
-
-    /// The result index of the full table set, if any plan reached it.
-    fn full_result_index(&self) -> Option<&DynIndex<PlanId>> {
-        self.plan
-            .full_set()
-            .and_then(|id| self.states[id.index()].res.as_ref())
     }
 
     /// Total result-set entries across all table sets (diagnostics).
     pub fn result_set_size(&self) -> usize {
-        self.states
-            .iter()
-            .filter_map(|s| s.res.as_ref())
-            .map(|i| i.len())
-            .sum()
+        self.states.iter().map(|s| s.active.len()).sum()
     }
 
     /// Total candidate-set entries across all table sets (diagnostics).
@@ -721,11 +710,10 @@ impl IamaOptimizer {
         // approximately dominates the new plan? Any such plan has cost
         // dominated by `alpha * c(p)`, so the search is narrowed to the
         // intersection of the user bounds with that region. The witnesses
-        // are exactly `Res^q`, which the subset's active list mirrors
-        // entry for entry (tombstones included), so one flat pass over it
-        // answers the range query without touching the index: result sets
-        // are small, and walking them beats probing the cell grid's
-        // per-level hash maps. The pass tracks the *best* (smallest)
+        // are exactly `Res^q`, the subset's active list (tombstones
+        // included), so one flat pass over it answers the range query:
+        // result sets are small, and walking them beats probing a cell
+        // grid's per-level hash maps. The pass tracks the *best* (smallest)
         // domination factor so eager re-indexing can skip resolution
         // levels at which the same witness would dominate again, and
         // stops once the minimum reaches the decision threshold: without
@@ -773,20 +761,18 @@ impl IamaOptimizer {
     }
 
     fn insert_result(&mut self, q: SubsetId, plan: PlanId, cost: CostVector, level: u8) {
-        let dim = self.model.dim();
-        let kind = self.config.index_kind;
         let invocation = self.invocation;
         let props = self.arena.node(plan).props;
         let shadow = self.config.shadow_dominated;
+        if self.plan.full_set() == Some(q) {
+            self.full_res
+                .insert(Entry::new(plan, cost, level, invocation));
+        }
         let state = &mut self.states[q.index()];
-        state
-            .res
-            .get_or_insert_with(|| DynIndex::new(kind, dim))
-            .insert(Entry::new(plan, cost, level, invocation));
         if shadow {
             // Shadow plainly dominated, order-substitutable plans: they
-            // stop combining but stay in the index as pruning witnesses,
-            // and stay in the list as tombstones so positions are stable.
+            // stop combining but stay in the list as tombstones — pruning
+            // witnesses at stable positions.
             for e in state.active.iter_mut() {
                 if !e.shadowed && props.satisfies(&e.props) && cost.dominates(&e.cost) {
                     e.shadowed = true;
@@ -813,11 +799,10 @@ impl IamaOptimizer {
         level: u8,
     ) {
         let dim = self.model.dim();
-        let kind = self.config.index_kind;
         let invocation = self.invocation;
         self.states[q.index()]
             .cand
-            .get_or_insert_with(|| DynIndex::new(kind, dim))
+            .get_or_insert_with(|| CellGrid::new(dim))
             .insert(Entry::new(plan, cost, level, invocation));
         self.stats.candidate_insertions += 1;
     }

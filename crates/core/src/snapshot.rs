@@ -1,8 +1,8 @@
 //! Versioned export/import of the optimizer's warm state.
 //!
 //! A parked optimizer is the product of the whole incremental machinery:
-//! the plan arena, the per-subset result and candidate sets, the
-//! append-only active lists with their positional watermark rectangles,
+//! the plan arena, the per-subset candidate sets, the append-only active
+//! lists (the result sets) with their positional watermark rectangles,
 //! and the `IsFresh` fallback. Losing it on process restart means the
 //! first user of a known query pays for plan generation from resolution 0
 //! again — exactly what the paper's incrementality exists to avoid.
@@ -14,25 +14,31 @@
 //! rebuilds the optimizer from that buffer and a live cost model. After a
 //! round trip, a repeat invocation behaves like a repeat invocation on
 //! the original: the watermark rectangles settle every split and **zero**
-//! plans are generated.
+//! plans are generated. The full query's cost-indexed result set is not
+//! written: import rebuilds it from the full set's active list in list
+//! order, the order the exporter inserted it in, so a restored frontier
+//! lists its points in exactly the exporter's order.
 //!
 //! The format is defensive: every plan id, table set, watermark operand,
-//! and cost component is validated on import, and any mismatch (including
-//! an enumeration plane that no longer lines up with the serialized
-//! state) yields a [`SnapshotError`] instead of a silently wrong
-//! optimizer — callers fall back to a cold start.
+//! and cost component is validated on import (every result and candidate
+//! entry must carry its plan's exact arena cost, and every result entry
+//! its plan's properties), and any mismatch (including an enumeration
+//! plane that no longer lines up with the serialized state) yields a
+//! [`SnapshotError`] instead of a silently wrong optimizer — callers fall
+//! back to a cold start.
 //!
 //! The cost model itself is *not* serialized (it is code, not data); the
 //! importer instead verifies that the provided model's metric layout
 //! matches the exporter's, so frontiers are never revived under a cost
 //! space they were not computed in.
 
+use crate::frontier::FrontierPoint;
 use crate::optimizer::{ActiveEntry, IamaOptimizer, Watermark};
 use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use crate::IamaConfig;
-use moqo_cost::{Bounds, CostVector, ResolutionSchedule, MAX_DIM};
+use moqo_cost::{Bounds, CostVector, ResolutionSchedule};
 use moqo_costmodel::{CostModel, PlanInput, SharedCostModel};
-use moqo_index::{DynIndex, Entry, IndexKind, PlanIndex};
+use moqo_index::{CellGrid, Entry, PlanIndex};
 use moqo_plan::{JoinAlgo, Operator, PlanArena, ScanMethod};
 use moqo_plan::{PhysicalProps, PlanId, PlanNode};
 use moqo_query::{QuerySpec, TableSet};
@@ -50,7 +56,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MOQOFRNT";
 /// [identity](moqo_costmodel::CostModel::identity) to the model guard,
 /// so a frontier refined under one model can never warm-start a session
 /// under a differently parameterized model with the same metric layout.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Version 3 dropped the index-kind byte and the per-subset result-set
+/// section: the active lists are the result sets.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be imported.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,23 +114,6 @@ type Result<T> = std::result::Result<T, SnapshotError>;
 
 fn corrupt(msg: String) -> SnapshotError {
     SnapshotError::Corrupt(msg)
-}
-
-fn index_kind_tag(kind: IndexKind) -> u8 {
-    match kind {
-        IndexKind::Linear => 0,
-        IndexKind::CellGrid => 1,
-        IndexKind::KdTree => 2,
-    }
-}
-
-fn index_kind_from(tag: u8) -> Result<IndexKind> {
-    match tag {
-        0 => Ok(IndexKind::Linear),
-        1 => Ok(IndexKind::CellGrid),
-        2 => Ok(IndexKind::KdTree),
-        t => Err(corrupt(format!("unknown index kind {t}"))),
-    }
 }
 
 fn write_operator(w: &mut WireWriter, op: &Operator) {
@@ -184,8 +175,8 @@ fn read_operator(r: &mut WireReader<'_>) -> Result<Operator> {
     }
 }
 
-/// Writes index entries in a canonical order (plan id, level,
-/// invocation): the plan-set indexes are *sets* whose iteration order
+/// Writes candidate entries in a canonical order (plan id, level,
+/// invocation): the candidate index is a *set* whose iteration order
 /// depends on insertion history, so sorting here makes the export a pure
 /// function of optimizer state — equal state produces equal bytes even
 /// across an import/re-export round trip, which is what lets the
@@ -238,22 +229,10 @@ fn read_entries(
     Ok(out)
 }
 
-/// Identity of a result entry for the `Res`/active agreement check: plan,
-/// level, invocation, and the exact cost bits.
-type EntryKey = (u32, u8, u32, [u64; MAX_DIM]);
-
-fn entry_key(plan: PlanId, cost: &CostVector, level: u8, invocation: u32) -> EntryKey {
-    let mut bits = [0u64; MAX_DIM];
-    for (slot, v) in bits.iter_mut().zip(cost.as_slice()) {
-        *slot = v.to_bits();
-    }
-    (plan.0, level, invocation, bits)
-}
-
 impl IamaOptimizer {
     /// Serializes the optimizer's complete warm state — spec, catalog
-    /// statistics, schedule, configuration, plan arena, result/candidate
-    /// sets, active lists, watermark rectangles, pair hash, and the
+    /// statistics, schedule, configuration, plan arena, candidate sets,
+    /// active lists, watermark rectangles, pair hash, and the
     /// invocation context — into a versioned byte buffer.
     ///
     /// The buffer is self-contained: [`IamaOptimizer::import_frontier`]
@@ -279,7 +258,6 @@ impl IamaOptimizer {
 
         // --- Schedule and configuration. ---
         self.schedule.encode(&mut w);
-        w.u8(index_kind_tag(self.config.index_kind));
         w.bool(self.config.use_delta);
         w.bool(self.config.allow_cross_products);
         w.bool(self.config.track_invariants);
@@ -328,12 +306,6 @@ impl IamaOptimizer {
                     .bits(),
             );
             w.u32(state.last_res_insert);
-            let res = state
-                .res
-                .as_ref()
-                .map(|i| i.collect(&unbounded, u8::MAX))
-                .unwrap_or_default();
-            write_entries(&mut w, &res);
             let cand = state
                 .cand
                 .as_ref()
@@ -445,7 +417,6 @@ impl IamaOptimizer {
         let schedule = ResolutionSchedule::decode(&mut r)?;
         let r_max = schedule.r_max();
         let config = IamaConfig {
-            index_kind: index_kind_from(r.u8()?)?,
             use_delta: r.bool()?,
             allow_cross_products: r.bool()?,
             track_invariants: r.bool()?,
@@ -524,7 +495,6 @@ impl IamaOptimizer {
                 opt.plan.len()
             )));
         }
-        let kind = opt.config.index_kind;
         for ix in 0..n_subsets {
             let bits = r.u64()?;
             let expect = opt.plan.tables(moqo_query::SubsetId::from_index(ix)).bits();
@@ -534,13 +504,12 @@ impl IamaOptimizer {
                 )));
             }
             let last_res_insert = r.u32()?;
-            let res = read_entries(&mut r, n_plans, r_max, dim)?;
             let cand = read_entries(&mut r, n_plans, r_max, dim)?;
-            // Every indexed plan must join exactly this subset's tables
+            // Every candidate plan must join exactly this subset's tables
             // and predate the imported invocation counter — a plan id
             // swapped to another subset's plan would otherwise import
             // cleanly and silently serve wrong frontiers.
-            for e in res.iter().chain(cand.iter()) {
+            for e in &cand {
                 if opt.arena.tables(e.item).bits() != bits {
                     return Err(corrupt(format!(
                         "subset {ix} entry references plan {} of another subset",
@@ -599,25 +568,10 @@ impl IamaOptimizer {
                     shadowed,
                 });
             }
-            // Pruning takes its witnesses from the active list and the
-            // frontier from the result index, so the two must hold the
-            // same entries: an edited file whose lists disagree would
-            // otherwise prune against plans the frontier never shows.
-            let mut in_res: Vec<_> = res
-                .iter()
-                .map(|e| entry_key(e.item, &e.cost, e.level, e.invocation))
-                .collect();
-            let mut in_active: Vec<_> = active
-                .iter()
-                .map(|e| entry_key(e.plan, &e.cost, e.level, e.invocation))
-                .collect();
-            in_res.sort_unstable();
-            in_active.sort_unstable();
-            if in_res != in_active {
-                return Err(corrupt(format!(
-                    "subset {ix} active list disagrees with its result set"
-                )));
-            }
+            // Every writer of a result or candidate entry copies the cost
+            // (and, for results, the properties) the arena stored for its
+            // plan, so an entry that disagrees with its plan was edited:
+            // pruning, combination, and the frontier would trust the lie.
             if let Some(e) = active
                 .iter()
                 .find(|e| e.props != opt.arena.node(e.plan).props)
@@ -627,21 +581,46 @@ impl IamaOptimizer {
                     e.plan.0
                 )));
             }
-            let state = &mut opt.states[ix];
-            if !res.is_empty() {
-                let idx = state.res.get_or_insert_with(|| DynIndex::new(kind, dim));
-                for e in res {
-                    idx.insert(e);
+            let entries = active
+                .iter()
+                .map(|e| FrontierPoint {
+                    plan: e.plan,
+                    cost: e.cost,
+                })
+                .chain(cand.iter().map(|e| FrontierPoint {
+                    plan: e.item,
+                    cost: e.cost,
+                }));
+            for entry in entries {
+                let stored = FrontierPoint {
+                    plan: entry.plan,
+                    cost: *opt.arena.cost(entry.plan),
+                };
+                if !entry.bits_eq(&stored) {
+                    return Err(corrupt(format!(
+                        "subset {ix} entry cost disagrees with plan {}",
+                        entry.plan.0
+                    )));
                 }
             }
+            let state = &mut opt.states[ix];
             if !cand.is_empty() {
-                let idx = state.cand.get_or_insert_with(|| DynIndex::new(kind, dim));
+                let idx = state.cand.get_or_insert_with(|| CellGrid::new(dim));
                 for e in cand {
                     idx.insert(e);
                 }
             }
             state.active = active;
             state.last_res_insert = last_res_insert;
+        }
+        // The full query's result index, rebuilt from its active list in
+        // list order: the exporter inserted the same entries in the same
+        // order, so the restored frontier lists its points identically.
+        if let Some(full) = opt.plan.full_set() {
+            for e in &opt.states[full.index()].active {
+                opt.full_res
+                    .insert(Entry::new(e.plan, e.cost, e.level, e.invocation));
+            }
         }
 
         // --- Watermarks (plan split order, operands verified). ---
@@ -795,12 +774,7 @@ impl IamaOptimizer {
     /// holds no result/candidate plans.
     pub fn export_subset(&self, tables: TableSet) -> Option<Vec<u8>> {
         let q = self.plan.subset_id(tables)?;
-        let state = &self.states[q.index()];
-        let unbounded = Bounds::unbounded(self.model.dim());
-        let mut roots: Vec<PlanId> = Vec::new();
-        for idx in [&state.res, &state.cand].into_iter().flatten() {
-            roots.extend(idx.collect(&unbounded, u8::MAX).iter().map(|e| e.item));
-        }
+        let mut roots = self.result_and_candidate_plans(q);
         roots.sort_unstable();
         roots.dedup();
         if roots.is_empty() {
@@ -1097,7 +1071,6 @@ impl IamaOptimizer {
             ));
         }
 
-        let unbounded = Bounds::unbounded(donor.model.dim());
         // One memo across all subsets: roots share subtrees, and the
         // donor arena is append-only, so each donor plan is replayed at
         // most once into `self`.
@@ -1105,11 +1078,7 @@ impl IamaOptimizer {
         let mut admitted = 0usize;
         for ix in 0..donor.states.len() {
             let q = moqo_query::SubsetId::from_index(ix);
-            let state = &donor.states[ix];
-            let mut roots: Vec<PlanId> = Vec::new();
-            for idx in [&state.res, &state.cand].into_iter().flatten() {
-                roots.extend(idx.collect(&unbounded, u8::MAX).iter().map(|e| e.item));
-            }
+            let mut roots = donor.result_and_candidate_plans(q);
             roots.sort_unstable();
             roots.dedup();
             let mut seeded = false;
@@ -1128,6 +1097,18 @@ impl IamaOptimizer {
             }
         }
         Ok(admitted)
+    }
+
+    /// The plans of `Res^q` (tombstones included) and `Cand^q`, unsorted
+    /// and possibly repeated.
+    fn result_and_candidate_plans(&self, q: moqo_query::SubsetId) -> Vec<PlanId> {
+        let state = &self.states[q.index()];
+        let mut plans: Vec<PlanId> = state.active.iter().map(|e| e.plan).collect();
+        if let Some(cand) = &state.cand {
+            let unbounded = Bounds::unbounded(self.model.dim());
+            plans.extend(cand.collect(&unbounded, u8::MAX).iter().map(|e| e.item));
+        }
+        plans
     }
 
     /// Replays donor plan `id` into this optimizer's arena, re-costing
@@ -1217,34 +1198,54 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_zero_work_steady_state() {
-        let opt = warm_optimizer(4);
+        // A revived optimizer serves the exporter's frontier point for
+        // point — same order, same plans, same cost bits — whether it was
+        // exported mid-ladder or after it, under any bounds and level.
         let b = Bounds::unbounded(3);
-        let expected = opt.frontier(&b, opt.schedule().r_max());
-        let bytes = opt.export_frontier();
+        let r_max = schedule().r_max();
+        let shapes = [
+            testkit::chain_query(4, 150_000),
+            testkit::star_query(4, 150_000),
+            testkit::cycle_query(5, 100_000),
+            testkit::random_query(6, 7),
+        ];
+        for spec in shapes {
+            let name = spec.name.clone();
+            let mut opt = IamaOptimizer::new(Arc::new(spec), model(), schedule());
+            for r in 0..=r_max {
+                opt.optimize(&b, r);
+                let revived =
+                    IamaOptimizer::import_frontier(model(), opt.export_frontier().as_slice())
+                        .unwrap();
+                let mut ts: Vec<f64> = opt.frontier(&b, r).costs().iter().map(|c| c[0]).collect();
+                ts.sort_by(f64::total_cmp);
+                let focus = b.with_limit(0, ts[ts.len() / 2]);
+                for (bounds, view_r) in [(b, r), (b, r_max), (focus, r), (focus, 0)] {
+                    let expected = opt.frontier(&bounds, view_r);
+                    assert!(
+                        revived.frontier(&bounds, view_r).bits_eq(&expected),
+                        "{name}: exported at r={r}, view at r={view_r} restored differently"
+                    );
+                }
+            }
 
-        let mut revived = IamaOptimizer::import_frontier(model(), bytes.as_slice()).unwrap();
-        // The revived frontier is identical (same plans, same costs).
-        let frontier = revived.frontier(&b, revived.schedule().r_max());
-        assert_eq!(frontier.len(), expected.len());
-        let mut a: Vec<_> = expected.points.iter().map(|p| p.plan).collect();
-        let mut c: Vec<_> = frontier.points.iter().map(|p| p.plan).collect();
-        a.sort_unstable();
-        c.sort_unstable();
-        assert_eq!(a, c);
-        // A repeat invocation at any resolution does zero plan work: the
-        // restored watermarks settle every split.
-        let report = revived.optimize(&b, 0);
-        assert_eq!(
-            report.plans_generated, 0,
-            "restore must not regenerate plans"
-        );
-        assert_eq!(report.pairs_generated, 0);
-        let report = revived.optimize(&b, revived.schedule().r_max());
-        assert_eq!(report.plans_generated, 0);
-        assert_eq!(
-            report.splits_visited, 0,
-            "watermarks must settle after restore"
-        );
+            // A repeat invocation at any resolution does zero plan work:
+            // the restored watermarks settle every split.
+            let mut revived =
+                IamaOptimizer::import_frontier(model(), opt.export_frontier().as_slice()).unwrap();
+            let report = revived.optimize(&b, 0);
+            assert_eq!(
+                report.plans_generated, 0,
+                "{name}: restore must not regenerate plans"
+            );
+            assert_eq!(report.pairs_generated, 0);
+            let report = revived.optimize(&b, r_max);
+            assert_eq!(report.plans_generated, 0);
+            assert_eq!(
+                report.splits_visited, 0,
+                "{name}: watermarks must settle after restore"
+            );
+        }
     }
 
     #[test]
@@ -1357,49 +1358,54 @@ mod tests {
     }
 
     #[test]
-    fn import_rejects_active_lists_that_disagree_with_the_result_set() {
-        // Pruning trusts the active list as the witness set, so a file
-        // whose active list drops or duplicates a result entry (or whose
-        // result set drops one) must fail import with a typed error
-        // rather than revive an optimizer that prunes differently.
-        let b = Bounds::unbounded(3);
-        let rejects = |opt: &IamaOptimizer| {
-            matches!(
-                IamaOptimizer::import_frontier(model(), opt.export_frontier().as_slice()),
-                Err(SnapshotError::Corrupt(m)) if m.contains("disagrees with its result set")
-            )
-        };
-        let full = |opt: &IamaOptimizer| opt.plan.full_set().expect("connected query").index();
+    fn import_rejects_entry_costs_that_disagree_with_the_arena() {
+        // Every result and candidate entry carries its plan's arena cost.
+        // The active list alone rebuilds the frontier index on import, so
+        // an edited result cost would reach clients, and an edited
+        // candidate cost would prune wrongly: both must fail with a typed
+        // error. Stop mid-ladder so candidates are still queued.
+        let spec = Arc::new(testkit::chain_query(3, 150_000));
+        let mut opt = IamaOptimizer::new(spec, model(), schedule());
+        opt.optimize(&Bounds::unbounded(3), 0);
+        let bytes = opt.export_frontier();
+        assert!(IamaOptimizer::import_frontier(model(), bytes.as_slice()).is_ok());
 
-        let mut dropped = warm_optimizer(3);
-        let ix = full(&dropped);
-        dropped.states[ix]
+        let full = opt.plan.full_set().expect("connected query").index();
+        let result = opt.states[full]
             .active
-            .pop()
+            .last()
             .expect("non-empty result set");
-        assert!(rejects(&dropped), "dropped active entry was imported");
-
-        let mut duplicated = warm_optimizer(3);
-        let ix = full(&duplicated);
-        let last = *duplicated.states[ix].active.last().expect("non-empty");
-        duplicated.states[ix].active.push(last);
-        assert!(rejects(&duplicated), "duplicated active entry was imported");
-
-        let mut shrunk = warm_optimizer(3);
-        let ix = full(&shrunk);
-        let idx = shrunk.states[ix].res.as_mut().expect("result index");
-        let mut entries = idx.drain(&b, u8::MAX);
-        entries.pop().expect("non-empty result set");
-        for e in entries {
-            idx.insert(e);
+        let candidate = opt
+            .states
+            .iter()
+            .filter_map(|s| s.cand.as_ref())
+            .find_map(|c| c.collect(&Bounds::unbounded(3), u8::MAX).first().copied())
+            .expect("a queued candidate");
+        for (what, plan, cost) in [
+            ("result", result.plan, result.cost),
+            ("candidate", candidate.item, candidate.cost),
+        ] {
+            // Both entry kinds encode as plan id then cost; the arena
+            // writes the cost earlier, so the last match is the entry.
+            let mut w = WireWriter::new();
+            w.u32(plan.0);
+            cost.encode(&mut w);
+            let pattern = w.into_vec();
+            let at = bytes
+                .windows(pattern.len())
+                .rposition(|win| win == pattern)
+                .expect("entry is encoded");
+            let mut edited = bytes.clone();
+            // Lowest mantissa bit of the first cost component.
+            edited[at + 5] ^= 1;
+            assert!(
+                matches!(
+                    IamaOptimizer::import_frontier(model(), edited.as_slice()),
+                    Err(SnapshotError::Corrupt(m)) if m.contains("entry cost disagrees")
+                ),
+                "an edited {what} cost was not refused as a cost mismatch"
+            );
         }
-        assert!(rejects(&shrunk), "dropped result entry was imported");
-
-        // The untouched optimizer still round-trips.
-        let intact = warm_optimizer(3);
-        assert!(
-            IamaOptimizer::import_frontier(model(), intact.export_frontier().as_slice()).is_ok()
-        );
     }
 
     #[test]

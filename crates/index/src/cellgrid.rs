@@ -450,6 +450,11 @@ mod tests {
         assert_eq!(drained.len(), expected.len());
         assert_eq!(PlanIndex::len(&grid), 20 - expected.len());
         assert!(grid.collect(&b, 2).is_empty());
+        // Draining the rest empties the grid and drops every cell.
+        let rest = grid.drain(&Bounds::unbounded(2), 2);
+        assert_eq!(rest.len(), 20 - expected.len());
+        assert!(PlanIndex::is_empty(&grid));
+        assert_eq!(grid.cell_count(), 0);
     }
 
     #[test]

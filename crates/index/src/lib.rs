@@ -6,24 +6,21 @@
 //! entries whose cost vector is dominated by the bounds `b` and whose
 //! resolution tag is at most `r`.
 //!
-//! Three interchangeable implementations are provided behind the
-//! [`PlanIndex`] trait:
+//! The optimizer runs one index, [`CellGrid`]: the logarithmically
+//! partitioned cell structure the paper recommends (citing Bentley &
+//! Friedman). Cost space is split into cells along `floor(log2(1 + cost))`
+//! per metric, so a range query can accept whole cells without per-entry
+//! checks and reject out-of-range cells in `O(1)`. Under the paper's
+//! uniformity assumptions retrieval of `F` entries is `O(F)`, and insertion
+//! is `O(1)` (the paper's amortized analysis prioritizes retrieval over
+//! insertion time, Section 4.1). It backs each subset's candidate set and
+//! the result set of the full query, the two sets the optimizer
+//! range-queries.
 //!
-//! * [`LinearIndex`] — per-resolution flat vectors, scanned with a bounds
-//!   filter. Simple and cache-friendly; retrieval is `O(stored)`.
-//! * [`CellGrid`] — the logarithmically partitioned cell structure the
-//!   paper recommends (citing Bentley & Friedman): cost space is split
-//!   into cells along `floor(log2(1 + cost))` per metric, so a range query
-//!   can accept whole cells without per-entry checks and reject
-//!   out-of-range cells in `O(1)`. Under the paper's uniformity
-//!   assumptions retrieval of `F` entries is `O(F)`.
-//! * [`KdTree`] — a classic k-d tree over the cost metrics, pruning whole
-//!   subtrees during range queries; drains use tombstones with periodic
-//!   compaction.
-//!
-//! The paper's amortized analysis prioritizes retrieval over insertion
-//! time (Section 4.1); the grid and flat structures insert in `O(1)`, the
-//! tree in `O(depth)`.
+//! [`LinearIndex`] — per-resolution flat vectors scanned with a bounds
+//! filter — implements the same [`PlanIndex`] trait. It is the reference
+//! the cell grid is property-tested against, together with the scalar
+//! witness search [`dominance_scan_scalar`].
 //!
 //! The crate also provides [`PairSet`], the hash structure behind the
 //! `IsFresh` predicate ensuring no sub-plan pair is combined twice
@@ -35,7 +32,6 @@
 pub mod cellgrid;
 pub mod entry;
 pub mod fxhash;
-pub mod kdtree;
 pub mod linear;
 pub mod pairs;
 pub mod soa;
@@ -43,7 +39,6 @@ pub mod soa;
 pub use cellgrid::CellGrid;
 pub use entry::Entry;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use kdtree::KdTree;
 pub use linear::LinearIndex;
 pub use pairs::PairSet;
 pub use soa::SoaCell;
@@ -316,106 +311,6 @@ pub trait PlanIndex<T: Copy> {
     }
 }
 
-/// Which index implementation to use (runtime-selectable for the ablation
-/// benchmarks).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Flat per-resolution vectors.
-    Linear,
-    /// Logarithmic cell grid.
-    CellGrid,
-    /// k-d tree (cycling split axes, tombstoned drains).
-    KdTree,
-}
-
-/// A [`PlanIndex`] implementation chosen at runtime.
-pub enum DynIndex<T: Copy> {
-    /// Flat index variant.
-    Linear(LinearIndex<T>),
-    /// Cell-grid variant.
-    Grid(CellGrid<T>),
-    /// k-d tree variant.
-    Tree(KdTree<T>),
-}
-
-impl<T: Copy> DynIndex<T> {
-    /// Creates an empty index of the requested kind for `dim` metrics.
-    pub fn new(kind: IndexKind, dim: usize) -> Self {
-        match kind {
-            IndexKind::Linear => DynIndex::Linear(LinearIndex::new()),
-            IndexKind::CellGrid => DynIndex::Grid(CellGrid::new(dim)),
-            IndexKind::KdTree => DynIndex::Tree(KdTree::new(dim)),
-        }
-    }
-}
-
-impl<T: Copy> PlanIndex<T> for DynIndex<T> {
-    fn insert(&mut self, entry: Entry<T>) {
-        match self {
-            DynIndex::Linear(i) => i.insert(entry),
-            DynIndex::Grid(i) => i.insert(entry),
-            DynIndex::Tree(i) => i.insert(entry),
-        }
-    }
-
-    fn scan(
-        &self,
-        bounds: &Bounds,
-        max_level: u8,
-        visitor: &mut dyn FnMut(&Entry<T>) -> bool,
-    ) -> bool {
-        match self {
-            DynIndex::Linear(i) => i.scan(bounds, max_level, visitor),
-            DynIndex::Grid(i) => i.scan(bounds, max_level, visitor),
-            DynIndex::Tree(i) => i.scan(bounds, max_level, visitor),
-        }
-    }
-
-    fn drain(&mut self, bounds: &Bounds, max_level: u8) -> Vec<Entry<T>> {
-        match self {
-            DynIndex::Linear(i) => i.drain(bounds, max_level),
-            DynIndex::Grid(i) => i.drain(bounds, max_level),
-            DynIndex::Tree(i) => i.drain(bounds, max_level),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            DynIndex::Linear(i) => PlanIndex::len(i),
-            DynIndex::Grid(i) => PlanIndex::len(i),
-            DynIndex::Tree(i) => PlanIndex::len(i),
-        }
-    }
-
-    fn scan_batch(
-        &self,
-        bounds: &Bounds,
-        max_level: u8,
-        consumer: &mut dyn FnMut(&EntryBatch<'_, T>) -> bool,
-    ) -> bool {
-        match self {
-            DynIndex::Linear(i) => i.scan_batch(bounds, max_level, consumer),
-            DynIndex::Grid(i) => i.scan_batch(bounds, max_level, consumer),
-            DynIndex::Tree(i) => i.scan_batch(bounds, max_level, consumer),
-        }
-    }
-
-    fn dominance_scan(
-        &self,
-        bounds: &Bounds,
-        max_level: u8,
-        target: &CostVector,
-        threshold: f64,
-        accept: &mut dyn FnMut(T) -> bool,
-    ) -> DominanceScan {
-        match self {
-            DynIndex::Linear(i) => i.dominance_scan(bounds, max_level, target, threshold, accept),
-            DynIndex::Grid(i) => i.dominance_scan(bounds, max_level, target, threshold, accept),
-            DynIndex::Tree(i) => i.dominance_scan(bounds, max_level, target, threshold, accept),
-        }
-    }
-}
-
 #[cfg(test)]
 mod batch_proptests {
     use super::*;
@@ -433,9 +328,9 @@ mod batch_proptests {
     proptest! {
         /// The SoA batched scan and the scalar visitor scan accept the
         /// same entry sequence, and the batched witness search reports
-        /// the same minimal domination factor bit for bit — across all
-        /// index kinds (Linear/KdTree run the scalar default through
-        /// the batch API, the cell grid runs the lane kernels).
+        /// the same minimal domination factor bit for bit — on both
+        /// indexes (the linear index runs the scalar default through the
+        /// batch API, the cell grid runs the lane kernels).
         #[test]
         fn batched_scan_matches_scalar_across_kinds(
             entries in proptest::collection::vec(
@@ -446,8 +341,9 @@ mod batch_proptests {
             threshold in 0.9f64..4.0,
             unbounded in any::<bool>(),
         ) {
-            for kind in [IndexKind::Linear, IndexKind::CellGrid, IndexKind::KdTree] {
-                let mut idx: DynIndex<u32> = DynIndex::new(kind, 3);
+            let linear: Box<dyn PlanIndex<u32>> = Box::new(LinearIndex::new());
+            let grid: Box<dyn PlanIndex<u32>> = Box::new(CellGrid::new(3));
+            for (kind, mut idx) in [("linear", linear), ("grid", grid)] {
                 for (i, (a, b, c, lvl)) in entries.iter().enumerate() {
                     idx.insert(Entry::new(
                         i as u32,
@@ -474,7 +370,7 @@ mod batch_proptests {
                     }
                     false
                 });
-                prop_assert_eq!(&scalar_seq, &batch_seq, "kind {:?}", kind);
+                prop_assert_eq!(&scalar_seq, &batch_seq, "kind {}", kind);
 
                 // Minimal domination factor: bit-identical, with and
                 // without early-exit thresholds, with and without a
@@ -484,49 +380,23 @@ mod batch_proptests {
                     let batched =
                         idx.dominance_scan(&bounds, qr, &t, thr, &mut |_| true);
                     let scalar = dominance_scan_scalar(
-                        &idx, &bounds, qr, &t, thr, &mut |_| true);
+                        &*idx, &bounds, qr, &t, thr, &mut |_| true);
                     prop_assert_eq!(
                         batched.best_factor.to_bits(),
                         scalar.best_factor.to_bits(),
-                        "kind {:?} thr {}", kind, thr
+                        "kind {} thr {}", kind, thr
                     );
                     let batched_odd = idx.dominance_scan(
                         &bounds, qr, &t, thr, &mut |item| item % 2 == 1);
                     let scalar_odd = dominance_scan_scalar(
-                        &idx, &bounds, qr, &t, thr, &mut |item| item % 2 == 1);
+                        &*idx, &bounds, qr, &t, thr, &mut |item| item % 2 == 1);
                     prop_assert_eq!(
                         batched_odd.best_factor.to_bits(),
                         scalar_odd.best_factor.to_bits(),
-                        "kind {:?} thr {} (selective)", kind, thr
+                        "kind {} thr {} (selective)", kind, thr
                     );
                 }
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod dyn_tests {
-    use super::*;
-    use moqo_cost::CostVector;
-
-    #[test]
-    fn dyn_index_dispatches_both_kinds() {
-        for kind in [IndexKind::Linear, IndexKind::CellGrid, IndexKind::KdTree] {
-            let mut idx: DynIndex<u32> = DynIndex::new(kind, 2);
-            idx.insert(Entry::new(7, CostVector::new(&[1.0, 2.0]), 0, 0));
-            idx.insert(Entry::new(8, CostVector::new(&[5.0, 5.0]), 1, 0));
-            assert_eq!(PlanIndex::len(&idx), 2);
-            let all = idx.collect(&Bounds::unbounded(2), 1);
-            assert_eq!(all.len(), 2);
-            let low = idx.collect(&Bounds::from_slice(&[2.0, 2.0]), 1);
-            assert_eq!(low.len(), 1);
-            assert_eq!(low[0].item, 7);
-            let lvl0 = idx.collect(&Bounds::unbounded(2), 0);
-            assert_eq!(lvl0.len(), 1);
-            let drained = idx.drain(&Bounds::unbounded(2), 1);
-            assert_eq!(drained.len(), 2);
-            assert!(PlanIndex::is_empty(&idx));
         }
     }
 }

@@ -7,8 +7,8 @@ use moqo_cost::Bounds;
 /// A [`PlanIndex`] storing one flat vector of entries per resolution level.
 ///
 /// Range queries iterate levels `0..=r` and filter each entry against the
-/// bounds. This is the simple baseline the cell grid is compared against in
-/// the `ablation-index` benchmark.
+/// bounds. This is the reference the cell grid is property-tested
+/// against.
 #[derive(Clone, Debug, Default)]
 pub struct LinearIndex<T: Copy> {
     levels: Vec<Vec<Entry<T>>>,

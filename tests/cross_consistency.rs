@@ -281,21 +281,52 @@ fn frontier_digest(frontier: &moqo::core::FrontierSnapshot) -> u64 {
     h.finish()
 }
 
+/// Frontier digests across a full refine ladder, a drag of the time
+/// bound to the ladder's median, and a second ladder under the dragged
+/// bound: one digest per invocation.
+fn ladder_and_drag_digests(spec: &moqo::query::QuerySpec) -> Vec<u64> {
+    let model = model();
+    let schedule = ResolutionSchedule::linear(4, 1.05, 0.5);
+    let mut opt = IamaOptimizer::new(
+        Arc::new(spec.clone()),
+        Arc::new(model.clone()),
+        schedule.clone(),
+    );
+    let mut digests = Vec::new();
+    let mut step = |bounds: &Bounds, r: usize| {
+        opt.optimize(bounds, r);
+        let frontier = opt.frontier(bounds, r);
+        digests.push(frontier_digest(&frontier));
+        frontier
+    };
+    let unbounded = Bounds::unbounded(model.dim());
+    let mut last = None;
+    for r in 0..=schedule.r_max() {
+        last = Some(step(&unbounded, r));
+    }
+    let costs = last.expect("non-empty ladder").costs();
+    let mut ts: Vec<f64> = costs.iter().map(|c| c[0]).collect();
+    ts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let bound = Bounds::unbounded(model.dim()).with_limit(0, ts[ts.len() / 2]);
+    for r in 0..=schedule.r_max() {
+        step(&bound, r);
+    }
+    digests
+}
+
 #[test]
 fn ladder_and_drag_frontiers_match_golden_digests() {
     // Pruning is free to change how it finds a witness (index kernels,
-    // scan order, the structure it scans), never which plans it keeps:
-    // across a full refine ladder, a drag of the time bound to the
-    // frontier's median, and a second ladder under the dragged bound,
-    // every intermediate frontier must hash to the recorded digest — on
-    // every index kind. The digests were recorded before the witness
-    // search moved from the cell grid to the active list.
-    use moqo::core::IamaConfig;
-    use moqo::index::IndexKind;
-
-    const GOLDEN: [(IndexKind, [u64; 10]); 3] = [
+    // scan order, the structure it scans) and where it keeps result sets,
+    // never which plans it keeps or the order the frontier lists them in:
+    // every intermediate frontier of the ladder-drag-ladder series must
+    // hash to the recorded digest. The star digests were recorded before
+    // the witness search moved from the cell grid to the active list; the
+    // cycle and random digests before the per-subset result grids went.
+    let golden: [(&str, moqo::query::QuerySpec, [u64; 10]); 3] = [
         (
-            IndexKind::CellGrid,
+            "star-4",
+            testkit::star_query(4, 250_000),
             [
                 0x0f8b_3c73_2e54_e276,
                 0xa1bf_4687_3c21_a956,
@@ -310,69 +341,43 @@ fn ladder_and_drag_frontiers_match_golden_digests() {
             ],
         ),
         (
-            IndexKind::Linear,
+            "cycle-5",
+            testkit::cycle_query(5, 100_000),
             [
-                0x3996_77cb_4287_3036,
-                0xdd63_74f9_ba56_673c,
-                0x113b_c057_d183_8585,
-                0xdb27_8681_2eb9_4808,
-                0xd843_84dd_a9e0_02c0,
-                0x39c8_636e_7981_ee1b,
-                0x379f_a065_71bf_808d,
-                0x156f_bdcd_85f4_b2be,
-                0xcb05_6c8d_0651_7349,
-                0x9e3e_5de6_994a_d5f8,
+                0x0f4c_2f29_b3dd_56a9,
+                0x6fb8_deaa_d5be_dfb7,
+                0x4116_79c3_b27f_1912,
+                0x6ca0_0ead_1e72_b2f5,
+                0xdcf8_f4fb_12d8_c27e,
+                0x4e5b_fb7f_9059_cbbf,
+                0x13f1_ab08_65b6_0856,
+                0x36be_ac78_c0cf_0491,
+                0x4869_80d2_6a3f_5d58,
+                0x5e50_011a_91ea_2394,
             ],
         ),
         (
-            IndexKind::KdTree,
+            "random-6-7",
+            testkit::random_query(6, 7),
             [
-                0xf033_a7a3_873e_ebe2,
-                0x97a7_d3e7_6067_02d2,
-                0x3bc1_e7be_b134_5b67,
-                0x8e09_765a_eb36_d6b3,
-                0xc19c_dae5_7e7c_3789,
-                0x39c8_636e_7981_ee1b,
-                0xd445_d735_a7d7_e8d1,
-                0xfeda_7b85_7c4b_954e,
-                0xd891_0310_a32b_baca,
-                0x55d3_15aa_0f3e_ed97,
+                0x55b2_c9b5_8bbf_b5cb,
+                0xa0c0_30dc_0efe_154a,
+                0xf0fb_f0b1_cce4_3ee4,
+                0x53f0_b703_fe1d_8235,
+                0xfac5_4305_e2c6_6cef,
+                0x8cda_64cf_ab93_7d0e,
+                0xe577_8ea4_8af3_2437,
+                0xe577_8ea4_8af3_2437,
+                0x4b92_7e4b_ce4c_e350,
+                0xe731_9339_6ecb_8048,
             ],
         ),
     ];
-
-    let spec = testkit::star_query(4, 250_000);
-    let model = model();
-    let schedule = ResolutionSchedule::linear(4, 1.05, 0.5);
-    for (kind, golden) in GOLDEN {
-        let mut opt = IamaOptimizer::with_config(
-            Arc::new(spec.clone()),
-            Arc::new(model.clone()),
-            schedule.clone(),
-            IamaConfig {
-                index_kind: kind,
-                ..IamaConfig::default()
-            },
+    for (name, spec, digests) in golden {
+        assert_eq!(
+            ladder_and_drag_digests(&spec),
+            digests,
+            "{name}: frontier digests moved"
         );
-        let mut digests = Vec::new();
-        let mut step = |bounds: &Bounds, r: usize| {
-            opt.optimize(bounds, r);
-            let frontier = opt.frontier(bounds, r);
-            digests.push(frontier_digest(&frontier));
-            frontier
-        };
-        let unbounded = Bounds::unbounded(model.dim());
-        let mut last = None;
-        for r in 0..=schedule.r_max() {
-            last = Some(step(&unbounded, r));
-        }
-        let costs = last.expect("non-empty ladder").costs();
-        let mut ts: Vec<f64> = costs.iter().map(|c| c[0]).collect();
-        ts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let bound = Bounds::unbounded(model.dim()).with_limit(0, ts[ts.len() / 2]);
-        for r in 0..=schedule.r_max() {
-            step(&bound, r);
-        }
-        assert_eq!(digests, golden, "{kind:?}: frontier digests moved");
     }
 }

@@ -4,7 +4,6 @@
 use moqo::core::{IamaConfig, IamaOptimizer};
 use moqo::cost::{Bounds, ResolutionSchedule};
 use moqo::costmodel::{CostModel, MetricSet, StandardCostModel, StandardCostModelConfig};
-use moqo::index::IndexKind;
 use moqo::query::testkit;
 use std::sync::Arc;
 
@@ -159,47 +158,6 @@ fn steady_state_invocations_are_free_of_plan_work() {
         assert_eq!(rep.pairs_generated, 0);
         assert_eq!(rep.candidates_retrieved, 0);
         assert_eq!(rep.result_insertions, 0);
-    }
-}
-
-#[test]
-fn index_kinds_produce_equivalent_frontiers() {
-    // The result *set* is insertion-order dependent (both index kinds
-    // visit entries in different orders), so exact equality is too
-    // strong; but both runs must produce alpha^n-approximate Pareto sets,
-    // hence mutually cover within the guarantee.
-    let model = model();
-    let schedule = ResolutionSchedule::linear(4, 1.05, 0.5);
-    let spec = testkit::random_query(5, 42);
-    let b = Bounds::unbounded(model.dim());
-    let mut frontiers = Vec::new();
-    for kind in [IndexKind::CellGrid, IndexKind::Linear, IndexKind::KdTree] {
-        let mut opt = IamaOptimizer::with_config(
-            Arc::new(spec.clone()),
-            model.clone(),
-            schedule.clone(),
-            IamaConfig {
-                index_kind: kind,
-                ..IamaConfig::default()
-            },
-        );
-        for r in 0..=schedule.r_max() {
-            opt.optimize(&b, r);
-        }
-        frontiers.push(opt.frontier(&b, schedule.r_max()).costs());
-    }
-    let guarantee = schedule.guarantee(schedule.r_max(), spec.n_tables());
-    for i in 0..frontiers.len() {
-        for j in 0..frontiers.len() {
-            if i == j {
-                continue;
-            }
-            let f = moqo::cost::coverage_factor(&frontiers[i], &frontiers[j]);
-            assert!(
-                f <= guarantee + 1e-9,
-                "index kinds {i}/{j} diverge beyond the guarantee: {f} vs {guarantee}"
-            );
-        }
     }
 }
 
