@@ -75,7 +75,7 @@ impl Stage {
 
 /// Reads `VmRSS` (kB) for this process. Returns zero on non-Linux /proc
 /// layouts so the experiment still runs (memory columns just read 0).
-pub fn proc_rss_kb() -> u64 {
+fn proc_rss_kb() -> u64 {
     let text = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     text.lines()
         .find(|l| l.starts_with("VmRSS:"))
@@ -89,7 +89,7 @@ pub fn proc_rss_kb() -> u64 {
 /// under `/proc/self/task`. Client and test-harness threads are not
 /// counted; the threads of a second server in the same process would be.
 /// Returns zero where `/proc` is unavailable.
-pub fn server_threads() -> u64 {
+fn server_threads() -> u64 {
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
         return 0;
     };
