@@ -5,22 +5,21 @@
 //! ```
 //!
 //! Experiments: `fig1`, `fig2a`, `fig2b`, `fig3`, `fig4`, `fig5`,
-//! `lemmas`, `quality`, `ablation-delta`, `ablation-shadow`, `bounds`,
-//! `space`, `amortized`, `schedules`, `enumeration`, `pruning`, `serve`,
-//! `net`, `net-scale`, `similarity`, `fleet`, `fleet-router`, `replay`,
-//! `churn`, or `all`.
-//! `--fast` shrinks the scale factor and level counts for a quick smoke
-//! run; `--stats` appends the enumeration-plane counter table (splits
+//! `lemmas`, `quality`, `ablations`, `bounds`, `space`, `amortized`,
+//! `schedules`, `enumeration`, `pruning`, `serve`, `net`, `net-scale`,
+//! `similarity`, `fleet`, `fleet-router`, `replay`, `churn`, or `all`.
+//! `--fast` shrinks level counts and workloads for a quick smoke run;
+//! `--stats` appends the enumeration-plane counter table (splits
 //! visited/skipped, pairs skipped, scratch high-water) regardless of the
 //! chosen experiment. `net-scale` takes `--connections <n>` (default
 //! 10000; 512 with `--fast`); `fleet-router` takes `--watch <ms>`
 //! (default 500) and `--ticks <n>` (default: run until SIGTERM).
 //!
-//! The `enumeration`, `pruning`, `serve`, `net`, `net-scale`,
-//! `similarity`, `fleet`, `replay`, `churn`, and bounded `fleet-router`
-//! experiments additionally drop machine-readable `BENCH_<name>.json`
-//! files — one shared envelope schema — into the working directory
-//! (schema in `docs/benchmarks.md`).
+//! Every experiment except `fig1` (scatter plots, no measurement) and
+//! the unbounded `fleet-router` watch loop prints its tables and drops
+//! a machine-readable `BENCH_<name>.json` file — one shared envelope
+//! schema — into the working directory (schema in
+//! `docs/benchmarks.md`).
 //!
 //! Two envelopes compare with the perf-trajectory gate:
 //!
@@ -40,13 +39,12 @@
 //! repro fleet-node --id <id> --store <dir>
 //! ```
 
-use moqo_baselines::one_shot;
 use moqo_bench::*;
-use moqo_core::{IamaConfig, IamaOptimizer, Session, SessionCommand};
+use moqo_core::{IamaOptimizer, Session, SessionCommand};
 use moqo_cost::{Bounds, ResolutionSchedule};
 use moqo_costmodel::{CostModel, StandardCostModel};
 use moqo_tpch::query_block;
-use moqo_viz::{render_scatter, ScatterOptions, TextTable};
+use moqo_viz::{render_scatter, ScatterOptions};
 use std::env;
 use std::sync::Arc;
 use std::time::Duration;
@@ -75,8 +73,7 @@ const EXPERIMENTS: &[&str] = &[
     "fig5",
     "lemmas",
     "quality",
-    "ablation-delta",
-    "ablation-shadow",
+    "ablations",
     "bounds",
     "space",
     "amortized",
@@ -282,84 +279,32 @@ fn main() {
         _ => {}
     }
     let cli = parse_cli();
-    let model = bench_model();
     let run = |name: &str| cli.experiment == name || cli.experiment == "all";
 
     if run("fig1") {
-        fig1(&model, cli.sf);
+        fig1(&bench_model(), cli.sf);
     }
-    if run("fig2a") {
-        fig2a(&model, cli.sf);
-    }
-    if run("fig2b") {
-        fig2b(&model, cli.sf);
-    }
-    if run("fig3") {
-        figure_times(
-            "Figure 3 (avg time/invocation, alpha_T=1.01, alpha_S=0.05)",
-            {
-                let mut s = ExperimentSetup::fig3();
-                s.sf = cli.sf;
-                if cli.fast {
-                    s.level_counts = vec![1, 5];
-                }
-                s
-            },
-            &model,
-            false,
-        );
-    }
-    if run("fig4") {
-        figure_times(
-            "Figure 4 (avg time/invocation, alpha_T=1.005, alpha_S=0.5)",
-            {
-                let mut s = ExperimentSetup::fig4();
-                s.sf = cli.sf;
-                if cli.fast {
-                    s.level_counts = vec![1, 5];
-                }
-                s
-            },
-            &model,
-            false,
-        );
-    }
-    if run("fig5") {
-        figure_times(
-            "Figure 5 (MAX time/invocation, alpha_T=1.005, 20 levels)",
-            {
-                let mut s = ExperimentSetup::fig4();
-                s.sf = cli.sf;
-                s.level_counts = if cli.fast { vec![5] } else { vec![20] };
-                s
-            },
-            &model,
-            true,
-        );
-    }
-    if run("lemmas") {
-        lemmas(&model, cli.sf, cli.fast);
-    }
-    if run("quality") {
-        quality(cli.sf);
-    }
-    if run("ablation-delta") {
-        ablations_delta(&model, cli.sf);
-    }
-    if run("ablation-shadow") {
-        ablation_shadow_exp(&model, cli.sf);
-    }
-    if run("bounds") {
-        bounds_exp(&model, cli.sf);
-    }
-    if run("space") {
-        space_exp(&model, cli.sf, cli.fast);
-    }
-    if run("amortized") {
-        amortized_exp(&model, cli.sf);
-    }
-    if run("schedules") {
-        schedules_exp(&model, cli.sf);
+    let paper = [
+        (
+            "fig2a",
+            fig2a_experiment as fn(f64, bool) -> ExperimentReport,
+        ),
+        ("fig2b", fig2b_experiment),
+        ("fig3", fig3_experiment),
+        ("fig4", fig4_experiment),
+        ("fig5", fig5_experiment),
+        ("lemmas", lemmas_experiment),
+        ("quality", quality_experiment),
+        ("ablations", ablations_experiment),
+        ("bounds", bounds_experiment),
+        ("space", space_experiment),
+        ("amortized", amortized_experiment),
+        ("schedules", schedules_experiment),
+    ];
+    for (name, experiment) in paper {
+        if run(name) {
+            experiment(cli.sf, cli.fast).emit();
+        }
     }
     if run("enumeration") || cli.stats {
         enumeration_experiment(cli.sf, cli.fast).emit();
@@ -423,85 +368,6 @@ fn main() {
     }
 }
 
-/// Future-work experiment: linear vs geometric precision ladders.
-fn schedules_exp(model: &StandardCostModel, sf: f64) {
-    println!("=== Schedule shapes: linear vs geometric precision ladders ===\n");
-    let mut t = TextTable::new(vec![
-        "query",
-        "schedule",
-        "avg s/inv",
-        "MAX s/inv",
-        "total s",
-    ]);
-    for name in ["q05", "q08"] {
-        let spec = query_block(name, sf).expect("block");
-        for (label, avg, max, total) in schedule_comparison(&spec, model, 20, 1.005, 0.5) {
-            t.row(vec![
-                name.to_string(),
-                label.to_string(),
-                format!("{avg:.4}"),
-                format!("{max:.4}"),
-                format!("{total:.4}"),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-    println!(
-        "On the calibrated (cost-saturating) substrate the two ladders\n         perform within a few percent; the geometric ladder's advantage\n         grows on denser cost spaces where the finest levels dominate\n         (set `quantize_grid: None` in the model to observe it).\n"
-    );
-}
-
-/// Theorem 5: amortized invocation time vs single-objective DP.
-fn amortized_exp(model: &StandardCostModel, sf: f64) {
-    println!("=== Theorem 5: amortized invocation time over long series ===\n");
-    let schedule = ExperimentSetup::fig4().schedule(10);
-    let mut t = TextTable::new(vec![
-        "query",
-        "amortized s/inv (50 rounds)",
-        "first-ladder s/inv",
-        "single-objective DP (s)",
-    ]);
-    for name in ["q03", "q05", "q09"] {
-        let spec = query_block(name, sf).expect("block");
-        let (amortized, first, single) = amortized_time(&spec, model, &schedule, 50);
-        t.row(vec![
-            name.to_string(),
-            format!("{amortized:.5}"),
-            format!("{first:.5}"),
-            format!("{single:.5}"),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "Amortized time collapses far below the first ladder; the remaining\n         steady-state cost per invocation is the O(3^n) table-set sweep.\n"
-    );
-}
-
-/// Theorem 3: accumulated space after a full invocation series.
-fn space_exp(model: &StandardCostModel, sf: f64, fast: bool) {
-    println!("=== Theorem 3: accumulated space consumption on TPC-H ===\n");
-    let schedule = ExperimentSetup::fig4().schedule(if fast { 5 } else { 20 });
-    let mut t = TextTable::new(vec![
-        "query",
-        "tables",
-        "plans (arena)",
-        "result entries",
-        "candidate entries",
-        "frontier",
-    ]);
-    for r in space_consumption(model, &schedule, sf) {
-        t.row(vec![
-            r.query,
-            r.n_tables.to_string(),
-            r.plans.to_string(),
-            r.result_entries.to_string(),
-            r.candidate_entries.to_string(),
-            r.frontier.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
 /// Figure 1: the interactive refinement loop with a bound change.
 fn fig1(model: &StandardCostModel, sf: f64) {
     println!("=== Figure 1: interactive anytime optimization (q05) ===\n");
@@ -559,225 +425,4 @@ fn fig1(model: &StandardCostModel, sf: f64) {
             render_scatter(&frontier.costs(), &opts(Some(new_bounds)))
         );
     }
-}
-
-/// Figure 2a: anytime vs one-shot result quality over time.
-fn fig2a(model: &StandardCostModel, sf: f64) {
-    println!("=== Figure 2a: anytime vs one-shot quality over time (q05) ===\n");
-    let spec = query_block("q05", sf).expect("q05");
-    let schedule = ExperimentSetup::fig4().schedule(20);
-    let (curve, oneshot_secs) = anytime_quality(&spec, model, &schedule);
-    let mut t = TextTable::new(vec![
-        "invocation",
-        "cum. seconds",
-        "coverage vs final",
-        "frontier size",
-    ]);
-    for p in &curve {
-        t.row(vec![
-            p.invocation.to_string(),
-            format!("{:.4}", p.cumulative_seconds),
-            format!("{:.4}", p.coverage_vs_final),
-            p.frontier_size.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "one-shot: first (and only) result after {oneshot_secs:.4}s\n\
-         IAMA: first result after {:.4}s, {} refinements before the one-shot finishes\n",
-        curve.first().map(|p| p.cumulative_seconds).unwrap_or(0.0),
-        curve
-            .iter()
-            .filter(|p| p.cumulative_seconds < oneshot_secs)
-            .count()
-    );
-}
-
-/// Figure 2b: incremental vs memoryless per-invocation time.
-fn fig2b(model: &StandardCostModel, sf: f64) {
-    println!("=== Figure 2b: incremental vs memoryless run time per invocation (q05) ===\n");
-    let spec = query_block("q05", sf).expect("q05");
-    let schedule = ExperimentSetup::fig4().schedule(20);
-    let rows = incremental_vs_memoryless(&spec, model, &schedule);
-    let mut t = TextTable::new(vec!["invocation", "incremental (s)", "memoryless (s)"]);
-    for (i, a, m) in rows {
-        t.row(vec![i.to_string(), format!("{a:.4}"), format!("{m:.4}")]);
-    }
-    println!("{}", t.render());
-}
-
-/// Figures 3-5: per-invocation time tables grouped by table count.
-fn figure_times(title: &str, setup: ExperimentSetup, model: &StandardCostModel, use_max: bool) {
-    println!("=== {title} (sf={}) ===\n", setup.sf);
-    let rows = figure_invocation_times(&setup, model);
-    for &levels in &setup.level_counts {
-        println!("With {levels} resolution level(s):");
-        let mut t = TextTable::new(vec![
-            "tables",
-            "queries",
-            "IAMA (s)",
-            "memoryless (s)",
-            "one-shot (s)",
-            "speedup vs 1-shot",
-        ]);
-        for row in rows.iter().filter(|r| r.levels == levels) {
-            let (iama, mem) = if use_max {
-                (row.iama_max, row.memoryless_max)
-            } else {
-                (row.iama_avg, row.memoryless_avg)
-            };
-            t.row(vec![
-                row.n_tables.to_string(),
-                row.queries.to_string(),
-                format!("{iama:.4}"),
-                format!("{mem:.4}"),
-                format!("{:.4}", row.oneshot),
-                format!("{:.1}x", row.oneshot / iama.max(1e-9)),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-}
-
-/// Lemma 5-7 invariant verification across the TPC-H workload.
-fn lemmas(model: &StandardCostModel, sf: f64, fast: bool) {
-    println!("=== Lemmas 5-7: incremental invariants on TPC-H ===\n");
-    let schedule = ExperimentSetup::fig4().schedule(if fast { 5 } else { 20 });
-    let reports = verify_invariants(model, &schedule, sf);
-    let mut t = TextTable::new(vec![
-        "query",
-        "max plan gens (<=1)",
-        "max pair gens (<=1)",
-        "max cand retrievals",
-        "bound rM+1",
-    ]);
-    let mut ok = true;
-    for r in &reports {
-        ok &= r.max_plan_generations <= 1
-            && r.max_pair_generations <= 1
-            && r.max_candidate_retrievals <= r.retrieval_bound;
-        t.row(vec![
-            r.query.clone(),
-            r.max_plan_generations.to_string(),
-            r.max_pair_generations.to_string(),
-            r.max_candidate_retrievals.to_string(),
-            r.retrieval_bound.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("all invariants hold: {ok}\n");
-}
-
-/// Theorem 2 in practice: measured vs guaranteed approximation factors.
-fn quality(sf: f64) {
-    println!("=== Theorem 2: measured vs guaranteed approximation factor ===\n");
-    let model = bench_model_small();
-    let schedule = ResolutionSchedule::linear(4, 1.05, 0.5);
-    let reports = verify_quality(&model, &schedule, sf * 0.01, 4);
-    let mut t = TextTable::new(vec![
-        "query",
-        "tables",
-        "measured",
-        "guarantee a^n",
-        "exhaustive size",
-        "IAMA size",
-    ]);
-    for r in &reports {
-        t.row(vec![
-            r.query.clone(),
-            r.n_tables.to_string(),
-            format!("{:.4}", r.measured_factor),
-            format!("{:.4}", r.guarantee),
-            r.exhaustive_size.to_string(),
-            r.iama_size.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-/// Ablation: delta-set filtering on/off.
-fn ablations_delta(model: &StandardCostModel, sf: f64) {
-    println!("=== Ablation: delta-set filtering in Fresh ===\n");
-    let schedule = ExperimentSetup::fig4().schedule(20);
-    let mut t = TextTable::new(vec![
-        "query",
-        "with delta (s)",
-        "without (s)",
-        "settled pairs skipped",
-    ]);
-    for name in ["q03", "q05", "q09"] {
-        let spec = query_block(name, sf).expect("block");
-        let (with_d, without_d, settled) = ablation_delta(&spec, model, &schedule);
-        t.row(vec![
-            name.to_string(),
-            format!("{with_d:.4}"),
-            format!("{without_d:.4}"),
-            settled.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-/// Ablation: result-plan shadowing on/off.
-fn ablation_shadow_exp(model: &StandardCostModel, sf: f64) {
-    println!("=== Ablation: shadowing of dominated result plans ===\n");
-    let schedule = ExperimentSetup::fig4().schedule(10);
-    let mut t = TextTable::new(vec![
-        "query",
-        "shadowed (s)",
-        "paper-exact (s)",
-        "plans shadowed",
-        "plans exact",
-    ]);
-    for name in ["q03", "q05", "q09"] {
-        let spec = query_block(name, sf).expect("block");
-        let on = iama_series_with_config(&spec, model, &schedule, IamaConfig::default());
-        let off = iama_series_with_config(
-            &spec,
-            model,
-            &schedule,
-            IamaConfig {
-                shadow_dominated: false,
-                ..IamaConfig::default()
-            },
-        );
-        let secs =
-            |rs: &[moqo_core::InvocationReport]| -> f64 { rs.iter().map(|r| r.seconds()).sum() };
-        let plans = |rs: &[moqo_core::InvocationReport]| -> u64 {
-            rs.iter().map(|r| r.plans_generated).sum()
-        };
-        t.row(vec![
-            name.to_string(),
-            format!("{:.4}", secs(&on)),
-            format!("{:.4}", secs(&off)),
-            plans(&on).to_string(),
-            plans(&off).to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-/// Bound-tightening scenario (Example 3).
-fn bounds_exp(model: &StandardCostModel, sf: f64) {
-    println!("=== Bounds scenario: user tightens the time bound mid-session (q05) ===\n");
-    let spec = query_block("q05", sf).expect("q05");
-    let schedule = ExperimentSetup::fig4().schedule(10);
-    let rows = bounds_scenario(&spec, model, &schedule);
-    let mut t = TextTable::new(vec!["step", "resolution", "seconds", "frontier size"]);
-    for (i, r, secs, size) in rows {
-        t.row(vec![
-            i.to_string(),
-            r.to_string(),
-            format!("{secs:.4}"),
-            size.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    // Sanity: contrast with a cold optimizer for the bounded phase.
-    let b = Bounds::unbounded(model.dim());
-    let shot = one_shot(&spec, model, &schedule, &b);
-    println!(
-        "(for scale: a cold one-shot run at target precision takes {:.4}s)\n",
-        shot.duration.as_secs_f64()
-    );
 }

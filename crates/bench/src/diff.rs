@@ -30,6 +30,9 @@ pub struct DiffOutcome {
     /// Structural mismatches: schema version / experiment / fast-flag
     /// mismatch, or variants/metrics that disappeared.
     pub drift: Vec<String>,
+    /// Notes that never fail the gate: the two runs came from hosts of
+    /// a different shape, so their timings compare loosely.
+    pub warnings: Vec<String>,
 }
 
 impl DiffOutcome {
@@ -41,7 +44,7 @@ impl DiffOutcome {
     /// Renders the full human report.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for line in &self.lines {
+        for line in self.warnings.iter().chain(&self.lines) {
             let _ = writeln!(out, "{line}");
         }
         if !self.drift.is_empty() {
@@ -138,6 +141,18 @@ fn check_meta(old: &Json, new: &Json, out: &mut DiffOutcome) {
                 n.unwrap()
             ));
         }
+    }
+    let shape = |e: &Json, key: &str| e.get("host").and_then(|h| h.get(key)).cloned();
+    let differs: Vec<String> = ["cpus", "arch"]
+        .into_iter()
+        .filter(|key| shape(old, key) != shape(new, key))
+        .map(|key| format!("{key} {:?} vs {:?}", shape(old, key), shape(new, key)))
+        .collect();
+    if !differs.is_empty() {
+        out.warnings.push(format!(
+            "warning: host shapes differ ({}); timings compare loosely",
+            differs.join(", ")
+        ));
     }
     if let Some(Json::Int(v)) = old.get("schema_version") {
         if *v != SCHEMA_VERSION {
@@ -321,6 +336,55 @@ mod tests {
         assert!(outcome.failed());
         assert!(outcome.drift.iter().any(|d| d.contains("warm")));
         assert!(outcome.drift.iter().any(|d| d.contains("throughput")));
+    }
+
+    /// Swaps the envelope's `host.cpus` for `cpus`.
+    fn with_cpus(envelope: Json, cpus: u64) -> Json {
+        let Json::Obj(mut fields) = envelope else {
+            panic!("an envelope is an object")
+        };
+        for (key, value) in &mut fields {
+            if key == "host" {
+                *value = Json::obj(vec![
+                    ("os", Json::Str("linux".into())),
+                    ("arch", Json::Str("x86_64".into())),
+                    ("cpus", Json::Int(cpus)),
+                ]);
+            }
+        }
+        Json::Obj(fields)
+    }
+
+    #[test]
+    fn host_shape_mismatch_warns_without_failing() {
+        let one = with_cpus(toy(100.0, 500.0, 0).envelope(), 1);
+        let same = diff_envelopes(&one, &with_cpus(toy(100.0, 500.0, 0).envelope(), 1), 0.25);
+        assert!(same.warnings.is_empty());
+        let outcome = diff_envelopes(&one, &with_cpus(toy(100.0, 500.0, 0).envelope(), 8), 0.25);
+        assert!(!outcome.failed(), "{}", outcome.render());
+        assert_eq!(outcome.warnings.len(), 1);
+        assert!(outcome
+            .render()
+            .starts_with("warning: host shapes differ (cpus"));
+    }
+
+    #[test]
+    fn a_lemma_violation_fails_at_any_tolerance() {
+        let mut report = crate::experiments::lemmas_experiment(0.001, true);
+        let old = report.envelope();
+        let violations = report.variants[0]
+            .metrics
+            .iter_mut()
+            .find(|m| m.key == "lemma5_violations")
+            .expect("every block records its Lemma 5 violations");
+        assert_eq!(violations.value, crate::harness::Value::Int(0));
+        violations.value = crate::harness::Value::Int(1);
+        let outcome = diff_envelopes(&old, &report.envelope(), 9.0);
+        assert!(outcome.failed());
+        assert!(outcome
+            .regressions
+            .iter()
+            .any(|r| r.contains("lemma5_violations")));
     }
 
     #[test]

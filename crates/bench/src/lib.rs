@@ -1,10 +1,11 @@
 //! Experiment harness regenerating the paper's figures.
 //!
-//! Every figure of the paper's evaluation (and the conceptual figures of
-//! the introduction) maps to a function here; the `repro` binary prints
-//! the same series the paper reports and the criterion benches in
-//! `benches/` time the same code. See DESIGN.md §5 for the experiment
-//! index and EXPERIMENTS.md for the recorded paper-vs-measured results.
+//! Every figure, lemma and theorem of the paper's evaluation, and every
+//! serving experiment, is one declarative [`harness::Experiment`]; the
+//! `repro` binary prints its tables and writes its `BENCH_<name>.json`
+//! envelope, and `repro diff` gates two envelopes. `PAPER.md` maps each
+//! figure to its experiment and `docs/benchmarks.md` lists every
+//! envelope's gated metrics.
 
 #![warn(missing_docs)]
 

@@ -12,9 +12,7 @@
 //!    [`dominance_scan_scalar`] (the per-entry `dyn` visitor).
 //!    `threshold = f64::NEG_INFINITY` forces full scans so both paths
 //!    do identical logical work; the reported medians isolate the
-//!    storage-layout and call-protocol difference. The same
-//!    [`build_pruning_grid`] feeds the criterion group in
-//!    `benches/enumeration.rs`.
+//!    storage-layout and call-protocol difference.
 //! 2. **Prune share** — full refinement ladders with
 //!    [`IamaConfig::time_pruning`] on, reporting how much of the
 //!    invocation wall-clock the optimizer's witness search (one pass

@@ -16,10 +16,13 @@
 //! * `degrade` — admit under a coarser resolution ladder up to a hard
 //!   cap.
 //!
-//! A small in-line service loop completes the oldest sessions (first
-//! report observed, then cancel + finish) so capacity actually frees —
-//! without it the queue policy would never drain and every policy would
-//! converge to "reject everything".
+//! The arrival gap is a service time measured on a fresh server before
+//! the variants run (the median of 32 closed-loop sessions). An in-line
+//! service step completes the oldest live session (first report
+//! observed, then cancel + finish) on every other arrival: the offered
+//! load is twice the service rate on any host, so every policy engages,
+//! and capacity still frees — without it the queue policy would never
+//! drain and every policy would converge to "reject everything".
 
 use moqo_core::protocol::SessionRequest;
 use moqo_core::{AdmissionResponse, SessionCommand};
@@ -41,6 +44,9 @@ use crate::workload::XorShift;
 /// Live sessions admitted at full resolution before the overload policy
 /// kicks in — deliberately small so the replay actually overloads.
 const MAX_LIVE: usize = 8;
+
+/// Seed of the Zipf template trace.
+const TRACE_SEED: u64 = 0x5eed_41aa;
 
 /// How long any single wait (first report, queue drain) may take before
 /// the experiment declares the server wedged.
@@ -123,11 +129,9 @@ fn complete(server: &MoqoServer, ticket: Ticket, tally: &mut Tally) {
     }
 }
 
-/// Replays the trace against a fresh server under `policy` and records
-/// the admission outcome mix, submit latency, and drain time.
-fn run_policy(fast: bool, policy: AdmissionPolicy, policy_label: &str, trial: &mut Trial) {
-    let templates = replay_templates();
-    let server = MoqoServer::new(
+/// A fresh server for one replay under `policy`.
+fn server(policy: AdmissionPolicy) -> MoqoServer {
+    MoqoServer::new(
         Arc::new(StandardCostModel::paper_metrics()),
         ResolutionSchedule::linear(1, 1.1, 0.5),
         ServeConfig {
@@ -145,12 +149,45 @@ fn run_policy(fast: bool, policy: AdmissionPolicy, policy_label: &str, trial: &m
             },
             retired_tickets: 8192,
         },
-    );
+    )
+}
+
+/// The open-loop arrival gap: the median service time (submit to
+/// completion) of the trace's first arrivals, served one at a time on a
+/// fresh server. Sessions then report within about one gap, so the
+/// replay's service step, not the host's speed, sets the service rate.
+fn arrival_gap() -> Duration {
+    let server = server(AdmissionPolicy::Reject);
+    let (templates, zipf) = (replay_templates(), Zipf::new(replay_templates().len()));
+    let mut rng = XorShift::new(TRACE_SEED);
+    let mut service_us = Samples::with_capacity(32);
+    for _ in 0..32 {
+        let spec = templates[zipf.sample(&mut rng)].clone();
+        let t0 = Instant::now();
+        let (ticket, _) = server
+            .submit(SessionRequest::new(spec))
+            .expect("a bare request has nothing to validate");
+        complete(&server, ticket, &mut Tally::default());
+        service_us.push(t0.elapsed().as_secs_f64() * 1e6);
+    }
+    Duration::from_secs_f64(Summary::of_or_zero(&service_us).p50 / 1e6)
+}
+
+/// Replays the trace against a fresh server under `policy` and records
+/// the admission outcome mix, submit latency, and drain time.
+fn run_policy(
+    fast: bool,
+    gap: Duration,
+    policy: AdmissionPolicy,
+    policy_label: &str,
+    trial: &mut Trial,
+) {
+    let templates = replay_templates();
+    let server = server(policy.clone());
 
     let arrivals: usize = if fast { 160 } else { 600 };
-    let gap = Duration::from_micros(if fast { 250 } else { 400 });
     let zipf = Zipf::new(templates.len());
-    let mut rng = XorShift::new(0x5eed_41aa);
+    let mut rng = XorShift::new(TRACE_SEED);
     let mut tally = Tally::default();
     let mut submit_us = Samples::with_capacity(arrivals);
     // Admitted (full or degraded) sessions awaiting service, oldest
@@ -197,11 +234,14 @@ fn run_policy(fast: bool, policy: AdmissionPolicy, policy_label: &str, trial: &m
             }
             AdmissionResponse::Rejected(_) => tally.rejected += 1,
         }
-        // Service: complete the oldest sessions beyond half capacity so
-        // slots keep freeing under the arrival stream.
-        while live.len() > MAX_LIVE / 2 {
-            let ticket = live.pop_front().expect("nonempty by the loop guard");
-            complete(&server, ticket, &mut tally);
+        // Service: complete the oldest live session on every other
+        // arrival, so the offered load is twice the service rate and
+        // every policy engages. At the measured gap the oldest session
+        // has long reported, so the wait is short.
+        if i % 2 == 1 {
+            if let Some(ticket) = live.pop_front() {
+                complete(&server, ticket, &mut tally);
+            }
         }
         // Queued tickets admit as capacity frees; promote any that did.
         parked.retain(|&t| match server.poll(t) {
@@ -240,12 +280,25 @@ fn run_policy(fast: bool, policy: AdmissionPolicy, policy_label: &str, trial: &m
     trial.int("degraded", tally.degraded);
     trial.int("queued", tally.queued);
     trial.int("rejected", tally.rejected);
+    // The policy's own overload outcome. One key for all three variants:
+    // a direction holds for a key across the whole envelope, and under
+    // `queue` or `degrade` rejections are a side effect, not the policy.
+    let engaged = match policy {
+        AdmissionPolicy::Reject => tally.rejected,
+        AdmissionPolicy::Queue { .. } => tally.queued,
+        AdmissionPolicy::Degrade { .. } => tally.degraded,
+    };
+    trial.int_higher("engaged", engaged);
     trial.int("completed", tally.completed);
     trial.int("zero_plan_starts", tally.zero_plan_starts);
     trial.num("head_share", head_hits as f64 / arrivals as f64);
     trial.summary_us("submit_", Summary::of_or_zero(&submit_us));
+    trial.num("gap_us", gap.as_secs_f64() * 1e6);
     trial.num("replay_ms", replay_ms);
-    trial.num_lower("drain_ms", drain_ms);
+    // The drain is the tail of an overloaded trace: it ranges from
+    // instant to one cold session, so only the whole run is gated.
+    trial.num("drain_ms", drain_ms);
+    trial.num_lower("total_ms", replay_ms + drain_ms);
 }
 
 /// The degraded ladder the `degrade` variant admits overload under:
@@ -258,17 +311,18 @@ fn degraded_ladder() -> ResolutionSchedule {
 /// server each) and reports the outcome mix, submit latencies, and
 /// drain time per policy.
 pub fn replay_experiment(fast: bool) -> ExperimentReport {
-    Experiment::new("replay", fast, || ())
+    Experiment::new("replay", fast, arrival_gap)
         .title("traffic replay: open-loop Zipf arrivals vs admission policies")
-        .variant("admission policy", "reject", move |_, t| {
-            run_policy(fast, AdmissionPolicy::Reject, "reject", t)
+        .variant("admission policy", "reject", move |gap, t| {
+            run_policy(fast, *gap, AdmissionPolicy::Reject, "reject", t)
         })
-        .variant("admission policy", "queue", move |_, t| {
-            run_policy(fast, AdmissionPolicy::Queue { depth: 16 }, "queue", t)
+        .variant("admission policy", "queue", move |gap, t| {
+            run_policy(fast, *gap, AdmissionPolicy::Queue { depth: 16 }, "queue", t)
         })
-        .variant("admission policy", "degrade", move |_, t| {
+        .variant("admission policy", "degrade", move |gap, t| {
             run_policy(
                 fast,
+                *gap,
                 AdmissionPolicy::Degrade {
                     schedule: degraded_ladder(),
                     hard_cap: MAX_LIVE * 4,
@@ -309,6 +363,11 @@ mod tests {
                 counter("arrivals") - rejected,
                 "{label}"
             );
+        }
+        // Arrivals outpace service, so each policy's own door engages.
+        for label in ["reject", "queue", "degrade"] {
+            let engaged = report.metric(label, "engaged").unwrap().as_u64();
+            assert!(engaged > Some(0), "{label} never engaged");
         }
         // Policy-specific shapes: only the queue variant parks, only the
         // degrade variant downgrades ladders.

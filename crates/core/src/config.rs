@@ -9,7 +9,7 @@ pub struct IamaConfig {
     /// invocation re-walks the full cross products, with duplicate pairs
     /// suppressed positionally by the per-split watermark rectangles and,
     /// for pairs combined during churn epochs, by the `IsFresh` hash
-    /// fallback; used by the `ablation-delta` benchmark.
+    /// fallback; `repro ablations` measures it as `no_delta`.
     pub use_delta: bool,
     /// Consider cross-product joins even when the join graph connects the
     /// two operands nowhere. Off by default (Postgres behaviour).
@@ -26,8 +26,8 @@ pub struct IamaConfig {
     /// skipping levels strengthens the same idea — "the knowledge gained
     /// in the current invocation ... is not lost" — and preserves the
     /// Theorem 1/2 guarantees because the dominating witness stays in the
-    /// result set forever. Disable for strict pseudo-code behaviour (the
-    /// `ablation-requeue` benchmark compares both).
+    /// result set forever. Disable for strict pseudo-code behaviour
+    /// (`repro ablations` measures it as `no_eager_requeue`).
     pub eager_level_skip: bool,
     /// Shadow strictly-dominated result plans: when a new result plan
     /// plainly dominates an existing one (and can substitute for it
@@ -42,8 +42,8 @@ pub struct IamaConfig {
     /// through the dominating plan, so the approximation guarantee is
     /// unaffected (the integration tests verify it in both modes).
     /// Without shadowing, synthetic cost spaces inflate result sets
-    /// several-fold, which quadratically inflates pair generation (the
-    /// `ablation-shadow` benchmark quantifies this).
+    /// several-fold, which quadratically inflates pair generation
+    /// (`repro ablations` measures it as `no_shadowing`).
     pub shadow_dominated: bool,
     /// Accumulate the wall-clock nanoseconds spent in the pruning
     /// witness search into `OptimizerStats::prune_nanos`. Off by

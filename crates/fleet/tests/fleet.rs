@@ -17,6 +17,21 @@ use std::time::{Duration, Instant};
 
 const IDLE: Duration = Duration::from_secs(60);
 
+/// Starts a named stage with a 30 s deadline. The returned closure gives
+/// the time left and panics, naming the stage, once it is up, so a stuck
+/// stage fails by name instead of blocking a whole `IDLE` wait.
+fn stage(name: &'static str) -> impl Fn() -> Duration {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    move || {
+        let left = deadline.saturating_duration_since(Instant::now());
+        assert!(
+            !left.is_zero(),
+            "soak stage `{name}` missed its 30 s deadline"
+        );
+        left
+    }
+}
+
 fn model() -> SharedCostModel {
     Arc::new(StandardCostModel::paper_metrics())
 }
@@ -324,6 +339,7 @@ fn idle_sessions_soak_through_sweep_and_probe_periods() {
 
     let mut sessions = Vec::with_capacity(SESSIONS);
     let mut fps = Vec::with_capacity(SESSIONS);
+    let left = stage("submit");
     for i in 0..SESSIONS {
         let spec = Arc::new(testkit::chain_query(2 + i % 3, 40_000 + 1_000 * i as u64));
         let request = moqo_serve::SessionRequest::new(spec);
@@ -333,7 +349,7 @@ fn idle_sessions_soak_through_sweep_and_probe_periods() {
         while session.client.view().frontier.is_empty()
             || session.client.view().first_report.is_none()
         {
-            session.client.recv(IDLE).expect("stream healthy");
+            session.client.recv(left()).expect("stream healthy");
         }
         sessions.push(session);
     }
@@ -350,19 +366,27 @@ fn idle_sessions_soak_through_sweep_and_probe_periods() {
         assert_eq!(faulted_total(), 0);
     }
 
-    // Zero event loss: after catching up to the serving node's (final,
-    // engine-idle) epoch, every client view must be bit-identical to
-    // the node's view of the same ticket.
-    for node in nodes.values() {
-        assert!(node.net().moqo().wait_idle(IDLE), "engine stuck busy");
+    // Zero event loss. Each session runs one invocation per ladder level
+    // and then waits for commands, so a client has caught up once its
+    // view counts the whole ladder. Only then is the node's view of the
+    // ticket read: polling drains the ticket's event channel, so polling
+    // earlier would steal events the loop has not yet forwarded.
+    let ladder = FleetNodeConfig::loopback("soak").schedule.levels() as u64;
+    let left = stage("ladder delivery");
+    for session in &mut sessions {
+        while session.client.view().invocations < ladder {
+            session.client.recv(left()).expect("stream healthy");
+        }
     }
+    let left = stage("engine idle");
+    for node in nodes.values() {
+        assert!(node.net().moqo().wait_idle(left()), "engine stuck busy");
+    }
+    let left = stage("views match and finish");
     for session in &mut sessions {
         let ticket = moqo_serve::Ticket::from_u64(session.client.server_ticket().unwrap());
         match nodes[&session.node].net().moqo().poll(ticket) {
             Some(TicketStatus::Active { view, .. }) => {
-                while session.client.view().epoch < view.epoch {
-                    session.client.recv(IDLE).expect("stream healthy");
-                }
                 assert!(session.client.view().frontier.bits_eq(&view.frontier));
                 assert_eq!(session.client.view().epoch, view.epoch);
             }
@@ -372,11 +396,14 @@ fn idle_sessions_soak_through_sweep_and_probe_periods() {
             .client
             .command(moqo_serve::SessionCommand::Cancel)
             .expect("send");
-        session.client.wait_finished(IDLE).expect("terminal event");
+        session
+            .client
+            .wait_finished(left())
+            .expect("terminal event");
     }
-    let deadline = Instant::now() + IDLE;
+    let left = stage("drain");
     while live_total() != 0 {
-        assert!(Instant::now() < deadline, "fleet did not drain");
+        left();
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(faulted_total(), 0);
