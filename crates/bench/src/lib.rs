@@ -35,7 +35,7 @@ pub use fleet::{
 pub use harness::{Direction, Experiment, ExperimentReport, Metric, Trial, Value};
 pub use net::{net_serving_experiment, net_workload};
 pub use net_scale::{net_scale_experiment, net_scale_templates};
-pub use pruning::{build_pruning_grid, pruning_experiment, KERNEL_CELL_SIZES, KERNEL_DIMS};
+pub use pruning::pruning_experiment;
 pub use replay::replay_experiment;
 pub use serve::{serving_experiment, serving_workload};
 pub use similarity::{similarity_donors, similarity_experiment, similarity_recipients};

@@ -5,7 +5,7 @@ use moqo_costmodel::{MetricSet, StandardCostModel, StandardCostModelConfig};
 
 /// A tiny deterministic xorshift generator so benchmark inputs are
 /// reproducible without external crates in library code. Shared by the
-/// pruning grid builder and the traffic-replay/churn experiments.
+/// traffic-replay and churn experiments.
 pub struct XorShift(u64);
 
 impl XorShift {

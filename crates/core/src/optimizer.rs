@@ -30,7 +30,7 @@ use crate::report::InvocationReport;
 use crate::stats::OptimizerStats;
 use moqo_cost::{Bounds, CostVector, ResolutionSchedule};
 use moqo_costmodel::{PlanInput, SharedCostModel};
-use moqo_index::{CellGrid, Entry, PairSet, PlanIndex};
+use moqo_index::{CellGrid, Entry, PairSet};
 use moqo_plan::{PhysicalProps, PlanArena, PlanId};
 use moqo_query::{EnumerationPlan, QuerySpec, SubsetId};
 use std::sync::Arc;
@@ -450,16 +450,11 @@ impl IamaOptimizer {
     /// would render (Algorithm 1 line 16).
     pub fn frontier(&self, bounds: &Bounds, r: usize) -> FrontierSnapshot {
         let mut points = Vec::new();
-        // Batched range scan: whole struct-of-arrays blocks per callback.
-        // Selected rows arrive in `scan` order, so the snapshot is
-        // bit-identical to the scalar visitor's.
-        self.full_res.scan_batch(bounds, r as u8, &mut |batch| {
-            for j in batch.selected() {
-                points.push(FrontierPoint {
-                    plan: batch.item(j),
-                    cost: batch.cost(j),
-                });
-            }
+        self.full_res.scan(bounds, r as u8, |e| {
+            points.push(FrontierPoint {
+                plan: e.item,
+                cost: e.cost,
+            });
             false
         });
         FrontierSnapshot::new(points)
@@ -469,8 +464,8 @@ impl IamaOptimizer {
     /// without building the snapshot.
     fn frontier_size(&self, bounds: &Bounds, r: usize) -> usize {
         let mut n = 0;
-        self.full_res.scan_batch(bounds, r as u8, &mut |batch| {
-            n += batch.mask().count_ones() as usize;
+        self.full_res.scan(bounds, r as u8, |_| {
+            n += 1;
             false
         });
         n
@@ -1235,10 +1230,10 @@ mod tests {
 
         proptest! {
             /// The active-list witness search routes every plan exactly
-            /// as the cell grid's lane kernels and the scalar index scan
-            /// do over the same entries: same `best <= alpha` decision
-            /// and same eager next level, whatever the scan order, and
-            /// the same minimum bit for bit when no early exit fires.
+            /// as the scalar cell-grid scan does over the same entries:
+            /// same `best <= alpha` decision and same eager next level,
+            /// whatever the scan order, and the same minimum bit for bit
+            /// when no early exit fires.
             #[test]
             fn witness_search_routes_like_the_index_scans(
                 entries in proptest::collection::vec(
@@ -1265,7 +1260,7 @@ mod tests {
                         shadowed: *shadowed,
                     });
                 }
-                let accept = &mut |i: u32| entries[i as usize].2.satisfies(&target_props);
+                let accept = |i: u32| entries[i as usize].2.satisfies(&target_props);
                 let target = CostVector::new(&[target.0, target.1, target.2]);
                 let alpha = sched.factor(r);
                 let region = Bounds::from_slice(&[limits.0, limits.1, limits.2])
@@ -1274,22 +1269,16 @@ mod tests {
                     let threshold = if eager { sched.target_factor() } else { alpha };
                     let (best, _) =
                         witness_search(&active, &region, r, &target, &target_props, threshold);
-                    let lanes = grid.dominance_scan(&region, r as u8, &target, threshold, accept);
                     let scalar =
                         dominance_scan_scalar(&grid, &region, r as u8, &target, threshold, accept);
-                    let want = route(best, r, eager, &sched);
-                    prop_assert_eq!(want, route(lanes.best_factor, r, eager, &sched));
-                    prop_assert_eq!(want, route(scalar.best_factor, r, eager, &sched));
+                    prop_assert_eq!(route(best, r, eager, &sched), route(scalar, r, eager, &sched));
                 }
                 let (full, examined) = witness_search(
                     &active, &region, r, &target, &target_props, f64::NEG_INFINITY);
                 prop_assert_eq!(examined, active.len() as u64);
-                let lanes = grid.dominance_scan(
-                    &region, r as u8, &target, f64::NEG_INFINITY, accept);
                 let scalar = dominance_scan_scalar(
                     &grid, &region, r as u8, &target, f64::NEG_INFINITY, accept);
-                prop_assert_eq!(full.to_bits(), lanes.best_factor.to_bits());
-                prop_assert_eq!(full.to_bits(), scalar.best_factor.to_bits());
+                prop_assert_eq!(full.to_bits(), scalar.to_bits());
             }
         }
     }

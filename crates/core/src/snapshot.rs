@@ -38,7 +38,7 @@ use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use crate::IamaConfig;
 use moqo_cost::{Bounds, CostVector, ResolutionSchedule};
 use moqo_costmodel::{CostModel, PlanInput, SharedCostModel};
-use moqo_index::{CellGrid, Entry, PlanIndex};
+use moqo_index::{CellGrid, Entry};
 use moqo_plan::{JoinAlgo, Operator, PlanArena, ScanMethod};
 use moqo_plan::{PhysicalProps, PlanId, PlanNode};
 use moqo_query::{QuerySpec, TableSet};

@@ -62,16 +62,6 @@ impl Bounds {
         !self.respects(c)
     }
 
-    /// Lane variant of [`Bounds::respects`] over struct-of-arrays cost
-    /// storage: the hit mask of rows `start .. start + n` (at most
-    /// [`crate::lanes::BLOCK`]) of the per-metric columns `lanes` whose
-    /// cost respects these bounds. Bit-exact with the scalar test; see
-    /// [`crate::lanes`].
-    #[inline]
-    pub fn respects_lanes(&self, lanes: &[&[f64]], start: usize, n: usize) -> u64 {
-        crate::lanes::respects_lanes(lanes, self.limits.as_slice(), start, n)
-    }
-
     /// True if no metric is constrained.
     #[inline]
     pub fn is_unbounded(&self) -> bool {

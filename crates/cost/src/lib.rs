@@ -15,7 +15,6 @@ pub mod agg;
 pub mod bounds;
 pub mod dominance;
 pub mod hash;
-pub mod lanes;
 pub mod pareto;
 pub mod schedule;
 pub mod vector;
@@ -24,9 +23,6 @@ pub use agg::{AggFn, ChildCombine};
 pub use bounds::Bounds;
 pub use dominance::{dominates, dominates_scaled, strictly_dominates};
 pub use hash::Fnv64;
-pub use lanes::{
-    dominates_scaled_lanes, domination_factor_lanes, full_mask, respects_lanes, BLOCK, LANES,
-};
 pub use pareto::{
     coverage_factor, covers, covers_bounded, is_pareto_optimal, pareto_filter, ParetoAccumulator,
 };

@@ -86,28 +86,6 @@ impl CostVector {
         }
     }
 
-    /// Rebuilds a vector from components that were **already validated**
-    /// by [`CostVector::new`] / [`CostVector::from_fn`] — the
-    /// reconstruction path for struct-of-arrays stores (`moqo-index`
-    /// cells), which persist only the raw lanes. Skips the NaN/negative
-    /// asserts in release builds so reconstituting an entry costs a
-    /// plain copy; debug builds still verify the contract.
-    #[inline]
-    pub fn from_lanes(dim: usize, mut f: impl FnMut(usize) -> f64) -> Self {
-        debug_assert!(dim <= MAX_DIM);
-        let mut vals = [0.0; MAX_DIM];
-        for (i, slot) in vals.iter_mut().enumerate().take(dim) {
-            let v = f(i);
-            debug_assert!(!v.is_nan(), "cost component {i} is NaN");
-            debug_assert!(v >= 0.0, "cost component {i} is negative: {v}");
-            *slot = v;
-        }
-        Self {
-            vals,
-            dim: dim as u8,
-        }
-    }
-
     /// Number of cost metrics.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -311,16 +289,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn from_fn_rejects_nan_components() {
         CostVector::from_fn(1, |_| f64::NAN);
-    }
-
-    #[test]
-    fn from_lanes_round_trips_stored_bits() {
-        let original = CostVector::new(&[0.0, 1.5, f64::INFINITY]);
-        let rebuilt = CostVector::from_lanes(3, |i| original[i]);
-        assert_eq!(rebuilt.dim(), 3);
-        for i in 0..3 {
-            assert_eq!(rebuilt[i].to_bits(), original[i].to_bits());
-        }
     }
 
     #[test]

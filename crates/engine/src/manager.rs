@@ -14,11 +14,11 @@
 //! [`SessionEvent`]s whose [`FrontierDelta`]s reassemble — exactly — to
 //! the full frontier, instead of re-shipping it after every slice.
 //!
-//! Scheduling is round-robin with budgeted time slices: a worker checks a
-//! session out of the shared map, runs at most
-//! [`EngineConfig::ticks_per_slice`] anytime invocations (each tick is one
-//! `optimize(bounds, r)` call, so the *incrementality* of IAMA — not the
-//! scheduler — keeps slices short), then requeues the session at the back.
+//! Scheduling is round-robin: a worker checks a session out of the shared
+//! map, runs one command (a queued user command, or one anytime `Refine`,
+//! i.e. one `optimize(bounds, r)` call, so the *incrementality* of IAMA —
+//! not the scheduler — keeps slices short), then requeues the session at
+//! the back.
 //!
 //! Finished sessions park their optimizer in the [`FrontierCache`] keyed
 //! by canonical [`QueryFingerprint`] — which embeds the cost model's
@@ -61,20 +61,12 @@ pub struct EngineConfig {
     /// parks. `0` means "derive from the schedule": one full resolution
     /// ladder (`r_max + 1` invocations).
     pub auto_ticks: usize,
-    /// Invocations a worker runs for one session per checkout before
-    /// requeueing it (round-robin fairness knob).
-    pub ticks_per_slice: usize,
-    /// Wall-clock budget per checkout; the slice ends early once spent.
-    pub slice_budget: Duration,
-    /// Finished sessions whose final [`SessionStatus`] stays queryable
-    /// after their optimizer moved to the cache; the oldest beyond this
-    /// many are dropped so a long-lived manager's memory stays bounded.
-    pub retired_capacity: usize,
-    /// Harvested per-subset sub-frontier blobs kept for transplanting
-    /// into similar (not identical) queries; see
-    /// [`crate::SubFrontierCache`].
-    pub subfrontier_capacity: usize,
 }
+
+/// Finished sessions whose final [`SessionStatus`] stays queryable after
+/// their optimizer moved to the cache; the oldest beyond this many are
+/// dropped so a long-lived manager's memory stays bounded.
+const RETIRED_CAPACITY: usize = 256;
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -84,10 +76,6 @@ impl Default for EngineConfig {
                 .unwrap_or(2),
             cache_capacity: 64,
             auto_ticks: 0,
-            ticks_per_slice: 1,
-            slice_budget: Duration::from_millis(100),
-            retired_capacity: 256,
-            subfrontier_capacity: 1024,
         }
     }
 }
@@ -217,7 +205,7 @@ struct EngineState {
     /// control and shard routing).
     live: usize,
     /// Retired sessions in retirement order, oldest first; trimmed to
-    /// `EngineConfig::retired_capacity` so `slots` stays bounded.
+    /// [`RETIRED_CAPACITY`] so `slots` stays bounded.
     retired: VecDeque<SessionId>,
 }
 
@@ -269,7 +257,7 @@ pub struct SessionManager {
 impl SessionManager {
     /// Starts the worker pool with a private sub-frontier cache.
     pub fn new(model: SharedCostModel, schedule: ResolutionSchedule, config: EngineConfig) -> Self {
-        let subfrontiers = Arc::new(SubFrontierCache::new(config.subfrontier_capacity));
+        let subfrontiers = Arc::new(SubFrontierCache::default());
         Self::with_subfrontiers(model, schedule, config, subfrontiers)
     }
 
@@ -307,10 +295,9 @@ impl SessionManager {
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let cfg = config.clone();
                 thread::Builder::new()
                     .name(format!("moqo-engine-{i}"))
-                    .spawn(move || worker_loop(shared, cfg))
+                    .spawn(move || worker_loop(shared))
                     .expect("spawn engine worker")
             })
             .collect();
@@ -811,7 +798,7 @@ fn enqueue(state: &mut EngineState, id: SessionId) {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, cfg: EngineConfig) {
+fn worker_loop(shared: Arc<Shared>) {
     let mut state = shared.state.lock().expect("engine lock poisoned");
     loop {
         // Find the next checked-in session with work.
@@ -850,56 +837,31 @@ fn worker_loop(shared: Arc<Shared>, cfg: EngineConfig) {
         state.running += 1;
         drop(state);
 
-        // --- Run one budgeted slice outside the lock. ---
-        let slice_start = Instant::now();
-        let mut ticks = 0usize;
-        let mut outcome: Option<SessionOutcome> = None;
-        let mut first_report: Option<InvocationReport> = None;
-        let mut last_report: Option<InvocationReport> = None;
-        let mut invocations = 0u64;
-        // Per-invocation deltas compose into the slice's published delta
-        // (their base is the frontier at slice start, which is exactly
-        // the last published `status.frontier`).
-        let mut slice_delta = FrontierDelta::default();
-        while outcome.is_none() {
-            let command = match active.inbox.pop_front() {
-                Some(cmd) => {
-                    if matches!(cmd, SessionCommand::SetBounds(_)) {
-                        // A user refocusing their bounds re-arms the
-                        // refinement budget (Algorithm 1 keeps iterating
-                        // after bound changes).
-                        active.remaining_ticks = active.auto_ticks;
-                    }
-                    cmd
+        // --- Run one command outside the lock. ---
+        let command = match active.inbox.pop_front() {
+            Some(cmd) => {
+                if matches!(cmd, SessionCommand::SetBounds(_)) {
+                    // A user refocusing their bounds re-arms the
+                    // refinement budget (Algorithm 1 keeps iterating
+                    // after bound changes).
+                    active.remaining_ticks = active.auto_ticks;
                 }
-                None if active.remaining_ticks > 0 => {
-                    active.remaining_ticks -= 1;
-                    SessionCommand::Refine
-                }
-                None => break,
-            };
-            // A protocol fault on a live session (a dimension mismatch
-            // that slipped past command() — impossible today, but
-            // commands are data and workers must never die on data)
-            // drops the command and keeps the session.
-            if let Ok(event) = active.session.apply(command) {
-                if let Some(report) = event.report {
-                    invocations += 1;
-                    if first_report.is_none() {
-                        first_report = Some(report.clone());
-                    }
-                    last_report = Some(report);
-                }
-                if event.outcome.is_some() {
-                    outcome = event.outcome;
-                }
-                slice_delta = slice_delta.then(&event.delta);
+                Some(cmd)
             }
-            ticks += 1;
-            if ticks >= cfg.ticks_per_slice.max(1) || slice_start.elapsed() >= cfg.slice_budget {
-                break;
+            None if active.remaining_ticks > 0 => {
+                active.remaining_ticks -= 1;
+                Some(SessionCommand::Refine)
             }
-        }
+            None => None,
+        };
+        // A protocol fault on a live session (a dimension mismatch that
+        // slipped past command() — impossible today, but commands are
+        // data and workers must never die on data) drops the command and
+        // keeps the session.
+        let (delta, report, outcome) = match command.map(|cmd| active.session.apply(cmd)) {
+            Some(Ok(event)) => (event.delta, event.report, event.outcome),
+            _ => (FrontierDelta::default(), None, None),
+        };
 
         // A session that just ended is about to park; harvest its
         // per-subset frontiers while the worker still owns it exclusively,
@@ -923,22 +885,26 @@ fn worker_loop(shared: Arc<Shared>, cfg: EngineConfig) {
             None => {}
             Some(slot) => {
                 let status = &mut slot.status;
-                status.invocations += invocations;
+                status.invocations += u64::from(report.is_some());
                 status.resolution = active.session.resolution();
                 status.bounds = *active.session.bounds();
-                let covered_first = invocations > 0 && status.first_report.is_none();
-                if covered_first {
+                let first_report = if status.first_report.is_none() {
+                    report.clone()
+                } else {
+                    None
+                };
+                if first_report.is_some() {
                     status.first_report = first_report.clone();
                 }
-                if last_report.is_some() {
-                    status.last_report = last_report.clone();
+                if report.is_some() {
+                    status.last_report = report.clone();
                 }
-                // The composed slice delta advances the published
-                // snapshot in place — no full-frontier diff or clone.
-                slice_delta.apply(&mut status.frontier);
+                // The command's delta advances the published snapshot in
+                // place — no full-frontier diff or clone.
+                delta.apply(&mut status.frontier);
                 debug_assert!(
                     status.frontier.bits_eq(active.session.frontier()),
-                    "slice delta diverged from the session frontier"
+                    "delta diverged from the session frontier"
                 );
                 // Commands that arrived while the slice ran.
                 active.inbox.append(&mut slot.late_inbox);
@@ -951,15 +917,15 @@ fn worker_loop(shared: Arc<Shared>, cfg: EngineConfig) {
                     requeue = active.has_work();
                     slot.cell = Cell::Idle(active);
                 }
-                if invocations > 0 || retire {
+                if report.is_some() || retire {
                     let event = SessionEvent {
                         epoch: slot.status.epoch + 1,
-                        delta: slice_delta,
+                        delta,
                         resolution: slot.status.resolution,
                         bounds: slot.status.bounds,
                         invocations: slot.status.invocations,
-                        report: last_report,
-                        first_report: if covered_first { first_report } else { None },
+                        report,
+                        first_report,
                         outcome: slot.status.outcome,
                         coalesced: 0,
                     };
@@ -981,7 +947,7 @@ fn worker_loop(shared: Arc<Shared>, cfg: EngineConfig) {
         if retire {
             // Keep the final status queryable, but bound the history.
             st.retired.push_back(id);
-            while st.retired.len() > cfg.retired_capacity.max(1) {
+            while st.retired.len() > RETIRED_CAPACITY {
                 if let Some(old) = st.retired.pop_front() {
                     st.slots.remove(&old);
                 }

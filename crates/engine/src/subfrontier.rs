@@ -126,7 +126,7 @@ impl SubFrontierCache {
 }
 
 impl Default for SubFrontierCache {
-    /// A cache with the default [`crate::EngineConfig`] capacity.
+    /// A cache holding at most 1024 blobs, the capacity every engine runs.
     fn default() -> Self {
         Self::new(1024)
     }

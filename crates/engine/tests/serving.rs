@@ -310,6 +310,48 @@ fn watch_streams_deltas_that_reassemble_to_the_exact_frontier() {
 }
 
 #[test]
+fn watched_session_publishes_at_most_one_invocation_per_event() {
+    // A worker runs one command per checkout, so every event after the
+    // primer advances the invocation count by at most one, and carries a
+    // report exactly when it does.
+    let m = manager(2);
+    let id = m.submit(Arc::new(testkit::chain_query(4, 60_000)));
+    let rx = m.watch(id).expect("live session is watchable");
+    let mut last = rx.recv_timeout(IDLE).expect("primed event").invocations;
+    let check = |last: u64, ev: &moqo_engine::SessionEvent| {
+        assert!(
+            ev.invocations <= last + 1,
+            "{} after {last}",
+            ev.invocations
+        );
+        assert_eq!(ev.report.is_some(), ev.invocations == last + 1);
+        ev.invocations
+    };
+    while last < schedule().levels() as u64 {
+        last = check(last, &rx.recv_timeout(IDLE).expect("slice event"));
+    }
+    // A bound change re-arms the ladder: its invocations stream one per
+    // event as well.
+    let t = m.frontier(id).unwrap().min_by_metric(0).unwrap().cost[0];
+    let dim = m.model().dim();
+    m.command(
+        id,
+        SessionCommand::SetBounds(Bounds::unbounded(dim).with_limit(0, 2.0 * t)),
+    )
+    .unwrap();
+    assert!(m.wait_idle(IDLE));
+    m.finish(id).unwrap();
+    loop {
+        let ev = rx.recv_timeout(IDLE).expect("event");
+        last = check(last, &ev);
+        if ev.outcome.is_some() {
+            break;
+        }
+    }
+    assert!(last > schedule().levels() as u64);
+}
+
+#[test]
 fn park_and_probe_expose_the_cache_to_serving_layers() {
     let m = manager(2);
     let spec = Arc::new(testkit::chain_query(3, 45_000));

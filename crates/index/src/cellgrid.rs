@@ -17,22 +17,16 @@
 //!   individually.
 //!
 //! Cells are kept in a hash map per resolution level, so insertion is
-//! `O(1)` and queries only touch non-empty cells.
-//!
-//! Each cell stores its entries in struct-of-arrays layout ([`SoaCell`]):
-//! one contiguous `f64` lane per metric plus parallel payload columns.
-//! Range drains, batched scans, and the witness search
-//! ([`PlanIndex::dominance_scan`]) run the lane kernels of
-//! [`moqo_cost::lanes`] over whole 64-row blocks — branch-light,
-//! auto-vectorizable, and bit-exact with the scalar visitor protocol,
-//! which remains available (and identical in visit order) through
-//! [`PlanIndex::scan`].
+//! `O(1)` and queries only touch non-empty cells. Each cell is a plain
+//! `Vec<Entry<T>>` in insertion order, and every operation keeps that
+//! order: scans visit a cell's entries front to back, and drains move
+//! the matching entries out in order while the rest stay in order. The
+//! optimizer re-prunes drained candidates in drain order, so the
+//! frontier's bytes depend on it.
 
 use crate::entry::Entry;
 use crate::fxhash::FxHashMap;
-use crate::soa::SoaCell;
-use crate::{DominanceScan, EntryBatch, PlanIndex};
-use moqo_cost::{lanes, Bounds, CostVector, MAX_DIM};
+use moqo_cost::{Bounds, CostVector, MAX_DIM};
 
 /// Cell coordinates: one log-bucket index per metric.
 type CellKey = [u8; MAX_DIM];
@@ -90,12 +84,14 @@ fn classify(cell: &CellKey, bound: &CellKey, dim: usize) -> CellClass {
     }
 }
 
-/// A [`PlanIndex`] backed by a logarithmic cell grid per resolution level,
-/// with struct-of-arrays cell storage.
+/// A plan-set index backed by a logarithmic cell grid per resolution
+/// level.
+///
+/// `T` is the payload (a plan identifier in the optimizer).
 #[derive(Clone, Debug)]
 pub struct CellGrid<T: Copy> {
     dim: usize,
-    levels: Vec<FxHashMap<CellKey, SoaCell<T>>>,
+    levels: Vec<FxHashMap<CellKey, Vec<Entry<T>>>>,
     len: usize,
 }
 
@@ -110,14 +106,14 @@ impl<T: Copy> CellGrid<T> {
         }
     }
 
-    /// Number of non-empty cells (diagnostics / ablation reporting).
+    /// Number of non-empty cells (diagnostics).
     pub fn cell_count(&self) -> usize {
         self.levels.iter().map(|l| l.len()).sum()
     }
 
     /// Debug-build invariants: the cached `len` matches the sum of cell
-    /// row counts, and no empty cell is retained in any level map (an
-    /// empty cell would distort `cell_count` and waste classify work).
+    /// sizes, and no empty cell is retained in any level map (an empty
+    /// cell would distort `cell_count` and waste classify work).
     #[cfg(debug_assertions)]
     fn check_consistency(&self) {
         let total: usize = self
@@ -137,55 +133,56 @@ impl<T: Copy> CellGrid<T> {
             "cell grid retained an empty cell"
         );
     }
-}
 
-impl<T: Copy> PlanIndex<T> for CellGrid<T> {
-    fn insert(&mut self, entry: Entry<T>) {
+    /// Inserts an entry at the back of its cell.
+    pub fn insert(&mut self, entry: Entry<T>) {
         debug_assert_eq!(entry.cost.dim(), self.dim);
         let level = entry.level as usize;
         if self.levels.len() <= level {
             self.levels.resize_with(level + 1, FxHashMap::default);
         }
         let key = cell_key(&entry.cost);
-        self.levels[level].entry(key).or_default().push(&entry);
+        self.levels[level].entry(key).or_default().push(entry);
         self.len += 1;
         #[cfg(debug_assertions)]
         self.check_consistency();
     }
 
-    fn scan(
+    /// Visits every entry in `S[0..b, 0..r]` (cost dominated by `bounds`,
+    /// level `<= max_level`). The visitor returns `true` to stop early;
+    /// `scan` returns `true` if it was stopped early.
+    ///
+    /// Cells are visited in hash-map order, each cell's entries in
+    /// insertion order.
+    pub fn scan(
         &self,
         bounds: &Bounds,
         max_level: u8,
-        visitor: &mut dyn FnMut(&Entry<T>) -> bool,
+        mut visitor: impl FnMut(&Entry<T>) -> bool,
     ) -> bool {
         let bound_key = cell_key(bounds.limits());
         for level in self.levels.iter().take(max_level as usize + 1) {
             for (key, cell) in level {
-                match classify(key, &bound_key, self.dim) {
-                    CellClass::Outside => continue,
-                    CellClass::Inside => {
-                        for i in 0..cell.len() {
-                            if visitor(&cell.entry(i, self.dim)) {
-                                return true;
-                            }
-                        }
-                    }
+                let stopped = match classify(key, &bound_key, self.dim) {
+                    CellClass::Outside => false,
+                    CellClass::Inside => cell.iter().any(&mut visitor),
                     CellClass::Straddles => {
-                        for i in 0..cell.len() {
-                            let e = cell.entry(i, self.dim);
-                            if bounds.respects(&e.cost) && visitor(&e) {
-                                return true;
-                            }
-                        }
+                        cell.iter().any(|e| bounds.respects(&e.cost) && visitor(e))
                     }
+                };
+                if stopped {
+                    return true;
                 }
             }
         }
         false
     }
 
-    fn drain(&mut self, bounds: &Bounds, max_level: u8) -> Vec<Entry<T>> {
+    /// Removes and returns every entry in `S[0..b, 0..r]`, cell by cell
+    /// in [`CellGrid::scan`] order. Inside cells move out whole; a
+    /// straddling cell is split by a stable partition, so both the
+    /// drained and the remaining entries keep their insertion order.
+    pub fn drain(&mut self, bounds: &Bounds, max_level: u8) -> Vec<Entry<T>> {
         let bound_key = cell_key(bounds.limits());
         let dim = self.dim;
         let mut out = Vec::new();
@@ -193,11 +190,17 @@ impl<T: Copy> PlanIndex<T> for CellGrid<T> {
             level.retain(|key, cell| match classify(key, &bound_key, dim) {
                 CellClass::Outside => true,
                 CellClass::Inside => {
-                    cell.drain_all_into(dim, &mut out);
+                    out.append(cell);
                     false
                 }
                 CellClass::Straddles => {
-                    cell.drain_respecting_into(dim, bounds, &mut out);
+                    cell.retain(|e| {
+                        let inside = bounds.respects(&e.cost);
+                        if inside {
+                            out.push(*e);
+                        }
+                        !inside
+                    });
                     !cell.is_empty()
                 }
             });
@@ -208,132 +211,25 @@ impl<T: Copy> PlanIndex<T> for CellGrid<T> {
         out
     }
 
-    fn len(&self) -> usize {
+    /// Number of stored entries.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn scan_batch(
-        &self,
-        bounds: &Bounds,
-        max_level: u8,
-        consumer: &mut dyn FnMut(&EntryBatch<'_, T>) -> bool,
-    ) -> bool {
-        let bound_key = cell_key(bounds.limits());
-        for level in self.levels.iter().take(max_level as usize + 1) {
-            for (key, cell) in level {
-                let class = classify(key, &bound_key, self.dim);
-                if class == CellClass::Outside {
-                    continue;
-                }
-                let cols = cell.lane_slices();
-                let n = cell.len();
-                let mut start = 0usize;
-                while start < n {
-                    let blk = (n - start).min(lanes::BLOCK);
-                    let mask = if class == CellClass::Inside {
-                        lanes::full_mask(blk)
-                    } else {
-                        bounds.respects_lanes(&cols[..self.dim], start, blk)
-                    };
-                    if mask != 0 {
-                        let end = start + blk;
-                        let batch = EntryBatch {
-                            items: &cell.items()[start..end],
-                            levels: &cell.levels()[start..end],
-                            invocations: &cell.invocations()[start..end],
-                            lanes: std::array::from_fn(|m| {
-                                if m < self.dim {
-                                    &cols[m][start..end]
-                                } else {
-                                    &[][..]
-                                }
-                            }),
-                            dim: self.dim,
-                            mask,
-                        };
-                        if consumer(&batch) {
-                            return true;
-                        }
-                    }
-                    start += blk;
-                }
-            }
-        }
-        false
+    /// True if no entries are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    fn dominance_scan(
-        &self,
-        bounds: &Bounds,
-        max_level: u8,
-        target: &CostVector,
-        threshold: f64,
-        accept: &mut dyn FnMut(T) -> bool,
-    ) -> DominanceScan {
-        let bound_key = cell_key(bounds.limits());
-        let tgt = target.as_slice();
-        let mut best_factor = f64::INFINITY;
-        let mut comparisons = 0u64;
-        let mut factors = [0.0f64; lanes::BLOCK];
-        for level in self.levels.iter().take(max_level as usize + 1) {
-            for (key, cell) in level {
-                let class = classify(key, &bound_key, self.dim);
-                if class == CellClass::Outside {
-                    continue;
-                }
-                let cols = cell.lane_slices();
-                let cols = &cols[..self.dim];
-                let n = cell.len();
-                let mut start = 0usize;
-                // Sub-block granularity: the factor kernel is division
-                // heavy and the scan usually exits early (witness found
-                // within a handful of rows), so charging 64 rows at a
-                // time wastes most of the block. 16 rows keep the lanes
-                // full (4 chunks) while bounding the overshoot past an
-                // early exit. Granularity is decision-neutral: factors
-                // are per-row pure and rows are still consumed in the
-                // exact scalar order.
-                const SUB: usize = 16;
-                while start < n {
-                    let blk = (n - start).min(SUB);
-                    let mask = if class == CellClass::Inside {
-                        lanes::full_mask(blk)
-                    } else {
-                        bounds.respects_lanes(cols, start, blk)
-                    };
-                    if mask != 0 {
-                        comparisons += u64::from(mask.count_ones());
-                        lanes::domination_factor_lanes(cols, tgt, start, blk, &mut factors);
-                        // Rows are consumed in ascending order — the same
-                        // order the scalar visitor sees them — so early
-                        // exits fire at the identical entry with the
-                        // identical running minimum.
-                        let mut bits = mask;
-                        while bits != 0 {
-                            let j = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let f = factors[j];
-                            // Skipping `accept` for non-improving rows
-                            // cannot change the minimum: `accept` is pure.
-                            if f < best_factor && accept(cell.item(start + j)) {
-                                best_factor = f;
-                                if best_factor <= threshold {
-                                    return DominanceScan {
-                                        best_factor,
-                                        comparisons,
-                                    };
-                                }
-                            }
-                        }
-                    }
-                    start += blk;
-                }
-            }
-        }
-        DominanceScan {
-            best_factor,
-            comparisons,
-        }
+    /// Collects (copies of) all entries in `S[0..b, 0..r]`, in
+    /// [`CellGrid::scan`] order.
+    pub fn collect(&self, bounds: &Bounds, max_level: u8) -> Vec<Entry<T>> {
+        let mut out = Vec::new();
+        self.scan(bounds, max_level, |e| {
+            out.push(*e);
+            false
+        });
+        out
     }
 }
 
@@ -423,7 +319,7 @@ mod tests {
             let c = CostVector::new(&[i as f64, (20 - i) as f64]);
             grid.insert(Entry::new(i, c, (i % 3) as u8, 0));
         }
-        assert_eq!(PlanIndex::len(&grid), 20);
+        assert_eq!(grid.len(), 20);
         assert!(grid.cell_count() > 1);
 
         // Unbounded query at max level sees everything.
@@ -448,12 +344,12 @@ mod tests {
         // Drain removes exactly the matching entries.
         let drained = grid.drain(&b, 2);
         assert_eq!(drained.len(), expected.len());
-        assert_eq!(PlanIndex::len(&grid), 20 - expected.len());
+        assert_eq!(grid.len(), 20 - expected.len());
         assert!(grid.collect(&b, 2).is_empty());
         // Draining the rest empties the grid and drops every cell.
         let rest = grid.drain(&Bounds::unbounded(2), 2);
         assert_eq!(rest.len(), 20 - expected.len());
-        assert!(PlanIndex::is_empty(&grid));
+        assert!(grid.is_empty());
         assert_eq!(grid.cell_count(), 0);
     }
 
@@ -468,18 +364,18 @@ mod tests {
             grid.insert(Entry::new(i, c, (i % 2) as u8, 0));
         }
         for limit in [3.0, 7.0, 11.0, 100.0] {
-            let before = PlanIndex::len(&grid);
+            let before = grid.len();
             let drained = grid.drain(&Bounds::from_slice(&[limit, limit]), 1);
-            assert_eq!(PlanIndex::len(&grid), before - drained.len());
+            assert_eq!(grid.len(), before - drained.len());
             let remaining = grid.collect(&Bounds::unbounded(2), 1);
-            assert_eq!(remaining.len(), PlanIndex::len(&grid));
+            assert_eq!(remaining.len(), grid.len());
             // Re-insert half of the drained rows to churn the cells.
             for e in drained.iter().step_by(2) {
                 grid.insert(*e);
             }
         }
         // Empty cells are never retained, so every cell contributes.
-        assert!(grid.cell_count() <= PlanIndex::len(&grid));
+        assert!(grid.cell_count() <= grid.len());
     }
 
     #[test]
@@ -489,7 +385,7 @@ mod tests {
             grid.insert(Entry::new(i, CostVector::new(&[i as f64]), 0, 0));
         }
         let mut seen = 0;
-        let stopped = grid.scan(&Bounds::unbounded(1), 0, &mut |_| {
+        let stopped = grid.scan(&Bounds::unbounded(1), 0, |_| {
             seen += 1;
             true
         });
@@ -498,31 +394,51 @@ mod tests {
     }
 
     #[test]
-    fn scan_batch_visits_the_same_entries_as_scan() {
+    fn drain_is_a_stable_partition_of_each_cell() {
+        // Items 1, 3, 6 share a cell inside the bound (coords [0, 0]);
+        // items 0, 2, 4, 5, 7 share a cell straddling it (coords [2, 2]).
         let mut grid: CellGrid<u32> = CellGrid::new(2);
-        for i in 0..150u32 {
-            let c = CostVector::new(&[(i % 30) as f64 * 3.7, (i % 11) as f64 * 9.1]);
-            grid.insert(Entry::new(i, c, (i % 3) as u8, i));
+        let costs = [
+            [3.0, 3.0],
+            [0.5, 0.5],
+            [6.0, 6.0],
+            [0.2, 0.9],
+            [4.0, 4.0],
+            [6.5, 3.0],
+            [0.7, 0.1],
+            [3.5, 5.0],
+        ];
+        for (i, c) in costs.iter().enumerate() {
+            grid.insert(Entry::new(i as u32, CostVector::new(c), 0, i as u32));
         }
-        let b = Bounds::from_slice(&[60.0, 55.0]);
-        let mut scalar = Vec::new();
-        grid.scan(&b, 2, &mut |e| {
-            scalar.push((e.item, e.level, e.invocation, e.cost));
-            false
-        });
-        let mut batched = Vec::new();
-        grid.scan_batch(&b, 2, &mut |batch| {
-            for j in batch.selected() {
-                batched.push((
-                    batch.item(j),
-                    batch.level(j),
-                    batch.invocation(j),
-                    batch.cost(j),
-                ));
-            }
-            false
-        });
-        assert_eq!(scalar, batched);
+        let drained: Vec<u32> = grid
+            .drain(&Bounds::from_slice(&[5.0, 5.0]), 0)
+            .iter()
+            .map(|e| e.item)
+            .collect();
+        // Each cell drains as one run in insertion order: the whole
+        // inside cell, and the straddling cell's entries that respect
+        // the bound. The runs follow the cell map's order.
+        assert!(
+            drained == [1, 3, 6, 0, 4, 7] || drained == [0, 4, 7, 1, 3, 6],
+            "drain order {drained:?}"
+        );
+        // The straddling cell keeps the rest, still in insertion order.
+        let left: Vec<u32> = grid
+            .collect(&Bounds::unbounded(2), 0)
+            .iter()
+            .map(|e| e.item)
+            .collect();
+        assert_eq!(left, [2, 5]);
+        assert_eq!(grid.cell_count(), 1);
+        // Draining the rest empties the grid in the same order.
+        let rest: Vec<u32> = grid
+            .drain(&Bounds::unbounded(2), 0)
+            .iter()
+            .map(|e| e.item)
+            .collect();
+        assert_eq!(rest, [2, 5]);
+        assert!(grid.is_empty());
     }
 }
 
@@ -567,7 +483,7 @@ mod proptests {
             let dg = norm(grid.drain(&bounds, qr));
             let dl = norm(lin.drain(&bounds, qr));
             prop_assert_eq!(dg, dl);
-            prop_assert_eq!(PlanIndex::len(&grid), PlanIndex::len(&lin));
+            prop_assert_eq!(grid.len(), lin.len());
             let all = Bounds::unbounded(2);
             prop_assert_eq!(
                 norm(grid.collect(&all, 4)),

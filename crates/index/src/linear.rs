@@ -1,10 +1,10 @@
 //! Flat per-resolution index.
 
 use crate::entry::Entry;
-use crate::PlanIndex;
 use moqo_cost::Bounds;
 
-/// A [`PlanIndex`] storing one flat vector of entries per resolution level.
+/// A plan-set index storing one flat vector of entries per resolution
+/// level, with the same methods as [`crate::CellGrid`].
 ///
 /// Range queries iterate levels `0..=r` and filter each entry against the
 /// bounds. This is the reference the cell grid is property-tested
@@ -23,10 +23,9 @@ impl<T: Copy> LinearIndex<T> {
             len: 0,
         }
     }
-}
 
-impl<T: Copy> PlanIndex<T> for LinearIndex<T> {
-    fn insert(&mut self, entry: Entry<T>) {
+    /// Inserts an entry.
+    pub fn insert(&mut self, entry: Entry<T>) {
         let level = entry.level as usize;
         if self.levels.len() <= level {
             self.levels.resize_with(level + 1, Vec::new);
@@ -35,11 +34,13 @@ impl<T: Copy> PlanIndex<T> for LinearIndex<T> {
         self.len += 1;
     }
 
-    fn scan(
+    /// Visits every entry in `S[0..b, 0..r]`; the visitor returns `true`
+    /// to stop early, and `scan` returns `true` if it was stopped early.
+    pub fn scan(
         &self,
         bounds: &Bounds,
         max_level: u8,
-        visitor: &mut dyn FnMut(&Entry<T>) -> bool,
+        mut visitor: impl FnMut(&Entry<T>) -> bool,
     ) -> bool {
         for level in self.levels.iter().take(max_level as usize + 1) {
             for e in level {
@@ -51,7 +52,8 @@ impl<T: Copy> PlanIndex<T> for LinearIndex<T> {
         false
     }
 
-    fn drain(&mut self, bounds: &Bounds, max_level: u8) -> Vec<Entry<T>> {
+    /// Removes and returns every entry in `S[0..b, 0..r]`.
+    pub fn drain(&mut self, bounds: &Bounds, max_level: u8) -> Vec<Entry<T>> {
         let mut out = Vec::new();
         for level in self.levels.iter_mut().take(max_level as usize + 1) {
             let mut i = 0;
@@ -67,8 +69,24 @@ impl<T: Copy> PlanIndex<T> for LinearIndex<T> {
         out
     }
 
-    fn len(&self) -> usize {
+    /// Number of stored entries.
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// True if no entries are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Collects (copies of) all entries in `S[0..b, 0..r]`.
+    pub fn collect(&self, bounds: &Bounds, max_level: u8) -> Vec<Entry<T>> {
+        let mut out = Vec::new();
+        self.scan(bounds, max_level, |e| {
+            out.push(*e);
+            false
+        });
+        out
     }
 }
 
@@ -87,7 +105,7 @@ mod tests {
         idx.insert(entry(1, &[1.0, 1.0], 0));
         idx.insert(entry(2, &[3.0, 3.0], 0));
         idx.insert(entry(3, &[1.0, 1.0], 2));
-        assert_eq!(PlanIndex::len(&idx), 3);
+        assert_eq!(idx.len(), 3);
 
         // Level cut-off.
         let lvl0 = idx.collect(&Bounds::unbounded(2), 0);
@@ -106,7 +124,7 @@ mod tests {
             idx.insert(entry(i, &[1.0, 1.0], 0));
         }
         let mut seen = 0;
-        let stopped = idx.scan(&Bounds::unbounded(2), 0, &mut |_| {
+        let stopped = idx.scan(&Bounds::unbounded(2), 0, |_| {
             seen += 1;
             seen == 3
         });
@@ -123,10 +141,10 @@ mod tests {
         let drained = idx.drain(&Bounds::from_slice(&[2.0]), 1);
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].item, 1);
-        assert_eq!(PlanIndex::len(&idx), 2);
+        assert_eq!(idx.len(), 2);
         // Draining everything empties the index.
         let rest = idx.drain(&Bounds::unbounded(1), 10);
         assert_eq!(rest.len(), 2);
-        assert!(PlanIndex::is_empty(&idx));
+        assert!(idx.is_empty());
     }
 }

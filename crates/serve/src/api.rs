@@ -43,8 +43,8 @@ pub struct ServeConfig {
     pub admission: AdmissionConfig,
     /// Closed (finished or rejected) tickets kept queryable; the oldest
     /// beyond this many are dropped so a long-lived server's ticket
-    /// table tracks live load, not total traffic (mirrors
-    /// [`moqo_engine::EngineConfig::retired_capacity`]).
+    /// table tracks live load, not total traffic (mirrors the engine's
+    /// bounded history of retired sessions).
     pub retired_tickets: usize,
 }
 

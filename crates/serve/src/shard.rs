@@ -175,7 +175,7 @@ impl ShardedEngine {
         // are position- and query-independent immutable blobs, so unlike
         // parked optimizers they are safe (and profitable) to share —
         // a subset harvested on shard 0 seeds a similar query on shard 3.
-        let subfrontiers = Arc::new(SubFrontierCache::new(config.engine.subfrontier_capacity));
+        let subfrontiers = Arc::new(SubFrontierCache::default());
         let shards = (0..n)
             .map(|_| {
                 SessionManager::with_subfrontiers(

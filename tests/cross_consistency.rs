@@ -316,14 +316,16 @@ fn ladder_and_drag_digests(spec: &moqo::query::QuerySpec) -> Vec<u64> {
 
 #[test]
 fn ladder_and_drag_frontiers_match_golden_digests() {
-    // Pruning is free to change how it finds a witness (index kernels,
-    // scan order, the structure it scans) and where it keeps result sets,
-    // never which plans it keeps or the order the frontier lists them in:
-    // every intermediate frontier of the ladder-drag-ladder series must
-    // hash to the recorded digest. The star digests were recorded before
+    // Pruning is free to change how it finds a witness (scan order, the
+    // structure it scans) and where it keeps result sets, never which
+    // plans it keeps or the order the frontier lists them in: every
+    // intermediate frontier of the ladder-drag-ladder series must hash
+    // to the recorded digest. The star digests were recorded before
     // the witness search moved from the cell grid to the active list; the
-    // cycle and random digests before the per-subset result grids went.
-    let golden: [(&str, moqo::query::QuerySpec, [u64; 10]); 3] = [
+    // cycle and random digests before the per-subset result grids went;
+    // the TPC-H digests before the cell grid dropped its lane kernels.
+    let tpch = |name| moqo::tpch::query_block(name, 1.0).expect("TPC-H block");
+    let golden: [(&str, moqo::query::QuerySpec, [u64; 10]); 5] = [
         (
             "star-4",
             testkit::star_query(4, 250_000),
@@ -370,6 +372,38 @@ fn ladder_and_drag_frontiers_match_golden_digests() {
                 0xe577_8ea4_8af3_2437,
                 0x4b92_7e4b_ce4c_e350,
                 0xe731_9339_6ecb_8048,
+            ],
+        ),
+        (
+            "tpch-q05",
+            tpch("q05"),
+            [
+                0x7c9c_2d1e_e27f_5295,
+                0x9b30_722c_0666_24db,
+                0x2fc9_cc85_27d2_2a2a,
+                0x9b09_c875_f80f_188c,
+                0xba61_0410_a3e7_2f88,
+                0x58a9_aeba_ff96_feb3,
+                0x58a9_aeba_ff96_feb3,
+                0x58a9_aeba_ff96_feb3,
+                0xb856_b398_b0e1_156b,
+                0x5537_0fe8_460a_979a,
+            ],
+        ),
+        (
+            "tpch-q08",
+            tpch("q08"),
+            [
+                0xbad0_771a_3513_fc58,
+                0x6004_f7d7_5f3d_2b5b,
+                0x65a0_a819_eafe_36e2,
+                0x120c_d296_8cf9_30b2,
+                0x6b91_90b7_031a_34cf,
+                0x6ae9_4c27_d7d5_5e32,
+                0xcc88_d0d5_9ea9_0680,
+                0xcc88_d0d5_9ea9_0680,
+                0xe78d_ebfb_6a23_6986,
+                0x97b5_9578_6a91_d181,
             ],
         ),
     ];
