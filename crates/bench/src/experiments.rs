@@ -475,17 +475,20 @@ pub fn bounds_experiment(sf: f64, fast: bool) -> ExperimentReport {
 }
 
 /// Theorem 3: accumulated space after one full ladder on every TPC-H
-/// block — plans in the arena, result and candidate entries, and the
+/// block — plans in the live arena and in the arena a parked optimizer
+/// keeps after `compact()`, result and candidate entries, and the
 /// visible frontier.
 pub fn space_experiment(sf: f64, fast: bool) -> ExperimentReport {
     let schedule = ExperimentSetup::fig4().schedule(if fast { 5 } else { 20 });
     let exp = Experiment::new("space", fast, bench_model)
         .title("Theorem 3: accumulated space consumption on TPC-H");
     per_block(exp, "space", sf, usize::MAX, move |model, spec, t| {
-        let (opt, _) = iama_series(spec, model, &schedule, IamaConfig::default());
+        let (mut opt, _) = iama_series(spec, model, &schedule, IamaConfig::default());
         let b = Bounds::unbounded(model.dim());
         t.int("tables", spec.n_tables() as u64);
         t.int_lower("arena_plans", opt.arena().len() as u64);
+        opt.compact();
+        t.int_lower("parked_arena_plans", opt.arena().len() as u64);
         t.int_lower("result_entries", opt.result_set_size() as u64);
         t.int("candidate_entries", opt.candidate_set_size() as u64);
         t.int("frontier", opt.frontier(&b, schedule.r_max()).len() as u64);

@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod compact;
 pub mod config;
 pub mod frontier;
 pub mod optimizer;

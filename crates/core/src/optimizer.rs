@@ -108,6 +108,12 @@ impl SubsetState {
             operands_inv: u32::MAX,
         }
     }
+
+    /// Releases the operand scratch; the next invocation refills it.
+    pub(crate) fn release_operands(&mut self) {
+        self.operands = Vec::new();
+        self.operands_inv = u32::MAX;
+    }
 }
 
 /// Per-split freshness watermark: every operand pair with positions below
@@ -190,6 +196,12 @@ pub struct IamaOptimizer {
     /// seeds are an accelerant, and a parked optimizer that ran its
     /// ladder has long admitted them all.
     pub(crate) pending_seeds: std::collections::VecDeque<(SubsetId, PlanId, CostVector)>,
+    /// Bumped whenever `Res`, `Cand`, the arena or the pending seeds
+    /// change; see [`IamaOptimizer::generation`].
+    pub(crate) generation: u64,
+    /// The generation the last [`IamaOptimizer::compact`] left behind;
+    /// `None` until the first compaction.
+    pub(crate) compacted_at: Option<u64>,
 }
 
 impl IamaOptimizer {
@@ -256,6 +268,8 @@ impl IamaOptimizer {
             scans_done: false,
             stats: OptimizerStats::default(),
             pending_seeds: std::collections::VecDeque::new(),
+            generation: 0,
+            compacted_at: None,
         }
     }
 
@@ -309,6 +323,20 @@ impl IamaOptimizer {
     /// see [`IamaOptimizer::rebase_from`] / [`IamaOptimizer::import_subset`]).
     pub fn pending_seeds(&self) -> usize {
         self.pending_seeds.len()
+    }
+
+    /// A monotone counter that changes whenever the result sets, the
+    /// candidate sets, the plan arena or the pending seeds change: in an
+    /// invocation that generated, routed or retrieved any plan, and in
+    /// [`IamaOptimizer::rebase_from`] and [`IamaOptimizer::import_subset`].
+    ///
+    /// Equal generations of one optimizer mean equal sub-frontier exports
+    /// ([`IamaOptimizer::export_subset`]), so a serving layer that parks
+    /// the same optimizer again can reuse the blobs it harvested before.
+    /// [`IamaOptimizer::compact`] leaves the generation alone: blobs are
+    /// free of plan ids, so renumbering cannot change them.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Resolution level the next [`IamaOptimizer::run_invocation`] will
@@ -421,6 +449,18 @@ impl IamaOptimizer {
             }
         }
 
+        // Any plan generated, routed or retrieved changes what a parked
+        // optimizer holds (see `generation`).
+        if (plans0, cands0, res0, cins0)
+            != (
+                self.stats.plans_generated,
+                self.stats.candidate_retrievals,
+                self.stats.result_insertions,
+                self.stats.candidate_insertions,
+            )
+        {
+            self.generation += 1;
+        }
         self.stats.invocations += 1;
         if use_delta {
             self.stats.delta_invocations += 1;

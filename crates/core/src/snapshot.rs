@@ -851,6 +851,8 @@ impl IamaOptimizer {
             .plan
             .subset_id(tables)
             .ok_or_else(|| corrupt("subset not enumerated for this query".into()))?;
+        // Replay may push plans even when the blob is refused halfway.
+        self.generation += 1;
         let mut r = WireReader::new(bytes);
         if r.take(8)? != SUBSNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
@@ -1071,9 +1073,10 @@ impl IamaOptimizer {
             ));
         }
 
+        self.generation += 1;
         // One memo across all subsets: roots share subtrees, and the
-        // donor arena is append-only, so each donor plan is replayed at
-        // most once into `self`.
+        // donor is read-only here, so each donor plan is replayed at most
+        // once into `self`.
         let mut memo: Vec<Option<Option<PlanId>>> = vec![None; donor.arena.len()];
         let mut admitted = 0usize;
         for ix in 0..donor.states.len() {

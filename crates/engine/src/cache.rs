@@ -1,8 +1,10 @@
 //! The warm-frontier cache.
 //!
 //! When an interactive session ends, its optimizer — arena, result and
-//! candidate plan sets, `IsFresh` pair set — is parked here keyed by the
-//! query's canonical fingerprint. A later session over an equivalent query
+//! candidate plan sets, `IsFresh` pair set — is compacted to the plans a
+//! resume can reach and parked here keyed by the query's canonical
+//! fingerprint, together with the sub-frontier [`Harvest`] it was parked
+//! with. A later session over an equivalent query
 //! resumes from that state instead of resolution 0: thanks to the
 //! incremental invariants (Lemmas 5–7), its first invocation re-generates
 //! **zero** plans and serves the existing frontier immediately.
@@ -19,6 +21,7 @@
 //! `O(n)` `retain` on *every* hit and every overwrite.
 
 use crate::fingerprint::{QueryFingerprint, RebaseKey};
+use crate::subfrontier::Harvest;
 use moqo_core::IamaOptimizer;
 use moqo_index::FxHashMap;
 
@@ -44,6 +47,9 @@ pub struct CacheStats {
 /// A parked optimizer plus the tick of its last use.
 struct Parked {
     optimizer: IamaOptimizer,
+    /// The sub-frontier blobs the optimizer was parked with; handed back
+    /// on `take` so an unchanged re-park can reuse them.
+    harvest: Option<Harvest>,
     /// Value of the cache's tick counter when this entry was last parked.
     /// Strictly increasing across `put`s, so the minimum identifies the
     /// least-recently-parked entry without any ordering side structure.
@@ -84,13 +90,14 @@ impl FrontierCache {
         }
     }
 
-    /// Removes and returns the parked optimizer for `fp`, if any.
-    pub fn take(&mut self, fp: QueryFingerprint) -> Option<IamaOptimizer> {
+    /// Removes and returns the parked optimizer for `fp`, if any, with
+    /// the harvest it was parked with.
+    pub fn take(&mut self, fp: QueryFingerprint) -> Option<(IamaOptimizer, Option<Harvest>)> {
         match self.map.remove(&fp) {
             Some(parked) => {
                 self.unindex(parked.rebase, fp);
                 self.hits += 1;
-                Some(parked.optimizer)
+                Some((parked.optimizer, parked.harvest))
             }
             None => {
                 self.misses += 1;
@@ -116,9 +123,15 @@ impl FrontierCache {
         self.map.contains_key(&fp)
     }
 
-    /// Parks an optimizer under `fp`, evicting the coldest entry if full.
-    /// A fresher optimizer for the same fingerprint replaces the old one.
-    pub fn put(&mut self, fp: QueryFingerprint, optimizer: IamaOptimizer) {
+    /// Parks an optimizer under `fp` with the sub-frontier harvest it was
+    /// parked with, evicting the coldest entry if full. A fresher
+    /// optimizer for the same fingerprint replaces the old one.
+    pub fn put(
+        &mut self,
+        fp: QueryFingerprint,
+        optimizer: IamaOptimizer,
+        harvest: Option<Harvest>,
+    ) {
         self.tick += 1;
         let tick = self.tick;
         let rebase = RebaseKey::of(optimizer.spec(), &optimizer.model());
@@ -132,6 +145,7 @@ impl FrontierCache {
                 fp,
                 Parked {
                     optimizer,
+                    harvest,
                     tick,
                     rebase,
                 },
@@ -240,7 +254,7 @@ mod tests {
         let mut cache = FrontierCache::new(4);
         let (fp, opt) = opt_for(2);
         assert!(cache.take(fp).is_none());
-        cache.put(fp, opt);
+        cache.put(fp, opt, None);
         assert_eq!(cache.stats().entries, 1);
         assert!(cache.contains(fp));
         assert!(cache.take(fp).is_some());
@@ -255,9 +269,9 @@ mod tests {
         let (fp2, o2) = opt_for(2);
         let (fp3, o3) = opt_for(3);
         let (fp4, o4) = opt_for(4);
-        cache.put(fp2, o2);
-        cache.put(fp3, o3);
-        cache.put(fp4, o4); // evicts fp2
+        cache.put(fp2, o2, None);
+        cache.put(fp3, o3, None);
+        cache.put(fp4, o4, None); // evicts fp2
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.take(fp2).is_none());
         assert!(cache.take(fp3).is_some());
@@ -269,16 +283,16 @@ mod tests {
         let mut cache = FrontierCache::new(2);
         let (fp2, o2) = opt_for(2);
         let (fp3, o3) = opt_for(3);
-        cache.put(fp2, o2);
-        cache.put(fp3, o3);
+        cache.put(fp2, o2, None);
+        cache.put(fp3, o3, None);
         // Re-parking fp2 must not evict anything and must make fp3 the
         // coldest entry.
         let (fp2b, o2b) = opt_for(2);
         assert_eq!(fp2, fp2b);
-        cache.put(fp2b, o2b);
+        cache.put(fp2b, o2b, None);
         assert_eq!(cache.stats().evictions, 0);
         let (fp4, o4) = opt_for(4);
-        cache.put(fp4, o4); // evicts fp3, the least recently parked
+        cache.put(fp4, o4, None); // evicts fp3, the least recently parked
         assert!(cache.take(fp3).is_none());
         assert!(cache.take(fp2).is_some());
         assert!(cache.take(fp4).is_some());
@@ -293,7 +307,7 @@ mod tests {
         let pool: Vec<(QueryFingerprint, IamaOptimizer)> = (2..=12).map(opt_for).collect();
         let fps: Vec<QueryFingerprint> = pool.iter().map(|(fp, _)| *fp).collect();
         for (fp, opt) in pool {
-            cache.put(fp, opt);
+            cache.put(fp, opt, None);
         }
         assert_eq!(cache.stats().entries, cap);
         // The cap most-recently-parked fingerprints survive, oldest die.
@@ -305,8 +319,8 @@ mod tests {
         // hit/miss accounting exact.
         let hot = *fps.last().unwrap();
         for _ in 0..1000 {
-            let opt = cache.take(hot).expect("hot entry must survive churn");
-            cache.put(hot, opt);
+            let (opt, _) = cache.take(hot).expect("hot entry must survive churn");
+            cache.put(hot, opt, None);
             assert!(cache.stats().entries <= cap);
         }
         let s = cache.stats();
@@ -317,7 +331,7 @@ mod tests {
         let fresh: Vec<(QueryFingerprint, IamaOptimizer)> =
             (13..13 + cap - 1).map(opt_for).collect();
         for (fp, opt) in fresh {
-            cache.put(fp, opt);
+            cache.put(fp, opt, None);
         }
         assert!(cache.contains(hot), "most recent entry evicted too early");
     }
@@ -330,7 +344,7 @@ mod tests {
         let key = RebaseKey::of(opt.spec(), &*model);
         assert!(!cache.has_rebase_donor(key));
         assert!(cache.rebase_donor(key).is_none());
-        cache.put(fp, opt);
+        cache.put(fp, opt, None);
         // A drifted-cardinality twin shares the blind key...
         let drifted = testkit::drift_cardinalities(&testkit::chain_query(3, 10_000), 5.5);
         let dkey = RebaseKey::of(&drifted, &*model);

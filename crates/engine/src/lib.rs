@@ -22,7 +22,9 @@
 //!   warm state.
 //! * [`FrontierCache`] — parked optimizers of finished sessions, keyed by
 //!   fingerprint. A repeated query starts from the warm frontier: its
-//!   first invocation reports `plans_generated == 0`.
+//!   first invocation reports `plans_generated == 0`. Parking compacts an
+//!   optimizer to the plans a resume can reach
+//!   (`IamaOptimizer::compact`).
 //! * [`PlanCache`] — shared `Arc<EnumerationPlan>`s keyed by [`ShapeKey`],
 //!   the shape component of the fingerprint. Structurally *similar*
 //!   queries (same join-graph shape, any statistics, any model) walk one
@@ -34,6 +36,9 @@
 //!   *similar* (not identical) query seeds every subset whose induced
 //!   subgraph and statistics match — its plans re-enter as level-0
 //!   candidates, re-costed at the door, preserving `alpha_T` exactly.
+//!   A parked optimizer keeps its [`Harvest`]: when a resume parks it
+//!   again with its state unchanged, the same blobs are re-inserted
+//!   instead of encoded again.
 //!   A parked frontier whose [`RebaseKey`] matches a cold submission
 //!   (same shape, drifted cardinalities) is instead **rebased** wholesale
 //!   via `IamaOptimizer::rebase_from`.
@@ -80,7 +85,7 @@ pub use fingerprint::{QueryFingerprint, RebaseKey, SubsetFingerprint};
 pub use manager::{EngineConfig, EventHook, SessionId, SessionManager, SessionStatus};
 pub use plans::{PlanCache, PlanCacheStats};
 pub use registry::ModelRegistry;
-pub use subfrontier::{SubFrontierCache, SubFrontierCacheStats};
+pub use subfrontier::{Harvest, SubFrontierCache, SubFrontierCacheStats};
 
 // Re-exported so engine users can name the shared-plan vocabulary without
 // a direct moqo-query dependency.

@@ -27,12 +27,18 @@
 //! repeated query starts from a warm frontier: its first invocation
 //! generates zero plans.
 //!
+//! Every way into the cache goes through one park step: the optimizer is
+//! [compacted](IamaOptimizer::compact) to the plans a resume can reach,
+//! and its per-subset state is harvested into the [`SubFrontierCache`] —
+//! or, when a resumed optimizer parks again unchanged, the blobs it was
+//! parked with are re-inserted as they are.
+//!
 //! [`Preference`]: moqo_core::Preference
 
 use crate::cache::{CacheStats, FrontierCache};
 use crate::fingerprint::{QueryFingerprint, RebaseKey, SubsetFingerprint};
 use crate::plans::{PlanCache, PlanCacheStats};
-use crate::subfrontier::{SubFrontierCache, SubFrontierCacheStats};
+use crate::subfrontier::{Harvest, SubFrontierCache, SubFrontierCacheStats};
 use moqo_core::protocol::{
     FrontierDelta, ProtocolError, SessionCommand, SessionEvent, SessionOutcome, SessionRequest,
 };
@@ -146,6 +152,9 @@ impl SessionStatus {
 /// A checked-in session: the interactive state plus its command inbox.
 struct Active {
     session: Session,
+    /// The harvest a warm resume's optimizer was parked with; `None` for
+    /// cold starts.
+    harvest: Option<Harvest>,
     inbox: VecDeque<SessionCommand>,
     remaining_ticks: usize,
     /// Refinement budget re-armed on bound changes; per-session because a
@@ -349,16 +358,19 @@ impl SessionManager {
             .plans
             .get_or_build(&spec.graph, config.allow_cross_products);
         let mut state = self.lock();
-        let (optimizer, warm, overridden, rebased, seeded_subsets) = match state.cache.take(fp) {
+        let (optimizer, harvest, warm, overridden, rebased, seeded_subsets) = match state
+            .cache
+            .take(fp)
+        {
             // Warm resumes keep the parked ladder: its plan sets are
             // level-tagged under that schedule (see [`SessionRequest`]).
             // If that ladder is not the manager-wide one — e.g. the
             // frontier was refined under a degraded admission ladder —
             // the weaker guarantee must stay visible, so the override
             // flag is set from the *effective* schedule.
-            Some(opt) => {
+            Some((opt, harvest)) => {
                 let nonstandard = opt.schedule() != &self.schedule;
-                (opt, true, nonstandard, false, 0)
+                (opt, harvest, true, nonstandard, false, 0)
             }
             None => {
                 let (schedule, overridden) = match request.schedule.clone() {
@@ -405,7 +417,7 @@ impl SessionManager {
                         }
                     }
                 }
-                (opt, false, overridden, rebased, seeded)
+                (opt, None, false, overridden, rebased, seeded)
             }
         };
         let auto_ticks = request
@@ -443,6 +455,7 @@ impl SessionManager {
             Slot {
                 cell: Cell::Idle(Box::new(Active {
                     session,
+                    harvest,
                     inbox: VecDeque::new(),
                     remaining_ticks: auto_ticks,
                     auto_ticks,
@@ -548,10 +561,14 @@ impl SessionManager {
         }
         let mut slot = state.slots.remove(&id).expect("checked above");
         if let Cell::Idle(active) = std::mem::replace(&mut slot.cell, Cell::Retired) {
-            let fp = slot.status.fingerprint;
-            let optimizer = active.session.into_optimizer();
-            harvest_subfrontiers(&self.shared.subfrontiers, &optimizer);
-            state.cache.put(fp, optimizer);
+            let Active {
+                session, harvest, ..
+            } = *active;
+            let mut optimizer = session.into_optimizer();
+            let harvest = park_step(&self.shared.subfrontiers, &mut optimizer, harvest);
+            state
+                .cache
+                .put(slot.status.fingerprint, optimizer, Some(harvest));
         }
         if slot.status.outcome.is_none() {
             slot.status.outcome = Some(SessionOutcome::Retired);
@@ -611,10 +628,11 @@ impl SessionManager {
     /// Parks an optimizer directly in the warm-frontier cache (the
     /// persistence-restore hook: a serving layer re-injects deserialized
     /// frontiers on startup so the first submission of a known query
-    /// starts warm).
-    pub fn park(&self, fp: QueryFingerprint, optimizer: IamaOptimizer) {
-        harvest_subfrontiers(&self.shared.subfrontiers, &optimizer);
-        self.lock().cache.put(fp, optimizer);
+    /// starts warm). The optimizer goes through the same park step as a
+    /// finished session's, with a full harvest.
+    pub fn park(&self, fp: QueryFingerprint, mut optimizer: IamaOptimizer) {
+        let harvest = park_step(&self.shared.subfrontiers, &mut optimizer, None);
+        self.lock().cache.put(fp, optimizer, Some(harvest));
     }
 
     /// True if the warm-frontier cache holds a parked optimizer for `fp`.
@@ -770,22 +788,28 @@ fn terminal_event(status: &SessionStatus) -> SessionEvent {
     }
 }
 
-/// Harvests every multi-table subset of a parking optimizer's state into
-/// the sub-frontier cache, keyed by [`SubsetFingerprint`]. Singleton
-/// subsets are skipped: re-enumerating scans is cheaper than a cache
-/// round trip. Empty subsets export `None` and are skipped too.
-fn harvest_subfrontiers(cache: &SubFrontierCache, optimizer: &IamaOptimizer) {
-    let spec = optimizer.spec();
-    let model = optimizer.model();
-    for info in optimizer.enumeration().subsets() {
-        let tables = info.tables;
-        if tables.len() < 2 {
-            continue;
-        }
-        if let Some(blob) = optimizer.export_subset(tables) {
-            cache.insert(SubsetFingerprint::of(spec, tables, &*model), blob);
-        }
+/// The engine's one park step, run on every optimizer entering the
+/// frontier cache: compacts it to the plans a resume can reach, then puts
+/// its per-subset harvest into the sub-frontier cache. `kept` is the
+/// harvest a resumed optimizer was parked with; if the optimizer's
+/// generation has not moved since, its blobs are re-inserted as they are
+/// (in the same order, so the cache's recency and counters move exactly
+/// as for a fresh harvest), otherwise every subset is encoded afresh.
+/// Returns the harvest to park with the optimizer.
+fn park_step(
+    cache: &SubFrontierCache,
+    optimizer: &mut IamaOptimizer,
+    kept: Option<Harvest>,
+) -> Harvest {
+    optimizer.compact();
+    let harvest = match kept {
+        Some(kept) if kept.generation == optimizer.generation() => kept,
+        _ => Harvest::of(optimizer),
+    };
+    for (fp, blob) in &harvest.blobs {
+        cache.insert(*fp, Arc::clone(blob));
     }
+    harvest
 }
 
 /// Puts `id` on the run queue unless it is already there.
@@ -863,12 +887,27 @@ fn worker_loop(shared: Arc<Shared>) {
             _ => (FrontierDelta::default(), None, None),
         };
 
-        // A session that just ended is about to park; harvest its
-        // per-subset frontiers while the worker still owns it exclusively,
-        // outside the state lock (blob encoding is real work).
-        if outcome.is_some() {
-            harvest_subfrontiers(&shared.subfrontiers, active.session.optimizer());
-        }
+        // A session that just ended parks: run the park step while the
+        // worker still owns it exclusively, outside the state lock
+        // (compaction and blob encoding are real work). The compaction
+        // renumbers plans, so what check-in reads off the session is read
+        // first.
+        let resolution = active.session.resolution();
+        let bounds = *active.session.bounds();
+        // `last_frontier` is the frontier the session last published, kept
+        // for the delta check below (debug builds only).
+        let (active, park, last_frontier) = match outcome {
+            None => (Some(active), None, None),
+            Some(_) => {
+                let Active {
+                    session, harvest, ..
+                } = *active;
+                let last_frontier = cfg!(debug_assertions).then(|| session.frontier().clone());
+                let mut optimizer = session.into_optimizer();
+                let harvest = park_step(&shared.subfrontiers, &mut optimizer, harvest);
+                (None, Some((optimizer, harvest)), last_frontier)
+            }
+        };
 
         // --- Check the session back in. ---
         state = shared.state.lock().expect("engine lock poisoned");
@@ -877,7 +916,6 @@ fn worker_loop(shared: Arc<Shared>) {
         let mut requeue = false;
         let mut retire = false;
         let mut published = false;
-        let mut park: Option<(QueryFingerprint, IamaOptimizer)> = None;
         match st.slots.get_mut(&id) {
             // finish() cannot remove a Running slot, so this is
             // unreachable; tolerate it anyway rather than poisoning the
@@ -886,8 +924,8 @@ fn worker_loop(shared: Arc<Shared>) {
             Some(slot) => {
                 let status = &mut slot.status;
                 status.invocations += u64::from(report.is_some());
-                status.resolution = active.session.resolution();
-                status.bounds = *active.session.bounds();
+                status.resolution = resolution;
+                status.bounds = bounds;
                 let first_report = if status.first_report.is_none() {
                     report.clone()
                 } else {
@@ -903,17 +941,24 @@ fn worker_loop(shared: Arc<Shared>) {
                 // place — no full-frontier diff or clone.
                 delta.apply(&mut status.frontier);
                 debug_assert!(
-                    status.frontier.bits_eq(active.session.frontier()),
+                    active
+                        .as_ref()
+                        .map(|a| a.session.frontier())
+                        .or(last_frontier.as_ref())
+                        .is_none_or(|f| status.frontier.bits_eq(f)),
                     "delta diverged from the session frontier"
                 );
-                // Commands that arrived while the slice ran.
-                active.inbox.append(&mut slot.late_inbox);
                 if let Some(out) = outcome {
                     status.outcome = Some(out);
                     slot.cell = Cell::Retired;
                     retire = true;
-                    park = Some((status.fingerprint, active.session.into_optimizer()));
-                } else {
+                    slot.late_inbox.clear();
+                    if let Some((optimizer, harvest)) = park {
+                        st.cache.put(status.fingerprint, optimizer, Some(harvest));
+                    }
+                } else if let Some(mut active) = active {
+                    // Commands that arrived while the slice ran.
+                    active.inbox.append(&mut slot.late_inbox);
                     requeue = active.has_work();
                     slot.cell = Cell::Idle(active);
                 }
@@ -940,9 +985,6 @@ fn worker_loop(shared: Arc<Shared>) {
         }
         if retire {
             st.live = st.live.saturating_sub(1);
-        }
-        if let Some((fp, optimizer)) = park {
-            st.cache.put(fp, optimizer);
         }
         if retire {
             // Keep the final status queryable, but bound the history.

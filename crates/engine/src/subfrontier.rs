@@ -15,8 +15,17 @@
 //! Blobs are immutable and shared by `Arc` — unlike parked optimizers
 //! they can seed any number of concurrent sessions — and evicted LRU by
 //! the same monotone-tick scheme as the frontier cache.
+//!
+//! A parked optimizer keeps the [`Harvest`] it was parked with. When it is
+//! resumed and parks again with its state unchanged (a warm repeat that
+//! generated, routed and retrieved nothing), the engine re-inserts those
+//! same `Arc` blobs instead of encoding every subset again: the bytes
+//! would be identical. Recency, insertion counts and eviction then move
+//! exactly as a fresh harvest would move them, and a blob evicted
+//! meanwhile comes back.
 
 use crate::fingerprint::SubsetFingerprint;
+use moqo_core::IamaOptimizer;
 use moqo_index::FxHashMap;
 use std::sync::{Arc, Mutex};
 
@@ -34,6 +43,43 @@ pub struct SubFrontierCacheStats {
     pub evictions: u64,
     /// Blobs currently cached.
     pub entries: usize,
+}
+
+/// The sub-frontier blobs one optimizer was parked with, in harvest order,
+/// and the optimizer [generation](IamaOptimizer::generation) they were
+/// encoded at. While the generation holds, they are exactly what a fresh
+/// harvest of that optimizer would produce.
+#[derive(Clone, Debug)]
+pub struct Harvest {
+    /// The optimizer generation the blobs were encoded at.
+    pub generation: u64,
+    /// One blob per harvested multi-table subset, keyed as cached.
+    pub blobs: Vec<(SubsetFingerprint, Arc<Vec<u8>>)>,
+}
+
+impl Harvest {
+    /// Encodes every multi-table subset of `optimizer` that holds plans.
+    /// Singleton subsets are skipped: re-enumerating scans is cheaper than
+    /// a cache round trip.
+    pub fn of(optimizer: &IamaOptimizer) -> Self {
+        let spec = optimizer.spec();
+        let model = optimizer.model();
+        let blobs = optimizer
+            .enumeration()
+            .subsets()
+            .iter()
+            .map(|info| info.tables)
+            .filter(|tables| tables.len() >= 2)
+            .filter_map(|tables| {
+                let blob = optimizer.export_subset(tables)?;
+                Some((SubsetFingerprint::of(spec, tables, &*model), Arc::new(blob)))
+            })
+            .collect();
+        Self {
+            generation: optimizer.generation(),
+            blobs,
+        }
+    }
 }
 
 /// A cached blob plus the tick of its last touch (insert or hit).
@@ -93,12 +139,11 @@ impl SubFrontierCache {
     /// Caches a harvested blob under `fp`, evicting the coldest entry if
     /// full. A re-harvest of the same fingerprint replaces the old blob
     /// and refreshes its recency.
-    pub fn insert(&self, fp: SubsetFingerprint, blob: Vec<u8>) {
+    pub fn insert(&self, fp: SubsetFingerprint, blob: Arc<Vec<u8>>) {
         let mut inner = self.inner.lock().expect("sub-frontier cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
         inner.insertions += 1;
-        let blob = Arc::new(blob);
         if inner.map.insert(fp, Slot { blob, tick }).is_none() && inner.map.len() > self.capacity {
             if let Some(cold) = inner
                 .map
@@ -149,7 +194,7 @@ mod tests {
         let cache = SubFrontierCache::new(4);
         let k = fp(3, 10_000);
         assert!(cache.get(k).is_none());
-        cache.insert(k, vec![1, 2, 3]);
+        cache.insert(k, Arc::new(vec![1, 2, 3]));
         let a = cache.get(k).expect("blob cached");
         let b = cache.get(k).expect("blob shared");
         assert!(Arc::ptr_eq(&a, &b));
@@ -161,10 +206,10 @@ mod tests {
     fn eviction_drops_the_coldest_blob() {
         let cache = SubFrontierCache::new(2);
         let (a, b, c) = (fp(2, 10_000), fp(3, 10_000), fp(4, 10_000));
-        cache.insert(a, vec![0]);
-        cache.insert(b, vec![1]);
+        cache.insert(a, Arc::new(vec![0]));
+        cache.insert(b, Arc::new(vec![1]));
         assert!(cache.get(a).is_some()); // refresh a; b is now coldest
-        cache.insert(c, vec![2]);
+        cache.insert(c, Arc::new(vec![2]));
         let s = cache.stats();
         assert_eq!((s.evictions, s.entries), (1, 2));
         assert!(cache.get(b).is_none());

@@ -5,10 +5,10 @@
 use moqo_cost::{Bounds, ResolutionSchedule};
 use moqo_costmodel::{CostModel, SharedCostModel, StandardCostModel, StandardCostModelConfig};
 use moqo_engine::{
-    EngineConfig, ProtocolError, SessionCommand, SessionManager, SessionOutcome, SessionRequest,
-    SessionView,
+    EngineConfig, ProtocolError, QueryFingerprint, SessionCommand, SessionId, SessionManager,
+    SessionOutcome, SessionRequest, SessionView, SubFrontierCache, SubsetFingerprint,
 };
-use moqo_query::testkit;
+use moqo_query::{testkit, QuerySpec};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -617,4 +617,159 @@ fn drifted_statistics_rebase_the_parked_frontier() {
         rebased_plans < cold_plans,
         "rebase must cut generation: rebased={rebased_plans} cold={cold_plans}"
     );
+}
+
+/// The cached sub-frontier blob of every multi-table subset of `spec`, in
+/// subset order; `None` where nothing is cached. Each probe counts as a
+/// cache hit or miss.
+fn cached_blobs(m: &SessionManager, spec: &QuerySpec) -> Vec<Option<Arc<Vec<u8>>>> {
+    let model = m.model();
+    spec.all_tables()
+        .subsets()
+        .filter(|t| t.len() >= 2)
+        .map(|t| {
+            m.subfrontiers()
+                .get(SubsetFingerprint::of(spec, t, &*model))
+        })
+        .collect()
+}
+
+/// Runs a warm resume of `spec` through its auto ladder and ends it with
+/// `Cancel`, so the worker parks it; asserts it generated no plan.
+fn zero_plan_resume(m: &SessionManager, spec: &Arc<QuerySpec>) -> SessionId {
+    let id = m.submit(spec.clone());
+    assert!(m.wait_idle(IDLE));
+    let status = m.status(id).unwrap();
+    assert!(status.warm_start);
+    assert_eq!(status.first_report.unwrap().plans_generated, 0);
+    m.command(id, SessionCommand::Cancel).unwrap();
+    assert!(m.wait_idle(IDLE));
+    id
+}
+
+/// Whether the parked optimizer holds exactly the plans a resume can
+/// reach, and its generation.
+fn parked_compact(m: &SessionManager, fp: QueryFingerprint) -> (bool, u64) {
+    m.with_parked(fp, |o| {
+        (o.arena().len() == o.reachable_plans(), o.generation())
+    })
+    .expect("parked")
+}
+
+#[test]
+fn unchanged_resumes_repark_the_blobs_they_were_parked_with() {
+    let m = manager(2);
+    let spec = Arc::new(testkit::chain_query(4, 90_000));
+    let fp = QueryFingerprint::of(&spec, &m.model());
+    let cold = m.submit(spec.clone());
+    assert!(m.wait_idle(IDLE));
+    assert_eq!(m.subfrontier_stats().insertions, 0, "nothing parked yet");
+    m.finish(cold).unwrap();
+    let (compact, generation) = parked_compact(&m, fp);
+    assert!(compact, "finish must park the reachable closure only");
+    let before = cached_blobs(&m, &spec);
+    let harvested = before.iter().flatten().count() as u64;
+    assert!(harvested >= 3, "chain(4) harvests its connected subsets");
+
+    // Both park paths: the worker (a session ending on its own command)
+    // and `finish` (a live session retired by the serving layer).
+    for via_finish in [false, true] {
+        let stats = m.subfrontier_stats();
+        if via_finish {
+            let id = m.submit(spec.clone());
+            assert!(m.wait_idle(IDLE));
+            let status = m.finish(id).unwrap();
+            assert_eq!(status.first_report.unwrap().plans_generated, 0);
+        } else {
+            let id = zero_plan_resume(&m, &spec);
+            assert!(m.status(id).unwrap().is_finished());
+        }
+        let after = m.subfrontier_stats();
+        assert_eq!(after.insertions, stats.insertions + harvested);
+        assert_eq!(after.entries, stats.entries);
+        assert_eq!(after.evictions, stats.evictions);
+        assert_eq!(parked_compact(&m, fp), (true, generation));
+        for (old, new) in before.iter().zip(cached_blobs(&m, &spec)) {
+            match (old, new) {
+                (Some(old), Some(new)) => assert!(Arc::ptr_eq(old, &new), "blob re-encoded"),
+                (old, new) => assert_eq!(old.is_some(), new.is_some()),
+            }
+        }
+    }
+}
+
+#[test]
+fn reparking_brings_back_evicted_blobs() {
+    // chain(3) harvests three blobs ({0,1}, {1,2}, {0,1,2}) into a cache
+    // that holds three; a chain(4) under other statistics then evicts
+    // them all.
+    let m = SessionManager::with_subfrontiers(
+        Arc::new(StandardCostModel::paper_metrics()),
+        schedule(),
+        EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        },
+        Arc::new(SubFrontierCache::new(3)),
+    );
+    let spec = Arc::new(testkit::chain_query(3, 70_000));
+    let other = Arc::new(testkit::chain_query(4, 33_000));
+    let first = m.submit(spec.clone());
+    assert!(m.wait_idle(IDLE));
+    m.finish(first).unwrap();
+    let before = cached_blobs(&m, &spec);
+    assert_eq!(before.iter().flatten().count(), 3);
+    let evictor = m.submit(other);
+    assert!(m.wait_idle(IDLE));
+    m.finish(evictor).unwrap();
+    assert!(
+        cached_blobs(&m, &spec).iter().all(Option::is_none),
+        "not evicted"
+    );
+
+    let stats = m.subfrontier_stats();
+    zero_plan_resume(&m, &spec);
+    let after = m.subfrontier_stats();
+    assert_eq!(after.insertions, stats.insertions + 3);
+    assert_eq!(after.evictions, stats.evictions + 3);
+    assert_eq!(after.entries, 3);
+    for (old, new) in before.iter().zip(cached_blobs(&m, &spec)) {
+        if let Some(old) = old {
+            assert!(Arc::ptr_eq(old, &new.expect("blob back in the cache")));
+        }
+    }
+}
+
+#[test]
+fn a_resume_that_inserts_results_reencodes_its_blobs() {
+    let m = manager(2);
+    let spec = Arc::new(testkit::chain_query(4, 90_000));
+    let fp = QueryFingerprint::of(&spec, &m.model());
+    // One coarse invocation parks a partial frontier; the full ladder of
+    // the resume then inserts finer result plans.
+    let id = m
+        .open(SessionRequest::new(spec.clone()).with_auto_ticks(1))
+        .unwrap();
+    assert!(m.wait_idle(IDLE));
+    m.finish(id).unwrap();
+    let (_, generation) = parked_compact(&m, fp);
+    let before = cached_blobs(&m, &spec);
+
+    let id = m.submit(spec.clone());
+    assert!(m.wait_idle(IDLE));
+    assert!(m.status(id).unwrap().warm_start);
+    m.command(id, SessionCommand::Cancel).unwrap();
+    assert!(m.wait_idle(IDLE));
+    let (compact, moved) = parked_compact(&m, fp);
+    assert!(compact);
+    assert_ne!(moved, generation, "the resume changed the result sets");
+    let after = cached_blobs(&m, &spec);
+    assert!(
+        before
+            .iter()
+            .zip(&after)
+            .any(|(old, new)| matches!((old, new), (Some(o), Some(n)) if !Arc::ptr_eq(o, n))),
+        "a changed optimizer must be harvested afresh"
+    );
+    assert_ne!(before, after, "finer results change the blobs");
 }

@@ -211,6 +211,20 @@ impl<T: Copy> CellGrid<T> {
         out
     }
 
+    /// Rewrites every entry's payload through `f`, in place. Cells, their
+    /// entry order and the level maps' layout stay exactly as they are, so
+    /// later scans and drains visit the entries in the same order as
+    /// before.
+    pub fn map_items(&mut self, mut f: impl FnMut(T) -> T) {
+        for level in &mut self.levels {
+            for cell in level.values_mut() {
+                for e in cell.iter_mut() {
+                    e.item = f(e.item);
+                }
+            }
+        }
+    }
+
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         self.len
@@ -391,6 +405,30 @@ mod tests {
         });
         assert!(stopped);
         assert_eq!(seen, 1);
+    }
+
+    #[test]
+    fn map_items_keeps_scan_and_drain_order() {
+        let mut grid: CellGrid<u32> = CellGrid::new(2);
+        let mut twin: CellGrid<u32> = CellGrid::new(2);
+        for i in 0..40u32 {
+            let e = Entry::new(i, CostVector::new(&[(i * 7 % 13) as f64, i as f64]), 0, 0);
+            grid.insert(e);
+            twin.insert(e);
+        }
+        grid.map_items(|i| i + 100);
+        let items = |g: &CellGrid<u32>| -> Vec<u32> {
+            g.collect(&Bounds::unbounded(2), 0)
+                .iter()
+                .map(|e| e.item)
+                .collect()
+        };
+        let shifted: Vec<u32> = items(&twin).iter().map(|i| i + 100).collect();
+        assert_eq!(items(&grid), shifted);
+        let b = Bounds::from_slice(&[6.0, 30.0]);
+        let drained: Vec<u32> = grid.drain(&b, 0).iter().map(|e| e.item).collect();
+        let expected: Vec<u32> = twin.drain(&b, 0).iter().map(|e| e.item + 100).collect();
+        assert_eq!(drained, expected);
     }
 
     #[test]

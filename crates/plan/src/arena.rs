@@ -39,10 +39,13 @@ pub struct PlanNode {
 
 /// Append-only arena of plans for one query.
 ///
-/// Plans are never removed: the incremental optimizer keeps result plans
-/// alive because earlier invocations may have used them as sub-plans
-/// (Section 4.2's second design decision). Dropping the whole arena at the
-/// end of a session releases everything at once.
+/// While a session is live, plans are never removed: the incremental
+/// optimizer keeps result plans alive because earlier invocations may
+/// have used them as sub-plans (Section 4.2's second design decision),
+/// and ids are positions, so a plan's id never changes under it. Between
+/// sessions the optimizer may [`retain_marked`](PlanArena::retain_marked)
+/// the plans a resume can still reach: the survivors keep their creation
+/// order under new, dense ids.
 #[derive(Clone, Debug, Default)]
 pub struct PlanArena {
     nodes: Vec<PlanNode>,
@@ -123,6 +126,39 @@ impl PlanArena {
         let id = PlanId(self.nodes.len() as u32);
         self.nodes.push(node);
         id
+    }
+
+    /// Keeps the plans marked in `keep` (indexed by id) and drops the
+    /// rest. Survivors keep their creation order and are renumbered
+    /// densely, so the renumbering is monotone; every kept join's children
+    /// are rewritten to the new ids. Returns the old→new id map, `None` for
+    /// a dropped plan.
+    ///
+    /// # Panics
+    /// Panics if `keep` does not cover the arena exactly, or if a kept
+    /// join has a dropped child.
+    pub fn retain_marked(&mut self, keep: &[bool]) -> Vec<Option<PlanId>> {
+        assert_eq!(keep.len(), self.nodes.len(), "mark covers the arena");
+        let mut map = Vec::with_capacity(keep.len());
+        let mut next = 0u32;
+        for &k in keep {
+            map.push(k.then(|| {
+                next += 1;
+                PlanId(next - 1)
+            }));
+        }
+        let remap = |id: PlanId| map[id.index()].expect("kept plan has a dropped child");
+        // A fresh, exactly sized buffer: the dropped plans' memory goes back
+        // to the allocator instead of staying behind as spare capacity.
+        let mut nodes = Vec::with_capacity(next as usize);
+        for (node, _) in self.nodes.iter().zip(keep).filter(|(_, &k)| k) {
+            nodes.push(PlanNode {
+                children: node.children.map(|(l, r)| (remap(l), remap(r))),
+                ..*node
+            });
+        }
+        self.nodes = nodes;
+        map
     }
 
     /// The node for `id`.
@@ -233,6 +269,48 @@ mod tests {
         let b = arena.push_scan(Operator::full_scan(1), 1, cost(1.0), PhysicalProps::NONE);
         let ids: Vec<PlanId> = arena.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![a, b]);
+    }
+
+    #[test]
+    fn retain_marked_renumbers_survivors_in_creation_order() {
+        let mut arena = PlanArena::new();
+        let s0 = arena.push_scan(Operator::full_scan(0), 0, cost(1.0), PhysicalProps::NONE);
+        let dead = arena.push_scan(Operator::full_scan(1), 1, cost(9.0), PhysicalProps::NONE);
+        let s1 = arena.push_scan(Operator::full_scan(1), 1, cost(2.0), PhysicalProps::NONE);
+        let j = arena.push_join(
+            Operator::join(JoinAlgo::Hash, 1),
+            s0,
+            s1,
+            cost(5.0),
+            PhysicalProps::NONE,
+        );
+        let map = arena.retain_marked(&[true, false, true, true]);
+        assert_eq!(
+            map,
+            vec![Some(PlanId(0)), None, Some(PlanId(1)), Some(PlanId(2))]
+        );
+        assert_eq!(map[dead.index()], None);
+        assert_eq!(arena.len(), 3);
+        let j = map[j.index()].unwrap();
+        assert_eq!(arena.node(j).children, Some((PlanId(0), PlanId(1))));
+        assert_eq!(arena.cost(PlanId(1)).as_slice(), &[2.0, 2.0]);
+        assert_eq!(arena.tables(j), TableSet::from_positions([0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "dropped child")]
+    fn retain_marked_refuses_to_orphan_a_join() {
+        let mut arena = PlanArena::new();
+        let s0 = arena.push_scan(Operator::full_scan(0), 0, cost(1.0), PhysicalProps::NONE);
+        let s1 = arena.push_scan(Operator::full_scan(1), 1, cost(1.0), PhysicalProps::NONE);
+        arena.push_join(
+            Operator::join(JoinAlgo::Hash, 1),
+            s0,
+            s1,
+            cost(2.0),
+            PhysicalProps::NONE,
+        );
+        arena.retain_marked(&[true, false, true]);
     }
 
     #[test]
