@@ -7,8 +7,8 @@
 //! experiment measures it twice over the same skewed workload (a few hot
 //! templates dominating, an ad-hoc tail): once against a cold engine, and
 //! again after every session retired — when the hot fingerprints resume
-//! from parked frontiers on their home shards and the first invocation
-//! does zero plan generation.
+//! from the frontiers parked in the engine's shared warm store and the
+//! first invocation does zero plan generation.
 
 use moqo_cost::ResolutionSchedule;
 use moqo_costmodel::StandardCostModel;
@@ -148,11 +148,11 @@ pub fn serving_experiment(fast: bool) -> ExperimentReport {
     })
     .title("sharded serving: submit -> first frontier under a skewed workload")
     // Cold pass: every fingerprint is new; frontiers park on finish.
-    // Warm pass: repeats resume parked frontiers on their warm shards.
+    // Warm pass: repeats go home and resume their parked frontiers.
     .variant("serving latency", "cold", run_phase)
     .variant("serving latency", "warm", run_phase)
     .conclusion(
-        "hot fingerprints resume from parked frontiers on their home shards; \
+        "hot fingerprints resume their parked frontiers from the shared store; \
          warm-routed sessions start with zero plan generation.",
     )
     .run()

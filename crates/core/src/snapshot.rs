@@ -41,7 +41,7 @@ use moqo_costmodel::{CostModel, PlanInput, SharedCostModel};
 use moqo_index::{CellGrid, Entry};
 use moqo_plan::{JoinAlgo, Operator, PlanArena, ScanMethod};
 use moqo_plan::{PhysicalProps, PlanId, PlanNode};
-use moqo_query::{QuerySpec, TableSet};
+use moqo_query::{InducedStats, QuerySpec, TableSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -728,34 +728,6 @@ fn encode_subtree(arena: &PlanArena, id: PlanId, local: &[u8], out: &mut WireWri
     }
 }
 
-/// Per-table `(cardinality, row_width, filter)` in ascending position
-/// order plus the induced join edges `(local left, local right,
-/// selectivity bits)` — the statistics a sub-frontier blob guards on.
-type InducedStats = (Vec<(u64, u32, f64)>, Vec<(u8, u8, u64)>);
-
-/// The induced statistics a sub-frontier blob guards on. Computed
-/// identically on export and import, so a transplant only proceeds when
-/// the donor's sub-catalog matches the recipient's exactly (the
-/// structural backstop behind the engine's sub-fingerprint hash).
-fn induced_stats(spec: &QuerySpec, tables: TableSet) -> InducedStats {
-    let g = &spec.graph;
-    let mut local = vec![u8::MAX; g.n_tables()];
-    let mut stats = Vec::with_capacity(tables.len());
-    for (k, pos) in tables.iter().enumerate() {
-        local[pos] = k as u8;
-        let t = spec.catalog.table(g.tables[pos]);
-        stats.push((t.cardinality, t.row_width, g.filters[pos]));
-    }
-    let mut edges: Vec<(u8, u8, u64)> = g
-        .edges
-        .iter()
-        .filter(|e| tables.contains(e.left) && tables.contains(e.right))
-        .map(|e| (local[e.left], local[e.right], e.selectivity.to_bits()))
-        .collect();
-    edges.sort_unstable();
-    (stats, edges)
-}
-
 impl IamaOptimizer {
     /// Serializes the warm `Res^q`/`Cand^q` state of one connected table
     /// subset as a self-describing, position-independent blob: the metric
@@ -806,7 +778,10 @@ impl IamaOptimizer {
             w.str(metrics.metric(i).name());
         }
         w.u64(self.model.identity());
-        let (stats, edges) = induced_stats(&self.spec, tables);
+        let InducedStats {
+            tables: stats,
+            edges,
+        } = self.spec.induced_stats(tables);
         w.u8(stats.len() as u8);
         for (card, width, filter) in stats {
             w.u64(card);
@@ -886,7 +861,10 @@ impl IamaOptimizer {
                 self.model.identity()
             )));
         }
-        let (stats, edges) = induced_stats(&self.spec, tables);
+        let InducedStats {
+            tables: stats,
+            edges,
+        } = self.spec.induced_stats(tables);
         let k = r.u8()? as usize;
         if k != stats.len() {
             return Err(corrupt(format!(

@@ -19,13 +19,21 @@
 //! map insert and drops a whole optimizer — scans for the minimum tick.
 //! The earlier implementation kept a `VecDeque` order list and paid an
 //! `O(n)` `retain` on *every* hit and every overwrite.
+//!
+//! [`WarmStore`] is the deployment's one home for warm state: the frontier
+//! cache behind a mutex plus the [`SubFrontierCache`], shared by `Arc`
+//! across every [`crate::SessionManager`] of a sharded deployment. Warm
+//! state belongs to a query, not to a worker, so no fingerprint is ever
+//! parked twice and no shard has to go looking for another's warmth.
 
 use crate::fingerprint::{QueryFingerprint, RebaseKey};
-use crate::subfrontier::Harvest;
+use crate::subfrontier::{Harvest, SubFrontierCache};
 use moqo_core::IamaOptimizer;
 use moqo_index::FxHashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Counters describing cache effectiveness.
+/// Counters describing warm-store effectiveness, as one manager sees a
+/// store it may share (see [`crate::SessionManager::cache_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a parked optimizer.
@@ -38,7 +46,7 @@ pub struct CacheStats {
     pub entries: usize,
     /// Cardinality-blind donor lookups that found a parked optimizer of
     /// the same shape under drifted statistics (see
-    /// [`FrontierCache::rebase_donor`]).
+    /// [`FrontierCache::take_rebase_donor`]).
     pub rebase_hits: u64,
     /// Cardinality-blind donor lookups that found nothing.
     pub rebase_misses: u64,
@@ -74,11 +82,6 @@ pub struct FrontierCache {
     blind: FxHashMap<RebaseKey, Vec<QueryFingerprint>>,
     /// Monotone recency clock; bumped on every `put`.
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    rebase_hits: u64,
-    rebase_misses: u64,
 }
 
 impl FrontierCache {
@@ -93,17 +96,9 @@ impl FrontierCache {
     /// Removes and returns the parked optimizer for `fp`, if any, with
     /// the harvest it was parked with.
     pub fn take(&mut self, fp: QueryFingerprint) -> Option<(IamaOptimizer, Option<Harvest>)> {
-        match self.map.remove(&fp) {
-            Some(parked) => {
-                self.unindex(parked.rebase, fp);
-                self.hits += 1;
-                Some((parked.optimizer, parked.harvest))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let parked = self.map.remove(&fp)?;
+        self.unindex(parked.rebase, fp);
+        Some((parked.optimizer, parked.harvest))
     }
 
     /// Drops `fp` from the blind index's posting list for `key`.
@@ -116,22 +111,21 @@ impl FrontierCache {
         }
     }
 
-    /// True if an optimizer is parked under `fp`. Does not count as a
-    /// lookup (used by routers to probe for warmth without skewing the
-    /// hit/miss statistics).
+    /// True if an optimizer is parked under `fp`.
     pub fn contains(&self, fp: QueryFingerprint) -> bool {
         self.map.contains_key(&fp)
     }
 
     /// Parks an optimizer under `fp` with the sub-frontier harvest it was
     /// parked with, evicting the coldest entry if full. A fresher
-    /// optimizer for the same fingerprint replaces the old one.
+    /// optimizer for the same fingerprint replaces the old one. Returns
+    /// true if an entry was evicted.
     pub fn put(
         &mut self,
         fp: QueryFingerprint,
         optimizer: IamaOptimizer,
         harvest: Option<Harvest>,
-    ) {
+    ) -> bool {
         self.tick += 1;
         let tick = self.tick;
         let rebase = RebaseKey::of(optimizer.spec(), &optimizer.model());
@@ -151,84 +145,196 @@ impl FrontierCache {
                 },
             )
             .is_none();
-        if inserted && self.map.len() > self.capacity {
-            // One eviction restores the invariant (inserts grow the map
-            // by at most one); scanning for the minimum tick is O(n) but
-            // only runs when an optimizer is dropped anyway.
-            if let Some(cold) = self
-                .map
-                .iter()
-                .min_by_key(|(_, p)| p.tick)
-                .map(|(fp, _)| *fp)
-            {
-                if let Some(parked) = self.map.remove(&cold) {
-                    self.unindex(parked.rebase, cold);
-                }
-                self.evictions += 1;
-            }
+        if !inserted || self.map.len() <= self.capacity {
+            return false;
         }
+        // One eviction restores the invariant (inserts grow the map by at
+        // most one); scanning for the minimum tick is O(n) but only runs
+        // when an optimizer is dropped anyway.
+        let cold = self
+            .map
+            .iter()
+            .min_by_key(|(_, p)| p.tick)
+            .map(|(fp, _)| *fp)
+            .expect("the map is over capacity");
+        if let Some(parked) = self.map.remove(&cold) {
+            self.unindex(parked.rebase, cold);
+        }
+        true
     }
 
-    /// Finds the most recently parked optimizer whose cardinality-blind
-    /// key equals `key` — a **rebase donor**: same join-graph shape, row
-    /// widths, filters, selectivities, metrics, and cost-model identity,
-    /// different table cardinalities. The donor is returned by shared
-    /// reference and stays parked (it can still serve an exact repeat of
-    /// *its* statistics); the caller replays its plans into a cold
-    /// optimizer via `IamaOptimizer::rebase_from`.
-    pub fn rebase_donor(&mut self, key: RebaseKey) -> Option<&IamaOptimizer> {
-        let best = self.blind.get(&key).and_then(|list| {
+    /// Removes and returns the most recently parked optimizer whose
+    /// cardinality-blind key equals `key` — a **rebase donor**: same
+    /// join-graph shape, row widths, filters, selectivities, metrics, and
+    /// cost-model identity, different table cardinalities — with its
+    /// fingerprint and harvest. The caller replays the donor's plans into
+    /// a cold optimizer via `IamaOptimizer::rebase_from`, which leaves the
+    /// donor untouched, and parks it again so it can still serve an exact
+    /// repeat of *its* statistics.
+    pub fn take_rebase_donor(
+        &mut self,
+        key: RebaseKey,
+    ) -> Option<(QueryFingerprint, IamaOptimizer, Option<Harvest>)> {
+        let fp = self.blind.get(&key).and_then(|list| {
             list.iter()
                 .max_by_key(|fp| self.map.get(fp).map(|p| p.tick).unwrap_or(0))
                 .copied()
-        });
-        match best.and_then(|fp| self.map.get(&fp)) {
-            Some(parked) => {
-                self.rebase_hits += 1;
-                Some(&parked.optimizer)
-            }
-            None => {
-                self.rebase_misses += 1;
-                None
-            }
-        }
+        })?;
+        let parked = self.map.remove(&fp)?;
+        self.unindex(parked.rebase, fp);
+        Some((fp, parked.optimizer, parked.harvest))
     }
 
-    /// True if a rebase donor is parked for `key`. Does not count as a
-    /// lookup (router probe, like [`FrontierCache::contains`]).
+    /// True if a rebase donor is parked for `key`.
     pub fn has_rebase_donor(&self, key: RebaseKey) -> bool {
         self.blind.get(&key).is_some_and(|l| !l.is_empty())
     }
+}
 
-    /// Visits every parked optimizer (persistence export). Order is
-    /// unspecified; does not affect recency or the hit/miss counters.
-    pub fn for_each_parked(&self, mut f: impl FnMut(QueryFingerprint, &IamaOptimizer)) {
-        for (fp, parked) in &self.map {
-            f(*fp, &parked.optimizer);
+/// What a [`WarmStore`] holds for a submission (see [`WarmStore::warmth`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Warmth {
+    /// An optimizer is parked under the exact fingerprint.
+    Parked,
+    /// No exact frontier, but a rebase donor: same shape, drifted
+    /// cardinalities.
+    RebaseDonor,
+    /// Nothing to start from.
+    Cold,
+}
+
+/// Every warm byte of a deployment: parked optimizers with their rebase
+/// index, and the sub-frontier blobs their park steps harvested.
+///
+/// The frontier lock is a leaf. It is held for map operations and the
+/// closure of [`WarmStore::with_parked`] only — never while compacting,
+/// harvesting or replaying an optimizer — and no caller takes an engine
+/// state lock while holding it.
+pub struct WarmStore {
+    frontiers: Mutex<FrontierCache>,
+    subfrontiers: SubFrontierCache,
+}
+
+impl WarmStore {
+    /// A store parking at most `capacity` optimizers, under one LRU for
+    /// every manager sharing it, beside the given sub-frontier cache.
+    pub fn new(capacity: usize, subfrontiers: SubFrontierCache) -> Self {
+        Self {
+            frontiers: Mutex::new(FrontierCache::new(capacity)),
+            subfrontiers,
         }
     }
 
-    /// The fingerprints of all parked optimizers, in unspecified order.
-    pub fn parked_fingerprints(&self) -> Vec<QueryFingerprint> {
-        self.map.keys().copied().collect()
+    fn lock(&self) -> MutexGuard<'_, FrontierCache> {
+        self.frontiers.lock().expect("warm store poisoned")
     }
 
-    /// Read-only access to one parked optimizer, if present. Does not
-    /// affect recency or the hit/miss counters.
-    pub fn parked(&self, fp: QueryFingerprint) -> Option<&IamaOptimizer> {
-        self.map.get(&fp).map(|p| &p.optimizer)
+    /// The sub-frontier blobs, probed by cold opens.
+    pub fn subfrontiers(&self) -> &SubFrontierCache {
+        &self.subfrontiers
     }
 
-    /// Current effectiveness counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            entries: self.map.len(),
-            rebase_hits: self.rebase_hits,
-            rebase_misses: self.rebase_misses,
+    /// The one park step, run on every optimizer entering the store:
+    /// compacts it to the plans a resume can reach, puts its per-subset
+    /// harvest into the sub-frontier cache, and parks it under `fp`.
+    /// `kept` is the harvest a resumed optimizer was parked with; if the
+    /// optimizer's generation has not moved since, its blobs are
+    /// re-inserted as they are (in the same order, so the sub-frontier
+    /// cache's recency and counters move exactly as for a fresh harvest),
+    /// otherwise every subset is encoded afresh. Returns true if the park
+    /// evicted an entry.
+    pub fn park(
+        &self,
+        fp: QueryFingerprint,
+        mut optimizer: IamaOptimizer,
+        kept: Option<Harvest>,
+    ) -> bool {
+        optimizer.compact();
+        let harvest = match kept {
+            Some(kept) if kept.generation == optimizer.generation() => kept,
+            _ => Harvest::of(&optimizer),
+        };
+        for (sfp, blob) in &harvest.blobs {
+            self.subfrontiers.insert(*sfp, Arc::clone(blob));
         }
+        self.lock().put(fp, optimizer, Some(harvest))
+    }
+
+    /// See [`FrontierCache::take`].
+    pub fn take(&self, fp: QueryFingerprint) -> Option<(IamaOptimizer, Option<Harvest>)> {
+        self.lock().take(fp)
+    }
+
+    /// See [`FrontierCache::take_rebase_donor`]. The caller replays the
+    /// donor with no lock held and hands it back through
+    /// [`WarmStore::return_donor`]; meanwhile an exact repeat of the
+    /// donor's own fingerprint misses and starts cold.
+    pub fn take_rebase_donor(
+        &self,
+        key: RebaseKey,
+    ) -> Option<(QueryFingerprint, IamaOptimizer, Option<Harvest>)> {
+        self.lock().take_rebase_donor(key)
+    }
+
+    /// Parks a taken donor again with its harvest (the replay left it
+    /// unchanged, so no park step runs), unless an optimizer was parked
+    /// under its fingerprint meanwhile: that fresher one stays. Returns
+    /// true if the put-back evicted an entry.
+    pub fn return_donor(
+        &self,
+        fp: QueryFingerprint,
+        optimizer: IamaOptimizer,
+        harvest: Option<Harvest>,
+    ) -> bool {
+        let mut cache = self.lock();
+        !cache.contains(fp) && cache.put(fp, optimizer, harvest)
+    }
+
+    /// What a submission of `fp`, with cardinality-blind key `key`, would
+    /// start from — one lock acquisition.
+    pub fn warmth(&self, fp: QueryFingerprint, key: RebaseKey) -> Warmth {
+        let cache = self.lock();
+        if cache.contains(fp) {
+            Warmth::Parked
+        } else if cache.has_rebase_donor(key) {
+            Warmth::RebaseDonor
+        } else {
+            Warmth::Cold
+        }
+    }
+
+    /// True if an optimizer is parked under `fp`.
+    pub fn contains(&self, fp: QueryFingerprint) -> bool {
+        self.lock().contains(fp)
+    }
+
+    /// Runs `f` over one parked optimizer under the store lock; `None` if
+    /// nothing is parked for `fp`.
+    pub fn with_parked<R>(
+        &self,
+        fp: QueryFingerprint,
+        f: impl FnOnce(&IamaOptimizer) -> R,
+    ) -> Option<R> {
+        self.lock().map.get(&fp).map(|p| f(&p.optimizer))
+    }
+
+    /// Maps `f` over every parked optimizer, taking the store lock once
+    /// **per entry**, so a long serialization sweep interleaves with opens
+    /// and parks instead of stalling them. Entries taken by a racing open
+    /// meanwhile are skipped (they are live again, not parked).
+    pub fn map_parked<R>(
+        &self,
+        mut f: impl FnMut(QueryFingerprint, &IamaOptimizer) -> R,
+    ) -> Vec<R> {
+        let fps: Vec<QueryFingerprint> = self.lock().map.keys().copied().collect();
+        fps.into_iter()
+            .filter_map(|fp| self.with_parked(fp, |opt| f(fp, opt)))
+            .collect()
+    }
+
+    /// Optimizers currently parked.
+    pub fn entries(&self) -> usize {
+        self.lock().map.len()
     }
 }
 
@@ -254,13 +360,12 @@ mod tests {
         let mut cache = FrontierCache::new(4);
         let (fp, opt) = opt_for(2);
         assert!(cache.take(fp).is_none());
-        cache.put(fp, opt, None);
-        assert_eq!(cache.stats().entries, 1);
+        assert!(!cache.put(fp, opt, None));
+        assert_eq!(cache.map.len(), 1);
         assert!(cache.contains(fp));
         assert!(cache.take(fp).is_some());
         assert!(cache.take(fp).is_none(), "take must remove the entry");
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 0));
+        assert!(cache.map.is_empty() && cache.blind.is_empty());
     }
 
     #[test]
@@ -269,10 +374,9 @@ mod tests {
         let (fp2, o2) = opt_for(2);
         let (fp3, o3) = opt_for(3);
         let (fp4, o4) = opt_for(4);
-        cache.put(fp2, o2, None);
-        cache.put(fp3, o3, None);
-        cache.put(fp4, o4, None); // evicts fp2
-        assert_eq!(cache.stats().evictions, 1);
+        assert!(!cache.put(fp2, o2, None));
+        assert!(!cache.put(fp3, o3, None));
+        assert!(cache.put(fp4, o4, None), "fp2 must be evicted");
         assert!(cache.take(fp2).is_none());
         assert!(cache.take(fp3).is_some());
         assert!(cache.take(fp4).is_some());
@@ -289,10 +393,9 @@ mod tests {
         // coldest entry.
         let (fp2b, o2b) = opt_for(2);
         assert_eq!(fp2, fp2b);
-        cache.put(fp2b, o2b, None);
-        assert_eq!(cache.stats().evictions, 0);
+        assert!(!cache.put(fp2b, o2b, None), "a re-park evicts nothing");
         let (fp4, o4) = opt_for(4);
-        cache.put(fp4, o4, None); // evicts fp3, the least recently parked
+        assert!(cache.put(fp4, o4, None)); // evicts fp3, the least recently parked
         assert!(cache.take(fp3).is_none());
         assert!(cache.take(fp2).is_some());
         assert!(cache.take(fp4).is_some());
@@ -309,23 +412,21 @@ mod tests {
         for (fp, opt) in pool {
             cache.put(fp, opt, None);
         }
-        assert_eq!(cache.stats().entries, cap);
+        assert_eq!(cache.map.len(), cap);
         // The cap most-recently-parked fingerprints survive, oldest die.
         for fp in &fps[..fps.len() - cap] {
             assert!(!cache.contains(*fp));
         }
         // Churn: repeatedly take a survivor and re-park it; the cache must
-        // never exceed capacity, never lose the churned entry, and keep
-        // hit/miss accounting exact.
+        // never exceed capacity, never lose the churned entry, and never
+        // evict on the re-park.
         let hot = *fps.last().unwrap();
         for _ in 0..1000 {
             let (opt, _) = cache.take(hot).expect("hot entry must survive churn");
-            cache.put(hot, opt, None);
-            assert!(cache.stats().entries <= cap);
+            assert!(!cache.put(hot, opt, None));
+            assert!(cache.map.len() <= cap);
         }
-        let s = cache.stats();
-        assert_eq!(s.hits, 1000);
-        assert_eq!(s.entries, cap);
+        assert_eq!(cache.map.len(), cap);
         // The churned entry is now the most recent: filling with fresh
         // fingerprints evicts everything else first.
         let fresh: Vec<(QueryFingerprint, IamaOptimizer)> =
@@ -343,16 +444,18 @@ mod tests {
         let (fp, opt) = opt_for(3);
         let key = RebaseKey::of(opt.spec(), &*model);
         assert!(!cache.has_rebase_donor(key));
-        assert!(cache.rebase_donor(key).is_none());
+        assert!(cache.take_rebase_donor(key).is_none());
         cache.put(fp, opt, None);
         // A drifted-cardinality twin shares the blind key...
         let drifted = testkit::drift_cardinalities(&testkit::chain_query(3, 10_000), 5.5);
         let dkey = RebaseKey::of(&drifted, &*model);
         assert_eq!(key, dkey);
         assert!(cache.has_rebase_donor(dkey));
-        let donor = cache.rebase_donor(dkey).expect("donor parked");
-        // ...and the donor keeps its own statistics (it is a different
-        // fingerprint, returned by reference, still parked).
+        let (donor_fp, donor, harvest) = cache.take_rebase_donor(dkey).expect("donor parked");
+        // ...and the donor keeps its own statistics and fingerprint. It
+        // leaves the cache (and the blind index) while the caller replays
+        // it.
+        assert_eq!(donor_fp, fp);
         assert_eq!(
             donor
                 .spec()
@@ -361,15 +464,15 @@ mod tests {
                 .cardinality,
             10_000
         );
-        assert!(cache.contains(fp), "donor lookup must not unpark");
+        assert!(!cache.contains(fp) && !cache.has_rebase_donor(key));
+        cache.put(donor_fp, donor, harvest);
+        assert!(cache.has_rebase_donor(key), "the returned donor is indexed");
         // A different shape has no donor.
         let other = testkit::chain_query(4, 10_000);
         assert!(!cache.has_rebase_donor(RebaseKey::of(&other, &*model)));
         // take() unindexes: once the entry leaves, the donor is gone too.
         assert!(cache.take(fp).is_some());
         assert!(!cache.has_rebase_donor(key));
-        assert!(cache.rebase_donor(key).is_none());
-        let s = cache.stats();
-        assert_eq!((s.rebase_hits, s.rebase_misses), (1, 2));
+        assert!(cache.take_rebase_donor(key).is_none());
     }
 }

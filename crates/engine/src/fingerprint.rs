@@ -38,32 +38,9 @@ impl QueryFingerprint {
     /// Fingerprints a query spec under a cost model (metric layout plus
     /// model identity).
     pub fn of<M: CostModel + ?Sized>(spec: &QuerySpec, model: &M) -> Self {
-        let metrics = model.metrics();
         let mut h = moqo_cost::Fnv64::new();
-        let g = &spec.graph;
-        h.u64(g.n_tables() as u64);
-        for pos in 0..g.n_tables() {
-            let table = spec.catalog.table(g.tables[pos]);
-            h.u64(table.cardinality);
-            h.u64(table.row_width as u64);
-            h.u64(g.filters[pos].to_bits());
-        }
-        // Edges in canonical order (JoinEdge::new normalizes left < right).
-        let mut edges: Vec<(usize, usize, u64)> = g
-            .edges
-            .iter()
-            .map(|e| (e.left, e.right, e.selectivity.to_bits()))
-            .collect();
-        edges.sort_unstable();
-        for (l, r, sel) in edges {
-            h.u64(l as u64);
-            h.u64(r as u64);
-            h.u64(sel);
-        }
-        for i in 0..metrics.dim() {
-            h.str(metrics.metric(i).name());
-        }
-        h.u64(model.identity());
+        h.u64(spec.n_tables() as u64);
+        hash_state(&mut h, spec, spec.all_tables(), model, true);
         Self(h.finish())
     }
 
@@ -96,32 +73,11 @@ pub struct RebaseKey(u64);
 impl RebaseKey {
     /// Computes the cardinality-blind key of a spec under a cost model.
     pub fn of<M: CostModel + ?Sized>(spec: &QuerySpec, model: &M) -> Self {
-        let metrics = model.metrics();
         let mut h = moqo_cost::Fnv64::new();
-        let g = &spec.graph;
-        h.u64(g.n_tables() as u64);
-        for pos in 0..g.n_tables() {
-            let table = spec.catalog.table(g.tables[pos]);
-            // Cardinality deliberately excluded: that is the drift the
-            // rebase absorbs. Row widths and filters still discriminate.
-            h.u64(table.row_width as u64);
-            h.u64(g.filters[pos].to_bits());
-        }
-        let mut edges: Vec<(usize, usize, u64)> = g
-            .edges
-            .iter()
-            .map(|e| (e.left, e.right, e.selectivity.to_bits()))
-            .collect();
-        edges.sort_unstable();
-        for (l, r, sel) in edges {
-            h.u64(l as u64);
-            h.u64(r as u64);
-            h.u64(sel);
-        }
-        for i in 0..metrics.dim() {
-            h.str(metrics.metric(i).name());
-        }
-        h.u64(model.identity());
+        h.u64(spec.n_tables() as u64);
+        // Cardinality deliberately excluded: that is the drift the rebase
+        // absorbs. Row widths and filters still discriminate.
+        hash_state(&mut h, spec, spec.all_tables(), model, false);
         Self(h.finish())
     }
 
@@ -147,37 +103,12 @@ pub struct SubsetFingerprint(u64);
 impl SubsetFingerprint {
     /// Fingerprints the subset `tables` of a spec under a cost model.
     pub fn of<M: CostModel + ?Sized>(spec: &QuerySpec, tables: TableSet, model: &M) -> Self {
-        let metrics = model.metrics();
-        let g = &spec.graph;
         let mut h = moqo_cost::Fnv64::new();
         // Sub-shape, relabeled to local indices (the cross-product policy
         // is plan-sharing vocabulary, not state identity: fix it to the
         // default so both policies share sub-frontiers).
-        h.u64(ShapeKey::of_subset(g, tables, false).as_u64());
-        let mut local = vec![u8::MAX; g.n_tables()];
-        for (k, pos) in tables.iter().enumerate() {
-            local[pos] = k as u8;
-            let table = spec.catalog.table(g.tables[pos]);
-            h.u64(table.cardinality);
-            h.u64(table.row_width as u64);
-            h.u64(g.filters[pos].to_bits());
-        }
-        let mut edges: Vec<(u8, u8, u64)> = g
-            .edges
-            .iter()
-            .filter(|e| tables.contains(e.left) && tables.contains(e.right))
-            .map(|e| (local[e.left], local[e.right], e.selectivity.to_bits()))
-            .collect();
-        edges.sort_unstable();
-        for (l, r, sel) in edges {
-            h.u64(l as u64);
-            h.u64(r as u64);
-            h.u64(sel);
-        }
-        for i in 0..metrics.dim() {
-            h.str(metrics.metric(i).name());
-        }
-        h.u64(model.identity());
+        h.u64(ShapeKey::of_subset(&spec.graph, tables, false).as_u64());
+        hash_state(&mut h, spec, tables, model, true);
         Self(h.finish())
     }
 
@@ -185,6 +116,37 @@ impl SubsetFingerprint {
     pub fn as_u64(self) -> u64 {
         self.0
     }
+}
+
+/// Hashes what every warm-state key shares: the statistics `tables`
+/// induces (per table, cardinality if `cardinality` is set, then row width
+/// and filter; then the induced join edges), the model's metric layout
+/// and the model's identity.
+fn hash_state<M: CostModel + ?Sized>(
+    h: &mut moqo_cost::Fnv64,
+    spec: &QuerySpec,
+    tables: TableSet,
+    model: &M,
+    cardinality: bool,
+) {
+    let induced = spec.induced_stats(tables);
+    for (card, width, filter) in induced.tables {
+        if cardinality {
+            h.u64(card);
+        }
+        h.u64(width as u64);
+        h.u64(filter.to_bits());
+    }
+    for (l, r, sel) in induced.edges {
+        h.u64(l as u64);
+        h.u64(r as u64);
+        h.u64(sel);
+    }
+    let metrics = model.metrics();
+    for i in 0..metrics.dim() {
+        h.str(metrics.metric(i).name());
+    }
+    h.u64(model.identity());
 }
 
 #[cfg(test)]

@@ -20,11 +20,13 @@
 //!   [identity](moqo_costmodel::CostModel::identity)), independent of
 //!   display names. Two sessions under different models can never share
 //!   warm state.
-//! * [`FrontierCache`] — parked optimizers of finished sessions, keyed by
-//!   fingerprint. A repeated query starts from the warm frontier: its
-//!   first invocation reports `plans_generated == 0`. Parking compacts an
-//!   optimizer to the plans a resume can reach
-//!   (`IamaOptimizer::compact`).
+//! * [`WarmStore`] — every warm byte of a deployment: the
+//!   [`FrontierCache`] of parked optimizers (keyed by fingerprint, with
+//!   its rebase index) and the [`SubFrontierCache`]. A standalone manager
+//!   owns a private store; the shards of a sharded deployment share one.
+//!   A repeated query starts from the warm frontier: its first invocation
+//!   reports `plans_generated == 0`. Parking compacts an optimizer to the
+//!   plans a resume can reach (`IamaOptimizer::compact`).
 //! * [`PlanCache`] — shared `Arc<EnumerationPlan>`s keyed by [`ShapeKey`],
 //!   the shape component of the fingerprint. Structurally *similar*
 //!   queries (same join-graph shape, any statistics, any model) walk one
@@ -47,9 +49,9 @@
 //! (per-session [`SessionEvent`] push channels carrying delta-streamed
 //! frontiers, so no caller parks on the engine's condvar and the full
 //! frontier is never re-shipped), [`SessionManager::park`] /
-//! [`SessionManager::for_each_parked`] (frontier persistence across
-//! restarts), and [`SessionManager::live_sessions`] (the load figure
-//! admission control and shard routing balance on).
+//! [`WarmStore::map_parked`] (frontier persistence across restarts), and
+//! [`SessionManager::live_sessions`] (the load figure admission control
+//! and shard routing balance on).
 //!
 //! ```
 //! use moqo_cost::ResolutionSchedule;
@@ -80,7 +82,7 @@ pub mod plans;
 pub mod registry;
 pub mod subfrontier;
 
-pub use cache::{CacheStats, FrontierCache};
+pub use cache::{CacheStats, FrontierCache, WarmStore, Warmth};
 pub use fingerprint::{QueryFingerprint, RebaseKey, SubsetFingerprint};
 pub use manager::{EngineConfig, EventHook, SessionId, SessionManager, SessionStatus};
 pub use plans::{PlanCache, PlanCacheStats};

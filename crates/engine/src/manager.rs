@@ -20,22 +20,32 @@
 //! not the scheduler — keeps slices short), then requeues the session at
 //! the back.
 //!
-//! Finished sessions park their optimizer in the [`FrontierCache`] keyed
-//! by canonical [`QueryFingerprint`] — which embeds the cost model's
+//! Finished sessions park their optimizer in the [`WarmStore`] keyed by
+//! canonical [`QueryFingerprint`] — which embeds the cost model's
 //! [identity](moqo_costmodel::CostModel::identity), so sessions under
 //! different per-session models can never exchange warm state — and a
 //! repeated query starts from a warm frontier: its first invocation
-//! generates zero plans.
+//! generates zero plans. A standalone manager owns a private store; the
+//! shards of a sharded deployment share one, so warm state belongs to the
+//! query, not to the shard that happened to run it.
 //!
-//! Every way into the cache goes through one park step: the optimizer is
+//! Every way into the store goes through one park step
+//! ([`WarmStore::park`]): the optimizer is
 //! [compacted](IamaOptimizer::compact) to the plans a resume can reach,
 //! and its per-subset state is harvested into the [`SubFrontierCache`] —
 //! or, when a resumed optimizer parks again unchanged, the blobs it was
 //! parked with are re-inserted as they are.
 //!
+//! All warm-start work of an open — taking a parked optimizer, replaying
+//! a rebase donor, importing transplanted sub-frontiers — runs before the
+//! manager's state lock is taken, and the store lock is held only for
+//! each map operation; the state lock then only registers the session.
+//! Seed replay re-costs every tree, so under either lock it would stall
+//! every session of the shard, or of the deployment.
+//!
 //! [`Preference`]: moqo_core::Preference
 
-use crate::cache::{CacheStats, FrontierCache};
+use crate::cache::{CacheStats, WarmStore};
 use crate::fingerprint::{QueryFingerprint, RebaseKey, SubsetFingerprint};
 use crate::plans::{PlanCache, PlanCacheStats};
 use crate::subfrontier::{Harvest, SubFrontierCache, SubFrontierCacheStats};
@@ -48,7 +58,7 @@ use moqo_costmodel::SharedCostModel;
 use moqo_plan::PlanId;
 use moqo_query::QuerySpec;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -61,12 +71,10 @@ pub type SessionId = u64;
 pub struct EngineConfig {
     /// Worker threads advancing sessions. At least 1.
     pub workers: usize,
-    /// Parked optimizers kept in the warm-frontier cache.
+    /// Parked optimizers kept per manager: a standalone manager's private
+    /// [`WarmStore`] holds this many, and a store shared by N shards holds
+    /// N times this many under one LRU.
     pub cache_capacity: usize,
-    /// Anytime invocations a session may run without user input before it
-    /// parks. `0` means "derive from the schedule": one full resolution
-    /// ladder (`r_max + 1` invocations).
-    pub auto_ticks: usize,
 }
 
 /// Finished sessions whose final [`SessionStatus`] stays queryable after
@@ -81,7 +89,6 @@ impl Default for EngineConfig {
                 .map(|n| n.get().min(4))
                 .unwrap_or(2),
             cache_capacity: 64,
-            auto_ticks: 0,
         }
     }
 }
@@ -152,6 +159,8 @@ impl SessionStatus {
 /// A checked-in session: the interactive state plus its command inbox.
 struct Active {
     session: Session,
+    /// The key the optimizer parks under when the session ends.
+    fingerprint: QueryFingerprint,
     /// The harvest a warm resume's optimizer was parked with; `None` for
     /// cold starts.
     harvest: Option<Harvest>,
@@ -173,7 +182,7 @@ enum Cell {
     Idle(Box<Active>),
     /// Currently owned by a worker.
     Running,
-    /// Finished; the optimizer has moved to the frontier cache.
+    /// Finished; the optimizer has moved to the warm store.
     Retired,
 }
 
@@ -207,7 +216,6 @@ impl Slot {
 struct EngineState {
     slots: HashMap<SessionId, Slot>,
     queue: VecDeque<SessionId>,
-    cache: FrontierCache,
     next_id: SessionId,
     running: usize,
     /// Sessions admitted and not yet finished (live load, for admission
@@ -236,11 +244,36 @@ struct Shared {
     shutdown: AtomicBool,
     /// See [`EventHook`]; `None` until a serving front installs one.
     event_hook: Mutex<Option<EventHook>>,
-    /// Harvested per-subset warm state, probed on cold opens. Internally
-    /// locked (never under the state lock order issues: workers touch it
-    /// *outside* the state lock, `open`/`finish` take state → sub-frontier
-    /// in that order only).
-    subfrontiers: Arc<SubFrontierCache>,
+    /// Parked optimizers and sub-frontier blobs, possibly shared with
+    /// sibling managers. Its lock is a leaf below the state lock.
+    store: Arc<WarmStore>,
+    /// This manager's share of the store's effectiveness counters.
+    counters: CacheCounters,
+}
+
+/// The store lookups this manager's opens made, and the evictions its
+/// parks caused (the per-manager view of a possibly shared store).
+#[derive(Default)]
+struct CacheCounters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    rebase_hits: AtomicU64,
+    rebase_misses: AtomicU64,
+}
+
+fn count(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+impl Shared {
+    /// Parks an optimizer through the store's park step, counting an
+    /// eviction it causes against this manager.
+    fn park(&self, fp: QueryFingerprint, optimizer: IamaOptimizer, kept: Option<Harvest>) {
+        if self.store.park(fp, optimizer, kept) {
+            count(&self.counters.evictions);
+        }
+    }
 }
 
 /// Owns many concurrent interactive sessions and the worker pool driving
@@ -255,7 +288,6 @@ pub struct SessionManager {
     workers: Vec<JoinHandle<()>>,
     model: SharedCostModel,
     schedule: ResolutionSchedule,
-    auto_ticks: usize,
     /// Enumeration plans shared across sessions, keyed by join-graph
     /// shape: structurally similar queries (same shape, any statistics,
     /// any cost model) reuse one plan even when their frontiers cannot be
@@ -264,32 +296,28 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// Starts the worker pool with a private sub-frontier cache.
+    /// Starts the worker pool with a private [`WarmStore`] of
+    /// `config.cache_capacity` parked optimizers.
     pub fn new(model: SharedCostModel, schedule: ResolutionSchedule, config: EngineConfig) -> Self {
-        let subfrontiers = Arc::new(SubFrontierCache::default());
-        Self::with_subfrontiers(model, schedule, config, subfrontiers)
+        let store = WarmStore::new(config.cache_capacity, SubFrontierCache::default());
+        Self::with_store(model, schedule, config, Arc::new(store))
     }
 
-    /// Starts the worker pool sharing an existing sub-frontier cache —
-    /// the multi-shard deployment shape: sub-frontier blobs are position
-    /// and query independent, so every shard of a `ShardedEngine` harvests
-    /// into and transplants from one cache.
-    pub fn with_subfrontiers(
+    /// Starts the worker pool parking into and warm-starting from an
+    /// existing store — the multi-shard deployment shape: every shard of
+    /// a `ShardedEngine` shares one, so a query's warm state is found
+    /// wherever the query runs. The store's capacity governs;
+    /// `config.cache_capacity` is not read.
+    pub fn with_store(
         model: SharedCostModel,
         schedule: ResolutionSchedule,
         config: EngineConfig,
-        subfrontiers: Arc<SubFrontierCache>,
+        store: Arc<WarmStore>,
     ) -> Self {
-        let auto_ticks = if config.auto_ticks == 0 {
-            schedule.levels()
-        } else {
-            config.auto_ticks
-        };
         let shared = Arc::new(Shared {
             state: Mutex::new(EngineState {
                 slots: HashMap::new(),
                 queue: VecDeque::new(),
-                cache: FrontierCache::new(config.cache_capacity),
                 next_id: 1,
                 running: 0,
                 live: 0,
@@ -299,7 +327,8 @@ impl SessionManager {
             settled: Condvar::new(),
             shutdown: AtomicBool::new(false),
             event_hook: Mutex::new(None),
-            subfrontiers,
+            store,
+            counters: CacheCounters::default(),
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -315,7 +344,6 @@ impl SessionManager {
             workers,
             model,
             schedule,
-            auto_ticks,
             plans: PlanCache::new(),
         }
     }
@@ -323,9 +351,9 @@ impl SessionManager {
     /// Admits a new interactive session with every default in place
     /// (unbounded bounds, manager-wide model and schedule).
     ///
-    /// If the frontier cache holds a parked optimizer for an equivalent
-    /// query under the same cost model, the session resumes from that
-    /// warm state.
+    /// If the warm store holds a parked optimizer for an equivalent query
+    /// under the same cost model, the session resumes from that warm
+    /// state.
     pub fn submit(&self, spec: Arc<QuerySpec>) -> SessionId {
         self.open(SessionRequest::new(spec))
             .expect("a bare request has nothing to validate")
@@ -351,17 +379,15 @@ impl SessionManager {
             .unwrap_or_else(|| Bounds::unbounded(model.dim()));
         // Resolve the shared enumeration plan outside the state lock —
         // plan construction can be expensive for wide shapes and must not
-        // stall unrelated sessions. A warm frontier-cache hit below makes
-        // this a pointer clone at worst (the shape is already cached).
+        // stall unrelated sessions. A warm hit below makes this a pointer
+        // clone at worst (the shape is already cached).
         let config = IamaConfig::default();
         let plan = self
             .plans
             .get_or_build(&spec.graph, config.allow_cross_products);
-        let mut state = self.lock();
-        let (optimizer, harvest, warm, overridden, rebased, seeded_subsets) = match state
-            .cache
-            .take(fp)
-        {
+        let store = &self.shared.store;
+        let counters = &self.shared.counters;
+        let (optimizer, harvest, warm, overridden, rebased, seeded_subsets) = match store.take(fp) {
             // Warm resumes keep the parked ladder: its plan sets are
             // level-tagged under that schedule (see [`SessionRequest`]).
             // If that ladder is not the manager-wide one — e.g. the
@@ -369,10 +395,12 @@ impl SessionManager {
             // the weaker guarantee must stay visible, so the override
             // flag is set from the *effective* schedule.
             Some((opt, harvest)) => {
+                count(&counters.hits);
                 let nonstandard = opt.schedule() != &self.schedule;
                 (opt, harvest, true, nonstandard, false, 0)
             }
             None => {
+                count(&counters.misses);
                 let (schedule, overridden) = match request.schedule.clone() {
                     Some(s) => (s, true),
                     None => (self.schedule.clone(), false),
@@ -386,11 +414,19 @@ impl SessionManager {
                 // 1. **Rebase** — a parked frontier of the same shape
                 //    whose fingerprint differs only in catalog
                 //    cardinalities (the hourly stats refresh). Its plans
-                //    re-enter as level-0 candidates; the donor stays
-                //    parked for exact repeats of its own statistics.
+                //    re-enter as level-0 candidates. The donor leaves the
+                //    store for the replay and returns unchanged, for exact
+                //    repeats of its own statistics.
                 let mut rebased = false;
-                if let Some(donor) = state.cache.rebase_donor(RebaseKey::of(&spec, &model)) {
-                    rebased = opt.rebase_from(donor).map(|n| n > 0).unwrap_or(false);
+                match store.take_rebase_donor(RebaseKey::of(&spec, &model)) {
+                    Some((donor_fp, donor, donor_harvest)) => {
+                        count(&counters.rebase_hits);
+                        rebased = opt.rebase_from(&donor).map(|n| n > 0).unwrap_or(false);
+                        if store.return_donor(donor_fp, donor, donor_harvest) {
+                            count(&counters.evictions);
+                        }
+                    }
+                    None => count(&counters.rebase_misses),
                 }
                 // 2. **Transplant** — per-subset blobs harvested from
                 //    *different* queries sharing a join subgraph with
@@ -406,7 +442,7 @@ impl SessionManager {
                             continue;
                         }
                         let sfp = SubsetFingerprint::of(&spec, tables, &model);
-                        if let Some(blob) = self.shared.subfrontiers.get(sfp) {
+                        if let Some(blob) = store.subfrontiers().get(sfp) {
                             // Import errors are near-miss hash collisions
                             // or model drift: refuse the seed, run cold.
                             if let Ok(n) = opt.import_subset(tables, &blob) {
@@ -424,12 +460,13 @@ impl SessionManager {
             .auto_ticks
             .unwrap_or_else(|| match (&request.schedule, warm) {
                 (Some(s), false) => s.levels(),
-                _ => self.auto_ticks,
+                _ => self.schedule.levels(),
             });
         let mut session = Session::with_bounds(optimizer, bounds);
         session
             .set_preference(request.preference.clone())
             .expect("validated against the effective model above");
+        let mut state = self.lock();
         let id = state.next_id;
         state.next_id += 1;
         let status = SessionStatus {
@@ -455,6 +492,7 @@ impl SessionManager {
             Slot {
                 cell: Cell::Idle(Box::new(Active {
                     session,
+                    fingerprint: fp,
                     harvest,
                     inbox: VecDeque::new(),
                     remaining_ticks: auto_ticks,
@@ -542,7 +580,7 @@ impl SessionManager {
         ids
     }
 
-    /// Retires a session, parking its optimizer in the frontier cache, and
+    /// Retires a session, parking its optimizer in the warm store, and
     /// returns its final status. Blocks while a worker holds the session.
     /// Watchers receive a final [`SessionEvent`] with a
     /// [`SessionOutcome::Retired`] outcome (unless the session already
@@ -564,11 +602,8 @@ impl SessionManager {
             let Active {
                 session, harvest, ..
             } = *active;
-            let mut optimizer = session.into_optimizer();
-            let harvest = park_step(&self.shared.subfrontiers, &mut optimizer, harvest);
-            state
-                .cache
-                .put(slot.status.fingerprint, optimizer, Some(harvest));
+            self.shared
+                .park(slot.status.fingerprint, session.into_optimizer(), harvest);
         }
         if slot.status.outcome.is_none() {
             slot.status.outcome = Some(SessionOutcome::Retired);
@@ -625,59 +660,29 @@ impl SessionManager {
         Some(rx)
     }
 
-    /// Parks an optimizer directly in the warm-frontier cache (the
+    /// Parks an optimizer directly in the warm store (the
     /// persistence-restore hook: a serving layer re-injects deserialized
     /// frontiers on startup so the first submission of a known query
     /// starts warm). The optimizer goes through the same park step as a
     /// finished session's, with a full harvest.
-    pub fn park(&self, fp: QueryFingerprint, mut optimizer: IamaOptimizer) {
-        let harvest = park_step(&self.shared.subfrontiers, &mut optimizer, None);
-        self.lock().cache.put(fp, optimizer, Some(harvest));
+    pub fn park(&self, fp: QueryFingerprint, optimizer: IamaOptimizer) {
+        self.shared.park(fp, optimizer, None);
     }
 
-    /// True if the warm-frontier cache holds a parked optimizer for `fp`.
-    /// Does not count as a cache lookup (router warmth probe).
+    /// True if the warm store holds a parked optimizer for `fp`. Does not
+    /// count as a lookup.
     pub fn has_parked(&self, fp: QueryFingerprint) -> bool {
-        self.lock().cache.contains(fp)
+        self.shared.store.contains(fp)
     }
 
-    /// Visits every parked optimizer under the state lock (persistence
-    /// export). Keep the closure cheap-ish: submissions block while it
-    /// runs. Live (non-parked) sessions are not visited — park them first
-    /// via [`SessionManager::finish`] to capture their frontiers. For
-    /// per-entry work (e.g. serialization), prefer
-    /// [`SessionManager::parked_fingerprints`] +
-    /// [`SessionManager::with_parked`], which take the lock once per
-    /// entry instead of across the whole pass.
-    pub fn for_each_parked(&self, f: impl FnMut(QueryFingerprint, &IamaOptimizer)) {
-        self.lock().cache.for_each_parked(f);
-    }
-
-    /// Fingerprints of all currently parked optimizers (cheap snapshot
-    /// under the lock; pair with [`SessionManager::with_parked`]).
-    pub fn parked_fingerprints(&self) -> Vec<QueryFingerprint> {
-        self.lock().cache.parked_fingerprints()
-    }
-
-    /// Runs `f` over one parked optimizer under the state lock; `None`
-    /// if nothing is parked for `fp` (anymore). The lock is held only
-    /// for this single entry, so long export passes interleave with
-    /// submissions instead of stalling them wholesale.
+    /// Runs `f` over one parked optimizer under the store lock; `None` if
+    /// nothing is parked for `fp` (see [`WarmStore::with_parked`]).
     pub fn with_parked<R>(
         &self,
         fp: QueryFingerprint,
         f: impl FnOnce(&IamaOptimizer) -> R,
     ) -> Option<R> {
-        self.lock().cache.parked(fp).map(f)
-    }
-
-    /// Serializes one parked optimizer as self-validating
-    /// [`export_frontier`](IamaOptimizer::export_frontier) bytes; `None`
-    /// if nothing is parked for `fp`. The warm-state hand-off hook: a
-    /// fleet layer ships these bytes to another node, which re-parks
-    /// them after the usual snapshot validation.
-    pub fn export_parked(&self, fp: QueryFingerprint) -> Option<Vec<u8>> {
-        self.with_parked(fp, |opt| opt.export_frontier())
+        self.shared.store.with_parked(fp, f)
     }
 
     /// Number of admitted, not-yet-finished sessions — the load figure
@@ -697,9 +702,21 @@ impl SessionManager {
         self.model.clone()
     }
 
-    /// Effectiveness counters of the warm-frontier cache.
+    /// This manager's warm-store counters: hits, misses and rebase
+    /// lookups count its opens, evictions count those its parks caused,
+    /// and `entries` is the whole store's (shared with any sibling
+    /// managers).
     pub fn cache_stats(&self) -> CacheStats {
-        self.lock().cache.stats()
+        let c = &self.shared.counters;
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        CacheStats {
+            hits: load(&c.hits),
+            misses: load(&c.misses),
+            evictions: load(&c.evictions),
+            entries: self.shared.store.entries(),
+            rebase_hits: load(&c.rebase_hits),
+            rebase_misses: load(&c.rebase_misses),
+        }
     }
 
     /// Effectiveness counters of the shared enumeration-plan cache.
@@ -709,21 +726,12 @@ impl SessionManager {
 
     /// Effectiveness counters of the sub-frontier transplant cache.
     pub fn subfrontier_stats(&self) -> SubFrontierCacheStats {
-        self.shared.subfrontiers.stats()
+        self.shared.store.subfrontiers().stats()
     }
 
-    /// Shared handle to the sub-frontier cache, for constructing sibling
-    /// managers (shards) that pool their harvested sub-frontiers via
-    /// [`SessionManager::with_subfrontiers`].
-    pub fn subfrontiers(&self) -> Arc<SubFrontierCache> {
-        Arc::clone(&self.shared.subfrontiers)
-    }
-
-    /// True if the warm-frontier cache holds a rebase donor — a parked
-    /// optimizer of the same shape under drifted cardinalities — for
-    /// `key`. Does not count as a lookup (router warmth probe).
-    pub fn has_rebase_donor(&self, key: RebaseKey) -> bool {
-        self.lock().cache.has_rebase_donor(key)
+    /// The warm store this manager parks into and warm-starts from.
+    pub fn store(&self) -> &WarmStore {
+        &self.shared.store
     }
 
     /// Blocks until no session has runnable work and no worker holds one.
@@ -786,30 +794,6 @@ fn terminal_event(status: &SessionStatus) -> SessionEvent {
         outcome: status.outcome,
         coalesced: 0,
     }
-}
-
-/// The engine's one park step, run on every optimizer entering the
-/// frontier cache: compacts it to the plans a resume can reach, then puts
-/// its per-subset harvest into the sub-frontier cache. `kept` is the
-/// harvest a resumed optimizer was parked with; if the optimizer's
-/// generation has not moved since, its blobs are re-inserted as they are
-/// (in the same order, so the cache's recency and counters move exactly
-/// as for a fresh harvest), otherwise every subset is encoded afresh.
-/// Returns the harvest to park with the optimizer.
-fn park_step(
-    cache: &SubFrontierCache,
-    optimizer: &mut IamaOptimizer,
-    kept: Option<Harvest>,
-) -> Harvest {
-    optimizer.compact();
-    let harvest = match kept {
-        Some(kept) if kept.generation == optimizer.generation() => kept,
-        _ => Harvest::of(optimizer),
-    };
-    for (fp, blob) in &harvest.blobs {
-        cache.insert(*fp, Arc::clone(blob));
-    }
-    harvest
 }
 
 /// Puts `id` on the run queue unless it is already there.
@@ -889,23 +873,26 @@ fn worker_loop(shared: Arc<Shared>) {
 
         // A session that just ended parks: run the park step while the
         // worker still owns it exclusively, outside the state lock
-        // (compaction and blob encoding are real work). The compaction
-        // renumbers plans, so what check-in reads off the session is read
-        // first.
+        // (compaction and blob encoding are real work), and before the
+        // terminal event is published below, so a client resubmitting on
+        // that event finds the optimizer parked. The compaction renumbers
+        // plans, so what check-in reads off the session is read first.
         let resolution = active.session.resolution();
         let bounds = *active.session.bounds();
         // `last_frontier` is the frontier the session last published, kept
         // for the delta check below (debug builds only).
-        let (active, park, last_frontier) = match outcome {
-            None => (Some(active), None, None),
+        let (active, last_frontier) = match outcome {
+            None => (Some(active), None),
             Some(_) => {
                 let Active {
-                    session, harvest, ..
+                    session,
+                    fingerprint,
+                    harvest,
+                    ..
                 } = *active;
                 let last_frontier = cfg!(debug_assertions).then(|| session.frontier().clone());
-                let mut optimizer = session.into_optimizer();
-                let harvest = park_step(&shared.subfrontiers, &mut optimizer, harvest);
-                (None, Some((optimizer, harvest)), last_frontier)
+                shared.park(fingerprint, session.into_optimizer(), harvest);
+                (None, last_frontier)
             }
         };
 
@@ -953,9 +940,6 @@ fn worker_loop(shared: Arc<Shared>) {
                     slot.cell = Cell::Retired;
                     retire = true;
                     slot.late_inbox.clear();
-                    if let Some((optimizer, harvest)) = park {
-                        st.cache.put(status.fingerprint, optimizer, Some(harvest));
-                    }
                 } else if let Some(mut active) = active {
                     // Commands that arrived while the slice ran.
                     active.inbox.append(&mut slot.late_inbox);

@@ -6,7 +6,7 @@ use moqo_cost::{Bounds, ResolutionSchedule};
 use moqo_costmodel::{CostModel, SharedCostModel, StandardCostModel, StandardCostModelConfig};
 use moqo_engine::{
     EngineConfig, ProtocolError, QueryFingerprint, SessionCommand, SessionId, SessionManager,
-    SessionOutcome, SessionRequest, SessionView, SubFrontierCache, SubsetFingerprint,
+    SessionOutcome, SessionRequest, SessionView, SubFrontierCache, SubsetFingerprint, WarmStore,
 };
 use moqo_query::{testkit, QuerySpec};
 use std::sync::Arc;
@@ -366,12 +366,8 @@ fn park_and_probe_expose_the_cache_to_serving_layers() {
     }
     m.park(fp, opt);
     assert!(m.has_parked(fp));
-    let mut seen = 0;
-    m.for_each_parked(|pfp, _| {
-        assert_eq!(pfp, fp);
-        seen += 1;
-    });
-    assert_eq!(seen, 1);
+    assert_eq!(m.with_parked(fp, |opt| opt.spec().n_tables()), Some(3));
+    assert_eq!(m.store().map_parked(|pfp, _| pfp), vec![fp]);
     // The next submission of an equivalent query starts warm.
     let id = m.submit(spec);
     assert!(m.wait_idle(IDLE));
@@ -628,7 +624,8 @@ fn cached_blobs(m: &SessionManager, spec: &QuerySpec) -> Vec<Option<Arc<Vec<u8>>
         .subsets()
         .filter(|t| t.len() >= 2)
         .map(|t| {
-            m.subfrontiers()
+            m.store()
+                .subfrontiers()
                 .get(SubsetFingerprint::of(spec, t, &*model))
         })
         .collect()
@@ -703,14 +700,16 @@ fn reparking_brings_back_evicted_blobs() {
     // chain(3) harvests three blobs ({0,1}, {1,2}, {0,1,2}) into a cache
     // that holds three; a chain(4) under other statistics then evicts
     // them all.
-    let m = SessionManager::with_subfrontiers(
+    let config = EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    };
+    let store = WarmStore::new(config.cache_capacity, SubFrontierCache::new(3));
+    let m = SessionManager::with_store(
         Arc::new(StandardCostModel::paper_metrics()),
         schedule(),
-        EngineConfig {
-            workers: 1,
-            ..EngineConfig::default()
-        },
-        Arc::new(SubFrontierCache::new(3)),
+        config,
+        Arc::new(store),
     );
     let spec = Arc::new(testkit::chain_query(3, 70_000));
     let other = Arc::new(testkit::chain_query(4, 33_000));

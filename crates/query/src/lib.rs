@@ -27,5 +27,5 @@ pub mod testkit;
 
 pub use enumeration::{EnumerationPlan, ShapeKey, Split, SubsetId, SubsetInfo};
 pub use graph::{JoinEdge, JoinGraph};
-pub use spec::QuerySpec;
+pub use spec::{InducedStats, QuerySpec};
 pub use tableset::{k_subsets, SplitIter, SubsetIter, TableSet};

@@ -6,6 +6,23 @@ use crate::tableset::TableSet;
 use moqo_catalog::Catalog;
 use std::sync::Arc;
 
+/// The statistics a table subset induces: what a sub-frontier's plans and
+/// costs depend on, independent of where the subset sits in its query.
+///
+/// Tables are relabeled to local indices `0..k` in ascending position
+/// order. The warm-state keys hash these values, and a sub-frontier blob
+/// carries them as its import guard, so all of them read this one
+/// definition.
+#[derive(Clone, Debug, PartialEq)]
+pub struct InducedStats {
+    /// `(cardinality, row width, filter selectivity)` per table, in local
+    /// index order.
+    pub tables: Vec<(u64, u32, f64)>,
+    /// The join edges inside the subset as `(local left, local right,
+    /// selectivity bits)`, sorted.
+    pub edges: Vec<(u8, u8, u64)>,
+}
+
 /// A query ready for optimization: join graph plus catalog.
 ///
 /// Cardinality estimation follows the classical System-R model: the
@@ -86,6 +103,29 @@ impl QuerySpec {
             }
         }
         card.max(1.0)
+    }
+
+    /// The statistics the subset `tables` induces (see [`InducedStats`]).
+    pub fn induced_stats(&self, tables: TableSet) -> InducedStats {
+        let g = &self.graph;
+        let mut local = vec![u8::MAX; g.n_tables()];
+        let mut stats = Vec::with_capacity(tables.len());
+        for (k, pos) in tables.iter().enumerate() {
+            local[pos] = k as u8;
+            let t = self.catalog.table(g.tables[pos]);
+            stats.push((t.cardinality, t.row_width, g.filters[pos]));
+        }
+        let mut edges: Vec<(u8, u8, u64)> = g
+            .edges
+            .iter()
+            .filter(|e| tables.contains(e.left) && tables.contains(e.right))
+            .map(|e| (local[e.left], local[e.right], e.selectivity.to_bits()))
+            .collect();
+        edges.sort_unstable();
+        InducedStats {
+            tables: stats,
+            edges,
+        }
     }
 
     /// True if joining `a` and `b` would be a cross product.

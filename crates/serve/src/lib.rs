@@ -7,13 +7,14 @@
 //! [`SessionRequest`] / [`SessionCommand`] / [`SessionEvent`] types that
 //! drive a bare `moqo_core::Session` drive the whole front:
 //!
-//! * [`ShardedEngine`] — N independent [`moqo_engine::SessionManager`]
-//!   shards behind a [`QueryFingerprint`]-hash router. Repeats and
-//!   same-shape queries land on the shard whose `FrontierCache` /
-//!   `PlanCache` is already warm; cold queries may divert to the
-//!   least-loaded shard when their home is overloaded. Fingerprints
-//!   embed the effective cost-model identity, so per-session model
-//!   overrides route (and warm) independently.
+//! * [`ShardedEngine`] — N [`moqo_engine::SessionManager`] shards behind
+//!   a [`QueryFingerprint`]-hash router, sharing one
+//!   [`moqo_engine::WarmStore`] of parked frontiers and sub-frontier
+//!   blobs. A repeat finds its frontier whichever shard ran it, and goes
+//!   home, where that shard's `PlanCache` already holds its shape; cold
+//!   queries may divert to the least-loaded shard when their home is
+//!   overloaded. Fingerprints embed the effective cost-model identity, so
+//!   per-session model overrides warm independently.
 //! * [`AdmissionController`] — bounded intake with pluggable overload
 //!   policy: [`Reject`](AdmissionPolicy::Reject) (pure backpressure),
 //!   [`Queue`](AdmissionPolicy::Queue) (bounded FIFO, never unbounded

@@ -1410,7 +1410,7 @@ impl NetClient {
     }
 
     /// Pushes self-validating `export_frontier` bytes onto the server to
-    /// be parked at their home shard (control request; only valid before
+    /// be parked in its warm store (control request; only valid before
     /// [`NetClient::submit`]). Returns the admitted fingerprint the
     /// server recomputed from the decoded spec, or `Ok(None)` when the
     /// push was refused by validation.

@@ -1,6 +1,6 @@
 //! Durable warm state: snapshot/restore of parked frontiers.
 //!
-//! The frontier caches are the serving front's accumulated capital — each
+//! The warm store is the serving front's accumulated capital — each
 //! parked optimizer represents a full refinement ladder someone already
 //! paid for. [`SnapshotStore`] writes every parked optimizer to disk
 //! (one file per [`moqo_engine::QueryFingerprint`], bytes produced by
@@ -11,10 +11,9 @@
 //! Restore is tolerant by design: every file is decoded independently,
 //! and files that fail validation (truncated writes, version skew, a cost
 //! model whose metric layout changed) are skipped and reported, never
-//! trusted. Frontiers are re-parked at their fingerprint's *home* shard —
-//! placement is a pure function of `(fingerprint, shard count)`, so the
-//! router finds them even if the saving process ran with a different
-//! shard count.
+//! trusted. Frontiers are re-parked in the engine's one warm store, which
+//! every shard reads, so the shard count of the saving process does not
+//! matter.
 //!
 //! Writes go through a temp file + rename, so a crash mid-save leaves the
 //! previous snapshot generation intact rather than a half-written file.
@@ -58,7 +57,7 @@ pub struct SaveReport {
 /// What a [`SnapshotStore::restore`] brought back.
 #[derive(Clone, Debug, Default)]
 pub struct RestoreReport {
-    /// Frontiers re-parked into shard caches.
+    /// Frontiers re-parked into the warm store.
     pub restored: usize,
     /// Files skipped, with the reason (corrupt, version skew, model
     /// mismatch, unreadable).
@@ -113,18 +112,14 @@ impl SnapshotStore {
             .join(format!("{:016x}.{FRONTIER_EXT}", fp.as_u64()))
     }
 
-    /// Serializes every parked frontier of every shard to the store
-    /// directory. Live sessions are not captured — retire them first
-    /// (e.g. [`ShardedEngine::finish`]) if their state should survive.
+    /// Serializes every parked frontier to the store directory, one file
+    /// per fingerprint. Live sessions are not captured — retire them
+    /// first (e.g. [`ShardedEngine::finish`]) if their state should
+    /// survive.
     ///
-    /// A fingerprint can be parked on several shards at once (rebalanced
-    /// copies of one hot query each finished on their own shard); one
-    /// file per fingerprint is written, keeping the copy with the most
-    /// accumulated result state.
-    ///
-    /// Serialization takes each shard's state lock once **per entry**
-    /// (not across the whole pass), so a snapshot sweep interleaves with
-    /// live submissions; file IO happens with no lock held at all.
+    /// Serialization takes the warm store's lock once **per entry** (not
+    /// across the whole pass), so a snapshot sweep interleaves with live
+    /// submissions; file IO happens with no lock held at all.
     ///
     /// Fingerprints whose serialized bytes match what this store last
     /// persisted (and whose file is still on disk) are counted in
@@ -132,29 +127,18 @@ impl SnapshotStore {
     /// sweeps over an idle cache do no IO.
     pub fn save(&self, engine: &ShardedEngine) -> io::Result<SaveReport> {
         fs::create_dir_all(&self.dir)?;
-        let exported =
-            engine.map_parked(|fp, opt| (fp, opt.stats().result_insertions, opt.export_frontier()));
-        let mut blobs: HashMap<u64, (QueryFingerprint, u64, Vec<u8>)> = HashMap::new();
-        for (fp, warmth, bytes) in exported {
-            match blobs.entry(fp.as_u64()) {
-                std::collections::hash_map::Entry::Occupied(mut e) if e.get().1 < warmth => {
-                    e.insert((fp, warmth, bytes));
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((fp, warmth, bytes));
-                }
-                _ => {}
-            }
-        }
+        let exported = engine
+            .store()
+            .map_parked(|fp, opt| (fp, opt.export_frontier()));
         let mut report = SaveReport::default();
         // Skip decisions happen under the dirty-map lock; the lock drops
         // before any file is written, so concurrent sweeps over one
         // store serialize only the (cheap) hash comparison, not the IO.
         let dirty: Vec<(QueryFingerprint, u64, Vec<u8>)> = {
             let persisted = self.persisted.lock().expect("snapshot dirty map poisoned");
-            blobs
-                .into_values()
-                .filter_map(|(fp, _, bytes)| {
+            exported
+                .into_iter()
+                .filter_map(|(fp, bytes)| {
                     let hash = content_hash(&bytes);
                     if persisted.get(&fp.as_u64()) == Some(&hash) && self.file_for(fp).exists() {
                         report.unchanged += 1;
@@ -194,8 +178,8 @@ impl SnapshotStore {
 
     /// Restores the single snapshot file for `fp` — if present, valid,
     /// and actually describing `fp` (the fingerprint is recomputed from
-    /// the decoded spec; a mis-named file is refused) — re-parks it at
-    /// the fingerprint's home shard, and returns the raw bytes.
+    /// the decoded spec; a mis-named file is refused) — re-parks it in the
+    /// warm store, and returns the raw bytes.
     ///
     /// This is the fleet adopt-after-death hook: when placement moves a
     /// fingerprint to a new home node, that node pulls the dead home's
@@ -216,8 +200,8 @@ impl SnapshotStore {
         Some(bytes)
     }
 
-    /// Decodes every snapshot file and re-parks the frontiers in their
-    /// home shards. Individual bad files are skipped (reported in the
+    /// Decodes every snapshot file and re-parks the frontiers in the warm
+    /// store. Individual bad files are skipped (reported in the
     /// result); only directory-level IO fails the whole restore. A
     /// missing directory restores nothing.
     pub fn restore(&self, engine: &ShardedEngine) -> io::Result<RestoreReport> {
@@ -266,7 +250,7 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardConfig;
+    use crate::shard::{RouteDecision, ShardConfig};
     use moqo_cost::ResolutionSchedule;
     use moqo_costmodel::StandardCostModel;
     use moqo_engine::EngineConfig;
@@ -325,10 +309,11 @@ mod tests {
         for spec in &specs {
             let fp = e.fingerprint(spec);
             assert!(e.has_parked(fp));
-            // Restored frontiers live at the fingerprint's home shard.
-            assert_eq!(e.home_shard(fp), e.route(fp).0);
+            // Restored frontiers live in the shared store; the repeat
+            // goes home and resumes there.
             let (gid, decision) = e.submit(spec.clone());
-            assert!(decision.is_warm());
+            assert_eq!(decision, RouteDecision::WarmHome);
+            assert_eq!(gid.shard, e.home_shard(fp));
             assert!(e.wait_idle(IDLE));
             let s = e.status(gid).unwrap();
             assert!(s.warm_start, "{}", spec.name);
@@ -354,8 +339,8 @@ mod tests {
             e.finish(gid).unwrap();
             store.save(&e).unwrap();
         }
-        // Restore into an 8-shard engine: the frontier re-parks at the
-        // *new* home, so routing still finds it.
+        // Restore into an 8-shard engine: every shard reads the one
+        // store, so the shard count of the saver does not matter.
         let e = engine(8);
         assert_eq!(store.restore(&e).unwrap().restored, 1);
         let (gid, decision) = e.submit(spec);
@@ -518,6 +503,38 @@ mod tests {
         let s = e.status(gid).unwrap();
         assert!(s.rebased, "{s:?}");
         assert!(!s.frontier.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_fingerprint_on_two_shards_saves_one_file() {
+        // Two concurrent sessions of one query on two shards (the second
+        // diverted by a headroom of 1) park into one store entry, so the
+        // sweep has exactly one frontier to write.
+        let dir = temp_dir("twins");
+        let store = SnapshotStore::new(&dir);
+        let e = ShardedEngine::new(
+            Arc::new(StandardCostModel::paper_metrics()),
+            ResolutionSchedule::linear(2, 1.1, 0.4),
+            ShardConfig {
+                shards: 2,
+                engine: EngineConfig {
+                    workers: 1,
+                    ..EngineConfig::default()
+                },
+                rebalance_headroom: 1,
+            },
+        );
+        let spec = Arc::new(testkit::chain_query(3, 61_000));
+        let (a, _) = e.submit(spec.clone());
+        let (b, _) = e.submit(spec);
+        assert_ne!(a.shard, b.shard);
+        assert!(e.wait_idle(IDLE));
+        e.finish(a).unwrap();
+        e.finish(b).unwrap();
+        let saved = store.save(&e).unwrap();
+        assert_eq!((saved.written, saved.unchanged), (1, 0));
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,29 +1,26 @@
-//! Fingerprint-sharded session placement.
+//! Fingerprint-sharded session placement over one warm store.
 //!
 //! One [`SessionManager`] saturates at some number of concurrent sessions:
 //! every submission, event, and slice check-in crosses its single state
-//! lock, and its `FrontierCache` / `PlanCache` warm exactly the queries it
-//! has seen. [`ShardedEngine`] runs N independent managers and routes each
-//! submission by its [`QueryFingerprint`] hash, so
+//! lock. [`ShardedEngine`] runs N managers and routes each submission by
+//! its [`QueryFingerprint`] hash, so session lock traffic divides by N.
 //!
-//! * lock traffic divides by N — shards never share state;
-//! * a *repeated* query deterministically lands on the shard whose
-//!   frontier cache already parks its optimizer (a warm hit generates
-//!   zero plans on the first invocation);
-//! * *structurally similar* queries land on the shard whose plan cache
-//!   already holds their enumeration plane (fingerprints embed the shape,
-//!   so equal shapes with equal statistics hash together; equal shapes
-//!   with different statistics spread, which is what per-shard plan
-//!   caches tolerate well — plans are cheap to share, frontiers are not).
+//! Warm state is not sharded. All shards park into and warm-start from
+//! one [`WarmStore`] — the parked optimizers with their rebase index, and
+//! the sub-frontier blobs — because in the paper incremental state
+//! belongs to a query, not to a worker. A fingerprint is parked at most
+//! once in the whole deployment, and a repeat finds its frontier whatever
+//! shard ran it last. Only the enumeration-plan caches stay per shard:
+//! plans are cheap to rebuild, and equal shapes with equal statistics
+//! hash to the same shard anyway.
 //!
-//! The router is **warmth-aware and rebalance-aware**: a fingerprint whose
-//! home shard parks its frontier always goes home (moving it would forfeit
-//! the warm state), while a *cold* fingerprint may be diverted to the
-//! least-loaded shard when its home shard is overloaded by more than
-//! [`ShardConfig::rebalance_headroom`] sessions. Home placement is a pure
-//! function of fingerprint and shard count, so two engines with equal
-//! shard counts agree on every home — the property that lets a restarted
-//! process re-park restored frontiers where future submissions will look.
+//! Routing homes a fingerprint at `fp % shards`. Homing spreads load
+//! without reading every shard's load, and it keeps a query's repeats on
+//! one shard's plan cache. Warm and rebase submissions always go home;
+//! their warmth is one probe of the store. A *cold* submission may be
+//! diverted to the least-loaded shard when its home is overloaded by more
+//! than [`ShardConfig::rebalance_headroom`] sessions — it forfeits
+//! nothing, and the frontier it parks is found by its next repeat at home.
 
 use moqo_core::protocol::{ProtocolError, SessionCommand, SessionEvent, SessionRequest};
 use moqo_core::{FrontierSnapshot, IamaOptimizer};
@@ -31,7 +28,7 @@ use moqo_cost::{Bounds, ResolutionSchedule};
 use moqo_costmodel::{CostModel, SharedCostModel};
 use moqo_engine::{
     CacheStats, EngineConfig, PlanCacheStats, QueryFingerprint, RebaseKey, SessionId,
-    SessionManager, SessionStatus, SubFrontierCache, SubFrontierCacheStats,
+    SessionManager, SessionStatus, SubFrontierCache, SubFrontierCacheStats, WarmStore, Warmth,
 };
 use moqo_query::QuerySpec;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,10 +38,11 @@ use std::time::{Duration, Instant};
 /// Tunables of the sharded serving front.
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
-    /// Number of independent [`SessionManager`] shards. At least 1.
+    /// Number of [`SessionManager`] shards. At least 1.
     pub shards: usize,
     /// Engine configuration applied to every shard (worker count, cache
-    /// capacity, slice budget, ...).
+    /// capacity, ...). The shared store parks `shards × cache_capacity`
+    /// optimizers.
     pub engine: EngineConfig,
     /// How many live sessions a cold submission's home shard may exceed
     /// the least-loaded shard by before the router diverts the submission
@@ -76,30 +74,18 @@ pub struct GlobalSessionId {
 /// How the router placed a submission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RouteDecision {
-    /// Home shard, which already parks a warm frontier for the
-    /// fingerprint.
+    /// Home shard; the store parks a warm frontier for the fingerprint.
     WarmHome,
-    /// A non-home shard parks the warm frontier (a rebalanced session
-    /// finished there); the submission follows the warmth.
-    WarmRemote {
-        /// The fingerprint's hash-home that was bypassed.
-        home: usize,
-    },
-    /// Home shard, which parks no exact frontier but a **rebase donor**:
-    /// a frontier of the same shape under drifted catalog cardinalities
-    /// (see [`moqo_engine::RebaseKey`]). The session starts from the
-    /// donor's plans re-admitted as level-0 candidates.
+    /// Home shard; the store parks no exact frontier but a **rebase
+    /// donor**: a frontier of the same shape under drifted catalog
+    /// cardinalities (see [`moqo_engine::RebaseKey`]). The session starts
+    /// from the donor's plans re-admitted as level-0 candidates.
     RebaseHome,
-    /// A non-home shard parks a rebase donor for the fingerprint's shape;
-    /// the submission follows it.
-    RebaseRemote {
-        /// The fingerprint's hash-home that was bypassed.
-        home: usize,
-    },
     /// Home shard, cold (first sight of the fingerprint, or its frontier
     /// was evicted).
     ColdHome,
-    /// Diverted from the overloaded home shard to the least-loaded one.
+    /// Cold, and diverted from the overloaded home shard to the
+    /// least-loaded one.
     Rebalanced {
         /// The home shard the submission was diverted away from.
         from: usize,
@@ -107,22 +93,16 @@ pub enum RouteDecision {
 }
 
 impl RouteDecision {
-    /// True if the decision targets a shard already parking the
-    /// fingerprint's frontier.
+    /// True if the store parked the fingerprint's frontier at routing
+    /// time.
     pub fn is_warm(self) -> bool {
-        matches!(
-            self,
-            RouteDecision::WarmHome | RouteDecision::WarmRemote { .. }
-        )
+        self == RouteDecision::WarmHome
     }
 
-    /// True if the decision targets a shard parking a rebase donor of the
-    /// fingerprint's shape (warm start under drifted statistics).
+    /// True if the store parked a rebase donor of the fingerprint's shape
+    /// at routing time (warm start under drifted statistics).
     pub fn is_rebase(self) -> bool {
-        matches!(
-            self,
-            RouteDecision::RebaseHome | RouteDecision::RebaseRemote { .. }
-        )
+        self == RouteDecision::RebaseHome
     }
 }
 
@@ -133,9 +113,12 @@ pub struct ShardStats {
     pub shard: usize,
     /// Admitted, not-yet-finished sessions.
     pub live: usize,
-    /// Warm-frontier cache counters.
+    /// This shard's view of the shared warm store: hits, misses and
+    /// rebase lookups count the shard's opens, evictions count those its
+    /// parks caused, and `entries` is the **whole store's** count, the
+    /// same on every shard.
     pub cache: CacheStats,
-    /// Shared enumeration-plan cache counters.
+    /// The shard's enumeration-plan cache counters.
     pub plans: PlanCacheStats,
     /// Submissions routed here warm (frontier already parked).
     pub warm_routed: u64,
@@ -156,11 +139,12 @@ struct RouteCounters {
     rebalanced_in: AtomicU64,
 }
 
-/// N independent [`SessionManager`]s behind a fingerprint-hash router; see
-/// the module docs for the placement policy.
+/// N [`SessionManager`]s sharing one [`WarmStore`] behind a
+/// fingerprint-hash router; see the module docs for the placement policy.
 pub struct ShardedEngine {
     shards: Vec<SessionManager>,
     counters: Vec<RouteCounters>,
+    store: Arc<WarmStore>,
     model: SharedCostModel,
     schedule: ResolutionSchedule,
     rebalance_headroom: usize,
@@ -168,27 +152,28 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Starts `config.shards` managers, each with its own worker pool and
-    /// caches.
+    /// plan cache, over one warm store of `shards × cache_capacity`
+    /// parked optimizers.
     pub fn new(model: SharedCostModel, schedule: ResolutionSchedule, config: ShardConfig) -> Self {
         let n = config.shards.max(1);
-        // One sub-frontier cache spans all shards: exported sub-frontiers
-        // are position- and query-independent immutable blobs, so unlike
-        // parked optimizers they are safe (and profitable) to share —
-        // a subset harvested on shard 0 seeds a similar query on shard 3.
-        let subfrontiers = Arc::new(SubFrontierCache::default());
+        let store = Arc::new(WarmStore::new(
+            n * config.engine.cache_capacity,
+            SubFrontierCache::default(),
+        ));
         let shards = (0..n)
             .map(|_| {
-                SessionManager::with_subfrontiers(
+                SessionManager::with_store(
                     model.clone(),
                     schedule.clone(),
                     config.engine.clone(),
-                    Arc::clone(&subfrontiers),
+                    Arc::clone(&store),
                 )
             })
             .collect();
         Self {
             shards,
             counters: (0..n).map(|_| RouteCounters::default()).collect(),
+            store,
             model,
             schedule,
             rebalance_headroom: config.rebalance_headroom,
@@ -210,6 +195,11 @@ impl ShardedEngine {
         &self.schedule
     }
 
+    /// The deployment's one warm store, shared by every shard.
+    pub fn store(&self) -> &WarmStore {
+        &self.store
+    }
+
     /// Canonical fingerprint of a query under this engine's default cost
     /// model — the routing and cache key. Requests with a per-session
     /// model override route under [`ShardedEngine::fingerprint_of`]
@@ -226,60 +216,21 @@ impl ShardedEngine {
     }
 
     /// The deterministic home shard of a fingerprint: a pure function of
-    /// `(fingerprint, shard count)`, identical across engine instances —
-    /// restored frontiers parked at home are found by later submissions.
+    /// `(fingerprint, shard count)`, identical across engine instances.
     pub fn home_shard(&self, fp: QueryFingerprint) -> usize {
         (fp.as_u64() % self.shards.len() as u64) as usize
     }
 
-    /// Routes a fingerprint: to parked warmth wherever it lives (home
-    /// first), otherwise home — unless home is overloaded and the
-    /// fingerprint is cold (nothing warm to forfeit), in which case the
-    /// least-loaded shard takes it. Routing without a [`RebaseKey`] skips
-    /// the rebase-donor tier; [`ShardedEngine::route_with_rebase`] is the
-    /// full policy.
-    pub fn route(&self, fp: QueryFingerprint) -> (usize, RouteDecision) {
-        self.route_inner(fp, None)
-    }
-
     /// Routes a fingerprint with its cardinality-blind [`RebaseKey`]:
-    /// exact warmth wherever it lives (home first), then a **rebase
-    /// donor** — a parked frontier of the same shape under drifted
-    /// cardinalities — wherever one is parked (home first), then home,
-    /// unless home is overloaded, in which case the least-loaded shard
-    /// takes the cold submission.
-    pub fn route_with_rebase(
-        &self,
-        fp: QueryFingerprint,
-        rebase: RebaseKey,
-    ) -> (usize, RouteDecision) {
-        self.route_inner(fp, Some(rebase))
-    }
-
-    fn route_inner(
-        &self,
-        fp: QueryFingerprint,
-        rebase: Option<RebaseKey>,
-    ) -> (usize, RouteDecision) {
+    /// home, warm or rebase as the store's one probe finds it — unless it
+    /// is cold and home is overloaded, in which case the least-loaded
+    /// shard takes it.
+    pub fn route(&self, fp: QueryFingerprint, rebase: RebaseKey) -> (usize, RouteDecision) {
         let home = self.home_shard(fp);
-        if self.shards[home].has_parked(fp) {
-            return (home, RouteDecision::WarmHome);
-        }
-        // A rebalanced session parks its frontier where it ran; follow it
-        // rather than rebuilding from scratch at home.
-        if let Some(remote) = self.shards.iter().position(|s| s.has_parked(fp)) {
-            return (remote, RouteDecision::WarmRemote { home });
-        }
-        // No exact frontier anywhere: a shard parking a same-shape
-        // frontier under drifted cardinalities still beats a cold start —
-        // the manager rebases the donor's plans into the new session.
-        if let Some(key) = rebase {
-            if self.shards[home].has_rebase_donor(key) {
-                return (home, RouteDecision::RebaseHome);
-            }
-            if let Some(remote) = self.shards.iter().position(|s| s.has_rebase_donor(key)) {
-                return (remote, RouteDecision::RebaseRemote { home });
-            }
+        match self.store.warmth(fp, rebase) {
+            Warmth::Parked => return (home, RouteDecision::WarmHome),
+            Warmth::RebaseDonor => return (home, RouteDecision::RebaseHome),
+            Warmth::Cold => {}
         }
         if self.rebalance_headroom > 0 {
             let home_load = self.shards[home].live_sessions();
@@ -314,16 +265,11 @@ impl ShardedEngine {
         let model = request.effective_model(&self.model);
         request.validate(model.dim())?;
         let fp = self.fingerprint_of(&request);
-        let rebase = RebaseKey::of(&request.spec, &model);
-        let (shard, decision) = self.route_with_rebase(fp, rebase);
+        let (shard, decision) = self.route(fp, RebaseKey::of(&request.spec, &model));
         let counter = &self.counters[shard];
         match decision {
-            RouteDecision::WarmHome | RouteDecision::WarmRemote { .. } => {
-                counter.warm.fetch_add(1, Ordering::Relaxed)
-            }
-            RouteDecision::RebaseHome | RouteDecision::RebaseRemote { .. } => {
-                counter.rebase.fetch_add(1, Ordering::Relaxed)
-            }
+            RouteDecision::WarmHome => counter.warm.fetch_add(1, Ordering::Relaxed),
+            RouteDecision::RebaseHome => counter.rebase.fetch_add(1, Ordering::Relaxed),
             RouteDecision::ColdHome => counter.cold.fetch_add(1, Ordering::Relaxed),
             RouteDecision::Rebalanced { .. } => {
                 counter.rebalanced_in.fetch_add(1, Ordering::Relaxed)
@@ -364,8 +310,7 @@ impl ShardedEngine {
         self.shard(id)?.watch(id.local)
     }
 
-    /// Retires a session, parking its optimizer in its shard's frontier
-    /// cache.
+    /// Retires a session, parking its optimizer in the warm store.
     pub fn finish(&self, id: GlobalSessionId) -> Option<SessionStatus> {
         self.shard(id)?.finish(id.local)
     }
@@ -417,60 +362,29 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Effectiveness counters of the deployment-wide sub-frontier cache
-    /// (one instance shared by every shard).
+    /// Effectiveness counters of the deployment-wide sub-frontier cache.
     pub fn subfrontier_stats(&self) -> SubFrontierCacheStats {
-        self.shards[0].subfrontier_stats()
+        self.store.subfrontiers().stats()
     }
 
-    /// Parks an optimizer in its fingerprint's *home* shard cache — the
-    /// restore hook: future submissions of the fingerprint route home and
-    /// start warm.
+    /// Parks an optimizer in the warm store — the restore hook: future
+    /// submissions of the fingerprint start warm on whichever shard they
+    /// run.
     pub fn park(&self, fp: QueryFingerprint, optimizer: IamaOptimizer) {
-        self.shards[self.home_shard(fp)].park(fp, optimizer);
+        self.store.park(fp, optimizer, None);
     }
 
-    /// True if some shard parks a warm frontier for `fp`.
+    /// True if the store parks a warm frontier for `fp`.
     pub fn has_parked(&self, fp: QueryFingerprint) -> bool {
-        self.shards.iter().any(|s| s.has_parked(fp))
+        self.store.contains(fp)
     }
 
-    /// Visits every parked optimizer of every shard (persistence export).
-    /// Each shard's state lock is held while its entries are visited; for
-    /// expensive per-entry work prefer [`ShardedEngine::map_parked`].
-    pub fn for_each_parked(&self, mut f: impl FnMut(QueryFingerprint, &IamaOptimizer)) {
-        for shard in &self.shards {
-            shard.for_each_parked(&mut f);
-        }
-    }
-
-    /// Maps `f` over every parked optimizer of every shard, taking each
-    /// shard's state lock **once per entry** instead of across the whole
-    /// pass — a long serialization sweep interleaves with submissions
-    /// and worker check-ins rather than stalling them. Entries taken by
-    /// a racing warm submission between the fingerprint snapshot and
-    /// their visit are skipped (they are live again, not parked).
-    pub fn map_parked<R>(
-        &self,
-        mut f: impl FnMut(QueryFingerprint, &IamaOptimizer) -> R,
-    ) -> Vec<R> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for fp in shard.parked_fingerprints() {
-                if let Some(r) = shard.with_parked(fp, |opt| f(fp, opt)) {
-                    out.push(r);
-                }
-            }
-        }
-        out
-    }
-
-    /// Serializes one parked optimizer (whichever shard holds it) as
-    /// self-validating `export_frontier` bytes; `None` when no shard
-    /// parks `fp`. The warm-state hand-off hook behind the network
-    /// front's frontier-pull endpoint.
+    /// Serializes one parked optimizer as self-validating
+    /// `export_frontier` bytes; `None` when nothing is parked for `fp`.
+    /// The warm-state hand-off hook behind the network front's
+    /// frontier-pull endpoint.
     pub fn export_parked(&self, fp: QueryFingerprint) -> Option<Vec<u8>> {
-        self.shards.iter().find_map(|s| s.export_parked(fp))
+        self.store.with_parked(fp, |opt| opt.export_frontier())
     }
 
     /// Unbounded initial bounds under the engine's cost model.
@@ -482,8 +396,13 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moqo_costmodel::StandardCostModel;
+    use moqo_cost::CostVector;
+    use moqo_costmodel::{PlanInput, StandardCostModel};
+    use moqo_plan::{Operator, PhysicalProps};
     use moqo_query::testkit;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Condvar, Mutex};
+    use std::thread;
 
     const IDLE: Duration = Duration::from_secs(60);
 
@@ -539,7 +458,7 @@ mod tests {
     #[test]
     fn overloaded_home_diverts_cold_queries_only() {
         // headroom 3: pile sessions onto one shard's hash bucket until a
-        // cold stranger diverts, then verify a warm repeat does not.
+        // cold stranger diverts, then verify its warm repeat goes home.
         let e = ShardedEngine::new(
             Arc::new(StandardCostModel::paper_metrics()),
             ResolutionSchedule::linear(2, 1.1, 0.4),
@@ -580,17 +499,17 @@ mod tests {
             }
         }
         assert!(e.wait_idle(IDLE));
-        // The diverted session finishes and parks its frontier on shard 1
-        // (where it ran). A repeat of the fingerprint must follow that
-        // warmth instead of rebuilding cold at its hash-home.
+        // The diverted session finishes on shard 1 and parks its frontier
+        // in the shared store. Its repeat goes home to the still
+        // overloaded shard 0 (warm submissions never divert) and resumes
+        // that frontier there.
         let (spec, gid) = diverted.unwrap();
         let fp = e.fingerprint(&spec);
         e.finish(gid).unwrap();
-        assert!(e.shards[1].has_parked(fp));
+        assert!(e.has_parked(fp));
         let (gid2, d2) = e.submit(spec);
-        assert_eq!(d2, RouteDecision::WarmRemote { home: 0 });
-        assert!(d2.is_warm());
-        assert_eq!(gid2.shard, 1);
+        assert_eq!(d2, RouteDecision::WarmHome);
+        assert_eq!(gid2.shard, 0);
         assert!(e.wait_idle(IDLE));
         let s = e.status(gid2).unwrap();
         assert!(s.warm_start);
@@ -606,13 +525,14 @@ mod tests {
         assert!(e.wait_idle(IDLE));
         e.finish(gid).unwrap();
 
-        // A stats-refresh twin: exact fingerprint misses (it may even home
-        // on a different shard), but the router finds the parked donor by
-        // its cardinality-blind key and sends the session there.
+        // A stats-refresh twin: the exact fingerprint misses, but the
+        // store's probe finds the parked donor by its cardinality-blind
+        // key. The twin goes to its own home, which reads the same store.
         let drifted = Arc::new(testkit::drift_cardinalities(&spec, 1.08));
+        let twin_home = e.home_shard(e.fingerprint(&drifted));
         let (gid2, d2) = e.submit(drifted);
-        assert!(d2.is_rebase(), "expected a rebase route, got {d2:?}");
-        assert_eq!(gid2.shard, gid.shard, "must follow the donor's shard");
+        assert_eq!(d2, RouteDecision::RebaseHome);
+        assert_eq!(gid2.shard, twin_home);
         assert!(e.wait_idle(IDLE));
         let s = e.status(gid2).unwrap();
         assert!(s.rebased, "routed to the donor but did not rebase: {s:?}");
@@ -647,5 +567,246 @@ mod tests {
             "shared subchains must transplant across shards: {s:?}"
         );
         assert!(e.subfrontier_stats().hits > 0);
+    }
+
+    #[test]
+    fn one_fingerprint_on_two_shards_parks_once() {
+        // headroom 1: the second concurrent submission of one cold
+        // fingerprint diverts away from its busy home, so two sessions of
+        // the same query run on two shards at once.
+        let e = ShardedEngine::new(
+            Arc::new(StandardCostModel::paper_metrics()),
+            ResolutionSchedule::linear(2, 1.1, 0.4),
+            ShardConfig {
+                shards: 2,
+                engine: EngineConfig {
+                    workers: 1,
+                    ..EngineConfig::default()
+                },
+                rebalance_headroom: 1,
+            },
+        );
+        let spec = Arc::new(testkit::chain_query(3, 66_000));
+        let (a, da) = e.submit(spec.clone());
+        let (b, db) = e.submit(spec.clone());
+        assert_eq!(da, RouteDecision::ColdHome);
+        assert!(matches!(db, RouteDecision::Rebalanced { .. }), "{db:?}");
+        assert_ne!(a.shard, b.shard);
+        assert!(e.wait_idle(IDLE));
+        e.finish(a).unwrap();
+        e.finish(b).unwrap();
+        assert_eq!(e.store().entries(), 1);
+        for shard in e.shard_stats() {
+            assert_eq!(shard.cache.entries, 1, "entries is the store's total");
+        }
+        assert!(e.has_parked(e.fingerprint(&spec)));
+    }
+
+    #[test]
+    fn shards_pool_their_cache_capacity() {
+        // 2 shards × capacity 2: four fingerprints stay parked wherever
+        // they homed, and a fifth evicts the least recently parked.
+        let e = ShardedEngine::new(
+            Arc::new(StandardCostModel::paper_metrics()),
+            ResolutionSchedule::linear(2, 1.1, 0.4),
+            ShardConfig {
+                shards: 2,
+                engine: EngineConfig {
+                    workers: 1,
+                    cache_capacity: 2,
+                },
+                rebalance_headroom: 0,
+            },
+        );
+        let specs: Vec<Arc<QuerySpec>> = (0..5)
+            .map(|i| Arc::new(testkit::chain_query(3, 50_000 + 1_000 * i)))
+            .collect();
+        let fps: Vec<QueryFingerprint> = specs.iter().map(|s| e.fingerprint(s)).collect();
+        for (n, spec) in specs.iter().enumerate() {
+            let (gid, _) = e.submit(spec.clone());
+            assert!(e.wait_idle(IDLE));
+            e.finish(gid).unwrap();
+            let parked = fps[..=n].iter().filter(|&&fp| e.has_parked(fp)).count();
+            assert_eq!(parked, (n + 1).min(4), "after {} parks", n + 1);
+        }
+        assert!(!e.has_parked(fps[0]), "the least recently parked goes");
+        assert!(fps[1..].iter().all(|&fp| e.has_parked(fp)));
+        let stats = e.shard_stats();
+        assert_eq!(stats.iter().map(|s| s.cache.evictions).sum::<u64>(), 1);
+        assert_eq!(stats[e.home_shard(fps[4])].cache.evictions, 1);
+    }
+
+    /// The name of the thread whose seed replay [`GatedModel`] blocks.
+    const REPLAY: &str = "rebase-replay";
+
+    /// Holds the [`REPLAY`] thread inside `join_alternatives` while armed.
+    #[derive(Default)]
+    struct Gate {
+        armed: AtomicBool,
+        /// (a replay is blocked at the gate, the gate was released)
+        state: Mutex<(bool, bool)>,
+        changed: Condvar,
+    }
+
+    impl Gate {
+        fn pass(&self) {
+            if !self.armed.load(Ordering::SeqCst) || thread::current().name() != Some(REPLAY) {
+                return;
+            }
+            let mut state = self.state.lock().unwrap();
+            state.0 = true;
+            self.changed.notify_all();
+            while !state.1 {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+
+        fn wait_blocked(&self) -> bool {
+            let state = self.state.lock().unwrap();
+            let (state, _) = self
+                .changed
+                .wait_timeout_while(state, IDLE, |s| !s.0)
+                .unwrap();
+            state.0
+        }
+
+        fn release(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    /// Releases the gate when dropped, so a failing assert cannot leave
+    /// the replay thread parked forever.
+    struct Release(Arc<Gate>);
+
+    impl Drop for Release {
+        fn drop(&mut self) {
+            self.0.release();
+        }
+    }
+
+    /// The standard model, costing joins only once the gate lets the
+    /// calling thread pass.
+    struct GatedModel {
+        inner: StandardCostModel,
+        gate: Arc<Gate>,
+    }
+
+    impl CostModel for GatedModel {
+        fn metrics(&self) -> &moqo_costmodel::MetricSet {
+            self.inner.metrics()
+        }
+
+        fn identity(&self) -> u64 {
+            self.inner.identity()
+        }
+
+        fn scan_alternatives(
+            &self,
+            spec: &QuerySpec,
+            position: usize,
+        ) -> Vec<(Operator, CostVector, PhysicalProps)> {
+            self.inner.scan_alternatives(spec, position)
+        }
+
+        fn join_alternatives(
+            &self,
+            spec: &QuerySpec,
+            left: &PlanInput,
+            right: &PlanInput,
+        ) -> Vec<(Operator, CostVector, PhysicalProps)> {
+            self.gate.pass();
+            self.inner.join_alternatives(spec, left, right)
+        }
+    }
+
+    /// Runs `f` on its own thread and fails unless it returns within 5 s.
+    fn within_5s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{what} blocked behind a seed replay"))
+    }
+
+    #[test]
+    fn seed_replay_runs_with_no_engine_or_store_lock_held() {
+        let gate = Arc::new(Gate::default());
+        let _release = Release(Arc::clone(&gate));
+        let model = GatedModel {
+            inner: StandardCostModel::paper_metrics(),
+            gate: Arc::clone(&gate),
+        };
+        let e = Arc::new(ShardedEngine::new(
+            Arc::new(model),
+            ResolutionSchedule::linear(2, 1.1, 0.4),
+            ShardConfig {
+                shards: 2,
+                engine: EngineConfig {
+                    workers: 1,
+                    ..EngineConfig::default()
+                },
+                rebalance_headroom: 0,
+            },
+        ));
+        let donor = Arc::new(testkit::chain_query(4, 90_000));
+        let (gid, _) = e.submit(donor.clone());
+        assert!(e.wait_idle(IDLE));
+        e.finish(gid).unwrap();
+        let twin = Arc::new(testkit::drift_cardinalities(&donor, 1.08));
+        let home = e.home_shard(e.fingerprint(&twin));
+        // One live session on the twin's home shard, one idle session on
+        // the other shard.
+        let mut neighbour = None;
+        let mut other = None;
+        let mut card = 20_000u64;
+        while neighbour.is_none() || other.is_none() {
+            card += 17;
+            let spec = Arc::new(testkit::chain_query(3, card));
+            let slot = if e.home_shard(e.fingerprint(&spec)) == home {
+                &mut neighbour
+            } else {
+                &mut other
+            };
+            if slot.is_none() {
+                *slot = Some(e.submit(spec).0);
+            }
+        }
+        let (neighbour, other) = (neighbour.unwrap(), other.unwrap());
+        assert!(e.wait_idle(IDLE));
+
+        gate.armed.store(true, Ordering::SeqCst);
+        let replay = {
+            let e = Arc::clone(&e);
+            thread::Builder::new()
+                .name(REPLAY.into())
+                .spawn(move || e.submit(twin))
+                .unwrap()
+        };
+        assert!(gate.wait_blocked(), "the twin never replayed its donor");
+        let live = within_5s("live_sessions", {
+            let e = Arc::clone(&e);
+            move || e.shards[home].live_sessions()
+        });
+        assert!(live >= 1);
+        let status = within_5s("status", {
+            let e = Arc::clone(&e);
+            move || e.status(neighbour)
+        });
+        assert!(status.is_some());
+        let parked = within_5s("finish", {
+            let e = Arc::clone(&e);
+            move || e.finish(other).is_some()
+        });
+        assert!(parked);
+
+        gate.release();
+        let (gid, decision) = replay.join().unwrap();
+        assert_eq!((gid.shard, decision), (home, RouteDecision::RebaseHome));
+        assert!(e.wait_idle(IDLE));
+        assert!(e.status(gid).unwrap().rebased);
+        assert!(e.has_parked(e.fingerprint(&donor)), "the donor went back");
     }
 }

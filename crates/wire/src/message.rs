@@ -36,8 +36,8 @@ pub enum ClientMessage {
         /// as its raw `u64`.
         fingerprint: u64,
     },
-    /// Push one exported frontier onto the node, to be parked at its
-    /// home shard. The bytes are validated at admission exactly like a
+    /// Push one exported frontier onto the node, to be parked in its warm
+    /// store. The bytes are validated at admission exactly like a
     /// `SnapshotStore` restore — magic, version, metric layout, and
     /// cost-model identity are all checked, never trusted — and the
     /// fingerprint is recomputed from the decoded spec, not taken from

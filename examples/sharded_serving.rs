@@ -7,9 +7,9 @@
 //!
 //! The demo exercises the three serving-front guarantees end to end:
 //!
-//! (a) **warm-shard routing** — a repeated fingerprint routes to the shard
-//!     whose frontier cache parks its optimizer and reports a cache hit
-//!     (first invocation generates zero plans);
+//! (a) **warm routing** — a repeated fingerprint routes home, resumes the
+//!     optimizer parked in the shards' shared warm store, and reports a
+//!     cache hit (first invocation generates zero plans);
 //! (b) **backpressure** — submissions beyond the admission bound are
 //!     degraded (coarser resolution ladder) or rejected, never queued
 //!     without bound;
@@ -53,7 +53,7 @@ fn server(snapshot_tag: &str) -> (MoqoServer, SnapshotStore) {
 }
 
 /// A skewed template workload: a few hot query shapes dominate, the tail
-/// is ad hoc — the distribution shard-local caches thrive on.
+/// is ad hoc — the distribution warm caches thrive on.
 fn workload() -> Vec<Arc<QuerySpec>> {
     let mut templates: Vec<Arc<QuerySpec>> = Vec::new();
     for name in ["q03", "q05", "q07", "q09"] {
@@ -149,14 +149,14 @@ fn main() {
     }
     println!("{}", table.render());
 
-    // --- Phase 2: retire everything; frontiers park per shard. ---
+    // --- Phase 2: retire everything; frontiers park in the shared store. ---
     for &t in &tickets {
         let _ = srv.finish(t);
     }
     assert_eq!(srv.stats().live, 0);
 
-    // (a) warm-shard routing: a repeat of a hot template routes to the
-    // shard holding its parked frontier and generates zero plans.
+    // (a) warm routing: a repeat of a hot template routes home, resumes
+    // its parked frontier and generates zero plans.
     let hot = specs[0].clone();
     let fp = srv.engine().fingerprint(&hot);
     let home = srv.engine().home_shard(fp);
@@ -172,7 +172,7 @@ fn main() {
             ..
         } => {
             assert!(route.is_warm(), "expected warm routing, got {route:?}");
-            assert!(warm_start, "session missed its shard's cache");
+            assert!(warm_start, "session missed the warm store");
             let first = view.first_report.as_ref().expect("ran");
             assert_eq!(first.plans_generated, 0, "warm start rebuilt plans");
             println!(
