@@ -46,7 +46,7 @@ pub struct CacheStats {
     pub entries: usize,
     /// Cardinality-blind donor lookups that found a parked optimizer of
     /// the same shape under drifted statistics (see
-    /// [`FrontierCache::take_rebase_donor`]).
+    /// [`WarmStore::take_rebase_donor`]).
     pub rebase_hits: u64,
     /// Cardinality-blind donor lookups that found nothing.
     pub rebase_misses: u64,
@@ -73,7 +73,7 @@ struct Parked {
 /// exactly one session at a time, so a hit transfers ownership to the new
 /// session and the entry returns via `put` when that session ends.
 #[derive(Default)]
-pub struct FrontierCache {
+pub(crate) struct FrontierCache {
     capacity: usize,
     map: FxHashMap<QueryFingerprint, Parked>,
     /// Secondary index for stats-drift near misses: cardinality-blind key
@@ -260,15 +260,29 @@ impl WarmStore {
         self.lock().put(fp, optimizer, Some(harvest))
     }
 
-    /// See [`FrontierCache::take`].
+    /// Removes and returns the optimizer parked under `fp`, if any, with
+    /// the harvest it was parked with: a hit transfers ownership to the
+    /// new session, and the optimizer returns through
+    /// [`WarmStore::park`] when that session ends.
     pub fn take(&self, fp: QueryFingerprint) -> Option<(IamaOptimizer, Option<Harvest>)> {
         self.lock().take(fp)
     }
 
-    /// See [`FrontierCache::take_rebase_donor`]. The caller replays the
-    /// donor with no lock held and hands it back through
-    /// [`WarmStore::return_donor`]; meanwhile an exact repeat of the
-    /// donor's own fingerprint misses and starts cold.
+    /// Removes and returns the most recently parked optimizer whose
+    /// cardinality-blind key equals `key` — a **rebase donor**: same
+    /// join-graph shape, row widths, filters, selectivities, metrics and
+    /// cost-model identity, different table cardinalities — with its
+    /// fingerprint and harvest.
+    ///
+    /// The caller replays the donor with no lock held
+    /// (`IamaOptimizer::rebase_from` leaves it untouched) and hands it
+    /// back through [`WarmStore::return_donor`]. While the donor is out,
+    /// the store does not hold it: an exact repeat of the donor's own
+    /// fingerprint misses, and a **concurrent drifted twin** of the same
+    /// shape finds no donor (a rebase miss) — both start cold, even when
+    /// the router probed the store before the donor left and labelled the
+    /// submission warm or rebase. Nothing waits for a replay; the price is
+    /// a lost warm start for submissions that race one.
     pub fn take_rebase_donor(
         &self,
         key: RebaseKey,

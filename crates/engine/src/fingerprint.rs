@@ -29,7 +29,7 @@ use moqo_query::{QuerySpec, ShapeKey, TableSet};
 /// case is a warm start from an unrelated frontier — costs are recomputed
 /// per plan, never trusted across specs, so results stay correct only if
 /// the specs really were equivalent; treat the fingerprint as an equality
-/// proxy for *equivalent* specs, which is how [`crate::FrontierCache`]
+/// proxy for *equivalent* specs, which is how [`crate::WarmStore`]
 /// uses it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryFingerprint(u64);

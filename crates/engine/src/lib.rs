@@ -20,10 +20,10 @@
 //!   [identity](moqo_costmodel::CostModel::identity)), independent of
 //!   display names. Two sessions under different models can never share
 //!   warm state.
-//! * [`WarmStore`] — every warm byte of a deployment: the
-//!   [`FrontierCache`] of parked optimizers (keyed by fingerprint, with
-//!   its rebase index) and the [`SubFrontierCache`]. A standalone manager
-//!   owns a private store; the shards of a sharded deployment share one.
+//! * [`WarmStore`] — every warm byte of a deployment: the parked
+//!   optimizers (keyed by fingerprint, with their rebase index) and the
+//!   [`SubFrontierCache`]. A standalone manager owns a private store; the
+//!   shards of a sharded deployment share one.
 //!   A repeated query starts from the warm frontier: its first invocation
 //!   reports `plans_generated == 0`. Parking compacts an optimizer to the
 //!   plans a resume can reach (`IamaOptimizer::compact`).
@@ -82,7 +82,7 @@ pub mod plans;
 pub mod registry;
 pub mod subfrontier;
 
-pub use cache::{CacheStats, FrontierCache, WarmStore, Warmth};
+pub use cache::{CacheStats, WarmStore, Warmth};
 pub use fingerprint::{QueryFingerprint, RebaseKey, SubsetFingerprint};
 pub use manager::{EngineConfig, EventHook, SessionId, SessionManager, SessionStatus};
 pub use plans::{PlanCache, PlanCacheStats};

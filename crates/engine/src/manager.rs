@@ -669,22 +669,6 @@ impl SessionManager {
         self.shared.park(fp, optimizer, None);
     }
 
-    /// True if the warm store holds a parked optimizer for `fp`. Does not
-    /// count as a lookup.
-    pub fn has_parked(&self, fp: QueryFingerprint) -> bool {
-        self.shared.store.contains(fp)
-    }
-
-    /// Runs `f` over one parked optimizer under the store lock; `None` if
-    /// nothing is parked for `fp` (see [`WarmStore::with_parked`]).
-    pub fn with_parked<R>(
-        &self,
-        fp: QueryFingerprint,
-        f: impl FnOnce(&IamaOptimizer) -> R,
-    ) -> Option<R> {
-        self.shared.store.with_parked(fp, f)
-    }
-
     /// Number of admitted, not-yet-finished sessions — the load figure
     /// admission control and shard routing balance on.
     pub fn live_sessions(&self) -> usize {

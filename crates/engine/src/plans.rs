@@ -3,7 +3,7 @@
 //! An [`EnumerationPlan`] depends only on a query's join-graph *shape*
 //! (which table pairs are joined) and the cross-product policy — not on
 //! statistics, selectivities, or names. That makes it far more shareable
-//! than a parked frontier: the [`crate::FrontierCache`] requires an
+//! than a parked frontier: the [`crate::WarmStore`] resumes only an
 //! *equivalent* query (same shape **and** same statistics and metrics),
 //! while the plan cache serves every *structurally similar* query — the
 //! same dashboard template against refreshed statistics, the same TPC-H

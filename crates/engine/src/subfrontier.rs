@@ -1,7 +1,7 @@
 //! The sub-frontier cache: warm state below whole-query granularity.
 //!
-//! The [`crate::FrontierCache`] only pays off on an *exact*
-//! [`crate::QueryFingerprint`] hit, but production traffic is rarely
+//! A parked optimizer in the [`crate::WarmStore`] only pays off on an
+//! *exact* [`crate::QueryFingerprint`] hit, but production traffic is rarely
 //! byte-identical — queries share join subgraphs. The paper's incremental
 //! state is naturally per table subset (`Res^q`/`Cand^q`), so when a
 //! session parks, the engine harvests each connected subset's state as a

@@ -72,6 +72,14 @@ pub struct GlobalSessionId {
 }
 
 /// How the router placed a submission.
+///
+/// The decision records what the store's one probe found at routing time.
+/// The session's open looks again and is authoritative
+/// ([`SessionStatus::warm_start`], [`SessionStatus::rebased`]): a
+/// submission that races another open for the same parked optimizer —
+/// the donor's exact repeat or a second drifted twin while a replay has
+/// the donor out of the store (see [`WarmStore::take_rebase_donor`]) —
+/// is counted warm or rebase here but starts cold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RouteDecision {
     /// Home shard; the store parks a warm frontier for the fingerprint.
@@ -79,7 +87,9 @@ pub enum RouteDecision {
     /// Home shard; the store parks no exact frontier but a **rebase
     /// donor**: a frontier of the same shape under drifted catalog
     /// cardinalities (see [`moqo_engine::RebaseKey`]). The session starts
-    /// from the donor's plans re-admitted as level-0 candidates.
+    /// from the donor's plans re-admitted as level-0 candidates — unless
+    /// a concurrent twin's replay has taken the donor out of the store
+    /// by the time the session opens, in which case it starts cold.
     RebaseHome,
     /// Home shard, cold (first sight of the fingerprint, or its frontier
     /// was evicted).
@@ -115,8 +125,9 @@ pub struct ShardStats {
     pub live: usize,
     /// This shard's view of the shared warm store: hits, misses and
     /// rebase lookups count the shard's opens, evictions count those its
-    /// parks caused, and `entries` is the **whole store's** count, the
-    /// same on every shard.
+    /// parks caused (a frontier parked through [`ShardedEngine::park`]
+    /// parks through its home shard), and `entries` is the **whole
+    /// store's** count, the same on every shard.
     pub cache: CacheStats,
     /// The shard's enumeration-plan cache counters.
     pub plans: PlanCacheStats,
@@ -367,11 +378,12 @@ impl ShardedEngine {
         self.store.subfrontiers().stats()
     }
 
-    /// Parks an optimizer in the warm store — the restore hook: future
-    /// submissions of the fingerprint start warm on whichever shard they
-    /// run.
+    /// Parks an optimizer in the warm store through the fingerprint's
+    /// home shard, which counts any eviction the park causes — the
+    /// restore hook: future submissions of the fingerprint start warm on
+    /// whichever shard they run.
     pub fn park(&self, fp: QueryFingerprint, optimizer: IamaOptimizer) {
-        self.store.park(fp, optimizer, None);
+        self.shards[self.home_shard(fp)].park(fp, optimizer);
     }
 
     /// True if the store parks a warm frontier for `fp`.
@@ -516,14 +528,30 @@ mod tests {
         assert_eq!(s.first_report.unwrap().plans_generated, 0);
     }
 
+    /// Per shard: (hits, misses, rebase hits, rebase misses).
+    fn lookups(e: &ShardedEngine) -> Vec<(u64, u64, u64, u64)> {
+        e.shard_stats()
+            .iter()
+            .map(|s| {
+                let c = s.cache;
+                (c.hits, c.misses, c.rebase_hits, c.rebase_misses)
+            })
+            .collect()
+    }
+
     #[test]
     fn drifted_statistics_route_to_the_rebase_donor_shard() {
         let e = engine(4);
+        // The lookups each open should count on the shard it ran on.
+        let mut expected = vec![(0, 0, 0, 0); 4];
         let spec = Arc::new(testkit::chain_query(4, 90_000));
         let (gid, d) = e.submit(spec.clone());
         assert_eq!(d, RouteDecision::ColdHome);
+        expected[gid.shard].1 += 1;
+        expected[gid.shard].3 += 1;
         assert!(e.wait_idle(IDLE));
         e.finish(gid).unwrap();
+        assert_eq!(lookups(&e), expected, "the cold open misses both lookups");
 
         // A stats-refresh twin: the exact fingerprint misses, but the
         // store's probe finds the parked donor by its cardinality-blind
@@ -533,14 +561,31 @@ mod tests {
         let (gid2, d2) = e.submit(drifted);
         assert_eq!(d2, RouteDecision::RebaseHome);
         assert_eq!(gid2.shard, twin_home);
+        expected[twin_home].1 += 1;
+        expected[twin_home].2 += 1;
         assert!(e.wait_idle(IDLE));
         let s = e.status(gid2).unwrap();
         assert!(s.rebased, "routed to the donor but did not rebase: {s:?}");
         assert!(!s.frontier.is_empty());
         let stats = e.shard_stats();
         assert_eq!(stats.iter().map(|s| s.rebase_routed).sum::<u64>(), 1);
-        // The donor is still parked for exact repeats of its own stats.
-        assert!(e.has_parked(e.fingerprint(&testkit::chain_query(4, 90_000))));
+        assert_eq!(lookups(&e), expected, "the twin's open finds the donor");
+
+        // Another shape finds neither an exact frontier nor a donor.
+        let (gid3, d3) = e.submit(Arc::new(testkit::chain_query(5, 90_000)));
+        assert_eq!(d3, RouteDecision::ColdHome);
+        expected[gid3.shard].1 += 1;
+        expected[gid3.shard].3 += 1;
+        assert_eq!(lookups(&e), expected, "another shape misses both lookups");
+
+        // The donor is still parked for exact repeats of its own stats,
+        // and its repeat is an exact hit.
+        assert!(e.has_parked(e.fingerprint(&spec)));
+        let (gid4, d4) = e.submit(spec);
+        assert_eq!((gid4.shard, d4), (gid.shard, RouteDecision::WarmHome));
+        expected[gid.shard].0 += 1;
+        assert_eq!(lookups(&e), expected, "the donor's repeat hits");
+        assert!(e.wait_idle(IDLE));
     }
 
     #[test]
@@ -631,9 +676,33 @@ mod tests {
         }
         assert!(!e.has_parked(fps[0]), "the least recently parked goes");
         assert!(fps[1..].iter().all(|&fp| e.has_parked(fp)));
-        let stats = e.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.cache.evictions).sum::<u64>(), 1);
-        assert_eq!(stats[e.home_shard(fps[4])].cache.evictions, 1);
+        // Five shapes' worth of statistics (each chain's selectivity
+        // follows its cardinality): every open misses both lookups, on
+        // the shard it homed at.
+        let mut expected = vec![(0, 0, 0, 0); 2];
+        for &fp in &fps {
+            let home = &mut expected[e.home_shard(fp)];
+            home.1 += 1;
+            home.3 += 1;
+        }
+        assert_eq!(lookups(&e), expected);
+        let evictions = |e: &ShardedEngine| -> Vec<u64> {
+            e.shard_stats().iter().map(|s| s.cache.evictions).collect()
+        };
+        let mut expected = vec![0; 2];
+        expected[e.home_shard(fps[4])] += 1;
+        assert_eq!(evictions(&e), expected, "the fifth park evicted");
+        // A restored frontier parks through its home shard, which counts
+        // the eviction it causes.
+        let restored = Arc::new(testkit::chain_query(3, 56_000));
+        let fp = e.fingerprint(&restored);
+        e.park(
+            fp,
+            IamaOptimizer::new(restored, e.model(), e.schedule().clone()),
+        );
+        assert!(e.has_parked(fp) && !e.has_parked(fps[1]));
+        expected[e.home_shard(fp)] += 1;
+        assert_eq!(evictions(&e), expected, "the restore evicted");
     }
 
     /// The name of the thread whose seed replay [`GatedModel`] blocks.
@@ -731,13 +800,11 @@ mod tests {
             .unwrap_or_else(|_| panic!("{what} blocked behind a seed replay"))
     }
 
-    #[test]
-    fn seed_replay_runs_with_no_engine_or_store_lock_held() {
-        let gate = Arc::new(Gate::default());
-        let _release = Release(Arc::clone(&gate));
+    /// A two-shard engine over [`GatedModel`] with a donor chain parked.
+    fn gated_engine_with_donor(gate: &Arc<Gate>) -> (Arc<ShardedEngine>, Arc<QuerySpec>) {
         let model = GatedModel {
             inner: StandardCostModel::paper_metrics(),
-            gate: Arc::clone(&gate),
+            gate: Arc::clone(gate),
         };
         let e = Arc::new(ShardedEngine::new(
             Arc::new(model),
@@ -755,6 +822,33 @@ mod tests {
         let (gid, _) = e.submit(donor.clone());
         assert!(e.wait_idle(IDLE));
         e.finish(gid).unwrap();
+        (e, donor)
+    }
+
+    /// Arms the gate and submits `twin` on the [`REPLAY`] thread; returns
+    /// once its seed replay is blocked at the gate.
+    fn replay_blocked(
+        e: &Arc<ShardedEngine>,
+        gate: &Gate,
+        twin: Arc<QuerySpec>,
+    ) -> thread::JoinHandle<(GlobalSessionId, RouteDecision)> {
+        gate.armed.store(true, Ordering::SeqCst);
+        let replay = {
+            let e = Arc::clone(e);
+            thread::Builder::new()
+                .name(REPLAY.into())
+                .spawn(move || e.submit(twin))
+                .unwrap()
+        };
+        assert!(gate.wait_blocked(), "the twin never replayed its donor");
+        replay
+    }
+
+    #[test]
+    fn seed_replay_runs_with_no_engine_or_store_lock_held() {
+        let gate = Arc::new(Gate::default());
+        let _release = Release(Arc::clone(&gate));
+        let (e, donor) = gated_engine_with_donor(&gate);
         let twin = Arc::new(testkit::drift_cardinalities(&donor, 1.08));
         let home = e.home_shard(e.fingerprint(&twin));
         // One live session on the twin's home shard, one idle session on
@@ -777,15 +871,7 @@ mod tests {
         let (neighbour, other) = (neighbour.unwrap(), other.unwrap());
         assert!(e.wait_idle(IDLE));
 
-        gate.armed.store(true, Ordering::SeqCst);
-        let replay = {
-            let e = Arc::clone(&e);
-            thread::Builder::new()
-                .name(REPLAY.into())
-                .spawn(move || e.submit(twin))
-                .unwrap()
-        };
-        assert!(gate.wait_blocked(), "the twin never replayed its donor");
+        let replay = replay_blocked(&e, &gate, twin);
         let live = within_5s("live_sessions", {
             let e = Arc::clone(&e);
             move || e.shards[home].live_sessions()
@@ -808,5 +894,40 @@ mod tests {
         assert!(e.wait_idle(IDLE));
         assert!(e.status(gid).unwrap().rebased);
         assert!(e.has_parked(e.fingerprint(&donor)), "the donor went back");
+    }
+
+    #[test]
+    fn a_twin_racing_a_replay_finds_no_donor_and_starts_cold() {
+        let gate = Arc::new(Gate::default());
+        let _release = Release(Arc::clone(&gate));
+        let (e, donor) = gated_engine_with_donor(&gate);
+        let first = Arc::new(testkit::drift_cardinalities(&donor, 1.08));
+        let replay = replay_blocked(&e, &gate, first);
+
+        // The first twin's replay has the donor out of the store, so a
+        // second twin of the same shape probes nothing: it routes cold,
+        // counts a rebase miss on its shard, and does not wait for the
+        // replay.
+        let second = Arc::new(testkit::drift_cardinalities(&donor, 1.2));
+        let home = e.home_shard(e.fingerprint(&second));
+        let before = lookups(&e)[home];
+        let (gid, decision) = within_5s("a second twin's open", {
+            let e = Arc::clone(&e);
+            move || e.submit(second)
+        });
+        assert_eq!((gid.shard, decision), (home, RouteDecision::ColdHome));
+        let after = lookups(&e)[home];
+        assert_eq!(
+            (after.1 - before.1, after.2 - before.2, after.3 - before.3),
+            (1, 0, 1),
+            "an exact miss and a rebase miss"
+        );
+
+        gate.release();
+        let (first_gid, _) = replay.join().unwrap();
+        assert!(e.wait_idle(IDLE));
+        assert!(e.status(first_gid).unwrap().rebased);
+        let s = e.status(gid).unwrap();
+        assert!(!s.rebased && !s.warm_start, "{s:?}");
     }
 }
