@@ -9,9 +9,10 @@
 //!   harvested sub-frontier blobs;
 //! * **rebase** — the same queries resubmitted after a statistics
 //!   refresh (cardinalities scaled, shape untouched); the parked donor's
-//!   plans re-enter as level-0 candidates under the new stats (the
-//!   Lemma 7 path: re-pruning known plans is cheaper than regenerating
-//!   them).
+//!   harvested sub-frontier blobs re-enter through the transplant import,
+//!   blind only to the drifted cardinalities, as level-0 candidates under
+//!   the new stats (the Lemma 7 path: re-pruning known plans is cheaper
+//!   than regenerating them).
 //!
 //! Four phases over identical recipient shapes — `cold`, `exact-warm`,
 //! `transplant`, `rebase` — each recording submit→first-frontier latency

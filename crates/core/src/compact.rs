@@ -364,8 +364,14 @@ mod tests {
         let (mut plain, mut compact) = (tracked(&spec, 3), tracked(&spec, 3));
         for tables in TableSet::full(4).subsets().filter(|t| t.len() >= 2) {
             if let Some(blob) = donor.export_subset(tables) {
-                plain.import_subset(tables, &blob).unwrap();
-                compact.import_subset(tables, &blob).unwrap();
+                plain
+                    .seeder(crate::SeedTier::Transplant)
+                    .import(tables, &blob)
+                    .unwrap();
+                compact
+                    .seeder(crate::SeedTier::Transplant)
+                    .import(tables, &blob)
+                    .unwrap();
             }
         }
         assert!(

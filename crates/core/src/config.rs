@@ -53,9 +53,8 @@ pub struct IamaConfig {
     /// in snapshots (pure diagnostics).
     pub time_pruning: bool,
     /// Upper bound on warm-start **seed** candidates (rebased or
-    /// transplanted plans, see [`crate::IamaOptimizer::rebase_from`] and
-    /// [`crate::IamaOptimizer::import_subset`]) admitted into the
-    /// candidate sets per invocation. Seeds beyond the cap wait in a
+    /// transplanted plans, see [`crate::IamaOptimizer::seeder`]) admitted
+    /// into the candidate sets per invocation. Seeds beyond the cap wait in a
     /// plain pending queue — already replayed and re-costed, but not yet
     /// indexed — and are admitted in FIFO order at the start of later
     /// invocations, amortizing the drain of a very warm donor across the

@@ -51,6 +51,6 @@ pub use protocol::{
 };
 pub use report::InvocationReport;
 pub use session::Session;
-pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{SeedTier, Seeder, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::OptimizerStats;
 pub use wire::{WireDecode, WireEncode, WireError, WireReader, WireResult, WireWriter};

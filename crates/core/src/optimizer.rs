@@ -320,7 +320,7 @@ impl IamaOptimizer {
 
     /// Warm-start seed plans still waiting for candidate admission (the
     /// surplus beyond [`IamaConfig::max_seeds_per_slice`] per invocation;
-    /// see [`IamaOptimizer::rebase_from`] / [`IamaOptimizer::import_subset`]).
+    /// see [`IamaOptimizer::seeder`]).
     pub fn pending_seeds(&self) -> usize {
         self.pending_seeds.len()
     }
@@ -328,7 +328,8 @@ impl IamaOptimizer {
     /// A monotone counter that changes whenever the result sets, the
     /// candidate sets, the plan arena or the pending seeds change: in an
     /// invocation that generated, routed or retrieved any plan, and in
-    /// [`IamaOptimizer::rebase_from`] and [`IamaOptimizer::import_subset`].
+    /// every [`Seeder::import`](crate::Seeder::import) that passes its
+    /// checks.
     ///
     /// Equal generations of one optimizer mean equal sub-frontier exports
     /// ([`IamaOptimizer::export_subset`]), so a serving layer that parks

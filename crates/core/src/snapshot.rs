@@ -31,6 +31,12 @@
 //! importer instead verifies that the provided model's metric layout
 //! matches the exporter's, so frontiers are never revived under a cost
 //! space they were not computed in.
+//!
+//! Sub-frontier blobs ([`IamaOptimizer::export_subset`]) carry one table
+//! subset's plans as position-independent operator trees behind the same
+//! header and operator codec. A [`Seeder`] imports them, transplanted from
+//! a similar query or rebased from a drifted twin, as re-costed level-0
+//! candidates.
 
 use crate::frontier::FrontierPoint;
 use crate::optimizer::{ActiveEntry, IamaOptimizer, Watermark};
@@ -38,7 +44,7 @@ use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use crate::IamaConfig;
 use moqo_cost::{Bounds, CostVector, ResolutionSchedule};
 use moqo_costmodel::{CostModel, PlanInput, SharedCostModel};
-use moqo_index::{CellGrid, Entry};
+use moqo_index::{CellGrid, Entry, FxHashMap};
 use moqo_plan::{JoinAlgo, Operator, PlanArena, ScanMethod};
 use moqo_plan::{PhysicalProps, PlanId, PlanNode};
 use moqo_query::{InducedStats, QuerySpec, TableSet};
@@ -116,11 +122,76 @@ fn corrupt(msg: String) -> SnapshotError {
     SnapshotError::Corrupt(msg)
 }
 
-fn write_operator(w: &mut WireWriter, op: &Operator) {
+/// Writes a warm-state header: `magic`, `version`, then the model guard
+/// (metric count, metric names, cost-model identity). Full snapshots and
+/// sub-frontier blobs share it.
+fn write_header(w: &mut WireWriter, magic: &[u8; 8], version: u32, model: &dyn CostModel) {
+    w.bytes(magic);
+    w.u32(version);
+    let metrics = model.metrics();
+    w.u8(metrics.dim() as u8);
+    for i in 0..metrics.dim() {
+        w.str(metrics.metric(i).name());
+    }
+    w.u64(model.identity());
+}
+
+/// Reads and checks a [`write_header`] header against the live `model`
+/// (`what` names the format in errors); returns the metric count.
+fn read_header(
+    r: &mut WireReader<'_>,
+    magic: &[u8; 8],
+    version: u32,
+    model: &dyn CostModel,
+    what: &str,
+) -> Result<usize> {
+    if r.take(8)? != magic {
+        return Err(SnapshotError::BadMagic);
+    }
+    match r.u32()? {
+        v if v == version => {}
+        v => return Err(SnapshotError::UnsupportedVersion(v)),
+    }
+    let dim = r.u8()? as usize;
+    let metrics = model.metrics();
+    if dim != metrics.dim() {
+        return Err(SnapshotError::ModelMismatch(format!(
+            "{what} has {dim} metrics, model has {}",
+            metrics.dim()
+        )));
+    }
+    for i in 0..dim {
+        let name = r.str()?;
+        if name != metrics.metric(i).name() {
+            return Err(SnapshotError::ModelMismatch(format!(
+                "metric {i} is {name:?} in the {what} but {:?} in the model",
+                metrics.metric(i).name()
+            )));
+        }
+    }
+    let identity = r.u64()?;
+    if identity != model.identity() {
+        return Err(SnapshotError::ModelMismatch(format!(
+            "{what} was refined under cost-model identity {identity:#018x}, \
+             the provided model has {:#018x}",
+            model.identity()
+        )));
+    }
+    Ok(dim)
+}
+
+/// Writes an operator: its tag, then a scan's position (through
+/// `position`: full snapshots store global `u16` positions, sub-frontier
+/// blobs local `u8` ones) and method, or a join's algorithm and degree of
+/// parallelism.
+fn write_operator(w: &mut WireWriter, op: &Operator, position: impl FnOnce(&mut WireWriter, u16)) {
     match *op {
-        Operator::Scan { position, method } => {
+        Operator::Scan {
+            position: pos,
+            method,
+        } => {
             w.u8(0);
-            w.u16(position);
+            position(w, pos);
             match method {
                 ScanMethod::Full => w.u8(0),
                 ScanMethod::Sampled { rate_pm } => {
@@ -141,10 +212,15 @@ fn write_operator(w: &mut WireWriter, op: &Operator) {
     }
 }
 
-fn read_operator(r: &mut WireReader<'_>) -> Result<Operator> {
+/// Reads a [`write_operator`] operator, validating every field; `position`
+/// reads and checks a scan's position.
+fn read_operator(
+    r: &mut WireReader<'_>,
+    position: impl FnOnce(&mut WireReader<'_>) -> Result<u16>,
+) -> Result<Operator> {
     match r.u8()? {
         0 => {
-            let position = r.u16()?;
+            let position = position(r)?;
             let method = match r.u8()? {
                 0 => ScanMethod::Full,
                 1 => {
@@ -241,16 +317,7 @@ impl IamaOptimizer {
     /// along; the test-only per-plan invariant maps are not.
     pub fn export_frontier(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.bytes(&SNAPSHOT_MAGIC);
-        w.u32(SNAPSHOT_VERSION);
-
-        // --- Model guard: metric layout of the exporting cost model. ---
-        let metrics = self.model.metrics();
-        w.u8(metrics.dim() as u8);
-        for i in 0..metrics.dim() {
-            w.str(metrics.metric(i).name());
-        }
-        w.u64(self.model.identity());
+        write_header(&mut w, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &*self.model);
 
         // --- Query spec: name, catalog, join graph (the shared wire
         // codec; byte-compatible with the pre-wire inline encoding). ---
@@ -283,7 +350,7 @@ impl IamaOptimizer {
         // --- Plan arena, in insertion order (children precede parents).
         w.u32(self.arena.len() as u32);
         for (_, node) in self.arena.iter() {
-            write_operator(&mut w, &node.op);
+            write_operator(&mut w, &node.op, |w, p| w.u16(p));
             match node.children {
                 None => w.bool(false),
                 Some((l, r)) => {
@@ -374,40 +441,13 @@ impl IamaOptimizer {
     /// incremental series without violating Lemmas 5–7.
     pub fn import_frontier(model: SharedCostModel, bytes: &[u8]) -> Result<IamaOptimizer> {
         let mut r = WireReader::new(bytes);
-        if r.take(8)? != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        match r.u32()? {
-            SNAPSHOT_VERSION => {}
-            v => return Err(SnapshotError::UnsupportedVersion(v)),
-        }
-
-        // --- Model guard. ---
-        let dim = r.u8()? as usize;
-        let metrics = model.metrics();
-        if dim != metrics.dim() {
-            return Err(SnapshotError::ModelMismatch(format!(
-                "snapshot has {dim} metrics, model has {}",
-                metrics.dim()
-            )));
-        }
-        for i in 0..dim {
-            let name = r.str()?;
-            if name != metrics.metric(i).name() {
-                return Err(SnapshotError::ModelMismatch(format!(
-                    "metric {i} is {name:?} in the snapshot but {:?} in the model",
-                    metrics.metric(i).name()
-                )));
-            }
-        }
-        let identity = r.u64()?;
-        if identity != model.identity() {
-            return Err(SnapshotError::ModelMismatch(format!(
-                "snapshot was exported under cost-model identity {identity:#018x}, \
-                 the provided model has {:#018x}",
-                model.identity()
-            )));
-        }
+        let dim = read_header(
+            &mut r,
+            &SNAPSHOT_MAGIC,
+            SNAPSHOT_VERSION,
+            &*model,
+            "snapshot",
+        )?;
 
         // --- Query spec (shared wire codec: every reference, filter, and
         // selectivity validated before the panicking constructors run). ---
@@ -454,7 +494,7 @@ impl IamaOptimizer {
         // --- Plan arena. ---
         let n_plans = r.count("arena plan")?;
         for i in 0..n_plans {
-            let op = read_operator(&mut r)?;
+            let op = read_operator(&mut r, |r| Ok(r.u16()?))?;
             let children = if r.bool()? {
                 let l = r.u32()?;
                 let rt = r.u32()?;
@@ -701,30 +741,213 @@ pub const SUBSNAPSHOT_VERSION: u32 = 1;
 /// length prefixes and compare lexicographically for the canonical order.
 fn encode_subtree(arena: &PlanArena, id: PlanId, local: &[u8], out: &mut WireWriter) {
     let node = arena.node(id);
-    match node.op {
-        Operator::Scan { position, method } => {
-            out.u8(0);
-            out.u8(local[position as usize]);
-            match method {
-                ScanMethod::Full => out.u8(0),
-                ScanMethod::Sampled { rate_pm } => {
-                    out.u8(1);
-                    out.u16(rate_pm);
-                }
+    write_operator(out, &node.op, |w, p| w.u8(local[p as usize]));
+    if let Some((l, r)) = node.children {
+        encode_subtree(arena, l, local, out);
+        encode_subtree(arena, r, local, out);
+    }
+}
+
+/// Decodes one pre-order tree of a sub-frontier blob onto `nodes`, with
+/// scan positions mapped back to global ones through `positions`, and
+/// returns the tables it joins. Purely structural: nothing is costed.
+fn decode_tree(
+    r: &mut WireReader<'_>,
+    positions: &[usize],
+    depth: usize,
+    nodes: &mut Vec<Operator>,
+) -> Result<TableSet> {
+    // A tree over k tables nests at most k - 1 joins.
+    if depth >= positions.len() {
+        return Err(corrupt(
+            "sub-frontier tree nests deeper than its subset".into(),
+        ));
+    }
+    let op = read_operator(r, |r| {
+        let lp = r.u8()? as usize;
+        positions
+            .get(lp)
+            .map(|&p| p as u16)
+            .ok_or_else(|| corrupt(format!("local scan position {lp} out of range")))
+    })?;
+    nodes.push(op);
+    match op {
+        Operator::Scan { position, .. } => Ok(TableSet::singleton(position as usize)),
+        Operator::Join { .. } => {
+            let left = decode_tree(r, positions, depth + 1, nodes)?;
+            let right = decode_tree(r, positions, depth + 1, nodes)?;
+            if !left.is_disjoint(right) {
+                return Err(corrupt("sub-frontier join children overlap".into()));
+            }
+            Ok(left.union(right))
+        }
+    }
+}
+
+/// The warm-start tier a sub-frontier blob seeds through (see
+/// [`IamaOptimizer::seeder`]). Both tiers re-cost every plan under the
+/// live model and admit it as a level-0 candidate; they differ only in
+/// which of the blob's statistics must equal the live catalog's.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SeedTier {
+    /// A blob harvested from a *different* query whose induced subgraph
+    /// and statistics equal this subset's: every statistic must match.
+    /// Counted in [`OptimizerStats::transplanted_candidates`](crate::OptimizerStats).
+    Transplant,
+    /// A blob harvested from a parked optimizer of the *same* shape whose
+    /// catalog cardinalities have since drifted: row widths, filters,
+    /// join edges and selectivities must match, cardinalities need not.
+    /// Counted in [`OptimizerStats::rebased_candidates`](crate::OptimizerStats).
+    Rebase,
+}
+
+/// One open's seed import into an optimizer (see
+/// [`IamaOptimizer::seeder`]). It keeps one node memo keyed by operator
+/// and replayed children, so a subtree shared by several trees, or by the
+/// blobs of several subsets, is replayed and costed once.
+pub struct Seeder<'a> {
+    opt: &'a mut IamaOptimizer,
+    tier: SeedTier,
+    memo: FxHashMap<ReplayedNode, Option<PlanId>>,
+}
+
+/// A replayed plan node: its operator over its replayed children (none
+/// for a scan).
+type ReplayedNode = (Operator, Option<(PlanId, PlanId)>);
+
+impl Seeder<'_> {
+    /// Seeds subset `tables` from an
+    /// [`export_subset`](IamaOptimizer::export_subset) blob.
+    ///
+    /// The whole blob is checked first: its metric layout and cost-model
+    /// identity, the induced statistics the [`SeedTier`] compares, and
+    /// every tree's structure (operators, scan positions, disjoint join
+    /// children, a root covering exactly `tables`). Any mismatch yields an
+    /// error with nothing queued or counted, and the caller falls back to
+    /// cold enumeration for the subset.
+    ///
+    /// Every tree is then replayed bottom-up against the **live** cost
+    /// model: each operator must still be offered by
+    /// [`scan_alternatives`](moqo_costmodel::CostModel::scan_alternatives)
+    /// / [`join_alternatives`](moqo_costmodel::CostModel::join_alternatives),
+    /// and the plan is queued with the freshly computed cost for
+    /// admission as a level-0 `Cand` entry. The next invocations admit at
+    /// most [`IamaConfig::max_seeds_per_slice`](crate::IamaConfig) seeds
+    /// each, and every admitted seed re-enters through pruning exactly
+    /// like a natively generated plan: by Lemma 7 it is re-examined at
+    /// most `rM + 1` times, and Theorem 2's `alpha_T` guarantee holds
+    /// without caveats. Trees whose operators are no longer offered are
+    /// skipped, not errors. Returns the number of queued plans.
+    pub fn import(&mut self, tables: TableSet, bytes: &[u8]) -> Result<usize> {
+        let opt = &mut *self.opt;
+        let q = opt
+            .plan
+            .subset_id(tables)
+            .ok_or_else(|| corrupt("subset not enumerated for this query".into()))?;
+        let mut r = WireReader::new(bytes);
+        read_header(
+            &mut r,
+            &SUBSNAPSHOT_MAGIC,
+            SUBSNAPSHOT_VERSION,
+            &*opt.model,
+            "sub-frontier",
+        )?;
+        let InducedStats {
+            tables: stats,
+            edges,
+        } = opt.spec.induced_stats(tables);
+        let k = r.u8()? as usize;
+        if k != stats.len() {
+            return Err(corrupt(format!(
+                "sub-frontier covers {k} tables, subset has {}",
+                stats.len()
+            )));
+        }
+        for (i, &(card, width, filter)) in stats.iter().enumerate() {
+            let (bc, bw, bf) = (r.u64()?, r.u32()?, r.u64()?);
+            // A rebase blob was refined under the cardinalities the live
+            // catalog has drifted from; the re-costing absorbs them.
+            let card_ok = bc == card || self.tier == SeedTier::Rebase;
+            if !card_ok || bw != width || bf != filter.to_bits() {
+                return Err(corrupt(format!(
+                    "sub-frontier table {i} statistics differ from the live catalog"
+                )));
             }
         }
-        Operator::Join { algo, dop } => {
-            out.u8(1);
-            out.u8(match algo {
-                JoinAlgo::Hash => 0,
-                JoinAlgo::SortMerge => 1,
-                JoinAlgo::NestedLoop => 2,
-            });
-            out.u16(dop);
-            let (l, r) = node.children.expect("join node has children");
-            encode_subtree(arena, l, local, out);
-            encode_subtree(arena, r, local, out);
+        let n_edges = r.count("induced edge")?;
+        if n_edges != edges.len() {
+            return Err(corrupt(format!(
+                "sub-frontier has {n_edges} induced edges, subset has {}",
+                edges.len()
+            )));
         }
+        for (i, &(l, rt, sel)) in edges.iter().enumerate() {
+            let (bl, br, bs) = (r.u8()?, r.u8()?, r.u64()?);
+            if bl != l || br != rt || bs != sel {
+                return Err(corrupt(format!(
+                    "sub-frontier edge {i} differs from the live join graph"
+                )));
+            }
+        }
+        let positions: Vec<usize> = tables.iter().collect();
+        let n_trees = r.count("sub-frontier tree")?;
+        let mut nodes = Vec::new();
+        for _ in 0..n_trees {
+            if decode_tree(&mut r, &positions, 0, &mut nodes)? != tables {
+                return Err(corrupt(
+                    "sub-frontier tree does not cover its subset".into(),
+                ));
+            }
+        }
+        if !r.done() {
+            return Err(corrupt("trailing bytes after sub-frontier".into()));
+        }
+
+        opt.generation += 1;
+        let mut at = 0;
+        let mut queued = 0usize;
+        while at < nodes.len() {
+            if let Some(plan) = self.replay(&nodes, &mut at) {
+                let cost = *self.opt.arena.cost(plan);
+                // Queued, not indexed: the next invocations admit seeds
+                // at most `max_seeds_per_slice` at a time (level-0 `Cand`
+                // entries), amortizing the drain across the ladder.
+                self.opt.pending_seeds.push_back((q, plan, cost));
+                queued += 1;
+            }
+        }
+        let stats = &mut self.opt.stats;
+        *match self.tier {
+            SeedTier::Transplant => &mut stats.transplanted_candidates,
+            SeedTier::Rebase => &mut stats.rebased_candidates,
+        } += queued as u64;
+        if queued > 0 {
+            stats.subsets_seeded += 1;
+        }
+        Ok(queued)
+    }
+
+    /// Replays the decoded tree at `nodes[*at]` bottom-up, moving `at`
+    /// past it; `None` when the live model no longer offers one of its
+    /// operators.
+    fn replay(&mut self, nodes: &[Operator], at: &mut usize) -> Option<PlanId> {
+        let op = nodes[*at];
+        *at += 1;
+        let children = match op {
+            Operator::Scan { .. } => None,
+            Operator::Join { .. } => {
+                // Both subtrees are walked before either may bail out, so
+                // `at` always lands on the next tree.
+                let l = self.replay(nodes, at);
+                let r = self.replay(nodes, at);
+                Some((l?, r?))
+            }
+        };
+        let opt = &mut *self.opt;
+        *self
+            .memo
+            .entry((op, children))
+            .or_insert_with(|| opt.push_offered(op, children))
     }
 }
 
@@ -732,13 +955,13 @@ impl IamaOptimizer {
     /// Serializes the warm `Res^q`/`Cand^q` state of one connected table
     /// subset as a self-describing, position-independent blob: the metric
     /// layout and cost-model identity it was refined under, the induced
-    /// sub-catalog statistics (the validation gate for transplants), and
-    /// the operator trees of every result/candidate plan with scan
-    /// positions relabeled to `0..k` in ascending order.
+    /// sub-catalog statistics (the validation gate for seeding), and the
+    /// operator trees of every result/candidate plan with scan positions
+    /// relabeled to `0..k` in ascending order.
     ///
     /// Costs are deliberately *not* serialized: an importer re-scores
     /// every tree against its live cost model at admission, which is what
-    /// keeps the paper's `alpha_T` guarantee intact across transplants.
+    /// keeps the paper's `alpha_T` guarantee intact across seeding.
     /// Trees are sorted and deduplicated, so equal subset state exports
     /// equal bytes regardless of insertion history.
     ///
@@ -769,15 +992,24 @@ impl IamaOptimizer {
         trees.sort_unstable();
         trees.dedup();
 
-        let mut w = WireWriter::new();
-        w.bytes(&SUBSNAPSHOT_MAGIC);
-        w.u32(SUBSNAPSHOT_VERSION);
-        let metrics = self.model.metrics();
-        w.u8(metrics.dim() as u8);
-        for i in 0..metrics.dim() {
-            w.str(metrics.metric(i).name());
+        let mut w = self.subset_header(tables);
+        w.u32(trees.len() as u32);
+        for t in &trees {
+            w.bytes(t);
         }
-        w.u64(self.model.identity());
+        Some(w.into_vec())
+    }
+
+    /// A sub-frontier blob's header for subset `tables`: the model guard,
+    /// then the induced statistics.
+    fn subset_header(&self, tables: TableSet) -> WireWriter {
+        let mut w = WireWriter::new();
+        write_header(
+            &mut w,
+            &SUBSNAPSHOT_MAGIC,
+            SUBSNAPSHOT_VERSION,
+            &*self.model,
+        );
         let InducedStats {
             tables: stats,
             edges,
@@ -794,290 +1026,20 @@ impl IamaOptimizer {
             w.u8(r);
             w.u64(sel);
         }
-        w.u32(trees.len() as u32);
-        for t in &trees {
-            w.bytes(t);
-        }
-        Some(w.into_vec())
+        w
     }
 
-    /// Seeds subset `tables` of this optimizer from an
-    /// [`export_subset`](IamaOptimizer::export_subset) blob produced by a
-    /// *different* (but statistically identical on this subset) query.
-    ///
-    /// Every tree is replayed bottom-up against the **live** cost model:
-    /// each operator must still be offered by
-    /// [`scan_alternatives`](moqo_costmodel::CostModel::scan_alternatives)
-    /// / [`join_alternatives`](moqo_costmodel::CostModel::join_alternatives),
-    /// and the plan is queued with the freshly computed cost for
-    /// admission as a level-0 `Cand` entry — the next invocations admit
-    /// at most [`IamaConfig::max_seeds_per_slice`](crate::IamaConfig)
-    /// seeds each, and every admitted seed re-enters through pruning
-    /// exactly like a natively generated plan, so Theorem 2's `alpha_T`
-    /// guarantee is preserved without caveats. Trees whose operators are
-    /// no longer offered are skipped, not errors.
-    ///
-    /// The blob's metric layout, cost-model identity, and induced
-    /// statistics must match this optimizer's; any mismatch yields an
-    /// error and the caller falls back to cold enumeration. Returns the
-    /// number of admitted candidate plans.
-    pub fn import_subset(&mut self, tables: TableSet, bytes: &[u8]) -> Result<usize> {
-        let q = self
-            .plan
-            .subset_id(tables)
-            .ok_or_else(|| corrupt("subset not enumerated for this query".into()))?;
-        // Replay may push plans even when the blob is refused halfway.
-        self.generation += 1;
-        let mut r = WireReader::new(bytes);
-        if r.take(8)? != SUBSNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
+    /// Opens a seed import of `tier`: the one door through which
+    /// [`export_subset`](IamaOptimizer::export_subset) blobs, transplanted
+    /// from similar queries or rebased from a drifted twin, enter this
+    /// optimizer. One seeder serves one open, so its memo spans every
+    /// blob the open imports.
+    pub fn seeder(&mut self, tier: SeedTier) -> Seeder<'_> {
+        Seeder {
+            opt: self,
+            tier,
+            memo: FxHashMap::default(),
         }
-        match r.u32()? {
-            SUBSNAPSHOT_VERSION => {}
-            v => return Err(SnapshotError::UnsupportedVersion(v)),
-        }
-        let dim = r.u8()? as usize;
-        let metrics = self.model.metrics();
-        if dim != metrics.dim() {
-            return Err(SnapshotError::ModelMismatch(format!(
-                "sub-frontier has {dim} metrics, model has {}",
-                metrics.dim()
-            )));
-        }
-        for i in 0..dim {
-            let name = r.str()?;
-            if name != metrics.metric(i).name() {
-                return Err(SnapshotError::ModelMismatch(format!(
-                    "metric {i} is {name:?} in the sub-frontier but {:?} in the model",
-                    metrics.metric(i).name()
-                )));
-            }
-        }
-        let identity = r.u64()?;
-        if identity != self.model.identity() {
-            return Err(SnapshotError::ModelMismatch(format!(
-                "sub-frontier was refined under cost-model identity {identity:#018x}, \
-                 this optimizer runs {:#018x}",
-                self.model.identity()
-            )));
-        }
-        let InducedStats {
-            tables: stats,
-            edges,
-        } = self.spec.induced_stats(tables);
-        let k = r.u8()? as usize;
-        if k != stats.len() {
-            return Err(corrupt(format!(
-                "sub-frontier covers {k} tables, subset has {}",
-                stats.len()
-            )));
-        }
-        for (i, &(card, width, filter)) in stats.iter().enumerate() {
-            let (bc, bw, bf) = (r.u64()?, r.u32()?, r.u64()?);
-            if bc != card || bw != width || bf != filter.to_bits() {
-                return Err(corrupt(format!(
-                    "sub-frontier table {i} statistics differ from the live catalog"
-                )));
-            }
-        }
-        let n_edges = r.count("induced edge")?;
-        if n_edges != edges.len() {
-            return Err(corrupt(format!(
-                "sub-frontier has {n_edges} induced edges, subset has {}",
-                edges.len()
-            )));
-        }
-        for (i, &(l, rt, sel)) in edges.iter().enumerate() {
-            let (bl, br, bs) = (r.u8()?, r.u8()?, r.u64()?);
-            if bl != l || br != rt || bs != sel {
-                return Err(corrupt(format!(
-                    "sub-frontier edge {i} differs from the live join graph"
-                )));
-            }
-        }
-
-        let positions: Vec<usize> = tables.iter().collect();
-        let n_trees = r.count("sub-frontier tree")?;
-        let mut admitted = 0usize;
-        for _ in 0..n_trees {
-            if let Some((plan, cost)) = self.replay_tree(&mut r, &positions)? {
-                if self.arena.tables(plan) != tables {
-                    return Err(corrupt(
-                        "sub-frontier tree does not cover its subset".into(),
-                    ));
-                }
-                // Queued, not indexed: the next invocations admit seeds
-                // at most `max_seeds_per_slice` at a time (level-0 `Cand`
-                // entries), amortizing the drain across the ladder.
-                self.pending_seeds.push_back((q, plan, cost));
-                self.stats.transplanted_candidates += 1;
-                admitted += 1;
-            }
-        }
-        if !r.done() {
-            return Err(corrupt("trailing bytes after sub-frontier".into()));
-        }
-        if admitted > 0 {
-            self.stats.subsets_seeded += 1;
-        }
-        Ok(admitted)
-    }
-
-    /// Decodes one pre-order tree and replays it bottom-up against the
-    /// live cost model, returning the admitted root and its fresh cost,
-    /// or `None` when some operator is no longer offered (the rest of the
-    /// tree is still consumed so decoding stays aligned).
-    fn replay_tree(
-        &mut self,
-        r: &mut WireReader<'_>,
-        positions: &[usize],
-    ) -> Result<Option<(PlanId, CostVector)>> {
-        match r.u8()? {
-            0 => {
-                let lp = r.u8()? as usize;
-                if lp >= positions.len() {
-                    return Err(corrupt(format!("local scan position {lp} out of range")));
-                }
-                let method = match r.u8()? {
-                    0 => ScanMethod::Full,
-                    1 => {
-                        let rate_pm = r.u16()?;
-                        if !(1..1000).contains(&rate_pm) {
-                            return Err(corrupt(format!("sampling rate {rate_pm}‰ out of range")));
-                        }
-                        ScanMethod::Sampled { rate_pm }
-                    }
-                    t => return Err(corrupt(format!("unknown scan method {t}"))),
-                };
-                let pos = positions[lp];
-                let want = Operator::Scan {
-                    position: pos as u16,
-                    method,
-                };
-                for (op, cost, props) in self.model.scan_alternatives(&self.spec, pos) {
-                    if op == want {
-                        let id = self.arena.push_scan(op, pos, cost, props);
-                        return Ok(Some((id, cost)));
-                    }
-                }
-                Ok(None)
-            }
-            1 => {
-                let algo = match r.u8()? {
-                    0 => JoinAlgo::Hash,
-                    1 => JoinAlgo::SortMerge,
-                    2 => JoinAlgo::NestedLoop,
-                    t => return Err(corrupt(format!("unknown join algorithm {t}"))),
-                };
-                let dop = r.u16()?;
-                if dop == 0 {
-                    return Err(corrupt("join degree of parallelism 0".into()));
-                }
-                let left = self.replay_tree(r, positions)?;
-                let right = self.replay_tree(r, positions)?;
-                let (Some((l, _)), Some((rt, _))) = (left, right) else {
-                    return Ok(None);
-                };
-                let want = Operator::Join { algo, dop };
-                let input = |n: &PlanNode| PlanInput {
-                    tables: n.tables,
-                    cost: n.cost,
-                    props: n.props,
-                };
-                let (li, ri) = (input(self.arena.node(l)), input(self.arena.node(rt)));
-                if !li.tables.is_disjoint(ri.tables) {
-                    return Err(corrupt("sub-frontier join children overlap".into()));
-                }
-                for (op, cost, props) in self.model.join_alternatives(&self.spec, &li, &ri) {
-                    if op == want {
-                        let id = self.arena.push_join(op, l, rt, cost, props);
-                        return Ok(Some((id, cost)));
-                    }
-                }
-                Ok(None)
-            }
-            t => Err(corrupt(format!("unknown operator tag {t}"))),
-        }
-    }
-
-    /// Rebase: seeds this **fresh** optimizer with every result/candidate
-    /// plan of `donor`, a parked optimizer for the *same query shape*
-    /// whose catalog statistics have since drifted. The donor is read
-    /// only — it stays parked and can serve an exact-fingerprint repeat.
-    ///
-    /// Every donor plan tree is copied arena-to-arena with the identity
-    /// table mapping and re-costed under this optimizer's model and live
-    /// statistics, then queued for admission as a level-0 `Cand` entry of
-    /// its subset (at most
-    /// [`IamaConfig::max_seeds_per_slice`](crate::IamaConfig) seeds enter
-    /// the candidate sets per invocation, amortizing a very warm donor's
-    /// drain across the ladder).
-    /// By Lemma 7 each re-admitted candidate is re-examined at most
-    /// `rM + 1` times, which is cheaper than regenerating it through the
-    /// full enumeration — while pruning under the fresh costs keeps the
-    /// `alpha_T` guarantee exact.
-    ///
-    /// Requires a cold `self` (no invocations run), a donor with an
-    /// identical join-graph shape and cross-product policy, and an
-    /// identical cost-model identity/metric layout. Returns the number of
-    /// admitted candidate plans.
-    pub fn rebase_from(&mut self, donor: &IamaOptimizer) -> Result<usize> {
-        if self.invocation != 0 || self.scans_done || !self.arena.is_empty() {
-            return Err(corrupt("rebase target must be a cold optimizer".into()));
-        }
-        let metrics = self.model.metrics();
-        let donor_metrics = donor.model.metrics();
-        if metrics.dim() != donor_metrics.dim()
-            || (0..metrics.dim())
-                .any(|i| metrics.metric(i).name() != donor_metrics.metric(i).name())
-        {
-            return Err(SnapshotError::ModelMismatch(
-                "rebase donor has a different metric layout".into(),
-            ));
-        }
-        if self.model.identity() != donor.model.identity() {
-            return Err(SnapshotError::ModelMismatch(format!(
-                "rebase donor has cost-model identity {:#018x}, this optimizer {:#018x}",
-                donor.model.identity(),
-                self.model.identity()
-            )));
-        }
-        if !self
-            .plan
-            .matches(&donor.spec.graph, donor.config.allow_cross_products)
-        {
-            return Err(corrupt(
-                "rebase donor has a different join-graph shape".into(),
-            ));
-        }
-
-        self.generation += 1;
-        // One memo across all subsets: roots share subtrees, and the
-        // donor is read-only here, so each donor plan is replayed at most
-        // once into `self`.
-        let mut memo: Vec<Option<Option<PlanId>>> = vec![None; donor.arena.len()];
-        let mut admitted = 0usize;
-        for ix in 0..donor.states.len() {
-            let q = moqo_query::SubsetId::from_index(ix);
-            let mut roots = donor.result_and_candidate_plans(q);
-            roots.sort_unstable();
-            roots.dedup();
-            let mut seeded = false;
-            for root in roots {
-                if let Some(plan) = self.replay_donor(donor, root, &mut memo) {
-                    let cost = *self.arena.cost(plan);
-                    // Queued for per-slice admission; see `import_subset`.
-                    self.pending_seeds.push_back((q, plan, cost));
-                    self.stats.rebased_candidates += 1;
-                    admitted += 1;
-                    seeded = true;
-                }
-            }
-            if seeded {
-                self.stats.subsets_seeded += 1;
-            }
-        }
-        Ok(admitted)
     }
 
     /// The plans of `Res^q` (tombstones included) and `Cand^q`, unsorted
@@ -1092,52 +1054,36 @@ impl IamaOptimizer {
         plans
     }
 
-    /// Replays donor plan `id` into this optimizer's arena, re-costing
-    /// every node under the live model. Memoized per donor plan id so
-    /// shared subtrees are copied once.
-    fn replay_donor(
-        &mut self,
-        donor: &IamaOptimizer,
-        id: PlanId,
-        memo: &mut [Option<Option<PlanId>>],
-    ) -> Option<PlanId> {
-        if let Some(done) = memo[id.0 as usize] {
-            return done;
-        }
-        let node = donor.arena.node(id);
-        let replayed = match (node.op, node.children) {
-            (op @ Operator::Scan { position, .. }, None) => {
+    /// Pushes `op` over `children` (none for a scan) with the cost and
+    /// properties the live model offers for it; `None` when the model no
+    /// longer offers the operator.
+    fn push_offered(&mut self, op: Operator, children: Option<(PlanId, PlanId)>) -> Option<PlanId> {
+        match (op, children) {
+            (Operator::Scan { position, .. }, None) => {
                 let pos = position as usize;
-                self.model
+                let (op, cost, props) = self
+                    .model
                     .scan_alternatives(&self.spec, pos)
                     .into_iter()
-                    .find(|&(alt, _, _)| alt == op)
-                    .map(|(alt, cost, props)| self.arena.push_scan(alt, pos, cost, props))
+                    .find(|&(alt, _, _)| alt == op)?;
+                Some(self.arena.push_scan(op, pos, cost, props))
             }
-            (op @ Operator::Join { .. }, Some((dl, dr))) => {
-                let l = self.replay_donor(donor, dl, memo);
-                let r = self.replay_donor(donor, dr, memo);
-                match (l, r) {
-                    (Some(l), Some(r)) => {
-                        let input = |n: &PlanNode| PlanInput {
-                            tables: n.tables,
-                            cost: n.cost,
-                            props: n.props,
-                        };
-                        let (li, ri) = (input(self.arena.node(l)), input(self.arena.node(r)));
-                        self.model
-                            .join_alternatives(&self.spec, &li, &ri)
-                            .into_iter()
-                            .find(|&(alt, _, _)| alt == op)
-                            .map(|(alt, cost, props)| self.arena.push_join(alt, l, r, cost, props))
-                    }
-                    _ => None,
-                }
+            (Operator::Join { .. }, Some((l, r))) => {
+                let input = |n: &PlanNode| PlanInput {
+                    tables: n.tables,
+                    cost: n.cost,
+                    props: n.props,
+                };
+                let (li, ri) = (input(self.arena.node(l)), input(self.arena.node(r)));
+                let (op, cost, props) = self
+                    .model
+                    .join_alternatives(&self.spec, &li, &ri)
+                    .into_iter()
+                    .find(|&(alt, _, _)| alt == op)?;
+                Some(self.arena.push_join(op, l, r, cost, props))
             }
-            _ => None,
-        };
-        memo[id.0 as usize] = Some(replayed);
-        replayed
+            _ => unreachable!("a scan has no children and a join two"),
+        }
     }
 }
 
@@ -1471,7 +1417,10 @@ mod tests {
             // Disconnected subsets (e.g. {0, 2} in a chain) are not
             // enumerated and export nothing.
             if let Some(blob) = donor.export_subset(tables) {
-                imported += seeded.import_subset(tables, &blob).unwrap();
+                imported += seeded
+                    .seeder(SeedTier::Transplant)
+                    .import(tables, &blob)
+                    .unwrap();
             }
         }
         assert!(imported > 0, "no candidates transplanted");
@@ -1513,7 +1462,7 @@ mod tests {
         let drifted = Arc::new(testkit::chain_query(5, 170_000));
         let mut opt = IamaOptimizer::new(drifted, model(), schedule());
         assert!(matches!(
-            opt.import_subset(tables, &blob),
+            opt.seeder(SeedTier::Transplant).import(tables, &blob),
             Err(SnapshotError::Corrupt(_))
         ));
         // Same spec, different model identity: refused before any decode.
@@ -1528,7 +1477,7 @@ mod tests {
         let spec = Arc::new(testkit::chain_query(5, 150_000));
         let mut opt = IamaOptimizer::new(spec, tweaked, schedule());
         assert!(matches!(
-            opt.import_subset(tables, &blob),
+            opt.seeder(SeedTier::Transplant).import(tables, &blob),
             Err(SnapshotError::ModelMismatch(_))
         ));
         // Byte corruption anywhere must never panic the decoder.
@@ -1537,24 +1486,55 @@ mod tests {
         for i in 0..blob.len() {
             let mut bad = blob.clone();
             bad[i] ^= 0x5a;
-            let _ = opt.import_subset(tables, &bad);
+            let _ = opt.seeder(SeedTier::Transplant).import(tables, &bad);
         }
+    }
+
+    /// Every multi-table subset blob of `opt`, as a parked optimizer's
+    /// harvest holds them.
+    fn harvest(opt: &IamaOptimizer) -> Vec<(TableSet, Vec<u8>)> {
+        opt.enumeration()
+            .subsets()
+            .iter()
+            .map(|info| info.tables)
+            .filter(|tables| tables.len() >= 2)
+            .filter_map(|tables| Some((tables, opt.export_subset(tables)?)))
+            .collect()
     }
 
     #[test]
     fn rebase_replays_a_drifted_donor_and_still_converges() {
         // The donor refined under last hour's statistics; the recipient
         // sees the same query shape with drifted cardinalities. Rebase
-        // re-admits the donor's plans as level-0 candidates re-costed
-        // under the *new* stats, and the ladder converges to the same
-        // frontier a cold run finds — with less generation.
+        // re-admits the donor's harvested plans as level-0 candidates
+        // re-costed under the *new* stats, and the ladder converges to the
+        // same frontier a cold run finds — with less generation.
         let donor = warm_optimizer(4);
-        let drifted = Arc::new(testkit::chain_query(4, 165_000));
+        let blobs = harvest(&donor);
+        let drifted = Arc::new(testkit::drift_cardinalities(donor.spec(), 1.1));
         let mut cold = IamaOptimizer::new(drifted.clone(), model(), schedule());
-        let mut rebased = IamaOptimizer::new(drifted, model(), schedule());
-        let admitted = rebased.rebase_from(&donor).unwrap();
+        let mut rebased = IamaOptimizer::new(drifted.clone(), model(), schedule());
+        let mut seeder = rebased.seeder(SeedTier::Rebase);
+        let admitted: usize = blobs
+            .iter()
+            .map(|(tables, blob)| seeder.import(*tables, blob).unwrap())
+            .sum();
         assert!(admitted > 0, "nothing rebased");
         assert_eq!(rebased.stats().rebased_candidates, admitted as u64);
+        assert_eq!(rebased.stats().transplanted_candidates, 0);
+        assert_eq!(rebased.pending_seeds(), admitted);
+
+        // One seeder per open replays a subtree shared across subsets
+        // once; a seeder per blob replays it once per blob.
+        let mut unshared = IamaOptimizer::new(drifted, model(), schedule());
+        for (tables, blob) in &blobs {
+            unshared
+                .seeder(SeedTier::Rebase)
+                .import(*tables, blob)
+                .unwrap();
+        }
+        assert_eq!(unshared.pending_seeds(), admitted);
+        assert!(rebased.arena.len() < unshared.arena.len());
 
         let b = Bounds::unbounded(3);
         for r in 0..=schedule().r_max() {
@@ -1579,22 +1559,24 @@ mod tests {
     }
 
     #[test]
-    fn rebase_refuses_mismatched_shapes_and_warm_targets() {
+    fn rebase_refuses_mismatched_shapes_and_models() {
         let donor = warm_optimizer(4);
-        // Different shape: refused.
-        let mut other = IamaOptimizer::new(
-            Arc::new(testkit::star_query(3, 150_000)),
-            model(),
-            schedule(),
-        );
+        let tables = TableSet::from_positions(0..4);
+        let blob = donor.export_subset(tables).expect("warm full set exports");
+        let refuse = |spec: QuerySpec, model: SharedCostModel| {
+            let mut opt = IamaOptimizer::new(Arc::new(spec), model, schedule());
+            let refused = opt.seeder(SeedTier::Rebase).import(tables, &blob);
+            assert_eq!(opt.pending_seeds(), 0);
+            refused
+        };
+        // Different shape over the same tables: the join edges differ.
         assert!(matches!(
-            other.rebase_from(&donor),
+            refuse(testkit::star_query(4, 150_000), model()),
             Err(SnapshotError::Corrupt(_))
         ));
-        // A warm target would mix two refinement histories: refused.
-        let mut warm = warm_optimizer(4);
+        // Fewer tables: the subset is not enumerated.
         assert!(matches!(
-            warm.rebase_from(&donor),
+            refuse(testkit::star_query(3, 150_000), model()),
             Err(SnapshotError::Corrupt(_))
         ));
         // Different model identity: refused.
@@ -1606,14 +1588,67 @@ mod tests {
                 ..StandardCostModelConfig::default()
             },
         ));
-        let mut foreign = IamaOptimizer::new(
-            Arc::new(testkit::chain_query(4, 165_000)),
-            tweaked,
-            schedule(),
-        );
         assert!(matches!(
-            foreign.rebase_from(&donor),
+            refuse(testkit::drift_cardinalities(donor.spec(), 1.1), tweaked),
             Err(SnapshotError::ModelMismatch(_))
         ));
+        // Drifted selectivities: a different statistic than cardinality.
+        assert!(matches!(
+            refuse(testkit::chain_query(4, 165_000), model()),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn a_refused_blob_queues_and_counts_nothing() {
+        // Both tiers check the whole blob before replaying any tree: a
+        // blob refused at its end leaves no seed, counter or plan behind.
+        let donor = warm_optimizer(4);
+        let tables = TableSet::from_positions(0..4);
+        let blob = donor.export_subset(tables).expect("warm full set exports");
+        let mut trailing = blob.clone();
+        trailing.push(0);
+        // One more tree after every valid one: a lone scan, covering one
+        // of the subset's four tables.
+        let header = donor.subset_header(tables).len();
+        let n = u32::from_le_bytes(blob[header..header + 4].try_into().unwrap());
+        let mut uncovering = blob[..header].to_vec();
+        uncovering.extend((n + 1).to_le_bytes());
+        uncovering.extend(&blob[header + 4..]);
+        uncovering.extend([0, 0, 0]);
+        let chain5 = || {
+            let spec = Arc::new(testkit::chain_query(5, 150_000));
+            IamaOptimizer::new(spec, model(), schedule())
+        };
+        for (what, bad) in [
+            ("trailing byte", &trailing),
+            ("uncovering tree", &uncovering),
+        ] {
+            for tier in [SeedTier::Transplant, SeedTier::Rebase] {
+                let mut opt = chain5();
+                assert!(
+                    opt.seeder(tier).import(tables, bad).is_err(),
+                    "{what} via {tier:?}"
+                );
+                let s = opt.stats();
+                assert_eq!(
+                    (
+                        opt.pending_seeds() as u64,
+                        s.transplanted_candidates,
+                        s.rebased_candidates,
+                        s.subsets_seeded,
+                        opt.arena.len() as u64,
+                    ),
+                    (0, 0, 0, 0, 0),
+                    "{what} via {tier:?} left state behind"
+                );
+            }
+        }
+        let mut opt = chain5();
+        let queued = opt
+            .seeder(SeedTier::Transplant)
+            .import(tables, &blob)
+            .unwrap();
+        assert!(queued > 0 && opt.pending_seeds() == queued);
     }
 }

@@ -51,15 +51,16 @@ pub struct OptimizerStats {
     /// footprint of phase 2.
     pub scratch_high_water: usize,
     /// Plans re-admitted as level-0 candidates from a transplanted
-    /// sub-frontier blob (`import_subset`). These plans were *not*
-    /// generated by this optimizer — they arrive re-costed under the live
+    /// sub-frontier blob ([`crate::SeedTier::Transplant`]). These plans
+    /// were *not* generated by this optimizer — they arrive re-costed under the live
     /// model and re-enter through pruning like any candidate, so they are
     /// deliberately excluded from `plans_generated` and the Lemma 5 map.
     /// Session-local: not serialized into full frontier snapshots.
     pub transplanted_candidates: u64,
     /// Plans re-admitted as level-0 candidates by a stats-drift rebase
-    /// from a parked donor optimizer (`rebase_from`). Session-local: not
-    /// serialized into full frontier snapshots.
+    /// from a parked donor optimizer's harvested blobs
+    /// ([`crate::SeedTier::Rebase`]). Session-local: not serialized into
+    /// full frontier snapshots.
     pub rebased_candidates: u64,
     /// Table subsets that received at least one transplanted or rebased
     /// candidate. Session-local: not serialized.

@@ -25,6 +25,13 @@
 //! across every [`crate::SessionManager`] of a sharded deployment. Warm
 //! state belongs to a query, not to a worker, so no fingerprint is ever
 //! parked twice and no shard has to go looking for another's warmth.
+//!
+//! A parked optimizer also serves as a **rebase donor** for submissions
+//! that differ from it only in catalog cardinalities: a secondary index
+//! by [`RebaseKey`] finds it, and [`WarmStore::rebase_seeds`] hands out
+//! its harvest's shared blobs, which the twin imports through the same
+//! seed door as a transplant. The donor itself never leaves the store, so
+//! its exact repeat and any number of concurrent twins find it.
 
 use crate::fingerprint::{QueryFingerprint, RebaseKey};
 use crate::subfrontier::{Harvest, SubFrontierCache};
@@ -46,7 +53,7 @@ pub struct CacheStats {
     pub entries: usize,
     /// Cardinality-blind donor lookups that found a parked optimizer of
     /// the same shape under drifted statistics (see
-    /// [`WarmStore::take_rebase_donor`]).
+    /// [`WarmStore::rebase_seeds`]).
     pub rebase_hits: u64,
     /// Cardinality-blind donor lookups that found nothing.
     pub rebase_misses: u64,
@@ -56,11 +63,12 @@ pub struct CacheStats {
 struct Parked {
     optimizer: IamaOptimizer,
     /// The sub-frontier blobs the optimizer was parked with; handed back
-    /// on `take` so an unchanged re-park can reuse them.
-    harvest: Option<Harvest>,
-    /// Value of the cache's tick counter when this entry was last parked.
-    /// Strictly increasing across `put`s, so the minimum identifies the
-    /// least-recently-parked entry without any ordering side structure.
+    /// on `take` so an unchanged re-park can reuse them, and shared with
+    /// drifted twins as rebase seeds.
+    harvest: Harvest,
+    /// Value of the cache's tick counter when this entry was last parked
+    /// or rebased from. Strictly increasing, so the minimum identifies the
+    /// least-recently-used entry without any ordering side structure.
     tick: u64,
     /// The entry's cardinality-blind key, kept so removals can maintain
     /// the secondary index without recomputing the hash.
@@ -80,7 +88,7 @@ pub(crate) struct FrontierCache {
     /// → fingerprints of the parked optimizers sharing it. Maintained on
     /// every `put`/`take`/eviction, consulted only on a cold miss.
     blind: FxHashMap<RebaseKey, Vec<QueryFingerprint>>,
-    /// Monotone recency clock; bumped on every `put`.
+    /// Monotone recency clock; bumped on every `put` and rebase lookup.
     tick: u64,
 }
 
@@ -95,7 +103,7 @@ impl FrontierCache {
 
     /// Removes and returns the parked optimizer for `fp`, if any, with
     /// the harvest it was parked with.
-    pub fn take(&mut self, fp: QueryFingerprint) -> Option<(IamaOptimizer, Option<Harvest>)> {
+    pub fn take(&mut self, fp: QueryFingerprint) -> Option<(IamaOptimizer, Harvest)> {
         let parked = self.map.remove(&fp)?;
         self.unindex(parked.rebase, fp);
         Some((parked.optimizer, parked.harvest))
@@ -124,7 +132,7 @@ impl FrontierCache {
         &mut self,
         fp: QueryFingerprint,
         optimizer: IamaOptimizer,
-        harvest: Option<Harvest>,
+        harvest: Harvest,
     ) -> bool {
         self.tick += 1;
         let tick = self.tick;
@@ -163,26 +171,19 @@ impl FrontierCache {
         true
     }
 
-    /// Removes and returns the most recently parked optimizer whose
-    /// cardinality-blind key equals `key` — a **rebase donor**: same
-    /// join-graph shape, row widths, filters, selectivities, metrics, and
-    /// cost-model identity, different table cardinalities — with its
-    /// fingerprint and harvest. The caller replays the donor's plans into
-    /// a cold optimizer via `IamaOptimizer::rebase_from`, which leaves the
-    /// donor untouched, and parks it again so it can still serve an exact
-    /// repeat of *its* statistics.
-    pub fn take_rebase_donor(
-        &mut self,
-        key: RebaseKey,
-    ) -> Option<(QueryFingerprint, IamaOptimizer, Option<Harvest>)> {
+    /// The harvest of the most recently used optimizer whose
+    /// cardinality-blind key equals `key` — a **rebase donor** — sharing
+    /// its blobs. The lookup refreshes the donor's recency, as a use.
+    pub fn rebase_seeds(&mut self, key: RebaseKey) -> Option<Harvest> {
         let fp = self.blind.get(&key).and_then(|list| {
             list.iter()
                 .max_by_key(|fp| self.map.get(fp).map(|p| p.tick).unwrap_or(0))
                 .copied()
         })?;
-        let parked = self.map.remove(&fp)?;
-        self.unindex(parked.rebase, fp);
-        Some((fp, parked.optimizer, parked.harvest))
+        let donor = self.map.get_mut(&fp)?;
+        self.tick += 1;
+        donor.tick = self.tick;
+        Some(donor.harvest.clone())
     }
 
     /// True if a rebase donor is parked for `key`.
@@ -254,54 +255,32 @@ impl WarmStore {
             Some(kept) if kept.generation == optimizer.generation() => kept,
             _ => Harvest::of(&optimizer),
         };
-        for (sfp, blob) in &harvest.blobs {
+        for (sfp, _, blob) in &harvest.blobs {
             self.subfrontiers.insert(*sfp, Arc::clone(blob));
         }
-        self.lock().put(fp, optimizer, Some(harvest))
+        self.lock().put(fp, optimizer, harvest)
     }
 
     /// Removes and returns the optimizer parked under `fp`, if any, with
     /// the harvest it was parked with: a hit transfers ownership to the
     /// new session, and the optimizer returns through
     /// [`WarmStore::park`] when that session ends.
-    pub fn take(&self, fp: QueryFingerprint) -> Option<(IamaOptimizer, Option<Harvest>)> {
+    pub fn take(&self, fp: QueryFingerprint) -> Option<(IamaOptimizer, Harvest)> {
         self.lock().take(fp)
     }
 
-    /// Removes and returns the most recently parked optimizer whose
-    /// cardinality-blind key equals `key` — a **rebase donor**: same
-    /// join-graph shape, row widths, filters, selectivities, metrics and
-    /// cost-model identity, different table cardinalities — with its
-    /// fingerprint and harvest.
+    /// The seeds of a **rebase donor** for `key`: the harvest of the most
+    /// recently used parked optimizer with the same join-graph shape, row
+    /// widths, filters, selectivities, metrics and cost-model identity,
+    /// but different table cardinalities.
     ///
-    /// The caller replays the donor with no lock held
-    /// (`IamaOptimizer::rebase_from` leaves it untouched) and hands it
-    /// back through [`WarmStore::return_donor`]. While the donor is out,
-    /// the store does not hold it: an exact repeat of the donor's own
-    /// fingerprint misses, and a **concurrent drifted twin** of the same
-    /// shape finds no donor (a rebase miss) — both start cold, even when
-    /// the router probed the store before the donor left and labelled the
-    /// submission warm or rebase. Nothing waits for a replay; the price is
-    /// a lost warm start for submissions that race one.
-    pub fn take_rebase_donor(
-        &self,
-        key: RebaseKey,
-    ) -> Option<(QueryFingerprint, IamaOptimizer, Option<Harvest>)> {
-        self.lock().take_rebase_donor(key)
-    }
-
-    /// Parks a taken donor again with its harvest (the replay left it
-    /// unchanged, so no park step runs), unless an optimizer was parked
-    /// under its fingerprint meanwhile: that fresher one stays. Returns
-    /// true if the put-back evicted an entry.
-    pub fn return_donor(
-        &self,
-        fp: QueryFingerprint,
-        optimizer: IamaOptimizer,
-        harvest: Option<Harvest>,
-    ) -> bool {
-        let mut cache = self.lock();
-        !cache.contains(fp) && cache.put(fp, optimizer, harvest)
+    /// The blobs are shared (`Arc` clones taken under the store lock), and
+    /// the donor's recency is refreshed as for any use. The donor stays
+    /// parked: its exact repeat resumes warm, and every concurrent twin of
+    /// its shape finds the same seeds. The caller imports them with
+    /// [`moqo_core::SeedTier::Rebase`] and no lock held.
+    pub fn rebase_seeds(&self, key: RebaseKey) -> Option<Harvest> {
+        self.lock().rebase_seeds(key)
     }
 
     /// What a submission of `fp`, with cardinality-blind key `key`, would
@@ -356,17 +335,27 @@ impl WarmStore {
 mod tests {
     use super::*;
     use moqo_core::IamaOptimizer;
-    use moqo_cost::ResolutionSchedule;
+    use moqo_cost::{Bounds, ResolutionSchedule};
     use moqo_costmodel::StandardCostModel;
-    use moqo_query::testkit;
+    use moqo_query::{testkit, QuerySpec};
     use std::sync::Arc;
 
-    fn opt_for(n: usize) -> (QueryFingerprint, IamaOptimizer) {
-        let spec = Arc::new(testkit::chain_query(n, 10_000));
+    fn opt_of(spec: QuerySpec) -> (QueryFingerprint, IamaOptimizer) {
+        let spec = Arc::new(spec);
         let model = Arc::new(StandardCostModel::paper_metrics());
         let fp = QueryFingerprint::of(&spec, &*model);
         let opt = IamaOptimizer::new(spec, model, ResolutionSchedule::linear(2, 1.1, 0.4));
         (fp, opt)
+    }
+
+    fn opt_for(n: usize) -> (QueryFingerprint, IamaOptimizer) {
+        opt_of(testkit::chain_query(n, 10_000))
+    }
+
+    /// Parks `opt` with the harvest a park step would give it.
+    fn put(cache: &mut FrontierCache, fp: QueryFingerprint, opt: IamaOptimizer) -> bool {
+        let harvest = Harvest::of(&opt);
+        cache.put(fp, opt, harvest)
     }
 
     #[test]
@@ -374,7 +363,7 @@ mod tests {
         let mut cache = FrontierCache::new(4);
         let (fp, opt) = opt_for(2);
         assert!(cache.take(fp).is_none());
-        assert!(!cache.put(fp, opt, None));
+        assert!(!put(&mut cache, fp, opt));
         assert_eq!(cache.map.len(), 1);
         assert!(cache.contains(fp));
         assert!(cache.take(fp).is_some());
@@ -388,9 +377,9 @@ mod tests {
         let (fp2, o2) = opt_for(2);
         let (fp3, o3) = opt_for(3);
         let (fp4, o4) = opt_for(4);
-        assert!(!cache.put(fp2, o2, None));
-        assert!(!cache.put(fp3, o3, None));
-        assert!(cache.put(fp4, o4, None), "fp2 must be evicted");
+        assert!(!put(&mut cache, fp2, o2));
+        assert!(!put(&mut cache, fp3, o3));
+        assert!(put(&mut cache, fp4, o4), "fp2 must be evicted");
         assert!(cache.take(fp2).is_none());
         assert!(cache.take(fp3).is_some());
         assert!(cache.take(fp4).is_some());
@@ -401,15 +390,15 @@ mod tests {
         let mut cache = FrontierCache::new(2);
         let (fp2, o2) = opt_for(2);
         let (fp3, o3) = opt_for(3);
-        cache.put(fp2, o2, None);
-        cache.put(fp3, o3, None);
+        put(&mut cache, fp2, o2);
+        put(&mut cache, fp3, o3);
         // Re-parking fp2 must not evict anything and must make fp3 the
         // coldest entry.
         let (fp2b, o2b) = opt_for(2);
         assert_eq!(fp2, fp2b);
-        assert!(!cache.put(fp2b, o2b, None), "a re-park evicts nothing");
+        assert!(!put(&mut cache, fp2b, o2b), "a re-park evicts nothing");
         let (fp4, o4) = opt_for(4);
-        assert!(cache.put(fp4, o4, None)); // evicts fp3, the least recently parked
+        assert!(put(&mut cache, fp4, o4)); // evicts fp3, the least recently parked
         assert!(cache.take(fp3).is_none());
         assert!(cache.take(fp2).is_some());
         assert!(cache.take(fp4).is_some());
@@ -424,7 +413,7 @@ mod tests {
         let pool: Vec<(QueryFingerprint, IamaOptimizer)> = (2..=12).map(opt_for).collect();
         let fps: Vec<QueryFingerprint> = pool.iter().map(|(fp, _)| *fp).collect();
         for (fp, opt) in pool {
-            cache.put(fp, opt, None);
+            put(&mut cache, fp, opt);
         }
         assert_eq!(cache.map.len(), cap);
         // The cap most-recently-parked fingerprints survive, oldest die.
@@ -436,8 +425,8 @@ mod tests {
         // evict on the re-park.
         let hot = *fps.last().unwrap();
         for _ in 0..1000 {
-            let (opt, _) = cache.take(hot).expect("hot entry must survive churn");
-            assert!(!cache.put(hot, opt, None));
+            let (opt, harvest) = cache.take(hot).expect("hot entry must survive churn");
+            assert!(!cache.put(hot, opt, harvest));
             assert!(cache.map.len() <= cap);
         }
         assert_eq!(cache.map.len(), cap);
@@ -446,47 +435,58 @@ mod tests {
         let fresh: Vec<(QueryFingerprint, IamaOptimizer)> =
             (13..13 + cap - 1).map(opt_for).collect();
         for (fp, opt) in fresh {
-            cache.put(fp, opt, None);
+            put(&mut cache, fp, opt);
         }
         assert!(cache.contains(hot), "most recent entry evicted too early");
     }
 
     #[test]
-    fn rebase_donor_finds_drifted_twins_and_tracks_eviction() {
-        let model = Arc::new(StandardCostModel::paper_metrics());
-        let mut cache = FrontierCache::new(4);
-        let (fp, opt) = opt_for(3);
-        let key = RebaseKey::of(opt.spec(), &*model);
+    fn rebase_seeds_share_the_donor_harvest_and_leave_it_parked() {
+        let model = StandardCostModel::paper_metrics();
+        let mut cache = FrontierCache::new(2);
+        let (fp, mut opt) = opt_for(3);
+        for r in 0..=opt.schedule().r_max() {
+            opt.optimize(&Bounds::unbounded(3), r);
+        }
+        let key = RebaseKey::of(opt.spec(), &model);
         assert!(!cache.has_rebase_donor(key));
-        assert!(cache.take_rebase_donor(key).is_none());
-        cache.put(fp, opt, None);
+        assert!(cache.rebase_seeds(key).is_none());
+        let harvest = Harvest::of(&opt);
+        assert!(!harvest.blobs.is_empty(), "a refined chain harvests blobs");
+        cache.put(fp, opt, harvest.clone());
         // A drifted-cardinality twin shares the blind key...
         let drifted = testkit::drift_cardinalities(&testkit::chain_query(3, 10_000), 5.5);
-        let dkey = RebaseKey::of(&drifted, &*model);
+        let dkey = RebaseKey::of(&drifted, &model);
         assert_eq!(key, dkey);
         assert!(cache.has_rebase_donor(dkey));
-        let (donor_fp, donor, harvest) = cache.take_rebase_donor(dkey).expect("donor parked");
-        // ...and the donor keeps its own statistics and fingerprint. It
-        // leaves the cache (and the blind index) while the caller replays
-        // it.
-        assert_eq!(donor_fp, fp);
-        assert_eq!(
-            donor
-                .spec()
-                .catalog
-                .table(donor.spec().graph.tables[0])
-                .cardinality,
-            10_000
-        );
-        assert!(!cache.contains(fp) && !cache.has_rebase_donor(key));
-        cache.put(donor_fp, donor, harvest);
-        assert!(cache.has_rebase_donor(key), "the returned donor is indexed");
+        // ...and gets the donor's blobs, with their subsets, shared.
+        let seeds = cache.rebase_seeds(dkey).expect("donor parked");
+        assert_eq!(seeds.generation, harvest.generation);
+        assert_eq!(seeds.blobs.len(), harvest.blobs.len());
+        for ((sfp, tables, blob), (hfp, htables, hblob)) in seeds.blobs.iter().zip(&harvest.blobs) {
+            assert_eq!((sfp, tables), (hfp, htables));
+            assert!(Arc::ptr_eq(blob, hblob), "seeds share the parked blobs");
+        }
+        // The donor stays parked and indexed, and the lookup counts as a
+        // use: a second entry parked after the donor is now the coldest.
+        assert!(cache.contains(fp) && cache.has_rebase_donor(key));
+        let (fp4, o4) = opt_for(4);
+        put(&mut cache, fp4, o4);
+        assert!(cache.rebase_seeds(key).is_some());
+        let (fp5, o5) = opt_for(5);
+        assert!(put(&mut cache, fp5, o5));
+        assert!(cache.contains(fp) && !cache.contains(fp4));
+        assert!(cache.take(fp5).is_some());
+        // Of two donors for one key, the most recently used seeds.
+        let (dfp, twin) = opt_of(drifted);
+        put(&mut cache, dfp, twin);
+        assert!(cache.rebase_seeds(key).unwrap().blobs.is_empty());
         // A different shape has no donor.
         let other = testkit::chain_query(4, 10_000);
-        assert!(!cache.has_rebase_donor(RebaseKey::of(&other, &*model)));
-        // take() unindexes: once the entry leaves, the donor is gone too.
-        assert!(cache.take(fp).is_some());
+        assert!(!cache.has_rebase_donor(RebaseKey::of(&other, &model)));
+        // take() unindexes: once the entries leave, the donor is gone too.
+        assert!(cache.take(fp).is_some() && cache.take(dfp).is_some());
         assert!(!cache.has_rebase_donor(key));
-        assert!(cache.take_rebase_donor(key).is_none());
+        assert!(cache.rebase_seeds(key).is_none());
     }
 }

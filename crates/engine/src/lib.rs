@@ -42,8 +42,10 @@
 //!   again with its state unchanged, the same blobs are re-inserted
 //!   instead of encoded again.
 //!   A parked frontier whose [`RebaseKey`] matches a cold submission
-//!   (same shape, drifted cardinalities) is instead **rebased** wholesale
-//!   via `IamaOptimizer::rebase_from`.
+//!   (same shape, drifted cardinalities) is instead **rebased**: its
+//!   harvest seeds every subset through the same door as a transplant
+//!   ([`moqo_core::Seeder`]), only blind to the drifted cardinalities,
+//!   and the donor stays parked ([`WarmStore::rebase_seeds`]).
 //!
 //! Serving layers build on three hooks: [`SessionManager::watch`]
 //! (per-session [`SessionEvent`] push channels carrying delta-streamed

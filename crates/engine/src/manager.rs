@@ -36,12 +36,20 @@
 //! or, when a resumed optimizer parks again unchanged, the blobs it was
 //! parked with are re-inserted as they are.
 //!
-//! All warm-start work of an open — taking a parked optimizer, replaying
-//! a rebase donor, importing transplanted sub-frontiers — runs before the
-//! manager's state lock is taken, and the store lock is held only for
-//! each map operation; the state lock then only registers the session.
-//! Seed replay re-costs every tree, so under either lock it would stall
-//! every session of the shard, or of the deployment.
+//! A cold open has two near-miss tiers, and one door for both: each seeds
+//! sub-frontier blobs through a [`moqo_core::Seeder`]. A
+//! **rebase** takes the blobs a parked optimizer of the same shape under
+//! drifted cardinalities was harvested with ([`WarmStore::rebase_seeds`];
+//! the donor stays parked); failing that, a **transplant** takes the
+//! blobs of other queries sharing a join subgraph with identical
+//! statistics from the [`SubFrontierCache`].
+//!
+//! All warm-start work of an open — taking a parked optimizer, importing
+//! rebase or transplant seeds — runs before the manager's state lock is
+//! taken, and the store lock is held only for each map operation; the
+//! state lock then only registers the session. Seed replay re-costs
+//! every tree, so under either lock it would stall every session of the
+//! shard, or of the deployment.
 //!
 //! [`Preference`]: moqo_core::Preference
 
@@ -52,7 +60,7 @@ use crate::subfrontier::{Harvest, SubFrontierCache, SubFrontierCacheStats};
 use moqo_core::protocol::{
     FrontierDelta, ProtocolError, SessionCommand, SessionEvent, SessionOutcome, SessionRequest,
 };
-use moqo_core::{FrontierSnapshot, IamaConfig, IamaOptimizer, InvocationReport, Session};
+use moqo_core::{FrontierSnapshot, IamaConfig, IamaOptimizer, InvocationReport, SeedTier, Session};
 use moqo_cost::{Bounds, ResolutionSchedule};
 use moqo_costmodel::SharedCostModel;
 use moqo_plan::PlanId;
@@ -117,8 +125,8 @@ pub struct SessionStatus {
     pub model_override: bool,
     /// True if the session started cold on its exact fingerprint but was
     /// seeded by **rebasing** a parked frontier of the same shape under
-    /// drifted catalog cardinalities (plans re-admitted as re-costed
-    /// level-0 candidates; see `IamaOptimizer::rebase_from`).
+    /// drifted catalog cardinalities (its harvested plans re-admitted as
+    /// re-costed level-0 candidates; see [`WarmStore::rebase_seeds`]).
     pub rebased: bool,
     /// Number of table subsets seeded from transplanted sub-frontier
     /// blobs on a cold start (0 for warm and rebased sessions).
@@ -397,7 +405,7 @@ impl SessionManager {
             Some((opt, harvest)) => {
                 count(&counters.hits);
                 let nonstandard = opt.schedule() != &self.schedule;
-                (opt, harvest, true, nonstandard, false, 0)
+                (opt, Some(harvest), true, nonstandard, false, 0)
             }
             None => {
                 count(&counters.misses);
@@ -408,22 +416,21 @@ impl SessionManager {
                 let mut opt =
                     IamaOptimizer::with_plan(spec.clone(), model.clone(), schedule, config, plan);
                 // Exact fingerprint miss. Two warm near-miss tiers before
-                // cold enumeration, both re-costing every plan at the
-                // door so the `alpha_T` guarantee never weakens:
+                // cold enumeration, both seeding sub-frontier blobs that
+                // are re-costed at the door, so the `alpha_T` guarantee
+                // never weakens. A refused blob (a near-miss hash
+                // collision or model drift) only leaves its subset cold.
                 //
-                // 1. **Rebase** — a parked frontier of the same shape
-                //    whose fingerprint differs only in catalog
-                //    cardinalities (the hourly stats refresh). Its plans
-                //    re-enter as level-0 candidates. The donor leaves the
-                //    store for the replay and returns unchanged, for exact
-                //    repeats of its own statistics.
+                // 1. **Rebase** — the blobs of a parked frontier of the
+                //    same shape whose fingerprint differs only in catalog
+                //    cardinalities (the hourly stats refresh).
                 let mut rebased = false;
-                match store.take_rebase_donor(RebaseKey::of(&spec, &model)) {
-                    Some((donor_fp, donor, donor_harvest)) => {
+                match store.rebase_seeds(RebaseKey::of(&spec, &model)) {
+                    Some(seeds) => {
                         count(&counters.rebase_hits);
-                        rebased = opt.rebase_from(&donor).map(|n| n > 0).unwrap_or(false);
-                        if store.return_donor(donor_fp, donor, donor_harvest) {
-                            count(&counters.evictions);
+                        let mut seeder = opt.seeder(SeedTier::Rebase);
+                        for (_, tables, blob) in &seeds.blobs {
+                            rebased |= seeder.import(*tables, blob).is_ok_and(|n| n > 0);
                         }
                     }
                     None => count(&counters.rebase_misses),
@@ -432,10 +439,11 @@ impl SessionManager {
                 //    *different* queries sharing a join subgraph with
                 //    identical induced statistics. Skipped after a
                 //    successful rebase (which already seeds every
-                //    subset, including the full set).
+                //    harvested subset, including the full set).
                 let mut seeded = 0u32;
                 if !rebased {
                     let enumeration = Arc::clone(opt.enumeration());
+                    let mut seeder = opt.seeder(SeedTier::Transplant);
                     for info in enumeration.subsets() {
                         let tables = info.tables;
                         if tables.len() < 2 {
@@ -443,13 +451,7 @@ impl SessionManager {
                         }
                         let sfp = SubsetFingerprint::of(&spec, tables, &model);
                         if let Some(blob) = store.subfrontiers().get(sfp) {
-                            // Import errors are near-miss hash collisions
-                            // or model drift: refuse the seed, run cold.
-                            if let Ok(n) = opt.import_subset(tables, &blob) {
-                                if n > 0 {
-                                    seeded += 1;
-                                }
-                            }
+                            seeded += u32::from(seeder.import(tables, &blob).is_ok_and(|n| n > 0));
                         }
                     }
                 }

@@ -27,6 +27,7 @@
 use crate::fingerprint::SubsetFingerprint;
 use moqo_core::IamaOptimizer;
 use moqo_index::FxHashMap;
+use moqo_query::TableSet;
 use std::sync::{Arc, Mutex};
 
 /// Counters describing sub-frontier cache effectiveness.
@@ -49,12 +50,18 @@ pub struct SubFrontierCacheStats {
 /// and the optimizer [generation](IamaOptimizer::generation) they were
 /// encoded at. While the generation holds, they are exactly what a fresh
 /// harvest of that optimizer would produce.
+///
+/// The harvest is also what a drifted twin rebases from (see
+/// [`crate::WarmStore::rebase_seeds`]): each blob carries the table subset
+/// it was exported from, which is the same subset in every query sharing
+/// the parked optimizer's [`crate::RebaseKey`].
 #[derive(Clone, Debug)]
 pub struct Harvest {
     /// The optimizer generation the blobs were encoded at.
     pub generation: u64,
-    /// One blob per harvested multi-table subset, keyed as cached.
-    pub blobs: Vec<(SubsetFingerprint, Arc<Vec<u8>>)>,
+    /// One blob per harvested multi-table subset, keyed as cached, with
+    /// the subset it encodes.
+    pub blobs: Vec<(SubsetFingerprint, TableSet, Arc<Vec<u8>>)>,
 }
 
 impl Harvest {
@@ -72,7 +79,8 @@ impl Harvest {
             .filter(|tables| tables.len() >= 2)
             .filter_map(|tables| {
                 let blob = optimizer.export_subset(tables)?;
-                Some((SubsetFingerprint::of(spec, tables, &*model), Arc::new(blob)))
+                let fp = SubsetFingerprint::of(spec, tables, &*model);
+                Some((fp, tables, Arc::new(blob)))
             })
             .collect();
         Self {

@@ -76,10 +76,9 @@ pub struct GlobalSessionId {
 /// The decision records what the store's one probe found at routing time.
 /// The session's open looks again and is authoritative
 /// ([`SessionStatus::warm_start`], [`SessionStatus::rebased`]): a
-/// submission that races another open for the same parked optimizer —
-/// the donor's exact repeat or a second drifted twin while a replay has
-/// the donor out of the store (see [`WarmStore::take_rebase_donor`]) —
-/// is counted warm or rebase here but starts cold.
+/// submission that races another open of the same fingerprint for its
+/// parked optimizer is counted warm here but starts cold. Rebase seeds
+/// are shared, never taken, so concurrent drifted twins all rebase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RouteDecision {
     /// Home shard; the store parks a warm frontier for the fingerprint.
@@ -87,9 +86,8 @@ pub enum RouteDecision {
     /// Home shard; the store parks no exact frontier but a **rebase
     /// donor**: a frontier of the same shape under drifted catalog
     /// cardinalities (see [`moqo_engine::RebaseKey`]). The session starts
-    /// from the donor's plans re-admitted as level-0 candidates — unless
-    /// a concurrent twin's replay has taken the donor out of the store
-    /// by the time the session opens, in which case it starts cold.
+    /// from the donor's harvested plans re-admitted as level-0 candidates
+    /// (see [`WarmStore::rebase_seeds`]).
     RebaseHome,
     /// Home shard, cold (first sight of the fingerprint, or its frontier
     /// was evicted).
@@ -897,37 +895,45 @@ mod tests {
     }
 
     #[test]
-    fn a_twin_racing_a_replay_finds_no_donor_and_starts_cold() {
+    fn a_twin_and_the_donor_repeat_open_warm_during_a_replay() {
         let gate = Arc::new(Gate::default());
         let _release = Release(Arc::clone(&gate));
         let (e, donor) = gated_engine_with_donor(&gate);
         let first = Arc::new(testkit::drift_cardinalities(&donor, 1.08));
         let replay = replay_blocked(&e, &gate, first);
+        let mut expected = lookups(&e);
 
-        // The first twin's replay has the donor out of the store, so a
-        // second twin of the same shape probes nothing: it routes cold,
-        // counts a rebase miss on its shard, and does not wait for the
-        // replay.
+        // The first twin's replay holds no lock and leaves the donor
+        // parked, so a second twin of the same shape rebases from the
+        // same seeds without waiting for it: an exact miss and a rebase
+        // hit on its home shard.
         let second = Arc::new(testkit::drift_cardinalities(&donor, 1.2));
         let home = e.home_shard(e.fingerprint(&second));
-        let before = lookups(&e)[home];
         let (gid, decision) = within_5s("a second twin's open", {
             let e = Arc::clone(&e);
             move || e.submit(second)
         });
-        assert_eq!((gid.shard, decision), (home, RouteDecision::ColdHome));
-        let after = lookups(&e)[home];
-        assert_eq!(
-            (after.1 - before.1, after.2 - before.2, after.3 - before.3),
-            (1, 0, 1),
-            "an exact miss and a rebase miss"
-        );
+        assert_eq!((gid.shard, decision), (home, RouteDecision::RebaseHome));
+        assert!(e.status(gid).unwrap().rebased);
+        expected[home].1 += 1;
+        expected[home].2 += 1;
+        assert_eq!(lookups(&e), expected, "the second twin finds the donor");
+
+        // The donor's exact repeat resumes warm: an exact hit.
+        let donor_home = e.home_shard(e.fingerprint(&donor));
+        let (gid, decision) = within_5s("the donor's repeat", {
+            let e = Arc::clone(&e);
+            move || e.submit(donor)
+        });
+        assert_eq!((gid.shard, decision), (donor_home, RouteDecision::WarmHome));
+        assert!(e.status(gid).unwrap().warm_start);
+        expected[donor_home].0 += 1;
+        assert_eq!(lookups(&e), expected, "the donor's repeat hits");
 
         gate.release();
         let (first_gid, _) = replay.join().unwrap();
         assert!(e.wait_idle(IDLE));
         assert!(e.status(first_gid).unwrap().rebased);
-        let s = e.status(gid).unwrap();
-        assert!(!s.rebased && !s.warm_start, "{s:?}");
+        assert_eq!(lookups(&e), expected);
     }
 }

@@ -5,10 +5,11 @@
 //! changes *how fast* the frontier is reached, never *what* it covers.
 
 use moqo::baselines::exhaustive_pareto;
-use moqo::core::{IamaConfig, IamaOptimizer};
+use moqo::core::{IamaConfig, IamaOptimizer, SeedTier};
 use moqo::cost::{coverage_factor, Bounds, ResolutionSchedule};
 use moqo::costmodel::{CostModel, MetricSet, StandardCostModel, StandardCostModelConfig};
-use moqo::query::{testkit, TableSet};
+use moqo::engine::Harvest;
+use moqo::query::{testkit, QuerySpec, TableSet};
 use std::sync::Arc;
 
 /// A reduced operator space keeps exhaustive DP tractable.
@@ -36,6 +37,17 @@ fn run_ladder(opt: &mut IamaOptimizer) -> Vec<moqo::cost::CostVector> {
     opt.frontier(&b, opt.schedule().r_max()).costs()
 }
 
+/// Rebases cold `opt` from `donor`'s harvest through one seeder, as an
+/// open under drifted statistics does; returns the queued seeds.
+fn rebase(opt: &mut IamaOptimizer, donor: &IamaOptimizer) -> usize {
+    let mut seeder = opt.seeder(SeedTier::Rebase);
+    Harvest::of(donor)
+        .blobs
+        .iter()
+        .map(|(_, tables, blob)| seeder.import(*tables, blob).unwrap())
+        .sum()
+}
+
 #[test]
 fn theorem2_holds_for_transplant_seeded_optimizers() {
     // Donor: a fully refined chain(4). Recipient: a cold chain(5) whose
@@ -57,7 +69,10 @@ fn theorem2_holds_for_transplant_seeded_optimizers() {
             continue;
         }
         if let Some(blob) = donor.export_subset(tables) {
-            admitted += seeded.import_subset(tables, &blob).unwrap();
+            admitted += seeded
+                .seeder(SeedTier::Transplant)
+                .import(tables, &blob)
+                .unwrap();
         }
     }
     assert!(admitted > 0, "the shared prefix must transplant");
@@ -74,31 +89,39 @@ fn theorem2_holds_for_transplant_seeded_optimizers() {
 
 #[test]
 fn theorem2_holds_for_rebased_optimizers() {
-    // Donor refined under stale statistics; the recipient rebases it
-    // under drifted cardinalities. The frontier served under the *new*
-    // stats must cover the *new* exhaustive ground truth — the donor's
-    // plans only ever enter through the door, re-costed by the live
-    // model over the live catalog.
+    // Donor refined under stale statistics; the recipient rebases its
+    // harvest under drifted cardinalities. The frontier served under the
+    // *new* stats must cover the *new* exhaustive ground truth — the
+    // donor's plans only ever enter through the door, re-costed by the
+    // live model over the live catalog. Drifts go both ways.
     let model = small_model();
     let sched = schedule();
-    let stale = Arc::new(testkit::chain_query(4, 150_000));
-    let fresh = Arc::new(testkit::drift_cardinalities(&stale, 1.25));
+    let cases: [(QuerySpec, f64); 3] = [
+        (testkit::chain_query(4, 150_000), 1.25),
+        (testkit::star_query(5, 150_000), 1.1),
+        (testkit::cycle_query(5, 100_000), 0.8),
+    ];
+    for (stale, drift) in cases {
+        let name = stale.name.clone();
+        let fresh = Arc::new(testkit::drift_cardinalities(&stale, drift));
+        let mut donor = IamaOptimizer::new(Arc::new(stale), Arc::new(model.clone()), sched.clone());
+        run_ladder(&mut donor);
 
-    let mut donor = IamaOptimizer::new(stale, Arc::new(model.clone()), sched.clone());
-    run_ladder(&mut donor);
+        let mut rebased = IamaOptimizer::new(fresh.clone(), Arc::new(model.clone()), sched.clone());
+        assert!(
+            rebase(&mut rebased, &donor) > 0,
+            "{name}: the drifted twin must rebase"
+        );
 
-    let mut rebased = IamaOptimizer::new(fresh.clone(), Arc::new(model.clone()), sched.clone());
-    let admitted = rebased.rebase_from(&donor).unwrap();
-    assert!(admitted > 0, "the drifted twin must rebase");
-
-    let frontier = run_ladder(&mut rebased);
-    let exact = exhaustive_pareto(&fresh, &model, &Bounds::unbounded(model.dim()));
-    let factor = coverage_factor(&frontier, &exact.pareto_costs());
-    let guarantee = sched.guarantee(sched.r_max(), fresh.n_tables());
-    assert!(
-        factor <= guarantee + 1e-9,
-        "rebase broke Theorem 2: measured {factor} > guarantee {guarantee}"
-    );
+        let frontier = run_ladder(&mut rebased);
+        let exact = exhaustive_pareto(&fresh, &model, &Bounds::unbounded(model.dim()));
+        let factor = coverage_factor(&frontier, &exact.pareto_costs());
+        let guarantee = sched.guarantee(sched.r_max(), fresh.n_tables());
+        assert!(
+            factor <= guarantee + 1e-9,
+            "{name} ×{drift}: rebase broke Theorem 2: measured {factor} > guarantee {guarantee}"
+        );
+    }
 }
 
 #[test]
@@ -127,7 +150,7 @@ fn seed_cap_amortizes_the_first_slice_within_the_guarantee() {
                 ..IamaConfig::default()
             },
         );
-        let queued = opt.rebase_from(&donor).unwrap();
+        let queued = rebase(&mut opt, &donor);
         assert!(queued > 0, "the drifted twin must rebase");
         assert_eq!(opt.pending_seeds(), queued, "seeds queue, not drain");
         let b = Bounds::unbounded(opt.model_dim());
@@ -186,7 +209,9 @@ fn seeding_from_an_unrelated_query_is_refused_not_absorbed() {
     let tables = TableSet::full(3);
     let blob = donor.export_subset(tables).expect("star subset exports");
     assert!(
-        opt.import_subset(tables, &blob).is_err(),
+        opt.seeder(SeedTier::Transplant)
+            .import(tables, &blob)
+            .is_err(),
         "a foreign sub-frontier must be refused"
     );
     assert_eq!(opt.stats().transplanted_candidates, 0);
