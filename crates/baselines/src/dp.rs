@@ -123,6 +123,7 @@ pub fn approx_dp<M: CostModel>(
     }
 
     // Inductive case: table sets of increasing cardinality.
+    let mut alts = Vec::new();
     for k in 2..=n {
         for q in k_subsets(n, k) {
             for (q1, q2) in q.splits() {
@@ -149,7 +150,9 @@ pub fn approx_dp<M: CostModel>(
                                 cost: e2.cost,
                                 props: e2.props,
                             };
-                            for (op, cost, props) in model.join_alternatives(spec, &left, &right) {
+                            alts.clear();
+                            model.join_alternatives(spec, &left, &right, &mut alts);
+                            for &(op, cost, props) in &alts {
                                 let pid = arena.push_join(op, e1.plan, e2.plan, cost, props);
                                 plans_generated += 1;
                                 if bounds.exceeds(&cost) {

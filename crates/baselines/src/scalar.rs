@@ -93,6 +93,7 @@ pub fn single_objective_dp<M: CostModel>(
         }
     }
 
+    let mut alts = Vec::new();
     for k in 2..=n {
         for q in k_subsets(n, k) {
             for (q1, q2) in q.splits() {
@@ -118,7 +119,9 @@ pub fn single_objective_dp<M: CostModel>(
                                 cost: e2.cost,
                                 props: e2.props,
                             };
-                            for (op, cost, props) in model.join_alternatives(spec, &left, &right) {
+                            alts.clear();
+                            model.join_alternatives(spec, &left, &right, &mut alts);
+                            for &(op, cost, props) in &alts {
                                 let pid = arena.push_join(op, e1.plan, e2.plan, cost, props);
                                 plans_generated += 1;
                                 keep_best(

@@ -84,9 +84,8 @@ fn proc_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Counts this process's serving threads — the network front's
-/// (`moqo-net-*`) and the engine workers (`moqo-engine-*`) — by name
-/// under `/proc/self/task`. Client and test-harness threads are not
+/// Counts this process's serving threads (see [`is_serving_thread`]) by
+/// name under `/proc/self/task`. Client and test-harness threads are not
 /// counted; the threads of a second server in the same process would be.
 /// Returns zero where `/proc` is unavailable.
 fn server_threads() -> u64 {
@@ -95,8 +94,17 @@ fn server_threads() -> u64 {
     };
     tasks
         .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.starts_with("moqo-net-") || comm.starts_with("moqo-engine-"))
+        .filter(|comm| is_serving_thread(comm))
         .count() as u64
+}
+
+/// Whether a thread named `comm` serves sessions: the network front's
+/// (`moqo-net-*`) and the engine workers (`moqo-engine-*`). The
+/// optimizer core's process-wide cost helpers
+/// ([`moqo_core::COST_THREAD_PREFIX`]) do not grow with sessions, so
+/// they are not counted.
+fn is_serving_thread(comm: &str) -> bool {
+    comm.starts_with("moqo-net-") || comm.starts_with("moqo-engine-")
 }
 
 /// The small template set the fleet cycles over: enough shapes to spread
@@ -287,4 +295,16 @@ pub fn net_scale_experiment(requested: usize, fast: bool) -> ExperimentReport {
              the bulk disconnect parks every session warm.",
         )
         .run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cost_helpers_are_not_serving_threads() {
+        assert!(is_serving_thread("moqo-net-0") && is_serving_thread("moqo-engine-3"));
+        let helper = format!("{}0", moqo_core::COST_THREAD_PREFIX);
+        assert!(!is_serving_thread(&helper));
+    }
 }

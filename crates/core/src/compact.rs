@@ -46,6 +46,7 @@ impl IamaOptimizer {
             }
             state.release_operands();
         }
+        self.window = Default::default();
         self.full_res.map_items(remap);
         for (_, plan, _) in &mut self.pending_seeds {
             *plan = remap(*plan);

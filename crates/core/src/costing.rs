@@ -1,0 +1,420 @@
+//! Phase 2's costing step: the operand pairs one subset selected, costed
+//! on the calling thread and on a process-wide pool of helper threads.
+//!
+//! Lemma 4 makes costing a join alternative a pure function of the two
+//! children's cached costs, and [`CostModel::join_alternatives`] must
+//! return the same bits for the same inputs on any thread. So phase 2
+//! selects a subset's fresh pairs first, costs them here in any order, on
+//! any thread, and only then pushes and prunes their alternatives on the
+//! optimizing thread in selection order: plan ids, result and candidate
+//! sets and every counter come out as if each pair had been costed the
+//! moment it was selected.
+//!
+//! A [`CostWindow`] holds at most [`WINDOW_PAIRS`] pairs and is cut into
+//! chunks of [`CHUNK_PAIRS`]. The calling thread always costs the first
+//! chunk itself and times it. Only when the window has at least
+//! [`MIN_OFFER_CHUNKS`] chunks and that first chunk took longer than
+//! waking a helper ([`WAKE_UP`]) are the remaining chunks offered to the
+//! pool, and the calling thread goes on claiming chunks beside the
+//! helpers, so it only ever waits for a chunk a helper is already
+//! running. Cheap models, small windows and one-CPU hosts therefore cost
+//! every pair inline, and an invocation that selects no pair never
+//! touches the window or the pool.
+//!
+//! A panic inside the model on a helper is caught there, carried back
+//! and resumed on the calling thread once every claimed chunk finished;
+//! the helper itself lives on.
+
+use moqo_cost::CostVector;
+use moqo_costmodel::{CostModel, PlanInput};
+use moqo_plan::{Operator, PhysicalProps, PlanId};
+use moqo_query::QuerySpec;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// One costed join alternative: `(operator, cost, output properties)`.
+pub(crate) type Alternative = (Operator, CostVector, PhysicalProps);
+
+/// Pairs a window holds at most. A subset that selects more is costed
+/// and routed in several windows, in selection order.
+const WINDOW_PAIRS: usize = 256;
+
+/// Pairs one claim covers: small enough to balance a window across the
+/// pool, large enough that a claim costs little next to the costing.
+const CHUNK_PAIRS: usize = 8;
+
+/// Chunks a window needs before it is offered to the pool: with only one
+/// chunk left after the first, the calling thread claims it before any
+/// helper is awake, so the offer would cost a wake-up and save nothing.
+const MIN_OFFER_CHUNKS: usize = 3;
+
+/// About what handing work to a sleeping helper costs: a condvar hand-off
+/// measured 12–17 µs on a 2-vCPU Xeon VM. A first chunk that cost less
+/// predicts chunks no helper could take over profitably.
+const WAKE_UP: Duration = Duration::from_micros(20);
+
+/// Prefix of the helper threads' names (`moqo-cost-0`, `moqo-cost-1`, …).
+pub const COST_THREAD_PREFIX: &str = "moqo-cost-";
+
+/// A selected operand pair: the two child plans and what the cost model
+/// sees of them.
+#[derive(Clone, Copy)]
+pub(crate) struct SelectedPair {
+    pub(crate) left: PlanId,
+    pub(crate) right: PlanId,
+    pub(crate) left_in: PlanInput,
+    pub(crate) right_in: PlanInput,
+}
+
+/// The costed alternatives of one chunk's pairs, flat, with each pair's
+/// end offset into `alts`.
+#[derive(Default)]
+struct Chunk {
+    alts: Vec<Alternative>,
+    ends: Vec<u32>,
+}
+
+/// Reusable scratch for one subset's selected pairs and their costed
+/// alternatives. It allocates only while it grows to its largest window,
+/// and [`IamaOptimizer::compact`](crate::IamaOptimizer::compact) drops it.
+#[derive(Default)]
+pub(crate) struct CostWindow {
+    pairs: Vec<SelectedPair>,
+    /// One slot per chunk; a chunk is costed by exactly one thread, so
+    /// its lock is never contended.
+    chunks: Vec<Mutex<Chunk>>,
+}
+
+impl CostWindow {
+    pub(crate) fn push(&mut self, pair: SelectedPair) {
+        self.pairs.push(pair);
+    }
+
+    pub(crate) fn is_full(&self) -> bool {
+        self.pairs.len() >= WINDOW_PAIRS
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// Allocated capacity, in pairs (zero after a release).
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.pairs.capacity()
+    }
+
+    /// Costs every pair of the window with `model`, on this thread and,
+    /// when it pays, on the cost pool.
+    pub(crate) fn cost(&mut self, model: &(dyn CostModel + Send + Sync), spec: &QuerySpec) {
+        let n = self.pairs.len().div_ceil(CHUNK_PAIRS);
+        if self.chunks.len() < n {
+            self.chunks.resize_with(n, Default::default);
+        }
+        let (pairs, chunks) = (&self.pairs, &self.chunks[..n]);
+        let cost_chunk = |c: usize| {
+            let mut chunk = lock(&chunks[c]);
+            let Chunk { alts, ends } = &mut *chunk;
+            alts.clear();
+            ends.clear();
+            for p in pairs[c * CHUNK_PAIRS..].iter().take(CHUNK_PAIRS) {
+                model.join_alternatives(spec, &p.left_in, &p.right_in, alts);
+                ends.push(alts.len() as u32);
+            }
+        };
+        run_chunks(n, &cost_chunk);
+    }
+
+    /// Hands every pair with its costed alternatives to `route`, in
+    /// selection order, and empties the window.
+    pub(crate) fn drain(&mut self, mut route: impl FnMut(&SelectedPair, &[Alternative])) {
+        for (pairs, chunk) in self.pairs.chunks(CHUNK_PAIRS).zip(&mut self.chunks) {
+            let chunk = chunk.get_mut().unwrap_or_else(PoisonError::into_inner);
+            let mut start = 0;
+            for (pair, &end) in pairs.iter().zip(&chunk.ends) {
+                route(pair, &chunk.alts[start..end as usize]);
+                start = end as usize;
+            }
+        }
+        self.pairs.clear();
+    }
+}
+
+/// Runs `task(c)` for every chunk `c` in `0..n`: the first on this thread,
+/// timed, and the rest on the pool if there are enough of them and that
+/// chunk predicts they pay for a helper's wake-up.
+fn run_chunks(n: usize, task: &Task<'_>) {
+    if n < MIN_OFFER_CHUNKS {
+        (0..n).for_each(task);
+        return;
+    }
+    let start = Instant::now();
+    task(0);
+    let offer = (start.elapsed() >= WAKE_UP)
+        .then(pool)
+        .filter(|p| p.helpers > 0);
+    match offer {
+        Some(pool) => pool.run(1..n, task),
+        None => (1..n).for_each(task),
+    }
+}
+
+/// A chunked task: `task(c)` costs chunk `c`.
+type Task<'a> = dyn Fn(usize) + Sync + 'a;
+
+/// The process-wide helper pool.
+struct Pool {
+    helpers: usize,
+    shared: Arc<Shared>,
+}
+
+/// What the helpers and the offering threads share: the offered jobs and
+/// the helpers' wake-up.
+#[derive(Default)]
+struct Shared {
+    jobs: Mutex<VecDeque<Arc<Job>>>,
+    wake: Condvar,
+}
+
+/// The pool, started by the first window that wants it, with
+/// `available_parallelism() − 1` helpers, but no more than a window has
+/// chunks beyond the first. The helpers live as long as the process and
+/// are never joined; [`Job::work`] catches every panic, so none dies of
+/// one.
+fn pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let cpus = thread::available_parallelism().map_or(1, |n| n.get());
+        let wanted = (cpus - 1).min(WINDOW_PAIRS / CHUNK_PAIRS - 1);
+        let shared = Arc::new(Shared::default());
+        let helpers = (0..wanted)
+            .filter(|i| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("{COST_THREAD_PREFIX}{i}"))
+                    .spawn(move || helper(&shared))
+                    .is_ok()
+            })
+            .count();
+        Pool { helpers, shared }
+    })
+}
+
+/// A helper's life: take the oldest job with unclaimed chunks, claim
+/// chunks until none is left, repeat; sleep while no job is offered.
+fn helper(shared: &Shared) {
+    loop {
+        let job = {
+            let mut jobs = lock(&shared.jobs);
+            loop {
+                jobs.retain(|j| !j.exhausted());
+                if let Some(job) = jobs.front() {
+                    break Arc::clone(job);
+                }
+                jobs = shared
+                    .wake
+                    .wait(jobs)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        job.work();
+    }
+}
+
+impl Pool {
+    /// Offers `chunks` of `task` to the helpers, claims chunks beside
+    /// them, and returns once every chunk finished, resuming the first
+    /// panic any chunk raised.
+    fn run(&self, chunks: Range<usize>, task: &Task<'_>) {
+        let wanted = self.helpers.min(chunks.len());
+        // SAFETY: only the lifetime is erased. The job dereferences
+        // `task` only for a chunk it claimed, and this function returns
+        // (or unwinds) only after `wait` saw every chunk finish, so no
+        // thread calls `task` after the borrow ends. A helper may still
+        // hold the `Arc<Job>` then, but finds nothing left to claim.
+        let task: *const Task<'static> = unsafe { std::mem::transmute(task as *const Task<'_>) };
+        let job = Arc::new(Job {
+            task,
+            end: chunks.end,
+            total: chunks.len(),
+            next: AtomicUsize::new(chunks.start),
+            state: Mutex::new(JobState::default()),
+            finished: Condvar::new(),
+        });
+        lock(&self.shared.jobs).push_back(Arc::clone(&job));
+        for _ in 0..wanted {
+            self.shared.wake.notify_one();
+        }
+        job.work();
+        lock(&self.shared.jobs).retain(|j| !Arc::ptr_eq(j, &job));
+        if let Some(panic) = job.wait() {
+            resume_unwind(panic);
+        }
+    }
+}
+
+/// One window's chunks on offer.
+struct Job {
+    /// The offering thread's task, lifetime erased (see [`Pool::run`]).
+    task: *const Task<'static>,
+    /// One past the last chunk.
+    end: usize,
+    /// Chunks on offer.
+    total: usize,
+    /// The next unclaimed chunk. It only hands out indices: the task's
+    /// inputs reach a helper through the `jobs` lock and its outputs come
+    /// back through `state`, so `Relaxed` suffices.
+    next: AtomicUsize,
+    state: Mutex<JobState>,
+    /// Signalled when the last chunk finishes.
+    finished: Condvar,
+}
+
+// SAFETY: `task` points at a `Sync` closure that outlives every call made
+// through it (see `Pool::run`); everything else is `Send + Sync`.
+unsafe impl Send for Job {}
+unsafe impl Sync for Job {}
+
+#[derive(Default)]
+struct JobState {
+    /// Chunks finished, whether they returned or panicked.
+    done: usize,
+    /// The first panic a chunk raised.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Job {
+    fn exhausted(&self) -> bool {
+        self.next.load(Ordering::Relaxed) >= self.end
+    }
+
+    /// Claims and runs chunks until none is left, catching panics.
+    fn work(&self) {
+        loop {
+            let c = self.next.fetch_add(1, Ordering::Relaxed);
+            if c >= self.end {
+                return;
+            }
+            // SAFETY: chunk `c` is claimed and unfinished, so the offering
+            // thread is still inside `Pool::run` and `task` is live.
+            let task = unsafe { &*self.task };
+            let result = catch_unwind(AssertUnwindSafe(|| task(c)));
+            let mut state = lock(&self.state);
+            state.done += 1;
+            if let Err(panic) = result {
+                state.panic.get_or_insert(panic);
+            }
+            if state.done == self.total {
+                self.finished.notify_all();
+            }
+        }
+    }
+
+    /// Blocks until every chunk finished; returns the first panic.
+    fn wait(&self) -> Option<Box<dyn Any + Send>> {
+        let mut state = lock(&self.state);
+        while state.done < self.total {
+            state = self
+                .finished
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.panic.take()
+    }
+}
+
+/// Locks `m`, ignoring poison. Only a chunk slot can be poisoned, by a
+/// model that panicked while the chunk was costed (no other lock is held
+/// while a task runs), and every slot is cleared before it is costed
+/// again.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+
+    fn on_helper() -> bool {
+        thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with(COST_THREAD_PREFIX))
+    }
+
+    /// Runs 32 chunks whose first outlasts a wake-up, so the rest are
+    /// offered to the pool. With helpers, the calling thread's later
+    /// chunks wait (up to 10 s) until a helper has started one, which
+    /// forces the hand-off instead of hoping for it; `helper_chunk` runs
+    /// in every chunk a helper takes. Returns how often each chunk ran.
+    fn run_offered(helper_chunk: impl Fn() + Sync) -> Vec<usize> {
+        let runs: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
+        let started = (Mutex::new(false), Condvar::new());
+        let helpers = pool().helpers;
+        let task = |c: usize| {
+            runs[c].fetch_add(1, Ordering::Relaxed);
+            if c == 0 {
+                let t = Instant::now();
+                while t.elapsed() < 10 * WAKE_UP {
+                    std::hint::spin_loop();
+                }
+            } else if on_helper() {
+                *lock(&started.0) = true;
+                started.1.notify_all();
+                helper_chunk();
+            } else if helpers > 0 {
+                let (seen, timeout) = started
+                    .1
+                    .wait_timeout_while(lock(&started.0), Duration::from_secs(10), |s| !*s)
+                    .unwrap();
+                assert!(*seen && !timeout.timed_out(), "no cost helper took a chunk");
+            }
+        };
+        run_chunks(runs.len(), &task);
+        runs.iter().map(|r| r.load(Ordering::Relaxed)).collect()
+    }
+
+    #[test]
+    fn slow_chunks_are_shared_with_the_helpers_and_each_runs_once() {
+        let helper_chunks = AtomicUsize::new(0);
+        let runs = run_offered(|| {
+            helper_chunks.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(runs, vec![1; 32]);
+        let shared = helper_chunks.load(Ordering::Relaxed) > 0;
+        assert_eq!(shared, pool().helpers > 0);
+    }
+
+    #[test]
+    fn a_helper_panic_resumes_on_the_calling_thread_and_the_helper_lives_on() {
+        let result = catch_unwind(|| run_offered(|| panic!("a chunk panicked on a helper")));
+        if pool().helpers > 0 {
+            let payload = result.expect_err("the helper's panic was lost");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"a chunk panicked on a helper")
+            );
+        }
+        // The helpers survived: the next offer is taken up again.
+        assert_eq!(run_offered(|| {}), vec![1; 32]);
+    }
+
+    #[test]
+    fn fast_chunks_stay_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let elsewhere = AtomicBool::new(false);
+        let task = |_: usize| {
+            if thread::current().id() != caller {
+                elsewhere.store(true, Ordering::Relaxed);
+            }
+        };
+        run_chunks(32, &task);
+        assert!(!elsewhere.load(Ordering::Relaxed));
+    }
+}

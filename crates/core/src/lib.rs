@@ -31,6 +31,7 @@
 
 mod compact;
 pub mod config;
+mod costing;
 pub mod frontier;
 pub mod optimizer;
 pub mod preference;
@@ -42,6 +43,7 @@ pub mod stats;
 pub mod wire;
 
 pub use config::IamaConfig;
+pub use costing::COST_THREAD_PREFIX;
 pub use frontier::{FrontierPoint, FrontierSnapshot};
 pub use optimizer::IamaOptimizer;
 pub use preference::Preference;

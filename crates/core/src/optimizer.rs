@@ -25,6 +25,7 @@
 //! tests verify under chaotic bound changes.
 
 use crate::config::IamaConfig;
+use crate::costing::{CostWindow, SelectedPair};
 use crate::frontier::{FrontierPoint, FrontierSnapshot};
 use crate::report::InvocationReport;
 use crate::stats::OptimizerStats;
@@ -202,6 +203,10 @@ pub struct IamaOptimizer {
     /// The generation the last [`IamaOptimizer::compact`] left behind;
     /// `None` until the first compaction.
     pub(crate) compacted_at: Option<u64>,
+    /// Phase 2's selected pairs of the subset being combined, waiting to
+    /// be costed and routed (see [`crate::costing`]). Empty between
+    /// subsets; [`IamaOptimizer::compact`] releases its scratch.
+    pub(crate) window: CostWindow,
 }
 
 impl IamaOptimizer {
@@ -270,6 +275,7 @@ impl IamaOptimizer {
             pending_seeds: std::collections::VecDeque::new(),
             generation: 0,
             compacted_at: None,
+            window: CostWindow::default(),
         }
     }
 
@@ -437,7 +443,12 @@ impl IamaOptimizer {
         // Phase 2 (lines 13-22): generate plans from fresh combinations.
         // The enumeration plan already fixed the visit order (subsets by
         // increasing cardinality) and pre-resolved every valid ordered
-        // split, so this is a flat walk over two arrays.
+        // split, so this is a flat walk over two arrays. Each subset
+        // first selects the fresh pairs of all its splits, then costs
+        // them (on the cost pool when that pays) and routes their plans
+        // in selection order: routing touches only `q`'s own sets, and
+        // selection reads only its operands' lists, watermarks and pair
+        // marks, so the split-by-split result is unchanged.
         for ix in 0..self.states.len() {
             let info = self.plan.subsets()[ix];
             if info.split_len == 0 {
@@ -447,6 +458,9 @@ impl IamaOptimizer {
             let q = SubsetId::from_index(ix);
             for off in 0..info.split_len as usize {
                 self.combine_split(q, info.split_offset as usize + off, bounds, r, use_delta);
+            }
+            if !self.window.is_empty() {
+                self.flush_window(q, bounds, r);
             }
         }
 
@@ -548,8 +562,9 @@ impl IamaOptimizer {
         }
     }
 
-    /// `Fresh` (Algorithm 3 lines 26-39) followed by pruning of each fresh
-    /// plan, for one precomputed ordered split of `q`.
+    /// `Fresh` (Algorithm 3 lines 26-39) for one precomputed ordered split
+    /// of `q`: appends its fresh pairs to the window, which is costed and
+    /// routed whenever it fills and once `q`'s last split is selected.
     ///
     /// The fast path never hashes: the split's watermark rectangle settles
     /// repeat pairs positionally, the subset's `last_res_insert` settles
@@ -681,30 +696,25 @@ impl IamaOptimizer {
                         .entry((e1.plan.0, e2.plan.0))
                         .or_insert(0) += 1;
                 }
-                let left_in = PlanInput {
-                    tables: q1,
-                    cost: e1.cost,
-                    props: e1.props,
-                };
-                let right_in = PlanInput {
-                    tables: q2,
-                    cost: e2.cost,
-                    props: e2.props,
-                };
-                for (op, cost, props) in self
-                    .model
-                    .join_alternatives(&self.spec, &left_in, &right_in)
-                {
-                    let pid = self.arena.push_join(op, e1.plan, e2.plan, cost, props);
-                    self.stats.plans_generated += 1;
-                    if self.config.track_invariants {
-                        *self
-                            .stats
-                            .plan_generations
-                            .entry((op, e1.plan.0, e2.plan.0))
-                            .or_insert(0) += 1;
-                    }
-                    self.prune(q, pid, bounds, r);
+                self.window.push(SelectedPair {
+                    left: e1.plan,
+                    right: e2.plan,
+                    left_in: PlanInput {
+                        tables: q1,
+                        cost: e1.cost,
+                        props: e1.props,
+                    },
+                    right_in: PlanInput {
+                        tables: q2,
+                        cost: e2.cost,
+                        props: e2.props,
+                    },
+                });
+                if self.window.is_full() {
+                    // Routing only touches `q`, never this split's
+                    // operands or watermark, so selection resumes as if
+                    // nothing had happened.
+                    self.flush_window(q, bounds, r);
                 }
             }
         }
@@ -715,6 +725,28 @@ impl IamaOptimizer {
             };
         }
         restore(self, left, right);
+    }
+
+    /// Costs the pairs waiting in the window, then pushes and prunes every
+    /// alternative in `(pair, alternative)` selection order.
+    fn flush_window(&mut self, q: SubsetId, bounds: &Bounds, r: usize) {
+        let mut window = std::mem::take(&mut self.window);
+        window.cost(&*self.model, &self.spec);
+        window.drain(|pair, alts| {
+            for &(op, cost, props) in alts {
+                let pid = self.arena.push_join(op, pair.left, pair.right, cost, props);
+                self.stats.plans_generated += 1;
+                if self.config.track_invariants {
+                    *self
+                        .stats
+                        .plan_generations
+                        .entry((op, pair.left.0, pair.right.0))
+                        .or_insert(0) += 1;
+                }
+                self.prune(q, pid, bounds, r);
+            }
+        });
+        self.window = window;
     }
 
     /// Refills subset `x`'s cached operand view if it is stale for the
@@ -1046,6 +1078,66 @@ mod tests {
         assert_eq!(report.candidates_retrieved, 0);
         // The watermarks settle every split without a single pair visit.
         assert_eq!(report.splits_visited, 0, "watermarks failed to settle");
+    }
+
+    #[test]
+    fn a_steady_state_repeat_touches_neither_the_pool_nor_the_window() {
+        use moqo_costmodel::{CostModel, MetricSet};
+        use moqo_plan::Operator;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// The standard model, counting join costings.
+        struct Counting(StandardCostModel, AtomicU64);
+
+        impl CostModel for Counting {
+            fn metrics(&self) -> &MetricSet {
+                self.0.metrics()
+            }
+            fn identity(&self) -> u64 {
+                self.0.identity()
+            }
+            fn scan_alternatives(
+                &self,
+                spec: &QuerySpec,
+                position: usize,
+            ) -> Vec<(Operator, CostVector, PhysicalProps)> {
+                self.0.scan_alternatives(spec, position)
+            }
+            fn join_alternatives(
+                &self,
+                spec: &QuerySpec,
+                left: &PlanInput,
+                right: &PlanInput,
+                out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
+            ) {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.join_alternatives(spec, left, right, out)
+            }
+        }
+
+        let spec = Arc::new(testkit::chain_query(4, 150_000));
+        let model = Arc::new(Counting(
+            StandardCostModel::paper_metrics(),
+            AtomicU64::new(0),
+        ));
+        let mut opt = IamaOptimizer::new(spec, model.clone(), schedule());
+        let b = Bounds::unbounded(3);
+        let r_max = opt.schedule().r_max();
+        for r in 0..=r_max {
+            opt.optimize(&b, r);
+        }
+        let joins = model.1.load(Ordering::Relaxed);
+        assert_eq!(joins, opt.stats().pairs_generated);
+        assert!(opt.window.capacity() > 0 && opt.window.is_empty());
+        // Parking releases the window; a repeat selects no pair, so it
+        // costs nothing, offers nothing to the pool and allocates no
+        // window.
+        opt.compact();
+        assert_eq!(opt.window.capacity(), 0);
+        let report = opt.optimize(&b, r_max);
+        assert_eq!(report.pairs_generated, 0);
+        assert_eq!(model.1.load(Ordering::Relaxed), joins);
+        assert_eq!(opt.window.capacity(), 0);
     }
 
     #[test]

@@ -829,10 +829,11 @@ impl Seeder<'_> {
     /// Every tree is then replayed bottom-up against the **live** cost
     /// model: each operator must still be offered by
     /// [`scan_alternatives`](moqo_costmodel::CostModel::scan_alternatives)
-    /// / [`join_alternatives`](moqo_costmodel::CostModel::join_alternatives),
-    /// and the plan is queued with the freshly computed cost for
-    /// admission as a level-0 `Cand` entry. The next invocations admit at
-    /// most [`IamaConfig::max_seeds_per_slice`](crate::IamaConfig) seeds
+    /// / [`join_alternative`](moqo_costmodel::CostModel::join_alternative)
+    /// (which costs the replayed join alone), and the plan is queued with
+    /// the freshly computed cost for admission as a level-0 `Cand` entry.
+    /// The next invocations admit at most
+    /// [`IamaConfig::max_seeds_per_slice`](crate::IamaConfig) seeds
     /// each, and every admitted seed re-enters through pruning exactly
     /// like a natively generated plan: by Lemma 7 it is re-examined at
     /// most `rM + 1` times, and Theorem 2's `alpha_T` guarantee holds
@@ -1075,11 +1076,7 @@ impl IamaOptimizer {
                     props: n.props,
                 };
                 let (li, ri) = (input(self.arena.node(l)), input(self.arena.node(r)));
-                let (op, cost, props) = self
-                    .model
-                    .join_alternatives(&self.spec, &li, &ri)
-                    .into_iter()
-                    .find(|&(alt, _, _)| alt == op)?;
+                let (cost, props) = self.model.join_alternative(&self.spec, &li, &ri, op)?;
                 Some(self.arena.push_join(op, l, r, cost, props))
             }
             _ => unreachable!("a scan has no children and a join two"),

@@ -68,18 +68,50 @@ pub trait CostModel {
         position: usize,
     ) -> Vec<(Operator, CostVector, PhysicalProps)>;
 
-    /// All join alternatives combining `left ⋈ right`:
-    /// `(operator, cost, output properties)` triples.
+    /// Appends every join alternative combining `left ⋈ right` to `out`
+    /// as `(operator, cost, output properties)` triples, leaving what
+    /// `out` already held in place.
     ///
     /// Implementations must only use the children's [`PlanInput`] data and
     /// per-table-set statistics from `spec`, keeping each alternative O(1)
     /// to cost.
+    ///
+    /// The optimizer costs the pairs of one table subset concurrently,
+    /// on any thread of a shared helper pool, before it routes them in
+    /// order. So the call may run on several threads at once, and it must
+    /// append the same alternatives, in the same order and with the same
+    /// bits, whenever it sees the same inputs: plan ids and frontiers must
+    /// not depend on which thread costed a pair.
     fn join_alternatives(
         &self,
         spec: &QuerySpec,
         left: &PlanInput,
         right: &PlanInput,
-    ) -> Vec<(Operator, CostVector, PhysicalProps)>;
+        out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
+    );
+
+    /// The cost and output properties of the one join alternative `op`
+    /// over `left ⋈ right`, or `None` if the model does not offer `op`
+    /// for them.
+    ///
+    /// The result must equal `op`'s entry in
+    /// [`join_alternatives`](CostModel::join_alternatives) bit for bit.
+    /// The default costs every alternative and keeps `op`'s; a model that
+    /// can cost one operator alone should, since seed replay calls this
+    /// once per replayed join.
+    fn join_alternative(
+        &self,
+        spec: &QuerySpec,
+        left: &PlanInput,
+        right: &PlanInput,
+        op: Operator,
+    ) -> Option<(CostVector, PhysicalProps)> {
+        let mut alts = Vec::new();
+        self.join_alternatives(spec, left, right, &mut alts);
+        alts.into_iter()
+            .find(|&(alt, _, _)| alt == op)
+            .map(|(_, cost, props)| (cost, props))
+    }
 }
 
 /// Resolves a cost-model [identity](CostModel::identity) back to a live
@@ -131,8 +163,18 @@ macro_rules! delegate_cost_model {
                 spec: &QuerySpec,
                 left: &PlanInput,
                 right: &PlanInput,
-            ) -> Vec<(Operator, CostVector, PhysicalProps)> {
-                (**self).join_alternatives(spec, left, right)
+                out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
+            ) {
+                (**self).join_alternatives(spec, left, right, out)
+            }
+            fn join_alternative(
+                &self,
+                spec: &QuerySpec,
+                left: &PlanInput,
+                right: &PlanInput,
+                op: Operator,
+            ) -> Option<(CostVector, PhysicalProps)> {
+                (**self).join_alternative(spec, left, right, op)
             }
         }
     )*};

@@ -343,46 +343,12 @@ impl CostModel for StandardCostModel {
         spec: &QuerySpec,
         left: &PlanInput,
         right: &PlanInput,
-    ) -> Vec<(Operator, CostVector, PhysicalProps)> {
-        let n_l = spec.cardinality(left.tables);
-        let n_r = spec.cardinality(right.tables);
-        let union = left.tables.union(right.tables);
-        let n_out = spec.cardinality(union);
-        let order_key = Self::join_order_key(spec, left.tables, right.tables);
-
-        let mut out = Vec::with_capacity(self.config.join_algos.len() * self.config.dops.len());
+        out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
+    ) {
+        let join = JoinInputs::of(spec, left, right);
+        out.reserve(self.config.join_algos.len() * self.config.dops.len());
         for &algo in &self.config.join_algos {
-            let (work, op_mem, props) = match algo {
-                JoinAlgo::Hash => (
-                    C_BUILD * n_r + C_PROBE * n_l + n_out + K_HASH,
-                    n_r * ROW_BYTES, // in-memory build side
-                    PhysicalProps::NONE,
-                ),
-                JoinAlgo::SortMerge => {
-                    // A child already sorted on this join's key skips its
-                    // sort term.
-                    let sort_l = if order_key.is_some() && left.props.order == order_key {
-                        0.0
-                    } else {
-                        C_SORT * n_l * n_l.max(2.0).log2()
-                    };
-                    let sort_r = if order_key.is_some() && right.props.order == order_key {
-                        0.0
-                    } else {
-                        C_SORT * n_r * n_r.max(2.0).log2()
-                    };
-                    let props = match order_key {
-                        Some(k) => PhysicalProps::sorted(k),
-                        None => PhysicalProps::NONE,
-                    };
-                    (
-                        sort_l + sort_r + n_l + n_r + n_out + K_SORT,
-                        (n_l + n_r) * ROW_BYTES, // sort runs for both inputs
-                        props,
-                    )
-                }
-                JoinAlgo::NestedLoop => (C_NL * n_l * n_r + n_out, NL_BUFFER, PhysicalProps::NONE),
-            };
+            let (work, op_mem, props) = join.terms(algo);
             for &dop in &self.config.dops {
                 self.costing_effort();
                 out.push((
@@ -392,14 +358,115 @@ impl CostModel for StandardCostModel {
                 ));
             }
         }
-        out
+    }
+
+    fn join_alternative(
+        &self,
+        spec: &QuerySpec,
+        left: &PlanInput,
+        right: &PlanInput,
+        op: Operator,
+    ) -> Option<(CostVector, PhysicalProps)> {
+        let Operator::Join { algo, dop } = op else {
+            return None;
+        };
+        if !self.config.join_algos.contains(&algo) || !self.config.dops.contains(&dop) {
+            return None;
+        }
+        let (work, op_mem, props) = JoinInputs::of(spec, left, right).terms(algo);
+        self.costing_effort();
+        Some((
+            self.join_cost(&left.cost, &right.cost, work, op_mem, dop),
+            props,
+        ))
+    }
+}
+
+/// What every join alternative over one pair of children shares: the
+/// input and output cardinalities, the children's orders and the join's
+/// order key.
+struct JoinInputs {
+    n_l: f64,
+    n_r: f64,
+    n_out: f64,
+    left_order: Option<OrderKey>,
+    right_order: Option<OrderKey>,
+    order_key: Option<OrderKey>,
+}
+
+impl JoinInputs {
+    fn of(spec: &QuerySpec, left: &PlanInput, right: &PlanInput) -> Self {
+        Self {
+            n_l: spec.cardinality(left.tables),
+            n_r: spec.cardinality(right.tables),
+            n_out: spec.cardinality(left.tables.union(right.tables)),
+            left_order: left.props.order,
+            right_order: right.props.order,
+            order_key: StandardCostModel::join_order_key(spec, left.tables, right.tables),
+        }
+    }
+
+    /// Operator work, buffer footprint (bytes) and output properties of
+    /// `algo`, the same for every degree of parallelism.
+    fn terms(&self, algo: JoinAlgo) -> (f64, f64, PhysicalProps) {
+        let Self {
+            n_l,
+            n_r,
+            n_out,
+            left_order,
+            right_order,
+            order_key,
+        } = *self;
+        match algo {
+            JoinAlgo::Hash => (
+                C_BUILD * n_r + C_PROBE * n_l + n_out + K_HASH,
+                n_r * ROW_BYTES, // in-memory build side
+                PhysicalProps::NONE,
+            ),
+            JoinAlgo::SortMerge => {
+                // A child already sorted on this join's key skips its
+                // sort term.
+                let sort_l = if order_key.is_some() && left_order == order_key {
+                    0.0
+                } else {
+                    C_SORT * n_l * n_l.max(2.0).log2()
+                };
+                let sort_r = if order_key.is_some() && right_order == order_key {
+                    0.0
+                } else {
+                    C_SORT * n_r * n_r.max(2.0).log2()
+                };
+                let props = match order_key {
+                    Some(k) => PhysicalProps::sorted(k),
+                    None => PhysicalProps::NONE,
+                };
+                (
+                    sort_l + sort_r + n_l + n_r + n_out + K_SORT,
+                    (n_l + n_r) * ROW_BYTES, // sort runs for both inputs
+                    props,
+                )
+            }
+            JoinAlgo::NestedLoop => (C_NL * n_l * n_r + n_out, NL_BUFFER, PhysicalProps::NONE),
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use moqo_query::testkit;
+
+    /// Every join alternative of `l ⋈ r`, in a fresh buffer.
+    pub(crate) fn join_alts(
+        model: &impl CostModel,
+        spec: &QuerySpec,
+        l: &PlanInput,
+        r: &PlanInput,
+    ) -> Vec<(Operator, CostVector, PhysicalProps)> {
+        let mut out = Vec::new();
+        model.join_alternatives(spec, l, r, &mut out);
+        out
+    }
 
     fn inputs(spec: &QuerySpec, model: &StandardCostModel) -> (PlanInput, PlanInput) {
         let l = model.scan_alternatives(spec, 0).remove(0);
@@ -462,8 +529,75 @@ mod tests {
         let spec = testkit::chain_query(2, 100_000);
         let model = StandardCostModel::paper_metrics();
         let (l, r) = inputs(&spec, &model);
-        let alts = model.join_alternatives(&spec, &l, &r);
+        let alts = join_alts(&model, &spec, &l, &r);
         assert_eq!(alts.len(), JoinAlgo::ALL.len() * model.config().dops.len());
+    }
+
+    #[test]
+    fn join_alternatives_append_and_one_operator_costs_alone() {
+        let spec = testkit::chain_query(2, 100_000);
+        let model = StandardCostModel::paper_metrics();
+        let (l, r) = inputs(&spec, &model);
+        let sorted_left = PlanInput {
+            props: PhysicalProps::sorted(OrderKey(0)),
+            ..l
+        };
+        for left in [l, sorted_left] {
+            let alts = join_alts(&model, &spec, &left, &r);
+            // A second call appends behind what the buffer holds.
+            let mut twice = alts.clone();
+            model.join_alternatives(&spec, &left, &r, &mut twice);
+            assert_eq!(twice.len(), 2 * alts.len());
+            assert!(twice[alts.len()..] == alts[..]);
+            for &(op, cost, props) in &alts {
+                let (one, one_props) = model.join_alternative(&spec, &left, &r, op).unwrap();
+                assert_eq!(bits(&one), bits(&cost), "{op:?} costs differently alone");
+                assert_eq!(one_props, props);
+                // The trait's default (filter the buffer) agrees.
+                let default = Filtered(&model).join_alternative(&spec, &left, &r, op);
+                assert!(default.is_some_and(|(c, p)| bits(&c) == bits(&cost) && p == props));
+            }
+        }
+        let not_offered = [Operator::join(JoinAlgo::Hash, 3), Operator::full_scan(0)];
+        for op in not_offered {
+            assert!(model.join_alternative(&spec, &l, &r, op).is_none());
+            assert!(Filtered(&model)
+                .join_alternative(&spec, &l, &r, op)
+                .is_none());
+        }
+    }
+
+    fn bits(cost: &CostVector) -> Vec<u64> {
+        cost.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The standard model behind the trait's default single-operator
+    /// costing.
+    struct Filtered<'a>(&'a StandardCostModel);
+
+    impl CostModel for Filtered<'_> {
+        fn metrics(&self) -> &MetricSet {
+            self.0.metrics()
+        }
+        fn identity(&self) -> u64 {
+            self.0.identity()
+        }
+        fn scan_alternatives(
+            &self,
+            spec: &QuerySpec,
+            position: usize,
+        ) -> Vec<(Operator, CostVector, PhysicalProps)> {
+            self.0.scan_alternatives(spec, position)
+        }
+        fn join_alternatives(
+            &self,
+            spec: &QuerySpec,
+            left: &PlanInput,
+            right: &PlanInput,
+            out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
+        ) {
+            self.0.join_alternatives(spec, left, right, out)
+        }
     }
 
     #[test]
@@ -471,7 +605,7 @@ mod tests {
         let spec = testkit::chain_query(2, 1_000_000);
         let model = StandardCostModel::paper_metrics();
         let (l, r) = inputs(&spec, &model);
-        let alts = model.join_alternatives(&spec, &l, &r);
+        let alts = join_alts(&model, &spec, &l, &r);
         let metrics = model.metrics();
         let hash1 = alts
             .iter()
@@ -512,7 +646,7 @@ mod tests {
         let spec = testkit::chain_query(2, 100_000);
         let model = StandardCostModel::paper_metrics();
         let (l, r) = inputs(&spec, &model);
-        let alts = model.join_alternatives(&spec, &l, &r);
+        let alts = join_alts(&model, &spec, &l, &r);
         let smj = alts
             .iter()
             .find(|(op, _, _)| {
@@ -531,7 +665,7 @@ mod tests {
             props: PhysicalProps::sorted(key),
             ..l
         };
-        let alts2 = model.join_alternatives(&spec, &sorted_left, &r);
+        let alts2 = join_alts(&model, &spec, &sorted_left, &r);
         let smj2 = alts2
             .iter()
             .find(|(op, _, _)| {
@@ -558,7 +692,7 @@ mod tests {
         let spec = testkit::chain_query(2, 500_000);
         let model = StandardCostModel::paper_metrics();
         let (l, r) = inputs(&spec, &model);
-        for (_, cost, _) in model.join_alternatives(&spec, &l, &r) {
+        for (_, cost, _) in join_alts(&model, &spec, &l, &r) {
             for i in 0..model.dim() {
                 assert!(
                     cost[i] >= l.cost[i] - 1e-12 && cost[i] >= r.cost[i] - 1e-12,
@@ -587,7 +721,7 @@ mod tests {
             cost: std::mem::replace(&mut r.1, CostVector::zeros(3)),
             props: r.2,
         };
-        let alts = model.join_alternatives(&spec, &li, &ri);
+        let alts = join_alts(&model, &spec, &li, &ri);
         for (_, cost, _) in alts {
             assert!((cost[err_pos] - prob_sum(el, er)).abs() < 1e-12);
         }
@@ -599,7 +733,7 @@ mod tests {
         let model = StandardCostModel::cloud_metrics();
         let metrics = model.metrics();
         let (l, r) = inputs(&spec, &model);
-        let alts = model.join_alternatives(&spec, &l, &r);
+        let alts = join_alts(&model, &spec, &l, &r);
         let h1 = alts
             .iter()
             .find(|(op, _, _)| {
@@ -637,7 +771,7 @@ mod tests {
         let metrics = model.metrics();
         let pick_best = |spec: &QuerySpec| {
             let (l, r) = inputs(spec, &model);
-            let alts = model.join_alternatives(spec, &l, &r);
+            let alts = join_alts(&model, spec, &l, &r);
             alts.into_iter()
                 .filter(|(op, _, _)| matches!(op, Operator::Join { dop: 1, .. }))
                 .min_by(|a, b| {
@@ -671,6 +805,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::join_alts;
     use super::*;
     use moqo_query::testkit;
     use proptest::prelude::*;
@@ -702,8 +837,8 @@ mod proptests {
             };
             let infl_l = mk(TableSet::singleton(0), clamp(l0.1.scaled(al)), l0.2);
             let infl_r = mk(TableSet::singleton(1), clamp(r0.1.scaled(ar)), r0.2);
-            let base = model.join_alternatives(&spec, &base_l, &base_r);
-            let infl = model.join_alternatives(&spec, &infl_l, &infl_r);
+            let base = join_alts(&model, &spec, &base_l, &base_r);
+            let infl = join_alts(&model, &spec, &infl_l, &infl_r);
             for ((_, cb, _), (_, ci, _)) in base.iter().zip(&infl) {
                 for k in 0..model.dim() {
                     prop_assert!(

@@ -45,7 +45,7 @@ fn hash_join_memory_scales_with_build_side() {
             cost: r.1,
             props: r.2,
         };
-        let alts = m.join_alternatives(spec, &li, &ri);
+        let alts = crate::standard::tests::join_alts(&m, spec, &li, &ri);
         let hash = alts
             .iter()
             .find(|(op, _, _)| {
@@ -83,7 +83,7 @@ fn memory_is_monotone_and_parallel_children_add_up() {
         cost: r.1,
         props: r.2,
     };
-    let alts = m.join_alternatives(&spec, &li, &ri);
+    let alts = crate::standard::tests::join_alts(&m, &spec, &li, &ri);
     let mem_pos = metrics.position(Metric::Memory).unwrap();
     for (op, cost, _) in &alts {
         // Monotone cost aggregation holds for memory.

@@ -782,9 +782,10 @@ mod tests {
             spec: &QuerySpec,
             left: &PlanInput,
             right: &PlanInput,
-        ) -> Vec<(Operator, CostVector, PhysicalProps)> {
+            out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
+        ) {
             self.gate.pass();
-            self.inner.join_alternatives(spec, left, right)
+            self.inner.join_alternatives(spec, left, right, out)
         }
     }
 

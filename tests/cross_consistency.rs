@@ -3,9 +3,16 @@
 use moqo::baselines::{memoryless_series, single_objective_dp};
 use moqo::core::{IamaOptimizer, Preference};
 use moqo::cost::{Bounds, ResolutionSchedule};
-use moqo::costmodel::{CostModel, MetricSet, StandardCostModel, StandardCostModelConfig};
-use moqo::query::testkit;
-use std::sync::Arc;
+use moqo::costmodel::{
+    CostModel, MetricSet, PlanInput, SharedCostModel, StandardCostModel, StandardCostModelConfig,
+};
+use moqo::plan::{Operator, PhysicalProps};
+use moqo::query::{testkit, QuerySpec};
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 fn model() -> StandardCostModel {
@@ -281,17 +288,17 @@ fn frontier_digest(frontier: &moqo::core::FrontierSnapshot) -> u64 {
     h.finish()
 }
 
+/// The golden digests' resolution schedule.
+fn golden_schedule() -> ResolutionSchedule {
+    ResolutionSchedule::linear(4, 1.05, 0.5)
+}
+
 /// Frontier digests across a full refine ladder, a drag of the time
 /// bound to the ladder's median, and a second ladder under the dragged
 /// bound: one digest per invocation.
-fn ladder_and_drag_digests(spec: &moqo::query::QuerySpec) -> Vec<u64> {
-    let model = model();
-    let schedule = ResolutionSchedule::linear(4, 1.05, 0.5);
-    let mut opt = IamaOptimizer::new(
-        Arc::new(spec.clone()),
-        Arc::new(model.clone()),
-        schedule.clone(),
-    );
+fn ladder_and_drag_digests(spec: &QuerySpec, model: SharedCostModel) -> Vec<u64> {
+    let schedule = golden_schedule();
+    let mut opt = IamaOptimizer::new(Arc::new(spec.clone()), model.clone(), schedule.clone());
     let mut digests = Vec::new();
     let mut step = |bounds: &Bounds, r: usize| {
         opt.optimize(bounds, r);
@@ -390,28 +397,200 @@ fn ladder_and_drag_frontiers_match_golden_digests() {
                 0x5537_0fe8_460a_979a,
             ],
         ),
-        (
-            "tpch-q08",
-            tpch("q08"),
-            [
-                0xbad0_771a_3513_fc58,
-                0x6004_f7d7_5f3d_2b5b,
-                0x65a0_a819_eafe_36e2,
-                0x120c_d296_8cf9_30b2,
-                0x6b91_90b7_031a_34cf,
-                0x6ae9_4c27_d7d5_5e32,
-                0xcc88_d0d5_9ea9_0680,
-                0xcc88_d0d5_9ea9_0680,
-                0xe78d_ebfb_6a23_6986,
-                0x97b5_9578_6a91_d181,
-            ],
-        ),
+        ("tpch-q08", tpch("q08"), Q08_DIGESTS),
     ];
     for (name, spec, digests) in golden {
         assert_eq!(
-            ladder_and_drag_digests(&spec),
+            ladder_and_drag_digests(&spec, Arc::new(model())),
             digests,
             "{name}: frontier digests moved"
         );
     }
+}
+
+/// The golden digest series of TPC-H q08 (sf 1).
+const Q08_DIGESTS: [u64; 10] = [
+    0xbad0_771a_3513_fc58,
+    0x6004_f7d7_5f3d_2b5b,
+    0x65a0_a819_eafe_36e2,
+    0x120c_d296_8cf9_30b2,
+    0x6b91_90b7_031a_34cf,
+    0x6ae9_4c27_d7d5_5e32,
+    0xcc88_d0d5_9ea9_0680,
+    0xcc88_d0d5_9ea9_0680,
+    0xe78d_ebfb_6a23_6986,
+    0x97b5_9578_6a91_d181,
+];
+
+/// The golden digests' model behind a probe: every join costing first
+/// spins for `spin`, so that a window's first chunk outlasts a cost
+/// helper's wake-up, and records the thread it ran on. With `panic_at`
+/// set it panics on the chosen pair: the `panic_at`-th costed on a cost
+/// helper or, on a host without helpers, on any thread. Costs and
+/// identity are the inner model's.
+struct Probe {
+    inner: StandardCostModel,
+    spin: Duration,
+    threads: Mutex<HashMap<ThreadId, String>>,
+    chosen_calls: AtomicU64,
+    panic_at: Option<u64>,
+}
+
+impl Probe {
+    fn new(spin: Duration) -> Self {
+        Self {
+            inner: model(),
+            spin,
+            threads: Mutex::default(),
+            chosen_calls: AtomicU64::new(0),
+            panic_at: None,
+        }
+    }
+
+    /// The threads that costed a join since the last call, by name.
+    fn take_threads(&self) -> HashMap<ThreadId, String> {
+        std::mem::take(&mut self.threads.lock().unwrap())
+    }
+}
+
+impl CostModel for Probe {
+    fn metrics(&self) -> &MetricSet {
+        self.inner.metrics()
+    }
+
+    fn identity(&self) -> u64 {
+        self.inner.identity()
+    }
+
+    fn scan_alternatives(
+        &self,
+        spec: &QuerySpec,
+        position: usize,
+    ) -> Vec<(Operator, moqo::cost::CostVector, PhysicalProps)> {
+        self.inner.scan_alternatives(spec, position)
+    }
+
+    fn join_alternatives(
+        &self,
+        spec: &QuerySpec,
+        left: &PlanInput,
+        right: &PlanInput,
+        out: &mut Vec<(Operator, moqo::cost::CostVector, PhysicalProps)>,
+    ) {
+        let t = Instant::now();
+        while t.elapsed() < self.spin {
+            std::hint::spin_loop();
+        }
+        let me = thread::current();
+        let name = me.name().unwrap_or_default().to_owned();
+        let on_helper = name.starts_with(moqo::core::COST_THREAD_PREFIX);
+        if self.panic_at.is_some() && (on_helper || cost_helpers() == 0) {
+            let n = self.chosen_calls.fetch_add(1, Ordering::Relaxed) + 1;
+            if Some(n) == self.panic_at {
+                panic!("the probe's chosen pair");
+            }
+        }
+        self.threads.lock().unwrap().entry(me.id()).or_insert(name);
+        self.inner.join_alternatives(spec, left, right, out)
+    }
+}
+
+/// Helper threads the cost pool runs beside the optimizing thread.
+fn cost_helpers() -> usize {
+    thread::available_parallelism().map_or(0, |n| n.get() - 1)
+}
+
+/// Runs `f` on its own thread and fails unless it returns within 60 s.
+fn within_60s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{what} hung"))
+}
+
+#[test]
+fn tpch_q08_costs_on_every_core_and_keeps_its_golden_digests() {
+    // Phase 2 costs a subset's selected pairs on the cost pool when they
+    // are expensive, then routes them in selection order: the first
+    // invocation runs on the helpers too, and every frontier of the
+    // series still hashes to its golden digest.
+    let q08 = moqo::tpch::query_block("q08", 1.0).expect("TPC-H block");
+    let probe = Arc::new(Probe::new(Duration::from_micros(5)));
+    let mut opt = IamaOptimizer::new(Arc::new(q08.clone()), probe.clone(), golden_schedule());
+    opt.optimize(&Bounds::unbounded(probe.dim()), 0);
+    let threads = probe.take_threads();
+    let caller = thread::current().id();
+    assert!(threads.contains_key(&caller), "threads: {threads:?}");
+    let helpers: Vec<&String> = threads
+        .iter()
+        .filter(|(id, _)| **id != caller)
+        .map(|(_, name)| name)
+        .collect();
+    assert!(
+        helpers
+            .iter()
+            .all(|n| n.starts_with(moqo::core::COST_THREAD_PREFIX)),
+        "threads: {threads:?}"
+    );
+    assert_eq!(
+        !helpers.is_empty(),
+        cost_helpers() > 0,
+        "{} cost helpers, threads: {threads:?}",
+        cost_helpers()
+    );
+    assert_eq!(ladder_and_drag_digests(&q08, probe), Q08_DIGESTS);
+}
+
+#[test]
+fn a_chain_3_first_invocation_never_leaves_the_calling_thread() {
+    // Tables of 1,000 rows offer no sampled scans, so no subset selects
+    // more than 16 pairs (two chunks): too few to offer to the cost pool,
+    // however long each pair takes to cost.
+    let probe = Arc::new(Probe::new(Duration::from_micros(5)));
+    let mut opt = IamaOptimizer::new(
+        Arc::new(testkit::chain_query(3, 1_000)),
+        probe.clone(),
+        golden_schedule(),
+    );
+    let report = opt.optimize(&Bounds::unbounded(probe.dim()), 0);
+    assert!(report.pairs_generated > 0);
+    let threads = probe.take_threads();
+    assert_eq!(
+        threads.keys().collect::<Vec<_>>(),
+        [&thread::current().id()],
+        "threads: {threads:?}"
+    );
+}
+
+#[test]
+fn a_panic_on_a_cost_helper_reaches_the_optimizing_thread() {
+    // The model panics on one chosen pair: the first a cost helper costs
+    // (on a host without helpers, the 100th, costed inline). `optimize`
+    // must panic on its own thread with the model's payload, not hang,
+    // and the helper must live on to serve the next optimizer.
+    let q08 = Arc::new(moqo::tpch::query_block("q08", 1.0).expect("TPC-H block"));
+    let spec = Arc::clone(&q08);
+    let payload = within_60s("the panicking optimizer", move || {
+        let mut probe = Probe::new(Duration::from_micros(5));
+        probe.panic_at = Some(if cost_helpers() > 0 { 1 } else { 100 });
+        let probe = Arc::new(probe);
+        let mut opt = IamaOptimizer::new(spec, probe.clone(), golden_schedule());
+        let unbounded = Bounds::unbounded(probe.dim());
+        catch_unwind(AssertUnwindSafe(|| opt.optimize(&unbounded, 0)))
+            .err()
+            .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()))
+    });
+    assert_eq!(payload.as_deref(), Some("the probe's chosen pair"));
+    // The pool still serves a second optimizer, helpers included.
+    let (digests, helpers) = within_60s("the second optimizer", move || {
+        let probe = Arc::new(Probe::new(Duration::from_micros(5)));
+        let digests = ladder_and_drag_digests(&q08, probe.clone());
+        let caller = thread::current().id();
+        let helpers = probe.take_threads().into_keys().any(|id| id != caller);
+        (digests, helpers)
+    });
+    assert_eq!(digests, Q08_DIGESTS);
+    assert_eq!(helpers, cost_helpers() > 0);
 }
