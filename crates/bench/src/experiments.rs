@@ -82,8 +82,12 @@ pub fn fig2a_experiment(sf: f64, fast: bool) -> ExperimentReport {
             );
             let b = Bounds::unbounded(model.dim());
             let (mut cumulative, mut reports, mut frontiers) = (0.0, Vec::new(), Vec::new());
+            let mut first_plans_costed = 0;
             for r in 0..=schedule.r_max() {
                 let report = opt.optimize(&b, r);
+                if r == 0 {
+                    first_plans_costed = report.plans_generated - opt.stats().costings_skipped;
+                }
                 cumulative += report.seconds();
                 frontiers.push((cumulative, opt.frontier(&b, r).costs()));
                 reports.push(report);
@@ -94,14 +98,18 @@ pub fn fig2a_experiment(sf: f64, fast: bool) -> ExperimentReport {
                     .iter()
                     .map(|(s, costs)| (*s, coverage_factor(costs, &finest), costs.len())),
             );
-            let oneshot = one_shot(&spec, &model, &schedule, &b)
-                .duration
-                .as_secs_f64();
+            let oneshot = one_shot(&spec, &model, &schedule, &b);
+            let oneshot_s = oneshot.duration.as_secs_f64();
             t.num("iama_first_s", rows[0].0);
-            t.num("oneshot_s", oneshot);
+            t.num("oneshot_s", oneshot_s);
+            // The headline as a count: plans costed before the first
+            // frontier, against the one-shot scheme's (which costs every
+            // plan it generates).
+            t.int_lower("first_plans_costed", first_plans_costed);
+            t.int("oneshot_plans_costed", oneshot.plans_generated);
             t.int(
                 "refinements_before_oneshot",
-                rows.iter().filter(|row| row.0 < oneshot).count() as u64,
+                rows.iter().filter(|row| row.0 < oneshot_s).count() as u64,
             );
             record_ladder(t, &reports);
             t.int_lower(
@@ -644,6 +652,14 @@ pub fn enumeration_experiment(sf: f64, fast: bool) -> ExperimentReport {
                 stats.pairs_skipped_watermark + stats.stale_pairs_skipped,
             );
             t.int_lower("scratch_high_water", stats.scratch_high_water as u64);
+            // Join alternatives never costed because `Prune` would have
+            // discarded them, out of every plan the ladder generated.
+            t.int("costings_skipped", stats.costings_skipped);
+            t.int("plans_generated", stats.plans_generated);
+            t.num(
+                "costing_skip_share",
+                stats.costings_skipped as f64 / stats.plans_generated.max(1) as f64,
+            );
             t.num("plan_build_ms", plan_build_ms);
             t.num("steady_invocation_us", steady.seconds() * 1e6);
         });

@@ -24,7 +24,23 @@
 //! A panic inside the model on a helper is caught there, carried back
 //! and resumed on the calling thread once every claimed chunk finished;
 //! the helper itself lives on.
+//!
+//! # Skipping what `Prune` would discard
+//!
+//! When `Prune` can discard plans at this level, each pair's
+//! [`CostModel::join_floors`] are first tested against the subset's
+//! result set, which routing leaves untouched until the window is costed
+//! (the [`Witnesses`] test `Prune` itself runs). Only the alternatives
+//! that survive are costed, with [`CostModel::join_alternative`], or all
+//! at once with `join_alternatives` when none was skipped; a skipped
+//! alternative keeps its floor in its slot and is flagged, so routing
+//! pushes it and counts it discarded without pruning it. A floor equal to
+//! an earlier floor of the same pair reuses that verdict when the
+//! properties settle it (a kept floor with weaker properties, or a
+//! discarded one with stronger properties), and a model without floors
+//! costs everything.
 
+use crate::optimizer::Witnesses;
 use moqo_cost::CostVector;
 use moqo_costmodel::{CostModel, PlanInput};
 use moqo_plan::{Operator, PhysicalProps, PlanId};
@@ -77,7 +93,80 @@ pub(crate) struct SelectedPair {
 #[derive(Default)]
 struct Chunk {
     alts: Vec<Alternative>,
+    /// Per alternative: skipped, so `alts` holds its floor, not its cost.
+    skipped: Vec<bool>,
     ends: Vec<u32>,
+    /// Witness entries the chunk's skip tests examined.
+    examined: u64,
+    /// Scratch: the floors and skip verdicts of the pair being costed.
+    floors: Vec<Alternative>,
+    verdicts: Vec<bool>,
+}
+
+impl Chunk {
+    /// Appends the alternatives of `pair`, costing only those whose floor
+    /// `skip`'s witnesses do not discard.
+    fn cost_pair(
+        &mut self,
+        model: &(dyn CostModel + Send + Sync),
+        spec: &QuerySpec,
+        pair: &SelectedPair,
+        skip: Option<&Witnesses<'_>>,
+    ) {
+        let Self {
+            alts,
+            skipped,
+            examined,
+            floors,
+            verdicts,
+            ..
+        } = self;
+        let (left, right) = (&pair.left_in, &pair.right_in);
+        floors.clear();
+        verdicts.clear();
+        if let Some(witnesses) = skip {
+            model.join_floors(spec, left, right, floors);
+            for (i, (_, floor, props)) in floors.iter().enumerate() {
+                // An earlier equal floor decides this one when its
+                // qualifying witnesses include this one's (it was kept and
+                // its properties are weaker) or are included in them (it
+                // was discarded and its properties are stronger):
+                // `satisfies` is transitive.
+                let mut earlier = floors[..i].iter().zip(verdicts.iter());
+                let decided = earlier.find_map(|((_, f, p), &discarded)| {
+                    let covers = if discarded {
+                        p.satisfies(props)
+                    } else {
+                        props.satisfies(p)
+                    };
+                    (covers && f == floor).then_some(discarded)
+                });
+                let verdict = decided.unwrap_or_else(|| {
+                    let (discards, n) = witnesses.discards(floor, props);
+                    *examined += n;
+                    discards
+                });
+                verdicts.push(verdict);
+            }
+        }
+        if !verdicts.contains(&true) {
+            model.join_alternatives(spec, left, right, alts);
+            skipped.resize(alts.len(), false);
+            return;
+        }
+        for (&(op, floor, props), &skip) in floors.iter().zip(verdicts.iter()) {
+            let alt = if skip {
+                (op, floor, props)
+            } else {
+                let (cost, props) = model
+                    .join_alternative(spec, left, right, op)
+                    .expect("join_floors lists only operators join_alternatives offers");
+                (op, cost, props)
+            };
+            alts.push(alt);
+            skipped.push(skip);
+        }
+    }
 }
 
 /// Reusable scratch for one subset's selected pairs and their costed
@@ -111,8 +200,15 @@ impl CostWindow {
     }
 
     /// Costs every pair of the window with `model`, on this thread and,
-    /// when it pays, on the cost pool.
-    pub(crate) fn cost(&mut self, model: &(dyn CostModel + Send + Sync), spec: &QuerySpec) {
+    /// when it pays, on the cost pool. With `skip`, an alternative whose
+    /// floor those witnesses discard is not costed. Returns the witness
+    /// entries the skip tests examined.
+    pub(crate) fn cost(
+        &mut self,
+        model: &(dyn CostModel + Send + Sync),
+        spec: &QuerySpec,
+        skip: Option<&Witnesses<'_>>,
+    ) -> u64 {
         let n = self.pairs.len().div_ceil(CHUNK_PAIRS);
         if self.chunks.len() < n {
             self.chunks.resize_with(n, Default::default);
@@ -120,26 +216,30 @@ impl CostWindow {
         let (pairs, chunks) = (&self.pairs, &self.chunks[..n]);
         let cost_chunk = |c: usize| {
             let mut chunk = lock(&chunks[c]);
-            let Chunk { alts, ends } = &mut *chunk;
-            alts.clear();
-            ends.clear();
+            chunk.alts.clear();
+            chunk.skipped.clear();
+            chunk.ends.clear();
+            chunk.examined = 0;
             for p in pairs[c * CHUNK_PAIRS..].iter().take(CHUNK_PAIRS) {
-                model.join_alternatives(spec, &p.left_in, &p.right_in, alts);
-                ends.push(alts.len() as u32);
+                chunk.cost_pair(model, spec, p, skip);
+                let end = chunk.alts.len() as u32;
+                chunk.ends.push(end);
             }
         };
         run_chunks(n, &cost_chunk);
+        chunks.iter().map(|c| lock(c).examined).sum()
     }
 
-    /// Hands every pair with its costed alternatives to `route`, in
-    /// selection order, and empties the window.
-    pub(crate) fn drain(&mut self, mut route: impl FnMut(&SelectedPair, &[Alternative])) {
+    /// Hands every pair with its alternatives and their skip flags to
+    /// `route`, in selection order, and empties the window.
+    pub(crate) fn drain(&mut self, mut route: impl FnMut(&SelectedPair, &[Alternative], &[bool])) {
         for (pairs, chunk) in self.pairs.chunks(CHUNK_PAIRS).zip(&mut self.chunks) {
             let chunk = chunk.get_mut().unwrap_or_else(PoisonError::into_inner);
             let mut start = 0;
             for (pair, &end) in pairs.iter().zip(&chunk.ends) {
-                route(pair, &chunk.alts[start..end as usize]);
-                start = end as usize;
+                let end = end as usize;
+                route(pair, &chunk.alts[start..end], &chunk.skipped[start..end]);
+                start = end;
             }
         }
         self.pairs.clear();

@@ -305,6 +305,11 @@ impl IamaOptimizer {
     }
 
     /// The plan arena (for `explain`-style rendering of frontier plans).
+    ///
+    /// A join alternative discarded before it was costed (see
+    /// [`OptimizerStats::costings_skipped`]) keeps its slot, holding its
+    /// cost floor instead of its cost. No result or candidate set refers
+    /// to it, and [`IamaOptimizer::compact`] drops it.
     pub fn arena(&self) -> &PlanArena {
         &self.arena
     }
@@ -729,11 +734,24 @@ impl IamaOptimizer {
 
     /// Costs the pairs waiting in the window, then pushes and prunes every
     /// alternative in `(pair, alternative)` selection order.
+    ///
+    /// While the window is costed, `Res^q` is frozen, and an alternative
+    /// whose floor it already dominates so that `Prune` discards it is
+    /// not costed (see [`crate::costing`]). Such an alternative still
+    /// takes its arena slot, holding its floor, and counts as generated
+    /// and discarded, so plan ids, result and candidate sets and
+    /// `plans_generated` are those of costing everything: a witness found
+    /// for the floor lies in the region of the real cost too, with a
+    /// factor no larger, and is still in `Res^q` at routing time, because
+    /// active lists only grow.
     fn flush_window(&mut self, q: SubsetId, bounds: &Bounds, r: usize) {
         let mut window = std::mem::take(&mut self.window);
-        window.cost(&*self.model, &self.spec);
-        window.drain(|pair, alts| {
-            for &(op, cost, props) in alts {
+        let witnesses = self.witnesses(q, bounds, r);
+        let skip = witnesses.can_discard().then_some(&witnesses);
+        let examined = window.cost(&*self.model, &self.spec, skip);
+        self.stats.prune_comparisons += examined;
+        window.drain(|pair, alts, skipped| {
+            for (&(op, cost, props), &skipped) in alts.iter().zip(skipped) {
                 let pid = self.arena.push_join(op, pair.left, pair.right, cost, props);
                 self.stats.plans_generated += 1;
                 if self.config.track_invariants {
@@ -743,10 +761,26 @@ impl IamaOptimizer {
                         .entry((op, pair.left.0, pair.right.0))
                         .or_insert(0) += 1;
                 }
-                self.prune(q, pid, bounds, r);
+                if skipped {
+                    self.stats.costings_skipped += 1;
+                    self.stats.candidates_discarded += 1;
+                } else {
+                    self.prune(q, pid, bounds, r);
+                }
             }
         });
         self.window = window;
+    }
+
+    /// `Prune`'s witness test against `Res^q` under `(bounds, r)`.
+    fn witnesses<'a>(&'a self, q: SubsetId, bounds: &'a Bounds, r: usize) -> Witnesses<'a> {
+        Witnesses {
+            active: &self.states[q.index()].active,
+            bounds,
+            schedule: &self.schedule,
+            r,
+            eager: self.config.eager_level_skip,
+        }
     }
 
     /// Refills subset `x`'s cached operand view if it is stale for the
@@ -771,60 +805,25 @@ impl IamaOptimizer {
             let node = self.arena.node(plan);
             (node.cost, node.props)
         };
-        let alpha = self.schedule.factor(r);
-
-        // Line 7: is there an alternative result plan (within bounds, at
-        // resolution <= r, with compatible physical properties) that
-        // approximately dominates the new plan? Any such plan has cost
-        // dominated by `alpha * c(p)`, so the search is narrowed to the
-        // intersection of the user bounds with that region. The witnesses
-        // are exactly `Res^q`, the subset's active list (tombstones
-        // included), so one flat pass over it answers the range query:
-        // result sets are small, and walking them beats probing a cell
-        // grid's per-level hash maps. The pass tracks the *best* (smallest)
-        // domination factor so eager re-indexing can skip resolution
-        // levels at which the same witness would dominate again, and
-        // stops once the minimum reaches the decision threshold: without
-        // eager re-indexing the first witness within `alpha` decides; with
-        // it, a witness within the *target* factor means the plan is
-        // discarded at every remaining level. Either way the routing
-        // decision below does not depend on the order of the pass.
-        let mut best_factor = f64::INFINITY;
-        let active = &self.states[q.index()].active;
-        if !active.is_empty() {
-            let region = bounds.intersect(&Bounds::new(cost.scaled(alpha)));
-            let threshold = if self.config.eager_level_skip {
-                self.schedule.target_factor()
-            } else {
-                alpha
-            };
-            let timer = self.config.time_pruning.then(Instant::now);
-            let (best, examined) = witness_search(active, &region, r, &cost, &props, threshold);
-            if let Some(t) = timer {
-                self.stats.prune_nanos += t.elapsed().as_nanos() as u64;
-            }
-            self.stats.prune_comparisons += examined;
-            best_factor = best;
+        let timer = self.config.time_pruning.then(Instant::now);
+        let (dominated, examined) = {
+            let witnesses = self.witnesses(q, bounds, r);
+            let (best, examined) = witnesses.best(&cost, &props);
+            (witnesses.dominated(best), examined)
+        };
+        if let Some(t) = timer {
+            self.stats.prune_nanos += t.elapsed().as_nanos() as u64;
         }
-        let dominated = best_factor <= alpha;
-
-        if dominated {
-            // Keep as candidate for finer resolutions (lines 9-12). With
-            // eager re-indexing, jump straight to the first level whose
-            // precision factor drops below the witness's domination
-            // factor; the plan provably stays dominated by the same
-            // witness at every level in between.
-            let eager = self.config.eager_level_skip;
-            match requeue_level(&self.schedule, r, best_factor, eager) {
-                Some(level) => self.insert_candidate(q, plan, cost, level as u8),
-                None => self.stats.candidates_discarded += 1,
-            }
-        } else if bounds.exceeds(&cost) {
+        self.stats.prune_comparisons += examined;
+        match dominated {
+            // Keep as candidate for finer resolutions (lines 9-12), or
+            // discard it when no finer level needs it.
+            Some(Dominated::Requeue(level)) => self.insert_candidate(q, plan, cost, level),
+            Some(Dominated::Discard) => self.stats.candidates_discarded += 1,
             // Keep as candidate for different bounds (lines 13-16).
-            self.insert_candidate(q, plan, cost, r as u8);
-        } else {
+            None if bounds.exceeds(&cost) => self.insert_candidate(q, plan, cost, r as u8),
             // Immediately relevant (lines 17-20).
-            self.insert_result(q, plan, cost, r as u8);
+            None => self.insert_result(q, plan, cost, r as u8),
         }
     }
 
@@ -873,6 +872,89 @@ impl IamaOptimizer {
             .get_or_insert_with(|| CellGrid::new(dim))
             .insert(Entry::new(plan, cost, level, invocation));
         self.stats.candidate_insertions += 1;
+    }
+}
+
+/// `Prune`'s witness test (Algorithm 3 line 7) against one subset's result
+/// set `Res^q` under one invocation's `(bounds, r)`: the one discard
+/// predicate that routing and the cost step's skip share.
+pub(crate) struct Witnesses<'a> {
+    active: &'a [ActiveEntry],
+    bounds: &'a Bounds,
+    schedule: &'a ResolutionSchedule,
+    r: usize,
+    eager: bool,
+}
+
+/// What `Prune` does with a plan a witness dominates within `α_r`.
+#[derive(Clone, Copy, PartialEq)]
+enum Dominated {
+    /// Re-index it as a candidate at this level.
+    Requeue(u8),
+    /// Drop it: no finer level needs it.
+    Discard,
+}
+
+impl Witnesses<'_> {
+    /// The smallest domination factor of a witness for a plan of cost
+    /// `cost` and output properties `props`, and the entries examined.
+    ///
+    /// Is there a result plan (within bounds, at resolution `<= r`, with
+    /// compatible physical properties) that approximately dominates the
+    /// plan? Any such plan has cost dominated by `α_r · cost`, so the
+    /// search is narrowed to the intersection of the user bounds with that
+    /// region. The witnesses are exactly `Res^q`, the subset's active list
+    /// (tombstones included), so one flat pass over it answers the range
+    /// query: result sets are small, and walking them beats probing a
+    /// cell grid's per-level hash maps. The pass tracks the *best*
+    /// (smallest) domination factor so eager re-indexing can skip
+    /// resolution levels at which the same witness would dominate again,
+    /// and stops once the minimum reaches the decision threshold: without
+    /// eager re-indexing the first witness within `α_r` decides; with it,
+    /// a witness within the *target* factor means the plan is discarded
+    /// at every remaining level. Either way [`Witnesses::dominated`] does
+    /// not depend on the order of the pass.
+    fn best(&self, cost: &CostVector, props: &PhysicalProps) -> (f64, u64) {
+        if self.active.is_empty() {
+            return (f64::INFINITY, 0);
+        }
+        let alpha = self.schedule.factor(self.r);
+        let region = self.bounds.intersect(&Bounds::new(cost.scaled(alpha)));
+        let threshold = if self.eager {
+            self.schedule.target_factor()
+        } else {
+            alpha
+        };
+        witness_search(self.active, &region, self.r, cost, props, threshold)
+    }
+
+    /// How `Prune` routes a plan whose best witness factor is `best`:
+    /// `None` if no witness dominates it within `α_r`.
+    fn dominated(&self, best: f64) -> Option<Dominated> {
+        (best <= self.schedule.factor(self.r)).then(|| {
+            match requeue_level(self.schedule, self.r, best, self.eager) {
+                Some(level) => Dominated::Requeue(level as u8),
+                None => Dominated::Discard,
+            }
+        })
+    }
+
+    /// Whether `Prune` can discard any plan here: `Res^q` holds a witness
+    /// to find, and even a witness of factor 0 leaves no finer level to
+    /// re-queue at (without eager re-indexing, only at `rM`).
+    pub(crate) fn can_discard(&self) -> bool {
+        !self.active.is_empty() && self.dominated(0.0) == Some(Dominated::Discard)
+    }
+
+    /// Whether `Prune` discards every plan with output properties `props`
+    /// whose cost is at least `floor` in every metric, and the entries
+    /// examined to decide it. Sound because IEEE multiplication and
+    /// division are monotone: a witness in `bounds ∩ α_r·floor` lies in
+    /// `bounds ∩ α_r·cost`, and its factor against `cost` is no larger
+    /// than against `floor`.
+    pub(crate) fn discards(&self, floor: &CostVector, props: &PhysicalProps) -> (bool, u64) {
+        let (best, examined) = self.best(floor, props);
+        (self.dominated(best) == Some(Dominated::Discard), examined)
     }
 }
 

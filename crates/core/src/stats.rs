@@ -29,6 +29,13 @@ pub struct OptimizerStats {
     pub candidate_insertions: u64,
     /// Candidates discarded at the maximal resolution.
     pub candidates_discarded: u64,
+    /// Join alternatives `Prune` would discard that were never costed:
+    /// their floor ([`moqo_costmodel::CostModel::join_floors`]) was
+    /// already dominated. Each also counts in `plans_generated` and
+    /// `candidates_discarded`, so `plans_generated − costings_skipped`
+    /// plans were costed. Session-local: not serialized into full
+    /// frontier snapshots nor reported per invocation.
+    pub costings_skipped: u64,
     /// Pairs skipped by the `IsFresh` hash fallback (combined during an
     /// earlier churn epoch and not yet covered by a watermark rectangle).
     pub stale_pairs_skipped: u64,

@@ -112,6 +112,36 @@ pub trait CostModel {
             .find(|&(alt, _, _)| alt == op)
             .map(|(_, cost, props)| (cost, props))
     }
+
+    /// Appends a cost *floor* for every join alternative over
+    /// `left ⋈ right` to `out`, as `(operator, floor, output properties)`
+    /// triples, or nothing, which means "no floors: cost everything".
+    ///
+    /// A model that appends anything must append one triple for each
+    /// alternative [`join_alternatives`](CostModel::join_alternatives)
+    /// would append, in the same order, with the same operator and output
+    /// properties. Each floor must be at most that alternative's cost in
+    /// every metric, compared as raw `f64`, and must depend only on the
+    /// children's costs and the operator, never on cardinalities or the
+    /// operator's own work: it costs a floor-sized fraction of the
+    /// alternative.
+    ///
+    /// The optimizer tests each floor against the subset's result set
+    /// before it costs a pair. An alternative whose floor is already
+    /// dominated so that `Prune` would discard it at this resolution is
+    /// never costed: its arena slot holds the floor, which nothing reads
+    /// (no result or candidate set refers to the plan) and
+    /// `IamaOptimizer::compact` drops. The same thread-safety and
+    /// same-bits rules as for `join_alternatives` apply.
+    fn join_floors(
+        &self,
+        spec: &QuerySpec,
+        left: &PlanInput,
+        right: &PlanInput,
+        out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
+    ) {
+        let _ = (spec, left, right, out);
+    }
 }
 
 /// Resolves a cost-model [identity](CostModel::identity) back to a live
@@ -175,6 +205,15 @@ macro_rules! delegate_cost_model {
                 op: Operator,
             ) -> Option<(CostVector, PhysicalProps)> {
                 (**self).join_alternative(spec, left, right, op)
+            }
+            fn join_floors(
+                &self,
+                spec: &QuerySpec,
+                left: &PlanInput,
+                right: &PlanInput,
+                out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
+            ) {
+                (**self).join_floors(spec, left, right, out)
             }
         }
     )*};

@@ -29,6 +29,15 @@
 //!   the plan.
 //! * Energy: proportional to total work (parallelism does not reduce it),
 //!   plus a per-operator constant; sum over the plan.
+//! * Floors ([`CostModel::join_floors`]): each join formula above with the
+//!   operator's own terms dropped, so only the children's costs and the
+//!   operator's degree of parallelism remain. Time is `l + r` for `d = 1`
+//!   and `max(l, r)` for `d > 1`; fees and energy are `l + r`; memory is
+//!   `max(l, r)` for `d = 1` and `l + r` for `d > 1`; cores and error are
+//!   exact. A dropped term is never negative and IEEE addition and `max`
+//!   are monotone, so every floor is at most its alternative's cost, and
+//!   it is quantized like the cost, which `quantize`'s monotonicity keeps
+//!   that way.
 //!
 //! Join operator terms are computed from *statistical* per-table-set
 //! cardinalities (`QuerySpec::cardinality`), deliberately not discounted by
@@ -263,6 +272,41 @@ impl StandardCostModel {
         })
     }
 
+    /// The floor under every join alternative of degree of parallelism
+    /// `dop` over children costing `left` and `right`: [`Self::join_cost`]
+    /// with the operator's own work and buffer terms dropped (see the
+    /// module's Formulas).
+    fn join_floor(&self, left: &CostVector, right: &CostVector, dop: u16) -> CostVector {
+        let parallel = dop > 1;
+        CostVector::from_fn(self.metrics.dim(), |i| {
+            let metric = self.metrics.metric(i);
+            let (l, r) = (left[i], right[i]);
+            let v = match metric {
+                Metric::Time => {
+                    if parallel {
+                        l.max(r)
+                    } else {
+                        l + r
+                    }
+                }
+                Metric::Cores => {
+                    let children = if parallel { l + r } else { l.max(r) };
+                    children.max(dop as f64)
+                }
+                Metric::Error => prob_sum(l, r),
+                Metric::Fees | Metric::Energy => l + r,
+                Metric::Memory => {
+                    if parallel {
+                        l + r
+                    } else {
+                        l.max(r)
+                    }
+                }
+            };
+            self.quantize(metric, v)
+        })
+    }
+
     /// The order key for the join connecting `a` and `b`: the index of the
     /// lowest join-graph edge between them (None for a cross product).
     fn join_order_key(spec: &QuerySpec, a: TableSet, b: TableSet) -> Option<OrderKey> {
@@ -380,6 +424,39 @@ impl CostModel for StandardCostModel {
             props,
         ))
     }
+
+    fn join_floors(
+        &self,
+        spec: &QuerySpec,
+        left: &PlanInput,
+        right: &PlanInput,
+        out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
+    ) {
+        let order_key = Self::join_order_key(spec, left.tables, right.tables);
+        let dops = &self.config.dops;
+        out.reserve(self.config.join_algos.len() * dops.len());
+        let first = out.len();
+        for (a, &algo) in self.config.join_algos.iter().enumerate() {
+            let props = output_props(algo, order_key);
+            for (d, &dop) in dops.iter().enumerate() {
+                // A floor depends on the degree of parallelism only.
+                let floor = match a {
+                    0 => self.join_floor(&left.cost, &right.cost, dop),
+                    _ => out[first + d].1,
+                };
+                out.push((Operator::join(algo, dop), floor, props));
+            }
+        }
+    }
+}
+
+/// The output properties of a join by `algo` whose order key is
+/// `order_key`: sort-merge leaves its output sorted on the key.
+fn output_props(algo: JoinAlgo, order_key: Option<OrderKey>) -> PhysicalProps {
+    match (algo, order_key) {
+        (JoinAlgo::SortMerge, Some(k)) => PhysicalProps::sorted(k),
+        _ => PhysicalProps::NONE,
+    }
 }
 
 /// What every join alternative over one pair of children shares: the
@@ -421,7 +498,7 @@ impl JoinInputs {
             JoinAlgo::Hash => (
                 C_BUILD * n_r + C_PROBE * n_l + n_out + K_HASH,
                 n_r * ROW_BYTES, // in-memory build side
-                PhysicalProps::NONE,
+                output_props(algo, order_key),
             ),
             JoinAlgo::SortMerge => {
                 // A child already sorted on this join's key skips its
@@ -436,17 +513,17 @@ impl JoinInputs {
                 } else {
                     C_SORT * n_r * n_r.max(2.0).log2()
                 };
-                let props = match order_key {
-                    Some(k) => PhysicalProps::sorted(k),
-                    None => PhysicalProps::NONE,
-                };
                 (
                     sort_l + sort_r + n_l + n_r + n_out + K_SORT,
                     (n_l + n_r) * ROW_BYTES, // sort runs for both inputs
-                    props,
+                    output_props(algo, order_key),
                 )
             }
-            JoinAlgo::NestedLoop => (C_NL * n_l * n_r + n_out, NL_BUFFER, PhysicalProps::NONE),
+            JoinAlgo::NestedLoop => (
+                C_NL * n_l * n_r + n_out,
+                NL_BUFFER,
+                output_props(algo, order_key),
+            ),
         }
     }
 }
@@ -845,6 +922,85 @@ mod proptests {
                         ci[k] <= alpha * cb[k] + 1e-9,
                         "metric {} violates PONO: {} > {} * {}", k, ci[k], alpha, cb[k]
                     );
+                }
+            }
+        }
+
+        /// The floor contract on the standard model, for every metric set,
+        /// with and without quantization, over sorted and unsorted
+        /// children and a cross-product pair: `join_floors` lists the
+        /// operators and output properties of `join_alternatives` in the
+        /// same order, and every floor is at most its alternative's cost
+        /// in every metric, compared as raw `f64`.
+        #[test]
+        fn join_floors_lie_under_every_alternative(
+            card_exp in 1.0f64..7.0,
+            cross in any::<bool>(),
+            sorted in (any::<bool>(), any::<bool>()),
+            child_draws in proptest::collection::vec(0.0f64..1.0, 12),
+        ) {
+            let spec = testkit::chain_query(3, 10f64.powf(card_exp) as u64);
+            // Tables 0 and 2 share no edge: a cross product, order key `None`.
+            let (lt, rt) = if cross { (0, 2) } else { (0, 1) };
+            let sets = [
+                MetricSet::paper(),
+                MetricSet::cloud(),
+                MetricSet::energy(),
+                MetricSet::all(),
+            ];
+            for metrics in sets {
+                for quantize_grid in [None, Some(1.02)] {
+                    let model = StandardCostModel::new(
+                        metrics.clone(),
+                        StandardCostModelConfig {
+                            quantize_grid,
+                            eval_spin: 0,
+                            ..StandardCostModelConfig::default()
+                        },
+                    );
+                    prop_assert_eq!(&model.config().dops, &vec![1, 2, 4, 8]);
+                    // A child cost drawn per metric, over many magnitudes.
+                    let child = |draws: &[f64]| {
+                        CostVector::from_fn(metrics.dim(), |i| {
+                            let u = draws[i];
+                            match metrics.metric(i) {
+                                Metric::Time | Metric::Fees | Metric::Energy => {
+                                    10f64.powf(-4.0 + 10.0 * u)
+                                }
+                                Metric::Cores => 1.0 + (u * 16.0).floor(),
+                                Metric::Error => u,
+                                Metric::Memory => 10f64.powf(3.0 + 6.0 * u),
+                            }
+                        })
+                    };
+                    let props = |s: bool| {
+                        if s { PhysicalProps::sorted(OrderKey(0)) } else { PhysicalProps::NONE }
+                    };
+                    let left = PlanInput {
+                        tables: TableSet::singleton(lt),
+                        cost: child(&child_draws[..6]),
+                        props: props(sorted.0),
+                    };
+                    let right = PlanInput {
+                        tables: TableSet::singleton(rt),
+                        cost: child(&child_draws[6..]),
+                        props: props(sorted.1),
+                    };
+                    let alts = join_alts(&model, &spec, &left, &right);
+                    let mut floors = Vec::new();
+                    model.join_floors(&spec, &left, &right, &mut floors);
+                    prop_assert_eq!(floors.len(), alts.len());
+                    for ((op, floor, fp), (alt_op, cost, props)) in floors.iter().zip(&alts) {
+                        prop_assert_eq!(op, alt_op);
+                        prop_assert_eq!(fp, props);
+                        for k in 0..metrics.dim() {
+                            prop_assert!(
+                                floor[k] <= cost[k],
+                                "{:?} {:?} grid {:?}: floor {} above cost {} in metric {}",
+                                metrics, op, quantize_grid, floor[k], cost[k], k
+                            );
+                        }
+                    }
                 }
             }
         }

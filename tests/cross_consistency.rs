@@ -1,7 +1,7 @@
 //! Cross-algorithm consistency: the whole stack agrees with itself.
 
 use moqo::baselines::{memoryless_series, single_objective_dp};
-use moqo::core::{IamaOptimizer, Preference};
+use moqo::core::{IamaConfig, IamaOptimizer, OptimizerStats, Preference};
 use moqo::cost::{Bounds, ResolutionSchedule};
 use moqo::costmodel::{
     CostModel, MetricSet, PlanInput, SharedCostModel, StandardCostModel, StandardCostModelConfig,
@@ -421,6 +421,161 @@ const Q08_DIGESTS: [u64; 10] = [
     0xe78d_ebfb_6a23_6986,
     0x97b5_9578_6a91_d181,
 ];
+
+/// A model that forwards everything to `M` but offers no floors, so the
+/// optimizer costs every join alternative.
+struct NoFloors<M>(M);
+
+impl<M: CostModel> CostModel for NoFloors<M> {
+    fn metrics(&self) -> &MetricSet {
+        self.0.metrics()
+    }
+
+    fn identity(&self) -> u64 {
+        self.0.identity()
+    }
+
+    fn scan_alternatives(
+        &self,
+        spec: &QuerySpec,
+        position: usize,
+    ) -> Vec<(Operator, moqo::cost::CostVector, PhysicalProps)> {
+        self.0.scan_alternatives(spec, position)
+    }
+
+    fn join_alternatives(
+        &self,
+        spec: &QuerySpec,
+        left: &PlanInput,
+        right: &PlanInput,
+        out: &mut Vec<(Operator, moqo::cost::CostVector, PhysicalProps)>,
+    ) {
+        self.0.join_alternatives(spec, left, right, out)
+    }
+
+    fn join_alternative(
+        &self,
+        spec: &QuerySpec,
+        left: &PlanInput,
+        right: &PlanInput,
+        op: Operator,
+    ) -> Option<(moqo::cost::CostVector, PhysicalProps)> {
+        self.0.join_alternative(spec, left, right, op)
+    }
+}
+
+/// A frontier's points as plan ids with cost bits.
+type Points = Vec<(u32, Vec<u64>)>;
+
+/// Every frontier of a ladder and a bound storm, plus the optimizer's
+/// final arena length and stats.
+fn ladder_and_storm(
+    spec: &QuerySpec,
+    model: SharedCostModel,
+    config: IamaConfig,
+) -> (Vec<Points>, usize, OptimizerStats) {
+    let schedule = golden_schedule();
+    let mut opt = IamaOptimizer::with_config(
+        Arc::new(spec.clone()),
+        model.clone(),
+        schedule.clone(),
+        config,
+    );
+    let mut frontiers = Vec::new();
+    let mut refine = |opt: &mut IamaOptimizer, bounds: &Bounds| {
+        for r in 0..=schedule.r_max() {
+            opt.optimize(bounds, r);
+            let points = opt.frontier(bounds, r).points;
+            frontiers.push(
+                points
+                    .iter()
+                    .map(|p| {
+                        (
+                            p.plan.0,
+                            p.cost.as_slice().iter().map(|v| v.to_bits()).collect(),
+                        )
+                    })
+                    .collect(),
+            );
+        }
+    };
+    let unbounded = Bounds::unbounded(model.dim());
+    refine(&mut opt, &unbounded);
+    // The storm: tighten time to the frontier's lower quartile, drag it
+    // to the median, then loosen it again, refining to the target after
+    // every change.
+    let mut ts: Vec<f64> = opt
+        .frontier(&unbounded, schedule.r_max())
+        .costs()
+        .iter()
+        .map(|c| c[0])
+        .collect();
+    ts.sort_by(f64::total_cmp);
+    for t in [ts[ts.len() / 4], ts[ts.len() / 2], f64::INFINITY] {
+        refine(&mut opt, &unbounded.with_limit(0, t));
+    }
+    (frontiers, opt.arena().len(), opt.stats().clone())
+}
+
+#[test]
+fn skip_oracle_skipping_costings_changes_no_byte() {
+    // An alternative whose floor `Res^q` already discards is not costed.
+    // Against the same model without floors, which costs everything, no
+    // frontier, plan id, cost bit, arena slot or routing counter may
+    // move: with eager re-indexing (skips at every level), without it
+    // (skips at `rM` only) and with the Lemma 5–7 counters tracked.
+    let tpch = |name| moqo::tpch::query_block(name, 1.0).expect("TPC-H block");
+    let golden = [
+        testkit::star_query(4, 250_000),
+        testkit::cycle_query(5, 100_000),
+        testkit::random_query(6, 7),
+        tpch("q05"),
+        tpch("q08"),
+    ];
+    let configs = [
+        ("eager", IamaConfig::default()),
+        (
+            "no eager",
+            IamaConfig {
+                eager_level_skip: false,
+                ..IamaConfig::default()
+            },
+        ),
+        ("tracked", IamaConfig::tracked()),
+    ];
+    for (label, config) in configs {
+        for spec in &golden {
+            let what = format!("{} ({label})", spec.name);
+            let floors = Arc::new(moqo_bench::bench_model());
+            let (skipping, arena, stats) = ladder_and_storm(spec, floors, config.clone());
+            let everything = Arc::new(NoFloors(moqo_bench::bench_model()));
+            let (costing, arena_all, all) = ladder_and_storm(spec, everything, config.clone());
+            assert!(skipping == costing, "{what}: a frontier moved");
+            assert_eq!(arena, arena_all, "{what}: arena length");
+            let counters = |s: &OptimizerStats| {
+                [
+                    s.plans_generated,
+                    s.result_insertions,
+                    s.candidate_insertions,
+                    s.candidate_retrievals,
+                    s.candidates_discarded,
+                ]
+            };
+            assert_eq!(counters(&stats), counters(&all), "{what}: counters");
+            assert!(stats.costings_skipped > 0, "{what}: nothing skipped");
+            assert_eq!(all.costings_skipped, 0, "{what}: skipped without floors");
+            if config.track_invariants {
+                let rm = golden_schedule().r_max() as u32;
+                for s in [&stats, &all] {
+                    assert!(s.max_plan_generations() <= 1, "{what}: Lemma 5");
+                    assert!(s.max_pair_generations() <= 1, "{what}: Lemma 6");
+                    assert!(s.max_candidate_retrievals() <= rm + 1, "{what}: Lemma 7");
+                }
+                assert_eq!(stats.plan_generations, all.plan_generations, "{what}");
+            }
+        }
+    }
+}
 
 /// The golden digests' model behind a probe: every join costing first
 /// spins for `spin`, so that a window's first chunk outlasts a cost
