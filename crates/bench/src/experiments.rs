@@ -599,10 +599,13 @@ fn exhaustive_split_visits(n: usize) -> u64 {
 /// one repeated steady-state invocation. It also times the plan build
 /// and that repeated invocation.
 ///
-/// A lean model (small option sets, no evaluation spin) keeps the
-/// refinement ladders fast; the counters being reported are
-/// model-independent structure metrics.
+/// A lean model (small option sets) keeps the refinement ladders fast;
+/// the counters being reported are model-independent structure metrics,
+/// except the costing skip share. Its evaluation spin is the least at
+/// which the standard model offers cost floors, so that share is the one
+/// any model with floors reads.
 pub fn enumeration_experiment(sf: f64, fast: bool) -> ExperimentReport {
+    use moqo_costmodel::standard::FLOOR_MIN_SPIN;
     use moqo_costmodel::{MetricSet, StandardCostModelConfig};
     use moqo_query::testkit;
 
@@ -611,7 +614,7 @@ pub fn enumeration_experiment(sf: f64, fast: bool) -> ExperimentReport {
         StandardCostModelConfig {
             dops: vec![1, 4],
             sampling_rates_pm: vec![100, 500],
-            eval_spin: 0,
+            eval_spin: FLOOR_MIN_SPIN,
             ..StandardCostModelConfig::default()
         },
     );

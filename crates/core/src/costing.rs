@@ -34,13 +34,10 @@
 //! that survive are costed, with [`CostModel::join_alternative`], or all
 //! at once with `join_alternatives` when none was skipped; a skipped
 //! alternative keeps its floor in its slot and is flagged, so routing
-//! pushes it and counts it discarded without pruning it. A floor equal to
-//! an earlier floor of the same pair reuses that verdict when the
-//! properties settle it (a kept floor with weaker properties, or a
-//! discarded one with stronger properties), and a model without floors
-//! costs everything.
+//! pushes it and counts it discarded without pruning it. A model without
+//! floors costs everything.
 
-use crate::optimizer::Witnesses;
+use crate::optimizer::{SearchWork, Witnesses};
 use moqo_cost::CostVector;
 use moqo_costmodel::{CostModel, PlanInput};
 use moqo_plan::{Operator, PhysicalProps, PlanId};
@@ -96,8 +93,8 @@ struct Chunk {
     /// Per alternative: skipped, so `alts` holds its floor, not its cost.
     skipped: Vec<bool>,
     ends: Vec<u32>,
-    /// Witness entries the chunk's skip tests examined.
-    examined: u64,
+    /// What the chunk's skip tests cost.
+    work: SearchWork,
     /// Scratch: the floors and skip verdicts of the pair being costed.
     floors: Vec<Alternative>,
     verdicts: Vec<bool>,
@@ -116,7 +113,7 @@ impl Chunk {
         let Self {
             alts,
             skipped,
-            examined,
+            work,
             floors,
             verdicts,
             ..
@@ -126,27 +123,8 @@ impl Chunk {
         verdicts.clear();
         if let Some(witnesses) = skip {
             model.join_floors(spec, left, right, floors);
-            for (i, (_, floor, props)) in floors.iter().enumerate() {
-                // An earlier equal floor decides this one when its
-                // qualifying witnesses include this one's (it was kept and
-                // its properties are weaker) or are included in them (it
-                // was discarded and its properties are stronger):
-                // `satisfies` is transitive.
-                let mut earlier = floors[..i].iter().zip(verdicts.iter());
-                let decided = earlier.find_map(|((_, f, p), &discarded)| {
-                    let covers = if discarded {
-                        p.satisfies(props)
-                    } else {
-                        props.satisfies(p)
-                    };
-                    (covers && f == floor).then_some(discarded)
-                });
-                let verdict = decided.unwrap_or_else(|| {
-                    let (discards, n) = witnesses.discards(floor, props);
-                    *examined += n;
-                    discards
-                });
-                verdicts.push(verdict);
+            for (_, floor, props) in floors.iter() {
+                verdicts.push(witnesses.discards(floor, props, work));
             }
         }
         if !verdicts.contains(&true) {
@@ -201,14 +179,14 @@ impl CostWindow {
 
     /// Costs every pair of the window with `model`, on this thread and,
     /// when it pays, on the cost pool. With `skip`, an alternative whose
-    /// floor those witnesses discard is not costed. Returns the witness
-    /// entries the skip tests examined.
+    /// floor those witnesses discard is not costed. Returns what the skip
+    /// tests cost, summed over the chunks.
     pub(crate) fn cost(
         &mut self,
         model: &(dyn CostModel + Send + Sync),
         spec: &QuerySpec,
         skip: Option<&Witnesses<'_>>,
-    ) -> u64 {
+    ) -> SearchWork {
         let n = self.pairs.len().div_ceil(CHUNK_PAIRS);
         if self.chunks.len() < n {
             self.chunks.resize_with(n, Default::default);
@@ -219,7 +197,7 @@ impl CostWindow {
             chunk.alts.clear();
             chunk.skipped.clear();
             chunk.ends.clear();
-            chunk.examined = 0;
+            chunk.work = SearchWork::default();
             for p in pairs[c * CHUNK_PAIRS..].iter().take(CHUNK_PAIRS) {
                 chunk.cost_pair(model, spec, p, skip);
                 let end = chunk.alts.len() as u32;
@@ -227,7 +205,9 @@ impl CostWindow {
             }
         };
         run_chunks(n, &cost_chunk);
-        chunks.iter().map(|c| lock(c).examined).sum()
+        let mut work = SearchWork::default();
+        chunks.iter().for_each(|c| work.add(lock(c).work));
+        work
     }
 
     /// Hands every pair with its alternatives and their skip flags to

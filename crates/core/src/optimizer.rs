@@ -748,8 +748,9 @@ impl IamaOptimizer {
         let mut window = std::mem::take(&mut self.window);
         let witnesses = self.witnesses(q, bounds, r);
         let skip = witnesses.can_discard().then_some(&witnesses);
-        let examined = window.cost(&*self.model, &self.spec, skip);
-        self.stats.prune_comparisons += examined;
+        let work = window.cost(&*self.model, &self.spec, skip);
+        self.stats.prune_comparisons += work.examined;
+        self.stats.prune_nanos += work.nanos;
         window.drain(|pair, alts, skipped| {
             for (&(op, cost, props), &skipped) in alts.iter().zip(skipped) {
                 let pid = self.arena.push_join(op, pair.left, pair.right, cost, props);
@@ -780,6 +781,7 @@ impl IamaOptimizer {
             schedule: &self.schedule,
             r,
             eager: self.config.eager_level_skip,
+            timed: self.config.time_pruning,
         }
     }
 
@@ -805,16 +807,13 @@ impl IamaOptimizer {
             let node = self.arena.node(plan);
             (node.cost, node.props)
         };
-        let timer = self.config.time_pruning.then(Instant::now);
-        let (dominated, examined) = {
+        let mut work = SearchWork::default();
+        let dominated = {
             let witnesses = self.witnesses(q, bounds, r);
-            let (best, examined) = witnesses.best(&cost, &props);
-            (witnesses.dominated(best), examined)
+            witnesses.dominated(witnesses.best(&cost, &props, &mut work))
         };
-        if let Some(t) = timer {
-            self.stats.prune_nanos += t.elapsed().as_nanos() as u64;
-        }
-        self.stats.prune_comparisons += examined;
+        self.stats.prune_comparisons += work.examined;
+        self.stats.prune_nanos += work.nanos;
         match dominated {
             // Keep as candidate for finer resolutions (lines 9-12), or
             // discard it when no finer level needs it.
@@ -884,6 +883,23 @@ pub(crate) struct Witnesses<'a> {
     schedule: &'a ResolutionSchedule,
     r: usize,
     eager: bool,
+    /// Time each search ([`crate::IamaConfig::time_pruning`]).
+    timed: bool,
+}
+
+/// What witness searches cost: active-list entries examined, and the
+/// nanoseconds the searches took when timed (summed over threads).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct SearchWork {
+    pub(crate) examined: u64,
+    pub(crate) nanos: u64,
+}
+
+impl SearchWork {
+    pub(crate) fn add(&mut self, other: SearchWork) {
+        self.examined += other.examined;
+        self.nanos += other.nanos;
+    }
 }
 
 /// What `Prune` does with a plan a witness dominates within `α_r`.
@@ -913,10 +929,11 @@ impl Witnesses<'_> {
     /// eager re-indexing the first witness within `α_r` decides; with it,
     /// a witness within the *target* factor means the plan is discarded
     /// at every remaining level. Either way [`Witnesses::dominated`] does
-    /// not depend on the order of the pass.
-    fn best(&self, cost: &CostVector, props: &PhysicalProps) -> (f64, u64) {
+    /// not depend on the order of the pass. The search's cost is added to
+    /// `work`.
+    fn best(&self, cost: &CostVector, props: &PhysicalProps, work: &mut SearchWork) -> f64 {
         if self.active.is_empty() {
-            return (f64::INFINITY, 0);
+            return f64::INFINITY;
         }
         let alpha = self.schedule.factor(self.r);
         let region = self.bounds.intersect(&Bounds::new(cost.scaled(alpha)));
@@ -925,7 +942,13 @@ impl Witnesses<'_> {
         } else {
             alpha
         };
-        witness_search(self.active, &region, self.r, cost, props, threshold)
+        let timer = self.timed.then(Instant::now);
+        let (best, examined) = witness_search(self.active, &region, self.r, cost, props, threshold);
+        if let Some(t) = timer {
+            work.nanos += t.elapsed().as_nanos() as u64;
+        }
+        work.examined += examined;
+        best
     }
 
     /// How `Prune` routes a plan whose best witness factor is `best`:
@@ -947,14 +970,18 @@ impl Witnesses<'_> {
     }
 
     /// Whether `Prune` discards every plan with output properties `props`
-    /// whose cost is at least `floor` in every metric, and the entries
-    /// examined to decide it. Sound because IEEE multiplication and
-    /// division are monotone: a witness in `bounds ∩ α_r·floor` lies in
+    /// whose cost is at least `floor` in every metric, adding the search's
+    /// cost to `work`. Sound because IEEE multiplication and division are
+    /// monotone: a witness in `bounds ∩ α_r·floor` lies in
     /// `bounds ∩ α_r·cost`, and its factor against `cost` is no larger
     /// than against `floor`.
-    pub(crate) fn discards(&self, floor: &CostVector, props: &PhysicalProps) -> (bool, u64) {
-        let (best, examined) = self.best(floor, props);
-        (self.dominated(best) == Some(Dominated::Discard), examined)
+    pub(crate) fn discards(
+        &self,
+        floor: &CostVector,
+        props: &PhysicalProps,
+        work: &mut SearchWork,
+    ) -> bool {
+        self.dominated(self.best(floor, props, work)) == Some(Dominated::Discard)
     }
 }
 

@@ -17,11 +17,14 @@ pub struct OptimizerStats {
     /// Candidate entries retrieved (drained) in phase 1.
     pub candidate_retrievals: u64,
     /// Active-list entries examined by the pruning witness search: every
-    /// entry the pass walked before it stopped, in range or not.
+    /// entry the pass walked before it stopped, in range or not. Includes
+    /// the searches that test cost floors before costing (see
+    /// `costings_skipped`).
     pub prune_comparisons: u64,
-    /// Wall-clock nanoseconds spent in the pruning witness search.
-    /// Accumulated only when [`crate::IamaConfig::time_pruning`] is set;
-    /// otherwise stays 0.
+    /// Wall-clock nanoseconds spent in the pruning witness search, the
+    /// floor tests included; a floor test on a cost-pool helper counts
+    /// its own thread's time. Accumulated only when
+    /// [`crate::IamaConfig::time_pruning`] is set; otherwise stays 0.
     pub prune_nanos: u64,
     /// Insertions into result sets.
     pub result_insertions: u64,
@@ -32,9 +35,9 @@ pub struct OptimizerStats {
     /// Join alternatives `Prune` would discard that were never costed:
     /// their floor ([`moqo_costmodel::CostModel::join_floors`]) was
     /// already dominated. Each also counts in `plans_generated` and
-    /// `candidates_discarded`, so `plans_generated − costings_skipped`
-    /// plans were costed. Session-local: not serialized into full
-    /// frontier snapshots nor reported per invocation.
+    /// `candidates_discarded`. Session-local: not serialized into full
+    /// frontier snapshots nor reported per invocation, so after an
+    /// import it counts only the skips since.
     pub costings_skipped: u64,
     /// Pairs skipped by the `IsFresh` hash fallback (combined during an
     /// earlier churn epoch and not yet covered by a watermark rectangle).

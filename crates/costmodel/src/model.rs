@@ -124,7 +124,8 @@ pub trait CostModel {
     /// every metric, compared as raw `f64`, and must depend only on the
     /// children's costs and the operator, never on cardinalities or the
     /// operator's own work: it costs a floor-sized fraction of the
-    /// alternative.
+    /// alternative. Testing a floor costs a search of the result set, so
+    /// a model whose costing is about that cheap should append nothing.
     ///
     /// The optimizer tests each floor against the subset's result set
     /// before it costs a pair. An alternative whose floor is already

@@ -37,7 +37,9 @@
 //!   exact. A dropped term is never negative and IEEE addition and `max`
 //!   are monotone, so every floor is at most its alternative's cost, and
 //!   it is quantized like the cost, which `quantize`'s monotonicity keeps
-//!   that way.
+//!   that way. Floors are offered only when `eval_spin` is at least
+//!   [`FLOOR_MIN_SPIN`]: a cheaper costing costs about what testing its
+//!   floor does, so the tests would cost more than the costings they save.
 //!
 //! Join operator terms are computed from *statistical* per-table-set
 //! cardinalities (`QuerySpec::cardinality`), deliberately not discounted by
@@ -81,7 +83,8 @@ pub struct StandardCostModelConfig {
     /// would let index/bookkeeping noise dominate the relative timings the
     /// figures compare. The spin restores a realistic generation-to-
     /// bookkeeping cost ratio; set to 0 for raw algorithmic timing (see
-    /// DESIGN.md's substitution table).
+    /// DESIGN.md's substitution table). From [`FLOOR_MIN_SPIN`] on, the
+    /// model also offers join cost floors.
     pub eval_spin: u32,
     /// Multiplicative quantization grid for the continuous metrics (time,
     /// fees, energy): values are snapped to the nearest power of the grid
@@ -119,6 +122,14 @@ pub struct StandardCostModel {
 }
 
 // Work-unit constants.
+/// The least [`StandardCostModelConfig::eval_spin`] at which the model
+/// offers [`CostModel::join_floors`]. On a 2-vCPU host, 20-level Fig. 4
+/// ladders over TPC-H q03, q05, q08, q09 and q10 (median of 11
+/// alternating pairs, floors against costing everything) ran 0.99–1.50×
+/// as long with floors at `eval_spin: 0`, broke even between 50 and 75,
+/// and ran 0.58–0.98× as long from 100 on.
+pub const FLOOR_MIN_SPIN: u32 = 100;
+
 const WIDTH_UNIT: f64 = 100.0; // bytes per work unit of scanning
 const C_BUILD: f64 = 1.5;
 const C_PROBE: f64 = 1.0;
@@ -242,31 +253,18 @@ impl StandardCostModel {
         let op_time = work * TIME_SCALE / Self::speedup(dop);
         CostVector::from_fn(self.metrics.dim(), |i| {
             let metric = self.metrics.metric(i);
-            let (l, r) = (left[i], right[i]);
+            let children = children(metric, left[i], right[i], parallel);
             let v = match metric {
-                Metric::Time => {
-                    // Parallel joins run children concurrently.
-                    let children = if parallel { l.max(r) } else { l + r };
-                    children + op_time
-                }
-                Metric::Cores => {
-                    // Concurrent children reserve cores simultaneously.
-                    let children = if parallel { l + r } else { l.max(r) };
-                    children.max(dop as f64)
-                }
-                Metric::Error => prob_sum(l, r),
-                Metric::Fees => l + r + op_time * dop as f64 * self.config.price_per_core_unit,
+                Metric::Time => children + op_time,
+                Metric::Cores => children.max(dop as f64),
+                Metric::Error => children,
+                Metric::Fees => children + op_time * dop as f64 * self.config.price_per_core_unit,
                 Metric::Energy => {
-                    l + r
+                    children
                         + work * TIME_SCALE * self.config.energy_per_unit
                         + self.config.energy_op_overhead * TIME_SCALE
                 }
-                Metric::Memory => {
-                    // Sequential pipelines release child buffers stage by
-                    // stage; concurrent children hold them simultaneously.
-                    let children = if parallel { l + r } else { l.max(r) };
-                    children.max(op_mem)
-                }
+                Metric::Memory => children.max(op_mem),
             };
             self.quantize(metric, v)
         })
@@ -277,31 +275,12 @@ impl StandardCostModel {
     /// with the operator's own work and buffer terms dropped (see the
     /// module's Formulas).
     fn join_floor(&self, left: &CostVector, right: &CostVector, dop: u16) -> CostVector {
-        let parallel = dop > 1;
         CostVector::from_fn(self.metrics.dim(), |i| {
             let metric = self.metrics.metric(i);
-            let (l, r) = (left[i], right[i]);
+            let children = children(metric, left[i], right[i], dop > 1);
             let v = match metric {
-                Metric::Time => {
-                    if parallel {
-                        l.max(r)
-                    } else {
-                        l + r
-                    }
-                }
-                Metric::Cores => {
-                    let children = if parallel { l + r } else { l.max(r) };
-                    children.max(dop as f64)
-                }
-                Metric::Error => prob_sum(l, r),
-                Metric::Fees | Metric::Energy => l + r,
-                Metric::Memory => {
-                    if parallel {
-                        l + r
-                    } else {
-                        l.max(r)
-                    }
-                }
+                Metric::Cores => children.max(dop as f64),
+                _ => children,
             };
             self.quantize(metric, v)
         })
@@ -432,6 +411,9 @@ impl CostModel for StandardCostModel {
         right: &PlanInput,
         out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
     ) {
+        if self.config.eval_spin < FLOOR_MIN_SPIN {
+            return;
+        }
         let order_key = Self::join_order_key(spec, left.tables, right.tables);
         let dops = &self.config.dops;
         out.reserve(self.config.join_algos.len() * dops.len());
@@ -447,6 +429,25 @@ impl CostModel for StandardCostModel {
                 out.push((Operator::join(algo, dop), floor, props));
             }
         }
+    }
+}
+
+/// What a join's children contribute to `metric`, unquantized, over
+/// children costing `l` and `r`: the join's cost without the operator's
+/// own terms. [`StandardCostModel::join_cost`] adds those terms, and
+/// [`StandardCostModel::join_floor`] keeps it as the floor.
+fn children(metric: Metric, l: f64, r: f64, parallel: bool) -> f64 {
+    match metric {
+        // Parallel joins run children concurrently.
+        Metric::Time if parallel => l.max(r),
+        Metric::Time => l + r,
+        // Concurrent children reserve cores and hold buffers
+        // simultaneously; sequential pipelines release child buffers
+        // stage by stage.
+        Metric::Cores | Metric::Memory if parallel => l + r,
+        Metric::Cores | Metric::Memory => l.max(r),
+        Metric::Error => prob_sum(l, r),
+        Metric::Fees | Metric::Energy => l + r,
     }
 }
 
@@ -931,7 +932,8 @@ mod proptests {
         /// children and a cross-product pair: `join_floors` lists the
         /// operators and output properties of `join_alternatives` in the
         /// same order, and every floor is at most its alternative's cost
-        /// in every metric, compared as raw `f64`.
+        /// in every metric, compared as raw `f64`. Below
+        /// [`FLOOR_MIN_SPIN`] the model offers no floors.
         #[test]
         fn join_floors_lie_under_every_alternative(
             card_exp in 1.0f64..7.0,
@@ -954,7 +956,7 @@ mod proptests {
                         metrics.clone(),
                         StandardCostModelConfig {
                             quantize_grid,
-                            eval_spin: 0,
+                            eval_spin: FLOOR_MIN_SPIN,
                             ..StandardCostModelConfig::default()
                         },
                     );
@@ -990,6 +992,17 @@ mod proptests {
                     let mut floors = Vec::new();
                     model.join_floors(&spec, &left, &right, &mut floors);
                     prop_assert_eq!(floors.len(), alts.len());
+                    // Below the cut the same model offers no floors.
+                    let cheap = StandardCostModel::new(
+                        metrics.clone(),
+                        StandardCostModelConfig {
+                            eval_spin: FLOOR_MIN_SPIN - 1,
+                            ..model.config().clone()
+                        },
+                    );
+                    let mut none = Vec::new();
+                    cheap.join_floors(&spec, &left, &right, &mut none);
+                    prop_assert!(none.is_empty());
                     for ((op, floor, fp), (alt_op, cost, props)) in floors.iter().zip(&alts) {
                         prop_assert_eq!(op, alt_op);
                         prop_assert_eq!(fp, props);
