@@ -68,7 +68,7 @@ fn run_phase(state: &mut ServeState, trial: &mut Trial) {
     )> = Vec::new();
     for spec in specs {
         let t0 = Instant::now();
-        let (gid, _) = engine.submit(spec.clone());
+        let gid = engine.submit(spec.clone());
         let rx = engine.watch(gid).expect("fresh session");
         watchers.push((gid, t0, rx, moqo_serve::SessionView::default()));
     }
@@ -148,12 +148,12 @@ pub fn serving_experiment(fast: bool) -> ExperimentReport {
     })
     .title("sharded serving: submit -> first frontier under a skewed workload")
     // Cold pass: every fingerprint is new; frontiers park on finish.
-    // Warm pass: repeats go home and resume their parked frontiers.
+    // Warm pass: repeats resume their parked frontiers.
     .variant("serving latency", "cold", run_phase)
     .variant("serving latency", "warm", run_phase)
     .conclusion(
         "hot fingerprints resume their parked frontiers from the shared store; \
-         warm-routed sessions start with zero plan generation.",
+         warm resumes start with zero plan generation.",
     )
     .run()
 }
@@ -173,11 +173,10 @@ mod tests {
             "first sight cannot be warm"
         );
         assert_eq!(counter("cold", "zero_plan_starts"), 0);
-        // The cold pass parked each fingerprint at least once (rebalanced
-        // duplicates may have parked copies on several shards). The warm
-        // pass resumes every parked copy — `take` transfers ownership, so
-        // concurrent duplicates beyond the parked copies run cold — and
-        // exactly the warm-routed sessions start with zero plans.
+        // The cold pass parked each fingerprint once in the shared store.
+        // The warm pass resumes it once — `take` transfers ownership, so
+        // a concurrent duplicate runs cold — and exactly the warm opens
+        // (`warm_routed`) start with zero plans.
         assert!(
             counter("warm", "warm_routed") >= counter("warm", "distinct"),
             "every distinct fingerprint must resume warm at least once"

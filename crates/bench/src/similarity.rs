@@ -108,7 +108,7 @@ fn run_phase(eng: &ShardedEngine, specs: &[Arc<QuerySpec>]) -> PhaseFigures {
     )> = Vec::new();
     for spec in specs {
         let t0 = Instant::now();
-        let (gid, _) = eng.submit(spec.clone());
+        let gid = eng.submit(spec.clone());
         let rx = eng.watch(gid).expect("fresh session");
         watchers.push((gid, t0, rx, moqo_serve::SessionView::default()));
     }

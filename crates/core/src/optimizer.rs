@@ -289,11 +289,6 @@ impl IamaOptimizer {
         &self.spec
     }
 
-    /// Shared handle to the query being optimized.
-    pub fn spec_arc(&self) -> Arc<QuerySpec> {
-        Arc::clone(&self.spec)
-    }
-
     /// Shared handle to the cost model.
     pub fn model(&self) -> SharedCostModel {
         Arc::clone(&self.model)

@@ -922,9 +922,6 @@ impl Seeder<'_> {
             SeedTier::Transplant => &mut stats.transplanted_candidates,
             SeedTier::Rebase => &mut stats.rebased_candidates,
         } += queued as u64;
-        if queued > 0 {
-            stats.subsets_seeded += 1;
-        }
         Ok(queued)
     }
 
@@ -1422,7 +1419,6 @@ mod tests {
         }
         assert!(imported > 0, "no candidates transplanted");
         assert_eq!(seeded.stats().transplanted_candidates, imported as u64);
-        assert!(seeded.stats().subsets_seeded > 0);
 
         let b = Bounds::unbounded(3);
         for r in 0..=schedule().r_max() {
@@ -1633,10 +1629,9 @@ mod tests {
                         opt.pending_seeds() as u64,
                         s.transplanted_candidates,
                         s.rebased_candidates,
-                        s.subsets_seeded,
                         opt.arena.len() as u64,
                     ),
-                    (0, 0, 0, 0, 0),
+                    (0, 0, 0, 0),
                     "{what} via {tier:?} left state behind"
                 );
             }

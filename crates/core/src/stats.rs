@@ -72,9 +72,6 @@ pub struct OptimizerStats {
     /// ([`crate::SeedTier::Rebase`]). Session-local: not serialized into
     /// full frontier snapshots.
     pub rebased_candidates: u64,
-    /// Table subsets that received at least one transplanted or rebased
-    /// candidate. Session-local: not serialized.
-    pub subsets_seeded: u64,
 
     /// Per-plan-signature generation counts (Lemma 5), keyed by
     /// `(operator, left child, right child)`. Tracked only on demand.

@@ -140,11 +140,6 @@ impl<T> ParetoAccumulator<T> {
     pub fn costs(&self) -> Vec<CostVector> {
         self.entries.iter().map(|(c, _)| *c).collect()
     }
-
-    /// Consumes the accumulator and returns its entries.
-    pub fn into_entries(self) -> Vec<(CostVector, T)> {
-        self.entries
-    }
 }
 
 #[cfg(test)]

@@ -158,16 +158,6 @@ impl StandardCostModel {
         Self::new(MetricSet::cloud(), StandardCostModelConfig::default())
     }
 
-    /// Time + energy.
-    pub fn energy_metrics() -> Self {
-        Self::new(MetricSet::energy(), StandardCostModelConfig::default())
-    }
-
-    /// All five metrics (stress-testing higher dimensions).
-    pub fn all_metrics() -> Self {
-        Self::new(MetricSet::all(), StandardCostModelConfig::default())
-    }
-
     /// Access the configuration.
     pub fn config(&self) -> &StandardCostModelConfig {
         &self.config

@@ -185,23 +185,6 @@ impl FrontierCache {
         donor.tick = self.tick;
         Some(donor.harvest.clone())
     }
-
-    /// True if a rebase donor is parked for `key`.
-    pub fn has_rebase_donor(&self, key: RebaseKey) -> bool {
-        self.blind.get(&key).is_some_and(|l| !l.is_empty())
-    }
-}
-
-/// What a [`WarmStore`] holds for a submission (see [`WarmStore::warmth`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Warmth {
-    /// An optimizer is parked under the exact fingerprint.
-    Parked,
-    /// No exact frontier, but a rebase donor: same shape, drifted
-    /// cardinalities.
-    RebaseDonor,
-    /// Nothing to start from.
-    Cold,
 }
 
 /// Every warm byte of a deployment: parked optimizers with their rebase
@@ -281,19 +264,6 @@ impl WarmStore {
     /// [`moqo_core::SeedTier::Rebase`] and no lock held.
     pub fn rebase_seeds(&self, key: RebaseKey) -> Option<Harvest> {
         self.lock().rebase_seeds(key)
-    }
-
-    /// What a submission of `fp`, with cardinality-blind key `key`, would
-    /// start from — one lock acquisition.
-    pub fn warmth(&self, fp: QueryFingerprint, key: RebaseKey) -> Warmth {
-        let cache = self.lock();
-        if cache.contains(fp) {
-            Warmth::Parked
-        } else if cache.has_rebase_donor(key) {
-            Warmth::RebaseDonor
-        } else {
-            Warmth::Cold
-        }
     }
 
     /// True if an optimizer is parked under `fp`.
@@ -449,7 +419,6 @@ mod tests {
             opt.optimize(&Bounds::unbounded(3), r);
         }
         let key = RebaseKey::of(opt.spec(), &model);
-        assert!(!cache.has_rebase_donor(key));
         assert!(cache.rebase_seeds(key).is_none());
         let harvest = Harvest::of(&opt);
         assert!(!harvest.blobs.is_empty(), "a refined chain harvests blobs");
@@ -458,7 +427,6 @@ mod tests {
         let drifted = testkit::drift_cardinalities(&testkit::chain_query(3, 10_000), 5.5);
         let dkey = RebaseKey::of(&drifted, &model);
         assert_eq!(key, dkey);
-        assert!(cache.has_rebase_donor(dkey));
         // ...and gets the donor's blobs, with their subsets, shared.
         let seeds = cache.rebase_seeds(dkey).expect("donor parked");
         assert_eq!(seeds.generation, harvest.generation);
@@ -469,24 +437,23 @@ mod tests {
         }
         // The donor stays parked and indexed, and the lookup counts as a
         // use: a second entry parked after the donor is now the coldest.
-        assert!(cache.contains(fp) && cache.has_rebase_donor(key));
+        assert!(cache.contains(fp) && cache.rebase_seeds(key).is_some());
         let (fp4, o4) = opt_for(4);
         put(&mut cache, fp4, o4);
         assert!(cache.rebase_seeds(key).is_some());
         let (fp5, o5) = opt_for(5);
         assert!(put(&mut cache, fp5, o5));
         assert!(cache.contains(fp) && !cache.contains(fp4));
+        // Eviction unindexes: the evicted shape has no donor left.
+        let other = testkit::chain_query(4, 10_000);
+        assert!(cache.rebase_seeds(RebaseKey::of(&other, &model)).is_none());
         assert!(cache.take(fp5).is_some());
         // Of two donors for one key, the most recently used seeds.
         let (dfp, twin) = opt_of(drifted);
         put(&mut cache, dfp, twin);
         assert!(cache.rebase_seeds(key).unwrap().blobs.is_empty());
-        // A different shape has no donor.
-        let other = testkit::chain_query(4, 10_000);
-        assert!(!cache.has_rebase_donor(RebaseKey::of(&other, &model)));
         // take() unindexes: once the entries leave, the donor is gone too.
         assert!(cache.take(fp).is_some() && cache.take(dfp).is_some());
-        assert!(!cache.has_rebase_donor(key));
         assert!(cache.rebase_seeds(key).is_none());
     }
 }

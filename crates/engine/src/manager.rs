@@ -575,13 +575,6 @@ impl SessionManager {
         self.status(id).map(|s| s.frontier)
     }
 
-    /// Ids of all sessions the manager still tracks.
-    pub fn session_ids(&self) -> Vec<SessionId> {
-        let mut ids: Vec<SessionId> = self.lock().slots.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Retires a session, parking its optimizer in the warm store, and
     /// returns its final status. Blocks while a worker holds the session.
     /// Watchers receive a final [`SessionEvent`] with a

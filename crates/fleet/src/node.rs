@@ -21,13 +21,11 @@ pub struct FleetNodeConfig {
     pub addr: String,
     /// The **shared** snapshot directory all fleet nodes persist to and
     /// adopt from; `None` runs without durability (no store fallback on
-    /// frontier pulls, nothing survives a kill).
+    /// frontier pulls, nothing survives a kill). A node restores every
+    /// snapshot in it at start; on a shared directory this over-parks (a
+    /// node restores keys it does not own), which is harmless, because
+    /// placement decides who *serves* a key.
     pub store_dir: Option<PathBuf>,
-    /// Restore every snapshot in the store at start. On a shared
-    /// directory this over-parks (a node restores keys it does not own),
-    /// which is harmless — placement decides who *serves* a key — but
-    /// fleets that prefer lazy adoption via `PullFrontier` turn it off.
-    pub restore_on_start: bool,
     /// Persistence sweep cadence; `None` saves only at [`FleetNode::stop`].
     pub sweep: Option<Duration>,
     /// The node-wide resolution ladder.
@@ -45,7 +43,6 @@ impl FleetNodeConfig {
             id: id.into(),
             addr: "127.0.0.1:0".to_string(),
             store_dir: None,
-            restore_on_start: true,
             sweep: None,
             schedule: ResolutionSchedule::linear(2, 1.1, 0.4),
             serve: ServeConfig::default(),
@@ -77,8 +74,8 @@ pub struct FleetNode {
 }
 
 impl FleetNode {
-    /// Binds and starts the node; restores the store first when
-    /// configured.
+    /// Binds and starts the node; restores the store first when it has
+    /// one.
     pub fn start(model: SharedCostModel, config: FleetNodeConfig) -> std::io::Result<FleetNode> {
         let server = Arc::new(MoqoServer::new(
             model.clone(),
@@ -90,9 +87,7 @@ impl FleetNode {
             .store_dir
             .map(|dir| Arc::new(SnapshotStore::new(dir)));
         if let Some(store) = &store {
-            if config.restore_on_start {
-                let _ = store.restore(server.engine());
-            }
+            let _ = store.restore(server.engine());
         }
         let net_config = NetConfig {
             addr: config.addr,

@@ -53,7 +53,7 @@ pub struct Reactor {
 
 impl Reactor {
     /// Creates a reactor on the platform-default backend (epoll on
-    /// Linux, `poll(2)` elsewhere; `MOQO_POLL_BACKEND` overrides).
+    /// Linux, `poll(2)` elsewhere).
     pub fn new() -> io::Result<Reactor> {
         Self::build(polling::Poll::new()?)
     }

@@ -23,7 +23,7 @@
 //! [`AdmissionPolicy::Queue`]: crate::AdmissionPolicy::Queue
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
-use crate::shard::{GlobalSessionId, RouteDecision, ShardConfig, ShardedEngine};
+use crate::shard::{GlobalSessionId, ShardConfig, ShardedEngine};
 use moqo_core::protocol::{
     AdmissionResponse, ProtocolError, SessionCommand, SessionEvent, SessionRequest, SessionView,
 };
@@ -94,8 +94,6 @@ pub enum TicketStatus {
     Active {
         /// Where the session runs.
         session: GlobalSessionId,
-        /// How the router placed it.
-        route: RouteDecision,
         /// True if admitted under a degraded resolution ladder.
         degraded: bool,
         /// True if the session resumed a parked warm frontier.
@@ -107,7 +105,6 @@ pub enum TicketStatus {
 
 struct ActiveCell {
     gid: GlobalSessionId,
-    route: RouteDecision,
     degraded: bool,
     warm_start: bool,
     /// Taken out (under no lock) while a caller blocks in `recv`.
@@ -346,7 +343,7 @@ impl MoqoServer {
 
     /// Submits to the engine and wires up the per-ticket event channel.
     fn activate(&self, id: u64, request: SessionRequest, degraded: bool) -> ActiveCell {
-        let (gid, route) = self
+        let gid = self
             .engine
             .open(request)
             .expect("request was validated at submission");
@@ -364,7 +361,6 @@ impl MoqoServer {
             .unwrap_or(false);
         let mut cell = ActiveCell {
             gid,
-            route,
             degraded,
             warm_start,
             rx: Some(rx),
@@ -438,7 +434,6 @@ impl MoqoServer {
                     active.drain();
                     TicketStatus::Active {
                         session: active.gid,
-                        route: active.route,
                         degraded: active.degraded,
                         warm_start: active.warm_start,
                         view: Box::new(active.view.clone()),

@@ -11,8 +11,8 @@
 //!   a [`QueryFingerprint`]-hash router, sharing one
 //!   [`moqo_engine::WarmStore`] of parked frontiers and sub-frontier
 //!   blobs. A repeat finds its frontier whichever shard ran it, and goes
-//!   home, where that shard's `PlanCache` already holds its shape; cold
-//!   queries may divert to the least-loaded shard when their home is
+//!   home, where that shard's `PlanCache` already holds its shape; any
+//!   submission may divert to the least-loaded shard when its home is
 //!   overloaded. Fingerprints embed the effective cost-model identity, so
 //!   per-session model overrides warm independently.
 //! * [`AdmissionController`] — bounded intake with pluggable overload
@@ -80,7 +80,7 @@ pub use admission::{
 pub use api::{MoqoServer, ServeConfig, ServerEventHook, ServerStats, Ticket, TicketStatus};
 pub use net::{NetClient, NetConfig, NetServer, NetStats};
 pub use persist::{RestoreReport, SaveReport, SnapshotStore, FRONTIER_EXT};
-pub use shard::{GlobalSessionId, RouteDecision, ShardConfig, ShardStats, ShardedEngine};
+pub use shard::{GlobalSessionId, ShardConfig, ShardStats, ShardedEngine};
 
 // Re-exported so serve users can speak the engine vocabulary without a
 // direct moqo-engine dependency.

@@ -164,22 +164,14 @@ pub struct NetStats {
     /// [`NetConfig::write_timeout`] or overflowing
     /// [`NetConfig::max_outbound`] (also counted in `faulted`).
     pub stalled: u64,
-    /// Sessions the engine routed to an exact parked frontier (summed
-    /// over shards; includes in-process traffic on the shared server).
+    /// Sessions that resumed an exact parked frontier (summed over
+    /// shards; includes in-process traffic on the shared server).
     pub warm_routed: u64,
-    /// Sessions the engine routed to a rebase donor — a parked frontier
-    /// of the same shape under drifted catalog cardinalities.
-    pub rebase_routed: u64,
     /// Sub-frontier transplant cache hits: table subsets of admitted
     /// queries seeded from state harvested off *similar* queries.
     pub subfrontier_hits: u64,
     /// Sub-frontier transplant cache misses.
     pub subfrontier_misses: u64,
-    /// Sessions the engine started cold — no parked frontier, no rebase
-    /// donor (summed over shards; with `warm_routed` and
-    /// `rebase_routed` this is the per-node route breakdown a fleet
-    /// router balances on).
-    pub cold_routed: u64,
     /// Sessions a non-home shard absorbed under rebalance headroom.
     pub rebalanced_in: u64,
     /// Admitted, not-yet-finished sessions right now (load figure).
@@ -1212,10 +1204,8 @@ impl NetServer {
             outbound_high_water: self.counters.outbound_high_water.load(Ordering::Relaxed),
             stalled: self.counters.stalled.load(Ordering::Relaxed),
             warm_routed: shards.iter().map(|s| s.warm_routed).sum(),
-            rebase_routed: shards.iter().map(|s| s.rebase_routed).sum(),
             subfrontier_hits: sub.hits,
             subfrontier_misses: sub.misses,
-            cold_routed: shards.iter().map(|s| s.cold_routed).sum(),
             rebalanced_in: shards.iter().map(|s| s.rebalanced_in).sum(),
             live: shards.iter().map(|s| s.live as u64).sum(),
             disconnect_parked: self.counters.disconnect_parked.load(Ordering::Relaxed),

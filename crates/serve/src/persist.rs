@@ -250,7 +250,7 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{RouteDecision, ShardConfig};
+    use crate::shard::ShardConfig;
     use moqo_cost::ResolutionSchedule;
     use moqo_costmodel::StandardCostModel;
     use moqo_engine::EngineConfig;
@@ -292,7 +292,7 @@ mod tests {
             .collect();
         {
             let e = engine(4);
-            let ids: Vec<_> = specs.iter().map(|s| e.submit(s.clone()).0).collect();
+            let ids: Vec<_> = specs.iter().map(|s| e.submit(s.clone())).collect();
             assert!(e.wait_idle(IDLE));
             for id in ids {
                 e.finish(id).unwrap();
@@ -311,8 +311,7 @@ mod tests {
             assert!(e.has_parked(fp));
             // Restored frontiers live in the shared store; the repeat
             // goes home and resumes there.
-            let (gid, decision) = e.submit(spec.clone());
-            assert_eq!(decision, RouteDecision::WarmHome);
+            let gid = e.submit(spec.clone());
             assert_eq!(gid.shard, e.home_shard(fp));
             assert!(e.wait_idle(IDLE));
             let s = e.status(gid).unwrap();
@@ -334,7 +333,7 @@ mod tests {
         let spec = Arc::new(testkit::chain_query(4, 55_000));
         {
             let e = engine(2);
-            let (gid, _) = e.submit(spec.clone());
+            let gid = e.submit(spec.clone());
             assert!(e.wait_idle(IDLE));
             e.finish(gid).unwrap();
             store.save(&e).unwrap();
@@ -343,13 +342,11 @@ mod tests {
         // store, so the shard count of the saver does not matter.
         let e = engine(8);
         assert_eq!(store.restore(&e).unwrap().restored, 1);
-        let (gid, decision) = e.submit(spec);
-        assert!(decision.is_warm());
+        let gid = e.submit(spec);
         assert!(e.wait_idle(IDLE));
-        assert_eq!(
-            e.status(gid).unwrap().first_report.unwrap().plans_generated,
-            0
-        );
+        let s = e.status(gid).unwrap();
+        assert!(s.warm_start);
+        assert_eq!(s.first_report.unwrap().plans_generated, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -360,7 +357,7 @@ mod tests {
         let spec = Arc::new(testkit::chain_query(3, 40_000));
         {
             let e = engine(2);
-            let (gid, _) = e.submit(spec.clone());
+            let gid = e.submit(spec.clone());
             assert!(e.wait_idle(IDLE));
             e.finish(gid).unwrap();
             store.save(&e).unwrap();
@@ -383,10 +380,11 @@ mod tests {
         assert_eq!(report.restored, 0);
         assert_eq!(report.skipped.len(), 2, "{report}");
         // The engine stays cold but functional.
-        let (gid, decision) = e.submit(spec);
-        assert!(!decision.is_warm());
+        let gid = e.submit(spec);
         assert!(e.wait_idle(IDLE));
-        assert!(e.status(gid).unwrap().first_report.unwrap().plans_generated > 0);
+        let s = e.status(gid).unwrap();
+        assert!(!s.warm_start);
+        assert!(s.first_report.unwrap().plans_generated > 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -398,7 +396,7 @@ mod tests {
         let specs: Vec<Arc<_>> = (2..=4)
             .map(|n| Arc::new(testkit::chain_query(n, 33_000)))
             .collect();
-        let ids: Vec<_> = specs.iter().map(|s| e.submit(s.clone()).0).collect();
+        let ids: Vec<_> = specs.iter().map(|s| e.submit(s.clone())).collect();
         assert!(e.wait_idle(IDLE));
         for id in ids {
             e.finish(id).unwrap();
@@ -413,8 +411,8 @@ mod tests {
 
         // Refine one fingerprint further (resume warm, change focus, and
         // re-park): only that file is rewritten.
-        let (gid, decision) = e.submit(specs[0].clone());
-        assert!(decision.is_warm());
+        let gid = e.submit(specs[0].clone());
+        assert!(e.status(gid).unwrap().warm_start);
         assert!(e.wait_idle(IDLE));
         let tight = {
             let f = e.frontier(gid).unwrap();
@@ -451,7 +449,7 @@ mod tests {
         let spec = Arc::new(testkit::chain_query(3, 21_000));
         {
             let e = engine(2);
-            let (gid, _) = e.submit(spec.clone());
+            let gid = e.submit(spec.clone());
             assert!(e.wait_idle(IDLE));
             e.finish(gid).unwrap();
             SnapshotStore::new(&dir).save(&e).unwrap();
@@ -481,7 +479,7 @@ mod tests {
         let spec = Arc::new(testkit::chain_query(4, 70_000));
         {
             let e = engine(2);
-            let (gid, _) = e.submit(spec.clone());
+            let gid = e.submit(spec.clone());
             assert!(e.wait_idle(IDLE));
             e.finish(gid).unwrap();
             store.save(&e).unwrap();
@@ -494,14 +492,13 @@ mod tests {
             !e.has_parked(e.fingerprint(&drifted)),
             "drifted stats must not be an exact hit"
         );
-        let (gid, decision) = e.submit(drifted);
-        assert!(
-            decision.is_rebase(),
-            "restored frontier must serve as a rebase donor, got {decision:?}"
-        );
+        let gid = e.submit(drifted);
         assert!(e.wait_idle(IDLE));
         let s = e.status(gid).unwrap();
-        assert!(s.rebased, "{s:?}");
+        assert!(
+            s.rebased,
+            "restored frontier must serve as a rebase donor: {s:?}"
+        );
         assert!(!s.frontier.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -526,8 +523,8 @@ mod tests {
             },
         );
         let spec = Arc::new(testkit::chain_query(3, 61_000));
-        let (a, _) = e.submit(spec.clone());
-        let (b, _) = e.submit(spec);
+        let a = e.submit(spec.clone());
+        let b = e.submit(spec);
         assert_ne!(a.shard, b.shard);
         assert!(e.wait_idle(IDLE));
         e.finish(a).unwrap();

@@ -14,21 +14,23 @@
 //! plans are cheap to rebuild, and equal shapes with equal statistics
 //! hash to the same shard anyway.
 //!
-//! Routing homes a fingerprint at `fp % shards`. Homing spreads load
-//! without reading every shard's load, and it keeps a query's repeats on
-//! one shard's plan cache. Warm and rebase submissions always go home;
-//! their warmth is one probe of the store. A *cold* submission may be
-//! diverted to the least-loaded shard when its home is overloaded by more
-//! than [`ShardConfig::rebalance_headroom`] sessions — it forfeits
-//! nothing, and the frontier it parks is found by its next repeat at home.
+//! Routing reads load only. A fingerprint homes at `fp % shards`, which
+//! spreads load without reading every shard's load and keeps a query's
+//! repeats on one shard's plan cache. When home is busier than the
+//! least-loaded shard by [`ShardConfig::rebalance_headroom`] sessions or
+//! more, the submission goes to that shard instead. Routing never looks
+//! at the store: the shard's [`SessionManager::open`] is the one place
+//! that decides whether a session resumes, rebases or starts cold
+//! ([`SessionStatus::warm_start`], [`SessionStatus::rebased`]). A diverted
+//! submission forfeits nothing, because every shard reads the same store.
 
 use moqo_core::protocol::{ProtocolError, SessionCommand, SessionEvent, SessionRequest};
 use moqo_core::{FrontierSnapshot, IamaOptimizer};
 use moqo_cost::{Bounds, ResolutionSchedule};
 use moqo_costmodel::{CostModel, SharedCostModel};
 use moqo_engine::{
-    CacheStats, EngineConfig, PlanCacheStats, QueryFingerprint, RebaseKey, SessionId,
-    SessionManager, SessionStatus, SubFrontierCache, SubFrontierCacheStats, WarmStore, Warmth,
+    CacheStats, EngineConfig, PlanCacheStats, QueryFingerprint, SessionId, SessionManager,
+    SessionStatus, SubFrontierCache, SubFrontierCacheStats, WarmStore,
 };
 use moqo_query::QuerySpec;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,10 +46,9 @@ pub struct ShardConfig {
     /// capacity, ...). The shared store parks `shards × cache_capacity`
     /// optimizers.
     pub engine: EngineConfig,
-    /// How many live sessions a cold submission's home shard may exceed
-    /// the least-loaded shard by before the router diverts the submission
-    /// there. Warm submissions are never diverted. `0` disables
-    /// rebalancing (strict hash placement).
+    /// How many live sessions a submission's home shard may exceed the
+    /// least-loaded shard by before the router diverts the submission
+    /// there. `0` disables rebalancing (strict hash placement).
     pub rebalance_headroom: usize,
 }
 
@@ -71,49 +72,6 @@ pub struct GlobalSessionId {
     pub local: SessionId,
 }
 
-/// How the router placed a submission.
-///
-/// The decision records what the store's one probe found at routing time.
-/// The session's open looks again and is authoritative
-/// ([`SessionStatus::warm_start`], [`SessionStatus::rebased`]): a
-/// submission that races another open of the same fingerprint for its
-/// parked optimizer is counted warm here but starts cold. Rebase seeds
-/// are shared, never taken, so concurrent drifted twins all rebase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouteDecision {
-    /// Home shard; the store parks a warm frontier for the fingerprint.
-    WarmHome,
-    /// Home shard; the store parks no exact frontier but a **rebase
-    /// donor**: a frontier of the same shape under drifted catalog
-    /// cardinalities (see [`moqo_engine::RebaseKey`]). The session starts
-    /// from the donor's harvested plans re-admitted as level-0 candidates
-    /// (see [`WarmStore::rebase_seeds`]).
-    RebaseHome,
-    /// Home shard, cold (first sight of the fingerprint, or its frontier
-    /// was evicted).
-    ColdHome,
-    /// Cold, and diverted from the overloaded home shard to the
-    /// least-loaded one.
-    Rebalanced {
-        /// The home shard the submission was diverted away from.
-        from: usize,
-    },
-}
-
-impl RouteDecision {
-    /// True if the store parked the fingerprint's frontier at routing
-    /// time.
-    pub fn is_warm(self) -> bool {
-        self == RouteDecision::WarmHome
-    }
-
-    /// True if the store parked a rebase donor of the fingerprint's shape
-    /// at routing time (warm start under drifted statistics).
-    pub fn is_rebase(self) -> bool {
-        self == RouteDecision::RebaseHome
-    }
-}
-
 /// Per-shard load and effectiveness snapshot.
 #[derive(Clone, Debug)]
 pub struct ShardStats {
@@ -129,30 +87,18 @@ pub struct ShardStats {
     pub cache: CacheStats,
     /// The shard's enumeration-plan cache counters.
     pub plans: PlanCacheStats,
-    /// Submissions routed here warm (frontier already parked).
+    /// Opens on this shard that resumed a parked frontier (the same
+    /// count as `cache.hits`).
     pub warm_routed: u64,
-    /// Submissions routed here to a rebase donor (same shape, drifted
-    /// cardinalities).
-    pub rebase_routed: u64,
-    /// Submissions routed here cold by hash.
-    pub cold_routed: u64,
-    /// Cold submissions diverted here from an overloaded home shard.
+    /// Submissions diverted here from an overloaded home shard.
     pub rebalanced_in: u64,
-}
-
-#[derive(Default)]
-struct RouteCounters {
-    warm: AtomicU64,
-    rebase: AtomicU64,
-    cold: AtomicU64,
-    rebalanced_in: AtomicU64,
 }
 
 /// N [`SessionManager`]s sharing one [`WarmStore`] behind a
 /// fingerprint-hash router; see the module docs for the placement policy.
 pub struct ShardedEngine {
     shards: Vec<SessionManager>,
-    counters: Vec<RouteCounters>,
+    rebalanced_in: Vec<AtomicU64>,
     store: Arc<WarmStore>,
     model: SharedCostModel,
     schedule: ResolutionSchedule,
@@ -181,7 +127,7 @@ impl ShardedEngine {
             .collect();
         Self {
             shards,
-            counters: (0..n).map(|_| RouteCounters::default()).collect(),
+            rebalanced_in: (0..n).map(|_| AtomicU64::new(0)).collect(),
             store,
             model,
             schedule,
@@ -230,35 +176,37 @@ impl ShardedEngine {
         (fp.as_u64() % self.shards.len() as u64) as usize
     }
 
-    /// Routes a fingerprint with its cardinality-blind [`RebaseKey`]:
-    /// home, warm or rebase as the store's one probe finds it — unless it
-    /// is cold and home is overloaded, in which case the least-loaded
-    /// shard takes it.
-    pub fn route(&self, fp: QueryFingerprint, rebase: RebaseKey) -> (usize, RouteDecision) {
+    /// The shard a submission of `fp` runs on: home, unless home is
+    /// overloaded, in which case the least-loaded shard takes it.
+    fn route(&self, fp: QueryFingerprint) -> usize {
         let home = self.home_shard(fp);
-        match self.store.warmth(fp, rebase) {
-            Warmth::Parked => return (home, RouteDecision::WarmHome),
-            Warmth::RebaseDonor => return (home, RouteDecision::RebaseHome),
-            Warmth::Cold => {}
+        if self.rebalance_headroom == 0 {
+            return home;
         }
-        if self.rebalance_headroom > 0 {
-            let home_load = self.shards[home].live_sessions();
-            let (coolest, min_load) = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i, s.live_sessions()))
-                .min_by_key(|&(_, load)| load)
-                .expect("at least one shard");
-            if coolest != home && home_load >= min_load + self.rebalance_headroom {
-                return (coolest, RouteDecision::Rebalanced { from: home });
-            }
+        // A home with fewer than `rebalance_headroom` live sessions cannot
+        // be that much busier than any shard, so only a busier home reads
+        // the other shards' loads (each read takes that shard's state
+        // lock).
+        let home_load = self.shards[home].live_sessions();
+        if home_load < self.rebalance_headroom {
+            return home;
         }
-        (home, RouteDecision::ColdHome)
+        let (coolest, min_load) = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i, s.live_sessions()))
+            .min_by_key(|&(_, load)| load)
+            .expect("at least one shard");
+        if coolest != home && home_load >= min_load + self.rebalance_headroom {
+            self.rebalanced_in[coolest].fetch_add(1, Ordering::Relaxed);
+            return coolest;
+        }
+        home
     }
 
     /// Admits a session with every default in place.
-    pub fn submit(&self, spec: Arc<QuerySpec>) -> (GlobalSessionId, RouteDecision) {
+    pub fn submit(&self, spec: Arc<QuerySpec>) -> GlobalSessionId {
         self.open(SessionRequest::new(spec))
             .expect("a bare request has nothing to validate")
     }
@@ -267,25 +215,11 @@ impl ShardedEngine {
     /// bounds, schedule, preference, cost model, refinement budget),
     /// routed by its effective fingerprint. Malformed requests are a
     /// typed [`ProtocolError`] at the door.
-    pub fn open(
-        &self,
-        request: SessionRequest,
-    ) -> Result<(GlobalSessionId, RouteDecision), ProtocolError> {
-        let model = request.effective_model(&self.model);
-        request.validate(model.dim())?;
-        let fp = self.fingerprint_of(&request);
-        let (shard, decision) = self.route(fp, RebaseKey::of(&request.spec, &model));
-        let counter = &self.counters[shard];
-        match decision {
-            RouteDecision::WarmHome => counter.warm.fetch_add(1, Ordering::Relaxed),
-            RouteDecision::RebaseHome => counter.rebase.fetch_add(1, Ordering::Relaxed),
-            RouteDecision::ColdHome => counter.cold.fetch_add(1, Ordering::Relaxed),
-            RouteDecision::Rebalanced { .. } => {
-                counter.rebalanced_in.fetch_add(1, Ordering::Relaxed)
-            }
-        };
+    pub fn open(&self, request: SessionRequest) -> Result<GlobalSessionId, ProtocolError> {
+        request.validate(request.effective_model(&self.model).dim())?;
+        let shard = self.route(self.fingerprint_of(&request));
         let local = self.shards[shard].open(request)?;
-        Ok((GlobalSessionId { shard, local }, decision))
+        Ok(GlobalSessionId { shard, local })
     }
 
     fn shard(&self, id: GlobalSessionId) -> Option<&SessionManager> {
@@ -356,17 +290,18 @@ impl ShardedEngine {
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
-            .zip(&self.counters)
+            .zip(&self.rebalanced_in)
             .enumerate()
-            .map(|(i, (s, c))| ShardStats {
-                shard: i,
-                live: s.live_sessions(),
-                cache: s.cache_stats(),
-                plans: s.plan_cache_stats(),
-                warm_routed: c.warm.load(Ordering::Relaxed),
-                rebase_routed: c.rebase.load(Ordering::Relaxed),
-                cold_routed: c.cold.load(Ordering::Relaxed),
-                rebalanced_in: c.rebalanced_in.load(Ordering::Relaxed),
+            .map(|(i, (s, rebalanced_in))| {
+                let cache = s.cache_stats();
+                ShardStats {
+                    shard: i,
+                    live: s.live_sessions(),
+                    cache,
+                    plans: s.plan_cache_stats(),
+                    warm_routed: cache.hits,
+                    rebalanced_in: rebalanced_in.load(Ordering::Relaxed),
+                }
             })
             .collect()
     }
@@ -449,26 +384,32 @@ mod tests {
     fn repeated_fingerprint_routes_to_its_warm_shard() {
         let e = engine(4);
         let spec = Arc::new(testkit::chain_query(3, 120_000));
-        let (gid, d1) = e.submit(spec.clone());
-        assert_eq!(d1, RouteDecision::ColdHome);
+        let home = e.home_shard(e.fingerprint(&spec));
+        let gid = e.submit(spec.clone());
+        assert_eq!(gid.shard, home);
         assert!(e.wait_idle(IDLE));
+        assert!(!e.status(gid).unwrap().warm_start);
         e.finish(gid).unwrap();
-        // The repeat goes home and starts warm, regardless of load.
-        let (gid2, d2) = e.submit(spec);
-        assert_eq!(d2, RouteDecision::WarmHome);
-        assert_eq!(gid2.shard, gid.shard);
+        // Nothing is overloaded, so the repeat goes home too, and starts
+        // warm.
+        let gid2 = e.submit(spec);
+        assert_eq!(gid2.shard, home);
         assert!(e.wait_idle(IDLE));
         let s = e.status(gid2).unwrap();
         assert!(s.warm_start);
         assert_eq!(s.first_report.unwrap().plans_generated, 0);
         let stats = e.shard_stats();
+        assert_eq!(stats[home].warm_routed, 1);
+        assert_eq!(stats[home].cache.hits, 1);
         assert_eq!(stats.iter().map(|s| s.warm_routed).sum::<u64>(), 1);
+        assert_eq!(stats.iter().map(|s| s.rebalanced_in).sum::<u64>(), 0);
     }
 
     #[test]
-    fn overloaded_home_diverts_cold_queries_only() {
+    fn an_overloaded_home_diverts_cold_and_warm_submissions() {
         // headroom 3: pile sessions onto one shard's hash bucket until a
-        // cold stranger diverts, then verify its warm repeat goes home.
+        // cold stranger diverts, then verify its warm repeat diverts too
+        // and still resumes warm.
         let e = ShardedEngine::new(
             Arc::new(StandardCostModel::paper_metrics()),
             ResolutionSchedule::linear(2, 1.1, 0.4),
@@ -490,7 +431,7 @@ mod tests {
             card += 17;
             let spec = Arc::new(testkit::chain_query(3, card));
             if e.home_shard(e.fingerprint(&spec)) == 0 {
-                let (gid, _) = e.submit(spec);
+                let gid = e.submit(spec);
                 assert_eq!(gid.shard, 0);
                 loaded += 1;
             }
@@ -502,28 +443,33 @@ mod tests {
             let spec = Arc::new(testkit::chain_query(3, card));
             let fp = e.fingerprint(&spec);
             if e.home_shard(fp) == 0 {
-                let (gid, d) = e.submit(spec.clone());
-                assert_eq!(d, RouteDecision::Rebalanced { from: 0 });
+                let gid = e.submit(spec.clone());
                 assert_eq!(gid.shard, 1);
                 diverted = Some((spec, gid));
             }
         }
+        let rebalanced_in = |e: &ShardedEngine| -> Vec<u64> {
+            e.shard_stats().iter().map(|s| s.rebalanced_in).collect()
+        };
+        assert_eq!(rebalanced_in(&e), vec![0, 1]);
         assert!(e.wait_idle(IDLE));
-        // The diverted session finishes on shard 1 and parks its frontier
-        // in the shared store. Its repeat goes home to the still
-        // overloaded shard 0 (warm submissions never divert) and resumes
-        // that frontier there.
         let (spec, gid) = diverted.unwrap();
+        assert!(!e.status(gid).unwrap().warm_start);
+        // The diverted session finishes on shard 1 and parks its frontier
+        // in the shared store. Shard 0 is still overloaded, so the repeat
+        // diverts as well, and resumes the frontier from the shared store.
         let fp = e.fingerprint(&spec);
         e.finish(gid).unwrap();
         assert!(e.has_parked(fp));
-        let (gid2, d2) = e.submit(spec);
-        assert_eq!(d2, RouteDecision::WarmHome);
-        assert_eq!(gid2.shard, 0);
+        let gid2 = e.submit(spec);
+        assert_eq!(gid2.shard, 1);
+        assert_eq!(rebalanced_in(&e), vec![0, 2]);
         assert!(e.wait_idle(IDLE));
         let s = e.status(gid2).unwrap();
         assert!(s.warm_start);
         assert_eq!(s.first_report.unwrap().plans_generated, 0);
+        let warm: Vec<u64> = e.shard_stats().iter().map(|s| s.warm_routed).collect();
+        assert_eq!(warm, vec![0, 1], "the warm open counts where it ran");
     }
 
     /// Per shard: (hits, misses, rebase hits, rebase misses).
@@ -543,8 +489,8 @@ mod tests {
         // The lookups each open should count on the shard it ran on.
         let mut expected = vec![(0, 0, 0, 0); 4];
         let spec = Arc::new(testkit::chain_query(4, 90_000));
-        let (gid, d) = e.submit(spec.clone());
-        assert_eq!(d, RouteDecision::ColdHome);
+        let gid = e.submit(spec.clone());
+        assert_eq!(gid.shard, e.home_shard(e.fingerprint(&spec)));
         expected[gid.shard].1 += 1;
         expected[gid.shard].3 += 1;
         assert!(e.wait_idle(IDLE));
@@ -552,26 +498,24 @@ mod tests {
         assert_eq!(lookups(&e), expected, "the cold open misses both lookups");
 
         // A stats-refresh twin: the exact fingerprint misses, but the
-        // store's probe finds the parked donor by its cardinality-blind
-        // key. The twin goes to its own home, which reads the same store.
+        // twin's open finds the parked donor by its cardinality-blind key.
+        // The twin goes to its own home, which reads the same store.
         let drifted = Arc::new(testkit::drift_cardinalities(&spec, 1.08));
         let twin_home = e.home_shard(e.fingerprint(&drifted));
-        let (gid2, d2) = e.submit(drifted);
-        assert_eq!(d2, RouteDecision::RebaseHome);
+        let gid2 = e.submit(drifted);
         assert_eq!(gid2.shard, twin_home);
         expected[twin_home].1 += 1;
         expected[twin_home].2 += 1;
         assert!(e.wait_idle(IDLE));
         let s = e.status(gid2).unwrap();
-        assert!(s.rebased, "routed to the donor but did not rebase: {s:?}");
+        assert!(s.rebased && !s.warm_start, "the twin did not rebase: {s:?}");
         assert!(!s.frontier.is_empty());
-        let stats = e.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.rebase_routed).sum::<u64>(), 1);
         assert_eq!(lookups(&e), expected, "the twin's open finds the donor");
 
         // Another shape finds neither an exact frontier nor a donor.
-        let (gid3, d3) = e.submit(Arc::new(testkit::chain_query(5, 90_000)));
-        assert_eq!(d3, RouteDecision::ColdHome);
+        let gid3 = e.submit(Arc::new(testkit::chain_query(5, 90_000)));
+        let s = e.status(gid3).unwrap();
+        assert!(!s.rebased && !s.warm_start, "{s:?}");
         expected[gid3.shard].1 += 1;
         expected[gid3.shard].3 += 1;
         assert_eq!(lookups(&e), expected, "another shape misses both lookups");
@@ -579,8 +523,9 @@ mod tests {
         // The donor is still parked for exact repeats of its own stats,
         // and its repeat is an exact hit.
         assert!(e.has_parked(e.fingerprint(&spec)));
-        let (gid4, d4) = e.submit(spec);
-        assert_eq!((gid4.shard, d4), (gid.shard, RouteDecision::WarmHome));
+        let gid4 = e.submit(spec);
+        assert_eq!(gid4.shard, gid.shard);
+        assert!(e.status(gid4).unwrap().warm_start);
         expected[gid.shard].0 += 1;
         assert_eq!(lookups(&e), expected, "the donor's repeat hits");
         assert!(e.wait_idle(IDLE));
@@ -596,15 +541,15 @@ mod tests {
         let e = engine(8);
         let small = Arc::new(testkit::chain_query(5, 60_000));
         let big = Arc::new(testkit::chain_query(7, 60_000));
-        let (gid, _) = e.submit(small);
+        let gid = e.submit(small);
         assert!(e.wait_idle(IDLE));
         e.finish(gid).unwrap();
         assert!(e.subfrontier_stats().entries > 0);
 
-        let (gid2, d) = e.submit(big);
-        assert!(!d.is_warm() && !d.is_rebase(), "different query shape");
+        let gid2 = e.submit(big);
         assert!(e.wait_idle(IDLE));
         let s = e.status(gid2).unwrap();
+        assert!(!s.warm_start && !s.rebased, "different query shape");
         assert!(
             s.seeded_subsets > 0,
             "shared subchains must transplant across shards: {s:?}"
@@ -630,11 +575,11 @@ mod tests {
             },
         );
         let spec = Arc::new(testkit::chain_query(3, 66_000));
-        let (a, da) = e.submit(spec.clone());
-        let (b, db) = e.submit(spec.clone());
-        assert_eq!(da, RouteDecision::ColdHome);
-        assert!(matches!(db, RouteDecision::Rebalanced { .. }), "{db:?}");
+        let a = e.submit(spec.clone());
+        let b = e.submit(spec.clone());
+        assert_eq!(a.shard, e.home_shard(e.fingerprint(&spec)));
         assert_ne!(a.shard, b.shard);
+        assert_eq!(e.shard_stats()[b.shard].rebalanced_in, 1);
         assert!(e.wait_idle(IDLE));
         e.finish(a).unwrap();
         e.finish(b).unwrap();
@@ -666,7 +611,7 @@ mod tests {
             .collect();
         let fps: Vec<QueryFingerprint> = specs.iter().map(|s| e.fingerprint(s)).collect();
         for (n, spec) in specs.iter().enumerate() {
-            let (gid, _) = e.submit(spec.clone());
+            let gid = e.submit(spec.clone());
             assert!(e.wait_idle(IDLE));
             e.finish(gid).unwrap();
             let parked = fps[..=n].iter().filter(|&&fp| e.has_parked(fp)).count();
@@ -818,7 +763,7 @@ mod tests {
             },
         ));
         let donor = Arc::new(testkit::chain_query(4, 90_000));
-        let (gid, _) = e.submit(donor.clone());
+        let gid = e.submit(donor.clone());
         assert!(e.wait_idle(IDLE));
         e.finish(gid).unwrap();
         (e, donor)
@@ -830,7 +775,7 @@ mod tests {
         e: &Arc<ShardedEngine>,
         gate: &Gate,
         twin: Arc<QuerySpec>,
-    ) -> thread::JoinHandle<(GlobalSessionId, RouteDecision)> {
+    ) -> thread::JoinHandle<GlobalSessionId> {
         gate.armed.store(true, Ordering::SeqCst);
         let replay = {
             let e = Arc::clone(e);
@@ -864,7 +809,7 @@ mod tests {
                 &mut other
             };
             if slot.is_none() {
-                *slot = Some(e.submit(spec).0);
+                *slot = Some(e.submit(spec));
             }
         }
         let (neighbour, other) = (neighbour.unwrap(), other.unwrap());
@@ -888,8 +833,8 @@ mod tests {
         assert!(parked);
 
         gate.release();
-        let (gid, decision) = replay.join().unwrap();
-        assert_eq!((gid.shard, decision), (home, RouteDecision::RebaseHome));
+        let gid = replay.join().unwrap();
+        assert_eq!(gid.shard, home);
         assert!(e.wait_idle(IDLE));
         assert!(e.status(gid).unwrap().rebased);
         assert!(e.has_parked(e.fingerprint(&donor)), "the donor went back");
@@ -910,11 +855,11 @@ mod tests {
         // hit on its home shard.
         let second = Arc::new(testkit::drift_cardinalities(&donor, 1.2));
         let home = e.home_shard(e.fingerprint(&second));
-        let (gid, decision) = within_5s("a second twin's open", {
+        let gid = within_5s("a second twin's open", {
             let e = Arc::clone(&e);
             move || e.submit(second)
         });
-        assert_eq!((gid.shard, decision), (home, RouteDecision::RebaseHome));
+        assert_eq!(gid.shard, home);
         assert!(e.status(gid).unwrap().rebased);
         expected[home].1 += 1;
         expected[home].2 += 1;
@@ -922,17 +867,17 @@ mod tests {
 
         // The donor's exact repeat resumes warm: an exact hit.
         let donor_home = e.home_shard(e.fingerprint(&donor));
-        let (gid, decision) = within_5s("the donor's repeat", {
+        let gid = within_5s("the donor's repeat", {
             let e = Arc::clone(&e);
             move || e.submit(donor)
         });
-        assert_eq!((gid.shard, decision), (donor_home, RouteDecision::WarmHome));
+        assert_eq!(gid.shard, donor_home);
         assert!(e.status(gid).unwrap().warm_start);
         expected[donor_home].0 += 1;
         assert_eq!(lookups(&e), expected, "the donor's repeat hits");
 
         gate.release();
-        let (first_gid, _) = replay.join().unwrap();
+        let first_gid = replay.join().unwrap();
         assert!(e.wait_idle(IDLE));
         assert!(e.status(first_gid).unwrap().rebased);
         assert_eq!(lookups(&e), expected);
