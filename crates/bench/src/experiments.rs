@@ -633,8 +633,7 @@ pub fn enumeration_experiment(sf: f64, fast: bool) -> ExperimentReport {
         let label = spec.name.clone();
         exp = exp.variant("enumeration plane", label, move |(model, schedule), t| {
             let t0 = Instant::now();
-            let built =
-                EnumerationPlan::build(&spec.graph, IamaConfig::default().allow_cross_products);
+            let built = EnumerationPlan::build(&spec.graph);
             let plan_build_ms = t0.elapsed().as_secs_f64() * 1e3;
             let (mut opt, _) = iama_series(&spec, model, schedule, IamaConfig::default());
             let ladder_splits_visited = opt.stats().splits_visited;

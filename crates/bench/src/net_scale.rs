@@ -221,13 +221,13 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
     }
 
     let (rss_held_kb, threads_held) = (proc_rss_kb(), server_threads());
-    let held = net.stats();
+    let live_held = net.moqo().stats().live;
 
     // Hold the fleet idle: nothing polls, nothing spins — the loop thread
     // blocks in the reactor the whole time.
     let hold_ms: u64 = if fast { 150 } else { 500 };
     std::thread::sleep(Duration::from_millis(hold_ms));
-    let after_hold = net.stats();
+    let live_after_hold = net.moqo().stats().live;
 
     // Drop all N clients at once: every live session takes the
     // disconnect-park path and the fleet drains to zero, with every
@@ -236,8 +236,7 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
     drop(clients);
     let stage = Stage::start("drain");
     loop {
-        let stats = net.stats();
-        if stats.live == 0 && stats.disconnect_parked >= connections as u64 {
+        if net.moqo().stats().live == 0 && net.stats().disconnect_parked >= connections as u64 {
             break;
         }
         stage.left();
@@ -266,8 +265,8 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
     );
     trial.int("threads_before", threads_before);
     trial.int("threads_held", threads_held);
-    trial.int("live_held", held.live);
-    trial.int("live_after_hold", after_hold.live);
+    trial.int("live_held", live_held as u64);
+    trial.int("live_after_hold", live_after_hold as u64);
     trial.int("hold_ms", hold_ms);
     trial.int_lower("faulted", end.faulted);
     trial.int_lower("stalled", end.stalled);

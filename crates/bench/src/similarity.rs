@@ -19,6 +19,11 @@
 //! and the total plans generated per session (summed over the per-slice
 //! invocation reports of its watch stream, so each phase counts only its
 //! own work even when optimizer state carries across phases).
+//!
+//! One pass submits each recipient once, so a row rests on a handful of
+//! sessions and its latency swings with the host. A full run repeats
+//! every phase on fresh engines until each row holds at least 32
+//! sessions; `--fast` keeps one pass.
 
 use moqo_cost::ResolutionSchedule;
 use moqo_costmodel::StandardCostModel;
@@ -30,6 +35,9 @@ use std::time::{Duration, Instant};
 
 use crate::harness::{Experiment, ExperimentReport, Trial};
 use crate::stats::{Samples, Summary};
+
+/// Sessions each row of a full (not `--fast`) run rests on, at least.
+const MIN_ROW_SESSIONS: usize = 32;
 
 fn engine(fast: bool) -> ShardedEngine {
     ShardedEngine::new(
@@ -83,6 +91,20 @@ struct PhaseFigures {
 }
 
 impl PhaseFigures {
+    /// Folds a further pass of the same phase into this one.
+    fn merge(mut self, other: PhaseFigures) -> Self {
+        self.sessions += other.sessions;
+        for &us in other.us.as_slice() {
+            self.us.push(us);
+        }
+        self.plans_generated += other.plans_generated;
+        self.zero_plan_starts += other.zero_plan_starts;
+        self.rebased_sessions += other.rebased_sessions;
+        self.transplanted_sessions += other.transplanted_sessions;
+        self.seeded_subsets += other.seeded_subsets;
+        self
+    }
+
     fn record(self, trial: &mut Trial) {
         trial.int("sessions", self.sessions as u64);
         trial.summary_us("", Summary::of_or_zero(&self.us));
@@ -184,12 +206,42 @@ fn run_phase(eng: &ShardedEngine, specs: &[Arc<QuerySpec>]) -> PhaseFigures {
 }
 
 /// Shared state across the four variants: the workloads plus the engine
-/// of the moment (fresh engines replace it between warm-start tiers).
+/// of the moment (fresh engines replace it between warm-start tiers and
+/// between passes).
 struct SimilarityState {
     fast: bool,
     donors: Vec<Arc<QuerySpec>>,
     recipients: Vec<Arc<QuerySpec>>,
     engine: ShardedEngine,
+}
+
+impl SimilarityState {
+    /// Runs `pass` once per pass and merges the recorded phases: one
+    /// pass under `--fast`, else enough for every row to hold
+    /// `MIN_ROW_SESSIONS` sessions. Every pass gets a fresh engine,
+    /// except that the first one runs on the current engine when `reuse`
+    /// is set; `pass` learns which.
+    fn repeat(
+        &mut self,
+        reuse: bool,
+        pass: impl Fn(&ShardedEngine, &Self, bool) -> PhaseFigures,
+    ) -> PhaseFigures {
+        let passes = if self.fast {
+            1
+        } else {
+            MIN_ROW_SESSIONS.div_ceil(self.recipients.len())
+        };
+        (0..passes)
+            .map(|i| {
+                let fresh = !(reuse && i == 0);
+                if fresh {
+                    self.engine = engine(self.fast);
+                }
+                pass(&self.engine, self, fresh)
+            })
+            .reduce(PhaseFigures::merge)
+            .expect("at least one pass")
+    }
 }
 
 /// Runs the four phases `cold`, `exact-warm`, `transplant`, `rebase`.
@@ -201,34 +253,47 @@ pub fn similarity_experiment(fast: bool) -> ExperimentReport {
         engine: engine(fast),
     })
     .title("similar-query warm starts: exact, transplant, and rebase tiers")
-    // Phase 1+2: one engine; the recipients run cold, then resubmit as
-    // exact repeats against their own parked frontiers.
+    // Phase 1+2: one engine per pass; the recipients run cold, then
+    // resubmit as exact repeats against their own parked frontiers. The
+    // first exact-warm pass reuses the last cold engine; later passes
+    // prime fresh engines themselves.
     .variant("warm-start tiers", "cold", |s, t| {
-        run_phase(&s.engine, &s.recipients).record(t);
+        s.repeat(true, |eng, s, _| run_phase(eng, &s.recipients))
+            .record(t);
     })
     .variant("warm-start tiers", "exact-warm", |s, t| {
-        run_phase(&s.engine, &s.recipients).record(t);
+        s.repeat(true, |eng, s, fresh| {
+            if fresh {
+                run_phase(eng, &s.recipients);
+            }
+            run_phase(eng, &s.recipients)
+        })
+        .record(t);
     })
-    // Phase 3: a fresh engine that has only ever seen the *donors* — the
+    // Phase 3: fresh engines that have only ever seen the *donors* — the
     // recipients' fingerprints all miss, but their shared subsets seed
     // from the harvested donor sub-frontiers.
     .variant("warm-start tiers", "transplant", |s, t| {
-        s.engine = engine(s.fast);
-        run_phase(&s.engine, &s.donors);
-        run_phase(&s.engine, &s.recipients).record(t);
+        s.repeat(false, |eng, s, _| {
+            run_phase(eng, &s.donors);
+            run_phase(eng, &s.recipients)
+        })
+        .record(t);
     })
-    // Phase 4: a fresh engine primed with the recipients under *stale*
+    // Phase 4: fresh engines primed with the recipients under *stale*
     // statistics, then replayed under a 5% cardinality drift — exact
     // fingerprints miss, the cardinality-blind rebase tier hits.
     .variant("warm-start tiers", "rebase", |s, t| {
-        s.engine = engine(s.fast);
-        run_phase(&s.engine, &s.recipients);
         let drifted: Vec<Arc<QuerySpec>> = s
             .recipients
             .iter()
             .map(|spec| Arc::new(testkit::drift_cardinalities(spec, 1.05)))
             .collect();
-        run_phase(&s.engine, &drifted).record(t);
+        s.repeat(false, |eng, s, _| {
+            run_phase(eng, &s.recipients);
+            run_phase(eng, &drifted)
+        })
+        .record(t);
     })
     .conclusion(
         "exact repeats do zero plan work; transplant and rebase recipients \

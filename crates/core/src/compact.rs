@@ -141,12 +141,8 @@ mod tests {
         ResolutionSchedule::linear(4, 1.05, 0.5)
     }
 
-    fn tracked(spec: &Arc<QuerySpec>, max_seeds_per_slice: usize) -> IamaOptimizer {
-        let config = IamaConfig {
-            max_seeds_per_slice,
-            ..IamaConfig::tracked()
-        };
-        IamaOptimizer::with_config(spec.clone(), model(), schedule(), config)
+    fn tracked(spec: &Arc<QuerySpec>) -> IamaOptimizer {
+        IamaOptimizer::with_config(spec.clone(), model(), schedule(), IamaConfig::tracked())
     }
 
     /// Every counter of a report except its wall time.
@@ -319,7 +315,7 @@ mod tests {
     #[test]
     fn compaction_is_invisible_over_a_ladder() {
         let spec = Arc::new(testkit::chain_query(4, 200_000));
-        let (mut plain, mut compact) = (tracked(&spec, 64), tracked(&spec, 64));
+        let (mut plain, mut compact) = (tracked(&spec), tracked(&spec));
         drive(&mut plain, &mut compact, &ladder(), |_| true);
         assert!(
             compact.arena().len() < plain.arena().len(),
@@ -331,7 +327,7 @@ mod tests {
     fn compaction_is_invisible_under_bound_churn() {
         // The tighten/drag/loosen series of the Lemma 5–7 churn test.
         let spec = Arc::new(testkit::chain_query(4, 200_000));
-        let mut probe = tracked(&spec, 64);
+        let mut probe = tracked(&spec);
         let unb = Bounds::unbounded(3);
         probe.optimize(&unb, 0);
         let t_min = probe.frontier(&unb, 0).min_by_metric(0).unwrap().cost[0];
@@ -346,7 +342,7 @@ mod tests {
             (unb, 4),
         ];
         for every in [1, 2, 3] {
-            let (mut plain, mut compact) = (tracked(&spec, 64), tracked(&spec, 64));
+            let (mut plain, mut compact) = (tracked(&spec), tracked(&spec));
             drive(&mut plain, &mut compact, &steps, |i| i % every == 1 % every);
         }
     }
@@ -354,15 +350,16 @@ mod tests {
     #[test]
     fn compaction_keeps_pending_seeds_and_their_subtrees() {
         // chain(4) is the 4-table prefix of chain(5): its harvested
-        // sub-frontiers seed the recipient twins, one small slice per
-        // invocation, so seeds stay pending across compactions.
+        // sub-frontiers seed the recipient twins. The first compaction
+        // runs right after the import, before any invocation admits the
+        // seeds, so it must keep every pending seed and its subtree.
         let donor_spec = Arc::new(testkit::chain_query(4, 150_000));
-        let mut donor = tracked(&donor_spec, 64);
+        let mut donor = tracked(&donor_spec);
         for (b, r) in ladder() {
             donor.optimize(&b, r);
         }
         let spec = Arc::new(testkit::chain_query(5, 150_000));
-        let (mut plain, mut compact) = (tracked(&spec, 3), tracked(&spec, 3));
+        let (mut plain, mut compact) = (tracked(&spec), tracked(&spec));
         for tables in TableSet::full(4).subsets().filter(|t| t.len() >= 2) {
             if let Some(blob) = donor.export_subset(tables) {
                 plain
@@ -375,17 +372,17 @@ mod tests {
                     .unwrap();
             }
         }
-        assert!(
-            compact.pending_seeds() > 3 * 2,
-            "seeds would not stay pending"
-        );
+        let pending = compact.pending_seeds();
+        assert!(pending > 0, "nothing was seeded");
+        compact_and_check(&mut compact);
+        assert_eq!(compact.pending_seeds(), pending, "compaction lost seeds");
         drive(&mut plain, &mut compact, &ladder(), |_| true);
     }
 
     #[test]
     fn parked_twin_survives_a_snapshot_round_trip() {
         let spec = Arc::new(testkit::chain_query(4, 200_000));
-        let (mut plain, mut compact) = (tracked(&spec, 64), tracked(&spec, 64));
+        let (mut plain, mut compact) = (tracked(&spec), tracked(&spec));
         drive(&mut plain, &mut compact, &ladder(), |i| i == 2);
         let mut revived =
             IamaOptimizer::import_frontier(model(), &compact.export_frontier()).unwrap();
@@ -411,10 +408,10 @@ mod tests {
             mask in any::<u16>(),
         ) {
             let spec = Arc::new(testkit::star_query(4, 120_000));
-            let (mut plain, mut compact) = (tracked(&spec, 64), tracked(&spec, 64));
+            let (mut plain, mut compact) = (tracked(&spec), tracked(&spec));
             let unb = Bounds::unbounded(3);
             let t_min = {
-                let mut probe = tracked(&spec, 64);
+                let mut probe = tracked(&spec);
                 probe.optimize(&unb, 0);
                 probe.frontier(&unb, 0).min_by_metric(0).unwrap().cost.as_slice().to_vec()
             };

@@ -1,6 +1,39 @@
-//! Optimizer configuration.
+//! Optimizer configuration: the switches an experiment varies, and the
+//! constants none does.
+//!
+//! Every [`IamaConfig`] field is read by a measurement — the Section 4.2
+//! ablations (`use_delta`, `eager_level_skip`, `shadow_dominated`), the
+//! Lemma 5–7 oracles (`track_invariants`) and `repro pruning`
+//! (`time_pruning`). The optimizer never enumerates cross products: its
+//! enumeration plane holds connected subsets only (see
+//! [`moqo_query::EnumerationPlan`]), so a disconnected join graph has an
+//! empty frontier. A value no experiment varies is a constant, like
+//! [`MAX_SEEDS_PER_SLICE`].
 
-/// Tunables of [`crate::IamaOptimizer`].
+/// Upper bound on warm-start **seed** candidates (rebased or transplanted
+/// plans, see [`crate::IamaOptimizer::seeder`]) admitted into the
+/// candidate sets per invocation.
+///
+/// Seeds beyond the cap wait in a plain pending queue — already replayed
+/// and re-costed, but not yet indexed — and are admitted in FIFO order at
+/// the start of later invocations, amortizing the drain of a very warm
+/// donor across the refinement ladder instead of paying it all in the
+/// first invocation's candidate phase. Seeding is an accelerant, never a
+/// correctness input, so deferral (or even loss, when a session ends
+/// before its queue empties) cannot weaken Theorem 2: native enumeration
+/// still covers every plan.
+///
+/// Measured with one probe per open: the cap binds in no perfbench
+/// workload (peak seeds per open: 3,381 in `drift-open`, 1,050 in
+/// `warm-repeat`). In `repro similarity --fast` it binds only for the
+/// star-7 rebase, whose donor harvest holds 7,416 seeds; there, capped
+/// versus uncapped read 106,208 vs 110,744 first-invocation plans (65.7
+/// vs 72.2 ms) and 291,800 vs 284,456 plans over the whole ladder (195.5
+/// vs 188.4 ms), medians of 9 alternating runs on 2 vCPUs. Neither side
+/// wins clearly, so the queue stays and the cap is not a setting.
+pub const MAX_SEEDS_PER_SLICE: usize = 4096;
+
+/// Switches of [`crate::IamaOptimizer`].
 #[derive(Clone, Debug)]
 pub struct IamaConfig {
     /// Enable Δ-set filtering in `Fresh`: when an invocation series allows
@@ -11,9 +44,6 @@ pub struct IamaConfig {
     /// for pairs combined during churn epochs, by the `IsFresh` hash
     /// fallback; `repro ablations` measures it as `no_delta`.
     pub use_delta: bool,
-    /// Consider cross-product joins even when the join graph connects the
-    /// two operands nowhere. Off by default (Postgres behaviour).
-    pub allow_cross_products: bool,
     /// Track per-plan/per-pair generation and retrieval counts so tests
     /// can verify Lemmas 5–7. Small constant overhead per operation.
     pub track_invariants: bool,
@@ -52,32 +82,16 @@ pub struct IamaConfig {
     /// report the prune-path share of invocation time. Not serialized
     /// in snapshots (pure diagnostics).
     pub time_pruning: bool,
-    /// Upper bound on warm-start **seed** candidates (rebased or
-    /// transplanted plans, see [`crate::IamaOptimizer::seeder`]) admitted
-    /// into the candidate sets per invocation. Seeds beyond the cap wait in a
-    /// plain pending queue — already replayed and re-costed, but not yet
-    /// indexed — and are admitted in FIFO order at the start of later
-    /// invocations, amortizing the drain of a very warm donor across the
-    /// refinement ladder instead of paying it all in the first
-    /// invocation's candidate phase. Seeding is an accelerant, never a
-    /// correctness input, so deferral (or even loss, when a session ends
-    /// before its queue empties) cannot weaken Theorem 2: native
-    /// enumeration still covers every plan. The default is generous
-    /// enough that typical donors are admitted in one slice; not
-    /// serialized in snapshots (imports run with the default).
-    pub max_seeds_per_slice: usize,
 }
 
 impl Default for IamaConfig {
     fn default() -> Self {
         Self {
             use_delta: true,
-            allow_cross_products: false,
             track_invariants: false,
             eager_level_skip: true,
             shadow_dominated: true,
             time_pruning: false,
-            max_seeds_per_slice: 4096,
         }
     }
 }
@@ -100,12 +114,10 @@ mod tests {
     fn defaults_follow_the_paper() {
         let c = IamaConfig::default();
         assert!(c.use_delta);
-        assert!(!c.allow_cross_products);
         assert!(!c.track_invariants);
         assert!(c.eager_level_skip);
         assert!(c.shadow_dominated);
         assert!(!c.time_pruning);
-        assert_eq!(c.max_seeds_per_slice, 4096);
         assert!(IamaConfig::tracked().track_invariants);
     }
 }

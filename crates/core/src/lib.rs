@@ -42,7 +42,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod wire;
 
-pub use config::IamaConfig;
+pub use config::{IamaConfig, MAX_SEEDS_PER_SLICE};
 pub use costing::COST_THREAD_PREFIX;
 pub use frontier::{FrontierPoint, FrontierSnapshot};
 pub use optimizer::IamaOptimizer;

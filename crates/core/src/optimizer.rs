@@ -24,7 +24,7 @@
 //! `rectangle ∪ hash` at all times, which is the invariant the Lemma 5/6
 //! tests verify under chaotic bound changes.
 
-use crate::config::IamaConfig;
+use crate::config::{IamaConfig, MAX_SEEDS_PER_SLICE};
 use crate::costing::{CostWindow, SelectedPair};
 use crate::frontier::{FrontierPoint, FrontierSnapshot};
 use crate::report::InvocationReport;
@@ -191,7 +191,7 @@ pub struct IamaOptimizer {
     pub(crate) stats: OptimizerStats,
     /// Warm-start seeds (rebased/transplanted plans, already replayed
     /// into the arena and re-costed) waiting for candidate admission.
-    /// Drained FIFO, at most [`IamaConfig::max_seeds_per_slice`] per
+    /// Drained FIFO, at most [`MAX_SEEDS_PER_SLICE`] per
     /// invocation, so a very warm donor cannot stall the first frontier
     /// behind one giant candidate drain. Not serialized in snapshots:
     /// seeds are an accelerant, and a parked optimizer that ran its
@@ -223,10 +223,7 @@ impl IamaOptimizer {
         schedule: ResolutionSchedule,
         config: IamaConfig,
     ) -> Self {
-        let plan = Arc::new(EnumerationPlan::build(
-            &spec.graph,
-            config.allow_cross_products,
-        ));
+        let plan = Arc::new(EnumerationPlan::build(&spec.graph));
         Self::with_plan(spec, model, schedule, config, plan)
     }
 
@@ -238,7 +235,7 @@ impl IamaOptimizer {
     ///
     /// # Panics
     /// Panics if the query joins no table, or if `plan` was built for a
-    /// different join-graph shape or cross-product policy.
+    /// different join-graph shape.
     pub fn with_plan(
         spec: Arc<QuerySpec>,
         model: SharedCostModel,
@@ -251,8 +248,8 @@ impl IamaOptimizer {
         // collision in a shared plan cache must panic here rather than
         // silently optimize over a wrong enumeration.
         assert!(
-            plan.matches(&spec.graph, config.allow_cross_products),
-            "enumeration plan does not match the query's shape/policy"
+            plan.matches(&spec.graph),
+            "enumeration plan does not match the query's shape"
         );
         let states = (0..plan.len()).map(|_| SubsetState::new()).collect();
         let watermarks = vec![Watermark::default(); plan.total_splits()];
@@ -325,7 +322,7 @@ impl IamaOptimizer {
     }
 
     /// Warm-start seed plans still waiting for candidate admission (the
-    /// surplus beyond [`IamaConfig::max_seeds_per_slice`] per invocation;
+    /// surplus beyond [`MAX_SEEDS_PER_SLICE`] per invocation;
     /// see [`IamaOptimizer::seeder`]).
     pub fn pending_seeds(&self) -> usize {
         self.pending_seeds.len()
@@ -401,7 +398,7 @@ impl IamaOptimizer {
         // candidates; phase 1 below drains and re-prunes them like any
         // re-queued candidate (Lemma 7). The surplus stays pending, so
         // the drain of a very warm donor amortizes across the ladder.
-        for _ in 0..self.config.max_seeds_per_slice {
+        for _ in 0..MAX_SEEDS_PER_SLICE {
             let Some((q, plan, cost)) = self.pending_seeds.pop_front() else {
                 break;
             };
@@ -1367,7 +1364,7 @@ mod tests {
         let a = Arc::new(testkit::chain_query(4, 100_000));
         let z = Arc::new(testkit::chain_query(4, 7_777));
         let model = Arc::new(StandardCostModel::paper_metrics());
-        let plan = Arc::new(EnumerationPlan::build(&a.graph, false));
+        let plan = Arc::new(EnumerationPlan::build(&a.graph));
         let b = Bounds::unbounded(3);
         for spec in [a, z] {
             let mut opt = IamaOptimizer::with_plan(
@@ -1389,7 +1386,7 @@ mod tests {
         let chain = Arc::new(testkit::chain_query(3, 1000));
         let star = testkit::star_query(3, 1000);
         let model = Arc::new(StandardCostModel::paper_metrics());
-        let wrong = Arc::new(EnumerationPlan::build(&star.graph, false));
+        let wrong = Arc::new(EnumerationPlan::build(&star.graph));
         IamaOptimizer::with_plan(chain, model, schedule(), IamaConfig::default(), wrong);
     }
 
@@ -1403,21 +1400,11 @@ mod tests {
         let spec = Arc::new(QuerySpec::new("disconnected", g, Arc::new(cb.build())));
         let model = Arc::new(StandardCostModel::paper_metrics());
         let b = Bounds::unbounded(3);
-        let mut opt = IamaOptimizer::new(spec.clone(), model.clone(), schedule());
+        let mut opt = IamaOptimizer::new(spec, model, schedule());
         let report = opt.optimize(&b, 0);
         assert_eq!(report.frontier_size, 0);
         assert_eq!(report.pairs_generated, 0);
-        // With cross products allowed the same query completes.
-        let mut cp = IamaOptimizer::with_config(
-            spec,
-            model,
-            schedule(),
-            IamaConfig {
-                allow_cross_products: true,
-                ..IamaConfig::default()
-            },
-        );
-        assert!(cp.optimize(&b, 0).frontier_size > 0);
+        assert!(opt.enumeration().full_set().is_none());
     }
 
     #[test]

@@ -109,6 +109,10 @@ pub enum ProtocolError {
         /// The unresolvable model identity.
         identity: u64,
     },
+    /// The query's join graph is disconnected. The optimizer plans no
+    /// cross products, so no complete plan exists and every invocation
+    /// would return an empty frontier.
+    DisconnectedJoinGraph,
 }
 
 impl fmt::Display for ProtocolError {
@@ -148,6 +152,12 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::UnknownCostModel { identity } => {
                 write!(f, "no registered cost model has identity {identity:#018x}")
+            }
+            ProtocolError::DisconnectedJoinGraph => {
+                write!(
+                    f,
+                    "join graph is disconnected: cross products are not planned"
+                )
             }
         }
     }
@@ -250,11 +260,16 @@ impl SessionRequest {
         self.cost_model.clone().unwrap_or_else(|| default.clone())
     }
 
-    /// Checks every dimensioned field against the effective cost model.
+    /// Checks that the query's join graph is connected and every
+    /// dimensioned field matches the effective cost model.
     ///
     /// Layers call this once at admission; afterwards no command derived
-    /// from the request can fault inside a worker.
+    /// from the request can fault inside a worker, and no admitted
+    /// session runs a ladder that can never produce a plan.
     pub fn validate(&self, model_dim: usize) -> Result<(), ProtocolError> {
+        if !self.spec.graph.is_connected() {
+            return Err(ProtocolError::DisconnectedJoinGraph);
+        }
         if let Some(b) = &self.bounds {
             if b.dim() != model_dim {
                 return Err(ProtocolError::BoundsDimensionMismatch {
@@ -803,6 +818,17 @@ mod tests {
             .with_bounds(Bounds::unbounded(3))
             .with_preference(Preference::Chebyshev(vec![1.0; 3]));
         assert!(ok.validate(3).is_ok());
+    }
+
+    #[test]
+    fn request_validation_refuses_disconnected_join_graphs() {
+        let mut spec = moqo_query::testkit::chain_query(3, 10_000);
+        spec.graph.edges.retain(|e| e.left != 0 && e.right != 0);
+        let disconnected = SessionRequest::new(Arc::new(spec));
+        assert_eq!(
+            disconnected.validate(3),
+            Err(ProtocolError::DisconnectedJoinGraph)
+        );
     }
 
     proptest! {

@@ -63,7 +63,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MOQOFRNT";
 /// so a frontier refined under one model can never warm-start a session
 /// under a differently parameterized model with the same metric layout.
 /// Version 3 dropped the index-kind byte and the per-subset result-set
-/// section: the active lists are the result sets.
+/// section: the active lists are the result sets. Its configuration
+/// section still holds the byte of a former cross-product switch: it is
+/// written `0`, and a `1` is refused as corrupt, since the optimizer no
+/// longer spans that search space.
 pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be imported.
@@ -326,14 +329,15 @@ impl IamaOptimizer {
         // --- Schedule and configuration. ---
         self.schedule.encode(&mut w);
         w.bool(self.config.use_delta);
-        w.bool(self.config.allow_cross_products);
+        // Where a cross-product flag used to be: always `false` now, kept
+        // so version-3 frontiers stay byte-identical.
+        w.bool(false);
         w.bool(self.config.track_invariants);
         w.bool(self.config.eager_level_skip);
         w.bool(self.config.shadow_dominated);
-        // `time_pruning` and `max_seeds_per_slice` are deliberately not
-        // serialized: prune timing is pure diagnostics and seeding is a
-        // session-local accelerant, so neither changes the exported
-        // state. Imported optimizers run with the defaults.
+        // `time_pruning` is deliberately not serialized: prune timing is
+        // pure diagnostics, so it never changes the exported state.
+        // Imported optimizers run with the default.
 
         // --- Invocation context. ---
         w.u32(self.invocation);
@@ -456,14 +460,19 @@ impl IamaOptimizer {
         // --- Schedule and configuration. ---
         let schedule = ResolutionSchedule::decode(&mut r)?;
         let r_max = schedule.r_max();
+        let use_delta = r.bool()?;
+        if r.bool()? {
+            // A frontier over cross-product joins: its plans and subset
+            // states belong to a search space this optimizer never spans.
+            return Err(corrupt("cross-product enumeration is not supported".into()));
+        }
         let config = IamaConfig {
-            use_delta: r.bool()?,
-            allow_cross_products: r.bool()?,
+            use_delta,
             track_invariants: r.bool()?,
             eager_level_skip: r.bool()?,
             shadow_dominated: r.bool()?,
-            // Execution-strategy knobs are not part of the wire state
-            // (see the encode side); imports run with the defaults.
+            // Prune timing is not part of the wire state (see the encode
+            // side); imports run with the default.
             ..IamaConfig::default()
         };
 
@@ -833,7 +842,7 @@ impl Seeder<'_> {
     /// (which costs the replayed join alone), and the plan is queued with
     /// the freshly computed cost for admission as a level-0 `Cand` entry.
     /// The next invocations admit at most
-    /// [`IamaConfig::max_seeds_per_slice`](crate::IamaConfig) seeds
+    /// [`MAX_SEEDS_PER_SLICE`](crate::MAX_SEEDS_PER_SLICE) seeds
     /// each, and every admitted seed re-enters through pruning exactly
     /// like a natively generated plan: by Lemma 7 it is re-examined at
     /// most `rM + 1` times, and Theorem 2's `alpha_T` guarantee holds
@@ -911,7 +920,7 @@ impl Seeder<'_> {
             if let Some(plan) = self.replay(&nodes, &mut at) {
                 let cost = *self.opt.arena.cost(plan);
                 // Queued, not indexed: the next invocations admit seeds
-                // at most `max_seeds_per_slice` at a time (level-0 `Cand`
+                // at most `MAX_SEEDS_PER_SLICE` at a time (level-0 `Cand`
                 // entries), amortizing the drain across the ladder.
                 self.opt.pending_seeds.push_back((q, plan, cost));
                 queued += 1;
@@ -1362,6 +1371,55 @@ mod tests {
         assert!(matches!(
             IamaOptimizer::import_frontier(tweaked, bytes.as_slice()),
             Err(SnapshotError::ModelMismatch(_))
+        ));
+    }
+
+    /// `(length, FNV-1a digest)` of the frontier
+    /// [`frontiers_of_the_former_format_restore`] exports, as the writer
+    /// with a settable cross-product switch wrote it (switch off).
+    const FORMER_FRONTIER: (usize, u64) = (533_530, 10_785_228_099_044_167_699);
+
+    #[test]
+    fn frontiers_of_the_former_format_restore() {
+        // A model without cost floors keeps every counter, and so every
+        // exported byte, independent of the host's core count.
+        let model: SharedCostModel = Arc::new(StandardCostModel::new(
+            moqo_costmodel::MetricSet::paper(),
+            moqo_costmodel::StandardCostModelConfig {
+                eval_spin: 0,
+                ..moqo_costmodel::StandardCostModelConfig::default()
+            },
+        ));
+        let spec = Arc::new(testkit::chain_query(4, 90_000));
+        let mut opt = IamaOptimizer::new(spec.clone(), model.clone(), schedule());
+        let b = Bounds::unbounded(3);
+        for r in 0..=schedule().r_max() {
+            opt.optimize(&b, r);
+        }
+        let bytes = opt.export_frontier();
+        assert_eq!(
+            (bytes.len(), moqo_cost::Fnv64::hash_bytes(&bytes)),
+            FORMER_FRONTIER,
+            "the frontier writer's bytes moved"
+        );
+        let mut revived = IamaOptimizer::import_frontier(model.clone(), &bytes).unwrap();
+        assert!(revived.frontier(&b, 3).bits_eq(&opt.frontier(&b, 3)));
+        assert_eq!(revived.optimize(&b, 0).plans_generated, 0);
+        assert_eq!(revived.optimize(&b, 3).plans_generated, 0);
+
+        // The former switch's byte follows `use_delta` in the
+        // configuration section, after the header, spec and schedule.
+        let mut w = WireWriter::new();
+        write_header(&mut w, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &*model);
+        spec.encode(&mut w);
+        schedule().encode(&mut w);
+        let at = w.into_vec().len() + 1;
+        assert_eq!(bytes[at], 0, "the former switch was written off");
+        let mut cross = bytes.clone();
+        cross[at] = 1;
+        assert!(matches!(
+            IamaOptimizer::import_frontier(model, &cross),
+            Err(SnapshotError::Corrupt(m)) if m.contains("cross-product")
         ));
     }
 

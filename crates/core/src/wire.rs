@@ -782,6 +782,7 @@ impl WireEncode for ProtocolError {
                 w.u8(9);
                 w.u64(*identity);
             }
+            ProtocolError::DisconnectedJoinGraph => w.u8(10),
         }
     }
 }
@@ -813,6 +814,7 @@ impl WireDecode for ProtocolError {
                 got: r.u64()?,
             },
             9 => ProtocolError::UnknownCostModel { identity: r.u64()? },
+            10 => ProtocolError::DisconnectedJoinGraph,
             t => return Err(corrupt(format!("unknown protocol error tag {t}"))),
         })
     }

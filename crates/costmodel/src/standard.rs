@@ -67,9 +67,8 @@ pub struct StandardCostModelConfig {
     pub sampling_min_rows: u64,
     /// Join algorithms considered.
     pub join_algos: Vec<JoinAlgo>,
-    /// Whether cross products are allowed when the join graph connects the
-    /// inputs nowhere (Postgres only considers them for disconnected
-    /// graphs; the optimizers handle that separately).
+    /// Fees per core per time unit: an operator's fees are its time
+    /// times its degree of parallelism times this price.
     pub price_per_core_unit: f64,
     /// Energy per work unit.
     pub energy_per_unit: f64,

@@ -104,10 +104,8 @@ impl SubsetFingerprint {
     /// Fingerprints the subset `tables` of a spec under a cost model.
     pub fn of<M: CostModel + ?Sized>(spec: &QuerySpec, tables: TableSet, model: &M) -> Self {
         let mut h = moqo_cost::Fnv64::new();
-        // Sub-shape, relabeled to local indices (the cross-product policy
-        // is plan-sharing vocabulary, not state identity: fix it to the
-        // default so both policies share sub-frontiers).
-        h.u64(ShapeKey::of_subset(&spec.graph, tables, false).as_u64());
+        // Sub-shape, relabeled to local indices.
+        h.u64(ShapeKey::of_subset(&spec.graph, tables).as_u64());
         hash_state(&mut h, spec, tables, model, true);
         Self(h.finish())
     }

@@ -389,10 +389,7 @@ impl SessionManager {
         // plan construction can be expensive for wide shapes and must not
         // stall unrelated sessions. A warm hit below makes this a pointer
         // clone at worst (the shape is already cached).
-        let config = IamaConfig::default();
-        let plan = self
-            .plans
-            .get_or_build(&spec.graph, config.allow_cross_products);
+        let plan = self.plans.get_or_build(&spec.graph);
         let store = &self.shared.store;
         let counters = &self.shared.counters;
         let (optimizer, harvest, warm, overridden, rebased, seeded_subsets) = match store.take(fp) {
@@ -413,6 +410,7 @@ impl SessionManager {
                     Some(s) => (s, true),
                     None => (self.schedule.clone(), false),
                 };
+                let config = IamaConfig::default();
                 let mut opt =
                     IamaOptimizer::with_plan(spec.clone(), model.clone(), schedule, config, plan);
                 // Exact fingerprint miss. Two warm near-miss tiers before

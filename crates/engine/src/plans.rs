@@ -1,8 +1,7 @@
 //! The shared enumeration-plan cache.
 //!
 //! An [`EnumerationPlan`] depends only on a query's join-graph *shape*
-//! (which table pairs are joined) and the cross-product policy — not on
-//! statistics, selectivities, or names. That makes it far more shareable
+//! (which table pairs are joined) — not on statistics, selectivities, or names. That makes it far more shareable
 //! than a parked frontier: the [`crate::WarmStore`] resumes only an
 //! *equivalent* query (same shape **and** same statistics and metrics),
 //! while the plan cache serves every *structurally similar* query — the
@@ -58,19 +57,15 @@ impl PlanCache {
 
     /// Returns the shared plan for the graph's shape, building (and
     /// caching) it on first sight.
-    pub fn get_or_build(
-        &self,
-        graph: &JoinGraph,
-        allow_cross_products: bool,
-    ) -> Arc<EnumerationPlan> {
-        let key = ShapeKey::of(graph, allow_cross_products);
+    pub fn get_or_build(&self, graph: &JoinGraph) -> Arc<EnumerationPlan> {
+        let key = ShapeKey::of(graph);
         {
             let mut inner = self.inner.lock().expect("plan cache poisoned");
             if let Some(plan) = inner.map.get(&key).map(Arc::clone) {
                 // Structural backstop: a 64-bit key collision between two
                 // distinct shapes must not serve the wrong plan. Fall
                 // through and build a private (uncached) plan instead.
-                if plan.matches(graph, allow_cross_products) {
+                if plan.matches(graph) {
                     inner.hits += 1;
                     return plan;
                 }
@@ -80,11 +75,11 @@ impl PlanCache {
         // worst case and must not serialize unrelated submissions. Two
         // racing builders of one shape both succeed; the first insert
         // wins and the loser's plan is dropped.
-        let plan = Arc::new(EnumerationPlan::build(graph, allow_cross_products));
+        let plan = Arc::new(EnumerationPlan::build(graph));
         let mut inner = self.inner.lock().expect("plan cache poisoned");
         inner.misses += 1;
         let cached = inner.map.entry(key).or_insert_with(|| Arc::clone(&plan));
-        if cached.matches(graph, allow_cross_products) {
+        if cached.matches(graph) {
             Arc::clone(cached)
         } else {
             // Key collision with a different shape already in the slot:
@@ -115,23 +110,21 @@ mod tests {
         // Same shape, different statistics: one build, one pointer.
         let a = testkit::chain_query(4, 100_000);
         let b = testkit::chain_query(4, 777);
-        let pa = cache.get_or_build(&a.graph, false);
-        let pb = cache.get_or_build(&b.graph, false);
+        let pa = cache.get_or_build(&a.graph);
+        let pb = cache.get_or_build(&b.graph);
         assert!(Arc::ptr_eq(&pa, &pb));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
 
     #[test]
-    fn distinct_shapes_and_policies_get_distinct_plans() {
+    fn distinct_shapes_get_distinct_plans() {
         let cache = PlanCache::new();
         let chain = testkit::chain_query(4, 1000);
         let star = testkit::star_query(4, 1000);
-        let p1 = cache.get_or_build(&chain.graph, false);
-        let p2 = cache.get_or_build(&star.graph, false);
-        let p3 = cache.get_or_build(&chain.graph, true);
+        let p1 = cache.get_or_build(&chain.graph);
+        let p2 = cache.get_or_build(&star.graph);
         assert!(!Arc::ptr_eq(&p1, &p2));
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        assert_eq!(cache.stats().entries, 3);
+        assert_eq!(cache.stats().entries, 2);
     }
 }

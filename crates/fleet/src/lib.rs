@@ -50,5 +50,5 @@ pub mod router;
 
 pub use client::{share, FleetClient, FleetSession, SharedPlacement};
 pub use node::{FleetNode, FleetNodeConfig};
-pub use placement::{NodeEntry, Placement, PlacementKey};
+pub use placement::{NodeEntry, Placement};
 pub use router::{FleetRouter, NodeHealth, Rebalance, WatchTick};

@@ -1,13 +1,12 @@
 //! The placement table: which node owns which key.
 //!
-//! [`Placement`] maps 64-bit routing keys ([`QueryFingerprint`],
-//! [`RebaseKey`], or raw values) to named nodes with **rendezvous
-//! (highest-random-weight) hashing**: every `(key, node)` pair gets a
-//! deterministic pseudo-random weight, and the live node with the highest
-//! weight owns the key. The scheme needs no token ring and has the
-//! property that matters for warm state: when a node dies, *only the keys
-//! it owned* move (each to its runner-up node) — every other key keeps
-//! its home, so its parked frontier stays hot.
+//! [`Placement`] maps query fingerprints ([`QueryFingerprint`]) to named
+//! nodes with **rendezvous (highest-random-weight) hashing**: every
+//! `(key, node)` pair gets a deterministic pseudo-random weight, and the
+//! live node with the highest weight owns the key. The scheme needs no
+//! token ring and has the property that matters for warm state: when a
+//! node dies, *only the keys it owned* move (each to its runner-up node)
+//! — every other key keeps its home, so its parked frontier stays hot.
 //!
 //! Planned hand-offs use the explicit **override map**: the fleet router
 //! ships a frontier to a chosen node first, then pins the key there. An
@@ -19,33 +18,8 @@
 //! polling detect placement changes without diffing tables.
 
 use moqo_cost::Fnv64;
-use moqo_engine::{QueryFingerprint, RebaseKey};
+use moqo_engine::QueryFingerprint;
 use std::collections::BTreeMap;
-
-/// A routing key: anything reducible to the canonical 64-bit value the
-/// placement hash runs on.
-pub trait PlacementKey {
-    /// The canonical 64-bit routing value.
-    fn placement_key(&self) -> u64;
-}
-
-impl PlacementKey for u64 {
-    fn placement_key(&self) -> u64 {
-        *self
-    }
-}
-
-impl PlacementKey for QueryFingerprint {
-    fn placement_key(&self) -> u64 {
-        self.as_u64()
-    }
-}
-
-impl PlacementKey for RebaseKey {
-    fn placement_key(&self) -> u64 {
-        self.as_u64()
-    }
-}
 
 /// One serving node the placement knows about.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,7 +40,7 @@ pub struct Placement {
     /// Sorted by id, so iteration (and thus tie-breaking) is canonical
     /// regardless of registration order.
     nodes: BTreeMap<String, NodeEntry>,
-    overrides: BTreeMap<u64, String>,
+    overrides: BTreeMap<QueryFingerprint, String>,
     routes: BTreeMap<String, u64>,
     version: u64,
 }
@@ -116,32 +90,31 @@ impl Placement {
     /// Pins `key` to a node, winning over the hash while that node is
     /// alive. The fleet router sets this after shipping warm state in a
     /// planned rebalance.
-    pub fn set_override(&mut self, key: impl PlacementKey, node_id: impl Into<String>) {
-        self.overrides.insert(key.placement_key(), node_id.into());
+    pub fn set_override(&mut self, key: QueryFingerprint, node_id: impl Into<String>) {
+        self.overrides.insert(key, node_id.into());
         self.version += 1;
     }
 
     /// Removes a pin; the key falls back to its hash home.
-    pub fn clear_override(&mut self, key: impl PlacementKey) {
-        if self.overrides.remove(&key.placement_key()).is_some() {
+    pub fn clear_override(&mut self, key: QueryFingerprint) {
+        if self.overrides.remove(&key).is_some() {
             self.version += 1;
         }
     }
 
     /// The rendezvous weight of `(key, node)` — deterministic, uniform
     /// enough for load spread, and a pure function of the two ids.
-    fn weight(key: u64, node_id: &str) -> u64 {
+    fn weight(key: QueryFingerprint, node_id: &str) -> u64 {
         let mut h = Fnv64::new();
         h.str(node_id);
-        h.u64(key);
+        h.u64(key.as_u64());
         h.finish()
     }
 
     /// The node that owns `key`: the override target if pinned and
     /// alive, else the live node with the highest rendezvous weight.
     /// `None` when every node is dead (or none registered).
-    pub fn home_of(&self, key: impl PlacementKey) -> Option<&NodeEntry> {
-        let key = key.placement_key();
+    pub fn home_of(&self, key: QueryFingerprint) -> Option<&NodeEntry> {
         if let Some(id) = self.overrides.get(&key) {
             if let Some(node) = self.nodes.get(id) {
                 if !node.dead {
@@ -200,6 +173,10 @@ impl Placement {
 mod tests {
     use super::*;
 
+    fn fp(key: u64) -> QueryFingerprint {
+        QueryFingerprint::from_u64(key)
+    }
+
     fn three_nodes() -> Placement {
         let mut p = Placement::new();
         p.add_node("a", "127.0.0.1:9001");
@@ -214,9 +191,9 @@ mod tests {
         let q = three_nodes();
         let mut owned = std::collections::HashMap::<String, usize>::new();
         for key in 0u64..3000 {
-            let home = p.home_of(key).unwrap().id.clone();
+            let home = p.home_of(fp(key)).unwrap().id.clone();
             // Independent instances with the same nodes agree on every key.
-            assert_eq!(home, q.home_of(key).unwrap().id);
+            assert_eq!(home, q.home_of(fp(key)).unwrap().id);
             *owned.entry(home).or_default() += 1;
         }
         // All three nodes own a non-trivial share (rendezvous over FNV
@@ -229,13 +206,13 @@ mod tests {
     fn node_death_moves_only_the_dead_nodes_keys() {
         let mut p = three_nodes();
         let before: Vec<(u64, String)> = (0u64..2000)
-            .map(|k| (k, p.home_of(k).unwrap().id.clone()))
+            .map(|k| (k, p.home_of(fp(k)).unwrap().id.clone()))
             .collect();
         let v = p.version();
         p.mark_dead("b");
         assert!(p.version() > v);
         for (key, old_home) in &before {
-            let new_home = &p.home_of(*key).unwrap().id;
+            let new_home = &p.home_of(fp(*key)).unwrap().id;
             if old_home == "b" {
                 assert_ne!(new_home, "b");
             } else {
@@ -247,7 +224,7 @@ mod tests {
         // Revival restores the exact original assignment.
         p.revive("b");
         for (key, old_home) in &before {
-            assert_eq!(&p.home_of(*key).unwrap().id, old_home);
+            assert_eq!(&p.home_of(fp(*key)).unwrap().id, old_home);
         }
     }
 
@@ -255,20 +232,20 @@ mod tests {
     fn overrides_win_while_alive_and_degrade_when_dead() {
         let mut p = three_nodes();
         let key = 42u64;
-        let hash_home = p.home_of(key).unwrap().id.clone();
+        let hash_home = p.home_of(fp(key)).unwrap().id.clone();
         let other = ["a", "b", "c"]
             .into_iter()
             .find(|id| *id != hash_home)
             .unwrap();
-        p.set_override(key, other);
-        assert_eq!(p.home_of(key).unwrap().id, other);
+        p.set_override(fp(key), other);
+        assert_eq!(p.home_of(fp(key)).unwrap().id, other);
         // A pin to a dead node is ignored, not fatal.
         p.mark_dead(other);
-        assert_eq!(p.home_of(key).unwrap().id, hash_home);
+        assert_eq!(p.home_of(fp(key)).unwrap().id, hash_home);
         p.revive(other);
-        assert_eq!(p.home_of(key).unwrap().id, other);
-        p.clear_override(key);
-        assert_eq!(p.home_of(key).unwrap().id, hash_home);
+        assert_eq!(p.home_of(fp(key)).unwrap().id, other);
+        p.clear_override(fp(key));
+        assert_eq!(p.home_of(fp(key)).unwrap().id, hash_home);
     }
 
     #[test]
@@ -291,10 +268,10 @@ mod tests {
     #[test]
     fn empty_or_all_dead_placement_has_no_home() {
         let mut p = Placement::new();
-        assert!(p.home_of(7u64).is_none());
+        assert!(p.home_of(fp(7)).is_none());
         p.add_node("a", "127.0.0.1:9001");
-        assert!(p.home_of(7u64).is_some());
+        assert!(p.home_of(fp(7)).is_some());
         p.mark_dead("a");
-        assert!(p.home_of(7u64).is_none());
+        assert!(p.home_of(fp(7)).is_none());
     }
 }

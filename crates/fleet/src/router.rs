@@ -10,6 +10,11 @@ use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// Per-node connect budget of a health probe.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+/// Per-request budget of control pulls/pushes during rebalance.
+const CONTROL_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// One node's probe outcome.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeHealth {
@@ -72,20 +77,12 @@ pub struct WatchTick {
 /// admission.
 pub struct FleetRouter {
     placement: SharedPlacement,
-    /// Per-node connect budget of a health probe.
-    pub probe_timeout: Duration,
-    /// Per-request budget of control pulls/pushes during rebalance.
-    pub control_timeout: Duration,
 }
 
 impl FleetRouter {
     /// A router over the fleet's shared placement.
     pub fn new(placement: SharedPlacement) -> Self {
-        Self {
-            placement,
-            probe_timeout: Duration::from_millis(500),
-            control_timeout: Duration::from_secs(60),
-        }
+        Self { placement }
     }
 
     /// The shared placement table.
@@ -100,11 +97,11 @@ impl FleetRouter {
         let Some(sock_addr) = addr.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
             return false;
         };
-        let Ok(mut stream) = TcpStream::connect_timeout(&sock_addr, self.probe_timeout) else {
+        let Ok(mut stream) = TcpStream::connect_timeout(&sock_addr, PROBE_TIMEOUT) else {
             return false;
         };
-        let _ = stream.set_read_timeout(Some(self.probe_timeout));
-        let _ = stream.set_write_timeout(Some(self.probe_timeout));
+        let _ = stream.set_read_timeout(Some(PROBE_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(PROBE_TIMEOUT));
         if stream.write_all(&client_hello()).is_err() {
             return false;
         }
@@ -165,13 +162,13 @@ impl FleetRouter {
             None
         } else {
             let mut control = NetClient::connect(&from_addr)?;
-            control.pull_frontier(fp.as_u64(), self.control_timeout)?
+            control.pull_frontier(fp.as_u64(), CONTROL_TIMEOUT)?
         };
         let result = match blob {
             Some(blob) => {
                 let bytes = blob.len();
                 let mut control = NetClient::connect(&to_addr)?;
-                let admitted = control.push_frontier(blob, self.control_timeout)?;
+                let admitted = control.push_frontier(blob, CONTROL_TIMEOUT)?;
                 if admitted != Some(fp.as_u64()) {
                     // The new home refused the bytes (or decoded them to
                     // a different fingerprint): do NOT pin — routing to
@@ -287,6 +284,6 @@ impl FleetRouter {
             }
         };
         let mut control = NetClient::connect(&addr)?;
-        control.pull_frontier(fp.as_u64(), self.control_timeout)
+        control.pull_frontier(fp.as_u64(), CONTROL_TIMEOUT)
     }
 }

@@ -334,7 +334,7 @@ fn idle_sessions_soak_through_sweep_and_probe_periods() {
     let client = FleetClient::new(placement.clone(), model());
     let router = FleetRouter::new(placement.clone());
 
-    let live_total = || -> u64 { nodes.values().map(|n| n.net().stats().live).sum() };
+    let live_total = || -> usize { nodes.values().map(|n| n.net().moqo().stats().live).sum() };
     let faulted_total = || -> u64 { nodes.values().map(|n| n.net().stats().faulted).sum() };
 
     let mut sessions = Vec::with_capacity(SESSIONS);
@@ -353,7 +353,7 @@ fn idle_sessions_soak_through_sweep_and_probe_periods() {
         }
         sessions.push(session);
     }
-    assert_eq!(live_total(), SESSIONS as u64);
+    assert_eq!(live_total(), SESSIONS);
 
     // Hold through several 30 ms sweep periods, probing each beat. The
     // probes' connect/handshake/close cycles share the event loops with
@@ -362,7 +362,7 @@ fn idle_sessions_soak_through_sweep_and_probe_periods() {
         std::thread::sleep(Duration::from_millis(40));
         let tick = router.watch_tick(&fps, usize::MAX);
         assert!(tick.died.is_empty(), "a soaking fleet must stay alive");
-        assert_eq!(live_total(), SESSIONS as u64, "idle sessions were lost");
+        assert_eq!(live_total(), SESSIONS, "idle sessions were lost");
         assert_eq!(faulted_total(), 0);
     }
 

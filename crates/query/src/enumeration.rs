@@ -1,5 +1,7 @@
 //! The precomputed enumeration plane: connected subsets and their valid
-//! splits, materialized once per join-graph *shape*.
+//! splits, materialized once per join-graph *shape*. The plane never
+//! considers cross products: like Moerkotte & Neumann's DPccp, it joins
+//! only connected subsets along join edges.
 //!
 //! # Why precompute
 //!
@@ -8,12 +10,10 @@
 //! from scratch on every invocation — as a literal reading of the
 //! pseudo-code does — wastes the hot loop on three kinds of dead work:
 //!
-//! 1. **Disconnected subsets.** Without cross products, a table set whose
-//!    induced join graph is disconnected can never receive a plan: its
-//!    result set stays empty forever, yet every invocation re-visits all
-//!    `2^k` of its splits.
-//! 2. **Invalid splits.** A split with a disconnected half (or, for
-//!    connected graphs, no join edge between the halves) has an empty
+//! 1. **Disconnected subsets.** A table set whose induced join graph is
+//!    disconnected can never receive a plan: its result set stays empty
+//!    forever, yet every invocation re-visits all `2^k` of its splits.
+//! 2. **Invalid splits.** A split with a disconnected half has an empty
 //!    operand cross product. The connected-subgraph/complement
 //!    construction of Moerkotte & Neumann's DPccp shows these can be
 //!    excluded *structurally*, before the DP runs.
@@ -22,19 +22,18 @@
 //!    invocation; a dense `SubsetId` rank turns that into an array index.
 //!
 //! [`EnumerationPlan`] fixes all three: it stores, ordered by cardinality,
-//! every *relevant* subset (connected subsets under the default policy;
-//! all subsets when cross products are allowed) together with a flat list
-//! of its valid ordered splits, each split carrying the precomputed
+//! every connected subset together with a flat list of its valid ordered
+//! splits, each split carrying the precomputed
 //! [`SubsetId`]s of both operands. The optimizer then walks plain arrays.
 //!
 //! # Sharing across queries
 //!
 //! The plan depends only on the join graph's **shape** — table count and
-//! which table pairs are joined — and on the cross-product policy. It is
-//! independent of selectivities, cardinalities, filters, and names, so
-//! structurally similar queries (same dashboard query against refreshed
-//! statistics, the same TPC-H template at a different scale factor) share
-//! one `Arc<EnumerationPlan>`. [`ShapeKey`] is the cache key for exactly
+//! which table pairs are joined. It is independent of selectivities,
+//! cardinalities, filters, and names, so structurally similar queries
+//! (same dashboard query against refreshed statistics, the same TPC-H
+//! template at a different scale factor) share one
+//! `Arc<EnumerationPlan>`. [`ShapeKey`] is the cache key for exactly
 //! that sharing; `moqo-engine` keeps a plan cache keyed by it.
 //!
 //! # Relation to the paper
@@ -105,9 +104,8 @@ pub struct SubsetInfo {
     pub split_len: u32,
 }
 
-/// Canonical fingerprint of a join graph's *shape* under a cross-product
-/// policy: table count, the set of joined table pairs (selectivities and
-/// statistics excluded), and whether cross products are enumerated.
+/// Canonical fingerprint of a join graph's *shape*: table count and the
+/// set of joined table pairs (selectivities and statistics excluded).
 ///
 /// Two queries with equal `ShapeKey`s have identical enumeration planes,
 /// so a plan cache keyed by `ShapeKey` shares one [`EnumerationPlan`]
@@ -130,14 +128,19 @@ fn canonical_edge_pairs(graph: &JoinGraph) -> Vec<(usize, usize)> {
 }
 
 impl ShapeKey {
-    /// Computes the shape key of a join graph under a cross-product policy.
-    pub fn of(graph: &JoinGraph, allow_cross_products: bool) -> Self {
-        // FNV-1a over a canonical encoding: n, the flag, then the
-        // canonical edge-pair list.
-        let pairs = canonical_edge_pairs(graph);
+    /// Computes the shape key of a join graph.
+    pub fn of(graph: &JoinGraph) -> Self {
+        Self::digest(graph.n_tables(), canonical_edge_pairs(graph))
+    }
+
+    /// FNV-1a over a canonical encoding: `n`, a `0` word, then the
+    /// canonical edge-pair list. The `0` is where a cross-product flag
+    /// used to be hashed; keeping it keeps every shape key, and every
+    /// fingerprint built on one, stable.
+    fn digest(n: usize, pairs: Vec<(usize, usize)>) -> Self {
         let mut h = moqo_cost::Fnv64::new();
-        h.u64(graph.n_tables() as u64);
-        h.u64(allow_cross_products as u64);
+        h.u64(n as u64);
+        h.u64(0);
         for (l, r) in pairs {
             h.u64(l as u64);
             h.u64(r as u64);
@@ -167,11 +170,11 @@ impl ShapeKey {
     /// let spec = testkit::chain_query(5, 10_000);
     /// let full = spec.all_tables();
     /// assert_eq!(
-    ///     ShapeKey::of_subset(&spec.graph, full, false),
-    ///     ShapeKey::of(&spec.graph, false),
+    ///     ShapeKey::of_subset(&spec.graph, full),
+    ///     ShapeKey::of(&spec.graph),
     /// );
     /// ```
-    pub fn of_subset(graph: &JoinGraph, set: TableSet, allow_cross_products: bool) -> Self {
+    pub fn of_subset(graph: &JoinGraph, set: TableSet) -> Self {
         // Map original position -> local index (ascending order).
         let mut local = vec![usize::MAX; graph.n_tables()];
         let mut k = 0usize;
@@ -187,18 +190,11 @@ impl ShapeKey {
             .collect();
         pairs.sort_unstable();
         pairs.dedup();
-        let mut h = moqo_cost::Fnv64::new();
-        h.u64(k as u64);
-        h.u64(allow_cross_products as u64);
-        for (l, r) in pairs {
-            h.u64(l as u64);
-            h.u64(r as u64);
-        }
-        ShapeKey(h.finish())
+        Self::digest(k, pairs)
     }
 }
 
-/// The precomputed enumeration plane of one join-graph shape: all relevant
+/// The precomputed enumeration plane of one join-graph shape: all connected
 /// subsets ordered by cardinality, each with its valid ordered splits
 /// stored flat, plus a `TableSet → SubsetId` rank map.
 ///
@@ -208,7 +204,7 @@ impl ShapeKey {
 /// use moqo_query::{testkit, EnumerationPlan};
 ///
 /// let spec = testkit::chain_query(4, 10_000);
-/// let plan = EnumerationPlan::build(&spec.graph, false);
+/// let plan = EnumerationPlan::build(&spec.graph);
 /// // A 4-chain has 4 + 3 + 2 + 1 = 10 connected subsets…
 /// assert_eq!(plan.len(), 10);
 /// // …and its full set splits into (prefix, suffix) pairs only: 3
@@ -219,7 +215,6 @@ impl ShapeKey {
 #[derive(Clone, Debug)]
 pub struct EnumerationPlan {
     n_tables: usize,
-    allow_cross_products: bool,
     shape: ShapeKey,
     /// Canonical edge pairs the plan was built from — the structural
     /// backstop behind [`EnumerationPlan::matches`], so a `ShapeKey`
@@ -233,28 +228,27 @@ pub struct EnumerationPlan {
     /// hot path (split operands are pre-resolved ids).
     rank: Vec<(u64, SubsetId)>,
     /// Id of the full table set, when it is enumerable (it is not when
-    /// the graph is disconnected and cross products are off — then no
-    /// complete plan exists and the frontier is empty by construction).
+    /// the graph is disconnected — then no complete plan exists and the
+    /// frontier is empty by construction).
     full: Option<SubsetId>,
 }
 
 impl EnumerationPlan {
-    /// Builds the enumeration plane for a join graph under a cross-product
-    /// policy. Cost is one-time `O(3^n)` in the worst case (clique or
-    /// cross products allowed) and far lower on sparse graphs; the result
-    /// is immutable and meant to be shared behind an `Arc`.
-    pub fn build(graph: &JoinGraph, allow_cross_products: bool) -> Self {
+    /// Builds the enumeration plane for a join graph. Cost is one-time
+    /// `O(3^n)` in the worst case (a clique) and far lower on sparse
+    /// graphs; the result is immutable and meant to be shared behind an
+    /// `Arc`.
+    pub fn build(graph: &JoinGraph) -> Self {
         let n = graph.n_tables();
-        let shape = ShapeKey::of(graph, allow_cross_products);
+        let shape = ShapeKey::of(graph);
         let mut subsets: Vec<SubsetInfo> = Vec::new();
         let mut splits: Vec<Split> = Vec::new();
         // Build-time rank; frozen into the sorted `rank` vec below.
         let mut ids: HashMap<u64, SubsetId> = HashMap::new();
 
-        let relevant = |s: TableSet| allow_cross_products || graph.is_connected_set(s);
         for k in 1..=n {
             for q in k_subsets(n, k) {
-                if !relevant(q) {
+                if !graph.is_connected_set(q) {
                     continue;
                 }
                 let split_offset = splits.len() as u32;
@@ -266,14 +260,13 @@ impl EnumerationPlan {
                         for (a, b) in [(q1, q2), (q2, q1)] {
                             let (Some(&la), Some(&ra)) = (ids.get(&a.bits()), ids.get(&b.bits()))
                             else {
-                                // An operand is irrelevant (disconnected
-                                // half): the split's cross product is
-                                // provably empty forever.
+                                // An operand is disconnected: the split's
+                                // cross product is provably empty forever.
                                 continue;
                             };
-                            if !allow_cross_products && !graph.connected(a, b) {
-                                continue;
-                            }
+                            // Two connected halves of a connected `q`
+                            // always share a join edge.
+                            debug_assert!(graph.connected(a, b));
                             splits.push(Split {
                                 left: la,
                                 right: ra,
@@ -295,7 +288,6 @@ impl EnumerationPlan {
         let full = ids.get(&TableSet::full(n).bits()).copied();
         Self {
             n_tables: n,
-            allow_cross_products,
             shape,
             edge_pairs: canonical_edge_pairs(graph),
             subsets,
@@ -305,15 +297,13 @@ impl EnumerationPlan {
         }
     }
 
-    /// True if this plan was built for exactly `graph`'s shape under the
-    /// given policy — a full structural comparison, not a hash test.
+    /// True if this plan was built for exactly `graph`'s shape — a full
+    /// structural comparison, not a hash test.
     /// Callers sharing plans across sessions use this as the backstop
     /// behind [`ShapeKey`] equality: a 64-bit hash collision must surface
     /// as a rebuild or a panic, never as a silently wrong enumeration.
-    pub fn matches(&self, graph: &JoinGraph, allow_cross_products: bool) -> bool {
-        self.n_tables == graph.n_tables()
-            && self.allow_cross_products == allow_cross_products
-            && self.edge_pairs == canonical_edge_pairs(graph)
+    pub fn matches(&self, graph: &JoinGraph) -> bool {
+        self.n_tables == graph.n_tables() && self.edge_pairs == canonical_edge_pairs(graph)
     }
 
     /// Number of tables of the underlying shape.
@@ -322,19 +312,13 @@ impl EnumerationPlan {
         self.n_tables
     }
 
-    /// Whether cross-product splits are enumerated.
-    #[inline]
-    pub fn allow_cross_products(&self) -> bool {
-        self.allow_cross_products
-    }
-
     /// The shape fingerprint this plan was built for.
     #[inline]
     pub fn shape(&self) -> ShapeKey {
         self.shape
     }
 
-    /// Number of relevant subsets.
+    /// Number of connected subsets.
     #[inline]
     pub fn len(&self) -> usize {
         self.subsets.len()
@@ -388,8 +372,7 @@ impl EnumerationPlan {
     }
 
     /// Rank lookup: the dense id of `set`, or `None` when the set is not
-    /// relevant under this plan's policy (e.g. a disconnected subset with
-    /// cross products disallowed).
+    /// enumerated (a disconnected subset).
     #[inline]
     pub fn subset_id(&self, set: TableSet) -> Option<SubsetId> {
         self.rank
@@ -413,7 +396,7 @@ mod tests {
     #[test]
     fn chain_plan_counts() {
         let spec = testkit::chain_query(5, 1000);
-        let plan = EnumerationPlan::build(&spec.graph, false);
+        let plan = EnumerationPlan::build(&spec.graph);
         // Connected subsets of a 5-chain: contiguous ranges = 15.
         assert_eq!(plan.len(), 15);
         // Each range [i, j] splits only at its j - i internal cut points,
@@ -426,7 +409,7 @@ mod tests {
     #[test]
     fn subsets_are_ordered_by_cardinality() {
         let spec = testkit::random_query(6, 3);
-        let plan = EnumerationPlan::build(&spec.graph, false);
+        let plan = EnumerationPlan::build(&spec.graph);
         let lens: Vec<usize> = plan.subsets().iter().map(|s| s.tables.len()).collect();
         assert!(
             lens.windows(2).all(|w| w[0] <= w[1]),
@@ -445,7 +428,7 @@ mod tests {
     #[test]
     fn rank_map_round_trips() {
         let spec = testkit::clique_query(5, 100);
-        let plan = EnumerationPlan::build(&spec.graph, false);
+        let plan = EnumerationPlan::build(&spec.graph);
         for (i, info) in plan.subsets().iter().enumerate() {
             assert_eq!(plan.subset_id(info.tables), Some(SubsetId(i as u32)));
         }
@@ -456,30 +439,10 @@ mod tests {
     fn disconnected_graph_has_no_full_set() {
         use moqo_catalog::TableId;
         let g = crate::JoinGraph::new(vec![TableId(0), TableId(1)]);
-        let plan = EnumerationPlan::build(&g, false);
+        let plan = EnumerationPlan::build(&g);
         assert_eq!(plan.len(), 2); // singletons only
         assert_eq!(plan.total_splits(), 0);
         assert!(plan.full_set().is_none());
-        // With cross products the full set becomes reachable.
-        let cp = EnumerationPlan::build(&g, true);
-        assert_eq!(cp.len(), 3);
-        assert_eq!(cp.total_splits(), 2);
-        assert!(cp.full_set().is_some());
-    }
-
-    #[test]
-    fn cross_product_plan_enumerates_everything() {
-        let spec = testkit::chain_query(4, 1000);
-        let plan = EnumerationPlan::build(&spec.graph, true);
-        assert_eq!(plan.len(), 15); // 2^4 - 1
-                                    // Ordered splits of all subsets: sum over k of C(4,k) * (2^k - 2).
-        let expected: usize = (2..=4usize)
-            .map(|k| {
-                let choose = [0, 0, 6, 4, 1][k];
-                choose * ((1usize << k) - 2)
-            })
-            .sum();
-        assert_eq!(plan.total_splits(), expected);
     }
 
     #[test]
@@ -487,11 +450,10 @@ mod tests {
         let a = testkit::chain_query(4, 10_000);
         let b = testkit::chain_query(4, 999_999); // same shape, other stats
         let c = testkit::star_query(4, 10_000); // other shape
-        assert_eq!(ShapeKey::of(&a.graph, false), ShapeKey::of(&b.graph, false));
-        assert_ne!(ShapeKey::of(&a.graph, false), ShapeKey::of(&c.graph, false));
-        assert_ne!(ShapeKey::of(&a.graph, false), ShapeKey::of(&a.graph, true));
-        let plan = EnumerationPlan::build(&a.graph, false);
-        assert_eq!(plan.shape(), ShapeKey::of(&b.graph, false));
+        assert_eq!(ShapeKey::of(&a.graph), ShapeKey::of(&b.graph));
+        assert_ne!(ShapeKey::of(&a.graph), ShapeKey::of(&c.graph));
+        let plan = EnumerationPlan::build(&a.graph);
+        assert_eq!(plan.shape(), ShapeKey::of(&b.graph));
     }
 
     #[test]
@@ -499,29 +461,28 @@ mod tests {
         let chain = testkit::chain_query(4, 1000);
         let star = testkit::star_query(4, 1000);
         let other_stats = testkit::chain_query(4, 999);
-        let plan = EnumerationPlan::build(&chain.graph, false);
-        assert!(plan.matches(&chain.graph, false));
-        assert!(plan.matches(&other_stats.graph, false));
-        assert!(!plan.matches(&chain.graph, true));
-        assert!(!plan.matches(&star.graph, false));
-        assert!(!plan.matches(&testkit::chain_query(5, 1000).graph, false));
+        let plan = EnumerationPlan::build(&chain.graph);
+        assert!(plan.matches(&chain.graph));
+        assert!(plan.matches(&other_stats.graph));
+        assert!(!plan.matches(&star.graph));
+        assert!(!plan.matches(&testkit::chain_query(5, 1000).graph));
     }
 
     #[test]
     fn selectivity_changes_keep_the_shape() {
         let mut a = testkit::chain_query(3, 5000);
-        let key = ShapeKey::of(&a.graph, false);
+        let key = ShapeKey::of(&a.graph);
         for e in &mut a.graph.edges {
             e.selectivity *= 0.5;
         }
         a.graph.set_filter(0, 0.25);
-        assert_eq!(ShapeKey::of(&a.graph, false), key);
+        assert_eq!(ShapeKey::of(&a.graph), key);
     }
 
     #[test]
     fn single_table_plan() {
         let spec = testkit::chain_query(1, 100);
-        let plan = EnumerationPlan::build(&spec.graph, false);
+        let plan = EnumerationPlan::build(&spec.graph);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan.total_splits(), 0);
         assert_eq!(plan.full_set(), plan.subset_id(TableSet::singleton(0)));
@@ -533,7 +494,7 @@ mod proptests {
     //! The exhaustive `k_subsets` × `TableSet::splits` loop — the seed
     //! optimizer's enumeration — retained as a *test oracle*: the
     //! precomputed plan must admit exactly the ordered splits whose
-    //! operand cross products can ever be non-empty under the policy.
+    //! operand cross products can ever be non-empty.
 
     use super::*;
     use crate::testkit;
@@ -544,23 +505,19 @@ mod proptests {
 
     /// The ordered splits the exhaustive enumeration *admits*: every
     /// `(q, q1, q2)` the seed loop would visit whose operands can hold
-    /// plans (inductively: relevant sets under the policy) and whose
-    /// combination the policy allows.
-    fn oracle_splits(
-        graph: &JoinGraph,
-        allow_cp: bool,
-    ) -> BTreeSet<(TableSet, TableSet, TableSet)> {
+    /// plans (inductively: connected sets) and whose halves share a join
+    /// edge.
+    fn oracle_splits(graph: &JoinGraph) -> BTreeSet<(TableSet, TableSet, TableSet)> {
         let n = graph.n_tables();
-        let relevant = |s: TableSet| allow_cp || graph.is_connected_set(s);
         let mut out = BTreeSet::new();
         for k in 2..=n {
             for q in k_subsets(n, k) {
                 for (q1, q2) in q.splits() {
                     for (a, b) in [(q1, q2), (q2, q1)] {
-                        if !allow_cp && !graph.connected(a, b) {
+                        if !graph.connected(a, b) {
                             continue; // the seed's cross-product skip
                         }
-                        if !(relevant(a) && relevant(b)) {
+                        if !(graph.is_connected_set(a) && graph.is_connected_set(b)) {
                             continue; // empty operand: a no-op in the seed
                         }
                         out.insert((q, a, b));
@@ -582,17 +539,17 @@ mod proptests {
         out
     }
 
-    fn check_equivalence(graph: &JoinGraph, allow_cp: bool) {
-        let plan = EnumerationPlan::build(graph, allow_cp);
+    fn check_equivalence(graph: &JoinGraph) {
+        let plan = EnumerationPlan::build(graph);
         assert_eq!(
             plan_splits(&plan),
-            oracle_splits(graph, allow_cp),
-            "plan/oracle split mismatch (allow_cp={allow_cp})"
+            oracle_splits(graph),
+            "plan/oracle split mismatch"
         );
-        // Subsets must be exactly the relevant ones.
+        // Subsets must be exactly the connected ones.
         let expect_subsets: usize = (1..=graph.n_tables())
             .flat_map(|k| k_subsets(graph.n_tables(), k))
-            .filter(|&s| allow_cp || graph.is_connected_set(s))
+            .filter(|&s| graph.is_connected_set(s))
             .count();
         assert_eq!(plan.len(), expect_subsets);
     }
@@ -621,16 +578,15 @@ mod proptests {
 
     proptest! {
         #[test]
-        fn random_graphs_match_the_oracle(n in 1usize..7, mask in 0u64..u64::MAX, cp in 0u64..2) {
+        fn random_graphs_match_the_oracle(n in 1usize..7, mask in 0u64..u64::MAX) {
             let g = arbitrary_graph(n, mask);
-            check_equivalence(&g, cp == 1);
+            check_equivalence(&g);
         }
 
         #[test]
         fn connected_random_queries_match_the_oracle(n in 1usize..7, seed in 0u64..500) {
             let spec = testkit::random_query(n, seed);
-            check_equivalence(&spec.graph, false);
-            check_equivalence(&spec.graph, true);
+            check_equivalence(&spec.graph);
         }
     }
 
@@ -643,12 +599,10 @@ mod proptests {
                 testkit::clique_query(n, 1000),
             ];
             for spec in &specs {
-                check_equivalence(&spec.graph, false);
-                check_equivalence(&spec.graph, true);
+                check_equivalence(&spec.graph);
             }
             if n >= 3 {
-                check_equivalence(&cycle_graph(n), false);
-                check_equivalence(&cycle_graph(n), true);
+                check_equivalence(&cycle_graph(n));
             }
         }
     }
@@ -659,7 +613,6 @@ mod proptests {
         let mut g = arbitrary_graph(4, 0);
         g.add_edge(0, 1, 0.5);
         g.add_edge(2, 3, 0.5);
-        check_equivalence(&g, false);
-        check_equivalence(&g, true);
+        check_equivalence(&g);
     }
 }

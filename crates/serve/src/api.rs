@@ -268,7 +268,8 @@ impl MoqoServer {
     /// [`SessionEvent`]s arrive on the ticket's channel afterwards.
     ///
     /// Malformed requests (bounds or preference dimensions that do not
-    /// match the effective cost model) are rejected here with a typed
+    /// match the effective cost model, or a disconnected join graph no
+    /// plan can cover) are rejected here with a typed
     /// [`ProtocolError`] before a ticket is issued — they can never reach
     /// a shard worker.
     pub fn submit(
@@ -795,6 +796,22 @@ mod tests {
         // The server is untouched: no ticket, no session, no pending.
         assert_eq!(s.stats().live, 0);
         assert_eq!(s.stats().pending, 0);
+    }
+
+    #[test]
+    fn disconnected_join_graphs_are_rejected_before_a_ticket_exists() {
+        // chain(4) without its middle edge: {0, 1} and {2, 3} never join,
+        // so no plan covers the query and no admitted ladder could end.
+        let s = server(AdmissionConfig::default());
+        let mut spec = testkit::chain_query(4, 10_000);
+        spec.graph.edges.retain(|e| (e.left, e.right) != (1, 2));
+        assert_eq!(
+            s.submit(Arc::new(spec)).unwrap_err(),
+            ProtocolError::DisconnectedJoinGraph
+        );
+        let stats = s.stats();
+        assert_eq!((stats.live, stats.pending), (0, 0));
+        assert_eq!(stats.admission.admitted, 0);
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //!
 //! Expensive frames — submits (admission + warm-start routing) and
 //! frontier transfers (file I/O, validation) — ship to a small pool of
-//! **decode/dispatch workers** (`moqo-net-io-*`, [`NetConfig::io_threads`]),
-//! keyed by connection so per-stream order is preserved. Workers post
-//! completions back and ring the wake channel.
+//! **decode/dispatch workers** (`moqo-net-io-*`, two of them), keyed by
+//! connection so per-stream order is preserved. Workers post completions
+//! back and ring the wake channel.
 //!
 //! Session events flow the same way: the server installs a
 //! [`crate::api::ServerEventHook`] so every engine-side publish marks
@@ -54,10 +54,10 @@
 //! (deltas compose with [`FrontierDelta::then`], the event declares the
 //! epoch range it covers), so folding the merged frame leaves the
 //! client's [`SessionView`] bit-identical to folding the originals
-//! one-for-one. The outbound queue is bounded
-//! ([`NetConfig::max_outbound`]); a connection that exceeds it, or that
-//! makes no write progress for [`NetConfig::write_timeout`], is counted
-//! stalled and retired (parking its session). [`NetStats`] exposes the
+//! one-for-one. The outbound queue is bounded (8 MiB per connection); a
+//! connection that exceeds it, or that makes no write progress for
+//! [`NetConfig::write_timeout`], is counted stalled and retired (parking
+//! its session). [`NetStats`] exposes the
 //! backpressure picture: `coalesced_events`, `outbound_high_water`,
 //! `stalled`.
 //!
@@ -97,17 +97,23 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// Decode/dispatch worker threads. The event loop hands them the
+/// expensive frames (submits, frontier transfers); the optimizer work
+/// itself runs on the engine's shard workers, so two serve many
+/// connections.
+const IO_THREADS: usize = 2;
+
+/// Hard bound on one connection's outbound buffer, in bytes. Exceeding
+/// it (a slow reader that also triggered large frames) stalls the
+/// connection out immediately.
+const MAX_OUTBOUND: usize = 8 << 20;
+
 /// Network front configuration.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`NetServer::local_addr`]).
     pub addr: String,
-    /// Decode/dispatch worker threads. The event loop hands them the
-    /// expensive frames (submits, frontier transfers); the optimizer
-    /// work itself runs on the engine's shard workers, so a handful
-    /// serves many connections.
-    pub io_threads: usize,
     /// How long a connection with queued outbound bytes may go without
     /// any write progress before it is counted stalled and retired. A
     /// client that stops reading while the server streams events never
@@ -121,26 +127,23 @@ pub struct NetConfig {
     /// Outbound bytes beyond which session events coalesce into one
     /// pending frame instead of being serialized individually.
     pub coalesce_after: usize,
-    /// Hard bound on one connection's outbound buffer. Exceeding it
-    /// (a slow reader that also triggered large frames) stalls the
-    /// connection out immediately.
-    pub max_outbound: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            io_threads: 2,
             write_timeout: Duration::from_secs(5),
             send_buffer: None,
             coalesce_after: 64 << 10,
-            max_outbound: 8 << 20,
         }
     }
 }
 
-/// Aggregate network-front counters.
+/// Aggregate network-front counters. Engine-side figures — live
+/// sessions, warm opens, sub-frontier hits, rebalancing — are the
+/// server's: read them from [`MoqoServer::stats`] through
+/// [`NetServer::moqo`].
 #[derive(Clone, Debug, Default)]
 pub struct NetStats {
     /// Connections accepted since bind.
@@ -157,25 +160,12 @@ pub struct NetStats {
     /// readers.
     pub coalesced_events: u64,
     /// High-water mark of any single connection's outbound buffer, in
-    /// bytes (how close the worst reader came to
-    /// [`NetConfig::max_outbound`]).
+    /// bytes (how close the worst reader came to the 8 MiB bound).
     pub outbound_high_water: u64,
     /// Connections retired for making no write progress within
-    /// [`NetConfig::write_timeout`] or overflowing
-    /// [`NetConfig::max_outbound`] (also counted in `faulted`).
+    /// [`NetConfig::write_timeout`] or overflowing the 8 MiB outbound
+    /// bound (also counted in `faulted`).
     pub stalled: u64,
-    /// Sessions that resumed an exact parked frontier (summed over
-    /// shards; includes in-process traffic on the shared server).
-    pub warm_routed: u64,
-    /// Sub-frontier transplant cache hits: table subsets of admitted
-    /// queries seeded from state harvested off *similar* queries.
-    pub subfrontier_hits: u64,
-    /// Sub-frontier transplant cache misses.
-    pub subfrontier_misses: u64,
-    /// Sessions a non-home shard absorbed under rebalance headroom.
-    pub rebalanced_in: u64,
-    /// Admitted, not-yet-finished sessions right now (load figure).
-    pub live: u64,
     /// Sessions parked because their connection disconnected or faulted
     /// before the terminal event — warm state captured off vanished
     /// clients.
@@ -943,7 +933,6 @@ impl EventLoop {
     /// closing/faulting the connection as its state dictates.
     fn pump_out(&mut self, token: usize) {
         let coalesce_after = self.config.coalesce_after;
-        let max_outbound = self.config.max_outbound;
         let mut fate: Option<Close> = None;
         {
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -972,7 +961,7 @@ impl EventLoop {
                 break;
             }
             if fate.is_none() {
-                if conn.out.pending() > max_outbound {
+                if conn.out.pending() > MAX_OUTBOUND {
                     fate = Some(Close::Stalled);
                 } else if conn.closing && conn.out.is_empty() && conn.pending_event.is_none() {
                     fate = Some(Close::Done);
@@ -1138,7 +1127,7 @@ impl NetServer {
 
         let mut threads = Vec::new();
         let mut jobs = Vec::new();
-        for i in 0..config.io_threads.max(1) {
+        for i in 0..IO_THREADS {
             let (tx, rx) = mpsc::channel();
             jobs.push(tx);
             let front = front.clone();
@@ -1193,8 +1182,6 @@ impl NetServer {
 
     /// Network-front counters.
     pub fn stats(&self) -> NetStats {
-        let shards = self.server.engine().shard_stats();
-        let sub = self.server.engine().subfrontier_stats();
         NetStats {
             accepted: self.counters.accepted.load(Ordering::Relaxed),
             frames_in: self.counters.frames_in.load(Ordering::Relaxed),
@@ -1203,11 +1190,6 @@ impl NetServer {
             coalesced_events: self.counters.coalesced_events.load(Ordering::Relaxed),
             outbound_high_water: self.counters.outbound_high_water.load(Ordering::Relaxed),
             stalled: self.counters.stalled.load(Ordering::Relaxed),
-            warm_routed: shards.iter().map(|s| s.warm_routed).sum(),
-            subfrontier_hits: sub.hits,
-            subfrontier_misses: sub.misses,
-            rebalanced_in: shards.iter().map(|s| s.rebalanced_in).sum(),
-            live: shards.iter().map(|s| s.live as u64).sum(),
             disconnect_parked: self.counters.disconnect_parked.load(Ordering::Relaxed),
             frontier_pulls: self.counters.frontier_pulls.load(Ordering::Relaxed),
             frontier_misses: self.counters.frontier_misses.load(Ordering::Relaxed),
@@ -1611,6 +1593,23 @@ mod tests {
     }
 
     #[test]
+    fn disconnected_join_graph_answers_typed_error() {
+        let (net, addr, _model) = start(AdmissionConfig::default());
+        let mut spec = testkit::chain_query(3, 10_000);
+        spec.graph.edges.retain(|e| (e.left, e.right) != (1, 2));
+        let mut client = NetClient::connect(addr).expect("connect");
+        let err = client
+            .submit(SessionRequest::new(Arc::new(spec)), IDLE)
+            .expect_err("a disconnected join graph must be refused");
+        match err {
+            NetError::Protocol(ProtocolError::DisconnectedJoinGraph) => {}
+            other => panic!("expected DisconnectedJoinGraph, got {other:?}"),
+        }
+        assert_eq!(net.moqo().stats().live, 0);
+        net.shutdown();
+    }
+
+    #[test]
     fn command_faults_come_back_typed_without_killing_the_stream() {
         let (net, addr, _model) = start(AdmissionConfig::default());
         let mut client = NetClient::connect(addr).expect("connect");
@@ -1738,7 +1737,8 @@ mod tests {
         let sb = b.stats();
         assert_eq!(sb.frontier_pushes, 1);
         assert_eq!(sb.frontier_refused, 1);
-        assert!(sb.warm_routed >= 1);
+        let warm_opens: u64 = b.moqo().stats().shards.iter().map(|s| s.warm_routed).sum();
+        assert!(warm_opens >= 1);
         a.shutdown();
         b.shutdown();
     }
@@ -1805,7 +1805,11 @@ mod tests {
         }
         let stats = net.stats();
         assert_eq!(stats.disconnect_parked, 1);
-        assert_eq!(stats.live, 0, "disconnect must not leak a session slot");
+        assert_eq!(
+            net.moqo().stats().live,
+            0,
+            "disconnect must not leak a session slot"
+        );
         let fp = net.moqo().engine().fingerprint(&spec);
         assert!(net.moqo().engine().has_parked(fp));
         net.shutdown();
@@ -1945,7 +1949,11 @@ mod tests {
         let stats = net.stats();
         assert!(stats.stalled >= 1);
         assert!(stats.outbound_high_water > 0);
-        assert_eq!(stats.live, 0, "control connections never hold sessions");
+        assert_eq!(
+            net.moqo().stats().live,
+            0,
+            "control connections never hold sessions"
+        );
         drop(raw);
         net.shutdown();
     }
@@ -1982,7 +1990,11 @@ mod tests {
         // Idle period: several probe/sweep intervals long, nobody talks.
         thread::sleep(Duration::from_millis(300));
         let stats = net.stats();
-        assert_eq!(stats.live, SESSIONS as u64, "idle sessions must stay live");
+        assert_eq!(
+            net.moqo().stats().live,
+            SESSIONS,
+            "idle sessions must stay live"
+        );
         assert_eq!(stats.faulted, 0);
         // Everyone wakes up and finishes; no event was lost while idle.
         for client in &mut clients {
@@ -1993,7 +2005,7 @@ mod tests {
             let view = client.wait_finished(IDLE).expect("terminal event");
             assert_eq!(view.selected(), Some(plan));
         }
-        assert_eq!(net.stats().live, 0);
+        assert_eq!(net.moqo().stats().live, 0);
         net.shutdown();
     }
 

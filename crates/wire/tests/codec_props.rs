@@ -205,6 +205,24 @@ fn admission() -> BoxedStrategy<AdmissionResponse> {
     .boxed()
 }
 
+fn protocol_error() -> BoxedStrategy<ProtocolError> {
+    let pair = || (0usize..64, 0usize..64);
+    prop_oneof![
+        pair().prop_map(|(expected, got)| ProtocolError::WeightDimensionMismatch { expected, got }),
+        pair().prop_map(|(expected, got)| ProtocolError::BoundsDimensionMismatch { expected, got }),
+        Just(ProtocolError::EmptyPreferenceOrder),
+        Just(ProtocolError::NonFinitePreference),
+        pair().prop_map(|(metric, dim)| ProtocolError::MetricOutOfRange { metric, dim }),
+        (0u32..64).prop_map(|p| ProtocolError::UnknownPlan { plan: PlanId(p) }),
+        Just(ProtocolError::SessionFinished),
+        Just(ProtocolError::UnknownSession),
+        (any::<u64>(), any::<u64>()).prop_map(|(have, got)| ProtocolError::EpochGap { have, got }),
+        any::<u64>().prop_map(|identity| ProtocolError::UnknownCostModel { identity }),
+        Just(ProtocolError::DisconnectedJoinGraph),
+    ]
+    .boxed()
+}
+
 // ---------------------------------------------------------------------------
 // Round trips.
 // ---------------------------------------------------------------------------
@@ -232,6 +250,14 @@ proptest! {
     fn admissions_round_trip(resp in admission()) {
         let bytes = resp.encode_to_vec();
         prop_assert_eq!(AdmissionResponse::decode_exact(&bytes).unwrap(), resp);
+    }
+
+    #[test]
+    fn protocol_errors_round_trip(err in protocol_error()) {
+        let bytes = err.encode_to_vec();
+        prop_assert_eq!(ProtocolError::decode_exact(&bytes).unwrap(), err.clone());
+        let server = ServerMessage::Error(err);
+        prop_assert_eq!(ServerMessage::decode(&server.encode()).unwrap(), server);
     }
 
     #[test]
@@ -322,6 +348,25 @@ proptest! {
         bytes in proptest::collection::vec((0u32..256).prop_map(|b| b as u8), 0..160),
     ) {
         decode_all(&bytes);
+    }
+
+    #[test]
+    fn protocol_error_truncations_and_flips_never_panic(
+        err in protocol_error(),
+        flips in proptest::collection::vec((0usize..4096, 0u8..8), 1..12),
+    ) {
+        let encodings = [err.encode_to_vec(), ServerMessage::Error(err).encode()];
+        for bytes in &encodings {
+            for len in 0..bytes.len() {
+                decode_all(&bytes[..len]);
+            }
+            let mut mutant = bytes.clone();
+            for &(pos, bit) in &flips {
+                let i = pos % mutant.len();
+                mutant[i] ^= 1 << bit;
+            }
+            decode_all(&mutant);
+        }
     }
 
     #[test]

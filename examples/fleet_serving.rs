@@ -144,14 +144,18 @@ fn main() {
         other => panic!("expected a queryable ticket, got {other:?}"),
     }
 
-    let stats = nodes[&new_home].net().stats();
+    let net = nodes[&new_home].net();
+    let stats = net.stats();
+    let warm_routed: u64 = net
+        .moqo()
+        .stats()
+        .shards
+        .iter()
+        .map(|s| s.warm_routed)
+        .sum();
     println!(
         "{} stats: pulls={} pushes={} warm_routed={} disconnect_parked={}",
-        new_home,
-        stats.frontier_pulls,
-        stats.frontier_pushes,
-        stats.warm_routed,
-        stats.disconnect_parked
+        new_home, stats.frontier_pulls, stats.frontier_pushes, warm_routed, stats.disconnect_parked
     );
     for (_, node) in nodes {
         node.stop();

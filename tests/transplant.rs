@@ -5,7 +5,7 @@
 //! changes *how fast* the frontier is reached, never *what* it covers.
 
 use moqo::baselines::exhaustive_pareto;
-use moqo::core::{IamaConfig, IamaOptimizer, SeedTier};
+use moqo::core::{IamaOptimizer, SeedTier, MAX_SEEDS_PER_SLICE};
 use moqo::cost::{coverage_factor, Bounds, ResolutionSchedule};
 use moqo::costmodel::{CostModel, MetricSet, StandardCostModel, StandardCostModelConfig};
 use moqo::engine::Harvest;
@@ -126,70 +126,43 @@ fn theorem2_holds_for_rebased_optimizers() {
 
 #[test]
 fn seed_cap_amortizes_the_first_slice_within_the_guarantee() {
-    // The PR 7 follow-up: rebase/transplant used to admit every donor
-    // seed synchronously, so a seeded session's first frontier paid for
-    // the entire donor up front. Seeds now queue and drain at most
-    // `IamaConfig::max_seeds_per_slice` per invocation: a tight cap
-    // strictly shrinks the first slice's work (lower seeded
-    // first-frontier latency), while the final frontier still meets
-    // Theorem 2 — the seeds are an accelerant, never load-bearing.
+    // Rebase and transplant seeds queue and drain at most
+    // `MAX_SEEDS_PER_SLICE` per invocation, so a very warm donor cannot
+    // stall the first frontier behind one giant candidate drain. A
+    // refined star(8) harvests more seeds than one slice admits: the
+    // first invocation admits exactly the cap, later ones the rest, and
+    // the final frontier still meets Theorem 2 — the seeds are an
+    // accelerant, never load-bearing.
     let model = small_model();
     let sched = schedule();
-    let stale = Arc::new(testkit::chain_query(4, 150_000));
-    let fresh = Arc::new(testkit::drift_cardinalities(&stale, 1.25));
+    let stale = Arc::new(testkit::star_query(8, 90_000));
+    let fresh = Arc::new(testkit::drift_cardinalities(&stale, 1.05));
     let mut donor = IamaOptimizer::new(stale, Arc::new(model.clone()), sched.clone());
     run_ladder(&mut donor);
 
-    let seeded = |cap: usize| {
-        let mut opt = IamaOptimizer::with_config(
-            fresh.clone(),
-            Arc::new(model.clone()),
-            sched.clone(),
-            IamaConfig {
-                max_seeds_per_slice: cap,
-                ..IamaConfig::default()
-            },
-        );
-        let queued = rebase(&mut opt, &donor);
-        assert!(queued > 0, "the drifted twin must rebase");
-        assert_eq!(opt.pending_seeds(), queued, "seeds queue, not drain");
-        let b = Bounds::unbounded(opt.model_dim());
-        let first = opt.optimize(&b, 0);
-        for r in 1..=sched.r_max() {
-            opt.optimize(&b, r);
-        }
-        let frontier = opt.frontier(&b, sched.r_max()).costs();
-        (first, frontier, queued)
-    };
-
-    let (first_uncapped, frontier_uncapped, queued) = seeded(usize::MAX);
-    let cap = 8;
-    assert!(queued > cap, "the cap must actually bind on this workload");
-    let (first_capped, frontier_capped, _) = seeded(cap);
-
-    // The capped run's first invocation admits at most `cap` seeds
-    // instead of the whole donor: strictly less candidate work before
-    // the first frontier is served.
+    let mut opt = IamaOptimizer::new(fresh.clone(), Arc::new(model.clone()), sched.clone());
+    let queued = rebase(&mut opt, &donor);
     assert!(
-        first_capped.candidate_insertions < first_uncapped.candidate_insertions,
-        "capped first slice must insert fewer candidates: {} vs {}",
-        first_capped.candidate_insertions,
-        first_uncapped.candidate_insertions
+        queued > MAX_SEEDS_PER_SLICE,
+        "the cap must bind: {queued} seeds"
     );
-    assert!(first_capped.candidates_retrieved <= first_uncapped.candidates_retrieved);
-
-    // Both ladders still cover the fresh exhaustive ground truth within
-    // the Theorem 2 factor — an undrained seed queue never weakens the
-    // guarantee, because cold enumeration alone already provides it.
-    let exact = exhaustive_pareto(&fresh, &model, &Bounds::unbounded(model.dim()));
-    let guarantee = sched.guarantee(sched.r_max(), fresh.n_tables());
-    for (label, frontier) in [("uncapped", frontier_uncapped), ("capped", frontier_capped)] {
-        let factor = coverage_factor(&frontier, &exact.pareto_costs());
-        assert!(
-            factor <= guarantee + 1e-9,
-            "{label} rebase broke Theorem 2: measured {factor} > guarantee {guarantee}"
-        );
+    assert_eq!(opt.pending_seeds(), queued, "seeds queue, not drain");
+    let b = Bounds::unbounded(opt.model_dim());
+    opt.optimize(&b, 0);
+    assert_eq!(opt.pending_seeds(), queued - MAX_SEEDS_PER_SLICE);
+    for r in 1..=sched.r_max() {
+        opt.optimize(&b, r);
     }
+    assert_eq!(opt.pending_seeds(), 0, "the ladder drains the queue");
+    let frontier = opt.frontier(&b, sched.r_max()).costs();
+
+    let exact = exhaustive_pareto(&fresh, &model, &Bounds::unbounded(model.dim()));
+    let factor = coverage_factor(&frontier, &exact.pareto_costs());
+    let guarantee = sched.guarantee(sched.r_max(), fresh.n_tables());
+    assert!(
+        factor <= guarantee + 1e-9,
+        "capped rebase broke Theorem 2: measured {factor} > guarantee {guarantee}"
+    );
 }
 
 #[test]
