@@ -63,14 +63,22 @@ fn block(name: &str, sf: f64) -> QuerySpec {
     query_block(name, sf).unwrap_or_else(|| panic!("{name} is a TPC-H join block"))
 }
 
+/// The blocks whose first invocation `repro fig2a` weighs against the
+/// one-shot scheme in plans costed.
+const FIRST_FRONTIER_BLOCKS: [&str; 3] = ["q05", "q08", "q09"];
+
 /// Figure 2a: anytime (IAMA) vs one-shot result quality over time on
 /// q05. The `summary` variant runs the ladder and the one-shot scheme;
 /// one `r<i>` row per invocation follows with its cumulative time and
-/// the coverage factor of its frontier against the finest one.
+/// the coverage factor of its frontier against the finest one. One row
+/// per [`FIRST_FRONTIER_BLOCKS`] block then counts the plans costed
+/// before the first frontier against the one-shot scheme's.
 pub fn fig2a_experiment(sf: f64, fast: bool) -> ExperimentReport {
     let levels = if fast { 10 } else { 20 };
     let mut exp = Experiment::new("fig2a", fast, Vec::<(f64, f64, usize)>::new)
-        .title("Figure 2a: anytime vs one-shot quality over time (q05)")
+        .title(
+            "Figure 2a: anytime vs one-shot quality over time (q05), plans costed (q05, q08, q09)",
+        )
         .variant("anytime vs one-shot", "summary", move |rows, t| {
             let model = bench_model();
             let spec = block("q05", sf);
@@ -82,12 +90,8 @@ pub fn fig2a_experiment(sf: f64, fast: bool) -> ExperimentReport {
             );
             let b = Bounds::unbounded(model.dim());
             let (mut cumulative, mut reports, mut frontiers) = (0.0, Vec::new(), Vec::new());
-            let mut first_plans_costed = 0;
             for r in 0..=schedule.r_max() {
                 let report = opt.optimize(&b, r);
-                if r == 0 {
-                    first_plans_costed = report.plans_generated - opt.stats().costings_skipped;
-                }
                 cumulative += report.seconds();
                 frontiers.push((cumulative, opt.frontier(&b, r).costs()));
                 reports.push(report);
@@ -102,11 +106,6 @@ pub fn fig2a_experiment(sf: f64, fast: bool) -> ExperimentReport {
             let oneshot_s = oneshot.duration.as_secs_f64();
             t.num("iama_first_s", rows[0].0);
             t.num("oneshot_s", oneshot_s);
-            // The headline as a count: plans costed before the first
-            // frontier, against the one-shot scheme's (which costs every
-            // plan it generates).
-            t.int_lower("first_plans_costed", first_plans_costed);
-            t.int("oneshot_plans_costed", oneshot.plans_generated);
             t.int(
                 "refinements_before_oneshot",
                 rows.iter().filter(|row| row.0 < oneshot_s).count() as u64,
@@ -124,6 +123,33 @@ pub fn fig2a_experiment(sf: f64, fast: bool) -> ExperimentReport {
             t.num("coverage_vs_final", coverage);
             t.int("frontier_size", size as u64);
         });
+    }
+    for query in FIRST_FRONTIER_BLOCKS {
+        exp = exp.variant(
+            "plans costed before the first frontier",
+            query,
+            move |_, t| {
+                // The headline as a count: plans costed by the first
+                // invocation, against the one-shot scheme's (which costs
+                // every plan it generates).
+                let model = bench_model();
+                let spec = block(query, sf);
+                let schedule = ExperimentSetup::fig4().schedule(levels);
+                let b = Bounds::unbounded(model.dim());
+                let mut opt = IamaOptimizer::new(
+                    Arc::new(spec.clone()),
+                    Arc::new(model.clone()),
+                    schedule.clone(),
+                );
+                let generated = opt.optimize(&b, 0).plans_generated;
+                let first = generated - opt.stats().costings_skipped;
+                let oneshot = one_shot(&spec, &model, &schedule, &b).plans_generated;
+                t.int("first_plans_generated", generated);
+                t.int_lower("first_plans_costed", first);
+                t.int("oneshot_plans_costed", oneshot);
+                t.num("oneshot_ratio", oneshot as f64 / first.max(1) as f64);
+            },
+        );
     }
     exp.conclusion(
         "IAMA shows its first frontier long before the one-shot scheme \

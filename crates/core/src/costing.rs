@@ -11,13 +11,30 @@
 //! moment it was selected.
 //!
 //! A [`CostWindow`] holds at most [`WINDOW_PAIRS`] pairs and is cut into
-//! chunks of [`CHUNK_PAIRS`]. The calling thread always costs the first
-//! chunk itself and times it. Only when the window has at least
-//! [`MIN_OFFER_CHUNKS`] chunks and that first chunk took longer than
-//! waking a helper ([`WAKE_UP`]) are the remaining chunks offered to the
-//! pool, and the calling thread goes on claiming chunks beside the
-//! helpers, so it only ever waits for a chunk a helper is already
-//! running. Cheap models, small windows and one-CPU hosts therefore cost
+//! chunks of [`CHUNK_PAIRS`]. Its size is chosen when a subset selects
+//! its first pair in an invocation (see [`CostWindow::open`]): a subset
+//! whose result set is still empty costs its first pairs in windows of
+//! 1, 2, 4 … pairs, doubling after each flush up to [`WINDOW_PAIRS`], so
+//! the plans its first windows route become witnesses for the floors of
+//! the later ones (see below); a subset that already holds results, as in
+//! every refinement, drag and warm resume, starts at [`WINDOW_PAIRS`].
+//! The sizes depend on pair counts alone, so what is skipped does not
+//! depend on the host.
+//!
+//! The calling thread always costs the first chunk itself and times it.
+//! A window is offered to the pool in one of two ways, and the calling
+//! thread goes on claiming chunks beside the helpers, so it only ever
+//! waits for a chunk a helper is already running:
+//! - *after* its first chunk, when the window has at least
+//!   [`MIN_OFFER_CHUNKS`] chunks and that chunk took longer than waking a
+//!   helper ([`WAKE_UP`]);
+//! - *before* its first chunk, when it has two chunks or more and the
+//!   first chunk of the subset's previous window predicted that a full
+//!   chunk outlasts a wake-up. A helper then wakes while the calling
+//!   thread costs the first chunk, which also puts a helper on the
+//!   two-chunk windows an empty subset grows through.
+//!
+//! Cheap models, one-chunk windows and one-CPU hosts therefore cost
 //! every pair inline, and an invocation that selects no pair never
 //! touches the window or the pool.
 //!
@@ -30,7 +47,9 @@
 //! When `Prune` can discard plans at this level, each pair's
 //! [`CostModel::join_floors`] are first tested against the subset's
 //! result set, which routing leaves untouched until the window is costed
-//! (the [`Witnesses`] test `Prune` itself runs). Only the alternatives
+//! (the [`Witnesses`] test `Prune` itself runs). A witness therefore only
+//! ever comes from a plan an earlier window routed, which is why a subset
+//! without results starts with small windows. Only the alternatives
 //! that survive are costed, with [`CostModel::join_alternative`], or all
 //! at once with `join_alternatives` when none was skipped; a skipped
 //! alternative keeps its floor in its slot and is flagged, so routing
@@ -56,15 +75,16 @@ pub(crate) type Alternative = (Operator, CostVector, PhysicalProps);
 
 /// Pairs a window holds at most. A subset that selects more is costed
 /// and routed in several windows, in selection order.
-const WINDOW_PAIRS: usize = 256;
+pub(crate) const WINDOW_PAIRS: usize = 256;
 
 /// Pairs one claim covers: small enough to balance a window across the
 /// pool, large enough that a claim costs little next to the costing.
 const CHUNK_PAIRS: usize = 8;
 
-/// Chunks a window needs before it is offered to the pool: with only one
-/// chunk left after the first, the calling thread claims it before any
-/// helper is awake, so the offer would cost a wake-up and save nothing.
+/// Chunks a window needs before it is offered to the pool after its
+/// first chunk: with only one chunk left, the calling thread claims it
+/// before any helper is awake, so the offer would cost a wake-up and save
+/// nothing.
 const MIN_OFFER_CHUNKS: usize = 3;
 
 /// About what handing work to a sleeping helper costs: a condvar hand-off
@@ -153,18 +173,48 @@ impl Chunk {
 #[derive(Default)]
 pub(crate) struct CostWindow {
     pairs: Vec<SelectedPair>,
+    /// Pairs the window takes before it is costed; 0 while no subset has
+    /// opened it.
+    limit: usize,
+    /// Whether the first chunk of the subset's previous window predicted
+    /// that a full chunk outlasts a helper's wake-up.
+    slow: bool,
     /// One slot per chunk; a chunk is costed by exactly one thread, so
     /// its lock is never contended.
     chunks: Vec<Mutex<Chunk>>,
+    /// Per opening: whether the subset held results, and the size of
+    /// each window it costed.
+    #[cfg(test)]
+    pub(crate) log: Vec<(bool, Vec<usize>)>,
 }
 
 impl CostWindow {
+    /// Sizes the window for a subset that selected its first pair of the
+    /// invocation: [`WINDOW_PAIRS`] if its result set holds a plan
+    /// (`seeded`), else one pair, doubling after each flush.
+    pub(crate) fn open(&mut self, seeded: bool) {
+        self.limit = if seeded { WINDOW_PAIRS } else { 1 };
+        self.slow = false;
+        #[cfg(test)]
+        self.log.push((seeded, Vec::new()));
+    }
+
+    /// Whether a subset opened the window and has not closed it.
+    pub(crate) fn is_open(&self) -> bool {
+        self.limit > 0
+    }
+
+    /// Ends the subset's opening: the next subset sizes the window anew.
+    pub(crate) fn close(&mut self) {
+        self.limit = 0;
+    }
+
     pub(crate) fn push(&mut self, pair: SelectedPair) {
         self.pairs.push(pair);
     }
 
     pub(crate) fn is_full(&self) -> bool {
-        self.pairs.len() >= WINDOW_PAIRS
+        self.pairs.len() >= self.limit
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -204,15 +254,21 @@ impl CostWindow {
                 chunk.ends.push(end);
             }
         };
-        run_chunks(n, &cost_chunk);
+        let first = pairs.len().min(CHUNK_PAIRS);
+        self.slow = run_chunks(n, &cost_chunk, self.slow, first);
         let mut work = SearchWork::default();
         chunks.iter().for_each(|c| work.add(lock(c).work));
         work
     }
 
     /// Hands every pair with its alternatives and their skip flags to
-    /// `route`, in selection order, and empties the window.
+    /// `route`, in selection order, empties the window and doubles its
+    /// size, up to [`WINDOW_PAIRS`].
     pub(crate) fn drain(&mut self, mut route: impl FnMut(&SelectedPair, &[Alternative], &[bool])) {
+        #[cfg(test)]
+        if let Some((_, sizes)) = self.log.last_mut() {
+            sizes.push(self.pairs.len());
+        }
         for (pairs, chunk) in self.pairs.chunks(CHUNK_PAIRS).zip(&mut self.chunks) {
             let chunk = chunk.get_mut().unwrap_or_else(PoisonError::into_inner);
             let mut start = 0;
@@ -223,26 +279,36 @@ impl CostWindow {
             }
         }
         self.pairs.clear();
+        self.limit = (self.limit * 2).min(WINDOW_PAIRS);
     }
 }
 
-/// Runs `task(c)` for every chunk `c` in `0..n`: the first on this thread,
-/// timed, and the rest on the pool if there are enough of them and that
-/// chunk predicts they pay for a helper's wake-up.
-fn run_chunks(n: usize, task: &Task<'_>) {
-    if n < MIN_OFFER_CHUNKS {
-        (0..n).for_each(task);
-        return;
+/// Runs `task(c)` for every chunk `c` in `0..n`, the first on this
+/// thread, and returns whether that chunk, timed, predicts that a full
+/// chunk outlasts a helper's wake-up (`first` is its pair count). The
+/// other chunks go to the pool before it when `slow` (the previous
+/// window's prediction) says so, else after it if there are enough of
+/// them and it predicts they pay for a wake-up.
+fn run_chunks(n: usize, task: &Task<'_>, slow: bool, first: usize) -> bool {
+    let timed_first = || {
+        let start = Instant::now();
+        task(0);
+        start.elapsed() * CHUNK_PAIRS as u32 >= WAKE_UP * first as u32
+    };
+    if n == 0 {
+        return slow;
     }
-    let start = Instant::now();
-    task(0);
-    let offer = (start.elapsed() >= WAKE_UP)
-        .then(pool)
-        .filter(|p| p.helpers > 0);
-    match offer {
-        Some(pool) => pool.run(1..n, task),
+    // Started only by a window that wants it.
+    let helpers = || Some(pool()).filter(|p| p.helpers > 0);
+    if let Some(pool) = (slow && n >= 2).then(helpers).flatten() {
+        return pool.run(1..n, task, timed_first);
+    }
+    let slow = timed_first();
+    match (slow && n >= MIN_OFFER_CHUNKS).then(helpers).flatten() {
+        Some(pool) => pool.run(1..n, task, || ()),
         None => (1..n).for_each(task),
     }
+    slow
 }
 
 /// A chunked task: `task(c)` costs chunk `c`.
@@ -308,10 +374,11 @@ fn helper(shared: &Shared) {
 }
 
 impl Pool {
-    /// Offers `chunks` of `task` to the helpers, claims chunks beside
-    /// them, and returns once every chunk finished, resuming the first
-    /// panic any chunk raised.
-    fn run(&self, chunks: Range<usize>, task: &Task<'_>) {
+    /// Offers `chunks` of `task` to the helpers, runs `first` while they
+    /// wake, claims chunks beside them, and returns `first`'s result once
+    /// every chunk finished, resuming the first panic a chunk (or
+    /// `first`) raised.
+    fn run<R>(&self, chunks: Range<usize>, task: &Task<'_>, first: impl FnOnce() -> R) -> R {
         let wanted = self.helpers.min(chunks.len());
         // SAFETY: only the lifetime is erased. The job dereferences
         // `task` only for a chunk it claimed, and this function returns
@@ -331,11 +398,14 @@ impl Pool {
         for _ in 0..wanted {
             self.shared.wake.notify_one();
         }
+        // A panic in `first` must not unwind past the helpers' chunks.
+        let first = catch_unwind(AssertUnwindSafe(first));
         job.work();
         lock(&self.shared.jobs).retain(|j| !Arc::ptr_eq(j, &job));
         if let Some(panic) = job.wait() {
             resume_unwind(panic);
         }
+        first.unwrap_or_else(|panic| resume_unwind(panic))
     }
 }
 
@@ -456,7 +526,7 @@ mod tests {
                 assert!(*seen && !timeout.timed_out(), "no cost helper took a chunk");
             }
         };
-        run_chunks(runs.len(), &task);
+        run_chunks(runs.len(), &task, false, CHUNK_PAIRS);
         runs.iter().map(|r| r.load(Ordering::Relaxed)).collect()
     }
 
@@ -486,6 +556,30 @@ mod tests {
     }
 
     #[test]
+    fn a_slow_prediction_offers_a_two_chunk_window_before_its_first_chunk() {
+        let helpers = pool().helpers;
+        let helper_took_1 = (Mutex::new(false), Condvar::new());
+        let task = |c: usize| {
+            if c == 1 {
+                *lock(&helper_took_1.0) = on_helper();
+                helper_took_1.1.notify_all();
+            } else if helpers > 0 {
+                // Offered after chunk 0, chunk 1 would still be waiting.
+                let (took, timeout) = helper_took_1
+                    .1
+                    .wait_timeout_while(lock(&helper_took_1.0), Duration::from_secs(10), |t| !*t)
+                    .unwrap();
+                assert!(
+                    *took && !timeout.timed_out(),
+                    "chunk 1 was not offered first"
+                );
+            }
+        };
+        run_chunks(2, &task, true, CHUNK_PAIRS);
+        assert_eq!(*lock(&helper_took_1.0), helpers > 0);
+    }
+
+    #[test]
     fn fast_chunks_stay_on_the_calling_thread() {
         let caller = thread::current().id();
         let elsewhere = AtomicBool::new(false);
@@ -494,7 +588,7 @@ mod tests {
                 elsewhere.store(true, Ordering::Relaxed);
             }
         };
-        run_chunks(32, &task);
+        assert!(!run_chunks(32, &task, false, CHUNK_PAIRS));
         assert!(!elsewhere.load(Ordering::Relaxed));
     }
 }

@@ -49,7 +49,7 @@ pub use optimizer::IamaOptimizer;
 pub use preference::Preference;
 pub use protocol::{
     AdmissionResponse, FrontierDelta, ProtocolError, RejectReason, SessionCommand, SessionEvent,
-    SessionOutcome, SessionRequest, SessionView,
+    SessionOutcome, SessionRequest, SessionView, ValidRequest,
 };
 pub use report::InvocationReport;
 pub use session::Session;

@@ -204,8 +204,8 @@ pub struct IamaOptimizer {
     /// `None` until the first compaction.
     pub(crate) compacted_at: Option<u64>,
     /// Phase 2's selected pairs of the subset being combined, waiting to
-    /// be costed and routed (see [`crate::costing`]). Empty between
-    /// subsets; [`IamaOptimizer::compact`] releases its scratch.
+    /// be costed and routed (see [`crate::costing`]). Empty and closed
+    /// between subsets; [`IamaOptimizer::compact`] releases its scratch.
     pub(crate) window: CostWindow,
 }
 
@@ -456,8 +456,13 @@ impl IamaOptimizer {
             for off in 0..info.split_len as usize {
                 self.combine_split(q, info.split_offset as usize + off, bounds, r, use_delta);
             }
-            if !self.window.is_empty() {
-                self.flush_window(q, bounds, r);
+            if self.window.is_open() {
+                // `q` selected a pair: route what is left of it, and let
+                // the next subset size the window for itself.
+                if !self.window.is_empty() {
+                    self.flush_window(q, bounds, r);
+                }
+                self.window.close();
             }
         }
 
@@ -560,8 +565,9 @@ impl IamaOptimizer {
     }
 
     /// `Fresh` (Algorithm 3 lines 26-39) for one precomputed ordered split
-    /// of `q`: appends its fresh pairs to the window, which is costed and
-    /// routed whenever it fills and once `q`'s last split is selected.
+    /// of `q`: appends its fresh pairs to the window, which `q`'s first
+    /// pair sizes, and which is costed and routed whenever it fills and
+    /// once `q`'s last split is selected.
     ///
     /// The fast path never hashes: the split's watermark rectangle settles
     /// repeat pairs positionally, the subset's `last_res_insert` settles
@@ -692,6 +698,13 @@ impl IamaOptimizer {
                         .pair_generations
                         .entry((e1.plan.0, e2.plan.0))
                         .or_insert(0) += 1;
+                }
+                if !self.window.is_open() {
+                    // `q`'s first pair this invocation: with no result to
+                    // test floors against yet, start small (see
+                    // [`crate::costing`]).
+                    let seeded = !self.states[q.index()].active.is_empty();
+                    self.window.open(seeded);
                 }
                 self.window.push(SelectedPair {
                     left: e1.plan,
@@ -1239,6 +1252,63 @@ mod tests {
         assert_eq!(report.pairs_generated, 0);
         assert_eq!(model.1.load(Ordering::Relaxed), joins);
         assert_eq!(opt.window.capacity(), 0);
+    }
+
+    #[test]
+    fn a_subset_without_results_costs_its_first_pairs_in_growing_windows() {
+        use crate::costing::WINDOW_PAIRS;
+        use moqo_costmodel::{MetricSet, StandardCostModelConfig};
+
+        // `moqo_bench::workload::bench_model()` on the Fig. 4 ladder
+        // (20 levels, alpha_T = 1.005, alpha_S = 0.5).
+        let model = Arc::new(StandardCostModel::new(
+            MetricSet::paper(),
+            StandardCostModelConfig {
+                quantize_grid: Some(1.02),
+                dops: vec![1, 4],
+                sampling_rates_pm: vec![500],
+                eval_spin: 400,
+                ..StandardCostModelConfig::default()
+            },
+        ));
+        let ladder = ResolutionSchedule::linear(19, 1.005, 0.5);
+        let b = Bounds::unbounded(3);
+        // Costings skipped by the first invocation; a first window of
+        // 256 pairs, frozen against an empty `Res^q`, skipped none.
+        for (query, skipped) in [("q03", 139), ("q10", 706)] {
+            let spec = Arc::new(moqo_tpch::query_block(query, 1.0).expect("a TPC-H block"));
+            let mut opt = IamaOptimizer::new(spec, model.clone(), ladder.clone());
+            opt.optimize(&b, 0);
+            assert_eq!(opt.stats().costings_skipped, skipped, "{query}");
+            // At r0 every subset starts empty: windows of 1, 2, 4 … 256
+            // pairs, the last one holding what is left.
+            assert!(!opt.window.log.is_empty());
+            for (seeded, sizes) in &opt.window.log {
+                assert!(!seeded, "{query}: a subset held results at r0");
+                let (last, full) = sizes.split_last().expect("an opened window is costed");
+                for (i, &n) in full.iter().enumerate() {
+                    assert_eq!(n, (1 << i).min(WINDOW_PAIRS), "{query}: {sizes:?}");
+                }
+                assert!((1..=(1 << full.len()).min(WINDOW_PAIRS)).contains(last));
+            }
+            // A refinement's subsets already hold results: their first
+            // window takes all 256 pairs, or every pair if they are fewer.
+            opt.window.log.clear();
+            for r in 1..=ladder.r_max() {
+                opt.optimize(&b, r);
+            }
+            let seeded: Vec<&Vec<usize>> = opt
+                .window
+                .log
+                .iter()
+                .filter_map(|(seeded, sizes)| seeded.then_some(sizes))
+                .collect();
+            assert!(!seeded.is_empty(), "{query}: no refinement selected a pair");
+            for sizes in seeded {
+                let total = sizes.iter().sum::<usize>();
+                assert_eq!(sizes[0], total.min(WINDOW_PAIRS), "{query}: {sizes:?}");
+            }
+        }
     }
 
     #[test]

@@ -260,12 +260,23 @@ impl SessionRequest {
         self.cost_model.clone().unwrap_or_else(|| default.clone())
     }
 
+    /// [`SessionRequest::validate`]s the request and wraps it as the
+    /// proof an inner layer admits without checking again.
+    pub fn validated(self, model_dim: usize) -> Result<ValidRequest, ProtocolError> {
+        self.validate(model_dim)?;
+        Ok(ValidRequest {
+            request: self,
+            model_dim,
+        })
+    }
+
     /// Checks that the query's join graph is connected and every
     /// dimensioned field matches the effective cost model.
     ///
-    /// Layers call this once at admission; afterwards no command derived
-    /// from the request can fault inside a worker, and no admitted
-    /// session runs a ladder that can never produce a plan.
+    /// The outermost layer a request enters calls this once at admission
+    /// (through [`SessionRequest::validated`]); afterwards no command
+    /// derived from the request can fault inside a worker, and no
+    /// admitted session runs a ladder that can never produce a plan.
     pub fn validate(&self, model_dim: usize) -> Result<(), ProtocolError> {
         if !self.spec.graph.is_connected() {
             return Err(ProtocolError::DisconnectedJoinGraph);
@@ -282,6 +293,42 @@ impl SessionRequest {
             p.validate(model_dim)?;
         }
         Ok(())
+    }
+}
+
+/// A [`SessionRequest`] that passed [`SessionRequest::validate`]. Only
+/// [`SessionRequest::validated`] builds one, so the outermost door of a
+/// serving path validates each request once and the layers behind it
+/// take this instead of checking again.
+#[derive(Clone, Debug)]
+pub struct ValidRequest {
+    request: SessionRequest,
+    /// The cost-model dimension the request was validated against.
+    model_dim: usize,
+}
+
+impl ValidRequest {
+    /// The validated request.
+    pub fn request(&self) -> &SessionRequest {
+        &self.request
+    }
+
+    /// The cost-model dimension the request was validated against.
+    pub fn model_dim(&self) -> usize {
+        self.model_dim
+    }
+
+    /// Overrides the resolution ladder, which validation does not read.
+    pub fn with_schedule(self, schedule: ResolutionSchedule) -> Self {
+        Self {
+            request: self.request.with_schedule(schedule),
+            ..self
+        }
+    }
+
+    /// Unwraps the request.
+    pub fn into_inner(self) -> SessionRequest {
+        self.request
     }
 }
 
@@ -818,6 +865,9 @@ mod tests {
             .with_bounds(Bounds::unbounded(3))
             .with_preference(Preference::Chebyshev(vec![1.0; 3]));
         assert!(ok.validate(3).is_ok());
+        // The proof carries the dimension it was validated against.
+        assert!(bad_bounds.validated(3).is_err());
+        assert_eq!(ok.validated(3).map(|v| v.model_dim()), Ok(3));
     }
 
     #[test]

@@ -59,6 +59,7 @@ use crate::plans::{PlanCache, PlanCacheStats};
 use crate::subfrontier::{Harvest, SubFrontierCache, SubFrontierCacheStats};
 use moqo_core::protocol::{
     FrontierDelta, ProtocolError, SessionCommand, SessionEvent, SessionOutcome, SessionRequest,
+    ValidRequest,
 };
 use moqo_core::{FrontierSnapshot, IamaConfig, IamaOptimizer, InvocationReport, SeedTier, Session};
 use moqo_cost::{Bounds, ResolutionSchedule};
@@ -377,8 +378,24 @@ impl SessionManager {
     /// against the effective model here, so a malformed request is a
     /// typed [`ProtocolError`] at the door — never a worker panic.
     pub fn open(&self, request: SessionRequest) -> Result<SessionId, ProtocolError> {
-        let model = request.effective_model(&self.model);
-        request.validate(model.dim())?;
+        let dim = request.effective_model(&self.model).dim();
+        Ok(self.admit(request.validated(dim)?))
+    }
+
+    /// [`SessionManager::open`] for a request an outer layer already
+    /// validated.
+    ///
+    /// # Panics
+    /// Panics if the request was validated against another cost-model
+    /// dimension than the one it runs under here.
+    pub fn admit(&self, request: ValidRequest) -> SessionId {
+        let model = request.request().effective_model(&self.model);
+        assert_eq!(
+            request.model_dim(),
+            model.dim(),
+            "request validated against another cost model"
+        );
+        let request = request.into_inner();
         let model_override = request.cost_model.is_some();
         let spec = request.spec.clone();
         let fp = QueryFingerprint::of(&spec, &model);
@@ -465,7 +482,7 @@ impl SessionManager {
         let mut session = Session::with_bounds(optimizer, bounds);
         session
             .set_preference(request.preference.clone())
-            .expect("validated against the effective model above");
+            .expect("validated against the effective model at admission");
         let mut state = self.lock();
         let id = state.next_id;
         state.next_id += 1;
@@ -508,7 +525,7 @@ impl SessionManager {
         enqueue(&mut state, id);
         drop(state);
         self.shared.work.notify_one();
-        Ok(id)
+        id
     }
 
     /// Routes a [`SessionCommand`] into a session's inbox and wakes it.

@@ -26,6 +26,7 @@ use crate::admission::{Admission, AdmissionConfig, AdmissionController};
 use crate::shard::{GlobalSessionId, ShardConfig, ShardedEngine};
 use moqo_core::protocol::{
     AdmissionResponse, ProtocolError, SessionCommand, SessionEvent, SessionRequest, SessionView,
+    ValidRequest,
 };
 use moqo_cost::ResolutionSchedule;
 use moqo_costmodel::SharedCostModel;
@@ -148,7 +149,7 @@ enum Cell {
 
 struct PendingSubmit {
     ticket: u64,
-    request: SessionRequest,
+    request: ValidRequest,
 }
 
 /// Aggregate server statistics.
@@ -277,7 +278,8 @@ impl MoqoServer {
         request: impl Into<SessionRequest>,
     ) -> Result<(Ticket, AdmissionResponse), ProtocolError> {
         let request = request.into();
-        request.validate(request.effective_model(&self.engine.model()).dim())?;
+        let dim = request.effective_model(&self.engine.model()).dim();
+        let request = request.validated(dim)?;
         self.pump();
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         // Register the ticket BEFORE the admission decision: once
@@ -313,10 +315,7 @@ impl MoqoServer {
             Admission::AdmitDegraded(ladder) => {
                 self.reserved.fetch_add(1, Ordering::Relaxed);
                 drop(gate);
-                let degraded = SessionRequest {
-                    schedule: Some(ladder.clone()),
-                    ..request
-                };
+                let degraded = request.with_schedule(ladder.clone());
                 let cell = Cell::Active(Box::new(self.activate(id, degraded, true)));
                 self.reserved.fetch_sub(1, Ordering::Relaxed);
                 self.with_tickets(|t| {
@@ -343,11 +342,8 @@ impl MoqoServer {
     }
 
     /// Submits to the engine and wires up the per-ticket event channel.
-    fn activate(&self, id: u64, request: SessionRequest, degraded: bool) -> ActiveCell {
-        let gid = self
-            .engine
-            .open(request)
-            .expect("request was validated at submission");
+    fn activate(&self, id: u64, request: ValidRequest, degraded: bool) -> ActiveCell {
+        let gid = self.engine.admit(request);
         self.gid_tickets
             .lock()
             .expect("gid map poisoned")

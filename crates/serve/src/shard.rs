@@ -24,7 +24,9 @@
 //! ([`SessionStatus::warm_start`], [`SessionStatus::rebased`]). A diverted
 //! submission forfeits nothing, because every shard reads the same store.
 
-use moqo_core::protocol::{ProtocolError, SessionCommand, SessionEvent, SessionRequest};
+use moqo_core::protocol::{
+    ProtocolError, SessionCommand, SessionEvent, SessionRequest, ValidRequest,
+};
 use moqo_core::{FrontierSnapshot, IamaOptimizer};
 use moqo_cost::{Bounds, ResolutionSchedule};
 use moqo_costmodel::{CostModel, SharedCostModel};
@@ -216,10 +218,19 @@ impl ShardedEngine {
     /// routed by its effective fingerprint. Malformed requests are a
     /// typed [`ProtocolError`] at the door.
     pub fn open(&self, request: SessionRequest) -> Result<GlobalSessionId, ProtocolError> {
-        request.validate(request.effective_model(&self.model).dim())?;
-        let shard = self.route(self.fingerprint_of(&request));
-        let local = self.shards[shard].open(request)?;
-        Ok(GlobalSessionId { shard, local })
+        let dim = request.effective_model(&self.model).dim();
+        Ok(self.admit(request.validated(dim)?))
+    }
+
+    /// [`ShardedEngine::open`] for a request an outer layer already
+    /// validated; the shard admits it without checking again.
+    ///
+    /// # Panics
+    /// As [`SessionManager::admit`].
+    pub fn admit(&self, request: ValidRequest) -> GlobalSessionId {
+        let shard = self.route(self.fingerprint_of(request.request()));
+        let local = self.shards[shard].admit(request);
+        GlobalSessionId { shard, local }
     }
 
     fn shard(&self, id: GlobalSessionId) -> Option<&SessionManager> {
