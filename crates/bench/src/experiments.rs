@@ -71,7 +71,7 @@ const FIRST_FRONTIER_BLOCKS: [&str; 3] = ["q05", "q08", "q09"];
 /// q05. The `summary` variant runs the ladder and the one-shot scheme;
 /// one `r<i>` row per invocation follows with its cumulative time and
 /// the coverage factor of its frontier against the finest one. One row
-/// per [`FIRST_FRONTIER_BLOCKS`] block then counts the plans costed
+/// per `FIRST_FRONTIER_BLOCKS` block then counts the plans costed
 /// before the first frontier against the one-shot scheme's.
 pub fn fig2a_experiment(sf: f64, fast: bool) -> ExperimentReport {
     let levels = if fast { 10 } else { 20 };

@@ -48,7 +48,7 @@ impl IamaOptimizer {
         }
         self.window = Default::default();
         self.full_res.map_items(remap);
-        for (_, plan, _) in &mut self.pending_seeds {
+        for (_, plan) in &mut self.pending_seeds {
             *plan = remap(*plan);
         }
         let id = |raw: u32| map.get(raw as usize).copied().flatten().map(|p| p.0);
@@ -105,7 +105,7 @@ impl IamaOptimizer {
                 });
             }
         }
-        for (_, plan, _) in &self.pending_seeds {
+        for (_, plan) in &self.pending_seeds {
             live[plan.index()] = true;
         }
         // Children precede their parents, so one descending pass closes
@@ -190,7 +190,7 @@ mod tests {
     /// optimizer's own marking pass.
     fn closure(o: &IamaOptimizer) -> usize {
         let unbounded = Bounds::unbounded(o.model_dim());
-        let mut stack: Vec<PlanId> = o.pending_seeds.iter().map(|&(_, p, _)| p).collect();
+        let mut stack: Vec<PlanId> = o.pending_seeds.iter().map(|&(_, p)| p).collect();
         for state in &o.states {
             stack.extend(state.active.iter().map(|e| e.plan));
             if let Some(cand) = &state.cand {

@@ -3,11 +3,11 @@
 //!
 //! # Dense subset state
 //!
-//! The optimizer's per-table-set bookkeeping (candidate index, active
-//! list, last-insertion watermark) lives in a flat `Vec<SubsetState>`
-//! indexed by the [`EnumerationPlan`]'s dense [`SubsetId`]s — no
-//! `TableSet → …` hash probes on the hot path, and the `O(2^k)` split
-//! spaces of irrelevant (disconnected) subsets are never visited at all.
+//! The optimizer's per-table-set bookkeeping (candidate index and active
+//! list) lives in a flat `Vec<SubsetState>` indexed by the
+//! [`EnumerationPlan`]'s dense [`SubsetId`]s — no `TableSet → …` hash
+//! probes on the hot path, and the `O(2^k)` split spaces of irrelevant
+//! (disconnected) subsets are never visited at all.
 //!
 //! # Watermarks instead of pair hashing
 //!
@@ -80,11 +80,6 @@ pub(crate) struct SubsetState {
     /// combination operands (the Δ-list of the current invocation is its
     /// suffix with `invocation == current`) and the pruning witnesses.
     pub(crate) active: Vec<ActiveEntry>,
-    /// Invocation of the most recent result insertion — the auxiliary
-    /// index the paper mentions for evaluating `ΔS` cheaply (Section
-    /// 4.2): a split whose operands both saw no insertion this invocation
-    /// has an empty Δ cross product. `u32::MAX` = never.
-    pub(crate) last_res_insert: u32,
     /// Memoized combination view of `active` under the current
     /// invocation's `(bounds, r)` context, valid while `operands_inv`
     /// equals the current invocation: a subset feeding many splits is
@@ -103,7 +98,6 @@ impl SubsetState {
         Self {
             cand: None,
             active: Vec::new(),
-            last_res_insert: u32::MAX,
             operands: Vec::new(),
             operands_clean: false,
             operands_inv: u32::MAX,
@@ -187,7 +181,6 @@ pub struct IamaOptimizer {
     pub(crate) invocation: u32,
     /// Bounds and resolution of the most recent invocation.
     pub(crate) last_ctx: Option<(Bounds, usize)>,
-    pub(crate) scans_done: bool,
     pub(crate) stats: OptimizerStats,
     /// Warm-start seeds (rebased/transplanted plans, already replayed
     /// into the arena and re-costed) waiting for candidate admission.
@@ -196,7 +189,7 @@ pub struct IamaOptimizer {
     /// behind one giant candidate drain. Not serialized in snapshots:
     /// seeds are an accelerant, and a parked optimizer that ran its
     /// ladder has long admitted them all.
-    pub(crate) pending_seeds: std::collections::VecDeque<(SubsetId, PlanId, CostVector)>,
+    pub(crate) pending_seeds: std::collections::VecDeque<(SubsetId, PlanId)>,
     /// Bumped whenever `Res`, `Cand`, the arena or the pending seeds
     /// change; see [`IamaOptimizer::generation`].
     pub(crate) generation: u64,
@@ -267,7 +260,6 @@ impl IamaOptimizer {
             pairs: PairSet::new(),
             invocation: 0,
             last_ctx: None,
-            scans_done: false,
             stats: OptimizerStats::default(),
             pending_seeds: std::collections::VecDeque::new(),
             generation: 0,
@@ -314,11 +306,6 @@ impl IamaOptimizer {
     /// Cumulative instrumentation counters.
     pub fn stats(&self) -> &OptimizerStats {
         &self.stats
-    }
-
-    /// Number of completed invocations.
-    pub fn invocations(&self) -> u32 {
-        self.stats.invocations
     }
 
     /// Warm-start seed plans still waiting for candidate admission (the
@@ -389,9 +376,8 @@ impl IamaOptimizer {
 
         // Scan plans are generated once per query, before the main loop
         // (Algorithm 1 lines 7-10); lazily on the first invocation here.
-        if !self.scans_done {
+        if self.invocation == 0 {
             self.init_scans(bounds, r);
-            self.scans_done = true;
         }
 
         // Admit up to one slice's worth of warm-start seeds as level-0
@@ -399,9 +385,10 @@ impl IamaOptimizer {
         // re-queued candidate (Lemma 7). The surplus stays pending, so
         // the drain of a very warm donor amortizes across the ladder.
         for _ in 0..MAX_SEEDS_PER_SLICE {
-            let Some((q, plan, cost)) = self.pending_seeds.pop_front() else {
+            let Some((q, plan)) = self.pending_seeds.pop_front() else {
                 break;
             };
+            let cost = *self.arena.cost(plan);
             self.insert_candidate(q, plan, cost, 0);
         }
 
@@ -477,10 +464,6 @@ impl IamaOptimizer {
             )
         {
             self.generation += 1;
-        }
-        self.stats.invocations += 1;
-        if use_delta {
-            self.stats.delta_invocations += 1;
         }
         let report = InvocationReport {
             invocation: self.invocation,
@@ -570,9 +553,9 @@ impl IamaOptimizer {
     /// once `q`'s last split is selected.
     ///
     /// The fast path never hashes: the split's watermark rectangle settles
-    /// repeat pairs positionally, the subset's `last_res_insert` settles
-    /// the empty-Δ case, and a rectangle equal to both list lengths skips
-    /// the split without touching a single entry.
+    /// repeat pairs positionally, the last entry of each operand's active
+    /// list settles the empty-Δ case, and a rectangle equal to both list
+    /// lengths skips the split without touching a single entry.
     fn combine_split(
         &mut self,
         q: SubsetId,
@@ -597,10 +580,17 @@ impl IamaOptimizer {
             self.stats.splits_skipped += 1;
             return;
         }
-        if use_delta
-            && self.states[la].last_res_insert != cur
-            && self.states[rb].last_res_insert != cur
-        {
+        // Active lists are append-only in invocation order, so the last
+        // entry tells whether a list grew this invocation: the auxiliary
+        // index the paper mentions for evaluating `ΔS` cheaply (Section
+        // 4.2).
+        let grew = |x: usize| {
+            self.states[x]
+                .active
+                .last()
+                .is_some_and(|e| e.invocation == cur)
+        };
+        if use_delta && !grew(la) && !grew(rb) {
             // Empty-Δ short-circuit (the paper's empty-operand check):
             // neither side received a result plan this invocation.
             self.stats.splits_skipped += 1;
@@ -858,7 +848,6 @@ impl IamaOptimizer {
             level,
             shadowed: false,
         });
-        state.last_res_insert = invocation;
         self.stats.result_insertions += 1;
     }
 

@@ -19,13 +19,17 @@
 //! order, the order the exporter inserted it in, so a restored frontier
 //! lists its points in exactly the exporter's order.
 //!
-//! The format is defensive: every plan id, table set, watermark operand,
-//! and cost component is validated on import (every result and candidate
-//! entry must carry its plan's exact arena cost, and every result entry
-//! its plan's properties), and any mismatch (including an enumeration
-//! plane that no longer lines up with the serialized state) yields a
-//! [`SnapshotError`] instead of a silently wrong optimizer — callers fall
-//! back to a cold start.
+//! Each fact is stored once: a result or candidate entry is written as
+//! its plan id, level and invocation (and a result's tombstone bit), and
+//! the importer takes its cost and properties from the arena plan. The
+//! buffer ends in an FNV-64 checksum over everything before it, so a
+//! changed byte anywhere is refused before a field is decoded. The
+//! format is still defensive against crafted input that carries a valid
+//! checksum: every plan id, table set, level, invocation, watermark
+//! operand and cost component is validated on import, and any mismatch
+//! (including an enumeration plane that no longer lines up with the
+//! serialized state) yields a [`SnapshotError`] instead of a silently
+//! wrong optimizer — callers fall back to a cold start.
 //!
 //! The cost model itself is *not* serialized (it is code, not data); the
 //! importer instead verifies that the provided model's metric layout
@@ -38,11 +42,10 @@
 //! a similar query or rebased from a drifted twin, as re-costed level-0
 //! candidates.
 
-use crate::frontier::FrontierPoint;
 use crate::optimizer::{ActiveEntry, IamaOptimizer, Watermark};
 use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use crate::IamaConfig;
-use moqo_cost::{Bounds, CostVector, ResolutionSchedule};
+use moqo_cost::{Bounds, CostVector, Fnv64, ResolutionSchedule};
 use moqo_costmodel::{CostModel, PlanInput, SharedCostModel};
 use moqo_index::{CellGrid, Entry, FxHashMap};
 use moqo_plan::{JoinAlgo, Operator, PlanArena, ScanMethod};
@@ -63,11 +66,27 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MOQOFRNT";
 /// so a frontier refined under one model can never warm-start a session
 /// under a differently parameterized model with the same metric layout.
 /// Version 3 dropped the index-kind byte and the per-subset result-set
-/// section: the active lists are the result sets. Its configuration
-/// section still holds the byte of a former cross-product switch: it is
-/// written `0`, and a `1` is refused as corrupt, since the optimizer no
-/// longer spans that search space.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// section: the active lists are the result sets.
+///
+/// Version 4 stores each fact once and seals the file:
+///
+/// * header: magic, version, the model guard (metric names, identity);
+/// * the query spec, the schedule, and four configuration bytes
+///   (`use_delta`, `track_invariants`, `eager_level_skip`,
+///   `shadow_dominated`);
+/// * the invocation counter and the last `(bounds, r)` context;
+/// * the plan arena in creation order: operator, children, cost, props;
+/// * per subset in plan order: its table set, its candidate entries
+///   (plan id, level, invocation; sorted) and its active list (plan id,
+///   level, invocation, tombstone bit), with no cost or props — the
+///   importer reads both from the arena;
+/// * the watermark rectangles with their operand table sets, the
+///   `IsFresh` pair keys, and the cumulative counters;
+/// * an FNV-64 of all the bytes above, little-endian.
+///
+/// Version 3 files, which copied entry costs and props beside the arena,
+/// are refused.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot could not be imported.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -259,60 +278,87 @@ fn read_operator(
 /// depends on insertion history, so sorting here makes the export a pure
 /// function of optimizer state — equal state produces equal bytes even
 /// across an import/re-export round trip, which is what lets the
-/// snapshot store's dirty tracking skip unchanged frontiers.
-fn write_entries(w: &mut WireWriter, entries: &[Entry<PlanId>]) {
-    let mut order: Vec<usize> = (0..entries.len()).collect();
-    order.sort_unstable_by_key(|&i| {
-        let e = &entries[i];
-        (e.item.0, e.level, e.invocation)
-    });
+/// snapshot store's dirty tracking skip unchanged frontiers. An entry's
+/// cost is its plan's arena cost, so it is not written.
+fn write_candidates(w: &mut WireWriter, entries: &mut [Entry<PlanId>]) {
+    entries.sort_unstable_by_key(|e| (e.item.0, e.level, e.invocation));
     w.u32(entries.len() as u32);
-    for i in order {
-        let e = &entries[i];
+    for e in entries {
         w.u32(e.item.0);
-        e.cost.encode(w);
         w.u8(e.level);
         w.u32(e.invocation);
     }
 }
 
-fn read_entries(
+/// Reads the plan id, level and invocation of one result or candidate
+/// entry of the subset joining `tables`: the plan must be in the arena
+/// and join exactly those tables (a plan id swapped to another subset's
+/// plan would otherwise import cleanly and serve wrong frontiers), the
+/// level at most `r_max`, and the invocation before the counter
+/// `invocation`.
+fn read_entry(
     r: &mut WireReader<'_>,
-    arena_len: usize,
+    arena: &PlanArena,
+    tables: u64,
     r_max: usize,
-    dim: usize,
-) -> Result<Vec<Entry<PlanId>>> {
-    let n = r.count("index entry")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let item = r.u32()?;
-        if item as usize >= arena_len {
-            return Err(corrupt(format!(
-                "entry references plan {item} outside arena"
-            )));
-        }
-        let cost = CostVector::decode(r)?;
-        if cost.dim() != dim {
-            return Err(corrupt(format!(
-                "entry cost dimension {} != {dim}",
-                cost.dim()
-            )));
-        }
-        let level = r.u8()?;
-        if level as usize > r_max {
-            return Err(corrupt(format!("entry level {level} exceeds rM={r_max}")));
-        }
-        let invocation = r.u32()?;
-        out.push(Entry::new(PlanId(item), cost, level, invocation));
+    invocation: u32,
+) -> Result<(PlanId, u8, u32)> {
+    let plan = r.u32()?;
+    if plan as usize >= arena.len() {
+        return Err(corrupt(format!(
+            "entry references plan {plan} outside arena"
+        )));
     }
-    Ok(out)
+    let plan = PlanId(plan);
+    if arena.tables(plan).bits() != tables {
+        return Err(corrupt(format!(
+            "subset {tables:#x} entry references plan {} of another subset",
+            plan.0
+        )));
+    }
+    let level = r.u8()?;
+    if level as usize > r_max {
+        return Err(corrupt(format!("entry level {level} exceeds rM={r_max}")));
+    }
+    let inv = r.u32()?;
+    if inv >= invocation {
+        return Err(corrupt(format!(
+            "entry invocation {inv} not before counter {invocation}"
+        )));
+    }
+    Ok((plan, level, inv))
+}
+
+/// The payload of a frontier snapshot: magic and version are checked
+/// first, so a foreign file or one of another version reports
+/// [`SnapshotError::BadMagic`] or [`SnapshotError::UnsupportedVersion`];
+/// then the trailing checksum, so any other changed byte is
+/// [`SnapshotError::Corrupt`] before a field is decoded.
+fn sealed_payload(bytes: &[u8]) -> Result<&[u8]> {
+    let mut r = WireReader::new(bytes);
+    if r.take(8)? != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    match r.u32()? {
+        SNAPSHOT_VERSION => {}
+        v => return Err(SnapshotError::UnsupportedVersion(v)),
+    }
+    let Some(at) = bytes.len().checked_sub(8).filter(|&at| at >= 12) else {
+        return Err(SnapshotError::Truncated);
+    };
+    let (payload, sum) = bytes.split_at(at);
+    let sum = u64::from_le_bytes(sum.try_into().expect("eight bytes"));
+    if Fnv64::hash_bytes(payload) != sum {
+        return Err(corrupt("checksum mismatch".into()));
+    }
+    Ok(payload)
 }
 
 impl IamaOptimizer {
     /// Serializes the optimizer's complete warm state — spec, catalog
     /// statistics, schedule, configuration, plan arena, candidate sets,
     /// active lists, watermark rectangles, pair hash, and the
-    /// invocation context — into a versioned byte buffer.
+    /// invocation context — into a versioned, checksummed byte buffer.
     ///
     /// The buffer is self-contained: [`IamaOptimizer::import_frontier`]
     /// needs only these bytes plus a cost model with the same metric
@@ -323,15 +369,12 @@ impl IamaOptimizer {
         write_header(&mut w, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &*self.model);
 
         // --- Query spec: name, catalog, join graph (the shared wire
-        // codec; byte-compatible with the pre-wire inline encoding). ---
+        // codec). ---
         self.spec.encode(&mut w);
 
         // --- Schedule and configuration. ---
         self.schedule.encode(&mut w);
         w.bool(self.config.use_delta);
-        // Where a cross-product flag used to be: always `false` now, kept
-        // so version-3 frontiers stay byte-identical.
-        w.bool(false);
         w.bool(self.config.track_invariants);
         w.bool(self.config.eager_level_skip);
         w.bool(self.config.shadow_dominated);
@@ -341,7 +384,6 @@ impl IamaOptimizer {
 
         // --- Invocation context. ---
         w.u32(self.invocation);
-        w.bool(self.scans_done);
         match &self.last_ctx {
             None => w.bool(false),
             Some((bounds, r)) => {
@@ -367,7 +409,9 @@ impl IamaOptimizer {
             node.props.encode(&mut w);
         }
 
-        // --- Per-subset state, aligned with the enumeration plan. ---
+        // --- Per-subset state, aligned with the enumeration plan. Entry
+        // costs and properties are the arena's, so only plan ids, levels
+        // and invocations are written. ---
         let unbounded = Bounds::unbounded(self.model.dim());
         w.u32(self.states.len() as u32);
         for (ix, state) in self.states.iter().enumerate() {
@@ -376,20 +420,17 @@ impl IamaOptimizer {
                     .tables(moqo_query::SubsetId::from_index(ix))
                     .bits(),
             );
-            w.u32(state.last_res_insert);
-            let cand = state
+            let mut cand = state
                 .cand
                 .as_ref()
                 .map(|i| i.collect(&unbounded, u8::MAX))
                 .unwrap_or_default();
-            write_entries(&mut w, &cand);
+            write_candidates(&mut w, &mut cand);
             w.u32(state.active.len() as u32);
             for e in &state.active {
                 w.u32(e.plan.0);
-                e.cost.encode(&mut w);
-                e.props.encode(&mut w);
-                w.u32(e.invocation);
                 w.u8(e.level);
+                w.u32(e.invocation);
                 w.bool(e.shadowed);
             }
         }
@@ -416,7 +457,6 @@ impl IamaOptimizer {
 
         // --- Cumulative counters (invariant maps excluded). ---
         let s = &self.stats;
-        w.u32(s.invocations);
         w.u64(s.plans_generated);
         w.u64(s.pairs_generated);
         w.u64(s.candidate_retrievals);
@@ -426,13 +466,16 @@ impl IamaOptimizer {
         w.u64(s.candidates_discarded);
         w.u64(s.stale_pairs_skipped);
         w.u64(s.pairs_skipped_watermark);
-        w.u32(s.delta_invocations);
         w.u64(s.subsets_visited);
         w.u64(s.splits_visited);
         w.u64(s.splits_skipped);
         w.u64(s.scratch_high_water as u64);
 
-        w.into_vec()
+        // --- Checksum over everything above. ---
+        let mut bytes = w.into_vec();
+        let sum = Fnv64::hash_bytes(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
     }
 
     /// Rebuilds an optimizer from [`IamaOptimizer::export_frontier`]
@@ -444,7 +487,7 @@ impl IamaOptimizer {
     /// generates zero plans, and later bound changes resume the
     /// incremental series without violating Lemmas 5–7.
     pub fn import_frontier(model: SharedCostModel, bytes: &[u8]) -> Result<IamaOptimizer> {
-        let mut r = WireReader::new(bytes);
+        let mut r = WireReader::new(sealed_payload(bytes)?);
         let dim = read_header(
             &mut r,
             &SNAPSHOT_MAGIC,
@@ -460,14 +503,8 @@ impl IamaOptimizer {
         // --- Schedule and configuration. ---
         let schedule = ResolutionSchedule::decode(&mut r)?;
         let r_max = schedule.r_max();
-        let use_delta = r.bool()?;
-        if r.bool()? {
-            // A frontier over cross-product joins: its plans and subset
-            // states belong to a search space this optimizer never spans.
-            return Err(corrupt("cross-product enumeration is not supported".into()));
-        }
         let config = IamaConfig {
-            use_delta,
+            use_delta: r.bool()?,
             track_invariants: r.bool()?,
             eager_level_skip: r.bool()?,
             shadow_dominated: r.bool()?,
@@ -478,7 +515,6 @@ impl IamaOptimizer {
 
         // --- Invocation context. ---
         let invocation = r.u32()?;
-        let scans_done = r.bool()?;
         let last_ctx = if r.bool()? {
             let limits = CostVector::decode(&mut r)?;
             if limits.dim() != dim {
@@ -536,7 +572,8 @@ impl IamaOptimizer {
             }
         }
 
-        // --- Per-subset state. ---
+        // --- Per-subset state; each entry takes its cost and properties
+        // from its arena plan. ---
         let n_subsets = r.count("subset")?;
         if n_subsets != opt.plan.len() {
             return Err(corrupt(format!(
@@ -552,115 +589,29 @@ impl IamaOptimizer {
                     "subset {ix} tables {bits:#x} do not match plan order ({expect:#x})"
                 )));
             }
-            let last_res_insert = r.u32()?;
-            let cand = read_entries(&mut r, n_plans, r_max, dim)?;
-            // Every candidate plan must join exactly this subset's tables
-            // and predate the imported invocation counter — a plan id
-            // swapped to another subset's plan would otherwise import
-            // cleanly and silently serve wrong frontiers.
-            for e in &cand {
-                if opt.arena.tables(e.item).bits() != bits {
-                    return Err(corrupt(format!(
-                        "subset {ix} entry references plan {} of another subset",
-                        e.item.0
-                    )));
-                }
-                if e.invocation >= invocation {
-                    return Err(corrupt(format!(
-                        "entry invocation {} not before counter {invocation}",
-                        e.invocation
-                    )));
-                }
+            let (arena, state) = (&opt.arena, &mut opt.states[ix]);
+            for _ in 0..r.count("candidate entry")? {
+                let (plan, level, inv) = read_entry(&mut r, arena, bits, r_max, invocation)?;
+                state
+                    .cand
+                    .get_or_insert_with(|| CellGrid::new(dim))
+                    .insert(Entry::new(plan, *arena.cost(plan), level, inv));
             }
-            let n_active = r.count("active entry")?;
-            let mut active = Vec::with_capacity(n_active);
-            let mut prev_inv = 0u32;
-            for _ in 0..n_active {
-                let plan = r.u32()?;
-                if plan as usize >= n_plans {
-                    return Err(corrupt(format!("active entry references plan {plan}")));
-                }
-                if opt.arena.tables(PlanId(plan)).bits() != bits {
-                    return Err(corrupt(format!(
-                        "subset {ix} active entry references plan {plan} of another subset"
-                    )));
-                }
-                let cost = CostVector::decode(&mut r)?;
-                if cost.dim() != dim {
-                    return Err(corrupt(format!(
-                        "active cost dimension {} != {dim}",
-                        cost.dim()
-                    )));
-                }
-                let props = PhysicalProps::decode(&mut r)?;
-                let inv = r.u32()?;
-                if inv < prev_inv {
+            for _ in 0..r.count("active entry")? {
+                let (plan, level, inv) = read_entry(&mut r, arena, bits, r_max, invocation)?;
+                if state.active.last().is_some_and(|e| inv < e.invocation) {
                     return Err(corrupt("active list not in invocation order".into()));
                 }
-                if inv >= invocation {
-                    return Err(corrupt(format!(
-                        "active invocation {inv} not before counter {invocation}"
-                    )));
-                }
-                prev_inv = inv;
-                let level = r.u8()?;
-                if level as usize > r_max {
-                    return Err(corrupt(format!("active level {level} exceeds rM={r_max}")));
-                }
-                let shadowed = r.bool()?;
-                active.push(ActiveEntry {
-                    plan: PlanId(plan),
-                    cost,
-                    props,
+                let node = arena.node(plan);
+                state.active.push(ActiveEntry {
+                    plan,
+                    cost: node.cost,
+                    props: node.props,
                     invocation: inv,
                     level,
-                    shadowed,
+                    shadowed: r.bool()?,
                 });
             }
-            // Every writer of a result or candidate entry copies the cost
-            // (and, for results, the properties) the arena stored for its
-            // plan, so an entry that disagrees with its plan was edited:
-            // pruning, combination, and the frontier would trust the lie.
-            if let Some(e) = active
-                .iter()
-                .find(|e| e.props != opt.arena.node(e.plan).props)
-            {
-                return Err(corrupt(format!(
-                    "subset {ix} active entry props disagree with plan {}",
-                    e.plan.0
-                )));
-            }
-            let entries = active
-                .iter()
-                .map(|e| FrontierPoint {
-                    plan: e.plan,
-                    cost: e.cost,
-                })
-                .chain(cand.iter().map(|e| FrontierPoint {
-                    plan: e.item,
-                    cost: e.cost,
-                }));
-            for entry in entries {
-                let stored = FrontierPoint {
-                    plan: entry.plan,
-                    cost: *opt.arena.cost(entry.plan),
-                };
-                if !entry.bits_eq(&stored) {
-                    return Err(corrupt(format!(
-                        "subset {ix} entry cost disagrees with plan {}",
-                        entry.plan.0
-                    )));
-                }
-            }
-            let state = &mut opt.states[ix];
-            if !cand.is_empty() {
-                let idx = state.cand.get_or_insert_with(|| CellGrid::new(dim));
-                for e in cand {
-                    idx.insert(e);
-                }
-            }
-            state.active = active;
-            state.last_res_insert = last_res_insert;
         }
         // The full query's result index, rebuilt from its active list in
         // list order: the exporter inserted the same entries in the same
@@ -712,7 +663,6 @@ impl IamaOptimizer {
         }
 
         // --- Counters and context. ---
-        opt.stats.invocations = r.u32()?;
         opt.stats.plans_generated = r.u64()?;
         opt.stats.pairs_generated = r.u64()?;
         opt.stats.candidate_retrievals = r.u64()?;
@@ -722,13 +672,11 @@ impl IamaOptimizer {
         opt.stats.candidates_discarded = r.u64()?;
         opt.stats.stale_pairs_skipped = r.u64()?;
         opt.stats.pairs_skipped_watermark = r.u64()?;
-        opt.stats.delta_invocations = r.u32()?;
         opt.stats.subsets_visited = r.u64()?;
         opt.stats.splits_visited = r.u64()?;
         opt.stats.splits_skipped = r.u64()?;
         opt.stats.scratch_high_water = r.u64()? as usize;
         opt.invocation = invocation;
-        opt.scans_done = scans_done;
         opt.last_ctx = last_ctx;
 
         if !r.done() {
@@ -839,8 +787,9 @@ impl Seeder<'_> {
     /// model: each operator must still be offered by
     /// [`scan_alternatives`](moqo_costmodel::CostModel::scan_alternatives)
     /// / [`join_alternative`](moqo_costmodel::CostModel::join_alternative)
-    /// (which costs the replayed join alone), and the plan is queued with
-    /// the freshly computed cost for admission as a level-0 `Cand` entry.
+    /// (which costs the replayed join alone), and the plan, pushed to the
+    /// arena with the freshly computed cost, is queued for admission as a
+    /// level-0 `Cand` entry.
     /// The next invocations admit at most
     /// [`MAX_SEEDS_PER_SLICE`](crate::MAX_SEEDS_PER_SLICE) seeds
     /// each, and every admitted seed re-enters through pruning exactly
@@ -918,11 +867,10 @@ impl Seeder<'_> {
         let mut queued = 0usize;
         while at < nodes.len() {
             if let Some(plan) = self.replay(&nodes, &mut at) {
-                let cost = *self.opt.arena.cost(plan);
                 // Queued, not indexed: the next invocations admit seeds
                 // at most `MAX_SEEDS_PER_SLICE` at a time (level-0 `Cand`
                 // entries), amortizing the drain across the ladder.
-                self.opt.pending_seeds.push_back((q, plan, cost));
+                self.opt.pending_seeds.push_back((q, plan));
                 queued += 1;
             }
         }
@@ -1116,6 +1064,14 @@ mod tests {
         ResolutionSchedule::linear(3, 1.05, 0.5)
     }
 
+    /// Recomputes a snapshot's trailing checksum, as a crafted file would
+    /// carry it, so the field checks behind the checksum see the bytes.
+    fn reseal(bytes: &mut [u8]) {
+        let at = bytes.len() - 8;
+        let sum = Fnv64::hash_bytes(&bytes[..at]);
+        bytes[at..].copy_from_slice(&sum.to_le_bytes());
+    }
+
     fn warm_optimizer(n: usize) -> IamaOptimizer {
         let spec = Arc::new(testkit::chain_query(n, 150_000));
         let mut opt = IamaOptimizer::new(spec, model(), schedule());
@@ -1144,9 +1100,12 @@ mod tests {
             let mut opt = IamaOptimizer::new(Arc::new(spec), model(), schedule());
             for r in 0..=r_max {
                 opt.optimize(&b, r);
-                let revived =
-                    IamaOptimizer::import_frontier(model(), opt.export_frontier().as_slice())
-                        .unwrap();
+                let bytes = opt.export_frontier();
+                let revived = IamaOptimizer::import_frontier(model(), &bytes).unwrap();
+                assert!(
+                    revived.export_frontier() == bytes,
+                    "{name}: the re-export at r={r} differs from the export"
+                );
                 let mut ts: Vec<f64> = opt.frontier(&b, r).costs().iter().map(|c| c[0]).collect();
                 ts.sort_by(f64::total_cmp);
                 let focus = b.with_limit(0, ts[ts.len() / 2]);
@@ -1229,44 +1188,68 @@ mod tests {
             IamaOptimizer::import_frontier(model(), &bad),
             Err(SnapshotError::BadMagic)
         ));
-        let mut vbad = bytes.clone();
-        vbad[8] = 99;
-        assert!(matches!(
-            IamaOptimizer::import_frontier(model(), &vbad),
-            Err(SnapshotError::UnsupportedVersion(_))
-        ));
+        // A version-3 file is refused by its version, before the
+        // checksum it does not carry is looked for.
+        for version in [3, 99] {
+            let mut vbad = bytes.clone();
+            vbad[8..12].copy_from_slice(&u32::to_le_bytes(version));
+            assert_eq!(
+                IamaOptimizer::import_frontier(model(), &vbad).err(),
+                Some(SnapshotError::UnsupportedVersion(version))
+            );
+        }
         let truncated = &bytes[..bytes.len() - 3];
         assert!(IamaOptimizer::import_frontier(model(), truncated).is_err());
     }
 
     #[test]
     fn single_byte_corruption_never_panics_the_importer() {
-        // Every field is validated before any panicking constructor runs:
-        // flipping any single byte must yield Ok (benign field, e.g. a
-        // stats counter) or Err — never a panic or a huge allocation.
+        // Any single changed byte is refused with a typed error: the
+        // magic and version by their own checks, every other byte by the
+        // checksum. Re-sealed, as a crafted file would be, the mutant
+        // meets the field checks, which run before any panicking
+        // constructor: it must be refused or import an optimizer that
+        // runs (a benign field, e.g. a stats counter) — never panic or
+        // allocate hugely.
         let spec = Arc::new(testkit::chain_query(2, 5_000));
         let mut opt = IamaOptimizer::new(spec, model(), ResolutionSchedule::linear(1, 1.2, 0.4));
         let b = Bounds::unbounded(3);
         opt.optimize(&b, 0);
         opt.optimize(&b, 1);
         let bytes = opt.export_frontier();
+        let payload = bytes.len() - 8;
         for i in 0..bytes.len() {
             let mut mutant = bytes.clone();
             mutant[i] ^= 0xa5;
-            let _ = IamaOptimizer::import_frontier(model(), &mutant);
+            let refused = IamaOptimizer::import_frontier(model(), &mutant);
+            match i {
+                0..8 => assert_eq!(refused.err(), Some(SnapshotError::BadMagic)),
+                8..12 => assert!(matches!(refused, Err(SnapshotError::UnsupportedVersion(_)))),
+                _ => assert!(
+                    matches!(refused, Err(SnapshotError::Corrupt(ref m)) if m.contains("checksum")),
+                    "byte {i} changed undetected"
+                ),
+            }
+            if (12..payload).contains(&i) {
+                reseal(&mut mutant);
+                if let Ok(mut revived) = IamaOptimizer::import_frontier(model(), &mutant) {
+                    let _ = revived.optimize(&b, 1);
+                }
+            }
         }
     }
 
     #[test]
     fn import_rejects_corrupt_entry_dimension() {
-        // Targeted check for the Res/Cand entry dim guard: shrinking one
-        // entry's cost-vector dim byte must fail import, not park a
-        // dominance-poisoned optimizer.
+        // Targeted check for the cost dimension guards: shrinking one
+        // plan's (or the last bounds') cost-vector dim byte must fail
+        // import, not park a dominance-poisoned optimizer. Each mutant is
+        // re-sealed, so the field checks, not the checksum, see it.
         let opt = warm_optimizer(3);
         let bytes = opt.export_frontier();
         let mut seen_rejection = false;
         let mut mutant = bytes.clone();
-        for i in 0..bytes.len() {
+        for i in 0..bytes.len() - 8 {
             // Dim bytes are exactly the value 3 followed by 3 f64s; try
             // turning each candidate 3 into a 1 and require that imports
             // which *succeed* still optimize without panicking.
@@ -1274,6 +1257,7 @@ mod tests {
                 continue;
             }
             mutant[i] = 1;
+            reseal(&mut mutant);
             match IamaOptimizer::import_frontier(model(), &mutant) {
                 Err(_) => seen_rejection = true,
                 Ok(mut revived) => {
@@ -1285,57 +1269,6 @@ mod tests {
             mutant[i] = bytes[i];
         }
         assert!(seen_rejection, "no dim corruption was ever rejected");
-    }
-
-    #[test]
-    fn import_rejects_entry_costs_that_disagree_with_the_arena() {
-        // Every result and candidate entry carries its plan's arena cost.
-        // The active list alone rebuilds the frontier index on import, so
-        // an edited result cost would reach clients, and an edited
-        // candidate cost would prune wrongly: both must fail with a typed
-        // error. Stop mid-ladder so candidates are still queued.
-        let spec = Arc::new(testkit::chain_query(3, 150_000));
-        let mut opt = IamaOptimizer::new(spec, model(), schedule());
-        opt.optimize(&Bounds::unbounded(3), 0);
-        let bytes = opt.export_frontier();
-        assert!(IamaOptimizer::import_frontier(model(), bytes.as_slice()).is_ok());
-
-        let full = opt.plan.full_set().expect("connected query").index();
-        let result = opt.states[full]
-            .active
-            .last()
-            .expect("non-empty result set");
-        let candidate = opt
-            .states
-            .iter()
-            .filter_map(|s| s.cand.as_ref())
-            .find_map(|c| c.collect(&Bounds::unbounded(3), u8::MAX).first().copied())
-            .expect("a queued candidate");
-        for (what, plan, cost) in [
-            ("result", result.plan, result.cost),
-            ("candidate", candidate.item, candidate.cost),
-        ] {
-            // Both entry kinds encode as plan id then cost; the arena
-            // writes the cost earlier, so the last match is the entry.
-            let mut w = WireWriter::new();
-            w.u32(plan.0);
-            cost.encode(&mut w);
-            let pattern = w.into_vec();
-            let at = bytes
-                .windows(pattern.len())
-                .rposition(|win| win == pattern)
-                .expect("entry is encoded");
-            let mut edited = bytes.clone();
-            // Lowest mantissa bit of the first cost component.
-            edited[at + 5] ^= 1;
-            assert!(
-                matches!(
-                    IamaOptimizer::import_frontier(model(), edited.as_slice()),
-                    Err(SnapshotError::Corrupt(m)) if m.contains("entry cost disagrees")
-                ),
-                "an edited {what} cost was not refused as a cost mismatch"
-            );
-        }
     }
 
     #[test]
@@ -1371,55 +1304,6 @@ mod tests {
         assert!(matches!(
             IamaOptimizer::import_frontier(tweaked, bytes.as_slice()),
             Err(SnapshotError::ModelMismatch(_))
-        ));
-    }
-
-    /// `(length, FNV-1a digest)` of the frontier
-    /// [`frontiers_of_the_former_format_restore`] exports, as the writer
-    /// with a settable cross-product switch wrote it (switch off).
-    const FORMER_FRONTIER: (usize, u64) = (533_530, 10_785_228_099_044_167_699);
-
-    #[test]
-    fn frontiers_of_the_former_format_restore() {
-        // A model without cost floors keeps every counter, and so every
-        // exported byte, independent of the host's core count.
-        let model: SharedCostModel = Arc::new(StandardCostModel::new(
-            moqo_costmodel::MetricSet::paper(),
-            moqo_costmodel::StandardCostModelConfig {
-                eval_spin: 0,
-                ..moqo_costmodel::StandardCostModelConfig::default()
-            },
-        ));
-        let spec = Arc::new(testkit::chain_query(4, 90_000));
-        let mut opt = IamaOptimizer::new(spec.clone(), model.clone(), schedule());
-        let b = Bounds::unbounded(3);
-        for r in 0..=schedule().r_max() {
-            opt.optimize(&b, r);
-        }
-        let bytes = opt.export_frontier();
-        assert_eq!(
-            (bytes.len(), moqo_cost::Fnv64::hash_bytes(&bytes)),
-            FORMER_FRONTIER,
-            "the frontier writer's bytes moved"
-        );
-        let mut revived = IamaOptimizer::import_frontier(model.clone(), &bytes).unwrap();
-        assert!(revived.frontier(&b, 3).bits_eq(&opt.frontier(&b, 3)));
-        assert_eq!(revived.optimize(&b, 0).plans_generated, 0);
-        assert_eq!(revived.optimize(&b, 3).plans_generated, 0);
-
-        // The former switch's byte follows `use_delta` in the
-        // configuration section, after the header, spec and schedule.
-        let mut w = WireWriter::new();
-        write_header(&mut w, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &*model);
-        spec.encode(&mut w);
-        schedule().encode(&mut w);
-        let at = w.into_vec().len() + 1;
-        assert_eq!(bytes[at], 0, "the former switch was written off");
-        let mut cross = bytes.clone();
-        cross[at] = 1;
-        assert!(matches!(
-            IamaOptimizer::import_frontier(model, &cross),
-            Err(SnapshotError::Corrupt(m)) if m.contains("cross-product")
         ));
     }
 

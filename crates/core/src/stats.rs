@@ -8,8 +8,6 @@ use moqo_plan::Operator;
 /// [`crate::IamaConfig::track_invariants`] is set.
 #[derive(Clone, Debug, Default)]
 pub struct OptimizerStats {
-    /// Completed `Optimize` invocations.
-    pub invocations: u32,
     /// Plans ever constructed (scan + join alternatives).
     pub plans_generated: u64,
     /// Ordered sub-plan pairs combined in `Fresh`.
@@ -45,8 +43,6 @@ pub struct OptimizerStats {
     /// Pairs skipped positionally by a split's watermark rectangle during
     /// a full (non-Δ) recombine — the hash-free fast path for Lemma 6.
     pub pairs_skipped_watermark: u64,
-    /// Invocations that could use Δ-set filtering in `Fresh`.
-    pub delta_invocations: u32,
     /// Enumerated subsets visited in phase 2 (those owning at least one
     /// valid split; singletons and irrelevant subsets are never walked).
     pub subsets_visited: u64,

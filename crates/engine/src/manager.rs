@@ -9,7 +9,7 @@
 //! end to end: sessions open from a [`SessionRequest`] (which may carry
 //! per-session bounds, a schedule override, a [`Preference`] that
 //! auto-selects at the target resolution, and a **per-session cost
-//! model**), clients steer them with [`SessionCommand`]s routed into
+//! model**), clients steer them with [`SessionCommand`]s queued in
 //! per-session inboxes, and [`SessionManager::watch`] streams
 //! [`SessionEvent`]s whose [`FrontierDelta`]s reassemble — exactly — to
 //! the full frontier, instead of re-shipping it after every slice.
@@ -165,7 +165,8 @@ impl SessionStatus {
     }
 }
 
-/// A checked-in session: the interactive state plus its command inbox.
+/// A session's interactive state, owned by its slot or by the worker
+/// running it.
 struct Active {
     session: Session,
     /// The key the optimizer parks under when the session ends.
@@ -173,7 +174,6 @@ struct Active {
     /// The harvest a warm resume's optimizer was parked with; `None` for
     /// cold starts.
     harvest: Option<Harvest>,
-    inbox: VecDeque<SessionCommand>,
     remaining_ticks: usize,
     /// Refinement budget re-armed on bound changes; per-session because a
     /// [`SessionRequest`] can override the ladder length.
@@ -181,8 +181,25 @@ struct Active {
 }
 
 impl Active {
-    fn has_work(&self) -> bool {
-        !self.inbox.is_empty() || self.remaining_ticks > 0
+    /// The next command to run: the oldest of `inbox`, else one `Refine`
+    /// while the refinement budget lasts.
+    fn next_command(&mut self, inbox: &mut VecDeque<SessionCommand>) -> Option<SessionCommand> {
+        match inbox.pop_front() {
+            Some(cmd) => {
+                if matches!(cmd, SessionCommand::SetBounds(_)) {
+                    // A user refocusing their bounds re-arms the
+                    // refinement budget (Algorithm 1 keeps iterating
+                    // after bound changes).
+                    self.remaining_ticks = self.auto_ticks;
+                }
+                Some(cmd)
+            }
+            None if self.remaining_ticks > 0 => {
+                self.remaining_ticks -= 1;
+                Some(SessionCommand::Refine)
+            }
+            None => None,
+        }
     }
 }
 
@@ -199,9 +216,9 @@ struct Slot {
     cell: Cell,
     status: SessionStatus,
     queued: bool,
-    /// Commands that arrived while a worker held the session; merged into
-    /// the session's inbox when the slice checks back in.
-    late_inbox: VecDeque<SessionCommand>,
+    /// Commands not yet run, oldest first, whether the session is checked
+    /// in or running: a worker takes one at checkout.
+    inbox: VecDeque<SessionCommand>,
     /// Per-watcher push channels: every published [`SessionEvent`]
     /// (after a slice, on retirement, on `finish`) is cloned into each
     /// live watcher so callers can `recv` on their own channel instead of
@@ -511,13 +528,12 @@ impl SessionManager {
                     session,
                     fingerprint: fp,
                     harvest,
-                    inbox: VecDeque::new(),
                     remaining_ticks: auto_ticks,
                     auto_ticks,
                 })),
                 status,
                 queued: false,
-                late_inbox: VecDeque::new(),
+                inbox: VecDeque::new(),
                 watchers: Vec::new(),
             },
         );
@@ -564,16 +580,11 @@ impl SessionManager {
             }
             _ => {}
         }
-        match &mut slot.cell {
-            Cell::Idle(active) => active.inbox.push_back(command),
-            Cell::Running => {
-                // The worker drains the inbox before checking the slot
-                // back in, so park the command on the status-side queue;
-                // the worker merges `late_inbox` on check-in.
-                slot.late_inbox.push_back(command);
-            }
-            Cell::Retired => return Err(ProtocolError::SessionFinished),
+        if matches!(slot.cell, Cell::Retired) {
+            return Err(ProtocolError::SessionFinished);
         }
+        // A running session finds the command when it checks back in.
+        slot.inbox.push_back(command);
         enqueue(&mut state, id);
         drop(state);
         self.shared.work.notify_one();
@@ -803,8 +814,9 @@ fn enqueue(state: &mut EngineState, id: SessionId) {
 fn worker_loop(shared: Arc<Shared>) {
     let mut state = shared.state.lock().expect("engine lock poisoned");
     loop {
-        // Find the next checked-in session with work.
-        let (id, mut active) = loop {
+        // Find the next checked-in session with work, and take the
+        // command it runs.
+        let (id, mut active, command) = loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -818,7 +830,10 @@ fn worker_loop(shared: Arc<Shared>) {
                     };
                     slot.queued = false;
                     match std::mem::replace(&mut slot.cell, Cell::Running) {
-                        Cell::Idle(active) => break (id, active),
+                        Cell::Idle(mut active) => {
+                            let command = active.next_command(&mut slot.inbox);
+                            break (id, active, command);
+                        }
                         // Running entries do appear here: command()
                         // enqueues a mid-slice session so its new command
                         // is re-checked after check-in (which requeues it
@@ -839,23 +854,7 @@ fn worker_loop(shared: Arc<Shared>) {
         state.running += 1;
         drop(state);
 
-        // --- Run one command outside the lock. ---
-        let command = match active.inbox.pop_front() {
-            Some(cmd) => {
-                if matches!(cmd, SessionCommand::SetBounds(_)) {
-                    // A user refocusing their bounds re-arms the
-                    // refinement budget (Algorithm 1 keeps iterating
-                    // after bound changes).
-                    active.remaining_ticks = active.auto_ticks;
-                }
-                Some(cmd)
-            }
-            None if active.remaining_ticks > 0 => {
-                active.remaining_ticks -= 1;
-                Some(SessionCommand::Refine)
-            }
-            None => None,
-        };
+        // --- Run the command outside the lock. ---
         // A protocol fault on a live session (a dimension mismatch that
         // slipped past command() — impossible today, but commands are
         // data and workers must never die on data) drops the command and
@@ -933,11 +932,9 @@ fn worker_loop(shared: Arc<Shared>) {
                     status.outcome = Some(out);
                     slot.cell = Cell::Retired;
                     retire = true;
-                    slot.late_inbox.clear();
-                } else if let Some(mut active) = active {
-                    // Commands that arrived while the slice ran.
-                    active.inbox.append(&mut slot.late_inbox);
-                    requeue = active.has_work();
+                    slot.inbox.clear();
+                } else if let Some(active) = active {
+                    requeue = !slot.inbox.is_empty() || active.remaining_ticks > 0;
                     slot.cell = Cell::Idle(active);
                 }
                 if report.is_some() || retire {

@@ -1710,6 +1710,13 @@ mod tests {
                 .expect("answered"),
             None
         );
+        // So is a frontier of the former format version.
+        let mut former = blob.clone();
+        former[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(
+            control_b.push_frontier(former, IDLE).expect("answered"),
+            None
+        );
         let admitted = control_b
             .push_frontier(blob, IDLE)
             .expect("answered")
@@ -1736,7 +1743,7 @@ mod tests {
         assert_eq!(sa.frontier_misses, 1);
         let sb = b.stats();
         assert_eq!(sb.frontier_pushes, 1);
-        assert_eq!(sb.frontier_refused, 1);
+        assert_eq!(sb.frontier_refused, 2);
         let warm_opens: u64 = b.moqo().stats().shards.iter().map(|s| s.warm_routed).sum();
         assert!(warm_opens >= 1);
         a.shutdown();

@@ -4,8 +4,8 @@
 //! parked optimizer represents a full refinement ladder someone already
 //! paid for. [`SnapshotStore`] writes every parked optimizer to disk
 //! (one file per [`moqo_engine::QueryFingerprint`], bytes produced by
-//! [`IamaOptimizer::export_frontier`], already versioned and
-//! self-validating) and re-parks them on startup, so a restarted server's
+//! [`IamaOptimizer::export_frontier`], already versioned, checksummed
+//! and self-validating) and re-parks them on startup, so a restarted server's
 //! first invocation of a known query still generates **zero** plans.
 //!
 //! Restore is tolerant by design: every file is decoded independently,
@@ -24,10 +24,13 @@
 //! snapshot sweep over a mostly-idle cache costs serialization, not IO.
 //!
 //! Snapshots embed the exporting cost model's
-//! [identity](moqo_costmodel::CostModel::identity) (format v2), so a
-//! frontier refined under a per-session model override is *skipped* on
-//! restore under the deployment default model — reported, never silently
-//! resumed under a model that would cost it differently.
+//! [identity](moqo_costmodel::CostModel::identity), so a frontier refined
+//! under a per-session model override is *skipped* on restore under the
+//! deployment default model — reported, never silently resumed under a
+//! model that would cost it differently. Files of an older format
+//! version ([`moqo_core::SNAPSHOT_VERSION`] is 4) are skipped the same
+//! way: each such fingerprint starts cold once, and the next save after
+//! its session parks writes it in the current format.
 
 use crate::shard::ShardedEngine;
 use moqo_core::IamaOptimizer;
@@ -362,29 +365,50 @@ mod tests {
             e.finish(gid).unwrap();
             store.save(&e).unwrap();
         }
-        // Corrupt the snapshot and drop a junk file next to it.
+        // Rewrite the snapshot as a former format version, and drop a
+        // truncated copy and a junk file next to it.
         let files: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
             .collect();
         assert_eq!(files.len(), 1);
-        let mut bytes = fs::read(&files[0]).unwrap();
-        let mid = bytes.len() / 2;
-        bytes.truncate(mid);
-        fs::write(&files[0], &bytes).unwrap();
+        let bytes = fs::read(&files[0]).unwrap();
+        let mut former = bytes.clone();
+        former[8..12].copy_from_slice(&3u32.to_le_bytes());
+        fs::write(&files[0], &former).unwrap();
+        let truncated = &bytes[..bytes.len() / 2];
+        fs::write(dir.join(format!("truncated.{FRONTIER_EXT}")), truncated).unwrap();
         fs::write(dir.join(format!("junk.{FRONTIER_EXT}")), b"not a snapshot").unwrap();
         fs::write(dir.join("README.txt"), b"ignored entirely").unwrap();
 
+        // A restarted process.
+        let store = SnapshotStore::new(&dir);
         let e = engine(2);
         let report = store.restore(&e).unwrap();
         assert_eq!(report.restored, 0);
-        assert_eq!(report.skipped.len(), 2, "{report}");
+        assert_eq!(report.skipped.len(), 3, "{report}");
+        assert!(
+            report
+                .skipped
+                .iter()
+                .any(|(path, why)| path == &files[0] && why.contains("version 3")),
+            "{:?}",
+            report.skipped
+        );
         // The engine stays cold but functional.
-        let gid = e.submit(spec);
+        let gid = e.submit(spec.clone());
         assert!(e.wait_idle(IDLE));
         let s = e.status(gid).unwrap();
         assert!(!s.warm_start);
         assert!(s.first_report.unwrap().plans_generated > 0);
+        // It starts cold once: the next save writes the fingerprint in
+        // the current format, and a restart restores it.
+        e.finish(gid).unwrap();
+        assert_eq!(store.save(&e).unwrap().written, 1);
+        let e = engine(2);
+        let report = SnapshotStore::new(&dir).restore(&e).unwrap();
+        assert_eq!((report.restored, report.skipped.len()), (1, 2), "{report}");
+        assert!(e.has_parked(e.fingerprint(&spec)));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -118,6 +118,10 @@ fn main() {
     println!(
         "session totals: {} invocations, {} plans generated, {} pairs combined, \
          {} frontier points shipped over {} events",
-        stats.invocations, stats.plans_generated, stats.pairs_generated, shipped, view.epoch,
+        session.invocations(),
+        stats.plans_generated,
+        stats.pairs_generated,
+        shipped,
+        view.epoch,
     );
 }

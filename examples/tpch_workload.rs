@@ -44,7 +44,7 @@ fn main() {
         table.row(vec![
             spec.name.clone(),
             spec.n_tables().to_string(),
-            stats.invocations.to_string(),
+            schedule.levels().to_string(),
             stats.plans_generated.to_string(),
             stats.pairs_generated.to_string(),
             frontier.len().to_string(),
