@@ -82,7 +82,7 @@ use moqo_core::protocol::{
 };
 use moqo_core::IamaOptimizer;
 use moqo_engine::{ModelRegistry, QueryFingerprint};
-use moqo_poll::{Events, Interest, Reactor, Token, WakeHandle, WAKE_TOKEN};
+use moqo_poll::{Events, Interest, Reactor, Token, WakeHandle};
 use moqo_wire::{
     check_hello, client_hello, ClientFrameKind, ClientMessage, FrameBuffer, NetError,
     ServerMessage, WireError, WriteBuffer, HELLO_LEN,
@@ -473,7 +473,8 @@ struct EventLoop {
     /// for activation on every wake (each poll also pumps the server's
     /// admission queue, so this doubles as the activation driver).
     awaiting: Vec<usize>,
-    /// Tokens with a non-empty outbound buffer (stall bookkeeping).
+    /// Tokens with a non-empty outbound buffer (stall bookkeeping):
+    /// exactly the connections registered for write readiness.
     loaded: HashSet<usize>,
     jobs: Vec<Sender<Job>>,
     /// Ticket ids marked dirty by the server event hook.
@@ -494,20 +495,11 @@ impl EventLoop {
             let mut ready: Vec<(usize, bool, bool)> = Vec::with_capacity(events.len());
             for ev in events.iter() {
                 let token = ev.token();
-                if token == WAKE_TOKEN {
-                    continue;
-                }
                 if token == LISTENER_TOKEN {
                     accept = true;
                     continue;
                 }
-                // Errors and hangups fold into readability: the next
-                // read surfaces them as EOF or an error.
-                ready.push((
-                    token.0,
-                    ev.is_readable() || ev.is_closed(),
-                    ev.is_writable(),
-                ));
+                ready.push((token.0, ev.is_readable(), ev.is_writable()));
             }
             if accept {
                 self.accept_ready();
@@ -967,15 +959,19 @@ impl EventLoop {
                     fate = Some(Close::Done);
                 }
             }
+            // Write interest follows `loaded`, so only a change to the
+            // set costs a syscall.
             if fate.is_none() {
-                if conn.out.is_empty() {
-                    self.loaded.remove(&token);
-                    let _ = self.reactor.set_interest(Token(token), Interest::READABLE);
+                let (changed, interest) = if conn.out.is_empty() {
+                    (self.loaded.remove(&token), Interest::READABLE)
                 } else {
-                    self.loaded.insert(token);
+                    let both = Interest::READABLE.add(Interest::WRITABLE);
+                    (self.loaded.insert(token), both)
+                };
+                if changed {
                     let _ = self
                         .reactor
-                        .set_interest(Token(token), Interest::READABLE.add(Interest::WRITABLE));
+                        .reregister(&conn.stream, Token(token), interest);
                 }
             }
         }
@@ -1024,7 +1020,7 @@ impl EventLoop {
         // Hand the kernel whatever still fits (typed errors, terminal
         // frames); anything beyond that is the slow reader's loss.
         let _ = conn.out.flush_to(&mut conn.stream);
-        let _ = self.reactor.deregister(Token(token));
+        let _ = self.reactor.deregister(&conn.stream);
         self.loaded.remove(&token);
         self.awaiting.retain(|&t| t != token);
         if let Some(ticket) = conn.ticket.take() {
