@@ -355,13 +355,8 @@ fn main() {
                 println!("=== Fleet router: liveness watch loop over 3 real node processes ===\n");
                 let report = fleet_router_watch(&exe, every, None, cli.fast);
                 println!(
-                    "\n{} beats: {} death(s) found, {} orphaned key(s), {} adopted warm,\n\
-                     \x20        {} leveling move(s).\n",
-                    report.ticks,
-                    report.deaths,
-                    report.orphaned,
-                    report.adopted_warm,
-                    report.rebalanced
+                    "\n{} beats: {} death(s) found, {} orphaned key(s), {} leveling move(s).\n",
+                    report.ticks, report.deaths, report.orphaned, report.rebalanced
                 );
             }
         }

@@ -7,21 +7,25 @@
 //! SIGKILLs one of them mid-experiment, so process isolation is real:
 //! the dead node's in-memory warm state is genuinely gone, and the only
 //! path back to zero-plan repeats is the fleet machinery — placement
-//! rebalance, router adoption, and the shared `SnapshotStore` directory.
+//! failover and the shared `SnapshotStore` directory, which every node
+//! reads on a warm-store miss.
 //!
 //! Phases reported (submit→first-frontier, socket to socket):
 //!
 //! 1. **cold** — every fingerprint is new; sessions park on their
 //!    placement homes and the sweepers persist them to the shared store.
 //! 2. **warm** — exact repeats; every session resumes its parked
-//!    frontier (zero plans generated).
+//!    frontier from memory (zero plans generated).
 //! 3. **post-kill warm** — the home node of the first workload key is
-//!    SIGKILLed, the router probes and marks it dead, orphaned keys are
-//!    adopted from the shared store by their new homes, and the repeats
-//!    **still** all start at zero plans. The driver also re-runs the
-//!    orphaned key to ladder saturation and checks the client-side
+//!    SIGKILLed and the repeats run at once, with no router call: the
+//!    client fails over, each orphaned key's new home reads the dead
+//!    node's last sweep from the shared store (a disk hit, reported as
+//!    `orphan_*`), and the repeats **still** all start at zero plans.
+//!    The router's probe then finds the survivors alive. The experiment also
+//!    re-runs the orphaned key to ladder saturation, stops its serving
+//!    node gracefully (the final save), and checks the client-side
 //!    [`SessionView`](moqo_core::protocol::SessionView) `bits_eq`
-//!    against the frontier the serving node parked.
+//!    against the frontier in that node's snapshot file.
 
 use moqo_core::protocol::{SessionCommand, SessionRequest};
 use moqo_core::IamaOptimizer;
@@ -109,6 +113,7 @@ fn spawn_node(exe: &Path, id: &str, store: &Path) -> (Child, String) {
 /// Figures from one pass over the workload.
 struct PhaseFigures {
     sessions: usize,
+    /// Submit→first-frontier latency per spec, in workload order.
     us: Samples,
     zero_plan_starts: u64,
 }
@@ -162,18 +167,19 @@ fn run_phase(client: &FleetClient, specs: &[Arc<QuerySpec>]) -> PhaseFigures {
     }
 }
 
-/// Runs one key to ladder saturation on its (post-kill) home and checks
-/// the client-side view `bits_eq` the frontier the node parked: the pull
-/// endpoint hands back the parked `export_frontier` bytes, and the
-/// re-imported optimizer's target-resolution frontier must be
-/// bit-identical to what the deltas reassembled client-side.
+/// Runs one key to ladder saturation on its (post-kill) home, stops that
+/// node gracefully, and checks the client-side view `bits_eq` the
+/// frontier the node parked: its final save writes the parked
+/// `export_frontier` bytes to the shared store, and the re-imported
+/// optimizer's target-resolution frontier must be bit-identical to what
+/// the deltas reassembled client-side.
 fn view_matches_served_frontier(
-    client: &FleetClient,
-    model: &SharedCostModel,
+    s: &mut FleetState,
     spec: Arc<QuerySpec>,
     fp: QueryFingerprint,
 ) -> bool {
-    let mut session = client
+    let mut session = s
+        .client
         .submit(SessionRequest::new(spec))
         .expect("routed to a live node");
     assert!(session.admission.is_admitted());
@@ -197,11 +203,14 @@ fn view_matches_served_frontier(
         .expect("send");
     session.client.wait_finished(IDLE).expect("terminal event");
     let bounds = session.client.view().bounds.expect("bounds seen");
-    let blob = client
-        .pull_frontier(fp)
-        .expect("control pull answered")
-        .expect("the serving node parked the session");
-    let opt = IamaOptimizer::import_frontier(model.clone(), &blob).expect("self-validating bytes");
+    let mut server = s
+        .children
+        .remove(&session.node)
+        .expect("the serving node is running");
+    stop_child(&mut server);
+    let blob = std::fs::read(snapshot_file(&s.dir, fp)).expect("the final save wrote the key");
+    let opt =
+        IamaOptimizer::import_frontier(s.model.clone(), &blob).expect("self-validating bytes");
     let served = opt.frontier(&bounds, opt.schedule().r_max());
     served.bits_eq(&session.client.view().frontier)
 }
@@ -268,13 +277,24 @@ fn fleet_state(exe: &Path, fast: bool, tag: &str) -> FleetState {
     }
 }
 
-/// Graceful teardown: closing stdin is the children's stop signal.
+/// Stops one node gracefully: closing its stdin is the stop signal, and
+/// the node saves its parked frontiers before it exits.
+fn stop_child(child: &mut Child) {
+    drop(child.stdin.take());
+    let _ = child.wait();
+}
+
+/// Graceful teardown of every node still running.
 fn fleet_teardown(mut state: FleetState) {
-    for (_, child) in state.children.iter_mut() {
-        drop(child.stdin.take());
-        let _ = child.wait();
+    for child in state.children.values_mut() {
+        stop_child(child);
     }
     let _ = std::fs::remove_dir_all(&state.dir);
+}
+
+/// The shared store's snapshot file of `fp`.
+fn snapshot_file(dir: &Path, fp: QueryFingerprint) -> PathBuf {
+    dir.join(format!("{:016x}.{}", fp.as_u64(), moqo_serve::FRONTIER_EXT))
 }
 
 /// Blocks until every fingerprint's sweep reached the shared store —
@@ -282,7 +302,7 @@ fn fleet_teardown(mut state: FleetState) {
 fn wait_for_sweep(dir: &Path, fps: &[QueryFingerprint]) {
     let deadline = Instant::now() + IDLE;
     for fp in fps {
-        let file = dir.join(format!("{:016x}.frontier", fp.as_u64()));
+        let file = snapshot_file(dir, *fp);
         while !file.exists() {
             assert!(Instant::now() < deadline, "sweep never persisted {file:?}");
             std::thread::sleep(Duration::from_millis(10));
@@ -322,49 +342,41 @@ pub fn fleet_experiment(exe: &Path, fast: bool) -> ExperimentReport {
             corpse.kill().expect("SIGKILL");
             corpse.wait().expect("reap");
 
-            let health = s.router.probe();
-            assert!(
-                health.iter().any(|h| h.id == victim && !h.alive),
-                "the probe must find the body: {health:?}"
-            );
-            let orphans: Vec<QueryFingerprint> = s
-                .fps
-                .iter()
-                .zip(&s.homes)
-                .filter(|(_, home)| **home == victim)
-                .map(|(fp, _)| *fp)
-                .collect();
-            let mut adopted_warm = 0u64;
-            for fp in &orphans {
-                let new_home = s
-                    .placement
-                    .read()
-                    .unwrap()
-                    .home_of(*fp)
-                    .expect("survivors left")
-                    .id
-                    .clone();
-                assert_ne!(new_home, victim, "a dead node must not own keys");
-                if s.router.adopt(*fp).expect("pull answered").is_some() {
-                    adopted_warm += 1;
-                }
-            }
-            assert_eq!(
-                adopted_warm,
-                orphans.len() as u64,
-                "every orphaned key must adopt from the shared store"
-            );
-
-            // The acceptance assertion: repeats after the kill are still
-            // all zero-plan starts — survivors kept their keys warm,
-            // orphans were re-parked from the store by their new homes.
+            // The acceptance assertion: repeats right after the kill, with
+            // no router call in between, are still all zero-plan starts —
+            // survivors kept their keys warm in memory, and each orphan's
+            // new home read it from the store on its first open.
             let post = run_phase(&s.client, &s.specs);
             assert_eq!(
                 post.zero_plan_starts, post.sessions as u64,
                 "a warm repeat must survive its home node's death"
             );
-            let view_bits_eq =
-                view_matches_served_frontier(&s.client, &s.model, s.specs[0].clone(), s.fps[0]);
+            let orphans: Samples = s
+                .homes
+                .iter()
+                .zip(post.us.as_slice())
+                .filter(|(home, _)| **home == victim)
+                .map(|(_, us)| *us)
+                .collect();
+            for fp in &s.fps {
+                let home = s
+                    .placement
+                    .read()
+                    .unwrap()
+                    .home_of(*fp)
+                    .map(|n| n.id.clone());
+                assert_ne!(home, Some(victim.clone()), "a dead node must not own keys");
+            }
+            // The client's failover marked the body, so the router's
+            // probe checks only the survivors.
+            assert!(s.placement.read().unwrap().node(&victim).unwrap().dead);
+            let health = s.router.probe();
+            assert!(
+                health.iter().all(|h| h.id != victim && h.alive),
+                "the survivors must stay alive: {health:?}"
+            );
+            let (spec, fp) = (s.specs[0].clone(), s.fps[0]);
+            let view_bits_eq = view_matches_served_frontier(s, spec, fp);
             assert!(
                 view_bits_eq,
                 "client view diverged from the serving node across the hand-off"
@@ -372,11 +384,15 @@ pub fn fleet_experiment(exe: &Path, fast: bool) -> ExperimentReport {
             post.record(t);
             t.text("killed", victim);
             t.int("orphaned", orphans.len() as u64);
-            t.int("adopted_warm", adopted_warm);
+            // Disk hits: info beside the warm pass's memory hits and
+            // the cold pass, not gated.
+            let orphan = Summary::of_or_zero(&orphans);
+            t.num("orphan_p50_us", orphan.p50);
+            t.num("orphan_max_us", orphan.max);
             t.flag("view_bits_eq", view_bits_eq);
         })
         .variant("routing", "routes", |s, t| {
-            t.int("nodes", s.children.len() as u64 + 1);
+            t.int("nodes", s.placement.read().unwrap().nodes().count() as u64);
             let routes: Vec<(String, u64)> = s
                 .placement
                 .read()
@@ -402,23 +418,26 @@ pub struct WatchReport {
     pub deaths: usize,
     /// Keys orphaned by those deaths.
     pub orphaned: usize,
-    /// Orphaned keys re-parked warm from the shared store.
-    pub adopted_warm: usize,
-    /// Keys shipped warm between nodes by load leveling.
+    /// Repeats of the induced death's orphaned keys, run after the last
+    /// beat, whose first invocation generated zero plans (their new
+    /// homes read them from the shared store). Bounded runs only.
+    pub orphan_zero_plan_starts: u64,
+    /// Keys pinned between nodes by load leveling.
     pub rebalanced: usize,
 }
 
 /// The daemonizable liveness loop behind `repro fleet-router --watch
 /// <ms>`: spawns 3 real `repro fleet-node` processes over a shared
 /// snapshot directory, parks the workload on them, then runs
-/// [`FleetRouter::watch_tick`] every `every` — probe, adopt orphans
-/// after a death, level skewed ownership — printing one line per beat.
+/// [`FleetRouter::watch_tick`] every `every` — probe, count the keys a
+/// death orphaned, level skewed ownership — printing one line per beat.
 ///
 /// With `ticks: None` the loop runs until the process dies (SIGTERM is
 /// the intended stop; the node children notice the closed stdin pipes
 /// and drain gracefully). A bounded run (`ticks: Some(n)`, the `--ticks`
-/// flag) additionally SIGKILLs one node after the second beat so the
-/// death-detection and store-adoption paths demonstrably fire, then
+/// flag) additionally SIGKILLs one node after the second beat so death
+/// detection demonstrably fires, repeats the dead node's keys after the
+/// last beat (each new home reads its key from the shared store), then
 /// tears the fleet down and reports totals.
 pub fn fleet_router_watch(
     exe: &Path,
@@ -441,6 +460,7 @@ pub fn fleet_router_watch(
 
     let mut state = state;
     let mut report = WatchReport::default();
+    let mut orphans: Vec<Arc<QuerySpec>> = Vec::new();
     loop {
         std::thread::sleep(every);
         if ticks.is_some() && report.ticks == 2 {
@@ -458,29 +478,34 @@ pub fn fleet_router_watch(
                 corpse.kill().expect("SIGKILL");
                 corpse.wait().expect("reap");
                 println!("tick {}: SIGKILLed {victim}", report.ticks);
+                let placement = state.placement.read().unwrap();
+                orphans = state
+                    .specs
+                    .iter()
+                    .zip(&state.fps)
+                    .filter(|(_, fp)| placement.home_of(**fp).is_some_and(|n| n.id == victim))
+                    .map(|(spec, _)| spec.clone())
+                    .collect();
             }
         }
         let tick = state.router.watch_tick(&state.fps, 2);
         report.ticks += 1;
         report.deaths += tick.died.len();
         report.orphaned += tick.orphaned;
-        report.adopted_warm += tick.adopted_warm;
         report.rebalanced += tick.rebalanced;
         println!(
-            "tick {}: {} alive, died {:?}, orphaned {}, adopted warm {}, \
-             adopted cold {}, rebalanced {}",
+            "tick {}: {} alive, died {:?}, orphaned {}, rebalanced {}",
             report.ticks,
             tick.health.iter().filter(|h| h.alive).count(),
             tick.died,
             tick.orphaned,
-            tick.adopted_warm,
-            tick.adopted_cold,
             tick.rebalanced,
         );
         if ticks.is_some_and(|t| report.ticks >= t) {
             break;
         }
     }
+    report.orphan_zero_plan_starts = run_phase(&state.client, &orphans).zero_plan_starts;
     fleet_teardown(state);
     report
 }
@@ -498,18 +523,18 @@ pub fn fleet_router_experiment(
 ) -> ExperimentReport {
     let exe = exe.to_path_buf();
     Experiment::new("fleet-router", fast, || ())
-        .title("fleet-router watch loop: probe, adopt, level")
+        .title("fleet-router watch loop: probe, level, repeat the orphans")
         .variant("watch", "bounded run", move |_, t| {
             let report = fleet_router_watch(&exe, every, Some(ticks), fast);
             t.int("ticks", report.ticks);
             t.int("deaths", report.deaths as u64);
             t.int("orphaned", report.orphaned as u64);
-            t.int("adopted_warm", report.adopted_warm as u64);
+            t.int("orphan_zero_plan_starts", report.orphan_zero_plan_starts);
             t.int("rebalanced", report.rebalanced as u64);
         })
         .conclusion(
-            "the watch loop finds the induced death and adopts every \
-             orphaned key warm from the shared store.",
+            "the watch loop finds the induced death, and every orphaned \
+             key's repeat starts warm from the shared store.",
         )
         .run()
 }

@@ -26,6 +26,11 @@
 //! state belongs to a query, not to a worker, so no fingerprint is ever
 //! parked twice and no shard has to go looking for another's warmth.
 //!
+//! A memory miss may fall through to one slower tier: a serving layer
+//! sets a [`MissLoader`] once ([`WarmStore::set_loader`]; `moqo-serve`'s
+//! `SnapshotStore::attach` reads the fingerprint's snapshot file), and
+//! [`WarmStore::take`] calls it with no lock held.
+//!
 //! A parked optimizer also serves as a **rebase donor** for submissions
 //! that differ from it only in catalog cardinalities: a secondary index
 //! by [`RebaseKey`] finds it, and [`WarmStore::rebase_seeds`] hands out
@@ -37,7 +42,12 @@ use crate::fingerprint::{QueryFingerprint, RebaseKey};
 use crate::subfrontier::{Harvest, SubFrontierCache};
 use moqo_core::IamaOptimizer;
 use moqo_index::FxHashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+/// Reads the optimizer of a fingerprint the store's memory does not
+/// hold, from a slower tier; `None` is a miss. Installed once per store
+/// with [`WarmStore::set_loader`].
+pub type MissLoader = Box<dyn Fn(QueryFingerprint) -> Option<IamaOptimizer> + Send + Sync>;
 
 /// Counters describing warm-store effectiveness, as one manager sees a
 /// store it may share (see [`crate::SessionManager::cache_stats`]).
@@ -197,6 +207,9 @@ impl FrontierCache {
 pub struct WarmStore {
     frontiers: Mutex<FrontierCache>,
     subfrontiers: SubFrontierCache,
+    /// The tier a memory miss falls through to, if a serving layer set
+    /// one.
+    loader: OnceLock<MissLoader>,
 }
 
 impl WarmStore {
@@ -206,7 +219,14 @@ impl WarmStore {
         Self {
             frontiers: Mutex::new(FrontierCache::new(capacity)),
             subfrontiers,
+            loader: OnceLock::new(),
         }
+    }
+
+    /// Sets the store's one [`MissLoader`]. Returns false, and drops
+    /// `loader`, if a loader is already set.
+    pub fn set_loader(&self, loader: MissLoader) -> bool {
+        self.loader.set(loader).is_ok()
     }
 
     fn lock(&self) -> MutexGuard<'_, FrontierCache> {
@@ -248,8 +268,17 @@ impl WarmStore {
     /// the harvest it was parked with: a hit transfers ownership to the
     /// new session, and the optimizer returns through
     /// [`WarmStore::park`] when that session ends.
-    pub fn take(&self, fp: QueryFingerprint) -> Option<(IamaOptimizer, Harvest)> {
-        self.lock().take(fp)
+    ///
+    /// On a memory miss the [`MissLoader`], if one is set, is asked for
+    /// `fp` after the lock is released. What it returns goes to the
+    /// caller without being parked first, and with no harvest, so its
+    /// session parks it with a fresh one.
+    pub fn take(&self, fp: QueryFingerprint) -> Option<(IamaOptimizer, Option<Harvest>)> {
+        let hit = self.lock().take(fp);
+        match hit {
+            Some((optimizer, harvest)) => Some((optimizer, Some(harvest))),
+            None => self.loader.get()?(fp).map(|optimizer| (optimizer, None)),
+        }
     }
 
     /// The seeds of a **rebase donor** for `key`: the harvest of the most

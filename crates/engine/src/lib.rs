@@ -84,7 +84,7 @@ pub mod plans;
 pub mod registry;
 pub mod subfrontier;
 
-pub use cache::{CacheStats, WarmStore};
+pub use cache::{CacheStats, MissLoader, WarmStore};
 pub use fingerprint::{QueryFingerprint, RebaseKey, SubsetFingerprint};
 pub use manager::{EngineConfig, EventHook, SessionId, SessionManager, SessionStatus};
 pub use plans::{PlanCache, PlanCacheStats};

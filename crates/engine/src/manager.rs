@@ -436,7 +436,7 @@ impl SessionManager {
             Some((opt, harvest)) => {
                 count(&counters.hits);
                 let nonstandard = opt.schedule() != &self.schedule;
-                (opt, Some(harvest), true, nonstandard, false, 0)
+                (opt, harvest, true, nonstandard, false, 0)
             }
             None => {
                 count(&counters.misses);

@@ -107,21 +107,6 @@ impl FleetClient {
         }
     }
 
-    /// Pulls the warm frontier for `fp` from its **current home** (a
-    /// control connection; `Ok(None)` is a miss). After a rebalance this
-    /// is how a client-side cache or a new home primes itself.
-    pub fn pull_frontier(&self, fp: QueryFingerprint) -> Result<Option<Vec<u8>>, NetError> {
-        let addr = {
-            let placement = self.placement.read().expect("placement poisoned");
-            match placement.home_of(fp) {
-                Some(n) => n.addr.clone(),
-                None => return Err(NetError::Disconnected),
-            }
-        };
-        let mut control = NetClient::connect(&addr)?;
-        control.pull_frontier(fp.as_u64(), self.submit_timeout)
-    }
-
     /// The fleet-wide default cost model the client fingerprints under.
     pub fn model(&self) -> &SharedCostModel {
         &self.model

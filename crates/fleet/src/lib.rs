@@ -17,24 +17,24 @@
 //!   warm frontiers hot.
 //! * [`FleetNode`] — one serving node: a
 //!   [`NetServer`](moqo_serve::NetServer) over a shared snapshot
-//!   directory, with a periodic persistence sweeper and crash
-//!   ([`kill`](FleetNode::kill)) vs. graceful ([`stop`](FleetNode::stop))
-//!   semantics.
+//!   directory, read on first demand, with a periodic persistence
+//!   sweeper and crash ([`kill`](FleetNode::kill)) vs. graceful
+//!   ([`stop`](FleetNode::stop)) semantics.
 //! * [`FleetClient`] — the client library: fingerprints each request,
 //!   routes it to its home node via the shared placement, and fails over
 //!   (marking unreachable nodes dead) when the home vanishes.
 //! * [`FleetRouter`] — the control-plane process: health probes over the
-//!   `MOQOWIRE` handshake, death detection, and warm-state rebalancing —
-//!   `PullFrontier` off the old home, `PushFrontier` onto the new one
-//!   (validated there exactly like a snapshot restore, never trusted),
-//!   then a placement pin. After an *unplanned* death the new home
-//!   re-parks the key from the shared store on first demand
-//!   ([`FleetRouter::adopt`]), so a warm repeat still generates zero
-//!   plans after its home node was killed. The daemonizable liveness
-//!   beat [`FleetRouter::watch_tick`] composes all three — probe,
-//!   adopt every orphaned key, and one gentle load-leveling move per
-//!   tick — and `repro fleet-router --watch <ms>` runs it as a loop
-//!   over real node processes until SIGTERM.
+//!   `MOQOWIRE` handshake, death detection, and placement pins for
+//!   planned moves ([`FleetRouter::rebalance`]). It moves no state:
+//!   every node attaches the shared store as its warm-store miss loader
+//!   ([`SnapshotStore::attach`](moqo_serve::SnapshotStore::attach)), so
+//!   a key's new home — after a death or a pin — reads the key's last
+//!   swept snapshot file on the key's first open and validates it there,
+//!   and a warm repeat still generates zero plans after its home node
+//!   was killed. The daemonizable liveness beat
+//!   [`FleetRouter::watch_tick`] composes probe and one gentle
+//!   load-leveling pin per tick, and `repro fleet-router --watch <ms>`
+//!   runs it as a loop over real node processes until SIGTERM.
 //!
 //! End to end (asserted by `examples/fleet_serving.rs` and `repro
 //! fleet`): kill a node, probe, and the repeat of a query it served
@@ -51,4 +51,4 @@ pub mod router;
 pub use client::{share, FleetClient, FleetSession, SharedPlacement};
 pub use node::{FleetNode, FleetNodeConfig};
 pub use placement::{NodeEntry, Placement};
-pub use router::{FleetRouter, NodeHealth, Rebalance, WatchTick};
+pub use router::{FleetRouter, NodeHealth, WatchTick};

@@ -1,5 +1,5 @@
 //! One serving node of a fleet: a [`NetServer`] plus its snapshot store
-//! and a periodic persistence sweeper.
+//! (read on first demand, written by a periodic persistence sweeper).
 
 use moqo_cost::ResolutionSchedule;
 use moqo_costmodel::SharedCostModel;
@@ -20,11 +20,10 @@ pub struct FleetNodeConfig {
     /// [`FleetNode::addr`]).
     pub addr: String,
     /// The **shared** snapshot directory all fleet nodes persist to and
-    /// adopt from; `None` runs without durability (no store fallback on
-    /// frontier pulls, nothing survives a kill). A node restores every
-    /// snapshot in it at start; on a shared directory this over-parks (a
-    /// node restores keys it does not own), which is harmless, because
-    /// placement decides who *serves* a key.
+    /// read from; `None` runs without durability (nothing survives a
+    /// kill, and a key that moves starts cold on its new home). The node
+    /// reads a key's file on first demand — when an open misses its warm
+    /// store — so it parks only the keys it serves.
     pub store_dir: Option<PathBuf>,
     /// Persistence sweep cadence; `None` saves only at [`FleetNode::stop`].
     pub sweep: Option<Duration>,
@@ -50,7 +49,7 @@ impl FleetNodeConfig {
         }
     }
 
-    /// Persist to (and adopt from) `dir`.
+    /// Persist to (and read on demand from) `dir`.
     pub fn with_store(mut self, dir: impl Into<PathBuf>) -> Self {
         self.store_dir = Some(dir.into());
         self
@@ -74,8 +73,8 @@ pub struct FleetNode {
 }
 
 impl FleetNode {
-    /// Binds and starts the node; restores the store first when it has
-    /// one.
+    /// Binds and starts the node; attaches the store, when it has one,
+    /// as the engine's warm-store miss loader.
     pub fn start(model: SharedCostModel, config: FleetNodeConfig) -> std::io::Result<FleetNode> {
         let server = Arc::new(MoqoServer::new(
             model.clone(),
@@ -87,16 +86,13 @@ impl FleetNode {
             .store_dir
             .map(|dir| Arc::new(SnapshotStore::new(dir)));
         if let Some(store) = &store {
-            let _ = store.restore(server.engine());
+            store.attach(server.engine());
         }
         let net_config = NetConfig {
             addr: config.addr,
             ..config.net
         };
-        let net = match &store {
-            Some(store) => NetServer::bind_with_store(server, registry, net_config, store.clone())?,
-            None => NetServer::bind(server, registry, net_config)?,
-        };
+        let net = NetServer::bind(server, registry, net_config)?;
         let sweeper_stop = Arc::new(AtomicBool::new(false));
         let sweeper = match (&store, config.sweep) {
             (Some(store), Some(every)) => {
@@ -175,7 +171,7 @@ impl FleetNode {
     /// Crash semantics: the front goes down *without* a final sweep —
     /// anything parked since the last periodic sweep is lost, exactly
     /// like a killed process. What the sweeper already persisted stays
-    /// in the shared store for the next home to adopt.
+    /// in the shared store for the next home to read.
     pub fn kill(mut self) {
         self.join_sweeper();
         self.store = None;

@@ -1,9 +1,8 @@
-//! The fleet router: health probes, death detection, and warm-state
-//! rebalancing over the shared placement table.
+//! The fleet router: health probes, death detection, and placement pins
+//! over the shared placement table.
 
 use crate::client::SharedPlacement;
 use moqo_engine::QueryFingerprint;
-use moqo_serve::NetClient;
 use moqo_wire::{check_hello, client_hello, NetError, HELLO_LEN};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -12,8 +11,6 @@ use std::time::Duration;
 
 /// Per-node connect budget of a health probe.
 const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
-/// Per-request budget of control pulls/pushes during rebalance.
-const CONTROL_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// One node's probe outcome.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,28 +22,6 @@ pub struct NodeHealth {
     pub alive: bool,
 }
 
-/// What a planned [`FleetRouter::rebalance`] did.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Rebalance {
-    /// The frontier was pulled off the old home, pushed to (and
-    /// validated by) the new home, and the key pinned there.
-    Moved {
-        /// Node the warm state left.
-        from: String,
-        /// Node that now owns the key.
-        to: String,
-        /// Size of the shipped `export_frontier` blob.
-        bytes: usize,
-    },
-    /// The old home had nothing parked for the key; the pin was still
-    /// set (the new home starts cold, or adopts from the shared store on
-    /// first pull).
-    ColdMove {
-        /// Node that now owns the key.
-        to: String,
-    },
-}
-
 /// What one [`FleetRouter::watch_tick`] beat observed and repaired.
 #[derive(Clone, Debug, Default)]
 pub struct WatchTick {
@@ -55,26 +30,18 @@ pub struct WatchTick {
     /// Nodes that failed their probe this tick (newly marked dead).
     pub died: Vec<String>,
     /// Watched keys whose home died this tick; rendezvous hashing moved
-    /// each to a surviving node.
+    /// each to a surviving node, which reads the key's last swept state
+    /// from the shared store on its first open.
     pub orphaned: usize,
-    /// Orphaned keys re-parked **warm** on their new homes (the new home
-    /// pulled the dead node's last persisted state from the shared
-    /// store).
-    pub adopted_warm: usize,
-    /// Orphaned keys with nothing persisted anywhere: their new homes
-    /// start cold.
-    pub adopted_cold: usize,
-    /// Keys shipped warm from the most- to the least-loaded live node
-    /// because the ownership spread exceeded the tick's headroom.
+    /// Keys pinned from the most- to the least-loaded live node because
+    /// the ownership spread exceeded the tick's headroom.
     pub rebalanced: usize,
 }
 
 /// The thin router process: it owns mutations of the [`SharedPlacement`]
-/// (marking dead nodes, pinning rebalanced keys) and ships warm state
-/// between nodes over their control endpoints. It holds **no** optimizer
-/// state itself — every frontier it moves is self-validating
-/// `export_frontier` bytes that the receiving node re-validates at
-/// admission.
+/// (marking dead nodes, pinning rebalanced keys). It holds and moves
+/// **no** optimizer state: a key's new home reads the key's snapshot
+/// file from the shared store on first demand, and validates it there.
 pub struct FleetRouter {
     placement: SharedPlacement,
 }
@@ -138,65 +105,30 @@ impl FleetRouter {
         health
     }
 
-    /// Planned hand-off: pulls the warm frontier for `fp` off its
-    /// current home, pushes it to node `to` (which re-validates it like
-    /// a snapshot restore), and pins the key there. The pulled bytes
-    /// stay parked on the old home too — placement decides who serves,
-    /// duplicates are harmless.
-    pub fn rebalance(&self, fp: QueryFingerprint, to: &str) -> Result<Rebalance, NetError> {
-        let (from, from_addr, to_addr) = {
-            let placement = self.placement.read().expect("placement poisoned");
-            let target = placement
-                .node(to)
-                .filter(|n| !n.dead)
-                .ok_or(NetError::Disconnected)?;
-            match placement.home_of(fp) {
-                Some(home) if home.id != target.id => {
-                    (home.id.clone(), home.addr.clone(), target.addr.clone())
-                }
-                // Already home (or no home at all): nothing to ship.
-                _ => (String::new(), String::new(), target.addr.clone()),
-            }
-        };
-        let blob = if from.is_empty() {
-            None
-        } else {
-            let mut control = NetClient::connect(&from_addr)?;
-            control.pull_frontier(fp.as_u64(), CONTROL_TIMEOUT)?
-        };
-        let result = match blob {
-            Some(blob) => {
-                let bytes = blob.len();
-                let mut control = NetClient::connect(&to_addr)?;
-                let admitted = control.push_frontier(blob, CONTROL_TIMEOUT)?;
-                if admitted != Some(fp.as_u64()) {
-                    // The new home refused the bytes (or decoded them to
-                    // a different fingerprint): do NOT pin — routing to
-                    // a cold node on purpose needs a validated frontier.
-                    return Err(NetError::UnexpectedFrame("push refused by the new home"));
-                }
-                Rebalance::Moved {
-                    from,
-                    to: to.to_string(),
-                    bytes,
-                }
-            }
-            None => Rebalance::ColdMove { to: to.to_string() },
-        };
-        self.placement
-            .write()
-            .expect("placement poisoned")
-            .set_override(fp, to);
-        Ok(result)
+    /// Planned hand-off: pins `fp` to node `to`, which must be live.
+    ///
+    /// No state moves here. With a shared store, the new home reads the
+    /// key's file — the old home's last sweep — when the key's next
+    /// session opens, so the move is warm up to that sweep; what the old
+    /// home refined after it is not carried over. Without a store, the
+    /// move is cold: the new home starts the key from scratch. The old
+    /// home keeps its parked copy; placement decides who serves.
+    pub fn rebalance(&self, fp: QueryFingerprint, to: &str) -> Result<(), NetError> {
+        let mut placement = self.placement.write().expect("placement poisoned");
+        if placement.node(to).is_none_or(|n| n.dead) {
+            return Err(NetError::Disconnected);
+        }
+        placement.set_override(fp, to);
+        Ok(())
     }
 
     /// One beat of the liveness loop (`repro fleet-router --watch`):
-    /// probe every live node, adopt the watched keys a newly-dead node
+    /// probe every live node, count the watched keys a newly-dead node
     /// orphaned, and — when the ownership spread of `keys` across live
-    /// nodes exceeds `headroom` — ship one key warm from the
-    /// most-loaded to the least-loaded node (one move per tick, so a
-    /// skewed fleet converges gently instead of thundering).
-    /// `usize::MAX` disables rebalancing.
+    /// nodes exceeds `headroom` — [rebalance](FleetRouter::rebalance)
+    /// one key from the most-loaded to the least-loaded node (one move
+    /// per tick, so a skewed fleet converges gently instead of
+    /// thundering). `usize::MAX` disables rebalancing.
     ///
     /// A tick against a healthy, balanced fleet does nothing but the
     /// probes; the loop is safe to run forever at any cadence.
@@ -215,29 +147,17 @@ impl FleetRouter {
             .filter(|h| !h.alive)
             .map(|h| h.id.clone())
             .collect();
+        let orphaned = homes_before
+            .iter()
+            .filter(|before| before.as_ref().is_some_and(|id| died.contains(id)))
+            .count();
 
         let mut tick = WatchTick {
             health,
             died,
-            ..WatchTick::default()
+            orphaned,
+            rebalanced: 0,
         };
-        if !tick.died.is_empty() {
-            for (fp, before) in keys.iter().zip(&homes_before) {
-                let orphaned = before.as_ref().is_some_and(|id| tick.died.contains(id));
-                if !orphaned {
-                    continue;
-                }
-                tick.orphaned += 1;
-                // Adopt lazily: the new home re-parks the key from the
-                // shared store on this pull (or reports a cold start). A
-                // pull error leaves the key for the next tick.
-                match self.adopt(*fp) {
-                    Ok(Some(_)) => tick.adopted_warm += 1,
-                    Ok(None) => tick.adopted_cold += 1,
-                    Err(_) => {}
-                }
-            }
-        }
 
         if headroom != usize::MAX {
             // Ownership census of the watched keys over live nodes.
@@ -268,22 +188,5 @@ impl FleetRouter {
             }
         }
         tick
-    }
-
-    /// Adopt-after-death: asks `fp`'s **current** home to pull the
-    /// frontier up — from its own cache or, for a key just inherited
-    /// from a dead node, from the shared snapshot store (re-parking it).
-    /// Returns the blob when the new home is warm, `None` when the key
-    /// starts cold (nothing ever persisted).
-    pub fn adopt(&self, fp: QueryFingerprint) -> Result<Option<Vec<u8>>, NetError> {
-        let addr = {
-            let placement = self.placement.read().expect("placement poisoned");
-            match placement.home_of(fp) {
-                Some(n) => n.addr.clone(),
-                None => return Err(NetError::Disconnected),
-            }
-        };
-        let mut control = NetClient::connect(&addr)?;
-        control.pull_frontier(fp.as_u64(), CONTROL_TIMEOUT)
     }
 }

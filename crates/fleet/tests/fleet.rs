@@ -1,13 +1,11 @@
-//! Fleet integration: placement routing, planned rebalance with warm
-//! hand-off, node death with store adoption, and client failover — all
-//! over real loopback sockets (in-process nodes, so kills are
+//! Fleet integration: placement routing, planned rebalance and node
+//! death with the shared store read on first demand, and client
+//! failover — all over real loopback sockets (in-process nodes, so kills are
 //! deterministic and CI-cheap; `repro fleet` runs the same story with
 //! real processes).
 
 use moqo_costmodel::{SharedCostModel, StandardCostModel};
-use moqo_fleet::{
-    share, FleetClient, FleetNode, FleetNodeConfig, FleetRouter, Placement, Rebalance,
-};
+use moqo_fleet::{share, FleetClient, FleetNode, FleetNodeConfig, FleetRouter, Placement};
 use moqo_query::testkit;
 use moqo_serve::TicketStatus;
 use std::collections::HashMap;
@@ -42,6 +40,16 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Blocks until a sweep persisted `fp` into the shared directory.
+fn wait_for_sweep(dir: &std::path::Path, fp: moqo_engine::QueryFingerprint) {
+    let file = dir.join(format!("{:016x}.frontier", fp.as_u64()));
+    let deadline = Instant::now() + IDLE;
+    while !file.exists() {
+        assert!(Instant::now() < deadline, "sweep never persisted {file:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// Starts `n` loopback nodes and a placement listing them.
 fn fleet(
     n: usize,
@@ -64,8 +72,11 @@ fn fleet(
 }
 
 /// Runs one session to completion (full ladder, then cancel), returning
-/// the id of the node that served it.
-fn run_once(client: &FleetClient, spec: Arc<moqo_query::QuerySpec>) -> String {
+/// the id of the node that served it and the first invocation's report.
+fn run_once(
+    client: &FleetClient,
+    spec: Arc<moqo_query::QuerySpec>,
+) -> (String, moqo_core::InvocationReport) {
     let mut session = client
         .submit(moqo_serve::SessionRequest::new(spec))
         .expect("routed");
@@ -73,12 +84,13 @@ fn run_once(client: &FleetClient, spec: Arc<moqo_query::QuerySpec>) -> String {
     while session.client.view().invocations < 3 {
         session.client.recv(IDLE).expect("stream healthy");
     }
+    let first = session.client.view().first_report.clone().unwrap();
     session
         .client
         .command(moqo_serve::SessionCommand::Cancel)
         .expect("send");
     session.client.wait_finished(IDLE).expect("terminal event");
-    session.node
+    (session.node, first)
 }
 
 #[test]
@@ -95,7 +107,7 @@ fn sessions_route_to_the_placement_home() {
             .expect("live fleet")
             .id
             .clone();
-        let served_by = run_once(&client, spec);
+        let (served_by, _) = run_once(&client, spec);
         assert_eq!(served_by, expected);
         // The frontier parked where placement says the key lives.
         assert!(nodes[&served_by].net().moqo().engine().has_parked(fp));
@@ -117,41 +129,33 @@ fn sessions_route_to_the_placement_home() {
 
 #[test]
 fn planned_rebalance_ships_warm_state_between_processes() {
-    let (nodes, placement) = fleet(2, "rebalance", None);
+    // The old home's sweep reaches the shared store; the router only
+    // pins the key; the new home reads the file on the repeat's open.
+    let dir = temp_dir("rebalance");
+    let (nodes, placement) = fleet(2, "rebalance", Some(&dir));
     let client = FleetClient::new(placement.clone(), model());
     let spec = Arc::new(testkit::chain_query(4, 61_000));
     let fp = client.fingerprint(&moqo_serve::SessionRequest::new(spec.clone()));
-    let old_home = run_once(&client, spec.clone());
+    let (old_home, _) = run_once(&client, spec.clone());
     let new_home = nodes.keys().find(|id| **id != old_home).unwrap().clone();
+    wait_for_sweep(&dir, fp);
 
     let router = FleetRouter::new(placement.clone());
-    match router.rebalance(fp, &new_home).expect("hand-off") {
-        Rebalance::Moved { from, to, bytes } => {
-            assert_eq!(from, old_home);
-            assert_eq!(to, new_home);
-            assert!(bytes > 0);
-        }
-        other => panic!("expected a warm move, got {other:?}"),
-    }
-    // The new home holds the validated frontier; the repeat routes to it
-    // (override pin) and starts warm: zero plans generated.
-    assert!(nodes[&new_home].net().moqo().engine().has_parked(fp));
-    let mut repeat = client
-        .submit(moqo_serve::SessionRequest::new(spec))
-        .expect("routed");
-    assert_eq!(repeat.node, new_home);
-    while repeat.client.view().first_report.is_none() {
-        repeat.client.recv(IDLE).expect("stream healthy");
-    }
-    let first = repeat.client.view().first_report.clone().unwrap();
+    assert!(router.rebalance(fp, "no-such-node").is_err());
+    router.rebalance(fp, &new_home).expect("live target");
+    assert!(!nodes[&new_home].net().moqo().engine().has_parked(fp));
+    // The repeat routes to the new home (override pin) and starts warm
+    // from the old home's sweep: zero plans generated.
+    let (node, first) = run_once(&client, spec);
+    assert_eq!(node, new_home);
     assert_eq!(
         first.plans_generated, 0,
         "warm repeat after rebalance must not regenerate plans"
     );
-    assert!(nodes[&new_home].net().stats().frontier_pushes >= 1);
     for (_, node) in nodes {
         node.stop();
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -161,41 +165,20 @@ fn killed_home_is_detected_and_survivor_adopts_from_the_shared_store() {
     let client = FleetClient::new(placement.clone(), model());
     let spec = Arc::new(testkit::chain_query(4, 83_000));
     let fp = client.fingerprint(&moqo_serve::SessionRequest::new(spec.clone()));
-    let home = run_once(&client, spec.clone());
+    let (home, _) = run_once(&client, spec.clone());
+    wait_for_sweep(&dir, fp);
 
-    // Wait for the home's sweeper to persist the parked frontier into
-    // the shared directory.
-    let file = dir.join(format!("{:016x}.frontier", fp.as_u64()));
-    let deadline = Instant::now() + IDLE;
-    while !file.exists() {
-        assert!(Instant::now() < deadline, "sweep never persisted {file:?}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    // Kill the home (crash semantics: no final save) and let the router
-    // find the body.
+    // Kill the home (crash semantics: no final save) and repeat at once,
+    // with no router call: the client finds the body itself, and the
+    // key's new home reads the dead node's last sweep from the shared
+    // store on the repeat's open.
     nodes.remove(&home).unwrap().kill();
-    let health = FleetRouter::new(placement.clone()).probe();
-    assert!(
-        health.iter().any(|h| h.id == home && !h.alive),
-        "{health:?}"
-    );
-    assert!(placement.read().unwrap().node(&home).unwrap().dead);
-    let new_home = placement.read().unwrap().home_of(fp).unwrap().id.clone();
-    assert_ne!(new_home, home);
-
-    // Adopt: the new home re-parks the dead node's last persisted state
-    // from the shared store, lazily, on the router's pull.
-    let router = FleetRouter::new(placement.clone());
-    let blob = router.adopt(fp).expect("pull answered");
-    assert!(blob.is_some(), "shared store must warm the new home");
-    assert!(nodes[&new_home].net().moqo().engine().has_parked(fp));
-
-    // The warm repeat generates zero plans on the adopted home, and the
-    // client-side view stays bit-identical to the serving node's.
     let mut repeat = client
         .submit(moqo_serve::SessionRequest::new(spec))
         .expect("routed around the corpse");
+    assert!(placement.read().unwrap().node(&home).unwrap().dead);
+    let new_home = placement.read().unwrap().home_of(fp).unwrap().id.clone();
+    assert_ne!(new_home, home);
     assert_eq!(repeat.node, new_home);
     while repeat.client.view().invocations < 3 {
         repeat.client.recv(IDLE).expect("stream healthy");
@@ -203,7 +186,7 @@ fn killed_home_is_detected_and_survivor_adopts_from_the_shared_store() {
     let first = repeat.client.view().first_report.clone().unwrap();
     assert_eq!(
         first.plans_generated, 0,
-        "adopted frontier must serve the repeat with zero plans"
+        "the store's frontier must serve the repeat with zero plans"
     );
     repeat
         .client
@@ -218,6 +201,13 @@ fn killed_home_is_detected_and_survivor_adopts_from_the_shared_store() {
         }
         other => panic!("expected an active ticket, got {other:?}"),
     }
+    // The client's failover marked the body; the router's probe then
+    // checks only the survivors, and finds them alive.
+    let health = FleetRouter::new(placement.clone()).probe();
+    assert!(
+        health.len() == 2 && health.iter().all(|h| h.id != home && h.alive),
+        "{health:?}"
+    );
     for (_, node) in nodes {
         node.stop();
     }
@@ -245,7 +235,7 @@ fn watch_loop_adopts_orphans_and_levels_a_skewed_fleet() {
         placement.write().unwrap().set_override(*fp, &skew_home);
     }
     for spec in &specs {
-        assert_eq!(run_once(&client, spec.clone()), skew_home);
+        assert_eq!(run_once(&client, spec.clone()).0, skew_home);
     }
 
     // A healthy-fleet tick with rebalancing off is pure observation.
@@ -253,7 +243,7 @@ fn watch_loop_adopts_orphans_and_levels_a_skewed_fleet() {
     assert!(quiet.died.is_empty() && quiet.orphaned == 0 && quiet.rebalanced == 0);
     assert_eq!(quiet.health.len(), 3);
 
-    // Ticks with tight headroom level the skew one warm move at a time.
+    // Ticks with tight headroom level the skew one pin at a time.
     let mut moved = 0usize;
     for _ in 0..fps.len() {
         moved += router.watch_tick(&fps, 1).rebalanced;
@@ -275,14 +265,9 @@ fn watch_loop_adopts_orphans_and_levels_a_skewed_fleet() {
 
     // Wait until every key's frontier reached the shared store, then
     // kill one key's current home: the next tick must find the body and
-    // re-park its keys warm on the survivors.
-    let deadline = Instant::now() + IDLE;
+    // count its keys, and each orphan's repeat starts warm on a survivor.
     for fp in &fps {
-        let file = dir.join(format!("{:016x}.frontier", fp.as_u64()));
-        while !file.exists() {
-            assert!(Instant::now() < deadline, "sweep never persisted {file:?}");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        wait_for_sweep(&dir, *fp);
     }
     let victim = placement
         .read()
@@ -291,25 +276,20 @@ fn watch_loop_adopts_orphans_and_levels_a_skewed_fleet() {
         .unwrap()
         .id
         .clone();
-    let owned_by_victim = {
+    let orphans: Vec<usize> = {
         let placement = placement.read().unwrap();
-        fps.iter()
-            .filter(|fp| placement.home_of(**fp).unwrap().id == victim)
-            .count()
+        (0..fps.len())
+            .filter(|&i| placement.home_of(fps[i]).unwrap().id == victim)
+            .collect()
     };
     nodes.remove(&victim).unwrap().kill();
     let tick = router.watch_tick(&fps, usize::MAX);
     assert_eq!(tick.died, vec![victim.clone()]);
-    assert_eq!(tick.orphaned, owned_by_victim);
-    assert_eq!(
-        tick.adopted_warm, tick.orphaned,
-        "every orphaned key was persisted, so every adoption is warm"
-    );
-    assert_eq!(tick.adopted_cold, 0);
-    for fp in &fps {
-        let home = placement.read().unwrap().home_of(*fp).unwrap().id.clone();
-        assert_ne!(home, victim);
-        assert!(nodes[&home].net().moqo().engine().has_parked(*fp));
+    assert_eq!(tick.orphaned, orphans.len());
+    for &i in &orphans {
+        let (node, first) = run_once(&client, specs[i].clone());
+        assert_ne!(node, victim);
+        assert_eq!(first.plans_generated, 0, "orphan {i} started cold");
     }
 
     // The loop idles once the fleet is healthy again.
@@ -424,7 +404,7 @@ fn client_failover_marks_the_dead_node_and_reroutes() {
     // the death itself (connect failure), record it, and reroute.
     nodes.remove(&home).unwrap().kill();
     let version_before = placement.read().unwrap().version();
-    let served_by = run_once(&client, spec);
+    let (served_by, _) = run_once(&client, spec);
     assert_ne!(served_by, home);
     let placement = placement.read().unwrap();
     assert!(placement.node(&home).unwrap().dead);

@@ -33,10 +33,10 @@
 //! per-connection outbound [`WriteBuffer`], and inline dispatch of
 //! [`SessionCommand`]s (a short engine-lock hop).
 //!
-//! Expensive frames — submits (admission + warm-start routing) and
-//! frontier transfers (file I/O, validation) — ship to a small pool of
-//! **decode/dispatch workers** (`moqo-net-io-*`, two of them), keyed by
-//! connection so per-stream order is preserved. Workers post completions
+//! Submits — decode, admission and the warm-start open, which may read
+//! a snapshot file — ship to a small pool of **decode/dispatch
+//! workers** (`moqo-net-io-*`, two of them), keyed by connection so
+//! per-stream order is preserved. Workers post completions
 //! back and ring the wake channel.
 //!
 //! Session events flow the same way: the server installs a
@@ -75,13 +75,11 @@
 //! frame carries the ticket id for exactly this correlation).
 
 use crate::api::{MoqoServer, Ticket, TicketStatus};
-use crate::persist::SnapshotStore;
 use moqo_core::protocol::{
     AdmissionResponse, FrontierDelta, ProtocolError, SessionCommand, SessionEvent, SessionRequest,
     SessionView,
 };
-use moqo_core::IamaOptimizer;
-use moqo_engine::{ModelRegistry, QueryFingerprint};
+use moqo_engine::ModelRegistry;
 use moqo_poll::{Events, Interest, Reactor, Token, WakeHandle};
 use moqo_wire::{
     check_hello, client_hello, ClientFrameKind, ClientMessage, FrameBuffer, NetError,
@@ -98,7 +96,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Decode/dispatch worker threads. The event loop hands them the
-/// expensive frames (submits, frontier transfers); the optimizer work
+/// expensive frames (submits); the optimizer work
 /// itself runs on the engine's shard workers, so two serve many
 /// connections.
 const IO_THREADS: usize = 2;
@@ -170,15 +168,6 @@ pub struct NetStats {
     /// before the terminal event — warm state captured off vanished
     /// clients.
     pub disconnect_parked: u64,
-    /// `PullFrontier` control requests served (hits and misses both).
-    pub frontier_pulls: u64,
-    /// `PullFrontier` requests that found nothing parked and nothing in
-    /// the snapshot store.
-    pub frontier_misses: u64,
-    /// `PushFrontier` control requests accepted and parked.
-    pub frontier_pushes: u64,
-    /// `PushFrontier` requests refused by snapshot validation.
-    pub frontier_refused: u64,
 }
 
 #[derive(Default)]
@@ -191,10 +180,6 @@ struct NetCounters {
     outbound_high_water: AtomicU64,
     stalled: AtomicU64,
     disconnect_parked: AtomicU64,
-    frontier_pulls: AtomicU64,
-    frontier_misses: AtomicU64,
-    frontier_pushes: AtomicU64,
-    frontier_refused: AtomicU64,
 }
 
 const LISTENER_TOKEN: Token = Token(0);
@@ -208,7 +193,7 @@ const MAX_READ_PER_VISIT: usize = 1 << 20;
 /// per-stream order is preserved without any cross-worker coordination.
 enum Job {
     /// A raw frame payload whose decode + dispatch is too expensive for
-    /// the loop thread (submit, frontier pull/push).
+    /// the loop thread (a submit).
     Frame { token: usize, payload: Vec<u8> },
     /// Park the session of a vanished connection.
     Retire { ticket: Ticket },
@@ -226,18 +211,12 @@ enum Completion {
     TypedFault { token: usize, error: ProtocolError },
     /// Fault the connection without a protocol-level answer.
     WireFault { token: usize },
-    Blob {
-        token: usize,
-        fingerprint: u64,
-        frontier: Vec<u8>,
-    },
 }
 
 /// Everything the workers (and the loop) share.
 struct Front {
     server: Arc<MoqoServer>,
     registry: Arc<ModelRegistry>,
-    store: Option<Arc<SnapshotStore>>,
     counters: Arc<NetCounters>,
     completions: Mutex<VecDeque<Completion>>,
     wake: WakeHandle,
@@ -307,63 +286,6 @@ fn handle_frame(front: &Front, token: usize, payload: &[u8]) {
         // the frame router broke, which is a programming error — but
         // workers must never die on data, so fault the connection.
         ClientMessage::Command(_) => front.complete(Completion::WireFault { token }),
-        ClientMessage::PullFrontier { fingerprint } => {
-            // Ship the parked frontier for this fingerprint, falling
-            // back to the shared snapshot store — the adopt-after-death
-            // path re-parks the dead home's last persisted state on
-            // first demand.
-            front
-                .counters
-                .frontier_pulls
-                .fetch_add(1, Ordering::Relaxed);
-            let fp = QueryFingerprint::from_u64(fingerprint);
-            let engine = front.server.engine();
-            let blob = engine
-                .export_parked(fp)
-                .or_else(|| front.store.as_ref().and_then(|s| s.restore_one(engine, fp)));
-            if blob.is_none() {
-                front
-                    .counters
-                    .frontier_misses
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            front.complete(Completion::Blob {
-                token,
-                fingerprint,
-                frontier: blob.unwrap_or_default(),
-            });
-        }
-        ClientMessage::PushFrontier { frontier } => {
-            // Admit a shipped frontier exactly like a snapshot restore —
-            // full validation, and the fingerprint recomputed from the
-            // decoded spec, never taken from the sender. Refusals ack
-            // with the documented fingerprint-0 sentinel.
-            let engine = front.server.engine();
-            let ack = match IamaOptimizer::import_frontier(engine.model(), &frontier) {
-                Ok(opt) => {
-                    let model = opt.model();
-                    let fp = QueryFingerprint::of(opt.spec(), &model);
-                    engine.park(fp, opt);
-                    front
-                        .counters
-                        .frontier_pushes
-                        .fetch_add(1, Ordering::Relaxed);
-                    fp.as_u64()
-                }
-                Err(_) => {
-                    front
-                        .counters
-                        .frontier_refused
-                        .fetch_add(1, Ordering::Relaxed);
-                    0
-                }
-            };
-            front.complete(Completion::Blob {
-                token,
-                fingerprint: ack,
-                frontier: Vec::new(),
-            });
-        }
     }
 }
 
@@ -695,15 +617,6 @@ impl EventLoop {
                         return Err(NetError::UnexpectedFrame("command before submit"));
                     }
                 }
-                Some(ClientFrameKind::PullFrontier | ClientFrameKind::PushFrontier) => {
-                    let conn = self.conns.get(&token).expect("conn vanished mid-frame");
-                    if conn.ticket.is_some() || conn.submit_inflight {
-                        return Err(NetError::UnexpectedFrame(
-                            "control message on a session stream",
-                        ));
-                    }
-                    self.dispatch(token, payload);
-                }
                 None => return Err(NetError::UnexpectedFrame("unknown client frame tag")),
             }
         }
@@ -738,22 +651,6 @@ impl EventLoop {
                 Some(Completion::WireFault { token }) => {
                     if self.conns.contains_key(&token) {
                         self.close_conn(token, Close::Fault);
-                    }
-                }
-                Some(Completion::Blob {
-                    token,
-                    fingerprint,
-                    frontier,
-                }) => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.enqueue(
-                            &self.front.counters,
-                            &ServerMessage::FrontierBlob {
-                                fingerprint,
-                                frontier,
-                            },
-                        );
-                        self.pump_out(token);
                     }
                 }
             }
@@ -1059,29 +956,6 @@ impl NetServer {
         registry: Arc<ModelRegistry>,
         config: NetConfig,
     ) -> std::io::Result<NetServer> {
-        Self::bind_inner(server, registry, config, None)
-    }
-
-    /// Like [`NetServer::bind`], with a [`SnapshotStore`] backing the
-    /// `PullFrontier` endpoint: a pull for a fingerprint not parked in
-    /// memory falls back to the store directory and re-parks what it
-    /// finds — the lazy restore path a node uses when placement makes it
-    /// the new home of a dead node's shard.
-    pub fn bind_with_store(
-        server: Arc<MoqoServer>,
-        registry: Arc<ModelRegistry>,
-        config: NetConfig,
-        store: Arc<SnapshotStore>,
-    ) -> std::io::Result<NetServer> {
-        Self::bind_inner(server, registry, config, Some(store))
-    }
-
-    fn bind_inner(
-        server: Arc<MoqoServer>,
-        registry: Arc<ModelRegistry>,
-        config: NetConfig,
-        store: Option<Arc<SnapshotStore>>,
-    ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -1093,7 +967,6 @@ impl NetServer {
         let front = Arc::new(Front {
             server: server.clone(),
             registry,
-            store,
             counters: counters.clone(),
             completions: Mutex::new(VecDeque::new()),
             wake: wake.clone(),
@@ -1187,10 +1060,6 @@ impl NetServer {
             outbound_high_water: self.counters.outbound_high_water.load(Ordering::Relaxed),
             stalled: self.counters.stalled.load(Ordering::Relaxed),
             disconnect_parked: self.counters.disconnect_parked.load(Ordering::Relaxed),
-            frontier_pulls: self.counters.frontier_pulls.load(Ordering::Relaxed),
-            frontier_misses: self.counters.frontier_misses.load(Ordering::Relaxed),
-            frontier_pushes: self.counters.frontier_pushes.load(Ordering::Relaxed),
-            frontier_refused: self.counters.frontier_refused.load(Ordering::Relaxed),
         }
     }
 
@@ -1287,9 +1156,6 @@ impl NetClient {
             Some(ServerMessage::Event(_)) => {
                 Err(NetError::UnexpectedFrame("event before admission"))
             }
-            Some(ServerMessage::FrontierBlob { .. }) => {
-                Err(NetError::UnexpectedFrame("frontier blob before admission"))
-            }
             // Distinguish a genuinely closed socket from a server that is
             // merely slow to decide admission within `timeout`.
             None if self.eof => Err(NetError::Disconnected),
@@ -1335,76 +1201,8 @@ impl NetClient {
                 Some(ServerMessage::Admission { .. }) => {
                     return Err(NetError::UnexpectedFrame("second admission"));
                 }
-                Some(ServerMessage::FrontierBlob { .. }) => {
-                    return Err(NetError::UnexpectedFrame(
-                        "frontier blob on a session stream",
-                    ));
-                }
                 None => return Ok(None),
             }
-        }
-    }
-
-    /// Pulls the parked frontier for a raw fingerprint off the server
-    /// (control request; only valid before [`NetClient::submit`]).
-    /// `Ok(None)` is a miss — nothing parked, nothing in the server's
-    /// snapshot store. The bytes are self-validating
-    /// `export_frontier` state, importable on any node whose cost model
-    /// matches.
-    pub fn pull_frontier(
-        &mut self,
-        fingerprint: u64,
-        timeout: Duration,
-    ) -> Result<Option<Vec<u8>>, NetError> {
-        if self.ticket.is_some() {
-            return Err(NetError::UnexpectedFrame("control message after submit"));
-        }
-        moqo_wire::write_frame(
-            &mut self.stream,
-            &ClientMessage::PullFrontier { fingerprint }.encode(),
-        )?;
-        match self.read_message(Instant::now() + timeout)? {
-            Some(ServerMessage::FrontierBlob { frontier, .. }) => {
-                Ok((!frontier.is_empty()).then_some(frontier))
-            }
-            Some(ServerMessage::Error(e)) => Err(e.into()),
-            Some(_) => Err(NetError::UnexpectedFrame("expected frontier blob")),
-            None if self.eof => Err(NetError::Disconnected),
-            None => Err(NetError::Io(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "no frontier blob within the pull timeout",
-            ))),
-        }
-    }
-
-    /// Pushes self-validating `export_frontier` bytes onto the server to
-    /// be parked in its warm store (control request; only valid before
-    /// [`NetClient::submit`]). Returns the admitted fingerprint the
-    /// server recomputed from the decoded spec, or `Ok(None)` when the
-    /// push was refused by validation.
-    pub fn push_frontier(
-        &mut self,
-        frontier: Vec<u8>,
-        timeout: Duration,
-    ) -> Result<Option<u64>, NetError> {
-        if self.ticket.is_some() {
-            return Err(NetError::UnexpectedFrame("control message after submit"));
-        }
-        moqo_wire::write_frame(
-            &mut self.stream,
-            &ClientMessage::PushFrontier { frontier }.encode(),
-        )?;
-        match self.read_message(Instant::now() + timeout)? {
-            Some(ServerMessage::FrontierBlob { fingerprint, .. }) => {
-                Ok((fingerprint != 0).then_some(fingerprint))
-            }
-            Some(ServerMessage::Error(e)) => Err(e.into()),
-            Some(_) => Err(NetError::UnexpectedFrame("expected frontier blob")),
-            None if self.eof => Err(NetError::Disconnected),
-            None => Err(NetError::Io(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "no push acknowledgement within the timeout",
-            ))),
         }
     }
 
@@ -1665,129 +1463,6 @@ mod tests {
         net.shutdown();
     }
 
-    /// Runs one session to completion on `addr` (submit, drain the
-    /// ladder, cancel) so the server parks its frontier.
-    fn park_one(addr: SocketAddr, spec: Arc<moqo_query::QuerySpec>) {
-        let mut client = NetClient::connect(addr).expect("connect");
-        client
-            .submit(SessionRequest::new(spec), IDLE)
-            .expect("admitted");
-        while client.view().invocations < 3 {
-            client.recv(IDLE).expect("stream healthy");
-        }
-        client.command(SessionCommand::Cancel).expect("send");
-        client.wait_finished(IDLE).expect("terminal event");
-    }
-
-    #[test]
-    fn frontiers_travel_between_nodes_over_the_wire() {
-        // Node A refines and parks; a control connection pulls the
-        // frontier off A and pushes it onto node B; a repeat of the
-        // query on B starts warm and generates zero plans.
-        let (a, addr_a, _model) = start(AdmissionConfig::default());
-        let (b, addr_b, _model) = start(AdmissionConfig::default());
-        let spec = Arc::new(testkit::chain_query(3, 40_000));
-        park_one(addr_a, spec.clone());
-        let fp = a.moqo().engine().fingerprint(&spec);
-
-        let mut control = NetClient::connect(addr_a).expect("connect");
-        // A fingerprint nobody ever parked is a clean miss.
-        assert_eq!(control.pull_frontier(1, IDLE).expect("answered"), None);
-        let blob = control
-            .pull_frontier(fp.as_u64(), IDLE)
-            .expect("answered")
-            .expect("parked frontier must be pullable");
-
-        let mut control_b = NetClient::connect(addr_b).expect("connect");
-        // Garbage is refused by validation, not parked.
-        assert_eq!(
-            control_b
-                .push_frontier(vec![0xa5; 64], IDLE)
-                .expect("answered"),
-            None
-        );
-        // So is a frontier of the former format version.
-        let mut former = blob.clone();
-        former[8..12].copy_from_slice(&3u32.to_le_bytes());
-        assert_eq!(
-            control_b.push_frontier(former, IDLE).expect("answered"),
-            None
-        );
-        let admitted = control_b
-            .push_frontier(blob, IDLE)
-            .expect("answered")
-            .expect("validated frontier must be admitted");
-        assert_eq!(admitted, fp.as_u64());
-        assert!(b.moqo().engine().has_parked(fp));
-
-        // The shipped state serves a warm repeat on B: zero plans.
-        let mut repeat = NetClient::connect(addr_b).expect("connect");
-        repeat
-            .submit(SessionRequest::new(spec), IDLE)
-            .expect("admitted");
-        while repeat.view().first_report.is_none() {
-            repeat.recv(IDLE).expect("stream healthy");
-        }
-        assert_eq!(
-            repeat.view().first_report.as_ref().unwrap().plans_generated,
-            0,
-            "warm repeat after hand-off must not regenerate plans"
-        );
-
-        let sa = a.stats();
-        assert_eq!(sa.frontier_pulls, 2);
-        assert_eq!(sa.frontier_misses, 1);
-        let sb = b.stats();
-        assert_eq!(sb.frontier_pushes, 1);
-        assert_eq!(sb.frontier_refused, 2);
-        let warm_opens: u64 = b.moqo().stats().shards.iter().map(|s| s.warm_routed).sum();
-        assert!(warm_opens >= 1);
-        a.shutdown();
-        b.shutdown();
-    }
-
-    #[test]
-    fn pull_falls_back_to_the_snapshot_store() {
-        // A node that never served the query itself adopts it from the
-        // shared snapshot directory on first demand — the re-park path a
-        // new home runs after its predecessor died.
-        let dir = std::env::temp_dir().join(format!("moqo-net-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = Arc::new(testkit::chain_query(4, 52_000));
-        let (a, addr_a, _model) = start(AdmissionConfig::default());
-        park_one(addr_a, spec.clone());
-        let fp = a.moqo().engine().fingerprint(&spec);
-        SnapshotStore::new(&dir).save(a.moqo().engine()).unwrap();
-        a.shutdown();
-
-        let model: SharedCostModel = Arc::new(StandardCostModel::paper_metrics());
-        let server = Arc::new(MoqoServer::new(
-            model.clone(),
-            ResolutionSchedule::linear(2, 1.1, 0.4),
-            ServeConfig::default(),
-        ));
-        let registry = Arc::new(ModelRegistry::with_default(model));
-        let fresh = NetServer::bind_with_store(
-            server,
-            registry,
-            NetConfig::default(),
-            Arc::new(SnapshotStore::new(&dir)),
-        )
-        .expect("bind loopback");
-        assert!(!fresh.moqo().engine().has_parked(fp));
-        let mut control = NetClient::connect(fresh.local_addr()).expect("connect");
-        let blob = control
-            .pull_frontier(fp.as_u64(), IDLE)
-            .expect("answered")
-            .expect("store-backed pull must hit");
-        assert!(!blob.is_empty());
-        assert!(fresh.moqo().engine().has_parked(fp), "pull must re-park");
-        assert_eq!(fresh.stats().frontier_pulls, 1);
-        assert_eq!(fresh.stats().frontier_misses, 0);
-        fresh.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn disconnects_park_and_are_counted() {
         let (net, addr, _model) = start(AdmissionConfig::default());
@@ -1911,53 +1586,70 @@ mod tests {
     fn stalled_writers_are_bounded_and_retired() {
         // A reader that stops draining while the server owes it real
         // volume must be cut loose after write_timeout. The volume is
-        // generated deterministically: the control connection requests
-        // a parked frontier a few hundred times up front and never
-        // reads a single reply — the response bytes overwhelm the
-        // kernel pipeline (tiny server send buffer + the client's
-        // initial receive window), so the userspace outbound buffer
-        // stays loaded and the write deadline has to fire.
+        // generated deterministically: a warm session of a query with a
+        // wide frontier is dragged between a bound that keeps only the
+        // fastest plan and no bound at all, 150 times, and the
+        // client never reads a single event — every release re-ships the
+        // whole frontier, and the event bytes overwhelm the kernel
+        // pipeline (tiny server send buffer + the client's initial
+        // receive window), so the userspace outbound buffer stays loaded
+        // and the write deadline has to fire.
         let (net, addr, _model) = start_with(
             AdmissionConfig::default(),
             NetConfig {
                 send_buffer: Some(1), // kernel clamps to its minimum
                 write_timeout: Duration::from_millis(100),
+                // Every event is serialized: coalescing would fold the
+                // drags into one pending frame and bound the volume.
+                coalesce_after: usize::MAX,
                 ..NetConfig::default()
             },
         );
-        let spec = Arc::new(testkit::chain_query(4, 40_000));
-        park_one(addr, spec.clone());
-        let fp = net.moqo().engine().fingerprint(&spec);
-
-        // Raw control connection: handshake, then a burst of pulls with
-        // the read side abandoned.
-        let mut raw = TcpStream::connect(addr).expect("connect");
-        raw.write_all(&client_hello()).expect("hello out");
-        let mut hello = [0u8; HELLO_LEN];
-        raw.read_exact(&mut hello).expect("hello back");
-        check_hello(&hello).expect("version match");
-        let pull = ClientMessage::PullFrontier {
-            fingerprint: fp.as_u64(),
-        }
-        .encode();
-        for _ in 0..300 {
-            moqo_wire::write_frame(&mut raw, &pull).expect("request out");
+        let spec = Arc::new(testkit::chain_query(5, 40_000));
+        // A reading session refines the frontier and parks it, so the
+        // stalling session below starts warm.
+        let fastest = {
+            let mut reader = NetClient::connect(addr).expect("connect");
+            reader
+                .submit(SessionRequest::new(spec.clone()), IDLE)
+                .expect("admitted");
+            while reader.view().invocations < 3 {
+                reader.recv(IDLE).expect("stream healthy");
+            }
+            reader.command(SessionCommand::Cancel).expect("send");
+            let view = reader.wait_finished(IDLE).expect("terminal event");
+            assert!(view.frontier.len() > 100, "a wide frontier");
+            view.frontier.min_by_metric(0).unwrap().cost[0]
+        };
+        let mut client = NetClient::connect(addr).expect("connect");
+        client
+            .submit(SessionRequest::new(spec), IDLE)
+            .expect("admitted");
+        let unbounded = net.moqo().engine().unbounded();
+        let tight = unbounded.with_limit(0, fastest);
+        for i in 0..300u32 {
+            let bounds = if i % 2 == 0 { tight } else { unbounded };
+            // Once the stall fires the server closes the socket, and a
+            // later send may fail: that is the outcome under test.
+            if client.command(SessionCommand::SetBounds(bounds)).is_err() {
+                break;
+            }
         }
 
         let deadline = Instant::now() + IDLE;
-        while net.stats().stalled == 0 {
-            assert!(Instant::now() < deadline, "stall never detected");
+        while net.stats().stalled == 0 || net.moqo().stats().live != 0 {
+            assert!(
+                Instant::now() < deadline,
+                "stall never detected: {:?}",
+                net.stats()
+            );
             thread::sleep(Duration::from_millis(10));
         }
         let stats = net.stats();
         assert!(stats.stalled >= 1);
         assert!(stats.outbound_high_water > 0);
-        assert_eq!(
-            net.moqo().stats().live,
-            0,
-            "control connections never hold sessions"
-        );
-        drop(raw);
+        assert_eq!(stats.disconnect_parked, 1, "the stalled session parks");
+        drop(client);
         net.shutdown();
     }
 

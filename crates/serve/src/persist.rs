@@ -5,42 +5,55 @@
 //! paid for. [`SnapshotStore`] writes every parked optimizer to disk
 //! (one file per [`moqo_engine::QueryFingerprint`], bytes produced by
 //! [`IamaOptimizer::export_frontier`], already versioned, checksummed
-//! and self-validating) and re-parks them on startup, so a restarted server's
-//! first invocation of a known query still generates **zero** plans.
+//! and self-validating), so a restarted server's first invocation of a
+//! known query still generates **zero** plans. The files come back two
+//! ways:
 //!
-//! Restore is tolerant by design: every file is decoded independently,
-//! and files that fail validation (truncated writes, version skew, a cost
-//! model whose metric layout changed) are skipped and reported, never
-//! trusted. Frontiers are re-parked in the engine's one warm store, which
-//! every shard reads, so the shard count of the saving process does not
-//! matter.
+//! * **On first demand** ([`SnapshotStore::attach`]): the store becomes
+//!   the engine's warm-store miss loader. An open whose fingerprint is
+//!   not parked in memory reads `<fp>.frontier` and resumes from it; a
+//!   missing or invalid file is a miss, and the open goes on to rebase,
+//!   transplant or a cold start. Fleet nodes share one directory this
+//!   way: a key's new home reads the last state its old home swept.
+//! * **In bulk** ([`SnapshotStore::restore`]): every file is decoded and
+//!   re-parked at once — the single-process restart, which also brings
+//!   back rebase donors that a read by fingerprint cannot find.
+//!
+//! Both are tolerant by design: every file is decoded independently,
+//! and files that fail validation (truncated writes, flipped bytes,
+//! version skew, a cost model whose identity or metric layout changed)
+//! are refused, never trusted. Frontiers enter the engine's one warm
+//! store, which every shard reads, so the shard count of the saving
+//! process does not matter.
 //!
 //! Writes go through a temp file + rename, so a crash mid-save leaves the
 //! previous snapshot generation intact rather than a half-written file.
+//! A failed write or rename removes its temp file.
 //!
 //! Saves are **incremental per fingerprint**: the store remembers the
-//! content hash of every file it has persisted (or restored) and skips
+//! content hash of every file it has persisted (or read back) and skips
 //! fingerprints whose frontier bytes are unchanged — a periodic
 //! snapshot sweep over a mostly-idle cache costs serialization, not IO.
 //!
 //! Snapshots embed the exporting cost model's
 //! [identity](moqo_costmodel::CostModel::identity), so a frontier refined
-//! under a per-session model override is *skipped* on restore under the
-//! deployment default model — reported, never silently resumed under a
-//! model that would cost it differently. Files of an older format
-//! version ([`moqo_core::SNAPSHOT_VERSION`] is 4) are skipped the same
-//! way: each such fingerprint starts cold once, and the next save after
-//! its session parks writes it in the current format.
+//! under a per-session model override is *refused* under the deployment
+//! default model — never silently resumed under a model that would cost
+//! it differently. Files of an older format version
+//! ([`moqo_core::SNAPSHOT_VERSION`] is 4) are refused the same way: each
+//! such fingerprint starts cold once, and the next save after its
+//! session parks writes it in the current format.
 
 use crate::shard::ShardedEngine;
 use moqo_core::IamaOptimizer;
+use moqo_costmodel::SharedCostModel;
 use moqo_engine::QueryFingerprint;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// File extension of frontier snapshot files.
 pub const FRONTIER_EXT: &str = "frontier";
@@ -82,7 +95,7 @@ impl fmt::Display for RestoreReport {
 #[derive(Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
-    /// Content hash of the last bytes persisted (or restored) per
+    /// Content hash of the last bytes persisted (or read back) per
     /// fingerprint; a matching hash with the file still on disk means
     /// the frontier is clean and the write is skipped.
     persisted: Mutex<HashMap<u64, u64>>,
@@ -163,15 +176,21 @@ impl SnapshotStore {
                 std::process::id(),
                 TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
             ));
-            fs::write(&tmp, &bytes)?;
             // Publish and record under the dirty-map lock so the map can
             // never claim bytes that lost the rename race to a concurrent
             // sweep (disk and map always describe the same generation;
-            // the bulk byte write above stays outside the lock).
-            {
+            // the bulk byte write stays outside the lock).
+            let published = fs::write(&tmp, &bytes).and_then(|()| {
                 let mut persisted = self.persisted.lock().expect("snapshot dirty map poisoned");
                 fs::rename(&tmp, &path)?;
                 persisted.insert(fp.as_u64(), hash);
+                Ok(())
+            });
+            if let Err(e) = published {
+                // Nothing reads a temp file back: a failing disk must not
+                // leave one behind per sweep.
+                let _ = fs::remove_file(&tmp);
+                return Err(e);
             }
             report.written += 1;
             report.bytes += bytes.len() as u64;
@@ -179,28 +198,37 @@ impl SnapshotStore {
         Ok(report)
     }
 
-    /// Restores the single snapshot file for `fp` — if present, valid,
-    /// and actually describing `fp` (the fingerprint is recomputed from
-    /// the decoded spec; a mis-named file is refused) — re-parks it in the
-    /// warm store, and returns the raw bytes.
-    ///
-    /// This is the fleet adopt-after-death hook: when placement moves a
-    /// fingerprint to a new home node, that node pulls the dead home's
-    /// last persisted frontier out of the *shared* store directory
-    /// lazily, on first demand, instead of bulk-restoring everything.
-    pub fn restore_one(&self, engine: &ShardedEngine, fp: QueryFingerprint) -> Option<Vec<u8>> {
+    /// Makes this store `engine`'s warm-store miss loader: an open whose
+    /// fingerprint is not parked in memory reads that fingerprint's file,
+    /// imports it under the engine's model and resumes from it. A
+    /// missing or invalid file is a miss; the file is left in place.
+    /// Returns false if the engine already has a loader.
+    pub fn attach(self: &Arc<Self>, engine: &ShardedEngine) -> bool {
+        let store = Arc::clone(self);
+        let model = engine.model();
+        engine
+            .store()
+            .set_loader(Box::new(move |fp| store.load(&model, fp)))
+    }
+
+    /// Reads the snapshot file for `fp` and imports it under `model`.
+    /// `None` when the file is missing or invalid — unreadable, corrupt,
+    /// of another format version or cost model, or describing another
+    /// query (the fingerprint is recomputed from the decoded spec, so a
+    /// mis-named file is refused). A refused file is left in place. A
+    /// file read back seeds the dirty tracker, so a sweep that finds its
+    /// frontier unchanged skips the rewrite.
+    fn load(&self, model: &SharedCostModel, fp: QueryFingerprint) -> Option<IamaOptimizer> {
         let bytes = fs::read(self.file_for(fp)).ok()?;
-        let opt = IamaOptimizer::import_frontier(engine.model(), &bytes).ok()?;
-        let model = opt.model();
-        if QueryFingerprint::of(opt.spec(), &model) != fp {
+        let opt = IamaOptimizer::import_frontier(model.clone(), &bytes).ok()?;
+        if QueryFingerprint::of(opt.spec(), &opt.model()) != fp {
             return None;
         }
-        engine.park(fp, opt);
         self.persisted
             .lock()
             .expect("snapshot dirty map poisoned")
             .insert(fp.as_u64(), content_hash(&bytes));
-        Some(bytes)
+        Some(opt)
     }
 
     /// Decodes every snapshot file and re-parks the frontiers in the warm
@@ -556,6 +584,125 @@ mod tests {
         let saved = store.save(&e).unwrap();
         assert_eq!((saved.written, saved.unchanged), (1, 0));
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `spec` once on `e` and parks it.
+    fn park_once(e: &ShardedEngine, spec: &Arc<moqo_query::QuerySpec>) {
+        let gid = e.submit(spec.clone());
+        assert!(e.wait_idle(IDLE));
+        e.finish(gid).unwrap();
+    }
+
+    #[test]
+    fn the_disk_tier_never_trusts_a_bad_file() {
+        let dir = temp_dir("disk-tier");
+        let a = Arc::new(testkit::chain_query(4, 64_000));
+        let b = Arc::new(testkit::chain_query(3, 64_000));
+        let fp = engine(2).fingerprint(&a);
+        let file = dir.join(format!("{:016x}.{FRONTIER_EXT}", fp.as_u64()));
+        let (valid, b_bytes) = {
+            let e = engine(2);
+            park_once(&e, &a);
+            park_once(&e, &b);
+            SnapshotStore::new(&dir).save(&e).unwrap();
+            let fp_b = e.fingerprint(&b);
+            let file_b = dir.join(format!("{:016x}.{FRONTIER_EXT}", fp_b.as_u64()));
+            (fs::read(&file).unwrap(), fs::read(file_b).unwrap())
+        };
+        let other_model = {
+            // Same metric layout, another identity.
+            let model = StandardCostModel::new(
+                moqo_costmodel::MetricSet::paper(),
+                moqo_costmodel::StandardCostModelConfig {
+                    energy_per_unit: 2.0,
+                    ..Default::default()
+                },
+            );
+            let e = ShardedEngine::new(
+                Arc::new(model),
+                ResolutionSchedule::linear(2, 1.1, 0.4),
+                ShardConfig {
+                    shards: 1,
+                    ..ShardConfig::default()
+                },
+            );
+            park_once(&e, &a);
+            let other_dir = temp_dir("disk-tier-other");
+            SnapshotStore::new(&other_dir).save(&e).unwrap();
+            let path = fs::read_dir(&other_dir)
+                .unwrap()
+                .next()
+                .unwrap()
+                .unwrap()
+                .path();
+            let bytes = fs::read(path).unwrap();
+            let _ = fs::remove_dir_all(&other_dir);
+            bytes
+        };
+        let mut flipped = valid.clone();
+        flipped[valid.len() / 2] ^= 0x01;
+        let mut former = valid.clone();
+        former[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let mutants = [
+            ("truncated", valid[..valid.len() / 2].to_vec()),
+            ("flipped payload byte", flipped),
+            ("version 3", former),
+            ("another model's file", other_model),
+            ("query B's bytes", b_bytes),
+        ];
+        let mut last = None;
+        for (what, bytes) in mutants {
+            fs::write(&file, &bytes).unwrap();
+            let store = Arc::new(SnapshotStore::new(&dir));
+            let e = engine(2);
+            assert!(store.attach(&e));
+            let gid = e.submit(a.clone());
+            assert!(e.wait_idle(IDLE));
+            let s = e.status(gid).unwrap();
+            assert!(!s.warm_start, "{what}: a bad file resumed warm");
+            assert!(s.first_report.unwrap().plans_generated > 0, "{what}");
+            assert_eq!(
+                fs::read(&file).unwrap(),
+                bytes,
+                "{what}: file not left in place"
+            );
+            last = Some((store, e, gid));
+        }
+        // The clean case: once the cold session parks, the next save
+        // rewrites the file, and a fresh engine's disk hit generates no
+        // plans.
+        let (store, e, gid) = last.unwrap();
+        e.finish(gid).unwrap();
+        assert!(store.save(&e).unwrap().written >= 1);
+        let store = Arc::new(SnapshotStore::new(&dir));
+        let e = engine(2);
+        assert!(store.attach(&e));
+        assert!(!e.has_parked(fp), "the hit must come from disk");
+        let gid = e.submit(a);
+        assert!(e.wait_idle(IDLE));
+        let s = e.status(gid).unwrap();
+        assert!(s.warm_start);
+        assert_eq!(s.first_report.unwrap().plans_generated, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_save_leaves_no_temp_file() {
+        let dir = temp_dir("tmp-leak");
+        let spec = Arc::new(testkit::chain_query(3, 27_000));
+        let e = engine(2);
+        park_once(&e, &spec);
+        // A directory where the snapshot file belongs fails the rename.
+        let fp = e.fingerprint(&spec);
+        fs::create_dir_all(dir.join(format!("{:016x}.{FRONTIER_EXT}", fp.as_u64()))).unwrap();
+        assert!(SnapshotStore::new(&dir).save(&e).is_err());
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(left.is_empty(), "temp files left behind: {left:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -335,14 +335,6 @@ impl ShardedEngine {
         self.store.contains(fp)
     }
 
-    /// Serializes one parked optimizer as self-validating
-    /// `export_frontier` bytes; `None` when nothing is parked for `fp`.
-    /// The warm-state hand-off hook behind the network front's
-    /// frontier-pull endpoint.
-    pub fn export_parked(&self, fp: QueryFingerprint) -> Option<Vec<u8>> {
-        self.store.with_parked(fp, |opt| opt.export_frontier())
-    }
-
     /// Unbounded initial bounds under the engine's cost model.
     pub fn unbounded(&self) -> Bounds {
         Bounds::unbounded(self.model.dim())

@@ -10,8 +10,10 @@ pub const WIRE_MAGIC: [u8; 8] = *b"MOQOWIRE";
 
 /// Current wire protocol version. Bumped whenever the frame layout or any
 /// message codec changes incompatibly. Version 2 added the `coalesced`
-/// epoch-range counter to the `SessionEvent` codec.
-pub const WIRE_VERSION: u32 = 2;
+/// epoch-range counter to the `SessionEvent` codec. Version 3 retired
+/// the frontier-transfer control messages (client tags 2 and 3, server
+/// tag 3), so a peer that still sends them is refused at the hello.
+pub const WIRE_VERSION: u32 = 3;
 
 /// Bytes of one handshake hello: magic plus little-endian version.
 pub const HELLO_LEN: usize = WIRE_MAGIC.len() + 4;
@@ -287,12 +289,15 @@ mod tests {
         let mut bad_magic = hello;
         bad_magic[0] ^= 0xff;
         assert!(matches!(check_hello(&bad_magic), Err(NetError::BadMagic)));
-        let mut bad_version = hello;
-        bad_version[8] = 99;
-        assert!(matches!(
-            check_hello(&bad_version),
-            Err(NetError::UnsupportedVersion(99))
-        ));
+        // A version-2 peer still speaks the retired frontier messages.
+        for skew in [2u32, 99] {
+            let mut bad_version = hello;
+            bad_version[8..].copy_from_slice(&skew.to_le_bytes());
+            assert!(matches!(
+                check_hello(&bad_version),
+                Err(NetError::UnsupportedVersion(v)) if v == skew
+            ));
+        }
     }
 
     #[test]

@@ -24,45 +24,18 @@ pub enum ClientMessage {
     Submit(SessionRequest),
     /// Steer the live session (Algorithm 1's event vocabulary).
     Command(SessionCommand),
-    /// Ask the node for the parked frontier of one fingerprint, as
-    /// self-validating [`export_frontier`] bytes. Valid only on a
-    /// connection that has not submitted a session (a *control*
-    /// connection); the fleet layer uses it to pull warm state off a
-    /// node before rebalancing its shard away.
-    ///
-    /// [`export_frontier`]: moqo_core::IamaOptimizer::export_frontier
-    PullFrontier {
-        /// The `QueryFingerprint` whose parked frontier is requested,
-        /// as its raw `u64`.
-        fingerprint: u64,
-    },
-    /// Push one exported frontier onto the node, to be parked in its warm
-    /// store. The bytes are validated at admission exactly like a
-    /// `SnapshotStore` restore — magic, version, metric layout, and
-    /// cost-model identity are all checked, never trusted — and the
-    /// fingerprint is recomputed from the decoded spec, not taken from
-    /// the sender. Valid only on a control connection.
-    PushFrontier {
-        /// Self-validating `export_frontier` bytes.
-        frontier: Vec<u8>,
-    },
 }
 
 /// The envelope kind of an encoded client frame, readable from its tag
 /// byte alone. An event loop peeks this to route expensive frames
-/// (submits, frontier transfers) to decode workers while dispatching
-/// cheap ones inline — without paying a full [`ClientMessage::decode`]
-/// on the loop thread.
+/// (submits) to decode workers while dispatching cheap ones inline —
+/// without paying a full [`ClientMessage::decode`] on the loop thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClientFrameKind {
     /// [`ClientMessage::Submit`].
     Submit,
     /// [`ClientMessage::Command`].
     Command,
-    /// [`ClientMessage::PullFrontier`].
-    PullFrontier,
-    /// [`ClientMessage::PushFrontier`].
-    PushFrontier,
 }
 
 impl ClientMessage {
@@ -73,8 +46,6 @@ impl ClientMessage {
         match payload.first()? {
             0 => Some(ClientFrameKind::Submit),
             1 => Some(ClientFrameKind::Command),
-            2 => Some(ClientFrameKind::PullFrontier),
-            3 => Some(ClientFrameKind::PushFrontier),
             _ => None,
         }
     }
@@ -91,15 +62,6 @@ impl ClientMessage {
                 w.u8(1);
                 command.encode(&mut w);
             }
-            ClientMessage::PullFrontier { fingerprint } => {
-                w.u8(2);
-                w.u64(*fingerprint);
-            }
-            ClientMessage::PushFrontier { frontier } => {
-                w.u8(3);
-                w.u32(frontier.len() as u32);
-                w.bytes(frontier);
-            }
         }
         w.into_vec()
     }
@@ -112,15 +74,6 @@ impl ClientMessage {
         let msg = match r.u8()? {
             0 => ClientMessage::Submit(SessionRequest::wire_decode(&mut r, models)?),
             1 => ClientMessage::Command(SessionCommand::decode(&mut r)?),
-            2 => ClientMessage::PullFrontier {
-                fingerprint: r.u64()?,
-            },
-            3 => {
-                let len = r.count("frontier bytes")?;
-                ClientMessage::PushFrontier {
-                    frontier: r.take(len)?.to_vec(),
-                }
-            }
             t => return Err(corrupt(format!("unknown client message tag {t}"))),
         };
         if !r.done() {
@@ -149,22 +102,6 @@ pub enum ServerMessage {
     /// A request or command could not be honored; the session (if any)
     /// stays live unless the connection is closed alongside.
     Error(ProtocolError),
-    /// The answer to both control messages. For
-    /// [`ClientMessage::PullFrontier`]: the parked frontier's
-    /// `export_frontier` bytes, or an empty `frontier` when nothing is
-    /// parked under that fingerprint (a *miss*, not an error). For
-    /// [`ClientMessage::PushFrontier`]: an acknowledgement carrying the
-    /// admitted fingerprint (recomputed server-side from the decoded
-    /// spec) and empty bytes; `fingerprint == 0` signals the push was
-    /// refused by validation.
-    FrontierBlob {
-        /// The fingerprint the blob belongs to (pull), the admitted
-        /// fingerprint (push ack), or `0` for a refused push.
-        fingerprint: u64,
-        /// Self-validating `export_frontier` bytes; empty on a pull
-        /// miss and on every push acknowledgement.
-        frontier: Vec<u8>,
-    },
 }
 
 impl ServerMessage {
@@ -185,15 +122,6 @@ impl ServerMessage {
                 w.u8(2);
                 error.encode(&mut w);
             }
-            ServerMessage::FrontierBlob {
-                fingerprint,
-                frontier,
-            } => {
-                w.u8(3);
-                w.u64(*fingerprint);
-                w.u32(frontier.len() as u32);
-                w.bytes(frontier);
-            }
         }
         w.into_vec()
     }
@@ -208,14 +136,6 @@ impl ServerMessage {
             },
             1 => ServerMessage::Event(Box::new(SessionEvent::decode(&mut r)?)),
             2 => ServerMessage::Error(ProtocolError::decode(&mut r)?),
-            3 => {
-                let fingerprint = r.u64()?;
-                let len = r.count("frontier bytes")?;
-                ServerMessage::FrontierBlob {
-                    fingerprint,
-                    frontier: r.take(len)?.to_vec(),
-                }
-            }
             t => return Err(corrupt(format!("unknown server message tag {t}"))),
         };
         if !r.done() {
@@ -260,24 +180,6 @@ mod tests {
             ClientMessage::Command(SessionCommand::SetBounds(b)) => assert_eq!(b.dim(), 3),
             other => panic!("wrong envelope: {other:?}"),
         }
-        let pull = ClientMessage::PullFrontier {
-            fingerprint: 0xdead_beef_cafe_f00d,
-        };
-        match ClientMessage::decode(&pull.encode(), &model).unwrap() {
-            ClientMessage::PullFrontier { fingerprint } => {
-                assert_eq!(fingerprint, 0xdead_beef_cafe_f00d);
-            }
-            other => panic!("wrong envelope: {other:?}"),
-        }
-        for blob in [vec![], vec![0xab; 257]] {
-            let push = ClientMessage::PushFrontier {
-                frontier: blob.clone(),
-            };
-            match ClientMessage::decode(&push.encode(), &model).unwrap() {
-                ClientMessage::PushFrontier { frontier } => assert_eq!(frontier, blob),
-                other => panic!("wrong envelope: {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -305,14 +207,6 @@ mod tests {
                 coalesced: 0,
             })),
             ServerMessage::Error(ProtocolError::UnknownCostModel { identity: 7 }),
-            ServerMessage::FrontierBlob {
-                fingerprint: 0x1234_5678_9abc_def0,
-                frontier: vec![1, 2, 3, 4, 5],
-            },
-            ServerMessage::FrontierBlob {
-                fingerprint: 0,
-                frontier: Vec::new(),
-            },
         ];
         for msg in &messages {
             let bytes = msg.encode();
@@ -329,35 +223,5 @@ mod tests {
         let mut bytes = ServerMessage::Error(ProtocolError::SessionFinished).encode();
         bytes.push(0);
         assert!(ServerMessage::decode(&bytes).is_err());
-        let mut bytes = ClientMessage::PullFrontier { fingerprint: 1 }.encode();
-        bytes.push(0);
-        assert!(ClientMessage::decode(&bytes, &model).is_err());
-        let mut bytes = ServerMessage::FrontierBlob {
-            fingerprint: 1,
-            frontier: vec![9],
-        }
-        .encode();
-        bytes.push(0);
-        assert!(ServerMessage::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn frontier_blob_length_is_validated_against_remaining() {
-        // A declared blob length past the end of the payload must fail
-        // cleanly (no huge allocation, no panic): `count` checks the
-        // declared count against the remaining bytes before `take`.
-        let mut bytes = ClientMessage::PushFrontier {
-            frontier: vec![7; 16],
-        }
-        .encode();
-        // Tag byte, then the u32 length: inflate it.
-        bytes[1] = 0xff;
-        bytes[2] = 0xff;
-        let model: SharedCostModel = Arc::new(StandardCostModel::paper_metrics());
-        assert!(ClientMessage::decode(&bytes, &model).is_err());
-        for len in [0usize, 3, 15] {
-            let truncated = &bytes[..len.min(bytes.len())];
-            assert!(ClientMessage::decode(truncated, &model).is_err());
-        }
     }
 }

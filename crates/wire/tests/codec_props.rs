@@ -13,7 +13,7 @@ use moqo_cost::{Bounds, CostVector, ResolutionSchedule};
 use moqo_costmodel::{SharedCostModel, StandardCostModel};
 use moqo_plan::PlanId;
 use moqo_query::testkit;
-use moqo_wire::{ClientMessage, ServerMessage};
+use moqo_wire::{ClientMessage, ServerMessage, WireError};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -290,29 +290,6 @@ proptest! {
             other => prop_assert!(false, "wrong envelope: {other:?}"),
         }
     }
-
-    #[test]
-    fn frontier_envelopes_round_trip(
-        fp in any::<u64>(),
-        blob in proptest::collection::vec(any::<u8>(), 0..256),
-    ) {
-        // The fleet control vocabulary: pull requests, pushes, and the
-        // blob answer all round-trip with arbitrary payload bytes — the
-        // envelope never interprets the frontier blob itself.
-        let resolver = model();
-        let pull = ClientMessage::PullFrontier { fingerprint: fp };
-        match ClientMessage::decode(&pull.encode(), &resolver).unwrap() {
-            ClientMessage::PullFrontier { fingerprint } => prop_assert_eq!(fingerprint, fp),
-            other => prop_assert!(false, "wrong envelope: {other:?}"),
-        }
-        let push = ClientMessage::PushFrontier { frontier: blob.clone() };
-        match ClientMessage::decode(&push.encode(), &resolver).unwrap() {
-            ClientMessage::PushFrontier { frontier } => prop_assert_eq!(&frontier, &blob),
-            other => prop_assert!(false, "wrong envelope: {other:?}"),
-        }
-        let server = ServerMessage::FrontierBlob { fingerprint: fp, frontier: blob };
-        prop_assert_eq!(ServerMessage::decode(&server.encode()).unwrap(), server);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -385,26 +362,24 @@ proptest! {
     }
 
     #[test]
-    fn frontier_envelope_truncations_and_flips_never_panic(
-        fp in any::<u64>(),
-        blob in proptest::collection::vec(any::<u8>(), 0..96),
-        flips in proptest::collection::vec((0usize..4096, 0u8..8), 1..12),
+    fn retired_frontier_tags_decode_to_typed_errors(
+        tag in 2u8..4,
+        payload in proptest::collection::vec(any::<u8>(), 0..96),
     ) {
-        let encodings = [
-            ClientMessage::PullFrontier { fingerprint: fp }.encode(),
-            ClientMessage::PushFrontier { frontier: blob.clone() }.encode(),
-            ServerMessage::FrontierBlob { fingerprint: fp, frontier: blob }.encode(),
-        ];
-        for bytes in &encodings {
-            for len in 0..bytes.len() {
-                decode_all(&bytes[..len]);
-            }
-            let mut mutant = bytes.clone();
-            for &(pos, bit) in &flips {
-                let i = pos % mutant.len();
-                mutant[i] ^= 1 << bit;
-            }
-            decode_all(&mutant);
+        // Client tags 2 and 3 and server tag 3 carried the frontier
+        // pull/push control messages of wire version 2. They are unknown
+        // tags now, whatever follows them.
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&payload);
+        decode_all(&bytes);
+        let resolver = model();
+        prop_assert!(ClientMessage::kind_of(&bytes).is_none());
+        prop_assert!(matches!(
+            ClientMessage::decode(&bytes, &resolver),
+            Err(WireError::Corrupt(_))
+        ));
+        if tag == 3 {
+            prop_assert!(matches!(ServerMessage::decode(&bytes), Err(WireError::Corrupt(_))));
         }
     }
 

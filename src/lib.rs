@@ -27,10 +27,11 @@
 //!   network front speaks: handshake, frames, and message envelopes over
 //!   the validated per-type codecs of `moqo_core::wire`;
 //! * [`fleet`] — cross-process shard placement: a deterministic
-//!   rendezvous-hash `Placement` over named nodes, the `FleetRouter`
-//!   control plane (health probes, death detection, warm-state
-//!   rebalancing over `PullFrontier`/`PushFrontier`), and the
-//!   placement-routed `FleetClient` with failover;
+//!   rendezvous-hash `Placement` over named nodes, serving nodes that
+//!   read a shared snapshot directory on a warm-store miss, the
+//!   `FleetRouter` control plane (health probes, death detection,
+//!   placement pins; it moves no state), and the placement-routed
+//!   `FleetClient` with failover;
 //! * [`baselines`] — memoryless, one-shot, exhaustive, and single-objective
 //!   reference optimizers;
 //! * [`viz`] — ASCII rendering of cost frontiers.
