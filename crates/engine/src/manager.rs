@@ -20,6 +20,15 @@
 //! not the scheduler — keeps slices short), then requeues the session at
 //! the back.
 //!
+//! Each session has one producer of events, its [`Session`]: check-in
+//! publishes the event [`Session::apply`] returned as it is, and advances
+//! the [`SessionStatus`] from it. A session ends one way, too. Whether a
+//! worker's command ended it (a selection, a fired preference) or
+//! [`SessionManager::finish`] did (it runs [`SessionCommand::Cancel`] on a
+//! session it checks out as a worker does), the park step runs with no
+//! engine lock held, before check-in publishes the terminal event, and
+//! the final status stays queryable among the most recent retirements.
+//!
 //! Finished sessions park their optimizer in the [`WarmStore`] keyed by
 //! canonical [`QueryFingerprint`] — which embeds the cost model's
 //! [identity](moqo_costmodel::CostModel::identity), so sessions under
@@ -228,13 +237,24 @@ struct Slot {
 }
 
 impl Slot {
-    /// Publishes one event to all watchers (dropping dead ones) and
-    /// advances the stream epoch.
+    /// Advances the status from one event the session emitted, and sends
+    /// the event to all watchers (dropping dead ones).
     fn publish(&mut self, event: SessionEvent) {
-        self.status.epoch = event.epoch;
-        if self.watchers.is_empty() {
-            return;
+        let status = &mut self.status;
+        status.epoch = event.epoch;
+        status.invocations = event.invocations;
+        status.resolution = event.resolution;
+        status.bounds = event.bounds;
+        status.outcome = event.outcome;
+        if event.first_report.is_some() {
+            status.first_report.clone_from(&event.first_report);
         }
+        if event.report.is_some() {
+            status.last_report.clone_from(&event.report);
+        }
+        // The delta advances the published snapshot in place — no
+        // full-frontier diff or clone.
+        event.delta.apply(&mut status.frontier);
         self.watchers.retain(|w| w.send(event.clone()).is_ok());
     }
 }
@@ -299,6 +319,83 @@ impl Shared {
         if self.store.park(fp, optimizer, kept) {
             count(&self.counters.evictions);
         }
+    }
+
+    /// Parks the optimizer of a checked-out session that just ended and
+    /// returns `None`; returns a session that goes on as it is. Runs with
+    /// no lock held (compaction and blob encoding are real work) and
+    /// before check-in publishes the terminal event, so a client
+    /// resubmitting on that event finds the optimizer parked.
+    fn park_if_ended(&self, active: Box<Active>) -> Option<Box<Active>> {
+        if !active.session.is_finished() {
+            return Some(active);
+        }
+        let Active {
+            session,
+            fingerprint,
+            harvest,
+            ..
+        } = *active;
+        self.park(fingerprint, session.into_optimizer(), harvest);
+        None
+    }
+
+    /// Checks a session back in after a worker or `finish` ran one
+    /// command on it outside the lock: `active` is the session if it goes
+    /// on (`None` once it ended and parked), and `event` is what
+    /// [`Session::apply`] returned, if the command ran. The event is
+    /// published as it is, and the status advances from it.
+    fn check_in(
+        &self,
+        state: &mut EngineState,
+        id: SessionId,
+        active: Option<Box<Active>>,
+        event: Option<SessionEvent>,
+    ) {
+        state.running -= 1;
+        // Nothing removes the slot of a checked-out session, so this is
+        // unreachable; tolerate it anyway rather than poisoning the pool.
+        let Some(slot) = state.slots.get_mut(&id) else {
+            self.settled.notify_all();
+            return;
+        };
+        let published = event.is_some();
+        if let Some(event) = event {
+            slot.publish(event);
+        }
+        let mut requeue = false;
+        match active {
+            Some(active) => {
+                debug_assert!(
+                    slot.status.frontier.bits_eq(active.session.frontier()),
+                    "delta diverged from the session frontier"
+                );
+                requeue = !slot.inbox.is_empty() || active.remaining_ticks > 0;
+                slot.cell = Cell::Idle(active);
+            }
+            None => {
+                slot.cell = Cell::Retired;
+                slot.inbox.clear();
+                // Final update delivered above; release the channels.
+                slot.watchers.clear();
+                state.live = state.live.saturating_sub(1);
+                // Keep the final status queryable, but bound the history.
+                state.retired.push_back(id);
+                while state.retired.len() > RETIRED_CAPACITY {
+                    if let Some(old) = state.retired.pop_front() {
+                        state.slots.remove(&old);
+                    }
+                }
+            }
+        }
+        if requeue {
+            enqueue(state, id);
+            self.work.notify_one();
+        }
+        if published {
+            fire_event_hook(self, id);
+        }
+        self.settled.notify_all();
     }
 }
 
@@ -602,38 +699,35 @@ impl SessionManager {
     }
 
     /// Retires a session, parking its optimizer in the warm store, and
-    /// returns its final status. Blocks while a worker holds the session.
-    /// Watchers receive a final [`SessionEvent`] with a
-    /// [`SessionOutcome::Retired`] outcome (unless the session already
-    /// ended).
+    /// returns its final status, which stays queryable through
+    /// [`SessionManager::status`] like that of any ended session.
+    ///
+    /// Blocks while a worker holds the session, then checks it out as a
+    /// worker does and runs [`SessionCommand::Cancel`] on it: watchers
+    /// receive the session's terminal [`SessionEvent`] with a
+    /// [`SessionOutcome::Retired`] outcome, and the park step runs with no
+    /// engine lock held. A session that already ended is returned as it
+    /// is, with no event.
     pub fn finish(&self, id: SessionId) -> Option<SessionStatus> {
         let mut state = self.lock();
-        loop {
-            let running = match state.slots.get(&id) {
-                None => return None,
-                Some(slot) => matches!(slot.cell, Cell::Running),
-            };
-            if !running {
-                break;
+        let mut active = loop {
+            let slot = state.slots.get_mut(&id)?;
+            match std::mem::replace(&mut slot.cell, Cell::Running) {
+                Cell::Idle(active) => break active,
+                Cell::Running => state = self.shared.settled.wait(state).expect("engine lock"),
+                Cell::Retired => {
+                    slot.cell = Cell::Retired;
+                    return Some(slot.status.clone());
+                }
             }
-            state = self.shared.settled.wait(state).expect("engine lock");
-        }
-        let mut slot = state.slots.remove(&id).expect("checked above");
-        if let Cell::Idle(active) = std::mem::replace(&mut slot.cell, Cell::Retired) {
-            let Active {
-                session, harvest, ..
-            } = *active;
-            self.shared
-                .park(slot.status.fingerprint, session.into_optimizer(), harvest);
-        }
-        if slot.status.outcome.is_none() {
-            slot.status.outcome = Some(SessionOutcome::Retired);
-            state.live = state.live.saturating_sub(1);
-        }
-        let event = terminal_event(&slot.status);
-        slot.publish(event);
-        fire_event_hook(&self.shared, id);
-        Some(slot.status)
+        };
+        state.running += 1;
+        drop(state);
+        let event = active.session.apply(SessionCommand::Cancel).ok();
+        let active = self.shared.park_if_ended(active);
+        let mut state = self.lock();
+        self.shared.check_in(&mut state, id, active, event);
+        state.slots.get(&id).map(|s| s.status.clone())
     }
 
     /// Installs (or replaces) the [`EventHook`] fired after every
@@ -785,22 +879,6 @@ impl Drop for SessionManager {
     }
 }
 
-/// The terminal event published on retirement: empty delta (the frontier
-/// did not change), the final outcome.
-fn terminal_event(status: &SessionStatus) -> SessionEvent {
-    SessionEvent {
-        epoch: status.epoch + 1,
-        delta: FrontierDelta::default(),
-        resolution: status.resolution,
-        bounds: status.bounds,
-        invocations: status.invocations,
-        report: None,
-        first_report: None,
-        outcome: status.outcome,
-        coalesced: 0,
-    }
-}
-
 /// Puts `id` on the run queue unless it is already there.
 fn enqueue(state: &mut EngineState, id: SessionId) {
     if let Some(slot) = state.slots.get_mut(&id) {
@@ -823,7 +901,7 @@ fn worker_loop(shared: Arc<Shared>) {
             match state.queue.pop_front() {
                 Some(id) => {
                     let Some(slot) = state.slots.get_mut(&id) else {
-                        // Finished and removed meanwhile; the queue shrank,
+                        // Trimmed from the retired history meanwhile; the queue shrank,
                         // so idle-waiters must re-evaluate their predicate.
                         shared.settled.notify_all();
                         continue;
@@ -859,125 +937,10 @@ fn worker_loop(shared: Arc<Shared>) {
         // slipped past command() — impossible today, but commands are
         // data and workers must never die on data) drops the command and
         // keeps the session.
-        let (delta, report, outcome) = match command.map(|cmd| active.session.apply(cmd)) {
-            Some(Ok(event)) => (event.delta, event.report, event.outcome),
-            _ => (FrontierDelta::default(), None, None),
-        };
-
-        // A session that just ended parks: run the park step while the
-        // worker still owns it exclusively, outside the state lock
-        // (compaction and blob encoding are real work), and before the
-        // terminal event is published below, so a client resubmitting on
-        // that event finds the optimizer parked. The compaction renumbers
-        // plans, so what check-in reads off the session is read first.
-        let resolution = active.session.resolution();
-        let bounds = *active.session.bounds();
-        // `last_frontier` is the frontier the session last published, kept
-        // for the delta check below (debug builds only).
-        let (active, last_frontier) = match outcome {
-            None => (Some(active), None),
-            Some(_) => {
-                let Active {
-                    session,
-                    fingerprint,
-                    harvest,
-                    ..
-                } = *active;
-                let last_frontier = cfg!(debug_assertions).then(|| session.frontier().clone());
-                shared.park(fingerprint, session.into_optimizer(), harvest);
-                (None, last_frontier)
-            }
-        };
-
-        // --- Check the session back in. ---
+        let event = command.and_then(|cmd| active.session.apply(cmd).ok());
+        let active = shared.park_if_ended(active);
         state = shared.state.lock().expect("engine lock poisoned");
-        state.running -= 1;
-        let st: &mut EngineState = &mut state;
-        let mut requeue = false;
-        let mut retire = false;
-        let mut published = false;
-        match st.slots.get_mut(&id) {
-            // finish() cannot remove a Running slot, so this is
-            // unreachable; tolerate it anyway rather than poisoning the
-            // pool.
-            None => {}
-            Some(slot) => {
-                let status = &mut slot.status;
-                status.invocations += u64::from(report.is_some());
-                status.resolution = resolution;
-                status.bounds = bounds;
-                let first_report = if status.first_report.is_none() {
-                    report.clone()
-                } else {
-                    None
-                };
-                if first_report.is_some() {
-                    status.first_report = first_report.clone();
-                }
-                if report.is_some() {
-                    status.last_report = report.clone();
-                }
-                // The command's delta advances the published snapshot in
-                // place — no full-frontier diff or clone.
-                delta.apply(&mut status.frontier);
-                debug_assert!(
-                    active
-                        .as_ref()
-                        .map(|a| a.session.frontier())
-                        .or(last_frontier.as_ref())
-                        .is_none_or(|f| status.frontier.bits_eq(f)),
-                    "delta diverged from the session frontier"
-                );
-                if let Some(out) = outcome {
-                    status.outcome = Some(out);
-                    slot.cell = Cell::Retired;
-                    retire = true;
-                    slot.inbox.clear();
-                } else if let Some(active) = active {
-                    requeue = !slot.inbox.is_empty() || active.remaining_ticks > 0;
-                    slot.cell = Cell::Idle(active);
-                }
-                if report.is_some() || retire {
-                    let event = SessionEvent {
-                        epoch: slot.status.epoch + 1,
-                        delta,
-                        resolution: slot.status.resolution,
-                        bounds: slot.status.bounds,
-                        invocations: slot.status.invocations,
-                        report,
-                        first_report,
-                        outcome: slot.status.outcome,
-                        coalesced: 0,
-                    };
-                    slot.publish(event);
-                    published = true;
-                }
-                if retire {
-                    // Final update delivered above; release the channels.
-                    slot.watchers.clear();
-                }
-            }
-        }
-        if retire {
-            st.live = st.live.saturating_sub(1);
-        }
-        if retire {
-            // Keep the final status queryable, but bound the history.
-            st.retired.push_back(id);
-            while st.retired.len() > RETIRED_CAPACITY {
-                if let Some(old) = st.retired.pop_front() {
-                    st.slots.remove(&old);
-                }
-            }
-        }
-        if requeue {
-            enqueue(st, id);
-            shared.work.notify_one();
-        }
-        if published {
-            fire_event_hook(&shared, id);
-        }
-        shared.settled.notify_all();
+        shared.check_in(&mut state, id, active, event);
     }
 }
 

@@ -2,14 +2,16 @@
 //! routing over the session protocol, delta-streamed watch channels, and
 //! the warm-frontier cache (including per-session cost-model isolation).
 
+use moqo_core::{Session, WireEncode};
 use moqo_cost::{Bounds, ResolutionSchedule};
 use moqo_costmodel::{CostModel, SharedCostModel, StandardCostModel, StandardCostModelConfig};
 use moqo_engine::{
-    CacheStats, EngineConfig, ProtocolError, QueryFingerprint, SessionCommand, SessionId,
-    SessionManager, SessionOutcome, SessionRequest, SessionView, SubFrontierCache,
+    CacheStats, EngineConfig, ProtocolError, QueryFingerprint, SessionCommand, SessionEvent,
+    SessionId, SessionManager, SessionOutcome, SessionRequest, SessionView, SubFrontierCache,
     SubsetFingerprint, WarmStore,
 };
 use moqo_query::{testkit, QuerySpec};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -803,4 +805,114 @@ fn a_resume_that_inserts_results_reencodes_its_blobs() {
         "a changed optimizer must be harvested afresh"
     );
     assert_ne!(before, after, "finer results change the blobs");
+}
+
+#[test]
+fn finish_on_an_ended_session_publishes_nothing() {
+    let m = manager(2);
+    let events = Arc::new(AtomicUsize::new(0));
+    m.set_event_hook(Arc::new({
+        let events = Arc::clone(&events);
+        move |_| {
+            events.fetch_add(1, Ordering::SeqCst);
+        }
+    }));
+    let id = m.submit(Arc::new(testkit::chain_query(3, 40_000)));
+    assert!(m.wait_idle(IDLE));
+    let choice = m.frontier(id).unwrap().min_by_metric(0).unwrap().plan;
+    m.command(id, SessionCommand::SelectPlan(choice)).unwrap();
+    assert!(m.wait_idle(IDLE));
+    let ended = m.status(id).unwrap();
+    assert_eq!(ended.selected(), Some(choice));
+    let published = events.load(Ordering::SeqCst);
+    assert_eq!(published as u64, ended.epoch);
+
+    let fin = m.finish(id).expect("an ended session keeps its status");
+    assert_eq!(fin.epoch, ended.epoch);
+    assert_eq!(fin.outcome, ended.outcome);
+    assert_eq!(m.status(id).unwrap().epoch, ended.epoch);
+    assert_eq!(events.load(Ordering::SeqCst), published, "no event");
+    assert_eq!(m.live_sessions(), 0);
+}
+
+#[test]
+fn finish_on_an_idle_session_delivers_one_retired_event() {
+    let m = manager(2);
+    let spec = Arc::new(testkit::chain_query(3, 80_000));
+    let id = m.submit(spec.clone());
+    assert!(m.wait_idle(IDLE));
+    let rx = m.watch(id).expect("live session is watchable");
+    let prime = rx.recv_timeout(IDLE).expect("primed event");
+    let fin = m.finish(id).unwrap();
+    assert_eq!(fin.outcome, Some(SessionOutcome::Retired));
+    assert_eq!(fin.epoch, prime.epoch + 1);
+    let terminal = rx.recv_timeout(IDLE).expect("terminal event");
+    assert_eq!(terminal.epoch, prime.epoch + 1);
+    assert_eq!(terminal.outcome, Some(SessionOutcome::Retired));
+    assert!(terminal.delta.is_empty());
+    assert!(rx.recv_timeout(IDLE).is_err(), "exactly one terminal event");
+    // The final status stays queryable, as for a worker-ended session.
+    let kept = m.status(id).expect("finished status stays queryable");
+    assert_eq!(kept.outcome, Some(SessionOutcome::Retired));
+    assert_eq!(kept.epoch, fin.epoch);
+    assert_eq!(m.live_sessions(), 0);
+    // The optimizer parked: the repeat resumes warm.
+    let again = m.submit(spec);
+    assert!(m.wait_idle(IDLE));
+    let warm = m.status(again).unwrap();
+    assert!(warm.warm_start);
+    assert_eq!(warm.first_report.unwrap().plans_generated, 0);
+}
+
+/// The bytes of an event with every wall-clock duration zeroed.
+fn timeless(event: &SessionEvent) -> Vec<u8> {
+    let mut event = event.clone();
+    for report in [&mut event.report, &mut event.first_report]
+        .into_iter()
+        .flatten()
+    {
+        report.duration = Duration::ZERO;
+    }
+    event.encode_to_vec()
+}
+
+#[test]
+fn the_engine_forwards_the_core_session_stream() {
+    // Algorithm 1 on a standalone core session: three refinements, a bound
+    // drag, one more refinement and a selection.
+    let model: SharedCostModel = Arc::new(StandardCostModel::paper_metrics());
+    let request = SessionRequest::new(Arc::new(testkit::chain_query(4, 60_000))).with_auto_ticks(0);
+    let mut core = Session::open(request.clone(), model.clone(), schedule()).unwrap();
+    let mut script = vec![SessionCommand::Refine; 3];
+    let mut expected: Vec<_> = script
+        .iter()
+        .map(|c| core.apply(c.clone()).unwrap())
+        .collect();
+    let t = core.frontier().min_by_metric(0).unwrap().cost[0];
+    let drag = [
+        SessionCommand::SetBounds(Bounds::unbounded(model.dim()).with_limit(0, 3.0 * t)),
+        SessionCommand::Refine,
+    ];
+    expected.extend(drag.iter().map(|c| core.apply(c.clone()).unwrap()));
+    script.extend(drag);
+    let choice = core.frontier().min_by_metric(1).unwrap().plan;
+    expected.push(core.apply(SessionCommand::SelectPlan(choice)).unwrap());
+
+    // The same commands through the engine, after its watch primer.
+    let m = manager(2);
+    let id = m.open(request).unwrap();
+    let rx = m.watch(id).unwrap();
+    assert_eq!(rx.recv_timeout(IDLE).unwrap().epoch, 0, "the primer");
+    for cmd in script {
+        m.command(id, cmd).unwrap();
+    }
+    // A selection is checked against the published frontier.
+    assert!(m.wait_idle(IDLE));
+    m.command(id, SessionCommand::SelectPlan(choice)).unwrap();
+    assert!(m.wait_idle(IDLE));
+    let served: Vec<_> = rx.iter().collect();
+    assert_eq!(served.len(), expected.len());
+    for (i, (served, expected)) in served.iter().zip(&expected).enumerate() {
+        assert_eq!(timeless(served), timeless(expected), "event {i}");
+    }
 }

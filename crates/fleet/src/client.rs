@@ -10,8 +10,10 @@ use moqo_wire::NetError;
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-/// The placement table as the fleet shares it: the router mutates it on
-/// health probes and rebalances; every client routes off the same copy.
+/// The placement table as the fleet shares it: the router marks dead
+/// nodes and pins rebalanced keys in it, and every client routes off the
+/// same copy, marking the nodes it cannot reach dead and recording its
+/// routes.
 pub type SharedPlacement = Arc<RwLock<Placement>>;
 
 /// Creates a [`SharedPlacement`] from a table.
@@ -59,8 +61,9 @@ impl FleetClient {
         QueryFingerprint::of(&request.spec, &request.effective_model(&self.model))
     }
 
-    /// The shared placement table (read it for diagnostics; the router
-    /// owns mutations).
+    /// The shared placement table. [`FleetClient::submit`] marks the
+    /// nodes it cannot reach dead in it and records each route; the
+    /// router probes and pins.
     pub fn placement(&self) -> &SharedPlacement {
         &self.placement
     }
@@ -93,8 +96,8 @@ impl FleetClient {
                 }
             };
             let admission = client.submit(request.clone(), self.submit_timeout)?;
-            // Per-node route counters feed the router's rebalance
-            // decisions; recording does not bump the placement version.
+            // Per-node route counters are diagnostics; recording does not
+            // bump the placement version.
             self.placement
                 .write()
                 .expect("placement poisoned")

@@ -32,8 +32,9 @@
 //!   swept snapshot file on the key's first open and validates it there,
 //!   and a warm repeat still generates zero plans after its home node
 //!   was killed. The daemonizable liveness beat
-//!   [`FleetRouter::watch_tick`] composes probe and one gentle
-//!   load-leveling pin per tick, and `repro fleet-router --watch <ms>`
+//!   [`FleetRouter::watch_tick`] composes probe, a death report (every
+//!   node dead since the previous beat, whether the probe or a client's
+//!   failover marked it) and one gentle load-leveling pin per tick, and `repro fleet-router --watch <ms>`
 //!   runs it as a loop over real node processes until SIGTERM.
 //!
 //! End to end (asserted by `examples/fleet_serving.rs` and `repro

@@ -9,10 +9,10 @@
 //! — every other key keeps its home, so its parked frontier stays hot.
 //!
 //! Planned hand-offs use the explicit **override map**: the fleet router
-//! ships a frontier to a chosen node first, then pins the key there. An
-//! override targeting a dead node is ignored (the hash takes back over),
-//! so a stale pin degrades to the deterministic default instead of
-//! routing into a black hole.
+//! pins the key to a chosen node, which reads the key's frontier from the
+//! shared store on its next open. An override targeting a dead node is
+//! ignored (the hash takes back over), so a stale pin degrades to the
+//! deterministic default instead of routing into a black hole.
 //!
 //! Every mutation bumps a [version](Placement::version), letting cheap
 //! polling detect placement changes without diffing tables.
@@ -76,30 +76,11 @@ impl Placement {
         }
     }
 
-    /// Marks a node alive again (it reclaims exactly the keys it owned
-    /// before dying — rendezvous weights are a pure function of ids).
-    pub fn revive(&mut self, id: &str) {
-        if let Some(node) = self.nodes.get_mut(id) {
-            if node.dead {
-                node.dead = false;
-                self.version += 1;
-            }
-        }
-    }
-
     /// Pins `key` to a node, winning over the hash while that node is
-    /// alive. The fleet router sets this after shipping warm state in a
-    /// planned rebalance.
+    /// alive. The fleet router sets this in a planned rebalance.
     pub fn set_override(&mut self, key: QueryFingerprint, node_id: impl Into<String>) {
         self.overrides.insert(key, node_id.into());
         self.version += 1;
-    }
-
-    /// Removes a pin; the key falls back to its hash home.
-    pub fn clear_override(&mut self, key: QueryFingerprint) {
-        if self.overrides.remove(&key).is_some() {
-            self.version += 1;
-        }
     }
 
     /// The rendezvous weight of `(key, node)` — deterministic, uniform
@@ -144,7 +125,7 @@ impl Placement {
         self.nodes.values().filter(|n| !n.dead)
     }
 
-    /// Monotonic mutation counter — bumped by every add/kill/revive and
+    /// Monotonic mutation counter — bumped by every add and kill and
     /// every override change, so pollers detect rebalances cheaply.
     /// Route recording is deliberately **not** a mutation: counters move
     /// on every session, versions only on topology changes.
@@ -154,16 +135,15 @@ impl Placement {
 
     /// Records that one session was routed to `node_id`. The
     /// [`FleetClient`](crate::FleetClient) calls this on every
-    /// successful submit, giving the fleet router the per-node load
-    /// signal its rebalance decisions need.
+    /// successful submit; the counters are diagnostics (the router
+    /// levels load by the keys it watches, not by these).
     pub fn record_route(&mut self, node_id: &str) {
         *self.routes.entry(node_id.to_string()).or_default() += 1;
     }
 
     /// Per-node route counters (sessions successfully submitted to each
     /// node since the table was built), in id order. Dead nodes keep
-    /// their history — the imbalance a rebalance should correct is
-    /// exactly the load the survivors inherited.
+    /// their history.
     pub fn route_counts(&self) -> &BTreeMap<String, u64> {
         &self.routes
     }
@@ -221,11 +201,6 @@ mod tests {
                 assert_eq!(new_home, old_home, "key {key} moved needlessly");
             }
         }
-        // Revival restores the exact original assignment.
-        p.revive("b");
-        for (key, old_home) in &before {
-            assert_eq!(&p.home_of(fp(*key)).unwrap().id, old_home);
-        }
     }
 
     #[test]
@@ -242,10 +217,6 @@ mod tests {
         // A pin to a dead node is ignored, not fatal.
         p.mark_dead(other);
         assert_eq!(p.home_of(fp(key)).unwrap().id, hash_home);
-        p.revive(other);
-        assert_eq!(p.home_of(fp(key)).unwrap().id, other);
-        p.clear_override(fp(key));
-        assert_eq!(p.home_of(fp(key)).unwrap().id, hash_home);
     }
 
     #[test]
@@ -259,8 +230,7 @@ mod tests {
         assert_eq!(p.route_counts().get("b"), Some(&1));
         assert_eq!(p.route_counts().get("c"), None);
         assert_eq!(p.version(), v, "stats are not topology");
-        // Death keeps the history: the inherited load is the imbalance
-        // signal a rebalance decision reads.
+        // Death keeps the history.
         p.mark_dead("a");
         assert_eq!(p.route_counts().get("a"), Some(&2));
     }

@@ -2,11 +2,13 @@
 //! over the shared placement table.
 
 use crate::client::SharedPlacement;
+use crate::placement::Placement;
 use moqo_engine::QueryFingerprint;
 use moqo_wire::{check_hello, client_hello, NetError, HELLO_LEN};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Per-node connect budget of a health probe.
@@ -27,29 +29,41 @@ pub struct NodeHealth {
 pub struct WatchTick {
     /// Probe outcome for every node that was live going into the tick.
     pub health: Vec<NodeHealth>,
-    /// Nodes that failed their probe this tick (newly marked dead).
+    /// Nodes live at the previous tick (or when the router was built) and
+    /// dead now, whether this tick's probe or a client's failover marked
+    /// them.
     pub died: Vec<String>,
-    /// Watched keys whose home died this tick; rendezvous hashing moved
-    /// each to a surviving node, which reads the key's last swept state
-    /// from the shared store on its first open.
+    /// Watched keys whose home at the previous tick was one of `died`;
+    /// rendezvous hashing moved each to a surviving node, which reads the
+    /// key's last swept state from the shared store on its first open.
     pub orphaned: usize,
     /// Keys pinned from the most- to the least-loaded live node because
     /// the ownership spread exceeded the tick's headroom.
     pub rebalanced: usize,
 }
 
-/// The thin router process: it owns mutations of the [`SharedPlacement`]
-/// (marking dead nodes, pinning rebalanced keys). It holds and moves
-/// **no** optimizer state: a key's new home reads the key's snapshot
-/// file from the shared store on first demand, and validates it there.
+/// The thin router process: it probes nodes, marks the unreachable ones
+/// dead and pins rebalanced keys in the [`SharedPlacement`] (clients
+/// also mark the nodes they cannot reach dead, and record their routes).
+/// It holds and moves **no** optimizer state: a key's new home reads the
+/// key's snapshot file from the shared store on first demand, and
+/// validates it there.
 pub struct FleetRouter {
     placement: SharedPlacement,
+    /// The placement as of the previous [`FleetRouter::watch_tick`] (or
+    /// of [`FleetRouter::new`]): a tick reports every node live then and
+    /// dead now, whoever marked it, and the keys those nodes homed then.
+    last_beat: Mutex<Placement>,
 }
 
 impl FleetRouter {
     /// A router over the fleet's shared placement.
     pub fn new(placement: SharedPlacement) -> Self {
-        Self { placement }
+        let last_beat = Mutex::new(placement.read().expect("placement poisoned").clone());
+        Self {
+            placement,
+            last_beat,
+        }
     }
 
     /// The shared placement table.
@@ -123,12 +137,14 @@ impl FleetRouter {
     }
 
     /// One beat of the liveness loop (`repro fleet-router --watch`):
-    /// probe every live node, count the watched keys a newly-dead node
-    /// orphaned, and — when the ownership spread of `keys` across live
-    /// nodes exceeds `headroom` — [rebalance](FleetRouter::rebalance)
-    /// one key from the most-loaded to the least-loaded node (one move
-    /// per tick, so a skewed fleet converges gently instead of
-    /// thundering). `usize::MAX` disables rebalancing.
+    /// probe every live node, report every node that was live at the
+    /// previous beat and is dead now — whether this beat's probe or a
+    /// client's failover marked it — with the watched keys it was home to
+    /// then, and, when the ownership spread of `keys` across live nodes
+    /// exceeds `headroom`, [rebalance](FleetRouter::rebalance) one key
+    /// from the most-loaded to the least-loaded node (one move per tick,
+    /// so a skewed fleet converges gently instead of thundering).
+    /// `usize::MAX` disables rebalancing.
     ///
     /// A tick against a healthy, balanced fleet does nothing but the
     /// probes; the loop is safe to run forever at any cadence.
@@ -140,16 +156,23 @@ impl FleetRouter {
                 .home_of(fp)
                 .map(|n| n.id.clone())
         };
-        let homes_before: Vec<Option<String>> = keys.iter().map(|fp| home_of(*fp)).collect();
         let health = self.probe();
-        let died: Vec<String> = health
+        let mut last_beat = self.last_beat.lock().expect("last beat poisoned");
+        let died: Vec<String> = {
+            let placement = self.placement.read().expect("placement poisoned");
+            last_beat
+                .live_nodes()
+                .filter(|n| placement.node(&n.id).is_none_or(|now| now.dead))
+                .map(|n| n.id.clone())
+                .collect()
+        };
+        let orphaned = keys
             .iter()
-            .filter(|h| !h.alive)
-            .map(|h| h.id.clone())
-            .collect();
-        let orphaned = homes_before
-            .iter()
-            .filter(|before| before.as_ref().is_some_and(|id| died.contains(id)))
+            .filter(|fp| {
+                last_beat
+                    .home_of(**fp)
+                    .is_some_and(|n| died.contains(&n.id))
+            })
             .count();
 
         let mut tick = WatchTick {
@@ -187,6 +210,7 @@ impl FleetRouter {
                 }
             }
         }
+        *last_beat = self.placement.read().expect("placement poisoned").clone();
         tick
     }
 }

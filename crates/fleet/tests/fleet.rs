@@ -414,3 +414,28 @@ fn client_failover_marks_the_dead_node_and_reroutes() {
         node.stop();
     }
 }
+
+#[test]
+fn a_death_a_client_found_first_reaches_the_next_watch_tick() {
+    let (mut nodes, placement) = fleet(2, "found", None);
+    let client = FleetClient::new(placement.clone(), model());
+    let router = FleetRouter::new(placement.clone());
+    let spec = Arc::new(testkit::chain_query(3, 57_000));
+    let fp = client.fingerprint(&moqo_serve::SessionRequest::new(spec.clone()));
+    let home = placement.read().unwrap().home_of(fp).unwrap().id.clone();
+    // The client finds the body first and marks it dead itself.
+    nodes.remove(&home).unwrap().kill();
+    let (served_by, _) = run_once(&client, spec);
+    assert_ne!(served_by, home);
+    assert!(placement.read().unwrap().node(&home).unwrap().dead);
+    // The router's next beat still reports the death and its orphan.
+    let tick = router.watch_tick(&[fp], usize::MAX);
+    assert_eq!(tick.died, vec![home]);
+    assert_eq!(tick.orphaned, 1);
+    assert!(tick.health.iter().all(|h| h.alive), "{:?}", tick.health);
+    let after = router.watch_tick(&[fp], usize::MAX);
+    assert!(after.died.is_empty() && after.orphaned == 0);
+    for (_, node) in nodes {
+        node.stop();
+    }
+}

@@ -504,7 +504,10 @@ impl MoqoServer {
     }
 
     /// Retires a session without a selection, parking its warm frontier
-    /// for future equivalent queries, and frees its admission slot.
+    /// for future equivalent queries, and frees its admission slot. The
+    /// park runs with no engine lock held, and the session's final status
+    /// stays queryable on its shard (see
+    /// [`SessionManager::finish`](moqo_engine::SessionManager::finish)).
     /// Returns the final reassembled view; `None` for tickets that never
     /// activated.
     pub fn finish(&self, ticket: Ticket) -> Option<SessionView> {

@@ -264,7 +264,10 @@ impl ShardedEngine {
         self.shard(id)?.watch(id.local)
     }
 
-    /// Retires a session, parking its optimizer in the warm store.
+    /// Retires a session, parking its optimizer in the warm store with no
+    /// engine lock held, and returns its final status, which stays
+    /// queryable through [`ShardedEngine::status`] (see
+    /// [`SessionManager::finish`]).
     pub fn finish(&self, id: GlobalSessionId) -> Option<SessionStatus> {
         self.shard(id)?.finish(id.local)
     }
