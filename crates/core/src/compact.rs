@@ -1,14 +1,18 @@
 //! Compaction: what a parked optimizer keeps.
 //!
-//! The plan arena is append-only while a session runs, and most of it is
-//! dead by the time the session ends: plans that were generated, pruned
-//! and discarded, and never became a result or a candidate. Parking keeps
-//! only the plans a later resume can reach (Theorem 3's space bound counts
-//! result plans; none of those is ever dropped here).
+//! While a session runs, the plan arena issues an id to every plan the
+//! session generates but stores only the scans, the seeds and the join
+//! alternatives `Prune` put into a result or candidate set; a discarded
+//! alternative leaves a hole. Some stored plans still die: a candidate a
+//! later drain discards, a scan or seed `Prune` discarded. Parking keeps
+//! only the plans a later resume can reach and closes the holes
+//! (Theorem 3's space bound counts result plans; none of those is ever
+//! dropped here). A snapshot of a live optimizer is written through the
+//! same renumbering, so it holds what a compacted twin would.
 
 use crate::optimizer::IamaOptimizer;
 use moqo_cost::Bounds;
-use moqo_plan::PlanId;
+use moqo_plan::{renumbering, PlanId};
 
 impl IamaOptimizer {
     /// Drops every arena plan a resume cannot reach and renumbers the
@@ -35,27 +39,23 @@ impl IamaOptimizer {
         if self.compacted_at == Some(self.generation) {
             return;
         }
-        let map = self.arena.retain_marked(&self.reachable());
-        let remap = |p: PlanId| map[p.index()].expect("a root survives compaction");
+        let map = Renumbering(self.arena.retain_marked(&self.reachable()));
         for state in &mut self.states {
             for e in &mut state.active {
-                e.plan = remap(e.plan);
+                e.plan = map.plan(e.plan);
             }
             if let Some(cand) = &mut state.cand {
-                cand.map_items(remap);
+                cand.map_items(|p| map.plan(p));
             }
             state.release_operands();
         }
         self.window = Default::default();
-        self.full_res.map_items(remap);
+        self.full_res.map_items(|p| map.plan(p));
         for (_, plan) in &mut self.pending_seeds {
-            *plan = remap(*plan);
+            *plan = map.plan(*plan);
         }
-        let id = |raw: u32| map.get(raw as usize).copied().flatten().map(|p| p.0);
-        let pair =
-            |key: u64| Some(((id((key >> 32) as u32)? as u64) << 32) | id(key as u32)? as u64);
         let pairs = std::mem::take(&mut self.pairs);
-        for key in pairs.keys().filter_map(pair) {
+        for key in pairs.keys().filter_map(|key| map.pair(key)) {
             self.pairs.insert_key(key);
         }
         let stats = &mut self.stats;
@@ -66,33 +66,41 @@ impl IamaOptimizer {
                 let key = if op.is_scan() {
                     (op, l, r)
                 } else {
-                    (op, id(l)?, id(r)?)
+                    (op, map.raw(l)?, map.raw(r)?)
                 };
                 Some((key, n))
             })
             .collect();
         stats.pair_generations = std::mem::take(&mut stats.pair_generations)
             .into_iter()
-            .filter_map(|((a, b), n)| Some(((id(a)?, id(b)?), n)))
+            .filter_map(|((a, b), n)| Some(((map.raw(a)?, map.raw(b)?), n)))
             .collect();
         stats.candidate_retrieval_counts = std::mem::take(&mut stats.candidate_retrieval_counts)
             .into_iter()
-            .filter_map(|(p, n)| Some((id(p)?, n)))
+            .filter_map(|(p, n)| Some((map.raw(p)?, n)))
             .collect();
         self.compacted_at = Some(self.generation);
     }
 
     /// Number of arena plans a resume can reach (the plans
-    /// [`IamaOptimizer::compact`] keeps); equals `arena().len()` right
-    /// after a compaction.
+    /// [`IamaOptimizer::compact`] keeps); equals both `arena().len()` and
+    /// `arena().issued()` right after a compaction.
     pub fn reachable_plans(&self) -> usize {
         self.reachable().into_iter().filter(|&live| live).count()
     }
 
+    /// The renumbering [`IamaOptimizer::compact`] would apply now, for a
+    /// view of the optimizer as compacted without changing it
+    /// ([`IamaOptimizer::export_frontier`]).
+    pub(crate) fn renumbering(&self) -> Renumbering {
+        Renumbering(renumbering(&self.reachable()))
+    }
+
     /// Marks, by plan id, the closure under children of the active lists,
-    /// the candidate entries and the pending seeds.
+    /// the candidate entries and the pending seeds. Holes are never
+    /// marked: no set refers to one.
     fn reachable(&self) -> Vec<bool> {
-        let mut live = vec![false; self.arena.len()];
+        let mut live = vec![false; self.arena.issued()];
         let unbounded = Bounds::unbounded(self.model.dim());
         for state in &self.states {
             for e in &state.active {
@@ -119,6 +127,32 @@ impl IamaOptimizer {
             }
         }
         live
+    }
+}
+
+/// The old→new plan ids of a compaction: dense and monotone over the
+/// plans a resume can reach, `None` for every other id.
+pub(crate) struct Renumbering(Vec<Option<PlanId>>);
+
+impl Renumbering {
+    /// Number of plans kept.
+    pub(crate) fn kept(&self) -> usize {
+        self.0.iter().flatten().count()
+    }
+
+    /// The new id of a plan a resume reaches.
+    pub(crate) fn plan(&self, p: PlanId) -> PlanId {
+        self.0[p.index()].expect("a root survives compaction")
+    }
+
+    /// The new raw id of `raw`, if it survives.
+    pub(crate) fn raw(&self, raw: u32) -> Option<u32> {
+        self.0.get(raw as usize).copied().flatten().map(|p| p.0)
+    }
+
+    /// An `IsFresh` pair key under the new ids, if both plans survive.
+    pub(crate) fn pair(&self, key: u64) -> Option<u64> {
+        Some((u64::from(self.raw((key >> 32) as u32)?) << 32) | u64::from(self.raw(key as u32)?))
     }
 }
 
@@ -261,6 +295,7 @@ mod tests {
             "kept more or less than the closure"
         );
         assert_eq!(o.reachable_plans(), o.arena().len());
+        assert_eq!(o.arena().issued(), o.arena().len(), "a hole survived");
         let (len, frontier) = (o.arena().len(), o.frontier(&Bounds::unbounded(3), 4));
         o.compact();
         assert_eq!(o.arena().len(), len, "second compaction changed the arena");
@@ -323,15 +358,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn compaction_is_invisible_under_bound_churn() {
-        // The tighten/drag/loosen series of the Lemma 5–7 churn test.
-        let spec = Arc::new(testkit::chain_query(4, 200_000));
-        let mut probe = tracked(&spec);
+    /// The tighten/drag/loosen series of the Lemma 5–7 churn test.
+    fn churn(spec: &Arc<QuerySpec>) -> Vec<(Bounds, usize)> {
+        let mut probe = tracked(spec);
         let unb = Bounds::unbounded(3);
         probe.optimize(&unb, 0);
         let t_min = probe.frontier(&unb, 0).min_by_metric(0).unwrap().cost[0];
-        let steps = [
+        vec![
             (unb, 0),
             (unb.with_limit(0, t_min * 3.0), 1),
             (unb.with_limit(0, t_min * 1.2), 0),
@@ -340,10 +373,44 @@ mod tests {
             (unb.with_limit(0, t_min * 10.0), 3),
             (unb, 4),
             (unb, 4),
-        ];
+        ]
+    }
+
+    #[test]
+    fn compaction_is_invisible_under_bound_churn() {
+        let spec = Arc::new(testkit::chain_query(4, 200_000));
+        let steps = churn(&spec);
         for every in [1, 2, 3] {
             let (mut plain, mut compact) = (tracked(&spec), tracked(&spec));
             drive(&mut plain, &mut compact, &steps, |i| i % every == 1 % every);
+        }
+    }
+
+    #[test]
+    fn a_live_export_is_its_compacted_twins_export() {
+        // Mid-storm, a live arena holds holes and plans no resume reaches.
+        // Its snapshot is written through compaction's renumbering, so it
+        // is byte for byte the snapshot of a twin that ran the same script
+        // and was then compacted.
+        for spec in [
+            Arc::new(testkit::chain_query(4, 200_000)),
+            Arc::new(testkit::star_query(4, 120_000)),
+        ] {
+            let (mut live, mut twin) = (tracked(&spec), tracked(&spec));
+            let mut holes = false;
+            for (i, (b, r)) in churn(&spec).into_iter().chain(ladder()).enumerate() {
+                live.optimize(&b, r);
+                twin.optimize(&b, r);
+                holes |= live.arena().issued() > live.arena().len();
+                twin.compact();
+                assert!(
+                    live.export_frontier() == twin.export_frontier(),
+                    "{}: step {i}: the live export differs",
+                    spec.name
+                );
+            }
+            assert!(holes, "{}: no alternative was discarded", spec.name);
+            assert!(live.arena().len() > live.reachable_plans(), "nothing died");
         }
     }
 

@@ -5,8 +5,8 @@
 //! children's cached costs, and [`CostModel::join_alternatives`] must
 //! return the same bits for the same inputs on any thread. So phase 2
 //! selects a subset's fresh pairs first, costs them here in any order, on
-//! any thread, and only then pushes and prunes their alternatives on the
-//! optimizing thread in selection order: plan ids, result and candidate
+//! any thread, and only then routes their alternatives on the optimizing
+//! thread in selection order: plan ids, result and candidate
 //! sets and every counter come out as if each pair had been costed the
 //! moment it was selected.
 //!
@@ -52,9 +52,10 @@
 //! without results starts with small windows. Only the alternatives
 //! that survive are costed, with [`CostModel::join_alternative`], or all
 //! at once with `join_alternatives` when none was skipped; a skipped
-//! alternative keeps its floor in its slot and is flagged, so routing
-//! pushes it and counts it discarded without pruning it. A model without
-//! floors costs everything.
+//! alternative carries its floor and a flag, so routing gives it a plan
+//! id but no arena node, and counts it discarded without pruning it, just
+//! as it leaves a hole for a costed alternative `Prune` discards. A model
+//! without floors costs everything.
 
 use crate::optimizer::{SearchWork, Witnesses};
 use moqo_cost::CostVector;

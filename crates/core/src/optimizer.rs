@@ -32,7 +32,7 @@ use crate::stats::OptimizerStats;
 use moqo_cost::{Bounds, CostVector, ResolutionSchedule};
 use moqo_costmodel::{PlanInput, SharedCostModel};
 use moqo_index::{CellGrid, Entry, PairSet};
-use moqo_plan::{PhysicalProps, PlanArena, PlanId};
+use moqo_plan::{PhysicalProps, PlanArena, PlanId, PlanNode};
 use moqo_query::{EnumerationPlan, QuerySpec, SubsetId};
 use std::sync::Arc;
 use std::time::Instant;
@@ -290,10 +290,11 @@ impl IamaOptimizer {
 
     /// The plan arena (for `explain`-style rendering of frontier plans).
     ///
-    /// A join alternative discarded before it was costed (see
-    /// [`OptimizerStats::costings_skipped`]) keeps its slot, holding its
-    /// cost floor instead of its cost. No result or candidate set refers
-    /// to it, and [`IamaOptimizer::compact`] drops it.
+    /// A join alternative `Prune` discarded, costed or not (see
+    /// [`OptimizerStats::costings_skipped`]), took a plan id but holds no
+    /// node: [`PlanArena::get`] returns `None` for it. No result or
+    /// candidate set refers to it, and [`IamaOptimizer::compact`] closes
+    /// the holes.
     pub fn arena(&self) -> &PlanArena {
         &self.arena
     }
@@ -727,18 +728,21 @@ impl IamaOptimizer {
         restore(self, left, right);
     }
 
-    /// Costs the pairs waiting in the window, then pushes and prunes every
-    /// alternative in `(pair, alternative)` selection order.
+    /// Costs the pairs waiting in the window, then routes every
+    /// alternative in `(pair, alternative)` selection order, storing only
+    /// those `Prune` puts into `Res^q` or `Cand^q`.
     ///
     /// While the window is costed, `Res^q` is frozen, and an alternative
     /// whose floor it already dominates so that `Prune` discards it is
-    /// not costed (see [`crate::costing`]). Such an alternative still
-    /// takes its arena slot, holding its floor, and counts as generated
-    /// and discarded, so plan ids, result and candidate sets and
-    /// `plans_generated` are those of costing everything: a witness found
-    /// for the floor lies in the region of the real cost too, with a
-    /// factor no larger, and is still in `Res^q` at routing time, because
-    /// active lists only grow.
+    /// not costed (see [`crate::costing`]). Every alternative takes the
+    /// next plan id and counts as generated, so plan ids, result and
+    /// candidate sets and `plans_generated` are those of costing
+    /// everything: a witness found for the floor lies in the region of
+    /// the real cost too, with a factor no larger, and is still in
+    /// `Res^q` at routing time, because active lists only grow. A
+    /// discarded alternative, skipped or costed, leaves a hole in the
+    /// arena: no set refers to it, and only `Res` entries combine, so
+    /// nothing ever reads its node.
     fn flush_window(&mut self, q: SubsetId, bounds: &Bounds, r: usize) {
         let mut window = std::mem::take(&mut self.window);
         let witnesses = self.witnesses(q, bounds, r);
@@ -748,7 +752,6 @@ impl IamaOptimizer {
         self.stats.prune_nanos += work.nanos;
         window.drain(|pair, alts, skipped| {
             for (&(op, cost, props), &skipped) in alts.iter().zip(skipped) {
-                let pid = self.arena.push_join(op, pair.left, pair.right, cost, props);
                 self.stats.plans_generated += 1;
                 if self.config.track_invariants {
                     *self
@@ -757,12 +760,17 @@ impl IamaOptimizer {
                         .entry((op, pair.left.0, pair.right.0))
                         .or_insert(0) += 1;
                 }
-                if skipped {
+                let verdict = if skipped {
                     self.stats.costings_skipped += 1;
-                    self.stats.candidates_discarded += 1;
+                    Verdict::Discard
                 } else {
-                    self.prune(q, pid, bounds, r);
-                }
+                    self.verdict(q, &cost, &props, bounds, r)
+                };
+                let plan = match verdict {
+                    Verdict::Discard => self.arena.push_hole(),
+                    _ => self.arena.push_join(op, pair.left, pair.right, cost, props),
+                };
+                self.place(q, plan, cost, props, verdict);
             }
         });
         self.window = window;
@@ -795,35 +803,68 @@ impl IamaOptimizer {
         state.operands_inv = cur;
     }
 
-    /// `Prune` (Algorithm 3 lines 5-22): route a plan into the result set,
-    /// the candidate set, or (at maximal resolution) discard it.
+    /// `Prune` (Algorithm 3 lines 5-22): route a stored plan into the
+    /// result set, the candidate set, or (at maximal resolution) discard
+    /// it.
     fn prune(&mut self, q: SubsetId, plan: PlanId, bounds: &Bounds, r: usize) {
-        let (cost, props) = {
-            let node = self.arena.node(plan);
-            (node.cost, node.props)
-        };
+        let PlanNode { cost, props, .. } = *self.arena.node(plan);
+        let verdict = self.verdict(q, &cost, &props, bounds, r);
+        self.place(q, plan, cost, props, verdict);
+    }
+
+    /// `Prune`'s decision for a plan of cost `cost` and output properties
+    /// `props`: one witness search against `Res^q`.
+    fn verdict(
+        &mut self,
+        q: SubsetId,
+        cost: &CostVector,
+        props: &PhysicalProps,
+        bounds: &Bounds,
+        r: usize,
+    ) -> Verdict {
         let mut work = SearchWork::default();
         let dominated = {
             let witnesses = self.witnesses(q, bounds, r);
-            witnesses.dominated(witnesses.best(&cost, &props, &mut work))
+            witnesses.dominated(witnesses.best(cost, props, &mut work))
         };
         self.stats.prune_comparisons += work.examined;
         self.stats.prune_nanos += work.nanos;
         match dominated {
             // Keep as candidate for finer resolutions (lines 9-12), or
             // discard it when no finer level needs it.
-            Some(Dominated::Requeue(level)) => self.insert_candidate(q, plan, cost, level),
-            Some(Dominated::Discard) => self.stats.candidates_discarded += 1,
+            Some(verdict) => verdict,
             // Keep as candidate for different bounds (lines 13-16).
-            None if bounds.exceeds(&cost) => self.insert_candidate(q, plan, cost, r as u8),
+            None if bounds.exceeds(cost) => Verdict::Candidate(r as u8),
             // Immediately relevant (lines 17-20).
-            None => self.insert_result(q, plan, cost, r as u8),
+            None => Verdict::Result(r as u8),
         }
     }
 
-    fn insert_result(&mut self, q: SubsetId, plan: PlanId, cost: CostVector, level: u8) {
+    /// Carries out `verdict` for `plan`.
+    fn place(
+        &mut self,
+        q: SubsetId,
+        plan: PlanId,
+        cost: CostVector,
+        props: PhysicalProps,
+        verdict: Verdict,
+    ) {
+        match verdict {
+            Verdict::Result(level) => self.insert_result(q, plan, cost, props, level),
+            Verdict::Candidate(level) => self.insert_candidate(q, plan, cost, level),
+            Verdict::Discard => self.stats.candidates_discarded += 1,
+        }
+    }
+
+    fn insert_result(
+        &mut self,
+        q: SubsetId,
+        plan: PlanId,
+        cost: CostVector,
+        props: PhysicalProps,
+        level: u8,
+    ) {
         let invocation = self.invocation;
-        let props = self.arena.node(plan).props;
         let shadow = self.config.shadow_dominated;
         if self.plan.full_set() == Some(q) {
             self.full_res
@@ -896,12 +937,14 @@ impl SearchWork {
     }
 }
 
-/// What `Prune` does with a plan a witness dominates within `α_r`.
+/// Where `Prune` routes a plan.
 #[derive(Clone, Copy, PartialEq)]
-enum Dominated {
-    /// Re-index it as a candidate at this level.
-    Requeue(u8),
-    /// Drop it: no finer level needs it.
+enum Verdict {
+    /// Into `Res^q`, at this level.
+    Result(u8),
+    /// Into `Cand^q`, at this level.
+    Candidate(u8),
+    /// Dropped: a witness dominates it, and no finer level needs it.
     Discard,
 }
 
@@ -946,12 +989,13 @@ impl Witnesses<'_> {
     }
 
     /// How `Prune` routes a plan whose best witness factor is `best`:
-    /// `None` if no witness dominates it within `α_r`.
-    fn dominated(&self, best: f64) -> Option<Dominated> {
+    /// re-queued as a candidate at a finer level, or discarded; `None` if
+    /// no witness dominates it within `α_r`.
+    fn dominated(&self, best: f64) -> Option<Verdict> {
         (best <= self.schedule.factor(self.r)).then(|| {
             match requeue_level(self.schedule, self.r, best, self.eager) {
-                Some(level) => Dominated::Requeue(level as u8),
-                None => Dominated::Discard,
+                Some(level) => Verdict::Candidate(level as u8),
+                None => Verdict::Discard,
             }
         })
     }
@@ -960,7 +1004,7 @@ impl Witnesses<'_> {
     /// to find, and even a witness of factor 0 leaves no finer level to
     /// re-queue at (without eager re-indexing, only at `rM`).
     pub(crate) fn can_discard(&self) -> bool {
-        !self.active.is_empty() && self.dominated(0.0) == Some(Dominated::Discard)
+        !self.active.is_empty() && self.dominated(0.0) == Some(Verdict::Discard)
     }
 
     /// Whether `Prune` discards every plan with output properties `props`
@@ -975,7 +1019,7 @@ impl Witnesses<'_> {
         props: &PhysicalProps,
         work: &mut SearchWork,
     ) -> bool {
-        self.dominated(self.best(floor, props, work)) == Some(Dominated::Discard)
+        self.dominated(self.best(floor, props, work)) == Some(Verdict::Discard)
     }
 }
 
@@ -1243,14 +1287,10 @@ mod tests {
         assert_eq!(opt.window.capacity(), 0);
     }
 
-    #[test]
-    fn a_subset_without_results_costs_its_first_pairs_in_growing_windows() {
-        use crate::costing::WINDOW_PAIRS;
+    /// `moqo_bench::workload::bench_model()`, which offers floors.
+    fn bench_model() -> Arc<StandardCostModel> {
         use moqo_costmodel::{MetricSet, StandardCostModelConfig};
-
-        // `moqo_bench::workload::bench_model()` on the Fig. 4 ladder
-        // (20 levels, alpha_T = 1.005, alpha_S = 0.5).
-        let model = Arc::new(StandardCostModel::new(
+        Arc::new(StandardCostModel::new(
             MetricSet::paper(),
             StandardCostModelConfig {
                 quantize_grid: Some(1.02),
@@ -1259,8 +1299,91 @@ mod tests {
                 eval_spin: 400,
                 ..StandardCostModelConfig::default()
             },
-        ));
-        let ladder = ResolutionSchedule::linear(19, 1.005, 0.5);
+        ))
+    }
+
+    /// The Fig. 4 ladder: 20 levels, alpha_T = 1.005, alpha_S = 0.5.
+    fn fig4_ladder() -> ResolutionSchedule {
+        ResolutionSchedule::linear(19, 1.005, 0.5)
+    }
+
+    #[test]
+    fn the_arena_stores_only_scans_and_placed_alternatives() {
+        use moqo_costmodel::CostModel;
+        // Over half the Fig. 4 ladder and a tighten/drag/loosen storm, every
+        // generated plan takes an id, and the arena stores exactly the
+        // scans and the join alternatives `Prune` put into `Res` or
+        // `Cand` (no seeds here). Phase 2 is the only step that issues
+        // ids after the scans, and nothing leaves a set in the invocation
+        // that placed it, so an invocation's new ids hold a node exactly
+        // when they sit in a result or candidate set afterwards.
+        let model = bench_model();
+        let ladder = fig4_ladder();
+        let unb = Bounds::unbounded(3);
+        for query in ["q05", "q08"] {
+            let spec = Arc::new(moqo_tpch::query_block(query, 1.0).expect("a TPC-H block"));
+            let scans: usize = (0..spec.n_tables())
+                .map(|pos| model.scan_alternatives(&spec, pos).len())
+                .sum();
+            let mut opt = IamaOptimizer::new(spec, model.clone(), ladder.clone());
+            let (mut placed, mut discarded) = (0, 0);
+            let mut run = |opt: &mut IamaOptimizer, b: &Bounds, r: usize| {
+                let first = if opt.invocation == 0 {
+                    scans
+                } else {
+                    opt.arena.issued()
+                };
+                opt.optimize(b, r);
+                let unbounded = Bounds::unbounded(3);
+                let mut in_sets = vec![false; opt.arena.issued()];
+                for state in &opt.states {
+                    for e in &state.active {
+                        in_sets[e.plan.index()] = true;
+                    }
+                    for e in state
+                        .cand
+                        .iter()
+                        .flat_map(|c| c.collect(&unbounded, u8::MAX))
+                    {
+                        in_sets[e.item.index()] = true;
+                    }
+                }
+                for (id, &set) in in_sets.iter().enumerate().skip(first) {
+                    let stored = opt.arena.get(PlanId(id as u32)).is_some();
+                    assert_eq!(stored, set, "{query}: plan {id} at r{r}");
+                    placed += usize::from(set);
+                    discarded += usize::from(!set);
+                }
+            };
+            // Half the ladder, so the storm still generates plans.
+            let half = ladder.r_max() / 2;
+            for r in 0..=half {
+                run(&mut opt, &unb, r);
+            }
+            let mut ts: Vec<f64> = opt
+                .frontier(&unb, half)
+                .costs()
+                .iter()
+                .map(|c| c[0])
+                .collect();
+            ts.sort_by(f64::total_cmp);
+            for t in [ts[ts.len() / 4], ts[ts.len() / 2], f64::INFINITY] {
+                for r in 0..=ladder.r_max() {
+                    run(&mut opt, &unb.with_limit(0, t), r);
+                }
+            }
+            assert_eq!(opt.arena.len(), scans + placed, "{query}: stored plans");
+            assert_eq!(opt.arena.issued() as u64, opt.stats.plans_generated);
+            assert!(discarded > placed, "{query}: {discarded} vs {placed}");
+        }
+    }
+
+    #[test]
+    fn a_subset_without_results_costs_its_first_pairs_in_growing_windows() {
+        use crate::costing::WINDOW_PAIRS;
+
+        let model = bench_model();
+        let ladder = fig4_ladder();
         let b = Bounds::unbounded(3);
         // Costings skipped by the first invocation; a first window of
         // 256 pairs, frozen against an empty `Res^q`, skipped none.

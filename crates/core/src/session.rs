@@ -185,9 +185,10 @@ impl Session {
         match command {
             SessionCommand::SelectPlan(plan) => {
                 // The plan must exist in this session's arena — a made-up
-                // id is client data, not a reason to hand back a plan
-                // that `explain`/execution would index out of bounds on.
-                if plan.0 as usize >= self.optimizer.arena().len() {
+                // id, or the id of an alternative `Prune` discarded (it
+                // holds no node), is client data, not a reason to hand
+                // back a plan that `explain`/execution cannot read.
+                if self.optimizer.arena().get(plan).is_none() {
                     return Err(ProtocolError::UnknownPlan { plan });
                 }
                 return Ok(self.finish(SessionOutcome::Selected {

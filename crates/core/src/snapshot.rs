@@ -75,7 +75,8 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MOQOFRNT";
 ///   (`use_delta`, `track_invariants`, `eager_level_skip`,
 ///   `shadow_dominated`);
 /// * the invocation counter and the last `(bounds, r)` context;
-/// * the plan arena in creation order: operator, children, cost, props;
+/// * the plan arena in creation order: operator, children, cost, props
+///   (the plans a resume can reach, densely renumbered as by compaction);
 /// * per subset in plan order: its table set, its candidate entries
 ///   (plan id, level, invocation; sorted) and its active list (plan id,
 ///   level, invocation, tombstone bit), with no cost or props — the
@@ -304,13 +305,14 @@ fn read_entry(
     invocation: u32,
 ) -> Result<(PlanId, u8, u32)> {
     let plan = r.u32()?;
-    if plan as usize >= arena.len() {
-        return Err(corrupt(format!(
-            "entry references plan {plan} outside arena"
-        )));
-    }
     let plan = PlanId(plan);
-    if arena.tables(plan).bits() != tables {
+    let Some(node) = arena.get(plan) else {
+        return Err(corrupt(format!(
+            "entry references plan {} outside arena",
+            plan.0
+        )));
+    };
+    if node.tables.bits() != tables {
         return Err(corrupt(format!(
             "subset {tables:#x} entry references plan {} of another subset",
             plan.0
@@ -364,6 +366,13 @@ impl IamaOptimizer {
     /// needs only these bytes plus a cost model with the same metric
     /// layout. Cumulative [`crate::OptimizerStats`] counters are carried
     /// along; the test-only per-plan invariant maps are not.
+    ///
+    /// The state is written as [`IamaOptimizer::compact`] would leave it:
+    /// only the plans a resume can reach, renumbered in creation order.
+    /// So a compacted optimizer exports its state as it is, and a live
+    /// one, whose arena has holes and dead plans, exports exactly the
+    /// bytes of its compacted twin; the importer's plan ids are the
+    /// compacted ones.
     pub fn export_frontier(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         write_header(&mut w, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &*self.model);
@@ -393,16 +402,20 @@ impl IamaOptimizer {
             }
         }
 
-        // --- Plan arena, in insertion order (children precede parents).
-        w.u32(self.arena.len() as u32);
-        for (_, node) in self.arena.iter() {
+        // --- Plan arena, in creation order (children precede parents),
+        // as compaction would leave it: only the plans a resume can reach,
+        // renumbered densely. A compacted optimizer's ids map to
+        // themselves. ---
+        let map = self.renumbering();
+        w.u32(map.kept() as u32);
+        for (_, node) in self.arena.iter().filter(|(id, _)| map.raw(id.0).is_some()) {
             write_operator(&mut w, &node.op, |w, p| w.u16(p));
             match node.children {
                 None => w.bool(false),
                 Some((l, r)) => {
                     w.bool(true);
-                    w.u32(l.0);
-                    w.u32(r.0);
+                    w.u32(map.plan(l).0);
+                    w.u32(map.plan(r).0);
                 }
             }
             node.cost.encode(&mut w);
@@ -425,10 +438,13 @@ impl IamaOptimizer {
                 .as_ref()
                 .map(|i| i.collect(&unbounded, u8::MAX))
                 .unwrap_or_default();
+            for e in &mut cand {
+                e.item = map.plan(e.item);
+            }
             write_candidates(&mut w, &mut cand);
             w.u32(state.active.len() as u32);
             for e in &state.active {
-                w.u32(e.plan.0);
+                w.u32(map.plan(e.plan).0);
                 w.u8(e.level);
                 w.u32(e.invocation);
                 w.bool(e.shadowed);
@@ -448,7 +464,7 @@ impl IamaOptimizer {
         }
 
         // --- IsFresh fallback pairs (non-empty only after churn epochs).
-        let mut keys: Vec<u64> = self.pairs.keys().collect();
+        let mut keys: Vec<u64> = self.pairs.keys().filter_map(|k| map.pair(k)).collect();
         keys.sort_unstable(); // deterministic output for equal state
         w.u32(keys.len() as u32);
         for k in keys {
@@ -1085,8 +1101,9 @@ mod tests {
     #[test]
     fn round_trip_preserves_zero_work_steady_state() {
         // A revived optimizer serves the exporter's frontier point for
-        // point — same order, same plans, same cost bits — whether it was
-        // exported mid-ladder or after it, under any bounds and level.
+        // point — same order, same plans under compaction's renumbering,
+        // same cost bits — whether it was exported mid-ladder or after
+        // it, under any bounds and level.
         let b = Bounds::unbounded(3);
         let r_max = schedule().r_max();
         let shapes = [
@@ -1109,8 +1126,12 @@ mod tests {
                 let mut ts: Vec<f64> = opt.frontier(&b, r).costs().iter().map(|c| c[0]).collect();
                 ts.sort_by(f64::total_cmp);
                 let focus = b.with_limit(0, ts[ts.len() / 2]);
+                let map = opt.renumbering();
                 for (bounds, view_r) in [(b, r), (b, r_max), (focus, r), (focus, 0)] {
-                    let expected = opt.frontier(&bounds, view_r);
+                    let mut expected = opt.frontier(&bounds, view_r);
+                    for p in &mut expected.points {
+                        p.plan = map.plan(p.plan);
+                    }
                     assert!(
                         revived.frontier(&bounds, view_r).bits_eq(&expected),
                         "{name}: exported at r={r}, view at r={view_r} restored differently"

@@ -8,7 +8,8 @@ use moqo_plan::Operator;
 /// [`crate::IamaConfig::track_invariants`] is set.
 #[derive(Clone, Debug, Default)]
 pub struct OptimizerStats {
-    /// Plans ever constructed (scan + join alternatives).
+    /// Plans ever constructed (scan + join alternatives), each with its
+    /// own plan id; the arena stores only those that were kept.
     pub plans_generated: u64,
     /// Ordered sub-plan pairs combined in `Fresh`.
     pub pairs_generated: u64,

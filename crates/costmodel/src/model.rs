@@ -130,9 +130,8 @@ pub trait CostModel {
     /// The optimizer tests each floor against the subset's result set
     /// before it costs a pair. An alternative whose floor is already
     /// dominated so that `Prune` would discard it at this resolution is
-    /// never costed: its arena slot holds the floor, which nothing reads
-    /// (no result or candidate set refers to the plan) and
-    /// `IamaOptimizer::compact` drops. The same thread-safety and
+    /// never costed: it takes a plan id but no arena node, since no
+    /// result or candidate set refers to it. The same thread-safety and
     /// same-bits rules as for `join_alternatives` apply.
     fn join_floors(
         &self,

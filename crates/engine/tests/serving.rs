@@ -225,6 +225,48 @@ fn malformed_commands_are_rejected_at_the_door() {
 }
 
 #[test]
+fn selecting_a_discarded_plan_id_is_a_typed_error() {
+    // A join alternative `Prune` discarded took a plan id but holds no
+    // arena node. Selecting it, below the issued-id bound, is refused
+    // like a made-up id, through the core session and through the
+    // manager, and neither session is harmed.
+    let spec = Arc::new(testkit::chain_query(4, 90_000));
+    let model: SharedCostModel = Arc::new(StandardCostModel::paper_metrics());
+    let mut session =
+        Session::open(SessionRequest::new(spec.clone()), model.clone(), schedule()).unwrap();
+    session.run_uninterrupted(schedule().levels());
+    let arena = session.optimizer().arena();
+    let hole = (0..arena.issued() as u32)
+        .map(moqo_plan::PlanId)
+        .find(|&p| arena.get(p).is_none())
+        .expect("the ladder discarded an alternative");
+    assert!(matches!(
+        session.apply(SessionCommand::SelectPlan(hole)),
+        Err(ProtocolError::UnknownPlan { plan }) if plan == hole
+    ));
+    assert!(!session.is_finished());
+    let chosen = session.frontier().points[0].plan;
+    assert!(session.apply(SessionCommand::SelectPlan(chosen)).is_ok());
+
+    // The manager's cold session over the same request and model runs
+    // the same ladder, so the id is a hole of its arena too.
+    let m = manager(2);
+    let id = m.submit(spec);
+    assert!(m.wait_idle(IDLE));
+    assert!(matches!(
+        m.command(id, SessionCommand::SelectPlan(hole)),
+        Err(ProtocolError::UnknownPlan { plan }) if plan == hole
+    ));
+    assert!(m.wait_idle(IDLE));
+    let status = m.status(id).unwrap();
+    assert!(!status.is_finished());
+    let chosen = status.frontier.points[0].plan;
+    m.command(id, SessionCommand::SelectPlan(chosen)).unwrap();
+    assert!(m.wait_idle(IDLE));
+    assert_eq!(m.status(id).unwrap().selected(), Some(chosen));
+}
+
+#[test]
 fn eight_plus_concurrent_sessions_drain_on_a_small_pool() {
     let m = manager(3);
     let mut ids = Vec::new();
@@ -678,11 +720,12 @@ fn zero_plan_resume(m: &SessionManager, spec: &Arc<QuerySpec>) -> SessionId {
 }
 
 /// Whether the parked optimizer holds exactly the plans a resume can
-/// reach, and its generation.
+/// reach, under dense ids (every id it issued holds one of them), and its
+/// generation.
 fn parked_compact(m: &SessionManager, fp: QueryFingerprint) -> (bool, u64) {
     m.store()
         .with_parked(fp, |o| {
-            (o.arena().len() == o.reachable_plans(), o.generation())
+            (o.arena().issued() == o.reachable_plans(), o.generation())
         })
         .expect("parked")
 }

@@ -42,14 +42,25 @@ pub struct PlanNode {
 /// While a session is live, plans are never removed: the incremental
 /// optimizer keeps result plans alive because earlier invocations may
 /// have used them as sub-plans (Section 4.2's second design decision),
-/// and ids are positions, so a plan's id never changes under it. Between
-/// sessions the optimizer may [`retain_marked`](PlanArena::retain_marked)
-/// the plans a resume can still reach: the survivors keep their creation
-/// order under new, dense ids.
+/// and a plan's id never changes under it. Ids are issued in creation
+/// order, but not every id holds a plan: an id issued by
+/// [`push_hole`](PlanArena::push_hole) (a join alternative the optimizer
+/// discarded as soon as it was generated) names no node, so such a plan
+/// costs four bytes of slot index instead of a node. Between sessions the
+/// optimizer may [`retain_marked`](PlanArena::retain_marked) the plans a
+/// resume can still reach: the survivors keep their creation order under
+/// new, dense ids, and the arena has no hole left.
 #[derive(Clone, Debug, Default)]
 pub struct PlanArena {
     nodes: Vec<PlanNode>,
+    /// Per issued id, the index of its node in `nodes`, or [`HOLE`].
+    /// Empty while no id is a hole: ids are then node indices.
+    slots: Vec<u32>,
 }
+
+/// The slot of an id that holds no node. No arena stores `u32::MAX`
+/// nodes, so looking it up finds none.
+const HOLE: u32 = u32::MAX;
 
 impl PlanArena {
     /// Creates an empty arena.
@@ -61,19 +72,31 @@ impl PlanArena {
     pub fn with_capacity(cap: usize) -> Self {
         Self {
             nodes: Vec::with_capacity(cap),
+            slots: Vec::new(),
         }
     }
 
-    /// Number of plans ever inserted.
+    /// Number of plans stored: ids issued, holes not counted.
     #[inline]
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
 
-    /// True if no plan was inserted yet.
+    /// True if no plan is stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Number of ids issued, holes included: every id below it was
+    /// handed out, and none at or above it was.
+    #[inline]
+    pub fn issued(&self) -> usize {
+        if self.slots.is_empty() {
+            self.nodes.len()
+        } else {
+            self.slots.len()
+        }
     }
 
     /// Inserts a scan plan.
@@ -97,7 +120,8 @@ impl PlanArena {
     /// Inserts a join plan over two existing plans.
     ///
     /// # Panics
-    /// Panics (in debug builds) if the children's table sets overlap.
+    /// Panics if a child holds no plan, and (in debug builds) if the
+    /// children's table sets overlap.
     pub fn push_join(
         &mut self,
         op: Operator,
@@ -122,52 +146,77 @@ impl PlanArena {
         })
     }
 
+    /// Issues the next id without storing a plan under it: the id of a
+    /// plan that was generated and discarded at once. Looking it up finds
+    /// no node.
+    pub fn push_hole(&mut self) -> PlanId {
+        if self.slots.is_empty() {
+            self.slots = (0..self.nodes.len() as u32).collect();
+        }
+        self.slots.push(HOLE);
+        PlanId(self.slots.len() as u32 - 1)
+    }
+
     fn push_node(&mut self, node: PlanNode) -> PlanId {
-        let id = PlanId(self.nodes.len() as u32);
+        let slot = self.nodes.len() as u32;
         self.nodes.push(node);
-        id
+        if self.slots.is_empty() {
+            return PlanId(slot);
+        }
+        self.slots.push(slot);
+        PlanId(self.slots.len() as u32 - 1)
     }
 
     /// Keeps the plans marked in `keep` (indexed by id) and drops the
     /// rest. Survivors keep their creation order and are renumbered
-    /// densely, so the renumbering is monotone; every kept join's children
-    /// are rewritten to the new ids. Returns the old→new id map, `None` for
-    /// a dropped plan.
+    /// densely (see [`renumbering`]), and every kept join's children are
+    /// rewritten to the new ids; the arena is left without holes. Returns
+    /// the old→new id map, `None` for a dropped plan or a hole.
     ///
     /// # Panics
-    /// Panics if `keep` does not cover the arena exactly, or if a kept
-    /// join has a dropped child.
+    /// Panics if `keep` does not cover the issued ids exactly, if it
+    /// marks a hole, or if a kept join has a dropped child.
     pub fn retain_marked(&mut self, keep: &[bool]) -> Vec<Option<PlanId>> {
-        assert_eq!(keep.len(), self.nodes.len(), "mark covers the arena");
-        let mut map = Vec::with_capacity(keep.len());
-        let mut next = 0u32;
-        for &k in keep {
-            map.push(k.then(|| {
-                next += 1;
-                PlanId(next - 1)
-            }));
-        }
+        assert_eq!(keep.len(), self.issued(), "mark covers the issued ids");
+        let map = renumbering(keep);
         let remap = |id: PlanId| map[id.index()].expect("kept plan has a dropped child");
         // A fresh, exactly sized buffer: the dropped plans' memory goes back
         // to the allocator instead of staying behind as spare capacity.
-        let mut nodes = Vec::with_capacity(next as usize);
-        for (node, _) in self.nodes.iter().zip(keep).filter(|(_, &k)| k) {
+        let mut nodes = Vec::with_capacity(map.iter().flatten().count());
+        for (i, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
+            let node = self.get(PlanId(i as u32)).expect("a hole cannot be kept");
             nodes.push(PlanNode {
                 children: node.children.map(|(l, r)| (remap(l), remap(r))),
                 ..*node
             });
         }
         self.nodes = nodes;
+        self.slots = Vec::new();
         map
+    }
+
+    /// The node for `id`, or `None` if `id` is a hole or was never
+    /// issued.
+    #[inline]
+    pub fn get(&self, id: PlanId) -> Option<&PlanNode> {
+        let slot = if self.slots.is_empty() {
+            id.0
+        } else {
+            *self.slots.get(id.index())?
+        };
+        self.nodes.get(slot as usize)
     }
 
     /// The node for `id`.
     ///
     /// # Panics
-    /// Panics if `id` is out of range.
+    /// Panics if `id` holds no plan.
     #[inline]
     pub fn node(&self, id: PlanId) -> &PlanNode {
-        &self.nodes[id.index()]
+        match self.get(id) {
+            Some(node) => node,
+            None => no_node(id),
+        }
     }
 
     /// The cached cost of `id`.
@@ -182,12 +231,10 @@ impl PlanArena {
         self.node(id).tables
     }
 
-    /// Iterates over all `(id, node)` pairs in insertion order.
+    /// Iterates over the stored `(id, node)` pairs in creation order,
+    /// skipping holes.
     pub fn iter(&self) -> impl Iterator<Item = (PlanId, &PlanNode)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (PlanId(i as u32), n))
+        (0..self.issued() as u32).filter_map(|i| Some((PlanId(i), self.get(PlanId(i))?)))
     }
 
     /// The number of operator nodes in the tree rooted at `id` (counts
@@ -206,6 +253,26 @@ impl PlanArena {
             Some((l, r)) => 1 + self.depth(l).max(self.depth(r)),
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn no_node(id: PlanId) -> ! {
+    panic!("plan {} holds no node", id.0)
+}
+
+/// The monotone renumbering that keeps the ids marked in `keep`: the
+/// `k`-th marked id becomes `PlanId(k)`, an unmarked one maps to `None`.
+pub fn renumbering(keep: &[bool]) -> Vec<Option<PlanId>> {
+    let mut next = 0u32;
+    keep.iter()
+        .map(|&k| {
+            k.then(|| {
+                next += 1;
+                PlanId(next - 1)
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -295,6 +362,87 @@ mod tests {
         assert_eq!(arena.node(j).children, Some((PlanId(0), PlanId(1))));
         assert_eq!(arena.cost(PlanId(1)).as_slice(), &[2.0, 2.0]);
         assert_eq!(arena.tables(j), TableSet::from_positions([0, 1]));
+    }
+
+    #[test]
+    fn a_hole_takes_an_id_but_holds_no_node() {
+        let mut arena = PlanArena::new();
+        let s0 = arena.push_scan(Operator::full_scan(0), 0, cost(1.0), PhysicalProps::NONE);
+        let hole = arena.push_hole();
+        let s1 = arena.push_scan(Operator::full_scan(1), 1, cost(2.0), PhysicalProps::NONE);
+        assert_eq!((s0, hole, s1), (PlanId(0), PlanId(1), PlanId(2)));
+        assert!(arena.get(hole).is_none());
+        assert!(arena.get(PlanId(3)).is_none(), "never issued");
+        assert_eq!(arena.cost(s1).as_slice(), &[2.0, 2.0]);
+        assert_eq!((arena.len(), arena.issued()), (2, 3));
+        let ids: Vec<PlanId> = arena.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![s0, s1], "iter skips the hole");
+        // A hole first, before any node.
+        let mut arena = PlanArena::new();
+        assert_eq!(arena.push_hole(), PlanId(0));
+        assert_eq!((arena.len(), arena.issued()), (0, 1));
+        assert_eq!(arena.iter().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no node")]
+    fn a_hole_has_no_node_to_read() {
+        let mut arena = PlanArena::new();
+        let hole = arena.push_hole();
+        arena.node(hole);
+    }
+
+    #[test]
+    fn retain_marked_over_holes_renumbers_in_creation_order() {
+        let mut arena = PlanArena::new();
+        let s0 = arena.push_scan(Operator::full_scan(0), 0, cost(1.0), PhysicalProps::NONE);
+        let h1 = arena.push_hole();
+        let s1 = arena.push_scan(Operator::full_scan(1), 1, cost(2.0), PhysicalProps::NONE);
+        let h3 = arena.push_hole();
+        let dead = arena.push_scan(Operator::full_scan(1), 1, cost(9.0), PhysicalProps::NONE);
+        let j = arena.push_join(
+            Operator::join(JoinAlgo::Hash, 1),
+            s0,
+            s1,
+            cost(5.0),
+            PhysicalProps::NONE,
+        );
+        assert_eq!(j, PlanId(5));
+        let map = arena.retain_marked(&[true, false, true, false, false, true]);
+        assert_eq!(
+            map,
+            vec![
+                Some(PlanId(0)),
+                None,
+                Some(PlanId(1)),
+                None,
+                None,
+                Some(PlanId(2))
+            ]
+        );
+        assert_eq!(
+            (map[h1.index()], map[h3.index()], map[dead.index()]),
+            (None, None, None)
+        );
+        assert_eq!((arena.len(), arena.issued()), (3, 3), "no hole is left");
+        assert_eq!(arena.node(PlanId(2)).children, Some((PlanId(0), PlanId(1))));
+        assert_eq!(arena.cost(PlanId(1)).as_slice(), &[2.0, 2.0]);
+        let ids: Vec<PlanId> = arena.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![PlanId(0), PlanId(1), PlanId(2)]);
+        // Ids issued after a compaction continue the dense numbering.
+        assert_eq!(arena.push_hole(), PlanId(3));
+        let s = arena.push_scan(Operator::full_scan(2), 2, cost(3.0), PhysicalProps::NONE);
+        assert_eq!(s, PlanId(4));
+        assert_eq!(arena.cost(s).as_slice(), &[3.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "hole cannot be kept")]
+    fn retain_marked_refuses_to_keep_a_hole() {
+        let mut arena = PlanArena::new();
+        arena.push_scan(Operator::full_scan(0), 0, cost(1.0), PhysicalProps::NONE);
+        arena.push_hole();
+        arena.retain_marked(&[true, true]);
     }
 
     #[test]

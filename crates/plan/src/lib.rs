@@ -6,6 +6,8 @@
 //! are append-only arena entries addressed by [`PlanId`], and result plans
 //! are never removed (the paper explicitly renounces discarding result
 //! plans so sub-plan pointers stay valid across optimizer invocations).
+//! A plan discarded the moment it was generated takes an id but no
+//! entry, so the arena's space follows the plans it keeps.
 //!
 //! Operators cover the plan space of the paper's evaluation substrate:
 //! full and sampled scans (sampling trades result precision for execution
@@ -21,7 +23,7 @@ pub mod explain;
 pub mod operator;
 pub mod props;
 
-pub use arena::{PlanArena, PlanId, PlanNode};
+pub use arena::{renumbering, PlanArena, PlanId, PlanNode};
 pub use explain::explain;
 pub use operator::{JoinAlgo, Operator, ScanMethod};
 pub use props::{OrderKey, PhysicalProps};
