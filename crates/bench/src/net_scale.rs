@@ -173,7 +173,7 @@ fn run_hold(requested: usize, fast: bool, trial: &mut Trial) {
     let (rss_before_kb, threads_before) = (proc_rss_kb(), server_threads());
 
     // Connect and submit the whole fleet; each session runs its (tiny)
-    // resolution ladder and then sits idle awaiting commands.
+    // resolution ladder and then sits idle waiting for commands.
     let mut clients: Vec<NetClient> = Vec::with_capacity(connections);
     let mut connect_us = Samples::with_capacity(connections);
     let mut admit_us = Samples::with_capacity(connections);

@@ -190,7 +190,7 @@ fn run_policy(
     let mut rng = XorShift::new(TRACE_SEED);
     let mut tally = Tally::default();
     let mut submit_us = Samples::with_capacity(arrivals);
-    // Admitted (full or degraded) sessions awaiting service, oldest
+    // Admitted (full or degraded) sessions waiting for service, oldest
     // first, plus tickets parked in the bounded admission queue.
     let mut live: VecDeque<Ticket> = VecDeque::new();
     let mut parked: Vec<Ticket> = Vec::new();

@@ -69,7 +69,7 @@ fn run_phase(state: &mut ServeState, trial: &mut Trial) {
     for spec in specs {
         let t0 = Instant::now();
         let gid = engine.submit(spec.clone());
-        let rx = engine.watch(gid).expect("fresh session");
+        let rx = engine.watch(gid, None).expect("fresh session");
         watchers.push((gid, t0, rx, moqo_serve::SessionView::default()));
     }
     // Round-robin over the channels until every session showed a frontier.

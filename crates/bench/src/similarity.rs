@@ -131,7 +131,7 @@ fn run_phase(eng: &ShardedEngine, specs: &[Arc<QuerySpec>]) -> PhaseFigures {
     for spec in specs {
         let t0 = Instant::now();
         let gid = eng.submit(spec.clone());
-        let rx = eng.watch(gid).expect("fresh session");
+        let rx = eng.watch(gid, None).expect("fresh session");
         watchers.push((gid, t0, rx, moqo_serve::SessionView::default()));
     }
     let mut latency = vec![None::<Duration>; watchers.len()];

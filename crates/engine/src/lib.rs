@@ -49,8 +49,9 @@
 //!
 //! Serving layers build on three hooks: [`SessionManager::watch`]
 //! (per-session [`SessionEvent`] push channels carrying delta-streamed
-//! frontiers, so no caller parks on the engine's condvar and the full
-//! frontier is never re-shipped), [`SessionManager::park`] /
+//! frontiers, each with its own optional [`Doorbell`], so no caller
+//! parks on the engine's condvar and the full frontier is never
+//! re-shipped), [`SessionManager::park`] /
 //! [`WarmStore::map_parked`] (frontier persistence across restarts), and
 //! [`SessionManager::live_sessions`] (the load figure admission control
 //! and shard routing balance on).
@@ -86,7 +87,7 @@ pub mod subfrontier;
 
 pub use cache::{CacheStats, MissLoader, WarmStore};
 pub use fingerprint::{QueryFingerprint, RebaseKey, SubsetFingerprint};
-pub use manager::{EngineConfig, EventHook, SessionId, SessionManager, SessionStatus};
+pub use manager::{Doorbell, EngineConfig, SessionId, SessionManager, SessionStatus};
 pub use plans::{PlanCache, PlanCacheStats};
 pub use registry::ModelRegistry;
 pub use subfrontier::{Harvest, SubFrontierCache, SubFrontierCacheStats};

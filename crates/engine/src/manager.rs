@@ -228,17 +228,18 @@ struct Slot {
     /// Commands not yet run, oldest first, whether the session is checked
     /// in or running: a worker takes one at checkout.
     inbox: VecDeque<SessionCommand>,
-    /// Per-watcher push channels: every published [`SessionEvent`]
-    /// (after a slice, on retirement, on `finish`) is cloned into each
-    /// live watcher so callers can `recv` on their own channel instead of
-    /// parking on the engine's internal condvar. Disconnected watchers
-    /// are pruned on the next send.
-    watchers: Vec<mpsc::Sender<SessionEvent>>,
+    /// Per-watcher push channels, each with its doorbell: every
+    /// published [`SessionEvent`] (after a slice, on retirement, on
+    /// `finish`) is cloned into each live watcher so callers can `recv`
+    /// on their own channel instead of parking on the engine's internal
+    /// condvar. Disconnected watchers are pruned on the next send.
+    watchers: Vec<(mpsc::Sender<SessionEvent>, Option<Doorbell>)>,
 }
 
 impl Slot {
     /// Advances the status from one event the session emitted, and sends
-    /// the event to all watchers (dropping dead ones).
+    /// the event to all watchers (dropping dead ones), ringing each
+    /// watcher's own doorbell.
     fn publish(&mut self, event: SessionEvent) {
         let status = &mut self.status;
         status.epoch = event.epoch;
@@ -255,7 +256,13 @@ impl Slot {
         // The delta advances the published snapshot in place — no
         // full-frontier diff or clone.
         event.delta.apply(&mut status.frontier);
-        self.watchers.retain(|w| w.send(event.clone()).is_ok());
+        self.watchers.retain(|(tx, doorbell)| {
+            let sent = tx.send(event.clone()).is_ok();
+            if let (true, Some(ring)) = (sent, doorbell) {
+                ring();
+            }
+            sent
+        });
     }
 }
 
@@ -272,14 +279,15 @@ struct EngineState {
     retired: VecDeque<SessionId>,
 }
 
-/// Callback fired whenever a session publishes a [`SessionEvent`] to its
-/// watchers — the readiness signal an event-driven serving front needs to
-/// know *which* watch channel became non-empty without polling them all.
+/// Callback rung once per event a watch channel receives — the readiness
+/// signal an event-driven serving front needs to know *which* channel
+/// became non-empty without polling them all (see
+/// [`SessionManager::watch`]).
 ///
-/// Invoked with the engine state lock held, so implementations must be
+/// Rung with the engine state lock held, so implementations must be
 /// cheap and must only take leaf locks (push an id on a queue, ring a
-/// doorbell) — never call back into the manager.
-pub type EventHook = Arc<dyn Fn(SessionId) + Send + Sync>;
+/// wake latch) — never call back into the manager.
+pub type Doorbell = Arc<dyn Fn() + Send + Sync>;
 
 struct Shared {
     state: Mutex<EngineState>,
@@ -288,8 +296,6 @@ struct Shared {
     /// Signals waiters that a slice finished (idle / finish conditions).
     settled: Condvar,
     shutdown: AtomicBool,
-    /// See [`EventHook`]; `None` until a serving front installs one.
-    event_hook: Mutex<Option<EventHook>>,
     /// Parked optimizers and sub-frontier blobs, possibly shared with
     /// sibling managers. Its lock is a leaf below the state lock.
     store: Arc<WarmStore>,
@@ -359,7 +365,6 @@ impl Shared {
             self.settled.notify_all();
             return;
         };
-        let published = event.is_some();
         if let Some(event) = event {
             slot.publish(event);
         }
@@ -391,9 +396,6 @@ impl Shared {
         if requeue {
             enqueue(state, id);
             self.work.notify_one();
-        }
-        if published {
-            fire_event_hook(self, id);
         }
         self.settled.notify_all();
     }
@@ -449,7 +451,6 @@ impl SessionManager {
             work: Condvar::new(),
             settled: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            event_hook: Mutex::new(None),
             store,
             counters: CacheCounters::default(),
         });
@@ -730,13 +731,6 @@ impl SessionManager {
         state.slots.get(&id).map(|s| s.status.clone())
     }
 
-    /// Installs (or replaces) the [`EventHook`] fired after every
-    /// published session event. The serving front uses it to learn which
-    /// sessions have fresh events without sleep-polling watch channels.
-    pub fn set_event_hook(&self, hook: EventHook) {
-        *self.shared.event_hook.lock().expect("event hook lock") = Some(hook);
-    }
-
     /// Subscribes to a session's event stream.
     ///
     /// Returns a channel that receives one [`SessionEvent`] per completed
@@ -749,10 +743,21 @@ impl SessionManager {
     /// channel is unbounded but updates are slice-paced); dropped
     /// receivers are pruned on the next update.
     ///
+    /// `doorbell`, if given, rings once for every event published to this
+    /// channel after the prime (the terminal event included), and for no
+    /// other watcher's; the prime itself is in the channel on return and
+    /// rings nothing. Watching a session that already ended primes the
+    /// channel with its final state and registers nothing, so its
+    /// doorbell never rings.
+    ///
     /// This is the non-blocking alternative to
     /// [`SessionManager::wait_idle`]: callers park on their own channel,
     /// never on the engine's internal condvar.
-    pub fn watch(&self, id: SessionId) -> Option<mpsc::Receiver<SessionEvent>> {
+    pub fn watch(
+        &self,
+        id: SessionId,
+        doorbell: Option<Doorbell>,
+    ) -> Option<mpsc::Receiver<SessionEvent>> {
         let mut state = self.lock();
         let slot = state.slots.get_mut(&id)?;
         let (tx, rx) = mpsc::channel();
@@ -770,7 +775,7 @@ impl SessionManager {
         };
         let _ = tx.send(prime);
         if s.outcome.is_none() {
-            slot.watchers.push(tx);
+            slot.watchers.push((tx, doorbell));
         }
         Some(rx)
     }
@@ -941,13 +946,5 @@ fn worker_loop(shared: Arc<Shared>) {
         let active = shared.park_if_ended(active);
         state = shared.state.lock().expect("engine lock poisoned");
         shared.check_in(&mut state, id, active, event);
-    }
-}
-
-/// Fires the installed [`EventHook`], if any (see its locking contract).
-fn fire_event_hook(shared: &Shared, id: SessionId) {
-    let hook = shared.event_hook.lock().expect("event hook lock").clone();
-    if let Some(hook) = hook {
-        hook(id);
     }
 }

@@ -6,9 +6,9 @@ use moqo_core::{Session, WireEncode};
 use moqo_cost::{Bounds, ResolutionSchedule};
 use moqo_costmodel::{CostModel, SharedCostModel, StandardCostModel, StandardCostModelConfig};
 use moqo_engine::{
-    CacheStats, EngineConfig, ProtocolError, QueryFingerprint, SessionCommand, SessionEvent,
-    SessionId, SessionManager, SessionOutcome, SessionRequest, SessionView, SubFrontierCache,
-    SubsetFingerprint, WarmStore,
+    CacheStats, Doorbell, EngineConfig, ProtocolError, QueryFingerprint, SessionCommand,
+    SessionEvent, SessionId, SessionManager, SessionOutcome, SessionRequest, SessionView,
+    SubFrontierCache, SubsetFingerprint, WarmStore,
 };
 use moqo_query::{testkit, QuerySpec};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -337,7 +337,7 @@ fn warm_resume_ignores_the_schedule_override() {
 fn watch_streams_deltas_that_reassemble_to_the_exact_frontier() {
     let m = manager(2);
     let id = m.submit(Arc::new(testkit::chain_query(3, 70_000)));
-    let rx = m.watch(id).expect("live session is watchable");
+    let rx = m.watch(id, None).expect("live session is watchable");
     // The subscription primes itself with a reset-delta event...
     let first = rx.recv_timeout(IDLE).expect("primed event");
     assert!(first.delta.reset);
@@ -361,7 +361,7 @@ fn watch_streams_deltas_that_reassemble_to_the_exact_frontier() {
     view.fold(&fin).unwrap();
     assert!(view.is_finished());
     // Unknown sessions are not watchable.
-    assert!(m.watch(9999).is_none());
+    assert!(m.watch(9999, None).is_none());
 }
 
 #[test]
@@ -371,7 +371,7 @@ fn watched_session_publishes_at_most_one_invocation_per_event() {
     // report exactly when it does.
     let m = manager(2);
     let id = m.submit(Arc::new(testkit::chain_query(4, 60_000)));
-    let rx = m.watch(id).expect("live session is watchable");
+    let rx = m.watch(id, None).expect("live session is watchable");
     let mut last = rx.recv_timeout(IDLE).expect("primed event").invocations;
     let check = |last: u64, ev: &moqo_engine::SessionEvent| {
         assert!(
@@ -850,32 +850,94 @@ fn a_resume_that_inserts_results_reencodes_its_blobs() {
     assert_ne!(before, after, "finer results change the blobs");
 }
 
+/// A doorbell that counts its rings.
+fn counting_doorbell() -> (Doorbell, Arc<AtomicUsize>) {
+    let rings = Arc::new(AtomicUsize::new(0));
+    let doorbell: Doorbell = Arc::new({
+        let rings = Arc::clone(&rings);
+        move || {
+            rings.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    (doorbell, rings)
+}
+
 #[test]
 fn finish_on_an_ended_session_publishes_nothing() {
     let m = manager(2);
-    let events = Arc::new(AtomicUsize::new(0));
-    m.set_event_hook(Arc::new({
-        let events = Arc::clone(&events);
-        move |_| {
-            events.fetch_add(1, Ordering::SeqCst);
-        }
-    }));
     let id = m.submit(Arc::new(testkit::chain_query(3, 40_000)));
+    let (doorbell, rings) = counting_doorbell();
+    let rx = m
+        .watch(id, Some(doorbell))
+        .expect("live session is watchable");
+    let prime = rx.recv_timeout(IDLE).expect("primed event");
     assert!(m.wait_idle(IDLE));
     let choice = m.frontier(id).unwrap().min_by_metric(0).unwrap().plan;
     m.command(id, SessionCommand::SelectPlan(choice)).unwrap();
     assert!(m.wait_idle(IDLE));
     let ended = m.status(id).unwrap();
     assert_eq!(ended.selected(), Some(choice));
-    let published = events.load(Ordering::SeqCst);
-    assert_eq!(published as u64, ended.epoch);
+    let published = rings.load(Ordering::SeqCst);
+    assert_eq!(published as u64, ended.epoch - prime.epoch);
 
     let fin = m.finish(id).expect("an ended session keeps its status");
     assert_eq!(fin.epoch, ended.epoch);
     assert_eq!(fin.outcome, ended.outcome);
     assert_eq!(m.status(id).unwrap().epoch, ended.epoch);
-    assert_eq!(events.load(Ordering::SeqCst), published, "no event");
+    assert_eq!(rings.load(Ordering::SeqCst), published, "no event");
+    assert_eq!(rx.iter().count(), published, "one event per ring");
     assert_eq!(m.live_sessions(), 0);
+}
+
+#[test]
+fn each_publish_rings_only_its_own_watchers_doorbell() {
+    let m = manager(2);
+    let a = m.submit(Arc::new(testkit::chain_query(3, 40_000)));
+    let b = m.submit(Arc::new(testkit::chain_query(4, 40_000)));
+    let (bell_a, rings_a) = counting_doorbell();
+    let (bell_b, rings_b) = counting_doorbell();
+    let rx_a = m.watch(a, Some(bell_a)).unwrap();
+    let rx_b = m.watch(b, Some(bell_b)).unwrap();
+    // A second watcher of `a` with no doorbell rings nothing.
+    let quiet = m.watch(a, None).unwrap();
+    assert!(m.wait_idle(IDLE));
+    m.finish(a).unwrap();
+    m.finish(b).unwrap();
+    for (id, rx, rings) in [(a, rx_a, rings_a), (b, rx_b, rings_b)] {
+        // Retirement releases the channel, so the stream ends.
+        let events: Vec<SessionEvent> = rx.iter().collect();
+        let prime = &events[0];
+        assert!(prime.delta.reset, "the prime opens the stream");
+        assert_eq!(
+            events.last().unwrap().outcome,
+            Some(SessionOutcome::Retired)
+        );
+        let after_prime = events.len() - 1;
+        assert_eq!(
+            rings.load(Ordering::SeqCst),
+            after_prime,
+            "one ring per event after the prime, the terminal one included"
+        );
+        assert_eq!(
+            m.status(id).unwrap().epoch - prime.epoch,
+            after_prime as u64
+        );
+    }
+    assert!(quiet.iter().last().unwrap().is_final());
+
+    // Watching an ended session primes the channel with its final state
+    // and registers nothing: the channel is closed, and nothing rings.
+    let (bell, rings) = counting_doorbell();
+    let late = m
+        .watch(a, Some(bell))
+        .expect("an ended session keeps its status");
+    let prime = late.recv_timeout(IDLE).expect("the final state");
+    assert_eq!(prime.outcome, Some(SessionOutcome::Retired));
+    assert_eq!(
+        late.recv_timeout(IDLE),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
+    );
+    assert_eq!(rings.load(Ordering::SeqCst), 0);
 }
 
 #[test]
@@ -884,7 +946,7 @@ fn finish_on_an_idle_session_delivers_one_retired_event() {
     let spec = Arc::new(testkit::chain_query(3, 80_000));
     let id = m.submit(spec.clone());
     assert!(m.wait_idle(IDLE));
-    let rx = m.watch(id).expect("live session is watchable");
+    let rx = m.watch(id, None).expect("live session is watchable");
     let prime = rx.recv_timeout(IDLE).expect("primed event");
     let fin = m.finish(id).unwrap();
     assert_eq!(fin.outcome, Some(SessionOutcome::Retired));
@@ -944,7 +1006,7 @@ fn the_engine_forwards_the_core_session_stream() {
     // The same commands through the engine, after its watch primer.
     let m = manager(2);
     let id = m.open(request).unwrap();
-    let rx = m.watch(id).unwrap();
+    let rx = m.watch(id, None).unwrap();
     assert_eq!(rx.recv_timeout(IDLE).unwrap().epoch, 0, "the primer");
     for cmd in script {
         m.command(id, cmd).unwrap();

@@ -202,6 +202,15 @@ impl<T> AdmissionController<T> {
         popped
     }
 
+    /// Removes the first pending submission `which` matches (a caller that
+    /// gave up while queued). `None` if no pending submission matches: it
+    /// was never queued, or a release already popped it.
+    pub(crate) fn withdraw(&self, which: impl Fn(&T) -> bool) -> Option<T> {
+        let mut pending = self.pending.lock().expect("admission queue poisoned");
+        let at = pending.iter().position(which)?;
+        pending.remove(at)
+    }
+
     /// Number of submissions currently parked in the pending queue.
     pub fn pending(&self) -> usize {
         self.pending.lock().expect("admission queue poisoned").len()

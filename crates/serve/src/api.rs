@@ -13,12 +13,21 @@
 //! on the ticket channel with a timeout for the next event); no caller
 //! ever parks on the engine's internal condvar, so a slow or abandoned
 //! client cannot interfere with scheduling — and the full frontier is
-//! shipped at most once per stream, deltas after that.
+//! shipped at most once per stream, deltas after that. The first event a
+//! ticket's `poll` or `recv` folds is the engine's own prime (the
+//! reset-delta event [`SessionManager::watch`] opens every stream with),
+//! so a stream forwarded event by event from the first `recv` on
+//! reassembles the session exactly.
 //!
 //! Queued submissions (under [`AdmissionPolicy::Queue`]) admit lazily:
 //! every API interaction pumps the pending queue against freed capacity,
 //! so a server with *any* traffic drains its queue without a background
-//! thread; an idle server drains it on the next call.
+//! thread; an idle server drains it on the next call. A ticket that
+//! leaves the queue rings the [`ServerEventHook`] once, after it turned
+//! [`TicketStatus::Active`]; [`MoqoServer::finish`] on a ticket still
+//! queued withdraws it, and it never runs.
+//!
+//! [`SessionManager::watch`]: moqo_engine::SessionManager::watch
 //!
 //! [`AdmissionPolicy::Queue`]: crate::AdmissionPolicy::Queue
 
@@ -30,6 +39,7 @@ use moqo_core::protocol::{
 };
 use moqo_cost::ResolutionSchedule;
 use moqo_costmodel::SharedCostModel;
+use moqo_engine::Doorbell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -141,6 +151,9 @@ impl ActiveCell {
     }
 }
 
+/// A ticket's state. A queued ticket withdrawn by
+/// [`MoqoServer::finish`] has no cell at all: an activation that finds its
+/// cell gone finishes the session it started.
 enum Cell {
     Queued,
     Rejected(moqo_core::RejectReason),
@@ -205,22 +218,26 @@ pub struct MoqoServer {
     /// Admissions decided under the gate whose engine submission has not
     /// completed yet; added to the engine's live count for decisions.
     reserved: AtomicU64,
-    /// Session → ticket reverse map, kept by `activate` and ticket close;
-    /// translates engine-level event notifications into the tickets the
-    /// serving front routes by. A leaf lock: taken under `tickets` and
-    /// under engine state locks (via the event hook), never the reverse.
-    gid_tickets: Arc<Mutex<HashMap<GlobalSessionId, u64>>>,
+    /// The installed [`ServerEventHook`], read by every ticket's doorbell
+    /// when it rings. A leaf lock: taken under engine state locks, never
+    /// the reverse.
+    hook: Arc<Mutex<ServerEventHook>>,
     retired_tickets: usize,
     next: AtomicU64,
 }
 
-/// Callback fired whenever a session behind a ticket publishes a
-/// [`SessionEvent`]: `Some(ticket)` names the ticket with a fresh event,
-/// `None` means an event fired for a session not yet in the ticket table
-/// (an activation in flight) — treat it as a generic "something moved"
-/// wake. Same locking contract as [`moqo_engine::EventHook`]: invoked
-/// under an engine state lock, keep it to queue-push + doorbell work.
+/// Callback fired whenever a ticket's channel receives a
+/// [`SessionEvent`], naming that ticket, and once more when a queued
+/// ticket turns active. The argument is always `Some(ticket)`; `None` is
+/// never sent. Same locking contract as a [`Doorbell`]: invoked under an
+/// engine state lock, keep it to queue-push + wake work.
 pub type ServerEventHook = Arc<dyn Fn(Option<Ticket>) + Send + Sync>;
+
+/// Rings the installed hook for ticket `id`.
+fn ring(hook: &Mutex<ServerEventHook>, id: u64) {
+    let hook = Arc::clone(&hook.lock().expect("event hook poisoned"));
+    hook(Some(Ticket(id)));
+}
 
 impl MoqoServer {
     /// Starts the shard pool.
@@ -234,22 +251,19 @@ impl MoqoServer {
             }),
             gate: Mutex::new(()),
             reserved: AtomicU64::new(0),
-            gid_tickets: Arc::new(Mutex::new(HashMap::new())),
+            hook: Arc::new(Mutex::new(Arc::new(|_| {}))),
             retired_tickets: config.retired_tickets,
             next: AtomicU64::new(1),
         }
     }
 
-    /// Installs a [`ServerEventHook`] fired after every published session
-    /// event, resolved to the owning ticket — the signal an event-driven
+    /// Installs (or replaces) the [`ServerEventHook`] fired after every
+    /// event a ticket's channel receives — the signal an event-driven
     /// network front needs to forward events without sleep-polling every
-    /// ticket channel.
+    /// ticket channel. Every ticket's doorbell reads the hook when it
+    /// rings, so tickets issued before the call ring it too.
     pub fn set_event_hook(&self, hook: ServerEventHook) {
-        let map = Arc::clone(&self.gid_tickets);
-        self.engine.set_event_hook(Arc::new(move |gid| {
-            let ticket = map.lock().expect("gid map poisoned").get(&gid).copied();
-            hook(ticket.map(Ticket));
-        }));
+        *self.hook.lock().expect("event hook poisoned") = hook;
     }
 
     /// Live sessions plus decided-but-not-yet-submitted admissions — the
@@ -305,22 +319,13 @@ impl MoqoServer {
             Admission::Admit => {
                 self.reserved.fetch_add(1, Ordering::Relaxed);
                 drop(gate);
-                let cell = Cell::Active(Box::new(self.activate(id, request, false)));
-                self.reserved.fetch_sub(1, Ordering::Relaxed);
-                self.with_tickets(|t| {
-                    t.cells.insert(id, cell);
-                });
+                self.activate(id, request, false);
                 AdmissionResponse::Admitted
             }
             Admission::AdmitDegraded(ladder) => {
                 self.reserved.fetch_add(1, Ordering::Relaxed);
                 drop(gate);
-                let degraded = request.with_schedule(ladder.clone());
-                let cell = Cell::Active(Box::new(self.activate(id, degraded, true)));
-                self.reserved.fetch_sub(1, Ordering::Relaxed);
-                self.with_tickets(|t| {
-                    t.cells.insert(id, cell);
-                });
+                self.activate(id, request.with_schedule(ladder.clone()), true);
                 AdmissionResponse::Degraded { schedule: ladder }
             }
             // The placeholder stands; a pump (possibly already racing on
@@ -341,22 +346,27 @@ impl MoqoServer {
         Ok((Ticket(id), response))
     }
 
-    /// Submits to the engine and wires up the per-ticket event channel.
-    fn activate(&self, id: u64, request: ValidRequest, degraded: bool) -> ActiveCell {
+    /// Submits a reserved admission to the engine, wires up the ticket's
+    /// event channel (whose doorbell rings the hook), and files the active
+    /// cell. The channel keeps the engine's prime for the caller's first
+    /// `poll` or `recv`. Returns `false` if the ticket was withdrawn
+    /// meanwhile (its cell is gone): the session is finished at once, so
+    /// none runs without an owner.
+    fn activate(&self, id: u64, request: ValidRequest, degraded: bool) -> bool {
         let gid = self.engine.admit(request);
-        self.gid_tickets
-            .lock()
-            .expect("gid map poisoned")
-            .insert(gid, id);
-        let rx = self.engine.watch(gid).expect("freshly submitted session");
-        // The watch channel self-primes with a reset-delta event.
-        let primed = rx.recv().expect("primed event");
+        self.reserved.fetch_sub(1, Ordering::Relaxed);
+        let hook = Arc::clone(&self.hook);
+        let doorbell: Doorbell = Arc::new(move || ring(&hook, id));
+        let rx = self
+            .engine
+            .watch(gid, Some(doorbell))
+            .expect("freshly submitted session");
         let warm_start = self
             .engine
             .status(gid)
             .map(|s| s.warm_start)
             .unwrap_or(false);
-        let mut cell = ActiveCell {
+        let cell = ActiveCell {
             gid,
             degraded,
             warm_start,
@@ -364,14 +374,24 @@ impl MoqoServer {
             view: SessionView::default(),
             closed: false,
         };
-        cell.fold(&primed);
-        cell
+        let filed = self.with_tickets(|t| match t.cells.get_mut(&id) {
+            Some(slot) => {
+                *slot = Cell::Active(Box::new(cell));
+                true
+            }
+            None => false,
+        });
+        if !filed {
+            self.engine.finish(gid);
+        }
+        filed
     }
 
     /// Admits queued submissions into freed capacity (called from every
     /// public entry point). The gate keeps the (load read, release)
     /// decision atomic with concurrent admissions; the engine submission
-    /// runs outside it under a reservation.
+    /// runs outside it under a reservation. Each ticket that turns active
+    /// rings the hook once, so a front waiting on it starts forwarding.
     fn pump(&self) {
         loop {
             let gate = self.gate.lock().expect("admission gate poisoned");
@@ -380,11 +400,9 @@ impl MoqoServer {
             };
             self.reserved.fetch_add(1, Ordering::Relaxed);
             drop(gate);
-            let cell = Cell::Active(Box::new(self.activate(p.ticket, p.request, false)));
-            self.reserved.fetch_sub(1, Ordering::Relaxed);
-            self.with_tickets(|t| {
-                t.cells.insert(p.ticket, cell);
-            });
+            if self.activate(p.ticket, p.request, false) {
+                ring(&self.hook, p.ticket);
+            }
         }
     }
 
@@ -392,22 +410,16 @@ impl MoqoServer {
         f(&mut self.tickets.lock().expect("ticket table poisoned"))
     }
 
-    /// Marks a finished active cell closed (dropping its channel and its
-    /// reverse-map entry) and files the ticket into the bounded
-    /// closed-history (once). Call with the table lock held. Idempotent
-    /// on the channel: a receiver restored by a `recv` that raced the
-    /// close is dropped here too.
+    /// Marks a finished active cell closed (dropping its channel) and
+    /// files the ticket into the bounded closed-history (once). Call with
+    /// the table lock held. Idempotent on the channel: a receiver restored
+    /// by a `recv` that raced the close is dropped here too.
     fn close_if_finished(&self, t: &mut TicketTable, id: u64) {
         if let Some(Cell::Active(active)) = t.cells.get_mut(&id) {
             if active.view.is_finished() {
                 active.rx = None;
                 if !active.closed {
                     active.closed = true;
-                    let gid = active.gid;
-                    self.gid_tickets
-                        .lock()
-                        .expect("gid map poisoned")
-                        .remove(&gid);
                     t.close(id, self.retired_tickets);
                 }
             }
@@ -444,7 +456,10 @@ impl MoqoServer {
 
     /// Blocks on the ticket's channel for the next [`SessionEvent`] (at
     /// most `timeout`), never on engine internals; the event is folded
-    /// into the ticket's view before it is returned. Returns `None` for
+    /// into the ticket's view before it is returned. The first event of a
+    /// ticket nobody polled yet is the engine's prime: a full-state
+    /// reset-delta event, so forwarding every `recv` from the first on
+    /// hands a remote view the whole stream. Returns `None` for
     /// unknown, queued, or rejected tickets, on timeout, and once the
     /// channel is closed after the session finished (the final view
     /// remains available via [`MoqoServer::poll`]). Only one caller may
@@ -483,6 +498,10 @@ impl MoqoServer {
             }
             self.close_if_finished(t, ticket.0);
         });
+        // The session's slot is free once its terminal event is out.
+        if received.as_ref().is_some_and(SessionEvent::is_final) {
+            self.pump();
+        }
         received
     }
 
@@ -510,9 +529,18 @@ impl MoqoServer {
     /// [`SessionManager::finish`](moqo_engine::SessionManager::finish)).
     /// Returns the final reassembled view; `None` for tickets that never
     /// activated.
+    ///
+    /// A ticket still queued is withdrawn: its submission leaves the
+    /// admission queue, the ticket is dropped, and no session runs for it
+    /// (an activation already in flight finishes the session it started).
     pub fn finish(&self, ticket: Ticket) -> Option<SessionView> {
         let gid = self.with_tickets(|t| match t.cells.get(&ticket.0) {
             Some(Cell::Active(active)) => Some(active.gid),
+            Some(Cell::Queued) => {
+                self.admission.withdraw(|p| p.ticket == ticket.0);
+                t.cells.remove(&ticket.0);
+                None
+            }
             _ => None,
         })?;
         // The engine publishes the terminal event to the ticket channel;
@@ -694,6 +722,52 @@ mod tests {
             _ => unreachable!(),
         };
         assert!(!st.frontier.is_empty());
+    }
+
+    #[test]
+    fn a_queued_submission_withdrawn_by_finish_never_runs() {
+        let s = server(AdmissionConfig {
+            max_live: 1,
+            policy: AdmissionPolicy::Queue { depth: 4 },
+        });
+        let (a, _) = submit(&s, Arc::new(testkit::chain_query(2, 20_000)));
+        let (b, rb) = submit(&s, Arc::new(testkit::chain_query(3, 20_000)));
+        assert_eq!(rb, AdmissionResponse::Queued { position: 0 });
+        assert!(s.finish(b).is_none(), "a queued ticket has no view");
+        assert!(s.poll(b).is_none(), "the withdrawn ticket is dropped");
+        assert_eq!(s.stats().pending, 0);
+        // The freed slot admits nothing: b left the queue for good.
+        assert!(s.wait_idle(IDLE));
+        s.finish(a).unwrap();
+        assert!(s.poll(b).is_none());
+        assert!(s.wait_idle(IDLE));
+        let stats = s.stats();
+        assert_eq!((stats.live, stats.pending), (0, 0));
+        assert_eq!(stats.admission.admitted, 1);
+    }
+
+    #[test]
+    fn an_activation_racing_a_withdrawal_finishes_its_session() {
+        let s = server(AdmissionConfig {
+            max_live: 1,
+            policy: AdmissionPolicy::Queue { depth: 4 },
+        });
+        let (a, _) = submit(&s, Arc::new(testkit::chain_query(2, 20_000)));
+        let (b, _) = submit(&s, Arc::new(testkit::chain_query(3, 20_000)));
+        // A pump pops b's submission (as it would once a frees its slot),
+        // and b is withdrawn before the activation files its cell.
+        let popped = s.admission.release(0).expect("b was queued");
+        assert_eq!(popped.ticket, b.0);
+        assert!(s.finish(b).is_none());
+        s.reserved.fetch_add(1, Ordering::Relaxed);
+        assert!(!s.activate(popped.ticket, popped.request, false));
+        // The session the activation started was finished at once.
+        assert!(s.poll(b).is_none());
+        assert_eq!(s.stats().live, 1, "only a runs");
+        s.finish(a).unwrap();
+        assert!(s.wait_idle(IDLE));
+        assert_eq!(s.stats().live, 0);
+        assert_eq!(s.reserved.load(Ordering::Relaxed), 0);
     }
 
     #[test]

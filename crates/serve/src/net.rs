@@ -30,8 +30,10 @@
 //! sessions cost zero CPU between events. The loop does only cheap
 //! work: accepting, nonblocking framed reads into each connection's
 //! incremental [`FrameBuffer`], write-readiness-driven flushes of the
-//! per-connection outbound [`WriteBuffer`], and inline dispatch of
-//! [`SessionCommand`]s (a short engine-lock hop).
+//! per-connection outbound [`WriteBuffer`], inline dispatch of
+//! [`SessionCommand`]s (a short engine-lock hop), and event forwarding.
+//! Each forwarding `recv` also pumps the server's admission queue, so a
+//! queued submission whose slot freed activates on the loop.
 //!
 //! Submits — decode, admission and the warm-start open, which may read
 //! a snapshot file — ship to a small pool of **decode/dispatch
@@ -40,10 +42,16 @@
 //! back and ring the wake channel.
 //!
 //! Session events flow the same way: the server installs a
-//! [`crate::api::ServerEventHook`] so every engine-side publish marks
-//! the owning ticket dirty and rings the loop — the push counterpart of
-//! the engine's per-session channels, with no thread ever parked on a
-//! timeout.
+//! [`crate::api::ServerEventHook`], and every ticket's channel carries
+//! its own doorbell that calls it, so each engine-side publish marks its
+//! ticket dirty and rings the loop — the push counterpart of the
+//! engine's per-session channels, with no thread ever parked on a
+//! timeout. The loop forwards a dirty ticket's events one by one with
+//! [`MoqoServer::recv`]; the first is the engine's own prime (the
+//! full-state event every watch opens with), so the stream a client
+//! folds is exactly the one the engine published. A ticket admission
+//! control queued rings the hook once as it turns active, and its
+//! stream starts then.
 //!
 //! # Coalescing and backpressure
 //!
@@ -73,11 +81,12 @@
 //! would steal events from the stream. Diagnostics should use
 //! [`NetServer::moqo`] only after the connection finished (the admission
 //! frame carries the ticket id for exactly this correlation).
+//!
+//! [`FrontierDelta::then`]: moqo_core::protocol::FrontierDelta::then
 
-use crate::api::{MoqoServer, Ticket, TicketStatus};
+use crate::api::{MoqoServer, Ticket};
 use moqo_core::protocol::{
-    AdmissionResponse, FrontierDelta, ProtocolError, SessionCommand, SessionEvent, SessionRequest,
-    SessionView,
+    AdmissionResponse, ProtocolError, SessionCommand, SessionEvent, SessionRequest, SessionView,
 };
 use moqo_engine::ModelRegistry;
 use moqo_poll::{Events, Interest, Reactor, Token, WakeHandle};
@@ -237,8 +246,9 @@ fn worker_loop(front: Arc<Front>, jobs: Receiver<Job>) {
         match job {
             Job::Frame { token, payload } => handle_frame(&front, token, &payload),
             Job::Retire { ticket } => {
-                // finish() parks a live session's frontier; queued or
-                // rejected tickets come back None and count nothing.
+                // finish() parks a live session's frontier and withdraws
+                // a queued one; queued or rejected tickets come back
+                // None and count nothing.
                 if front.server.finish(ticket).is_some() {
                     front
                         .counters
@@ -303,9 +313,6 @@ struct Conn {
     /// The coalesced not-yet-serialized event for a congested outbound
     /// buffer; newer events merge into it via [`SessionEvent::coalesce`].
     pending_event: Option<SessionEvent>,
-    /// True once the client's view was primed (the full-state event sent
-    /// after activation); channel events forward only after this.
-    primed: bool,
     /// True once the terminal event was captured for delivery (the
     /// session needs no clean-up on disconnect).
     finished: bool,
@@ -327,7 +334,6 @@ impl Conn {
             submit_inflight: false,
             queued_cmds: VecDeque::new(),
             pending_event: None,
-            primed: false,
             finished: false,
             closing: false,
             last_drain: Instant::now(),
@@ -347,26 +353,6 @@ impl Conn {
         counters
             .outbound_high_water
             .fetch_max(self.out.pending() as u64, Ordering::Relaxed);
-    }
-}
-
-/// A full-state event reconstructed from the server-side view at attach
-/// time: folding it into a fresh client view reproduces the server's
-/// view exactly, and subsequent live deltas continue from its epoch.
-/// This is how a stream "joins" a session whose priming event the
-/// server consumed at activation (including sessions that sat queued
-/// first).
-fn prime_event(server: &MoqoServer, view: &SessionView) -> SessionEvent {
-    SessionEvent {
-        epoch: view.epoch,
-        delta: FrontierDelta::full(&view.frontier),
-        resolution: view.resolution,
-        bounds: view.bounds.unwrap_or_else(|| server.engine().unbounded()),
-        invocations: view.invocations,
-        report: view.last_report.clone(),
-        first_report: view.first_report.clone(),
-        outcome: view.outcome,
-        coalesced: 0,
     }
 }
 
@@ -391,10 +377,6 @@ struct EventLoop {
     conns: HashMap<usize, Conn>,
     /// Ticket id → conn token, for routing dirty-ticket wakes.
     tickets: HashMap<u64, usize>,
-    /// Tokens whose submission was queued by admission control; polled
-    /// for activation on every wake (each poll also pumps the server's
-    /// admission queue, so this doubles as the activation driver).
-    awaiting: Vec<usize>,
     /// Tokens with a non-empty outbound buffer (stall bookkeeping):
     /// exactly the connections registered for write readiness.
     loaded: HashSet<usize>,
@@ -436,7 +418,6 @@ impl EventLoop {
             }
             self.drain_completions();
             self.drain_dirty();
-            self.poll_awaiting();
             self.expire_stalled();
         }
         // Graceful drain: park every unfinished session (via the
@@ -665,7 +646,6 @@ impl EventLoop {
             let _ = self.jobs[worker].send(Job::Retire { ticket });
             return;
         }
-        let admitted = response.is_admitted();
         let rejected = matches!(response, AdmissionResponse::Rejected(_));
         let queued_cmds: Vec<SessionCommand> = {
             let conn = self.conns.get_mut(&token).expect("checked above");
@@ -696,63 +676,10 @@ impl EventLoop {
                 }
             }
         }
-        if admitted {
-            self.try_prime(token);
-        } else {
-            // Queued by admission control; primed when it activates.
-            self.awaiting.push(token);
-        }
+        // An active ticket streams from its prime on; a queued one
+        // forwards nothing yet and rings the hook when it activates.
+        self.forward_events(token);
         self.pump_out(token);
-    }
-
-    /// Primes the stream if the ticket went active. Returns `false`
-    /// while it still sits in the admission queue.
-    fn try_prime(&mut self, token: usize) -> bool {
-        let ticket = match self.conns.get(&token) {
-            Some(conn) if !conn.primed => match conn.ticket {
-                Some(ticket) => ticket,
-                None => return true,
-            },
-            // Gone or already primed: stop tracking either way.
-            _ => return true,
-        };
-        // poll() folds any pending channel events into the server-side
-        // view first, so the prime carries them and later recv()s only
-        // see strictly newer epochs.
-        match self.front.server.poll(ticket) {
-            Some(TicketStatus::Active { view, .. }) => {
-                let event = prime_event(&self.front.server, &view);
-                let is_final = event.is_final();
-                let conn = self.conns.get_mut(&token).expect("conn checked above");
-                conn.primed = true;
-                conn.enqueue(&self.front.counters, &ServerMessage::Event(Box::new(event)));
-                if is_final {
-                    conn.finished = true;
-                    conn.closing = true;
-                }
-                // Cover events published between activation and the
-                // prime's poll: anything newer is already in the
-                // channel, so drain it now rather than waiting for the
-                // next hook wake.
-                self.forward_events(token);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn poll_awaiting(&mut self) {
-        if self.awaiting.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.awaiting);
-        for token in pending {
-            if self.try_prime(token) {
-                self.pump_out(token);
-            } else {
-                self.awaiting.push(token);
-            }
-        }
     }
 
     fn drain_dirty(&mut self) {
@@ -775,9 +702,11 @@ impl EventLoop {
     fn forward_events(&mut self, token: usize) {
         loop {
             let ticket = match self.conns.get(&token) {
-                Some(conn) if conn.primed && !conn.finished => {
-                    conn.ticket.expect("primed conn without a ticket")
-                }
+                Some(Conn {
+                    ticket: Some(ticket),
+                    finished: false,
+                    ..
+                }) => *ticket,
                 _ => return,
             };
             let Some(event) = self.front.server.recv(ticket, Duration::ZERO) else {
@@ -919,7 +848,6 @@ impl EventLoop {
         let _ = conn.out.flush_to(&mut conn.stream);
         let _ = self.reactor.deregister(&conn.stream);
         self.loaded.remove(&token);
-        self.awaiting.retain(|&t| t != token);
         if let Some(ticket) = conn.ticket.take() {
             self.tickets.remove(&ticket.as_u64());
             if !conn.finished {
@@ -972,13 +900,10 @@ impl NetServer {
             wake: wake.clone(),
         });
 
-        // Every engine-side publish marks its ticket dirty and rings
-        // the loop: the push path that replaces sleep-polling. The hook
-        // runs under the engine state lock, so it touches only leaf
-        // state (the queue mutex and the wake latch). `None` means an
-        // event for a session whose activation is still in flight; the
-        // post-activation prime covers its content, so a bare wake
-        // suffices.
+        // Every event a ticket's channel receives marks the ticket dirty
+        // and rings the loop: the push path that replaces sleep-polling.
+        // The hook runs under the engine state lock, so it touches only
+        // leaf state (the queue mutex and the wake latch).
         let dirty: Arc<Mutex<VecDeque<u64>>> = Arc::new(Mutex::new(VecDeque::new()));
         {
             let dirty = dirty.clone();
@@ -989,8 +914,8 @@ impl NetServer {
                         .lock()
                         .expect("net dirty queue poisoned")
                         .push_back(t.as_u64());
+                    wake.wake();
                 }
-                wake.wake();
             }));
         }
 
@@ -1013,7 +938,6 @@ impl NetServer {
             listener,
             conns: HashMap::new(),
             tickets: HashMap::new(),
-            awaiting: Vec::new(),
             loaded: HashSet::new(),
             jobs,
             dirty,
@@ -1278,6 +1202,7 @@ impl NetClient {
 mod tests {
     use super::*;
     use crate::admission::{AdmissionConfig, AdmissionPolicy};
+    use crate::api::TicketStatus;
     use crate::shard::ShardConfig;
     use crate::ServeConfig;
     use moqo_cost::ResolutionSchedule;
@@ -1460,6 +1385,88 @@ mod tests {
             response,
             AdmissionResponse::Rejected(moqo_core::RejectReason::Overloaded { .. })
         ));
+        net.shutdown();
+    }
+
+    #[test]
+    fn a_queued_tcp_submission_streams_once_a_slot_frees() {
+        let (net, addr, _model) = start(AdmissionConfig {
+            max_live: 1,
+            policy: AdmissionPolicy::Queue { depth: 4 },
+        });
+        let mut a = NetClient::connect(addr).expect("connect");
+        a.submit(
+            SessionRequest::new(Arc::new(testkit::chain_query(2, 20_000))),
+            IDLE,
+        )
+        .expect("admitted");
+        let mut b = NetClient::connect(addr).expect("connect");
+        let response = b
+            .submit(
+                SessionRequest::new(Arc::new(testkit::chain_query(3, 20_000))),
+                IDLE,
+            )
+            .expect("queued");
+        assert_eq!(response, AdmissionResponse::Queued { position: 0 });
+        a.command(SessionCommand::Cancel).expect("send");
+        a.wait_finished(IDLE).expect("terminal event");
+        // b activates on the freed slot and streams from its prime on.
+        let prime = b.recv(IDLE).expect("stream healthy").expect("the prime");
+        assert!(prime.delta.reset, "the stream opens with the prime");
+        while b.view().invocations < 3 {
+            b.recv(IDLE).expect("stream healthy");
+        }
+        // The ladder is done, so no event is in flight: the server-side
+        // view is the one the client folded.
+        let ticket = Ticket::from_u64(b.server_ticket().unwrap());
+        match net.moqo().poll(ticket).expect("active ticket") {
+            TicketStatus::Active { view, .. } => {
+                assert!(b.view().frontier.bits_eq(&view.frontier));
+                assert_eq!(b.view().epoch, view.epoch);
+            }
+            other => panic!("expected active ticket, got {other:?}"),
+        }
+        b.command(SessionCommand::Cancel).expect("send");
+        b.wait_finished(IDLE).expect("terminal event");
+        net.shutdown();
+    }
+
+    #[test]
+    fn a_client_that_leaves_while_queued_never_gets_a_session() {
+        let (net, addr, _model) = start(AdmissionConfig {
+            max_live: 1,
+            policy: AdmissionPolicy::Queue { depth: 4 },
+        });
+        let mut a = NetClient::connect(addr).expect("connect");
+        a.submit(
+            SessionRequest::new(Arc::new(testkit::chain_query(2, 20_000))),
+            IDLE,
+        )
+        .expect("admitted");
+        let b_ticket = {
+            let mut b = NetClient::connect(addr).expect("connect");
+            let response = b
+                .submit(
+                    SessionRequest::new(Arc::new(testkit::chain_query(3, 20_000))),
+                    IDLE,
+                )
+                .expect("queued");
+            assert_eq!(response, AdmissionResponse::Queued { position: 0 });
+            Ticket::from_u64(b.server_ticket().unwrap())
+        }; // b disconnects while queued
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while net.moqo().stats().pending != 0 {
+            assert!(Instant::now() < deadline, "b's submission never left");
+            thread::sleep(Duration::from_millis(5));
+        }
+        a.command(SessionCommand::Cancel).expect("send");
+        a.wait_finished(IDLE).expect("terminal event");
+        assert!(net.moqo().wait_idle(IDLE));
+        assert!(net.moqo().poll(b_ticket).is_none(), "b was dropped");
+        let stats = net.moqo().stats();
+        assert_eq!((stats.live, stats.pending), (0, 0));
+        assert_eq!(stats.admission.admitted, 1);
+        assert_eq!(net.stats().disconnect_parked, 0, "nothing ran for b");
         net.shutdown();
     }
 

@@ -31,8 +31,8 @@ use moqo_core::{FrontierSnapshot, IamaOptimizer};
 use moqo_cost::{Bounds, ResolutionSchedule};
 use moqo_costmodel::{CostModel, SharedCostModel};
 use moqo_engine::{
-    CacheStats, EngineConfig, PlanCacheStats, QueryFingerprint, SessionId, SessionManager,
-    SessionStatus, SubFrontierCache, SubFrontierCacheStats, WarmStore,
+    CacheStats, Doorbell, EngineConfig, PlanCacheStats, QueryFingerprint, SessionId,
+    SessionManager, SessionStatus, SubFrontierCache, SubFrontierCacheStats, WarmStore,
 };
 use moqo_query::QuerySpec;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -258,10 +258,15 @@ impl ShardedEngine {
             .command(id.local, command)
     }
 
-    /// Subscribes to a session's delta-streamed [`SessionEvent`]s (see
+    /// Subscribes to a session's delta-streamed [`SessionEvent`]s,
+    /// ringing `doorbell` once per event after the prime (see
     /// [`SessionManager::watch`]).
-    pub fn watch(&self, id: GlobalSessionId) -> Option<mpsc::Receiver<SessionEvent>> {
-        self.shard(id)?.watch(id.local)
+    pub fn watch(
+        &self,
+        id: GlobalSessionId,
+        doorbell: Option<Doorbell>,
+    ) -> Option<mpsc::Receiver<SessionEvent>> {
+        self.shard(id)?.watch(id.local, doorbell)
     }
 
     /// Retires a session, parking its optimizer in the warm store with no
@@ -270,20 +275,6 @@ impl ShardedEngine {
     /// [`SessionManager::finish`]).
     pub fn finish(&self, id: GlobalSessionId) -> Option<SessionStatus> {
         self.shard(id)?.finish(id.local)
-    }
-
-    /// Installs a [`moqo_engine::EventHook`]-style callback on every
-    /// shard, translating each shard-local session id into the
-    /// [`GlobalSessionId`] the serving layers route by. Same contract as
-    /// the per-shard hook: invoked under the shard's state lock, so keep
-    /// it to leaf-lock work (queue push + doorbell).
-    pub fn set_event_hook(&self, hook: Arc<dyn Fn(GlobalSessionId) + Send + Sync>) {
-        for (shard, manager) in self.shards.iter().enumerate() {
-            let hook = hook.clone();
-            manager.set_event_hook(Arc::new(move |local| {
-                hook(GlobalSessionId { shard, local });
-            }));
-        }
     }
 
     /// Blocks until every shard has drained. Returns `false` on timeout.

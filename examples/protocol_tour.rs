@@ -107,7 +107,7 @@ fn drive_engine(model: SharedCostModel) -> LayerRun {
         },
     );
     let id = manager.open(request()).expect("valid request");
-    let rx = manager.watch(id).expect("watchable");
+    let rx = manager.watch(id, None).expect("watchable");
     assert!(manager.wait_idle(IDLE));
     let bound = refocus_bound(&manager.frontier(id).expect("live"), model.dim());
     manager
