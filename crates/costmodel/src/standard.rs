@@ -11,7 +11,7 @@
 //!   `time = N · w/100`.
 //! * Sampled scan at fraction `f`: `time = f · N · w/100`, `error = 1 − f`.
 //!   Sampling is only offered for tables with at least
-//!   `sampling_min_rows` rows, and larger tables offer more rates — this
+//!   `SAMPLING_MIN_ROWS` (10,000) rows, and larger tables offer more rates — this
 //!   mirrors the paper's footnote 4 (the 8-table TPC-H query touches many
 //!   small tables "for which less sampling strategies are considered").
 //! * Hash join: `work = c_build·n_r + c_probe·n_l + n_out + K_hash`.
@@ -63,17 +63,10 @@ pub struct StandardCostModelConfig {
     pub dops: Vec<u16>,
     /// Sampling rates (per-mille) offered for scans of large tables.
     pub sampling_rates_pm: Vec<u16>,
-    /// Minimum raw cardinality for a table to support sampling at all.
-    pub sampling_min_rows: u64,
     /// Join algorithms considered.
     pub join_algos: Vec<JoinAlgo>,
-    /// Fees per core per time unit: an operator's fees are its time
-    /// times its degree of parallelism times this price.
-    pub price_per_core_unit: f64,
     /// Energy per work unit.
     pub energy_per_unit: f64,
-    /// Constant per-operator energy overhead.
-    pub energy_op_overhead: f64,
     /// Simulated per-alternative costing effort: iterations of a short
     /// deterministic floating-point recurrence executed for every produced
     /// plan alternative. The paper's substrate (extended Postgres 9.2)
@@ -102,11 +95,8 @@ impl Default for StandardCostModelConfig {
         Self {
             dops: vec![1, 2, 4, 8],
             sampling_rates_pm: vec![10, 50, 100, 250, 500],
-            sampling_min_rows: 10_000,
             join_algos: JoinAlgo::ALL.to_vec(),
-            price_per_core_unit: 1e-3,
             energy_per_unit: 1.0,
-            energy_op_overhead: 50.0,
             eval_spin: 150,
             quantize_grid: None,
         }
@@ -140,6 +130,9 @@ const TIME_SCALE: f64 = 1e-4; // work units -> reported time units
 const ROW_BYTES: f64 = 100.0; // assumed intermediate-row width for buffers
 const SCAN_BUFFER: f64 = 8_192.0; // page buffer per scan
 const NL_BUFFER: f64 = 65_536.0; // block buffer for nested-loop joins
+const SAMPLING_MIN_ROWS: u64 = 10_000; // least raw rows a sampled scan is offered for
+const PRICE_PER_CORE_UNIT: f64 = 1e-3; // fees per core per time unit
+const ENERGY_OP_OVERHEAD: f64 = 50.0; // constant energy per operator
 
 impl StandardCostModel {
     /// A model with the given metric layout and configuration.
@@ -163,17 +156,14 @@ impl StandardCostModel {
     }
 
     /// Sampling rates offered for a table with `raw_rows` rows: none below
-    /// `sampling_min_rows`, then progressively more for each order of
+    /// `SAMPLING_MIN_ROWS`, then progressively more for each order of
     /// magnitude (footnote 4 behaviour).
     fn sampling_rates_for(&self, raw_rows: f64) -> &[u16] {
-        if raw_rows < self.config.sampling_min_rows as f64 {
+        if raw_rows < SAMPLING_MIN_ROWS as f64 {
             return &[];
         }
         // One extra rate per order of magnitude above the threshold.
-        let magnitude = (raw_rows / self.config.sampling_min_rows as f64)
-            .log10()
-            .floor() as usize
-            + 1;
+        let magnitude = (raw_rows / SAMPLING_MIN_ROWS as f64).log10().floor() as usize + 1;
         let n = magnitude.min(self.config.sampling_rates_pm.len());
         &self.config.sampling_rates_pm[..n]
     }
@@ -219,7 +209,7 @@ impl StandardCostModel {
                 Metric::Time => work * TIME_SCALE,
                 Metric::Cores => 1.0,
                 Metric::Error => 1.0 - fraction,
-                Metric::Fees => work * TIME_SCALE * self.config.price_per_core_unit,
+                Metric::Fees => work * TIME_SCALE * PRICE_PER_CORE_UNIT,
                 Metric::Energy => work * TIME_SCALE * self.config.energy_per_unit,
                 Metric::Memory => SCAN_BUFFER,
             };
@@ -247,11 +237,11 @@ impl StandardCostModel {
                 Metric::Time => children + op_time,
                 Metric::Cores => children.max(dop as f64),
                 Metric::Error => children,
-                Metric::Fees => children + op_time * dop as f64 * self.config.price_per_core_unit,
+                Metric::Fees => children + op_time * dop as f64 * PRICE_PER_CORE_UNIT,
                 Metric::Energy => {
                     children
                         + work * TIME_SCALE * self.config.energy_per_unit
-                        + self.config.energy_op_overhead * TIME_SCALE
+                        + ENERGY_OP_OVERHEAD * TIME_SCALE
                 }
                 Metric::Memory => children.max(op_mem),
             };
@@ -292,9 +282,9 @@ impl CostModel for StandardCostModel {
     }
 
     fn identity(&self) -> u64 {
-        // FNV-1a over the metric layout and every config parameter the
-        // cost formulas consume; two StandardCostModels agree iff they
-        // cost every plan identically.
+        // FNV-1a over the metric layout and every config parameter and
+        // pricing constant the cost formulas consume; two
+        // StandardCostModels agree iff they cost every plan identically.
         let mut h = moqo_cost::Fnv64::new();
         h.str("StandardCostModel");
         for i in 0..self.metrics.dim() {
@@ -309,14 +299,14 @@ impl CostModel for StandardCostModel {
         for &r in &c.sampling_rates_pm {
             h.u64(r as u64);
         }
-        h.u64(c.sampling_min_rows);
+        h.u64(SAMPLING_MIN_ROWS);
         h.u64(c.join_algos.len() as u64);
         for &a in &c.join_algos {
             h.u64(a as u64);
         }
-        h.u64(c.price_per_core_unit.to_bits());
+        h.u64(PRICE_PER_CORE_UNIT.to_bits());
         h.u64(c.energy_per_unit.to_bits());
-        h.u64(c.energy_op_overhead.to_bits());
+        h.u64(ENERGY_OP_OVERHEAD.to_bits());
         // Hash the Option discriminant separately: `None` must not
         // collide with `Some(0.0)` (whose bits are also zero).
         h.u64(c.quantize_grid.is_some() as u64);

@@ -2,7 +2,7 @@
 //!
 //! A serving front that admits every submission degrades for everyone at
 //! once — worker pools time-slice ever thinner and no session refines.
-//! The [`AdmissionController`] bounds intake at
+//! [`AdmissionConfig::decide`] bounds intake at
 //! [`AdmissionConfig::max_live`] concurrent sessions and applies one of
 //! three policies beyond that point:
 //!
@@ -21,15 +21,13 @@
 //!   Beyond `hard_cap` live sessions even degraded admission stops and
 //!   the submission is rejected.
 //!
-//! The controller is policy + accounting; it holds the queued payloads
-//! but never touches the engine. The serving API drains it via
-//! [`AdmissionController::release`] whenever capacity may have freed.
+//! This module is the policy alone: a pure decision over (load, queue
+//! length). [`MoqoServer`](crate::MoqoServer) keeps the queued
+//! submissions, the counters and the load it decides against in its
+//! ticket table, under the one lock that makes the bounds exact.
 
 use moqo_core::protocol::RejectReason;
 use moqo_cost::ResolutionSchedule;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// What to do with submissions beyond [`AdmissionConfig::max_live`].
 #[derive(Clone, Debug)]
@@ -54,7 +52,7 @@ pub enum AdmissionPolicy {
     },
 }
 
-/// Tunables of the admission controller.
+/// Admission bound and overload policy.
 #[derive(Clone, Debug)]
 pub struct AdmissionConfig {
     /// Live sessions admitted at full resolution before the overload
@@ -73,18 +71,17 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Outcome of an admission request — the controller-internal shape of the
-/// protocol's [`AdmissionResponse`](moqo_core::AdmissionResponse) (the
-/// serving API converts; the [`RejectReason`] is the protocol's own).
-/// The queued payload stays inside the controller; everything else is
-/// returned to the caller.
+/// Outcome of an admission decision — the serving front's internal shape
+/// of the protocol's [`AdmissionResponse`](moqo_core::AdmissionResponse)
+/// (the serving API converts; the [`RejectReason`] is the protocol's
+/// own).
 #[derive(Debug)]
 pub enum Admission {
     /// Admit now at full resolution.
     Admit,
     /// Admit now under the given degraded ladder.
     AdmitDegraded(ResolutionSchedule),
-    /// Parked in the pending queue at the returned position (0-based).
+    /// Goes to the back of the pending queue, at this position (0-based).
     Queued {
         /// Position in the pending queue at enqueue time.
         position: usize,
@@ -106,127 +103,31 @@ pub struct AdmissionStats {
     pub rejected: u64,
 }
 
-/// Bounded-intake gate in front of a serving engine; generic over the
-/// queued payload (the serving API queues `(ticket, spec, config)`
-/// triples).
-pub struct AdmissionController<T> {
-    config: AdmissionConfig,
-    pending: Mutex<VecDeque<T>>,
-    admitted: AtomicU64,
-    degraded: AtomicU64,
-    queued: AtomicU64,
-    rejected: AtomicU64,
-}
-
-impl<T> AdmissionController<T> {
-    /// Creates a controller with the given bounds and policy.
-    pub fn new(config: AdmissionConfig) -> Self {
-        Self {
-            config,
-            pending: Mutex::new(VecDeque::new()),
-            admitted: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            queued: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-        }
-    }
-
-    /// The configured bounds and policy.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
-    /// Decides on a submission given the engine's current live-session
-    /// count. `payload` is retained only when the decision is
-    /// [`Admission::Queued`].
+impl AdmissionConfig {
+    /// Decides on a submission given the current load: `live` sessions
+    /// (running, plus admissions decided but not yet running) and
+    /// `queued` submissions waiting. A pure function of its inputs; the
+    /// caller keeps the queue and the counters, and must hold whatever
+    /// lock makes `live` and `queued` current for the decision to be an
+    /// exact bound.
     ///
-    /// Fairness: while submissions are already queued, new arrivals under
-    /// the `Queue` policy go to the back of the queue even if capacity
-    /// just freed — [`AdmissionController::release`] drains in FIFO
-    /// order.
-    pub fn request(&self, live: usize, payload: T) -> Admission {
-        let max = self.config.max_live;
-        match &self.config.policy {
-            _ if live < max && self.pending_is_empty() => {
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                Admission::Admit
+    /// Fairness: while submissions are queued, new arrivals under the
+    /// `Queue` policy go to the back of the queue even if capacity just
+    /// freed — the queue drains in FIFO order.
+    pub fn decide(&self, live: usize, queued: usize) -> Admission {
+        match &self.policy {
+            _ if live < self.max_live && queued == 0 => Admission::Admit,
+            AdmissionPolicy::Reject => Admission::Rejected(RejectReason::Overloaded { live }),
+            AdmissionPolicy::Queue { depth } if queued >= *depth => {
+                Admission::Rejected(RejectReason::QueueFull { depth: *depth })
             }
-            AdmissionPolicy::Reject => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
+            AdmissionPolicy::Queue { .. } => Admission::Queued { position: queued },
+            AdmissionPolicy::Degrade { schedule, hard_cap } if live < *hard_cap => {
+                Admission::AdmitDegraded(schedule.clone())
+            }
+            AdmissionPolicy::Degrade { .. } => {
                 Admission::Rejected(RejectReason::Overloaded { live })
             }
-            AdmissionPolicy::Queue { depth } => {
-                let mut pending = self.pending.lock().expect("admission queue poisoned");
-                if live < max && pending.is_empty() {
-                    // Capacity freed between the fast path and the lock.
-                    self.admitted.fetch_add(1, Ordering::Relaxed);
-                    return Admission::Admit;
-                }
-                if pending.len() >= *depth {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Admission::Rejected(RejectReason::QueueFull { depth: *depth });
-                }
-                pending.push_back(payload);
-                self.queued.fetch_add(1, Ordering::Relaxed);
-                Admission::Queued {
-                    position: pending.len() - 1,
-                }
-            }
-            AdmissionPolicy::Degrade { schedule, hard_cap } => {
-                if live < *hard_cap {
-                    self.degraded.fetch_add(1, Ordering::Relaxed);
-                    Admission::AdmitDegraded(schedule.clone())
-                } else {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                    Admission::Rejected(RejectReason::Overloaded { live })
-                }
-            }
-        }
-    }
-
-    /// Pops the oldest pending submission if the engine has capacity for
-    /// it. Call whenever load may have dropped (a session finished or a
-    /// caller polls); each successful release counts as an admission.
-    pub fn release(&self, live: usize) -> Option<T> {
-        if live >= self.config.max_live {
-            return None;
-        }
-        let popped = self
-            .pending
-            .lock()
-            .expect("admission queue poisoned")
-            .pop_front();
-        if popped.is_some() {
-            self.admitted.fetch_add(1, Ordering::Relaxed);
-        }
-        popped
-    }
-
-    /// Removes the first pending submission `which` matches (a caller that
-    /// gave up while queued). `None` if no pending submission matches: it
-    /// was never queued, or a release already popped it.
-    pub(crate) fn withdraw(&self, which: impl Fn(&T) -> bool) -> Option<T> {
-        let mut pending = self.pending.lock().expect("admission queue poisoned");
-        let at = pending.iter().position(which)?;
-        pending.remove(at)
-    }
-
-    /// Number of submissions currently parked in the pending queue.
-    pub fn pending(&self) -> usize {
-        self.pending.lock().expect("admission queue poisoned").len()
-    }
-
-    fn pending_is_empty(&self) -> bool {
-        self.pending() == 0
-    }
-
-    /// Monotone counters.
-    pub fn stats(&self) -> AdmissionStats {
-        AdmissionStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            queued: self.queued.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
         }
     }
 }
@@ -244,75 +145,61 @@ mod tests {
 
     #[test]
     fn reject_policy_sheds_beyond_the_bound() {
-        let c: AdmissionController<u32> = AdmissionController::new(config(AdmissionPolicy::Reject));
-        assert!(matches!(c.request(0, 1), Admission::Admit));
-        assert!(matches!(c.request(1, 2), Admission::Admit));
+        let c = config(AdmissionPolicy::Reject);
+        assert!(matches!(c.decide(0, 0), Admission::Admit));
+        assert!(matches!(c.decide(1, 0), Admission::Admit));
         assert!(matches!(
-            c.request(2, 3),
+            c.decide(2, 0),
             Admission::Rejected(RejectReason::Overloaded { live: 2 })
         ));
-        let s = c.stats();
-        assert_eq!((s.admitted, s.rejected), (2, 1));
     }
 
     #[test]
     fn queue_policy_is_bounded_and_fifo() {
-        let c: AdmissionController<u32> =
-            AdmissionController::new(config(AdmissionPolicy::Queue { depth: 2 }));
-        assert!(matches!(
-            c.request(2, 10),
-            Admission::Queued { position: 0 }
-        ));
-        assert!(matches!(
-            c.request(2, 11),
-            Admission::Queued { position: 1 }
-        ));
+        let c = config(AdmissionPolicy::Queue { depth: 2 });
+        assert!(matches!(c.decide(2, 0), Admission::Queued { position: 0 }));
+        assert!(matches!(c.decide(2, 1), Admission::Queued { position: 1 }));
         // Bounded: the third overload submission is rejected, not queued.
         assert!(matches!(
-            c.request(2, 12),
+            c.decide(2, 2),
             Admission::Rejected(RejectReason::QueueFull { depth: 2 })
         ));
-        assert_eq!(c.pending(), 2);
-        // No release while at capacity.
-        assert_eq!(c.release(2), None);
-        // FIFO drain as capacity frees.
-        assert_eq!(c.release(1), Some(10));
-        assert_eq!(c.release(1), Some(11));
-        assert_eq!(c.release(0), None);
-        let s = c.stats();
-        assert_eq!((s.admitted, s.queued, s.rejected), (2, 2, 1));
+        // A full queue turns away even a load below the bound: its head
+        // takes the freed slot first.
+        assert!(matches!(
+            c.decide(0, 2),
+            Admission::Rejected(RejectReason::QueueFull { depth: 2 })
+        ));
     }
 
     #[test]
     fn queue_policy_keeps_fifo_order_for_new_arrivals() {
-        let c: AdmissionController<u32> =
-            AdmissionController::new(config(AdmissionPolicy::Queue { depth: 4 }));
-        assert!(matches!(c.request(2, 1), Admission::Queued { .. }));
+        let c = config(AdmissionPolicy::Queue { depth: 4 });
+        assert!(matches!(c.decide(2, 0), Admission::Queued { position: 0 }));
         // Capacity freed, but an older submission waits: the newcomer
         // queues behind it instead of jumping the line.
-        assert!(matches!(c.request(0, 2), Admission::Queued { position: 1 }));
-        assert_eq!(c.release(0), Some(1));
-        assert_eq!(c.release(1), Some(2));
+        assert!(matches!(c.decide(0, 1), Admission::Queued { position: 1 }));
+        // Once the queue drained, free capacity admits at once.
+        assert!(matches!(c.decide(1, 0), Admission::Admit));
     }
 
     #[test]
     fn degrade_policy_admits_coarse_up_to_the_hard_cap() {
         let ladder = ResolutionSchedule::linear(0, 1.5, 0.5);
-        let c: AdmissionController<u32> =
-            AdmissionController::new(config(AdmissionPolicy::Degrade {
-                schedule: ladder.clone(),
-                hard_cap: 4,
-            }));
-        assert!(matches!(c.request(1, 1), Admission::Admit));
-        match c.request(2, 2) {
-            Admission::AdmitDegraded(s) => assert_eq!(s.levels(), ladder.levels()),
-            other => panic!("expected degraded admission, got {other:?}"),
+        let c = config(AdmissionPolicy::Degrade {
+            schedule: ladder.clone(),
+            hard_cap: 4,
+        });
+        assert!(matches!(c.decide(1, 0), Admission::Admit));
+        for live in 2..4 {
+            match c.decide(live, 0) {
+                Admission::AdmitDegraded(s) => assert_eq!(s.levels(), ladder.levels()),
+                other => panic!("expected degraded admission, got {other:?}"),
+            }
         }
         assert!(matches!(
-            c.request(4, 3),
+            c.decide(4, 0),
             Admission::Rejected(RejectReason::Overloaded { live: 4 })
         ));
-        let s = c.stats();
-        assert_eq!((s.admitted, s.degraded, s.rejected), (1, 1, 1));
     }
 }

@@ -31,17 +31,17 @@
 //!
 //! [`AdmissionPolicy::Queue`]: crate::AdmissionPolicy::Queue
 
-use crate::admission::{Admission, AdmissionConfig, AdmissionController};
+use crate::admission::{Admission, AdmissionConfig, AdmissionStats};
 use crate::shard::{GlobalSessionId, ShardConfig, ShardedEngine};
 use moqo_core::protocol::{
     AdmissionResponse, ProtocolError, SessionCommand, SessionEvent, SessionRequest, SessionView,
     ValidRequest,
 };
+use moqo_core::RejectReason;
 use moqo_cost::ResolutionSchedule;
 use moqo_costmodel::SharedCostModel;
 use moqo_engine::Doorbell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -99,7 +99,7 @@ pub enum TicketStatus {
         pending: usize,
     },
     /// Turned away by admission control.
-    Rejected(moqo_core::RejectReason),
+    Rejected(RejectReason),
     /// Admitted; the view is reassembled purely from the ticket's event
     /// stream (and carries `outcome` once the session ends).
     Active {
@@ -151,25 +151,24 @@ impl ActiveCell {
     }
 }
 
-/// A ticket's state. A queued ticket withdrawn by
-/// [`MoqoServer::finish`] has no cell at all: an activation that finds its
+/// A ticket's state. A ticket withdrawn by [`MoqoServer::finish`] while
+/// queued or activating has no cell at all: an activation that finds its
 /// cell gone finishes the session it started.
 enum Cell {
-    Queued,
-    Rejected(moqo_core::RejectReason),
+    /// Waiting in [`TicketTable::queue`].
+    Queued(ValidRequest),
+    /// Admitted but not filed active yet; counted in
+    /// [`TicketTable::activating`] until its engine `admit` returns.
+    Activating,
+    Rejected(RejectReason),
     Active(Box<ActiveCell>),
-}
-
-struct PendingSubmit {
-    ticket: u64,
-    request: ValidRequest,
 }
 
 /// Aggregate server statistics.
 #[derive(Clone, Debug)]
 pub struct ServerStats {
     /// Admission counters.
-    pub admission: crate::admission::AdmissionStats,
+    pub admission: AdmissionStats,
     /// Submissions waiting in the admission queue.
     pub pending: usize,
     /// Live sessions across all shards.
@@ -181,15 +180,45 @@ pub struct ServerStats {
     pub subfrontiers: moqo_engine::SubFrontierCacheStats,
 }
 
-/// Ticket table plus the bounded history of closed (finished/rejected)
-/// tickets, oldest first; trimmed to [`ServeConfig::retired_tickets`] so
-/// a long-running server's memory tracks live load, not total traffic.
+/// Every ticket's state, the admission queue and its counters, and the
+/// bounded history of closed (finished/rejected) tickets: each fact about
+/// a ticket stored once, under one lock.
 struct TicketTable {
     cells: HashMap<u64, Cell>,
-    closed: std::collections::VecDeque<u64>,
+    /// Queued ticket ids, oldest first; each has a [`Cell::Queued`].
+    queue: VecDeque<u64>,
+    /// Admissions decided whose engine `admit` has not returned (each
+    /// has a [`Cell::Activating`], unless withdrawn): added to the
+    /// engine's live count for decisions, they stand in for sessions the
+    /// engine does not count yet.
+    activating: usize,
+    stats: AdmissionStats,
+    next: u64,
+    /// Closed tickets, oldest first; trimmed to
+    /// [`ServeConfig::retired_tickets`] so a long-running server's memory
+    /// tracks live load, not total traffic.
+    closed: VecDeque<u64>,
 }
 
 impl TicketTable {
+    /// Files `id` as admitted but not running yet, counted in the load
+    /// until its activation files it active. Returns the cell it replaced.
+    fn reserve(&mut self, id: u64) -> Option<Cell> {
+        self.activating += 1;
+        self.cells.insert(id, Cell::Activating)
+    }
+
+    /// Takes the oldest queued ticket out of the queue and reserves its
+    /// slot, returning its request for the activation.
+    fn pop_queued(&mut self) -> Option<(u64, ValidRequest)> {
+        let id = self.queue.pop_front()?;
+        self.stats.admitted += 1;
+        match self.reserve(id) {
+            Some(Cell::Queued(request)) => Some((id, request)),
+            _ => unreachable!("a queued ticket keeps its request in its cell"),
+        }
+    }
+
     /// Records `id` as closed and drops the oldest closed tickets beyond
     /// the cap. Must be called at most once per ticket.
     fn close(&mut self, id: u64, cap: usize) {
@@ -206,24 +235,21 @@ impl TicketTable {
 /// the interaction model.
 pub struct MoqoServer {
     engine: ShardedEngine,
-    admission: AdmissionController<PendingSubmit>,
+    admission: AdmissionConfig,
+    /// Every admission decision, queue push, pop and withdrawal, and
+    /// cell transition happens under this lock, which makes
+    /// `max_live`/`hard_cap` exact bounds instead of racy targets. It is
+    /// held while reading the engine's live count (each shard's state
+    /// lock) and never taken under an engine lock. The engine `admit`,
+    /// `watch`, `status` and `finish` calls run with it released — a
+    /// ticket's [`Cell::Activating`] covers the gap — so one expensive
+    /// submission (a cold wide-shape plan build) never stalls others.
     tickets: Mutex<TicketTable>,
-    /// Serializes admission *decisions* (load read + policy + slot
-    /// reservation), making `max_live`/`hard_cap` exact bounds instead
-    /// of racy targets. The engine submission itself runs outside the
-    /// gate — `reserved` covers the gap — so one expensive submission
-    /// (e.g. a cold wide-shape plan build) never stalls other
-    /// admissions. Never acquired while holding `tickets`.
-    gate: Mutex<()>,
-    /// Admissions decided under the gate whose engine submission has not
-    /// completed yet; added to the engine's live count for decisions.
-    reserved: AtomicU64,
     /// The installed [`ServerEventHook`], read by every ticket's doorbell
     /// when it rings. A leaf lock: taken under engine state locks, never
-    /// the reverse.
+    /// the reverse, and never with the ticket table.
     hook: Arc<Mutex<ServerEventHook>>,
     retired_tickets: usize,
-    next: AtomicU64,
 }
 
 /// Callback fired whenever a ticket's channel receives a
@@ -244,16 +270,17 @@ impl MoqoServer {
     pub fn new(model: SharedCostModel, schedule: ResolutionSchedule, config: ServeConfig) -> Self {
         Self {
             engine: ShardedEngine::new(model, schedule, config.shard),
-            admission: AdmissionController::new(config.admission),
+            admission: config.admission,
             tickets: Mutex::new(TicketTable {
                 cells: HashMap::new(),
-                closed: std::collections::VecDeque::new(),
+                queue: VecDeque::new(),
+                activating: 0,
+                stats: AdmissionStats::default(),
+                next: 1,
+                closed: VecDeque::new(),
             }),
-            gate: Mutex::new(()),
-            reserved: AtomicU64::new(0),
             hook: Arc::new(Mutex::new(Arc::new(|_| {}))),
             retired_tickets: config.retired_tickets,
-            next: AtomicU64::new(1),
         }
     }
 
@@ -266,12 +293,6 @@ impl MoqoServer {
         *self.hook.lock().expect("event hook poisoned") = hook;
     }
 
-    /// Live sessions plus decided-but-not-yet-submitted admissions — the
-    /// load figure admission decisions are made against.
-    fn admission_load(&self) -> usize {
-        self.engine.live_sessions() + self.reserved.load(Ordering::Relaxed) as usize
-    }
-
     /// The sharded engine behind the front (persistence, diagnostics).
     pub fn engine(&self) -> &ShardedEngine {
         &self.engine
@@ -280,7 +301,12 @@ impl MoqoServer {
     /// Submits a [`SessionRequest`] for interactive optimization (a bare
     /// `Arc<QuerySpec>` converts). Returns immediately with the ticket
     /// and the protocol-level admission decision; per-slice
-    /// [`SessionEvent`]s arrive on the ticket's channel afterwards.
+    /// [`SessionEvent`]s arrive on the ticket's channel afterwards. The
+    /// ticket id, the load read, the decision and the cell or queue entry
+    /// it files are one critical section under the ticket table's lock,
+    /// so `max_live` and `hard_cap` are exact bounds across concurrent
+    /// submitters; an admitted request's engine `admit` runs after the
+    /// lock is released.
     ///
     /// Malformed requests (bounds or preference dimensions that do not
     /// match the effective cost model, or a disconnected join graph no
@@ -295,66 +321,63 @@ impl MoqoServer {
         let dim = request.effective_model(&self.engine.model()).dim();
         let request = request.validated(dim)?;
         self.pump();
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        // Register the ticket BEFORE the admission decision: once
-        // `request` parks the payload, a concurrent `pump` may pop and
-        // activate it immediately — it must find the cell present so its
-        // `Cell::Active` is never overwritten by a late `Cell::Queued`.
-        self.with_tickets(|t| {
-            t.cells.insert(id, Cell::Queued);
-        });
-        // The gate makes (load read, policy decision, slot reservation)
-        // atomic across submitters: `max_live` and `hard_cap` are exact.
-        // The engine submission happens after the gate drops, with the
-        // reservation standing in for the not-yet-counted session.
-        let gate = self.gate.lock().expect("admission gate poisoned");
-        let decision = self.admission.request(
-            self.admission_load(),
-            PendingSubmit {
-                ticket: id,
-                request: request.clone(),
-            },
-        );
-        let response = match decision {
-            Admission::Admit => {
-                self.reserved.fetch_add(1, Ordering::Relaxed);
-                drop(gate);
-                self.activate(id, request, false);
-                AdmissionResponse::Admitted
-            }
-            Admission::AdmitDegraded(ladder) => {
-                self.reserved.fetch_add(1, Ordering::Relaxed);
-                drop(gate);
-                self.activate(id, request.with_schedule(ladder.clone()), true);
-                AdmissionResponse::Degraded { schedule: ladder }
-            }
-            // The placeholder stands; a pump (possibly already racing on
-            // another thread) will replace it with the active cell.
-            Admission::Queued { position } => {
-                drop(gate);
-                AdmissionResponse::Queued { position }
-            }
-            Admission::Rejected(reason) => {
-                drop(gate);
-                self.with_tickets(|t| {
+        let (id, response, admitted) = self.with_tickets(|t| {
+            let id = t.next;
+            t.next += 1;
+            let live = self.engine.live_sessions() + t.activating;
+            let (response, admitted) = match self.admission.decide(live, t.queue.len()) {
+                Admission::Admit => {
+                    t.stats.admitted += 1;
+                    (AdmissionResponse::Admitted, Some((request, false)))
+                }
+                Admission::AdmitDegraded(ladder) => {
+                    t.stats.degraded += 1;
+                    let request = request.with_schedule(ladder.clone());
+                    let response = AdmissionResponse::Degraded { schedule: ladder };
+                    (response, Some((request, true)))
+                }
+                Admission::Queued { position } => {
+                    t.stats.queued += 1;
+                    t.queue.push_back(id);
+                    t.cells.insert(id, Cell::Queued(request));
+                    (AdmissionResponse::Queued { position }, None)
+                }
+                Admission::Rejected(reason) => {
+                    t.stats.rejected += 1;
                     t.cells.insert(id, Cell::Rejected(reason));
                     t.close(id, self.retired_tickets);
-                });
-                AdmissionResponse::Rejected(reason)
+                    (AdmissionResponse::Rejected(reason), None)
+                }
+            };
+            if admitted.is_some() {
+                t.reserve(id);
             }
-        };
+            (id, response, admitted)
+        });
+        if let Some((request, degraded)) = admitted {
+            self.activate(id, request, degraded);
+        }
         Ok((Ticket(id), response))
     }
 
-    /// Submits a reserved admission to the engine, wires up the ticket's
-    /// event channel (whose doorbell rings the hook), and files the active
-    /// cell. The channel keeps the engine's prime for the caller's first
-    /// `poll` or `recv`. Returns `false` if the ticket was withdrawn
-    /// meanwhile (its cell is gone): the session is finished at once, so
-    /// none runs without an owner.
+    /// Submits an activating ticket's request to the engine, releases its
+    /// reservation as soon as the engine counts the session, wires up the
+    /// ticket's event channel (whose doorbell rings the hook), and files
+    /// the active cell. The channel keeps the engine's prime for the
+    /// caller's first `poll` or `recv`. Returns `false` if the ticket was
+    /// withdrawn meanwhile (its cell is gone): the session is finished at
+    /// once, so none runs without an owner.
     fn activate(&self, id: u64, request: ValidRequest, degraded: bool) -> bool {
         let gid = self.engine.admit(request);
-        self.reserved.fetch_sub(1, Ordering::Relaxed);
+        // The engine counts the session from here on: release the
+        // reservation at once, so no decision counts it twice for longer.
+        if !self.with_tickets(|t| {
+            t.activating -= 1;
+            t.cells.contains_key(&id)
+        }) {
+            self.engine.finish(gid);
+            return false;
+        }
         let hook = Arc::clone(&self.hook);
         let doorbell: Doorbell = Arc::new(move || ring(&hook, id));
         let rx = self
@@ -388,20 +411,24 @@ impl MoqoServer {
     }
 
     /// Admits queued submissions into freed capacity (called from every
-    /// public entry point). The gate keeps the (load read, release)
-    /// decision atomic with concurrent admissions; the engine submission
-    /// runs outside it under a reservation. Each ticket that turns active
-    /// rings the hook once, so a front waiting on it starts forwarding.
+    /// public entry point). Returns at once when nothing is queued; else
+    /// it reads the load and pops the oldest ticket in one critical
+    /// section, and activates it with the table lock released. Each
+    /// ticket that turns active rings the hook once, so a front waiting
+    /// on it starts forwarding.
     fn pump(&self) {
         loop {
-            let gate = self.gate.lock().expect("admission gate poisoned");
-            let Some(p) = self.admission.release(self.admission_load()) else {
-                return;
-            };
-            self.reserved.fetch_add(1, Ordering::Relaxed);
-            drop(gate);
-            if self.activate(p.ticket, p.request, false) {
-                ring(&self.hook, p.ticket);
+            let popped = self.with_tickets(|t| {
+                if t.queue.is_empty()
+                    || self.engine.live_sessions() + t.activating >= self.admission.max_live
+                {
+                    return None;
+                }
+                t.pop_queued()
+            });
+            let Some((id, request)) = popped else { return };
+            if self.activate(id, request, false) {
+                ring(&self.hook, id);
             }
         }
     }
@@ -435,8 +462,8 @@ impl MoqoServer {
         self.with_tickets(|t| {
             let cell = t.cells.get_mut(&ticket.0)?;
             let status = match cell {
-                Cell::Queued => TicketStatus::Queued {
-                    pending: self.admission.pending(),
+                Cell::Queued(_) | Cell::Activating => TicketStatus::Queued {
+                    pending: t.queue.len(),
                 },
                 Cell::Rejected(reason) => TicketStatus::Rejected(*reason),
                 Cell::Active(active) => {
@@ -530,14 +557,19 @@ impl MoqoServer {
     /// Returns the final reassembled view; `None` for tickets that never
     /// activated.
     ///
-    /// A ticket still queued is withdrawn: its submission leaves the
-    /// admission queue, the ticket is dropped, and no session runs for it
-    /// (an activation already in flight finishes the session it started).
+    /// A ticket still queued is withdrawn: it leaves the admission
+    /// queue, the ticket is dropped, and no session runs for it. An
+    /// activating ticket is dropped the same way, and its activation
+    /// finishes the session it started.
     pub fn finish(&self, ticket: Ticket) -> Option<SessionView> {
         let gid = self.with_tickets(|t| match t.cells.get(&ticket.0) {
             Some(Cell::Active(active)) => Some(active.gid),
-            Some(Cell::Queued) => {
-                self.admission.withdraw(|p| p.ticket == ticket.0);
+            Some(Cell::Queued(_)) => {
+                t.queue.retain(|&id| id != ticket.0);
+                t.cells.remove(&ticket.0);
+                None
+            }
+            Some(Cell::Activating) => {
                 t.cells.remove(&ticket.0);
                 None
             }
@@ -579,9 +611,10 @@ impl MoqoServer {
 
     /// Aggregate admission + shard statistics.
     pub fn stats(&self) -> ServerStats {
+        let (admission, pending) = self.with_tickets(|t| (t.stats, t.queue.len()));
         ServerStats {
-            admission: self.admission.stats(),
-            pending: self.admission.pending(),
+            admission,
+            pending,
             live: self.engine.live_sessions(),
             shards: self.engine.shard_stats(),
             subfrontiers: self.engine.subfrontier_stats(),
@@ -598,6 +631,7 @@ mod tests {
     use moqo_costmodel::StandardCostModel;
     use moqo_engine::EngineConfig;
     use moqo_query::testkit;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -725,6 +759,34 @@ mod tests {
     }
 
     #[test]
+    fn queued_submissions_admit_oldest_first() {
+        let s = server(AdmissionConfig {
+            max_live: 1,
+            policy: AdmissionPolicy::Queue { depth: 2 },
+        });
+        let (a, _) = submit(&s, Arc::new(testkit::chain_query(2, 20_000)));
+        let (b, rb) = submit(&s, Arc::new(testkit::chain_query(3, 20_000)));
+        let (c, rc) = submit(&s, Arc::new(testkit::chain_query(4, 20_000)));
+        assert_eq!(rb, AdmissionResponse::Queued { position: 0 });
+        assert_eq!(rc, AdmissionResponse::Queued { position: 1 });
+        // a's slot goes to b, the older of the two; c keeps waiting.
+        s.finish(a).unwrap();
+        assert!(matches!(s.poll(b), Some(TicketStatus::Active { .. })));
+        assert!(matches!(
+            s.poll(c),
+            Some(TicketStatus::Queued { pending: 1 })
+        ));
+        // b's slot goes to c.
+        s.finish(b).unwrap();
+        assert!(matches!(s.poll(c), Some(TicketStatus::Active { .. })));
+        s.finish(c).unwrap();
+        assert!(s.wait_idle(IDLE));
+        let stats = s.stats();
+        assert_eq!((stats.live, stats.pending), (0, 0));
+        assert_eq!((stats.admission.admitted, stats.admission.queued), (3, 2));
+    }
+
+    #[test]
     fn a_queued_submission_withdrawn_by_finish_never_runs() {
         let s = server(AdmissionConfig {
             max_live: 1,
@@ -754,20 +816,175 @@ mod tests {
         });
         let (a, _) = submit(&s, Arc::new(testkit::chain_query(2, 20_000)));
         let (b, _) = submit(&s, Arc::new(testkit::chain_query(3, 20_000)));
-        // A pump pops b's submission (as it would once a frees its slot),
-        // and b is withdrawn before the activation files its cell.
-        let popped = s.admission.release(0).expect("b was queued");
-        assert_eq!(popped.ticket, b.0);
+        // A pump pops b off the queue (as it would once a frees its
+        // slot), and b is withdrawn before the activation files its cell.
+        let (id, request) = s
+            .with_tickets(TicketTable::pop_queued)
+            .expect("b was queued");
+        assert_eq!(id, b.0);
         assert!(s.finish(b).is_none());
-        s.reserved.fetch_add(1, Ordering::Relaxed);
-        assert!(!s.activate(popped.ticket, popped.request, false));
+        assert!(!s.activate(id, request, false));
         // The session the activation started was finished at once.
         assert!(s.poll(b).is_none());
         assert_eq!(s.stats().live, 1, "only a runs");
         s.finish(a).unwrap();
         assert!(s.wait_idle(IDLE));
         assert_eq!(s.stats().live, 0);
-        assert_eq!(s.reserved.load(Ordering::Relaxed), 0);
+        assert_eq!(s.with_tickets(|t| t.activating), 0);
+    }
+
+    /// How one submission of a [`client`] ended.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Ended {
+        Admitted,
+        Degraded,
+        QueuedThenActive,
+        Withdrawn,
+        Rejected,
+    }
+
+    /// What a [`client`] saw.
+    #[derive(Default)]
+    struct Seen {
+        /// Submissions that ended each way, indexed by [`Ended`].
+        ended: [u64; 5],
+        /// The most live sessions seen while it held one.
+        peak: usize,
+        /// Contract breaches, recorded instead of asserted so that a
+        /// failing client never leaves a session held and the others
+        /// waiting.
+        faults: Vec<String>,
+    }
+
+    /// One client of [`concurrent_admission_never_exceeds_the_bound`]:
+    /// submits until it has held `sessions` sessions, one at a time,
+    /// retrying a rejected submission at once. It holds a session for a
+    /// moment and finishes it; a queued ticket is withdrawn every third
+    /// attempt, else polled until it turns active.
+    fn client(s: &MoqoServer, c: usize, sessions: u64) -> Seen {
+        let mut seen = Seen::default();
+        // The first three kinds of [`Ended`] held a session.
+        let held = |seen: &Seen| seen.ended[..3].iter().sum::<u64>();
+        let mut attempt = 0;
+        while held(&seen) < sessions {
+            attempt += 1;
+            let spec = testkit::chain_query(2 + (c + attempt) % 2, 10_000);
+            let (t, response) = submit(s, Arc::new(spec));
+            let ended = match response {
+                AdmissionResponse::Admitted => Ended::Admitted,
+                AdmissionResponse::Degraded { .. } => Ended::Degraded,
+                AdmissionResponse::Rejected(_) => Ended::Rejected,
+                // A pump may have activated it already; else it is
+                // withdrawn and gone for good.
+                AdmissionResponse::Queued { .. } if attempt % 3 == 0 => match s.finish(t) {
+                    Some(_) => Ended::QueuedThenActive,
+                    None if s.poll(t).is_none() => Ended::Withdrawn,
+                    None => {
+                        seen.faults.push(format!("withdrawn ticket {t:?} stays"));
+                        Ended::Withdrawn
+                    }
+                },
+                AdmissionResponse::Queued { .. } => {
+                    let queued = Instant::now();
+                    while !matches!(s.poll(t), Some(TicketStatus::Active { .. }))
+                        && queued.elapsed() < IDLE
+                    {
+                        std::thread::yield_now();
+                    }
+                    Ended::QueuedThenActive
+                }
+            };
+            seen.ended[ended as usize] += 1;
+            if matches!(ended, Ended::Withdrawn | Ended::Rejected) {
+                continue;
+            }
+            seen.peak = seen.peak.max(s.stats().live);
+            std::thread::sleep(Duration::from_micros(100));
+            if s.finish(t).is_none() {
+                seen.faults
+                    .push(format!("{ended:?} ticket {t:?} has no final view"));
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn concurrent_admission_never_exceeds_the_bound() {
+        const CLIENTS: usize = 4;
+        let degrade = AdmissionPolicy::Degrade {
+            schedule: ResolutionSchedule::linear(0, 1.5, 0.5),
+            hard_cap: 3,
+        };
+        // Degrade admits whoever submits first after a session ends, so
+        // it races submitters against each other; Queue admits from the
+        // queue instead and needs fewer rounds.
+        for (policy, bound, sessions) in [
+            (AdmissionPolicy::Queue { depth: 3 }, 2, 20),
+            (degrade, 3, 250),
+        ] {
+            // One shard: its live count is read under one lock, so each
+            // sample is one consistent load.
+            let s = MoqoServer::new(
+                Arc::new(StandardCostModel::paper_metrics()),
+                ResolutionSchedule::linear(1, 1.2, 0.4),
+                ServeConfig {
+                    shard: ShardConfig {
+                        shards: 1,
+                        engine: EngineConfig {
+                            workers: 2,
+                            ..EngineConfig::default()
+                        },
+                        rebalance_headroom: 0,
+                    },
+                    admission: AdmissionConfig {
+                        max_live: 2,
+                        policy,
+                    },
+                    retired_tickets: 1024,
+                },
+            );
+            let done = AtomicBool::new(false);
+            let (seen, sampled) = std::thread::scope(|scope| {
+                let sampler = scope.spawn(|| {
+                    let mut peak = 0;
+                    while !done.load(Ordering::Relaxed) {
+                        peak = peak.max(s.stats().live);
+                        std::thread::yield_now();
+                    }
+                    peak
+                });
+                let clients: Vec<_> = (0..CLIENTS)
+                    .map(|c| {
+                        let s = &s;
+                        scope.spawn(move || client(s, c, sessions))
+                    })
+                    .collect();
+                let seen: Vec<Seen> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+                done.store(true, Ordering::Relaxed);
+                (seen, sampler.join().unwrap())
+            });
+            let faults: Vec<_> = seen.iter().flat_map(|c| &c.faults).collect();
+            assert!(faults.is_empty(), "{faults:?}");
+            let peak = seen.iter().map(|c| c.peak).fold(sampled, usize::max);
+            assert!(
+                peak <= bound,
+                "{peak} live sessions over a bound of {bound}"
+            );
+            let [admitted, degraded, activated, withdrawn, rejected] =
+                [0, 1, 2, 3, 4].map(|e| seen.iter().map(|c| c.ended[e]).sum::<u64>());
+            assert_eq!(admitted + degraded + activated, CLIENTS as u64 * sessions);
+            assert!(s.wait_idle(IDLE));
+            let stats = s.stats();
+            assert_eq!((stats.pending, stats.live), (0, 0));
+            let a = stats.admission;
+            assert_eq!(
+                (a.degraded, a.queued, a.rejected),
+                (degraded, activated + withdrawn, rejected)
+            );
+            // A ticket withdrawn while activating was counted admitted
+            // when it left the queue.
+            assert!((admitted + activated..=admitted + activated + withdrawn).contains(&a.admitted));
+        }
     }
 
     #[test]

@@ -15,12 +15,14 @@
 //!   submission may divert to the least-loaded shard when its home is
 //!   overloaded. Fingerprints embed the effective cost-model identity, so
 //!   per-session model overrides warm independently.
-//! * [`AdmissionController`] — bounded intake with pluggable overload
+//! * [`AdmissionConfig`] — bounded intake with pluggable overload
 //!   policy: [`Reject`](AdmissionPolicy::Reject) (pure backpressure),
 //!   [`Queue`](AdmissionPolicy::Queue) (bounded FIFO, never unbounded
 //!   growth), or [`Degrade`](AdmissionPolicy::Degrade) (admit at a
 //!   coarser target resolution — IAMA's resolution ladder doubling as a
-//!   load-shedding knob). Decisions surface as the protocol's
+//!   load-shedding knob). [`AdmissionConfig::decide`] is a pure decision
+//!   over (load, queue length); [`MoqoServer`] keeps the queue in its
+//!   ticket table. Decisions surface as the protocol's
 //!   [`AdmissionResponse`].
 //! * [`MoqoServer`] — the non-blocking client surface: `submit` takes a
 //!   [`SessionRequest`] and returns a [`Ticket`] plus the admission
@@ -74,9 +76,7 @@ pub mod net;
 pub mod persist;
 pub mod shard;
 
-pub use admission::{
-    Admission, AdmissionConfig, AdmissionController, AdmissionPolicy, AdmissionStats,
-};
+pub use admission::{Admission, AdmissionConfig, AdmissionPolicy, AdmissionStats};
 pub use api::{MoqoServer, ServeConfig, ServerEventHook, ServerStats, Ticket, TicketStatus};
 pub use net::{NetClient, NetConfig, NetServer, NetStats};
 pub use persist::{RestoreReport, SaveReport, SnapshotStore, FRONTIER_EXT};

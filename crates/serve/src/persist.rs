@@ -212,23 +212,42 @@ impl SnapshotStore {
     }
 
     /// Reads the snapshot file for `fp` and imports it under `model`.
-    /// `None` when the file is missing or invalid — unreadable, corrupt,
-    /// of another format version or cost model, or describing another
-    /// query (the fingerprint is recomputed from the decoded spec, so a
-    /// mis-named file is refused). A refused file is left in place. A
-    /// file read back seeds the dirty tracker, so a sweep that finds its
-    /// frontier unchanged skips the rewrite.
+    /// `None` when the file is missing or invalid (see [`Self::read`]);
+    /// a file describing another query than its name says is refused
+    /// too. A refused file is left in place.
     fn load(&self, model: &SharedCostModel, fp: QueryFingerprint) -> Option<IamaOptimizer> {
-        let bytes = fs::read(self.file_for(fp)).ok()?;
-        let opt = IamaOptimizer::import_frontier(model.clone(), &bytes).ok()?;
-        if QueryFingerprint::of(opt.spec(), &opt.model()) != fp {
-            return None;
+        self.read(model, &self.file_for(fp), Some(fp))
+            .ok()
+            .map(|(_, opt)| opt)
+    }
+
+    /// Reads one snapshot file and imports it under `model`, returning
+    /// the optimizer with its fingerprint, recomputed from the decoded
+    /// spec under the optimizer's own model (content-authoritative: a
+    /// file name is cosmetic unless `named` gives the fingerprint the
+    /// content must have). A file read back seeds the dirty tracker, so
+    /// a sweep that finds its frontier unchanged skips the rewrite.
+    /// `Err` says why the file was refused — unreadable, corrupt, of
+    /// another format version or cost model, or another query than
+    /// `named`.
+    fn read(
+        &self,
+        model: &SharedCostModel,
+        path: &Path,
+        named: Option<QueryFingerprint>,
+    ) -> Result<(QueryFingerprint, IamaOptimizer), String> {
+        let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
+        let opt =
+            IamaOptimizer::import_frontier(model.clone(), &bytes).map_err(|e| e.to_string())?;
+        let fp = QueryFingerprint::of(opt.spec(), &opt.model());
+        if named.is_some_and(|named| named != fp) {
+            return Err("describes another query than its name".into());
         }
         self.persisted
             .lock()
             .expect("snapshot dirty map poisoned")
             .insert(fp.as_u64(), content_hash(&bytes));
-        Some(opt)
+        Ok((fp, opt))
     }
 
     /// Decodes every snapshot file and re-parks the frontiers in the warm
@@ -247,31 +266,12 @@ impl SnapshotStore {
             if path.extension().and_then(|e| e.to_str()) != Some(FRONTIER_EXT) {
                 continue;
             }
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    report.skipped.push((path, format!("unreadable: {e}")));
-                    continue;
-                }
-            };
-            match IamaOptimizer::import_frontier(engine.model(), &bytes) {
-                Ok(opt) => {
-                    // The fingerprint is recomputed from the decoded spec
-                    // under the optimizer's own model (content-
-                    // authoritative, file names are cosmetic).
-                    let model = opt.model();
-                    let fp = QueryFingerprint::of(opt.spec(), &model);
+            match self.read(&engine.model(), &path, None) {
+                Ok((fp, opt)) => {
                     engine.park(fp, opt);
-                    // The file on disk is this frontier's current state:
-                    // seed the dirty tracker so an immediate save sweep
-                    // that finds it unchanged skips the rewrite.
-                    self.persisted
-                        .lock()
-                        .expect("snapshot dirty map poisoned")
-                        .insert(fp.as_u64(), content_hash(&bytes));
                     report.restored += 1;
                 }
-                Err(e) => report.skipped.push((path, e.to_string())),
+                Err(reason) => report.skipped.push((path, reason)),
             }
         }
         Ok(report)
