@@ -4,7 +4,7 @@
 //! The latency experiments (`repro serve`, `repro net`) measure the
 //! interactive SLO for one session at a time; this one measures the
 //! *capacity* claim behind the readiness-driven front: a single
-//! event-loop thread plus a fixed decode pool holds N connected,
+//! event-loop thread, the front's only one, holds N connected,
 //! admitted, idle sessions without a per-connection thread and with
 //! bounded per-connection memory. The report samples `/proc/self/status`
 //! for userspace RSS (client and server side combined — both live in this

@@ -14,7 +14,7 @@
 //!   Sessions open from a [`SessionRequest`], which may carry per-session
 //!   bounds, a schedule override, an auto-select
 //!   [`Preference`](moqo_core::Preference), and a per-session **cost
-//!   model**.
+//!   model**; admission only registers a session, and a worker opens it.
 //! * [`QueryFingerprint`] — canonical identity of a query: join-graph
 //!   shape + catalog statistics + cost model (metric layout *and*
 //!   [identity](moqo_costmodel::CostModel::identity)), independent of

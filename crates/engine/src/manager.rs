@@ -53,12 +53,15 @@
 //! blobs of other queries sharing a join subgraph with identical
 //! statistics from the [`SubFrontierCache`].
 //!
-//! All warm-start work of an open — taking a parked optimizer, importing
-//! rebase or transplant seeds — runs before the manager's state lock is
-//! taken, and the store lock is held only for each map operation; the
-//! state lock then only registers the session. Seed replay re-costs
-//! every tree, so under either lock it would stall every session of the
-//! shard, or of the deployment.
+//! [`SessionManager::admit`] only registers a session. Its open — the
+//! enumeration-plan lookup, taking a parked optimizer (which may read a
+//! snapshot file through the store's miss loader), importing rebase or
+//! transplant seeds, building the [`Session`] — runs at its first
+//! checkout, on a worker (or in [`SessionManager::finish`]) with no lock
+//! held, like every other slice of optimizer work: seed replay re-costs
+//! every tree. That first check-in fills the status's `warm_start`,
+//! `rebased`, `seeded_subsets` and `schedule_override` before it
+//! publishes the session's first event.
 //!
 //! [`Preference`]: moqo_core::Preference
 
@@ -112,6 +115,10 @@ impl Default for EngineConfig {
 }
 
 /// Read-only snapshot of one session, refreshed after every slice.
+///
+/// `warm_start`, `schedule_override`, `rebased` and `seeded_subsets` say
+/// how the session opened: they read `false` and 0 until its first
+/// check-in, which fills them before it publishes the first event.
 #[derive(Clone, Debug)]
 pub struct SessionStatus {
     /// The session's id.
@@ -190,10 +197,11 @@ struct Active {
 }
 
 impl Active {
-    /// The next command to run: the oldest of `inbox`, else one `Refine`
-    /// while the refinement budget lasts.
-    fn next_command(&mut self, inbox: &mut VecDeque<SessionCommand>) -> Option<SessionCommand> {
-        match inbox.pop_front() {
+    /// The next command to run: `queued`, the oldest of the inbox when
+    /// the session was checked out, else one `Refine` while the
+    /// refinement budget lasts.
+    fn next_command(&mut self, queued: Option<SessionCommand>) -> Option<SessionCommand> {
+        match queued {
             Some(cmd) => {
                 if matches!(cmd, SessionCommand::SetBounds(_)) {
                     // A user refocusing their bounds re-arms the
@@ -212,7 +220,26 @@ impl Active {
     }
 }
 
+/// A registered session that has not opened yet.
+struct Pending {
+    request: SessionRequest,
+    /// The request's effective cost model.
+    model: SharedCostModel,
+    fingerprint: QueryFingerprint,
+    bounds: Bounds,
+}
+
+/// How a session opened; its first check-in copies this into its status.
+struct Opened {
+    warm_start: bool,
+    schedule_override: bool,
+    rebased: bool,
+    seeded_subsets: u32,
+}
+
 enum Cell {
+    /// Registered by `admit`; its first checkout opens it.
+    Pending(Box<Pending>),
     /// Parked in the map, available for checkout.
     Idle(Box<Active>),
     /// Currently owned by a worker.
@@ -291,6 +318,14 @@ pub type Doorbell = Arc<dyn Fn() + Send + Sync>;
 
 struct Shared {
     state: Mutex<EngineState>,
+    /// The deployment-default cost model and resolution ladder.
+    model: SharedCostModel,
+    schedule: ResolutionSchedule,
+    /// Enumeration plans shared across sessions, keyed by join-graph
+    /// shape: structurally similar queries (same shape, any statistics,
+    /// any cost model) reuse one plan even when their frontiers cannot be
+    /// shared.
+    plans: PlanCache,
     /// Signals workers that the run queue may be non-empty.
     work: Condvar,
     /// Signals waiters that a slice finished (idle / finish conditions).
@@ -319,6 +354,132 @@ fn count(counter: &AtomicU64) {
 }
 
 impl Shared {
+    /// Opens a registered session: resolves its enumeration plan, then
+    /// resumes a parked optimizer, or builds a cold one seeded by a
+    /// rebase or transplant. Runs at the session's first checkout with
+    /// no lock held (seed replay re-costs every tree), and the store
+    /// lock is held only for each map operation.
+    fn open(&self, pending: Pending) -> (Box<Active>, Opened) {
+        let Pending {
+            request,
+            model,
+            fingerprint,
+            bounds,
+        } = pending;
+        let spec = &request.spec;
+        let plan = self.plans.get_or_build(&spec.graph);
+        let store = &self.store;
+        let counters = &self.counters;
+        let (optimizer, harvest, opened) = match store.take(fingerprint) {
+            // Warm resumes keep the parked ladder: its plan sets are
+            // level-tagged under that schedule (see [`SessionRequest`]).
+            // If that ladder is not the manager-wide one — e.g. the
+            // frontier was refined under a degraded admission ladder —
+            // the weaker guarantee must stay visible, so the override
+            // flag is set from the *effective* schedule.
+            Some((opt, harvest)) => {
+                count(&counters.hits);
+                let opened = Opened {
+                    warm_start: true,
+                    schedule_override: opt.schedule() != &self.schedule,
+                    rebased: false,
+                    seeded_subsets: 0,
+                };
+                (opt, harvest, opened)
+            }
+            None => {
+                count(&counters.misses);
+                let (schedule, schedule_override) = match request.schedule.clone() {
+                    Some(s) => (s, true),
+                    None => (self.schedule.clone(), false),
+                };
+                let config = IamaConfig::default();
+                let mut opt =
+                    IamaOptimizer::with_plan(spec.clone(), model.clone(), schedule, config, plan);
+                // Exact fingerprint miss. Two warm near-miss tiers before
+                // cold enumeration, both seeding sub-frontier blobs that
+                // are re-costed at the door, so the `alpha_T` guarantee
+                // never weakens. A refused blob (a near-miss hash
+                // collision or model drift) only leaves its subset cold.
+                //
+                // 1. **Rebase** — the blobs of a parked frontier of the
+                //    same shape whose fingerprint differs only in catalog
+                //    cardinalities (the hourly stats refresh).
+                let mut rebased = false;
+                match store.rebase_seeds(RebaseKey::of(spec, &model)) {
+                    Some(seeds) => {
+                        count(&counters.rebase_hits);
+                        let mut seeder = opt.seeder(SeedTier::Rebase);
+                        for (_, tables, blob) in &seeds.blobs {
+                            rebased |= seeder.import(*tables, blob).is_ok_and(|n| n > 0);
+                        }
+                    }
+                    None => count(&counters.rebase_misses),
+                }
+                // 2. **Transplant** — per-subset blobs harvested from
+                //    *different* queries sharing a join subgraph with
+                //    identical induced statistics. Skipped after a
+                //    successful rebase (which already seeds every
+                //    harvested subset, including the full set).
+                let mut seeded_subsets = 0u32;
+                if !rebased {
+                    let enumeration = Arc::clone(opt.enumeration());
+                    let mut seeder = opt.seeder(SeedTier::Transplant);
+                    for info in enumeration.subsets() {
+                        let tables = info.tables;
+                        if tables.len() < 2 {
+                            continue;
+                        }
+                        let sfp = SubsetFingerprint::of(spec, tables, &model);
+                        if let Some(blob) = store.subfrontiers().get(sfp) {
+                            seeded_subsets +=
+                                u32::from(seeder.import(tables, &blob).is_ok_and(|n| n > 0));
+                        }
+                    }
+                }
+                let opened = Opened {
+                    warm_start: false,
+                    schedule_override,
+                    rebased,
+                    seeded_subsets,
+                };
+                (opt, None, opened)
+            }
+        };
+        let auto_ticks = match (request.auto_ticks, &request.schedule) {
+            (Some(ticks), _) => ticks,
+            (None, Some(s)) if !opened.warm_start => s.levels(),
+            (None, _) => self.schedule.levels(),
+        };
+        let mut session = Session::with_bounds(optimizer, bounds);
+        session
+            .set_preference(request.preference.clone())
+            .expect("validated against the effective model at admission");
+        let active = Active {
+            session,
+            fingerprint,
+            harvest,
+            remaining_ticks: auto_ticks,
+            auto_ticks,
+        };
+        (Box::new(active), opened)
+    }
+
+    /// The session a checkout took, opened first if it was pending, with
+    /// how it opened. Runs with no lock held.
+    fn checked_out(&self, cell: Cell) -> (Box<Active>, Option<Opened>) {
+        match cell {
+            Cell::Idle(active) => (active, None),
+            Cell::Pending(pending) => {
+                let (active, opened) = self.open(*pending);
+                (active, Some(opened))
+            }
+            Cell::Running | Cell::Retired => {
+                unreachable!("only idle or pending sessions check out")
+            }
+        }
+    }
+
     /// Parks an optimizer through the store's park step, counting an
     /// eviction it causes against this manager.
     fn park(&self, fp: QueryFingerprint, optimizer: IamaOptimizer, kept: Option<Harvest>) {
@@ -348,23 +509,36 @@ impl Shared {
 
     /// Checks a session back in after a worker or `finish` ran one
     /// command on it outside the lock: `active` is the session if it goes
-    /// on (`None` once it ended and parked), and `event` is what
-    /// [`Session::apply`] returned, if the command ran. The event is
-    /// published as it is, and the status advances from it.
+    /// on (`None` once it ended and parked), `opened` says how it opened
+    /// if this checkout opened it, and `event` is what [`Session::apply`]
+    /// returned, if the command ran. The event is published as it is,
+    /// and the status advances from it; an ended session leaves the live
+    /// count before its terminal event is sent.
     fn check_in(
         &self,
         state: &mut EngineState,
         id: SessionId,
         active: Option<Box<Active>>,
+        opened: Option<Opened>,
         event: Option<SessionEvent>,
     ) {
         state.running -= 1;
+        if active.is_none() {
+            state.live = state.live.saturating_sub(1);
+        }
         // Nothing removes the slot of a checked-out session, so this is
         // unreachable; tolerate it anyway rather than poisoning the pool.
         let Some(slot) = state.slots.get_mut(&id) else {
             self.settled.notify_all();
             return;
         };
+        if let Some(opened) = opened {
+            let status = &mut slot.status;
+            status.warm_start = opened.warm_start;
+            status.schedule_override = opened.schedule_override;
+            status.rebased = opened.rebased;
+            status.seeded_subsets = opened.seeded_subsets;
+        }
         if let Some(event) = event {
             slot.publish(event);
         }
@@ -383,7 +557,6 @@ impl Shared {
                 slot.inbox.clear();
                 // Final update delivered above; release the channels.
                 slot.watchers.clear();
-                state.live = state.live.saturating_sub(1);
                 // Keep the final status queryable, but bound the history.
                 state.retired.push_back(id);
                 while state.retired.len() > RETIRED_CAPACITY {
@@ -411,13 +584,6 @@ impl Shared {
 pub struct SessionManager {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    model: SharedCostModel,
-    schedule: ResolutionSchedule,
-    /// Enumeration plans shared across sessions, keyed by join-graph
-    /// shape: structurally similar queries (same shape, any statistics,
-    /// any cost model) reuse one plan even when their frontiers cannot be
-    /// shared.
-    plans: PlanCache,
 }
 
 impl SessionManager {
@@ -440,6 +606,9 @@ impl SessionManager {
         store: Arc<WarmStore>,
     ) -> Self {
         let shared = Arc::new(Shared {
+            model,
+            schedule,
+            plans: PlanCache::new(),
             state: Mutex::new(EngineState {
                 slots: HashMap::new(),
                 queue: VecDeque::new(),
@@ -463,13 +632,7 @@ impl SessionManager {
                     .expect("spawn engine worker")
             })
             .collect();
-        Self {
-            shared,
-            workers,
-            model,
-            schedule,
-            plans: PlanCache::new(),
-        }
+        Self { shared, workers }
     }
 
     /// Admits a new interactive session with every default in place
@@ -493,123 +656,47 @@ impl SessionManager {
     /// against the effective model here, so a malformed request is a
     /// typed [`ProtocolError`] at the door — never a worker panic.
     pub fn open(&self, request: SessionRequest) -> Result<SessionId, ProtocolError> {
-        let dim = request.effective_model(&self.model).dim();
-        Ok(self.admit(request.validated(dim)?))
+        let model = request.effective_model(&self.shared.model);
+        let request = request.validated(model.dim())?;
+        let fingerprint = QueryFingerprint::of(&request.request().spec, &model);
+        Ok(self.admit(request, fingerprint))
     }
 
     /// [`SessionManager::open`] for a request an outer layer already
-    /// validated.
+    /// validated and fingerprinted (`fingerprint` is the
+    /// [`QueryFingerprint`] of its spec under its effective cost model).
+    ///
+    /// Only registers the session, counted in
+    /// [`SessionManager::live_sessions`] from here on, and queues it: a
+    /// worker opens it at its first checkout (see the module docs).
     ///
     /// # Panics
     /// Panics if the request was validated against another cost-model
     /// dimension than the one it runs under here.
-    pub fn admit(&self, request: ValidRequest) -> SessionId {
-        let model = request.request().effective_model(&self.model);
+    pub fn admit(&self, request: ValidRequest, fingerprint: QueryFingerprint) -> SessionId {
+        let model = request.request().effective_model(&self.shared.model);
         assert_eq!(
             request.model_dim(),
             model.dim(),
             "request validated against another cost model"
         );
         let request = request.into_inner();
-        let model_override = request.cost_model.is_some();
-        let spec = request.spec.clone();
-        let fp = QueryFingerprint::of(&spec, &model);
+        debug_assert_eq!(fingerprint, QueryFingerprint::of(&request.spec, &model));
         let bounds = request
             .bounds
             .unwrap_or_else(|| Bounds::unbounded(model.dim()));
-        // Resolve the shared enumeration plan outside the state lock —
-        // plan construction can be expensive for wide shapes and must not
-        // stall unrelated sessions. A warm hit below makes this a pointer
-        // clone at worst (the shape is already cached).
-        let plan = self.plans.get_or_build(&spec.graph);
-        let store = &self.shared.store;
-        let counters = &self.shared.counters;
-        let (optimizer, harvest, warm, overridden, rebased, seeded_subsets) = match store.take(fp) {
-            // Warm resumes keep the parked ladder: its plan sets are
-            // level-tagged under that schedule (see [`SessionRequest`]).
-            // If that ladder is not the manager-wide one — e.g. the
-            // frontier was refined under a degraded admission ladder —
-            // the weaker guarantee must stay visible, so the override
-            // flag is set from the *effective* schedule.
-            Some((opt, harvest)) => {
-                count(&counters.hits);
-                let nonstandard = opt.schedule() != &self.schedule;
-                (opt, harvest, true, nonstandard, false, 0)
-            }
-            None => {
-                count(&counters.misses);
-                let (schedule, overridden) = match request.schedule.clone() {
-                    Some(s) => (s, true),
-                    None => (self.schedule.clone(), false),
-                };
-                let config = IamaConfig::default();
-                let mut opt =
-                    IamaOptimizer::with_plan(spec.clone(), model.clone(), schedule, config, plan);
-                // Exact fingerprint miss. Two warm near-miss tiers before
-                // cold enumeration, both seeding sub-frontier blobs that
-                // are re-costed at the door, so the `alpha_T` guarantee
-                // never weakens. A refused blob (a near-miss hash
-                // collision or model drift) only leaves its subset cold.
-                //
-                // 1. **Rebase** — the blobs of a parked frontier of the
-                //    same shape whose fingerprint differs only in catalog
-                //    cardinalities (the hourly stats refresh).
-                let mut rebased = false;
-                match store.rebase_seeds(RebaseKey::of(&spec, &model)) {
-                    Some(seeds) => {
-                        count(&counters.rebase_hits);
-                        let mut seeder = opt.seeder(SeedTier::Rebase);
-                        for (_, tables, blob) in &seeds.blobs {
-                            rebased |= seeder.import(*tables, blob).is_ok_and(|n| n > 0);
-                        }
-                    }
-                    None => count(&counters.rebase_misses),
-                }
-                // 2. **Transplant** — per-subset blobs harvested from
-                //    *different* queries sharing a join subgraph with
-                //    identical induced statistics. Skipped after a
-                //    successful rebase (which already seeds every
-                //    harvested subset, including the full set).
-                let mut seeded = 0u32;
-                if !rebased {
-                    let enumeration = Arc::clone(opt.enumeration());
-                    let mut seeder = opt.seeder(SeedTier::Transplant);
-                    for info in enumeration.subsets() {
-                        let tables = info.tables;
-                        if tables.len() < 2 {
-                            continue;
-                        }
-                        let sfp = SubsetFingerprint::of(&spec, tables, &model);
-                        if let Some(blob) = store.subfrontiers().get(sfp) {
-                            seeded += u32::from(seeder.import(tables, &blob).is_ok_and(|n| n > 0));
-                        }
-                    }
-                }
-                (opt, None, false, overridden, rebased, seeded)
-            }
-        };
-        let auto_ticks = request
-            .auto_ticks
-            .unwrap_or_else(|| match (&request.schedule, warm) {
-                (Some(s), false) => s.levels(),
-                _ => self.schedule.levels(),
-            });
-        let mut session = Session::with_bounds(optimizer, bounds);
-        session
-            .set_preference(request.preference.clone())
-            .expect("validated against the effective model at admission");
         let mut state = self.lock();
         let id = state.next_id;
         state.next_id += 1;
         let status = SessionStatus {
             id,
-            query: spec.name.clone(),
-            fingerprint: fp,
-            warm_start: warm,
-            rebased,
-            seeded_subsets,
-            schedule_override: overridden,
-            model_override,
+            query: request.spec.name.clone(),
+            fingerprint,
+            warm_start: false,
+            rebased: false,
+            seeded_subsets: 0,
+            schedule_override: false,
+            model_override: request.cost_model.is_some(),
             epoch: 0,
             outcome: None,
             invocations: 0,
@@ -619,16 +706,16 @@ impl SessionManager {
             first_report: None,
             last_report: None,
         };
+        let pending = Pending {
+            request,
+            model,
+            fingerprint,
+            bounds,
+        };
         state.slots.insert(
             id,
             Slot {
-                cell: Cell::Idle(Box::new(Active {
-                    session,
-                    fingerprint: fp,
-                    harvest,
-                    remaining_ticks: auto_ticks,
-                    auto_ticks,
-                })),
+                cell: Cell::Pending(Box::new(pending)),
                 status,
                 queued: false,
                 inbox: VecDeque::new(),
@@ -707,14 +794,16 @@ impl SessionManager {
     /// worker does and runs [`SessionCommand::Cancel`] on it: watchers
     /// receive the session's terminal [`SessionEvent`] with a
     /// [`SessionOutcome::Retired`] outcome, and the park step runs with no
-    /// engine lock held. A session that already ended is returned as it
-    /// is, with no event.
+    /// engine lock held. A session that has not opened yet is opened
+    /// first, by the same checkout, so its one terminal event reports how
+    /// it opened. A session that already ended is returned as it is, with
+    /// no event.
     pub fn finish(&self, id: SessionId) -> Option<SessionStatus> {
         let mut state = self.lock();
-        let mut active = loop {
+        let cell = loop {
             let slot = state.slots.get_mut(&id)?;
             match std::mem::replace(&mut slot.cell, Cell::Running) {
-                Cell::Idle(active) => break active,
+                cell @ (Cell::Idle(_) | Cell::Pending(_)) => break cell,
                 Cell::Running => state = self.shared.settled.wait(state).expect("engine lock"),
                 Cell::Retired => {
                     slot.cell = Cell::Retired;
@@ -724,10 +813,11 @@ impl SessionManager {
         };
         state.running += 1;
         drop(state);
+        let (mut active, opened) = self.shared.checked_out(cell);
         let event = active.session.apply(SessionCommand::Cancel).ok();
         let active = self.shared.park_if_ended(active);
         let mut state = self.lock();
-        self.shared.check_in(&mut state, id, active, event);
+        self.shared.check_in(&mut state, id, active, opened, event);
         state.slots.get(&id).map(|s| s.status.clone())
     }
 
@@ -798,12 +888,12 @@ impl SessionManager {
     /// The manager-wide resolution ladder (sessions may override it via
     /// [`SessionRequest`]).
     pub fn schedule(&self) -> &ResolutionSchedule {
-        &self.schedule
+        &self.shared.schedule
     }
 
     /// Shared handle to the deployment-wide default cost model.
     pub fn model(&self) -> SharedCostModel {
-        self.model.clone()
+        self.shared.model.clone()
     }
 
     /// This manager's warm-store counters: hits, misses and rebase
@@ -825,7 +915,7 @@ impl SessionManager {
 
     /// Effectiveness counters of the shared enumeration-plan cache.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plans.stats()
+        self.shared.plans.stats()
     }
 
     /// Effectiveness counters of the sub-frontier transplant cache.
@@ -899,7 +989,7 @@ fn worker_loop(shared: Arc<Shared>) {
     loop {
         // Find the next checked-in session with work, and take the
         // command it runs.
-        let (id, mut active, command) = loop {
+        let (id, cell, queued) = loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -913,9 +1003,8 @@ fn worker_loop(shared: Arc<Shared>) {
                     };
                     slot.queued = false;
                     match std::mem::replace(&mut slot.cell, Cell::Running) {
-                        Cell::Idle(mut active) => {
-                            let command = active.next_command(&mut slot.inbox);
-                            break (id, active, command);
+                        cell @ (Cell::Idle(_) | Cell::Pending(_)) => {
+                            break (id, cell, slot.inbox.pop_front());
                         }
                         // Running entries do appear here: command()
                         // enqueues a mid-slice session so its new command
@@ -937,7 +1026,9 @@ fn worker_loop(shared: Arc<Shared>) {
         state.running += 1;
         drop(state);
 
-        // --- Run the command outside the lock. ---
+        // --- Open a pending session and run the command outside the lock. ---
+        let (mut active, opened) = shared.checked_out(cell);
+        let command = active.next_command(queued);
         // A protocol fault on a live session (a dimension mismatch that
         // slipped past command() — impossible today, but commands are
         // data and workers must never die on data) drops the command and
@@ -945,6 +1036,6 @@ fn worker_loop(shared: Arc<Shared>) {
         let event = command.and_then(|cmd| active.session.apply(cmd).ok());
         let active = shared.park_if_ended(active);
         state = shared.state.lock().expect("engine lock poisoned");
-        shared.check_in(&mut state, id, active, event);
+        shared.check_in(&mut state, id, active, opened, event);
     }
 }

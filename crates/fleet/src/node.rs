@@ -31,7 +31,7 @@ pub struct FleetNodeConfig {
     pub schedule: ResolutionSchedule,
     /// Shards, admission, channels — the in-process serving config.
     pub serve: ServeConfig,
-    /// I/O threads and socket timeouts of the TCP front.
+    /// Bind address, socket timeouts and backpressure of the TCP front.
     pub net: NetConfig,
 }
 
@@ -175,7 +175,7 @@ impl FleetNode {
     pub fn kill(mut self) {
         self.join_sweeper();
         self.store = None;
-        // net's Drop closes sockets and joins the I/O threads.
+        // net's Drop closes sockets and joins the event-loop thread.
     }
 }
 

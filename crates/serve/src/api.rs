@@ -19,15 +19,21 @@
 //! so a stream forwarded event by event from the first `recv` on
 //! reassembles the session exactly.
 //!
+//! An admitted ticket's session is registered with the engine and
+//! watched inside the ticket table's critical section: the engine's
+//! `admit` only registers the session, which opens on a shard worker
+//! (see [`SessionManager::admit`]), so no submitter does optimizer work.
 //! Queued submissions (under [`AdmissionPolicy::Queue`]) admit lazily:
 //! every API interaction pumps the pending queue against freed capacity,
 //! so a server with *any* traffic drains its queue without a background
 //! thread; an idle server drains it on the next call. A ticket that
 //! leaves the queue rings the [`ServerEventHook`] once, after it turned
-//! [`TicketStatus::Active`]; [`MoqoServer::finish`] on a ticket still
-//! queued withdraws it, and it never runs.
+//! [`TicketStatus::Active`]. [`MoqoServer::finish`] or a
+//! [`SessionCommand::Cancel`] on a ticket still queued withdraws it, and
+//! it never runs.
 //!
 //! [`SessionManager::watch`]: moqo_engine::SessionManager::watch
+//! [`SessionManager::admit`]: moqo_engine::SessionManager::admit
 //!
 //! [`AdmissionPolicy::Queue`]: crate::AdmissionPolicy::Queue
 
@@ -105,10 +111,10 @@ pub enum TicketStatus {
     Active {
         /// Where the session runs.
         session: GlobalSessionId,
-        /// True if admitted under a degraded resolution ladder.
+        /// True if admitted under a degraded resolution ladder. Whether
+        /// the session resumed warm is its engine status's
+        /// [`warm_start`](moqo_engine::SessionStatus::warm_start).
         degraded: bool,
-        /// True if the session resumed a parked warm frontier.
-        warm_start: bool,
         /// The delta-reassembled session state (updated by `poll`/`recv`).
         view: Box<SessionView>,
     },
@@ -117,7 +123,6 @@ pub enum TicketStatus {
 struct ActiveCell {
     gid: GlobalSessionId,
     degraded: bool,
-    warm_start: bool,
     /// Taken out (under no lock) while a caller blocks in `recv`.
     rx: Option<mpsc::Receiver<SessionEvent>>,
     /// Reassembled from the event stream; the integration tests assert it
@@ -151,15 +156,10 @@ impl ActiveCell {
     }
 }
 
-/// A ticket's state. A ticket withdrawn by [`MoqoServer::finish`] while
-/// queued or activating has no cell at all: an activation that finds its
-/// cell gone finishes the session it started.
+/// A ticket's state. A ticket withdrawn while queued has no cell at all.
 enum Cell {
     /// Waiting in [`TicketTable::queue`].
     Queued(ValidRequest),
-    /// Admitted but not filed active yet; counted in
-    /// [`TicketTable::activating`] until its engine `admit` returns.
-    Activating,
     Rejected(RejectReason),
     Active(Box<ActiveCell>),
 }
@@ -187,11 +187,6 @@ struct TicketTable {
     cells: HashMap<u64, Cell>,
     /// Queued ticket ids, oldest first; each has a [`Cell::Queued`].
     queue: VecDeque<u64>,
-    /// Admissions decided whose engine `admit` has not returned (each
-    /// has a [`Cell::Activating`], unless withdrawn): added to the
-    /// engine's live count for decisions, they stand in for sessions the
-    /// engine does not count yet.
-    activating: usize,
     stats: AdmissionStats,
     next: u64,
     /// Closed tickets, oldest first; trimmed to
@@ -201,21 +196,12 @@ struct TicketTable {
 }
 
 impl TicketTable {
-    /// Files `id` as admitted but not running yet, counted in the load
-    /// until its activation files it active. Returns the cell it replaced.
-    fn reserve(&mut self, id: u64) -> Option<Cell> {
-        self.activating += 1;
-        self.cells.insert(id, Cell::Activating)
-    }
-
-    /// Takes the oldest queued ticket out of the queue and reserves its
-    /// slot, returning its request for the activation.
-    fn pop_queued(&mut self) -> Option<(u64, ValidRequest)> {
-        let id = self.queue.pop_front()?;
-        self.stats.admitted += 1;
-        match self.reserve(id) {
-            Some(Cell::Queued(request)) => Some((id, request)),
-            _ => unreachable!("a queued ticket keeps its request in its cell"),
+    /// Withdraws `id` if it is queued: it leaves the queue and its cell
+    /// is dropped, so it never runs.
+    fn withdraw(&mut self, id: u64) {
+        if let Some(Cell::Queued(_)) = self.cells.get(&id) {
+            self.queue.retain(|&q| q != id);
+            self.cells.remove(&id);
         }
     }
 
@@ -240,10 +226,10 @@ pub struct MoqoServer {
     /// cell transition happens under this lock, which makes
     /// `max_live`/`hard_cap` exact bounds instead of racy targets. It is
     /// held while reading the engine's live count (each shard's state
-    /// lock) and never taken under an engine lock. The engine `admit`,
-    /// `watch`, `status` and `finish` calls run with it released — a
-    /// ticket's [`Cell::Activating`] covers the gap — so one expensive
-    /// submission (a cold wide-shape plan build) never stalls others.
+    /// lock) and while an admitted session is registered and watched
+    /// (one shard-lock hop each: the session opens later, on a shard
+    /// worker), and never taken under an engine lock. The engine
+    /// `command` and `finish` calls run with it released.
     tickets: Mutex<TicketTable>,
     /// The installed [`ServerEventHook`], read by every ticket's doorbell
     /// when it rings. A leaf lock: taken under engine state locks, never
@@ -274,7 +260,6 @@ impl MoqoServer {
             tickets: Mutex::new(TicketTable {
                 cells: HashMap::new(),
                 queue: VecDeque::new(),
-                activating: 0,
                 stats: AdmissionStats::default(),
                 next: 1,
                 closed: VecDeque::new(),
@@ -303,10 +288,10 @@ impl MoqoServer {
     /// and the protocol-level admission decision; per-slice
     /// [`SessionEvent`]s arrive on the ticket's channel afterwards. The
     /// ticket id, the load read, the decision and the cell or queue entry
-    /// it files are one critical section under the ticket table's lock,
-    /// so `max_live` and `hard_cap` are exact bounds across concurrent
-    /// submitters; an admitted request's engine `admit` runs after the
-    /// lock is released.
+    /// it files — for an admitted request, the engine registration and
+    /// watch too — are one critical section under the ticket table's
+    /// lock, so `max_live` and `hard_cap` are exact bounds across
+    /// concurrent submitters. The session opens on a shard worker.
     ///
     /// Malformed requests (bounds or preference dimensions that do not
     /// match the effective cost model, or a disconnected join graph no
@@ -321,115 +306,85 @@ impl MoqoServer {
         let dim = request.effective_model(&self.engine.model()).dim();
         let request = request.validated(dim)?;
         self.pump();
-        let (id, response, admitted) = self.with_tickets(|t| {
+        let (id, response) = self.with_tickets(|t| {
             let id = t.next;
             t.next += 1;
-            let live = self.engine.live_sessions() + t.activating;
-            let (response, admitted) = match self.admission.decide(live, t.queue.len()) {
+            let live = self.engine.live_sessions();
+            let response = match self.admission.decide(live, t.queue.len()) {
                 Admission::Admit => {
                     t.stats.admitted += 1;
-                    (AdmissionResponse::Admitted, Some((request, false)))
+                    self.activate(t, id, request, false);
+                    AdmissionResponse::Admitted
                 }
                 Admission::AdmitDegraded(ladder) => {
                     t.stats.degraded += 1;
-                    let request = request.with_schedule(ladder.clone());
-                    let response = AdmissionResponse::Degraded { schedule: ladder };
-                    (response, Some((request, true)))
+                    self.activate(t, id, request.with_schedule(ladder.clone()), true);
+                    AdmissionResponse::Degraded { schedule: ladder }
                 }
                 Admission::Queued { position } => {
                     t.stats.queued += 1;
                     t.queue.push_back(id);
                     t.cells.insert(id, Cell::Queued(request));
-                    (AdmissionResponse::Queued { position }, None)
+                    AdmissionResponse::Queued { position }
                 }
                 Admission::Rejected(reason) => {
                     t.stats.rejected += 1;
                     t.cells.insert(id, Cell::Rejected(reason));
                     t.close(id, self.retired_tickets);
-                    (AdmissionResponse::Rejected(reason), None)
+                    AdmissionResponse::Rejected(reason)
                 }
             };
-            if admitted.is_some() {
-                t.reserve(id);
-            }
-            (id, response, admitted)
+            (id, response)
         });
-        if let Some((request, degraded)) = admitted {
-            self.activate(id, request, degraded);
-        }
         Ok((Ticket(id), response))
     }
 
-    /// Submits an activating ticket's request to the engine, releases its
-    /// reservation as soon as the engine counts the session, wires up the
-    /// ticket's event channel (whose doorbell rings the hook), and files
-    /// the active cell. The channel keeps the engine's prime for the
-    /// caller's first `poll` or `recv`. Returns `false` if the ticket was
-    /// withdrawn meanwhile (its cell is gone): the session is finished at
-    /// once, so none runs without an owner.
-    fn activate(&self, id: u64, request: ValidRequest, degraded: bool) -> bool {
+    /// Registers an admitted ticket's session with the engine, wires up
+    /// the ticket's event channel (whose doorbell rings the hook), and
+    /// files the active cell. Runs under the table lock: the engine's
+    /// `admit` only registers the session and `watch` only primes the
+    /// channel. The channel keeps the engine's prime for the caller's
+    /// first `poll` or `recv`.
+    fn activate(&self, t: &mut TicketTable, id: u64, request: ValidRequest, degraded: bool) {
         let gid = self.engine.admit(request);
-        // The engine counts the session from here on: release the
-        // reservation at once, so no decision counts it twice for longer.
-        if !self.with_tickets(|t| {
-            t.activating -= 1;
-            t.cells.contains_key(&id)
-        }) {
-            self.engine.finish(gid);
-            return false;
-        }
         let hook = Arc::clone(&self.hook);
         let doorbell: Doorbell = Arc::new(move || ring(&hook, id));
         let rx = self
             .engine
             .watch(gid, Some(doorbell))
-            .expect("freshly submitted session");
-        let warm_start = self
-            .engine
-            .status(gid)
-            .map(|s| s.warm_start)
-            .unwrap_or(false);
+            .expect("freshly admitted session");
         let cell = ActiveCell {
             gid,
             degraded,
-            warm_start,
             rx: Some(rx),
             view: SessionView::default(),
             closed: false,
         };
-        let filed = self.with_tickets(|t| match t.cells.get_mut(&id) {
-            Some(slot) => {
-                *slot = Cell::Active(Box::new(cell));
-                true
-            }
-            None => false,
-        });
-        if !filed {
-            self.engine.finish(gid);
-        }
-        filed
+        t.cells.insert(id, Cell::Active(Box::new(cell)));
     }
 
-    /// Admits queued submissions into freed capacity (called from every
-    /// public entry point). Returns at once when nothing is queued; else
-    /// it reads the load and pops the oldest ticket in one critical
-    /// section, and activates it with the table lock released. Each
-    /// ticket that turns active rings the hook once, so a front waiting
-    /// on it starts forwarding.
+    /// Admits queued submissions into freed capacity, oldest first
+    /// (called from every public entry point). Returns after one table
+    /// lock when nothing is queued; else it reads the load, pops and
+    /// activates in one critical section. Each ticket that turns active
+    /// rings the hook once, after the lock is released, so a front
+    /// waiting on it starts forwarding.
     fn pump(&self) {
-        loop {
-            let popped = self.with_tickets(|t| {
-                if t.queue.is_empty()
-                    || self.engine.live_sessions() + t.activating >= self.admission.max_live
-                {
-                    return None;
-                }
-                t.pop_queued()
-            });
-            let Some((id, request)) = popped else { return };
-            if self.activate(id, request, false) {
-                ring(&self.hook, id);
+        let activated = self.with_tickets(|t| {
+            let mut activated = Vec::new();
+            while !t.queue.is_empty() && self.engine.live_sessions() < self.admission.max_live {
+                let id = t.queue.pop_front().expect("checked non-empty");
+                let Some(Cell::Queued(request)) = t.cells.remove(&id) else {
+                    unreachable!("a queued ticket keeps its request in its cell");
+                };
+                t.stats.admitted += 1;
+                self.activate(t, id, request, false);
+                activated.push(id);
             }
+            activated
+        });
+        for id in activated {
+            ring(&self.hook, id);
         }
     }
 
@@ -462,7 +417,7 @@ impl MoqoServer {
         self.with_tickets(|t| {
             let cell = t.cells.get_mut(&ticket.0)?;
             let status = match cell {
-                Cell::Queued(_) | Cell::Activating => TicketStatus::Queued {
+                Cell::Queued(_) => TicketStatus::Queued {
                     pending: t.queue.len(),
                 },
                 Cell::Rejected(reason) => TicketStatus::Rejected(*reason),
@@ -471,7 +426,6 @@ impl MoqoServer {
                     TicketStatus::Active {
                         session: active.gid,
                         degraded: active.degraded,
-                        warm_start: active.warm_start,
                         view: Box::new(active.view.clone()),
                     }
                 }
@@ -536,17 +490,28 @@ impl MoqoServer {
     /// preference changes, plan selection, cancellation — exactly the
     /// vocabulary the core session and the engine speak.
     ///
-    /// Tickets that are queued, rejected, or evicted answer
+    /// Never blocks: a `Cancel` queues behind the session's earlier
+    /// commands and ends it on a shard worker, which parks its frontier
+    /// and publishes the terminal event. A `Cancel` on a queued ticket
+    /// withdraws it, as [`MoqoServer::finish`] does, so one non-blocking
+    /// call ends a ticket in any state. Other commands to tickets that
+    /// are queued, rejected, or evicted answer
     /// [`ProtocolError::UnknownSession`]; dimension mismatches are
     /// validated at the owning shard and never reach a worker.
     pub fn command(&self, ticket: Ticket, command: SessionCommand) -> Result<(), ProtocolError> {
-        let gid = self
-            .with_tickets(|t| match t.cells.get(&ticket.0) {
-                Some(Cell::Active(active)) => Some(active.gid),
-                _ => None,
-            })
-            .ok_or(ProtocolError::UnknownSession)?;
-        self.engine.command(gid, command)
+        let cancel = matches!(command, SessionCommand::Cancel);
+        let gid = self.with_tickets(|t| match t.cells.get(&ticket.0) {
+            Some(Cell::Active(active)) => Ok(Some(active.gid)),
+            Some(Cell::Queued(_)) if cancel => {
+                t.withdraw(ticket.0);
+                Ok(None)
+            }
+            _ => Err(ProtocolError::UnknownSession),
+        })?;
+        match gid {
+            Some(gid) => self.engine.command(gid, command),
+            None => Ok(()),
+        }
     }
 
     /// Retires a session without a selection, parking its warm frontier
@@ -558,22 +523,16 @@ impl MoqoServer {
     /// activated.
     ///
     /// A ticket still queued is withdrawn: it leaves the admission
-    /// queue, the ticket is dropped, and no session runs for it. An
-    /// activating ticket is dropped the same way, and its activation
-    /// finishes the session it started.
+    /// queue, the ticket is dropped, and no session runs for it. A
+    /// session that has not opened yet is opened and cancelled (see
+    /// [`SessionManager::finish`](moqo_engine::SessionManager::finish)).
     pub fn finish(&self, ticket: Ticket) -> Option<SessionView> {
         let gid = self.with_tickets(|t| match t.cells.get(&ticket.0) {
             Some(Cell::Active(active)) => Some(active.gid),
-            Some(Cell::Queued(_)) => {
-                t.queue.retain(|&id| id != ticket.0);
-                t.cells.remove(&ticket.0);
+            _ => {
+                t.withdraw(ticket.0);
                 None
             }
-            Some(Cell::Activating) => {
-                t.cells.remove(&ticket.0);
-                None
-            }
-            _ => None,
         })?;
         // The engine publishes the terminal event to the ticket channel;
         // drain it into the view so the caller sees the final state.
@@ -627,10 +586,11 @@ mod tests {
     use super::*;
     use crate::admission::AdmissionPolicy;
     use moqo_core::{RejectReason, SessionOutcome};
-    use moqo_cost::Bounds;
-    use moqo_costmodel::StandardCostModel;
+    use moqo_cost::{Bounds, CostVector};
+    use moqo_costmodel::{CostModel, PlanInput, StandardCostModel};
     use moqo_engine::EngineConfig;
-    use moqo_query::testkit;
+    use moqo_plan::{Operator, PhysicalProps};
+    use moqo_query::{testkit, QuerySpec};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
@@ -808,29 +768,156 @@ mod tests {
         assert_eq!(stats.admission.admitted, 1);
     }
 
+    /// The standard model, recording the thread of every costing call.
+    struct Recording {
+        inner: StandardCostModel,
+        threads: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl Recording {
+        fn record(&self) {
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+        }
+
+        /// Fails if any recorded call ran on the calling thread.
+        fn assert_none_here(&self) {
+            let me = std::thread::current();
+            let threads = self.threads.lock().unwrap();
+            let here = threads.iter().filter(|&&t| t == me.id()).count();
+            assert_eq!(
+                here,
+                0,
+                "costing calls on the submitting thread {:?}",
+                me.name()
+            );
+        }
+    }
+
+    impl CostModel for Recording {
+        fn metrics(&self) -> &moqo_costmodel::MetricSet {
+            self.inner.metrics()
+        }
+
+        fn identity(&self) -> u64 {
+            self.inner.identity()
+        }
+
+        fn scan_alternatives(
+            &self,
+            spec: &QuerySpec,
+            position: usize,
+        ) -> Vec<(Operator, CostVector, PhysicalProps)> {
+            self.record();
+            self.inner.scan_alternatives(spec, position)
+        }
+
+        fn join_alternatives(
+            &self,
+            spec: &QuerySpec,
+            left: &PlanInput,
+            right: &PlanInput,
+            out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
+        ) {
+            self.record();
+            self.inner.join_alternatives(spec, left, right, out)
+        }
+
+        fn join_alternative(
+            &self,
+            spec: &QuerySpec,
+            left: &PlanInput,
+            right: &PlanInput,
+            op: Operator,
+        ) -> Option<(CostVector, PhysicalProps)> {
+            self.record();
+            self.inner.join_alternative(spec, left, right, op)
+        }
+
+        fn join_floors(
+            &self,
+            spec: &QuerySpec,
+            left: &PlanInput,
+            right: &PlanInput,
+            out: &mut Vec<(Operator, CostVector, PhysicalProps)>,
+        ) {
+            self.record();
+            self.inner.join_floors(spec, left, right, out)
+        }
+    }
+
+    fn recording() -> Arc<Recording> {
+        Arc::new(Recording {
+            inner: StandardCostModel::paper_metrics(),
+            threads: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Four opens of one deployment, in order: cold (a donor), warm (its
+    /// repeat), rebased (its stats-refresh twin) and transplant-seeded (a
+    /// longer chain sharing its subchains).
+    fn open_kinds() -> [Arc<QuerySpec>; 4] {
+        let donor = Arc::new(testkit::chain_query(4, 60_000));
+        let twin = Arc::new(testkit::drift_cardinalities(&donor, 1.08));
+        let longer = Arc::new(testkit::chain_query(6, 60_000));
+        [donor.clone(), donor, twin, longer]
+    }
+
+    /// Checks that each session of [`open_kinds`] opened as its kind
+    /// says, given its status after its first event.
+    fn check_open_kind(kind: usize, s: &moqo_engine::SessionStatus) {
+        let flags = (s.warm_start, s.rebased, s.seeded_subsets > 0);
+        let expected = [
+            (false, false, false),
+            (true, false, false),
+            (false, true, false),
+            (false, false, true),
+        ];
+        assert_eq!(flags, expected[kind], "open {kind}: {s:?}");
+    }
+
     #[test]
-    fn an_activation_racing_a_withdrawal_finishes_its_session() {
-        let s = server(AdmissionConfig {
-            max_live: 1,
-            policy: AdmissionPolicy::Queue { depth: 4 },
-        });
-        let (a, _) = submit(&s, Arc::new(testkit::chain_query(2, 20_000)));
-        let (b, _) = submit(&s, Arc::new(testkit::chain_query(3, 20_000)));
-        // A pump pops b off the queue (as it would once a frees its
-        // slot), and b is withdrawn before the activation files its cell.
-        let (id, request) = s
-            .with_tickets(TicketTable::pop_queued)
-            .expect("b was queued");
-        assert_eq!(id, b.0);
-        assert!(s.finish(b).is_none());
-        assert!(!s.activate(id, request, false));
-        // The session the activation started was finished at once.
-        assert!(s.poll(b).is_none());
-        assert_eq!(s.stats().live, 1, "only a runs");
-        s.finish(a).unwrap();
-        assert!(s.wait_idle(IDLE));
-        assert_eq!(s.stats().live, 0);
-        assert_eq!(s.with_tickets(|t| t.activating), 0);
+    fn opens_never_cost_on_the_submitting_thread() {
+        // Through the engine: `open` registers, a worker opens.
+        let model = recording();
+        let m = moqo_engine::SessionManager::new(
+            model.clone(),
+            ResolutionSchedule::linear(2, 1.1, 0.4),
+            EngineConfig {
+                workers: 2,
+                ..EngineConfig::default()
+            },
+        );
+        for (kind, spec) in open_kinds().into_iter().enumerate() {
+            let id = m.open(SessionRequest::new(spec)).expect("valid request");
+            let rx = m.watch(id, None).expect("known session");
+            while rx.recv_timeout(IDLE).expect("an event").epoch == 0 {}
+            check_open_kind(kind, &m.status(id).expect("known session"));
+            assert!(m.wait_idle(IDLE));
+            m.finish(id).expect("known session");
+        }
+        model.assert_none_here();
+
+        // Through the serving front: `submit` admits, a shard worker opens.
+        let model = recording();
+        let s = MoqoServer::new(
+            model.clone(),
+            ResolutionSchedule::linear(2, 1.1, 0.4),
+            ServeConfig::default(),
+        );
+        for (kind, spec) in open_kinds().into_iter().enumerate() {
+            let (t, _) = submit(&s, spec);
+            while s.recv(t, IDLE).expect("an event").epoch == 0 {}
+            let Some(TicketStatus::Active { session, .. }) = s.poll(t) else {
+                panic!("ticket {t:?} is not active");
+            };
+            check_open_kind(kind, &s.engine().status(session).expect("known"));
+            assert!(s.wait_idle(IDLE));
+            s.finish(t).expect("active ticket");
+        }
+        model.assert_none_here();
     }
 
     /// How one submission of a [`client`] ended.

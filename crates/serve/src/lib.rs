@@ -38,8 +38,8 @@
 //!   restarted server's first invocation of a known query still
 //!   generates zero plans.
 //! * [`NetServer`] / [`NetClient`] — the same protocol over real TCP
-//!   (`moqo-wire` framing): one framed duplex stream per ticket on a
-//!   small I/O thread pool, typed admission/error round-trips, cost
+//!   (`moqo-wire` framing): one framed duplex stream per ticket, all
+//!   driven by one event-loop thread, typed admission/error round-trips, cost
 //!   models resolved by identity against a [`ModelRegistry`], and
 //!   client-side [`SessionView`] reassembly that is bit-exact with the
 //!   server's.

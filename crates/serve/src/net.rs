@@ -23,23 +23,28 @@
 //!
 //! # Thread model
 //!
-//! One **event-loop thread** (`moqo-net-loop`) owns a
-//! [`moqo_poll::Reactor`], the listener, and every connection. It
-//! blocks in `poll` until a socket is ready or the wake channel rings —
-//! there is no sleep-polling anywhere on this path, so 10k idle
-//! sessions cost zero CPU between events. The loop does only cheap
-//! work: accepting, nonblocking framed reads into each connection's
-//! incremental [`FrameBuffer`], write-readiness-driven flushes of the
-//! per-connection outbound [`WriteBuffer`], inline dispatch of
-//! [`SessionCommand`]s (a short engine-lock hop), and event forwarding.
-//! Each forwarding `recv` also pumps the server's admission queue, so a
-//! queued submission whose slot freed activates on the loop.
+//! One **event-loop thread** (`moqo-net-loop`), the front's only
+//! thread, owns a [`moqo_poll::Reactor`], the listener, and every
+//! connection. It blocks in `poll` until a socket is ready or the wake
+//! channel rings — there is no sleep-polling anywhere on this path, so
+//! 10k idle sessions cost zero CPU between events. The loop does only
+//! cheap work: accepting, nonblocking framed reads into each
+//! connection's incremental [`FrameBuffer`], write-readiness-driven
+//! flushes of the per-connection outbound [`WriteBuffer`], event
+//! forwarding, and inline decode and dispatch of every frame. A submit
+//! is an admission decision plus a registration: the session opens —
+//! plan build, warm-store take (which may read a snapshot file), seed
+//! replay — on a shard worker (see [`MoqoServer::submit`]). A
+//! [`SessionCommand`] is a short engine-lock hop. Each forwarding `recv`
+//! also pumps the server's admission queue, so a queued submission whose
+//! slot freed activates on the loop.
 //!
-//! Submits — decode, admission and the warm-start open, which may read
-//! a snapshot file — ship to a small pool of **decode/dispatch
-//! workers** (`moqo-net-io-*`, two of them), keyed by connection so
-//! per-stream order is preserved. Workers post completions
-//! back and ring the wake channel.
+//! The loop never waits on a session. A connection that closes before
+//! its terminal event sends its ticket a non-blocking
+//! [`SessionCommand::Cancel`] (which withdraws a queued submission), and
+//! the loop drains that orphaned stream to its terminal event, counting
+//! [`NetStats::disconnect_parked`] once the session parked and left the
+//! live count.
 //!
 //! Session events flow the same way: the server installs a
 //! [`crate::api::ServerEventHook`], and every ticket's channel carries
@@ -84,31 +89,24 @@
 //!
 //! [`FrontierDelta::then`]: moqo_core::protocol::FrontierDelta::then
 
-use crate::api::{MoqoServer, Ticket};
+use crate::api::{MoqoServer, Ticket, TicketStatus};
 use moqo_core::protocol::{
     AdmissionResponse, ProtocolError, SessionCommand, SessionEvent, SessionRequest, SessionView,
 };
 use moqo_engine::ModelRegistry;
 use moqo_poll::{Events, Interest, Reactor, Token, WakeHandle};
 use moqo_wire::{
-    check_hello, client_hello, ClientFrameKind, ClientMessage, FrameBuffer, NetError,
-    ServerMessage, WireError, WriteBuffer, HELLO_LEN,
+    check_hello, client_hello, ClientMessage, FrameBuffer, NetError, ServerMessage, WireError,
+    WriteBuffer, HELLO_LEN,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Decode/dispatch worker threads. The event loop hands them the
-/// expensive frames (submits); the optimizer work
-/// itself runs on the engine's shard workers, so two serve many
-/// connections.
-const IO_THREADS: usize = 2;
 
 /// Hard bound on one connection's outbound buffer, in bytes. Exceeding
 /// it (a slow reader that also triggered large frames) stalls the
@@ -197,108 +195,6 @@ const FIRST_CONN_TOKEN: usize = 1;
 /// next ready connection (level-triggered polling re-reports the rest).
 const MAX_READ_PER_VISIT: usize = 1 << 20;
 
-/// Work the event loop hands to the decode/dispatch pool. Jobs for one
-/// connection always land on the same worker (keyed by token), so
-/// per-stream order is preserved without any cross-worker coordination.
-enum Job {
-    /// A raw frame payload whose decode + dispatch is too expensive for
-    /// the loop thread (a submit).
-    Frame { token: usize, payload: Vec<u8> },
-    /// Park the session of a vanished connection.
-    Retire { ticket: Ticket },
-}
-
-/// What a worker posts back; the loop applies these in arrival order
-/// (per-connection order holds because of worker affinity).
-enum Completion {
-    Admission {
-        token: usize,
-        ticket: Ticket,
-        response: AdmissionResponse,
-    },
-    /// Send the typed error, then fault the connection.
-    TypedFault { token: usize, error: ProtocolError },
-    /// Fault the connection without a protocol-level answer.
-    WireFault { token: usize },
-}
-
-/// Everything the workers (and the loop) share.
-struct Front {
-    server: Arc<MoqoServer>,
-    registry: Arc<ModelRegistry>,
-    counters: Arc<NetCounters>,
-    completions: Mutex<VecDeque<Completion>>,
-    wake: WakeHandle,
-}
-
-impl Front {
-    fn complete(&self, c: Completion) {
-        self.completions
-            .lock()
-            .expect("net completions poisoned")
-            .push_back(c);
-        self.wake.wake();
-    }
-}
-
-fn worker_loop(front: Arc<Front>, jobs: Receiver<Job>) {
-    while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Frame { token, payload } => handle_frame(&front, token, &payload),
-            Job::Retire { ticket } => {
-                // finish() parks a live session's frontier and withdraws
-                // a queued one; queued or rejected tickets come back
-                // None and count nothing.
-                if front.server.finish(ticket).is_some() {
-                    front
-                        .counters
-                        .disconnect_parked
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                front.wake.wake();
-            }
-        }
-    }
-}
-
-/// Decodes and executes one expensive client frame on a worker thread.
-fn handle_frame(front: &Front, token: usize, payload: &[u8]) {
-    let msg = match ClientMessage::decode(payload, front.registry.as_ref()) {
-        Ok(msg) => msg,
-        Err(WireError::UnknownModel { identity }) => {
-            // The one wire fault with a protocol-level answer: tell the
-            // client which identity was unknown, then drop the stream.
-            front.complete(Completion::TypedFault {
-                token,
-                error: ProtocolError::UnknownCostModel { identity },
-            });
-            return;
-        }
-        Err(_) => {
-            front.complete(Completion::WireFault { token });
-            return;
-        }
-    };
-    match msg {
-        ClientMessage::Submit(request) => match front.server.submit(request) {
-            Ok((ticket, response)) => front.complete(Completion::Admission {
-                token,
-                ticket,
-                response,
-            }),
-            Err(error) => {
-                // Malformed request: typed answer, then close — exactly
-                // what the in-process submit returns.
-                front.complete(Completion::TypedFault { token, error });
-            }
-        },
-        // Commands dispatch inline on the loop; one arriving here means
-        // the frame router broke, which is a programming error — but
-        // workers must never die on data, so fault the connection.
-        ClientMessage::Command(_) => front.complete(Completion::WireFault { token }),
-    }
-}
-
 /// One client connection, owned by the event loop.
 struct Conn {
     stream: TcpStream,
@@ -306,10 +202,6 @@ struct Conn {
     out: WriteBuffer,
     hello_done: bool,
     ticket: Option<Ticket>,
-    /// A submit frame is at a worker; its admission has not come back.
-    submit_inflight: bool,
-    /// Commands the client pipelined while the submit was in flight.
-    queued_cmds: VecDeque<SessionCommand>,
     /// The coalesced not-yet-serialized event for a congested outbound
     /// buffer; newer events merge into it via [`SessionEvent::coalesce`].
     pending_event: Option<SessionEvent>,
@@ -331,8 +223,6 @@ impl Conn {
             out: WriteBuffer::new(),
             hello_done: false,
             ticket: None,
-            submit_inflight: false,
-            queued_cmds: VecDeque::new(),
             pending_event: None,
             finished: false,
             closing: false,
@@ -370,17 +260,22 @@ enum Close {
 
 /// The single-threaded reactor loop owning every connection.
 struct EventLoop {
-    front: Arc<Front>,
+    server: Arc<MoqoServer>,
+    registry: Arc<ModelRegistry>,
+    counters: Arc<NetCounters>,
     config: NetConfig,
     reactor: Reactor,
     listener: TcpListener,
     conns: HashMap<usize, Conn>,
     /// Ticket id → conn token, for routing dirty-ticket wakes.
     tickets: HashMap<u64, usize>,
+    /// Tickets whose connection closed before their terminal event: each
+    /// was sent a `Cancel`, and the loop drains its stream until the
+    /// session ended.
+    orphans: HashSet<u64>,
     /// Tokens with a non-empty outbound buffer (stall bookkeeping):
     /// exactly the connections registered for write readiness.
     loaded: HashSet<usize>,
-    jobs: Vec<Sender<Job>>,
     /// Ticket ids marked dirty by the server event hook.
     dirty: Arc<Mutex<VecDeque<u64>>>,
     stop: Arc<AtomicBool>,
@@ -416,16 +311,21 @@ impl EventLoop {
                     self.read_conn(token);
                 }
             }
-            self.drain_completions();
             self.drain_dirty();
             self.expire_stalled();
         }
-        // Graceful drain: park every unfinished session (via the
-        // workers), close the sockets, and let the job senders drop so
-        // the workers run dry and exit.
+        // Graceful drain: close the sockets, then park every unfinished
+        // session before the loop returns.
         let tokens: Vec<usize> = self.conns.keys().copied().collect();
         for token in tokens {
             self.close_conn(token, Close::Done);
+        }
+        for id in std::mem::take(&mut self.orphans) {
+            if self.server.finish(Ticket::from_u64(id)).is_some() {
+                self.counters
+                    .disconnect_parked
+                    .fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -464,7 +364,7 @@ impl EventLoop {
                     {
                         continue;
                     }
-                    self.front.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                    self.counters.accepted.fetch_add(1, Ordering::Relaxed);
                     self.conns.insert(token, Conn::new(stream));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -522,7 +422,7 @@ impl EventLoop {
                 if let NetError::Protocol(error) = e {
                     // Typed faults answer before closing (best effort).
                     if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.enqueue(&self.front.counters, &ServerMessage::Error(error));
+                        conn.enqueue(&self.counters, &ServerMessage::Error(error));
                     }
                 }
                 self.close_conn(token, Close::Fault);
@@ -561,125 +461,60 @@ impl EventLoop {
                     None => return Ok(()),
                 }
             };
-            self.front
-                .counters
-                .frames_in
-                .fetch_add(1, Ordering::Relaxed);
-            match ClientMessage::kind_of(&payload) {
-                Some(ClientFrameKind::Submit) => {
-                    let conn = self.conns.get_mut(&token).expect("conn vanished mid-frame");
-                    if conn.ticket.is_some() || conn.submit_inflight {
-                        return Err(NetError::UnexpectedFrame("second submit on one stream"));
-                    }
-                    conn.submit_inflight = true;
-                    self.dispatch(token, payload);
+            self.counters.frames_in.fetch_add(1, Ordering::Relaxed);
+            let message = match ClientMessage::decode(&payload, self.registry.as_ref()) {
+                Ok(message) => message,
+                // The one wire fault with a protocol-level answer: tell
+                // the client which identity was unknown.
+                Err(WireError::UnknownModel { identity }) => {
+                    return Err(ProtocolError::UnknownCostModel { identity }.into())
                 }
-                Some(ClientFrameKind::Command) => {
-                    let command =
-                        match ClientMessage::decode(&payload, self.front.registry.as_ref()) {
-                            Ok(ClientMessage::Command(command)) => command,
-                            Ok(_) => {
-                                return Err(NetError::UnexpectedFrame("mistagged command frame"))
-                            }
-                            Err(e) => return Err(e.into()),
-                        };
-                    let conn = self.conns.get_mut(&token).expect("conn vanished mid-frame");
-                    if conn.submit_inflight {
-                        conn.queued_cmds.push_back(command);
-                    } else if let Some(ticket) = conn.ticket {
-                        if let Err(error) = self.front.server.command(ticket, command) {
-                            let conn = self
-                                .conns
-                                .get_mut(&token)
-                                .expect("conn vanished mid-command");
-                            conn.enqueue(&self.front.counters, &ServerMessage::Error(error));
-                        }
-                    } else {
-                        return Err(NetError::UnexpectedFrame("command before submit"));
+                Err(e) => return Err(e.into()),
+            };
+            let conn = self.conns.get_mut(&token).expect("conn vanished mid-frame");
+            match (message, conn.ticket) {
+                (ClientMessage::Submit(_), Some(_)) => {
+                    return Err(NetError::UnexpectedFrame("second submit on one stream"))
+                }
+                (ClientMessage::Submit(request), None) => {
+                    // A malformed request is a typed answer, then close:
+                    // exactly what the in-process submit returns.
+                    let (ticket, response) = self.server.submit(request)?;
+                    self.admitted(token, ticket, response);
+                }
+                (ClientMessage::Command(command), Some(ticket)) => {
+                    if let Err(error) = self.server.command(ticket, command) {
+                        conn.enqueue(&self.counters, &ServerMessage::Error(error));
                     }
                 }
-                None => return Err(NetError::UnexpectedFrame("unknown client frame tag")),
-            }
-        }
-    }
-
-    fn dispatch(&self, token: usize, payload: Vec<u8>) {
-        let worker = token % self.jobs.len();
-        let _ = self.jobs[worker].send(Job::Frame { token, payload });
-    }
-
-    fn drain_completions(&mut self) {
-        loop {
-            let completion = self
-                .front
-                .completions
-                .lock()
-                .expect("net completions poisoned")
-                .pop_front();
-            match completion {
-                None => return,
-                Some(Completion::Admission {
-                    token,
-                    ticket,
-                    response,
-                }) => self.finish_admission(token, ticket, response),
-                Some(Completion::TypedFault { token, error }) => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.enqueue(&self.front.counters, &ServerMessage::Error(error));
-                        self.close_conn(token, Close::Fault);
-                    }
-                }
-                Some(Completion::WireFault { token }) => {
-                    if self.conns.contains_key(&token) {
-                        self.close_conn(token, Close::Fault);
-                    }
+                (ClientMessage::Command(_), None) => {
+                    return Err(NetError::UnexpectedFrame("command before submit"))
                 }
             }
         }
     }
 
-    fn finish_admission(&mut self, token: usize, ticket: Ticket, response: AdmissionResponse) {
-        if !self.conns.contains_key(&token) {
-            // The connection died while the worker admitted: the session
-            // must not leak — park it like any other vanished client.
-            let worker = token % self.jobs.len();
-            let _ = self.jobs[worker].send(Job::Retire { ticket });
-            return;
-        }
+    /// Answers a submit with its admission frame and starts forwarding
+    /// the ticket's stream from the engine's prime; a queued ticket
+    /// forwards nothing yet and rings the hook when it activates.
+    fn admitted(&mut self, token: usize, ticket: Ticket, response: AdmissionResponse) {
         let rejected = matches!(response, AdmissionResponse::Rejected(_));
-        let queued_cmds: Vec<SessionCommand> = {
-            let conn = self.conns.get_mut(&token).expect("checked above");
-            conn.submit_inflight = false;
-            conn.ticket = Some(ticket);
-            conn.enqueue(
-                &self.front.counters,
-                &ServerMessage::Admission {
-                    ticket: ticket.as_u64(),
-                    response,
-                },
-            );
-            if rejected {
-                conn.finished = true;
-                conn.closing = true;
-            }
-            conn.queued_cmds.drain(..).collect()
-        };
+        let conn = self.conns.get_mut(&token).expect("conn vanished mid-frame");
+        conn.ticket = Some(ticket);
+        conn.enqueue(
+            &self.counters,
+            &ServerMessage::Admission {
+                ticket: ticket.as_u64(),
+                response,
+            },
+        );
         if rejected {
-            self.pump_out(token);
+            conn.finished = true;
+            conn.closing = true;
             return;
         }
         self.tickets.insert(ticket.as_u64(), token);
-        for command in queued_cmds {
-            if let Err(error) = self.front.server.command(ticket, command) {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.enqueue(&self.front.counters, &ServerMessage::Error(error));
-                }
-            }
-        }
-        // An active ticket streams from its prime on; a queued one
-        // forwards nothing yet and rings the hook when it activates.
         self.forward_events(token);
-        self.pump_out(token);
     }
 
     fn drain_dirty(&mut self) {
@@ -693,8 +528,27 @@ impl EventLoop {
             if let Some(&token) = self.tickets.get(&id) {
                 self.forward_events(token);
                 self.pump_out(token);
+            } else if self.orphans.contains(&id) {
+                self.reap(id);
             }
         }
+    }
+
+    /// Drains an orphaned ticket's stream. Once its session ended (it
+    /// parked and left the live count before its terminal event was
+    /// sent) or its queued submission was withdrawn by the `Cancel`, the
+    /// ticket is forgotten, and a session that ran is counted parked.
+    fn reap(&mut self, id: u64) {
+        match self.server.poll(Ticket::from_u64(id)) {
+            Some(TicketStatus::Active { view, .. }) if !view.is_finished() => return,
+            Some(TicketStatus::Active { .. }) => {
+                self.counters
+                    .disconnect_parked
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
+        }
+        self.orphans.remove(&id);
     }
 
     /// Forwards every buffered session event for `token`'s ticket,
@@ -709,7 +563,7 @@ impl EventLoop {
                 }) => *ticket,
                 _ => return,
             };
-            let Some(event) = self.front.server.recv(ticket, Duration::ZERO) else {
+            let Some(event) = self.server.recv(ticket, Duration::ZERO) else {
                 return;
             };
             self.queue_event(token, event);
@@ -728,8 +582,7 @@ impl EventLoop {
         if conn.pending_event.is_some() || conn.out.pending() > self.config.coalesce_after {
             let merged = match conn.pending_event.take() {
                 Some(prev) => {
-                    self.front
-                        .counters
+                    self.counters
                         .coalesced_events
                         .fetch_add(1, Ordering::Relaxed);
                     prev.coalesce(&event)
@@ -739,7 +592,7 @@ impl EventLoop {
             conn.pending_event = Some(merged);
         } else {
             let close = conn.finished;
-            conn.enqueue(&self.front.counters, &ServerMessage::Event(Box::new(event)));
+            conn.enqueue(&self.counters, &ServerMessage::Event(Box::new(event)));
             if close {
                 conn.closing = true;
             }
@@ -770,7 +623,7 @@ impl EventLoop {
                 if conn.pending_event.is_some() && conn.out.pending() <= coalesce_after {
                     let event = conn.pending_event.take().expect("checked above");
                     let close = conn.finished;
-                    conn.enqueue(&self.front.counters, &ServerMessage::Event(Box::new(event)));
+                    conn.enqueue(&self.counters, &ServerMessage::Event(Box::new(event)));
                     if close {
                         conn.closing = true;
                     }
@@ -836,11 +689,11 @@ impl EventLoop {
         match reason {
             Close::Done | Close::Orderly => {}
             Close::Fault => {
-                self.front.counters.faulted.fetch_add(1, Ordering::Relaxed);
+                self.counters.faulted.fetch_add(1, Ordering::Relaxed);
             }
             Close::Stalled => {
-                self.front.counters.stalled.fetch_add(1, Ordering::Relaxed);
-                self.front.counters.faulted.fetch_add(1, Ordering::Relaxed);
+                self.counters.stalled.fetch_add(1, Ordering::Relaxed);
+                self.counters.faulted.fetch_add(1, Ordering::Relaxed);
             }
         }
         // Hand the kernel whatever still fits (typed errors, terminal
@@ -852,9 +705,12 @@ impl EventLoop {
             self.tickets.remove(&ticket.as_u64());
             if !conn.finished {
                 // Disconnects and faults must not leak admission slots:
-                // a worker parks the session (and counts it).
-                let worker = token % self.jobs.len();
-                let _ = self.jobs[worker].send(Job::Retire { ticket });
+                // cancel the session (or withdraw the queued submission)
+                // without waiting for it, and drain its stream until the
+                // session parked.
+                let _ = self.server.command(ticket, SessionCommand::Cancel);
+                self.orphans.insert(ticket.as_u64());
+                self.reap(ticket.as_u64());
             }
         }
         let _ = conn.stream.shutdown(Shutdown::Both);
@@ -869,12 +725,12 @@ pub struct NetServer {
     stop: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
     wake: WakeHandle,
-    threads: Vec<JoinHandle<()>>,
+    /// The event loop, until shutdown joins it.
+    event_loop: Option<JoinHandle<()>>,
 }
 
 impl NetServer {
-    /// Binds the listener and starts the event loop plus the
-    /// decode/dispatch workers.
+    /// Binds the listener and starts the event-loop thread.
     ///
     /// `registry` must contain every cost model remote requests may
     /// reference (the deployment default is a sensible seed:
@@ -892,13 +748,6 @@ impl NetServer {
         let wake = reactor.wake_handle();
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(NetCounters::default());
-        let front = Arc::new(Front {
-            server: server.clone(),
-            registry,
-            counters: counters.clone(),
-            completions: Mutex::new(VecDeque::new()),
-            wake: wake.clone(),
-        });
 
         // Every event a ticket's channel receives marks the ticket dirty
         // and rings the loop: the push path that replaces sleep-polling.
@@ -919,36 +768,24 @@ impl NetServer {
             }));
         }
 
-        let mut threads = Vec::new();
-        let mut jobs = Vec::new();
-        for i in 0..IO_THREADS {
-            let (tx, rx) = mpsc::channel();
-            jobs.push(tx);
-            let front = front.clone();
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("moqo-net-io-{i}"))
-                    .spawn(move || worker_loop(front, rx))?,
-            );
-        }
         let event_loop = EventLoop {
-            front,
+            server: server.clone(),
+            registry,
+            counters: counters.clone(),
             config,
             reactor,
             listener,
             conns: HashMap::new(),
             tickets: HashMap::new(),
+            orphans: HashSet::new(),
             loaded: HashSet::new(),
-            jobs,
             dirty,
             stop: stop.clone(),
             next_token: FIRST_CONN_TOKEN,
         };
-        threads.push(
-            thread::Builder::new()
-                .name("moqo-net-loop".into())
-                .spawn(move || event_loop.run())?,
-        );
+        let event_loop = thread::Builder::new()
+            .name("moqo-net-loop".into())
+            .spawn(move || event_loop.run())?;
 
         Ok(NetServer {
             server,
@@ -956,7 +793,7 @@ impl NetServer {
             stop,
             counters,
             wake,
-            threads,
+            event_loop: Some(event_loop),
         })
     }
 
@@ -987,8 +824,8 @@ impl NetServer {
         }
     }
 
-    /// Stops accepting, parks every unfinished session, closes all
-    /// connections, and joins the threads. Event-driven: the stop flag
+    /// Stops accepting, closes all connections, parks every unfinished
+    /// session, and joins the loop thread. Event-driven: the stop flag
     /// plus one wake unblocks the loop immediately, so shutdown takes
     /// milliseconds even under 10k idle connections.
     pub fn shutdown(mut self) {
@@ -996,14 +833,12 @@ impl NetServer {
     }
 
     fn stop_and_join(&mut self) {
-        if self.threads.is_empty() {
+        let Some(event_loop) = self.event_loop.take() else {
             return;
-        }
+        };
         self.stop.store(true, Ordering::Relaxed);
         self.wake.wake();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        let _ = event_loop.join();
         // Detach the event hook: the reactor it rang is gone.
         self.server.set_event_hook(Arc::new(|_| {}));
     }
@@ -1203,6 +1038,7 @@ mod tests {
     use super::*;
     use crate::admission::{AdmissionConfig, AdmissionPolicy};
     use crate::api::TicketStatus;
+    use crate::shard::tests::{Gate, GatedModel, Release};
     use crate::shard::ShardConfig;
     use crate::ServeConfig;
     use moqo_cost::ResolutionSchedule;
@@ -1216,7 +1052,14 @@ mod tests {
         admission: AdmissionConfig,
         net: NetConfig,
     ) -> (NetServer, SocketAddr, SharedCostModel) {
-        let model: SharedCostModel = Arc::new(StandardCostModel::paper_metrics());
+        start_on(Arc::new(StandardCostModel::paper_metrics()), admission, net)
+    }
+
+    fn start_on(
+        model: SharedCostModel,
+        admission: AdmissionConfig,
+        net: NetConfig,
+    ) -> (NetServer, SocketAddr, SharedCostModel) {
         let server = Arc::new(MoqoServer::new(
             model.clone(),
             ResolutionSchedule::linear(2, 1.1, 0.4),
@@ -1501,6 +1344,71 @@ mod tests {
     }
 
     #[test]
+    fn the_loop_never_waits_on_a_slice() {
+        let gate = Arc::new(Gate::default());
+        let model = GatedModel {
+            inner: StandardCostModel::paper_metrics(),
+            gate: Arc::clone(&gate),
+        };
+        let (net, addr, _model) = start_on(
+            Arc::new(model),
+            AdmissionConfig::default(),
+            NetConfig::default(),
+        );
+        // Dropped before `net`, so a failing assert releases the held
+        // worker before the shutdown parks its session.
+        let _release = Release(Arc::clone(&gate));
+        gate.armed.store(true, Ordering::SeqCst);
+        let spec = Arc::new(testkit::chain_query(3, 40_000));
+        // a disconnects while a worker holds its session mid-slice.
+        let a_ticket = {
+            let mut a = NetClient::connect(addr).expect("connect");
+            a.submit(SessionRequest::new(spec.clone()), IDLE)
+                .expect("admitted");
+            assert!(gate.wait_blocked(), "a's first slice never costed a join");
+            Ticket::from_u64(a.server_ticket().unwrap())
+        };
+        // While a's slice is held, c connects, submits and gets its
+        // admission and prime: the loop waits on no session. The
+        // handshake has no timeout, so c runs on its own thread.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = thread::spawn(move || {
+            let mut c = NetClient::connect(addr).expect("connect");
+            let request = SessionRequest::new(Arc::new(testkit::chain_query(2, 10_000)));
+            let response = c.submit(request, IDLE).expect("admission");
+            let prime = c.recv(IDLE).expect("stream healthy");
+            let _ = tx.send(());
+            (c, response, prime)
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("c is answered while a's slice is held");
+        let (mut c, response, prime) = client.join().expect("client c");
+        assert_eq!(response, AdmissionResponse::Admitted);
+        assert!(
+            prime.expect("the prime").delta.reset,
+            "c's stream opens with the prime"
+        );
+
+        gate.release();
+        let deadline = Instant::now() + IDLE;
+        while net.stats().disconnect_parked == 0 {
+            assert!(Instant::now() < deadline, "a's session never parked");
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(net.stats().disconnect_parked, 1);
+        let engine = net.moqo().engine();
+        assert!(engine.has_parked(engine.fingerprint(&spec)), "a parked");
+        match net.moqo().poll(a_ticket) {
+            None => {}
+            Some(TicketStatus::Active { view, .. }) => assert!(view.is_finished()),
+            Some(other) => panic!("a's ticket is still open: {other:?}"),
+        }
+        c.command(SessionCommand::Cancel).expect("send");
+        c.wait_finished(IDLE).expect("terminal event");
+        net.shutdown();
+    }
+
+    #[test]
     fn garbage_bytes_fault_the_connection_not_the_server() {
         let (net, addr, _model) = start(AdmissionConfig::default());
         // Raw socket, no handshake: shove noise at the server.
@@ -1643,8 +1551,13 @@ mod tests {
             }
         }
 
+        // The loop counts the parked session once it drained the
+        // cancelled stream, after the session left the live count.
         let deadline = Instant::now() + IDLE;
-        while net.stats().stalled == 0 || net.moqo().stats().live != 0 {
+        while net.stats().stalled == 0
+            || net.moqo().stats().live != 0
+            || net.stats().disconnect_parked == 0
+        {
             assert!(
                 Instant::now() < deadline,
                 "stall never detected: {:?}",

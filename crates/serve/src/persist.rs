@@ -464,8 +464,8 @@ mod tests {
         // Refine one fingerprint further (resume warm, change focus, and
         // re-park): only that file is rewritten.
         let gid = e.submit(specs[0].clone());
-        assert!(e.status(gid).unwrap().warm_start);
         assert!(e.wait_idle(IDLE));
+        assert!(e.status(gid).unwrap().warm_start);
         let tight = {
             let f = e.frontier(gid).unwrap();
             let anchor = f.min_by_metric(0).unwrap().cost[0];

@@ -19,8 +19,10 @@
 //! repeats on one shard's plan cache. When home is busier than the
 //! least-loaded shard by [`ShardConfig::rebalance_headroom`] sessions or
 //! more, the submission goes to that shard instead. Routing never looks
-//! at the store: the shard's [`SessionManager::open`] is the one place
-//! that decides whether a session resumes, rebases or starts cold
+//! at the store, and admission only registers the session under the
+//! fingerprint it was routed by: the session's open, at its first
+//! checkout on one of the shard's workers, is the one place that decides
+//! whether it resumes, rebases or starts cold
 //! ([`SessionStatus::warm_start`], [`SessionStatus::rebased`]). A diverted
 //! submission forfeits nothing, because every shard reads the same store.
 
@@ -223,13 +225,16 @@ impl ShardedEngine {
     }
 
     /// [`ShardedEngine::open`] for a request an outer layer already
-    /// validated; the shard admits it without checking again.
+    /// validated; the shard admits it without checking again, under the
+    /// fingerprint it was routed by. Only registers the session (see
+    /// [`SessionManager::admit`]).
     ///
     /// # Panics
     /// As [`SessionManager::admit`].
     pub fn admit(&self, request: ValidRequest) -> GlobalSessionId {
-        let shard = self.route(self.fingerprint_of(request.request()));
-        let local = self.shards[shard].admit(request);
+        let fp = self.fingerprint_of(request.request());
+        let shard = self.route(fp);
+        let local = self.shards[shard].admit(request, fp);
         GlobalSessionId { shard, local }
     }
 
@@ -336,7 +341,7 @@ impl ShardedEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use moqo_cost::CostVector;
     use moqo_costmodel::{PlanInput, StandardCostModel};
@@ -469,6 +474,18 @@ mod tests {
         assert_eq!(warm, vec![0, 1], "the warm open counts where it ran");
     }
 
+    /// Waits for a session's first event, after which its status says
+    /// how it opened.
+    fn opened(e: &ShardedEngine, gid: GlobalSessionId) -> SessionStatus {
+        let rx = e.watch(gid, None).expect("known session");
+        while let Ok(event) = rx.recv_timeout(IDLE) {
+            if event.epoch > 0 {
+                break;
+            }
+        }
+        e.status(gid).expect("known session")
+    }
+
     /// Per shard: (hits, misses, rebase hits, rebase misses).
     fn lookups(e: &ShardedEngine) -> Vec<(u64, u64, u64, u64)> {
         e.shard_stats()
@@ -511,7 +528,7 @@ mod tests {
 
         // Another shape finds neither an exact frontier nor a donor.
         let gid3 = e.submit(Arc::new(testkit::chain_query(5, 90_000)));
-        let s = e.status(gid3).unwrap();
+        let s = opened(&e, gid3);
         assert!(!s.rebased && !s.warm_start, "{s:?}");
         expected[gid3.shard].1 += 1;
         expected[gid3.shard].3 += 1;
@@ -522,7 +539,7 @@ mod tests {
         assert!(e.has_parked(e.fingerprint(&spec)));
         let gid4 = e.submit(spec);
         assert_eq!(gid4.shard, gid.shard);
-        assert!(e.status(gid4).unwrap().warm_start);
+        assert!(opened(&e, gid4).warm_start);
         expected[gid.shard].0 += 1;
         assert_eq!(lookups(&e), expected, "the donor's repeat hits");
         assert!(e.wait_idle(IDLE));
@@ -645,49 +662,51 @@ mod tests {
         assert_eq!(evictions(&e), expected, "the restore evicted");
     }
 
-    /// The name of the thread whose seed replay [`GatedModel`] blocks.
-    const REPLAY: &str = "rebase-replay";
-
-    /// Holds the [`REPLAY`] thread inside `join_alternatives` while armed.
+    /// Holds the first thread that costs a join while armed — a worker
+    /// replaying a twin's seeds, or running a session's first slice —
+    /// inside `join_alternatives`; every other thread passes.
     #[derive(Default)]
-    struct Gate {
-        armed: AtomicBool,
-        /// (a replay is blocked at the gate, the gate was released)
-        state: Mutex<(bool, bool)>,
+    pub(crate) struct Gate {
+        pub(crate) armed: AtomicBool,
+        /// (the thread held at the gate, the gate was released)
+        state: Mutex<(Option<thread::ThreadId>, bool)>,
         changed: Condvar,
     }
 
     impl Gate {
         fn pass(&self) {
-            if !self.armed.load(Ordering::SeqCst) || thread::current().name() != Some(REPLAY) {
+            if !self.armed.load(Ordering::SeqCst) {
                 return;
             }
+            let me = thread::current().id();
             let mut state = self.state.lock().unwrap();
-            state.0 = true;
+            if *state.0.get_or_insert(me) != me {
+                return;
+            }
             self.changed.notify_all();
             while !state.1 {
                 state = self.changed.wait(state).unwrap();
             }
         }
 
-        fn wait_blocked(&self) -> bool {
+        pub(crate) fn wait_blocked(&self) -> bool {
             let state = self.state.lock().unwrap();
             let (state, _) = self
                 .changed
-                .wait_timeout_while(state, IDLE, |s| !s.0)
+                .wait_timeout_while(state, IDLE, |s| s.0.is_none())
                 .unwrap();
-            state.0
+            state.0.is_some()
         }
 
-        fn release(&self) {
+        pub(crate) fn release(&self) {
             self.state.lock().unwrap().1 = true;
             self.changed.notify_all();
         }
     }
 
     /// Releases the gate when dropped, so a failing assert cannot leave
-    /// the replay thread parked forever.
-    struct Release(Arc<Gate>);
+    /// the held worker parked forever.
+    pub(crate) struct Release(pub(crate) Arc<Gate>);
 
     impl Drop for Release {
         fn drop(&mut self) {
@@ -697,9 +716,9 @@ mod tests {
 
     /// The standard model, costing joins only once the gate lets the
     /// calling thread pass.
-    struct GatedModel {
-        inner: StandardCostModel,
-        gate: Arc<Gate>,
+    pub(crate) struct GatedModel {
+        pub(crate) inner: StandardCostModel,
+        pub(crate) gate: Arc<Gate>,
     }
 
     impl CostModel for GatedModel {
@@ -731,6 +750,51 @@ mod tests {
         }
     }
 
+    #[test]
+    fn finishing_a_session_that_has_not_opened_opens_and_ends_it_once() {
+        let gate = Arc::new(Gate::default());
+        let model = GatedModel {
+            inner: StandardCostModel::paper_metrics(),
+            gate: Arc::clone(&gate),
+        };
+        let e = ShardedEngine::new(
+            Arc::new(model),
+            ResolutionSchedule::linear(2, 1.1, 0.4),
+            ShardConfig {
+                shards: 1,
+                engine: EngineConfig {
+                    workers: 1,
+                    ..EngineConfig::default()
+                },
+                rebalance_headroom: 0,
+            },
+        );
+        let _release = Release(Arc::clone(&gate));
+        // The only worker is held mid-slice, so the next session stays
+        // registered but unopened.
+        gate.armed.store(true, Ordering::SeqCst);
+        let busy = e.submit(Arc::new(testkit::chain_query(3, 40_000)));
+        assert!(gate.wait_blocked(), "the busy session never costed a join");
+        let spec = Arc::new(testkit::chain_query(4, 40_000));
+        let pending = e.submit(spec.clone());
+        let rx = e.watch(pending, None).expect("known session");
+        assert_eq!(rx.recv().expect("the prime").epoch, 0);
+
+        let status = e.finish(pending).expect("known session");
+        assert_eq!(status.outcome, Some(moqo_core::SessionOutcome::Retired));
+        let events: Vec<SessionEvent> = rx.try_iter().collect();
+        assert_eq!(events.len(), 1, "one terminal event: {events:?}");
+        assert!(events[0].is_final());
+        assert!(e.has_parked(e.fingerprint(&spec)), "it opened and parked");
+        assert_eq!(e.live_sessions(), 1, "only the busy session is live");
+        assert!(e.finish(pending).is_some_and(|s| s.is_finished()));
+
+        gate.release();
+        e.finish(busy).expect("known session");
+        assert!(e.wait_idle(IDLE));
+        assert_eq!(e.live_sessions(), 0);
+    }
+
     /// Runs `f` on its own thread and fails unless it returns within 5 s.
     fn within_5s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
         let (tx, rx) = mpsc::channel();
@@ -742,6 +806,8 @@ mod tests {
     }
 
     /// A two-shard engine over [`GatedModel`] with a donor chain parked.
+    /// Each shard has two workers, so one can open sessions while the
+    /// other is held at the gate.
     fn gated_engine_with_donor(gate: &Arc<Gate>) -> (Arc<ShardedEngine>, Arc<QuerySpec>) {
         let model = GatedModel {
             inner: StandardCostModel::paper_metrics(),
@@ -753,7 +819,7 @@ mod tests {
             ShardConfig {
                 shards: 2,
                 engine: EngineConfig {
-                    workers: 1,
+                    workers: 2,
                     ..EngineConfig::default()
                 },
                 rebalance_headroom: 0,
@@ -766,23 +832,13 @@ mod tests {
         (e, donor)
     }
 
-    /// Arms the gate and submits `twin` on the [`REPLAY`] thread; returns
-    /// once its seed replay is blocked at the gate.
-    fn replay_blocked(
-        e: &Arc<ShardedEngine>,
-        gate: &Gate,
-        twin: Arc<QuerySpec>,
-    ) -> thread::JoinHandle<GlobalSessionId> {
+    /// Arms the gate and submits `twin`; returns its session once the
+    /// worker opening it is blocked at the gate, replaying its seeds.
+    fn replay_blocked(e: &ShardedEngine, gate: &Gate, twin: Arc<QuerySpec>) -> GlobalSessionId {
         gate.armed.store(true, Ordering::SeqCst);
-        let replay = {
-            let e = Arc::clone(e);
-            thread::Builder::new()
-                .name(REPLAY.into())
-                .spawn(move || e.submit(twin))
-                .unwrap()
-        };
+        let gid = e.submit(twin);
         assert!(gate.wait_blocked(), "the twin never replayed its donor");
-        replay
+        gid
     }
 
     #[test]
@@ -812,7 +868,7 @@ mod tests {
         let (neighbour, other) = (neighbour.unwrap(), other.unwrap());
         assert!(e.wait_idle(IDLE));
 
-        let replay = replay_blocked(&e, &gate, twin);
+        let gid = replay_blocked(&e, &gate, twin);
         let live = within_5s("live_sessions", {
             let e = Arc::clone(&e);
             move || e.shards[home].live_sessions()
@@ -830,7 +886,6 @@ mod tests {
         assert!(parked);
 
         gate.release();
-        let gid = replay.join().unwrap();
         assert_eq!(gid.shard, home);
         assert!(e.wait_idle(IDLE));
         assert!(e.status(gid).unwrap().rebased);
@@ -843,7 +898,7 @@ mod tests {
         let _release = Release(Arc::clone(&gate));
         let (e, donor) = gated_engine_with_donor(&gate);
         let first = Arc::new(testkit::drift_cardinalities(&donor, 1.08));
-        let replay = replay_blocked(&e, &gate, first);
+        let first_gid = replay_blocked(&e, &gate, first);
         let mut expected = lookups(&e);
 
         // The first twin's replay holds no lock and leaves the donor
@@ -852,29 +907,34 @@ mod tests {
         // hit on its home shard.
         let second = Arc::new(testkit::drift_cardinalities(&donor, 1.2));
         let home = e.home_shard(e.fingerprint(&second));
-        let gid = within_5s("a second twin's open", {
+        let (gid, status) = within_5s("a second twin's open", {
             let e = Arc::clone(&e);
-            move || e.submit(second)
+            move || {
+                let gid = e.submit(second);
+                (gid, opened(&e, gid))
+            }
         });
         assert_eq!(gid.shard, home);
-        assert!(e.status(gid).unwrap().rebased);
+        assert!(status.rebased);
         expected[home].1 += 1;
         expected[home].2 += 1;
         assert_eq!(lookups(&e), expected, "the second twin finds the donor");
 
         // The donor's exact repeat resumes warm: an exact hit.
         let donor_home = e.home_shard(e.fingerprint(&donor));
-        let gid = within_5s("the donor's repeat", {
+        let (gid, status) = within_5s("the donor's repeat", {
             let e = Arc::clone(&e);
-            move || e.submit(donor)
+            move || {
+                let gid = e.submit(donor);
+                (gid, opened(&e, gid))
+            }
         });
         assert_eq!(gid.shard, donor_home);
-        assert!(e.status(gid).unwrap().warm_start);
+        assert!(status.warm_start);
         expected[donor_home].0 += 1;
         assert_eq!(lookups(&e), expected, "the donor's repeat hits");
 
         gate.release();
-        let first_gid = replay.join().unwrap();
         assert!(e.wait_idle(IDLE));
         assert!(e.status(first_gid).unwrap().rebased);
         assert_eq!(lookups(&e), expected);

@@ -43,7 +43,7 @@ pub use framing::{
     check_hello, client_hello, read_frame, write_frame, FrameBuffer, NetError, WriteBuffer,
     HELLO_LEN, MAX_FRAME, WIRE_MAGIC, WIRE_VERSION,
 };
-pub use message::{ClientFrameKind, ClientMessage, ServerMessage};
+pub use message::{ClientMessage, ServerMessage};
 
 // The payload codec this crate frames, re-exported so wire users need no
 // direct moqo-core dependency.

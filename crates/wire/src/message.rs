@@ -26,30 +26,7 @@ pub enum ClientMessage {
     Command(SessionCommand),
 }
 
-/// The envelope kind of an encoded client frame, readable from its tag
-/// byte alone. An event loop peeks this to route expensive frames
-/// (submits) to decode workers while dispatching cheap ones inline —
-/// without paying a full [`ClientMessage::decode`] on the loop thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClientFrameKind {
-    /// [`ClientMessage::Submit`].
-    Submit,
-    /// [`ClientMessage::Command`].
-    Command,
-}
-
 impl ClientMessage {
-    /// Peeks the envelope kind of an encoded payload from its tag byte,
-    /// without decoding. `None` for an empty payload or an unknown tag
-    /// (both decode errors; callers fault such frames).
-    pub fn kind_of(payload: &[u8]) -> Option<ClientFrameKind> {
-        match payload.first()? {
-            0 => Some(ClientFrameKind::Submit),
-            1 => Some(ClientFrameKind::Command),
-            _ => None,
-        }
-    }
-
     /// Serializes the envelope into one frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();

@@ -164,13 +164,9 @@ fn main() {
     assert!(response.is_admitted());
     assert!(srv.wait_idle(IDLE));
     match srv.poll(t).expect("known ticket") {
-        TicketStatus::Active {
-            session,
-            warm_start,
-            view,
-            ..
-        } => {
+        TicketStatus::Active { session, view, .. } => {
             assert_eq!(session.shard, home, "an idle deployment routes home");
+            let warm_start = srv.engine().status(session).expect("known").warm_start;
             assert!(warm_start, "session missed the warm store");
             let first = view.first_report.as_ref().expect("ran");
             assert_eq!(first.plans_generated, 0, "warm start rebuilt plans");
@@ -210,9 +206,8 @@ fn main() {
     let (t, _) = srv2.submit(hot.clone()).expect("well-formed request");
     assert!(srv2.wait_idle(IDLE));
     match srv2.poll(t).expect("known ticket") {
-        TicketStatus::Active {
-            warm_start, view, ..
-        } => {
+        TicketStatus::Active { session, view, .. } => {
+            let warm_start = srv2.engine().status(session).expect("known").warm_start;
             assert!(warm_start, "restored frontier not found");
             let first = view.first_report.as_ref().expect("ran");
             assert_eq!(
